@@ -274,7 +274,7 @@ impl AdaptiveCheckpoint {
                 config: r.get_str()?,
                 estimate: if r.get_bool()? { Some(get_estimate(&mut r)?) } else { None },
                 action: action_from_tag(r.get_u8()?)?,
-                reason: r.get_str()?,
+                reason: r.get_str()?.into(),
                 seed_candidate: r.get_bool()?,
             });
         }

@@ -411,7 +411,7 @@ impl AdaptiveRunner {
             config: pick.config.summary(),
             estimate: Some(pick.estimate),
             action: AuditAction::Switched,
-            reason,
+            reason: reason.into(),
             seed_candidate: false,
         });
         if metrics.is_enabled() {

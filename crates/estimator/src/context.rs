@@ -11,6 +11,7 @@ use gnnav_runtime::checkpoint::put_config;
 use gnnav_runtime::{SamplerKind, TrainingConfig};
 use gnnav_store::ByteWriter;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One candidate to estimate: configuration ⊕ dataset stats ⊕
 /// platform.
@@ -34,8 +35,9 @@ pub struct Context {
     pub num_classes: f64,
     /// Number of training target vertices.
     pub num_train: f64,
-    /// The hardware platform.
-    pub platform: Platform,
+    /// The hardware platform, shared: every candidate of one
+    /// exploration points at the same allocation.
+    pub platform: Arc<Platform>,
 }
 
 impl Context {
@@ -53,7 +55,7 @@ impl Context {
             feat_dim: dataset.feat_dim() as f64,
             num_classes: dataset.num_classes() as f64,
             num_train: dataset.split().train.len() as f64,
-            platform: platform.clone(),
+            platform: Arc::new(platform.clone()),
         }
     }
 
@@ -204,7 +206,7 @@ pub struct PredictionContext {
     feat_dim: f64,
     num_classes: f64,
     num_train: f64,
-    platform: Platform,
+    platform: Arc<Platform>,
     memo: HashMap<Vec<u8>, PerfEstimate>,
 }
 
@@ -221,14 +223,14 @@ impl PredictionContext {
             feat_dim: dataset.feat_dim() as f64,
             num_classes: dataset.num_classes() as f64,
             num_train: dataset.split().train.len() as f64,
-            platform: platform.clone(),
+            platform: Arc::new(platform.clone()),
             memo: HashMap::new(),
         }
     }
 
     /// Builds the [`Context`] for `config` without touching the
-    /// dataset — O(1), identical field for field to
-    /// `Context::new(dataset, platform, config)`.
+    /// dataset or copying the platform — O(1), identical field for
+    /// field to `Context::new(dataset, platform, config)`.
     pub fn context(&self, config: TrainingConfig) -> Context {
         Context {
             config,
@@ -240,7 +242,7 @@ impl PredictionContext {
             feat_dim: self.feat_dim,
             num_classes: self.num_classes,
             num_train: self.num_train,
-            platform: self.platform.clone(),
+            platform: Arc::clone(&self.platform),
         }
     }
 

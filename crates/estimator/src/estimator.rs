@@ -213,15 +213,27 @@ impl GrayBoxEstimator {
         pctx: &mut PredictionContext,
         configs: &[TrainingConfig],
     ) -> Vec<PerfEstimate> {
-        let keys: Vec<Vec<u8>> = configs.iter().map(config_key).collect();
-        let out: Vec<Option<PerfEstimate>> = keys.iter().map(|k| pctx.memo_get(k)).collect();
+        self.predict_batch_owned(pctx, configs.to_vec()).into_iter().map(|(_, e)| e).collect()
+    }
+
+    /// [`predict_batch`](Self::predict_batch) for a caller that owns
+    /// its candidates: each configuration moves into its [`Context`]
+    /// and back out beside its estimate, so none is copied.
+    pub fn predict_batch_owned(
+        &self,
+        pctx: &mut PredictionContext,
+        configs: Vec<TrainingConfig>,
+    ) -> Vec<(TrainingConfig, PerfEstimate)> {
+        let contexts: Vec<Context> = configs.into_iter().map(|c| pctx.context(c)).collect();
+        let mut keys: Vec<Vec<u8>> = contexts.iter().map(|c| config_key(&c.config)).collect();
+        let memoized: Vec<Option<PerfEstimate>> = keys.iter().map(|k| pctx.memo_get(k)).collect();
         // First-appearance order of the unique un-memoized configs;
         // later duplicates point at the same slot.
-        let mut slot_of: Vec<Option<usize>> = vec![None; configs.len()];
+        let mut slot_of: Vec<Option<usize>> = vec![None; contexts.len()];
         let mut uniques: Vec<usize> = Vec::new();
         let mut first: std::collections::HashMap<&[u8], usize> = std::collections::HashMap::new();
-        for i in 0..configs.len() {
-            if out[i].is_some() {
+        for i in 0..contexts.len() {
+            if memoized[i].is_some() {
                 continue;
             }
             let slot = *first.entry(keys[i].as_slice()).or_insert_with(|| {
@@ -230,20 +242,21 @@ impl GrayBoxEstimator {
             });
             slot_of[i] = Some(slot);
         }
-        let memo_hits = (configs.len() - uniques.len()) as u64;
+        let memo_hits = (contexts.len() - uniques.len()) as u64;
         if memo_hits > 0 {
             gnnav_obs::global().add(metric::ESTIMATOR_MEMOIZED, memo_hits);
         }
-        let fresh: Vec<PerfEstimate> = gnnav_par::par_map_indexed(&uniques, 8, |_, &i| {
-            self.predict(&pctx.context(configs[i].clone()))
-        });
+        let fresh: Vec<PerfEstimate> =
+            gnnav_par::par_map_indexed(&uniques, 8, |_, &i| self.predict(&contexts[i]));
         for (slot, &i) in uniques.iter().enumerate() {
-            pctx.memo_put(keys[i].clone(), fresh[slot]);
+            pctx.memo_put(std::mem::take(&mut keys[i]), fresh[slot]);
         }
-        out.iter()
-            .zip(&slot_of)
-            .map(|(memoized, slot)| {
-                memoized.unwrap_or_else(|| fresh[slot.expect("miss has a slot")])
+        contexts
+            .into_iter()
+            .zip(memoized.iter().zip(&slot_of))
+            .map(|(ctx, (memoized, slot))| {
+                let estimate = memoized.unwrap_or_else(|| fresh[slot.expect("miss has a slot")]);
+                (ctx.config, estimate)
             })
             .collect()
     }

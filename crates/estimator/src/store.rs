@@ -22,9 +22,10 @@ use gnnav_graph::{Dataset, DatasetId};
 use gnnav_hwsim::Platform;
 use gnnav_runtime::checkpoint::{get_config, put_config};
 use gnnav_runtime::TrainingConfig;
-use gnnav_store::{ByteReader, ByteWriter, StoreError, Wal};
+use gnnav_store::{fnv1a64, ByteReader, ByteWriter, StoreError, Wal};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Leading byte of every profile-record frame; bumped on layout
 /// changes so old stores are skipped (and re-profiled) rather than
@@ -124,21 +125,9 @@ fn get_key(r: &mut ByteReader) -> Result<(DatasetId, Context), StoreError> {
             feat_dim,
             num_classes,
             num_train,
-            platform: Platform { host, device, link },
+            platform: Arc::new(Platform { host, device, link }),
         },
     ))
-}
-
-/// FNV-1a over the canonical key bytes — stable across runs and
-/// platforms (everything is encoded little-endian with raw float
-/// bits).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 /// The canonical fingerprint of profiling `config` on `dataset` over

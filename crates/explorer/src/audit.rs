@@ -8,6 +8,7 @@
 
 use gnnav_estimator::PerfEstimate;
 use gnnav_obs::json;
+use std::borrow::Cow;
 
 /// What the explorer did with a candidate (or subtree).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,8 +57,10 @@ pub struct AuditRecord {
     pub estimate: Option<PerfEstimate>,
     /// What happened.
     pub action: AuditAction,
-    /// Why, in plain words.
-    pub reason: String,
+    /// Why, in plain words. Borrowed where the explorer has a fixed
+    /// phrase for it, owned where the reason carries numbers; it
+    /// renders and encodes as the plain string either way.
+    pub reason: Cow<'static, str>,
     /// Whether the candidate came from the template seeds rather than
     /// the DFS traversal.
     pub seed_candidate: bool,

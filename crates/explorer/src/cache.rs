@@ -35,7 +35,7 @@ use gnnav_nn::ModelKind;
 use gnnav_obs::names as metric;
 use gnnav_runtime::checkpoint::{get_config, put_config};
 use gnnav_runtime::DesignSpace;
-use gnnav_store::{ByteReader, ByteWriter, StoreError, Wal};
+use gnnav_store::{fnv1a64, ByteReader, ByteWriter, StoreError, Wal};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
@@ -101,17 +101,6 @@ fn get_estimate(r: &mut ByteReader) -> Result<PerfEstimate, StoreError> {
         batch_nodes: r.get_f64()?,
         hit_rate: r.get_f64()?,
     })
-}
-
-/// FNV-1a over canonical key bytes — stable across runs and platforms
-/// (everything is encoded little-endian with raw float bits).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 /// The canonical fingerprint of one exploration: everything the search
@@ -241,7 +230,7 @@ fn decode_result(payload: &[u8]) -> Result<(u64, ExplorationResult), StoreError>
         let config = r.get_str()?;
         let estimate = if r.get_bool()? { Some(get_estimate(&mut r)?) } else { None };
         let action = action_from_tag(r.get_u8()?)?;
-        let reason = r.get_str()?;
+        let reason = r.get_str()?.into();
         let seed_candidate = r.get_bool()?;
         audit.push(AuditRecord { config, estimate, action, reason, seed_candidate });
     }

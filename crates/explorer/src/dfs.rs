@@ -8,12 +8,13 @@
 //! # Wave-parallel evaluation
 //!
 //! The traversal itself is estimate-independent: pruning uses only the
-//! analytic cache-ratio bound, and budget/visited accounting counts
-//! leaves, not predictions. [`DfsExplorer::run_audited`] exploits that
+//! analytic cache-ratio bound, the validity cut only the cache-axis
+//! rule of [`DesignSpace::cache_axes_valid`], and budget/visited
+//! accounting counts leaves, not predictions. [`DfsExplorer::run_audited`] exploits that
 //! by expanding each restart serially into an ordered *wave* of
 //! decisions, batch-evaluating the wave's candidates through
-//! [`GrayBoxEstimator::predict_batch`] (which fans out across the
-//! `gnnav-par` pool), and then replaying the wave serially to emit
+//! [`GrayBoxEstimator::predict_batch_owned`] (which fans out across
+//! the `gnnav-par` pool), and then replaying the wave serially to emit
 //! journal events, audit records, and accept/reject bookkeeping in
 //! exactly the serial traversal's order. Predictions are pure given
 //! the context and the pool's chunking is static, so the outcome is
@@ -27,10 +28,14 @@ use gnnav_graph::Dataset;
 use gnnav_hwsim::Platform;
 use gnnav_nn::ModelKind;
 use gnnav_obs::names as metric;
+use gnnav_runtime::space::axis;
 use gnnav_runtime::{DesignSpace, TrainingConfig};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::borrow::Cow;
+use std::collections::HashSet;
+use std::sync::Arc;
 
 /// A candidate evaluated by the estimator during exploration.
 #[derive(Debug, Clone)]
@@ -74,20 +79,21 @@ pub struct DfsStats {
 /// The DFS engine over one [`DesignSpace`].
 #[derive(Debug, Clone)]
 pub struct DfsExplorer {
-    space: DesignSpace,
+    space: Arc<DesignSpace>,
     budget: usize,
     seed: u64,
 }
 
 impl DfsExplorer {
-    /// Creates an explorer evaluating at most `budget` leaves.
+    /// Creates an explorer evaluating at most `budget` leaves. The
+    /// space is taken by value or already shared (`Arc`).
     ///
     /// # Panics
     ///
     /// Panics if `budget == 0`.
-    pub fn new(space: DesignSpace, budget: usize, seed: u64) -> Self {
+    pub fn new(space: impl Into<Arc<DesignSpace>>, budget: usize, seed: u64) -> Self {
         assert!(budget > 0, "budget must be > 0");
-        DfsExplorer { space, budget, seed }
+        DfsExplorer { space: space.into(), budget, seed }
     }
 
     /// The design space being searched.
@@ -126,33 +132,47 @@ impl DfsExplorer {
         constraints: &RuntimeConstraints,
         seeds: &[TrainingConfig],
     ) -> DfsOutcome {
-        let mut stats = DfsStats::default();
-        let mut out: Vec<EvaluatedCandidate> = Vec::new();
-        let mut rejected_keep: Vec<EvaluatedCandidate> = Vec::new();
-        let mut audit: Vec<AuditRecord> = Vec::new();
-        let mut front = ParetoFront::new();
-        let mut pctx = PredictionContext::new(dataset, platform);
-        let mut wave: Vec<WaveStep> = Vec::new();
+        let mut traversal = Traversal::new(&self.space, dataset, model, constraints);
+        let expand =
+            |restart: &Restart, budget, wave: &mut Wave| traversal.expand(restart, budget, wave);
+        self.run_with(estimator, dataset, platform, constraints, seeds, expand).0
+    }
+
+    /// The restart loop around one `expand` strategy: seeds first,
+    /// then restarts until the budget is spent, each expanded into a
+    /// wave and flushed. Also returns the number of leaves the
+    /// strategy visited, which is traversal cost and no part of the
+    /// (serialized) outcome.
+    pub(crate) fn run_with(
+        &self,
+        estimator: &GrayBoxEstimator,
+        dataset: &Dataset,
+        platform: &Platform,
+        constraints: &RuntimeConstraints,
+        seeds: &[TrainingConfig],
+        mut expand: impl FnMut(&Restart, usize, &mut Wave) -> Expanded,
+    ) -> (DfsOutcome, usize) {
+        let mut replay = Replay {
+            estimator,
+            constraints,
+            pctx: PredictionContext::new(dataset, platform),
+            stats: DfsStats::default(),
+            accepted: Vec::new(),
+            rejected: Vec::new(),
+            front: ParetoFront::new(),
+            audit: Vec::new(),
+        };
+        let mut wave = Wave::default();
 
         // Wave 0 — the seeds: the templates of existing systems, so
         // guidelines never lose to the approaches the explorer knows
         // about.
         for seed_config in seeds {
             if seed_config.validate().is_ok() {
-                wave.push(WaveStep::Eval { config: seed_config.clone(), seed_candidate: true });
+                wave.push_eval(seed_config.clone(), true);
             }
         }
-        self.flush_wave(
-            estimator,
-            &mut pctx,
-            constraints,
-            &mut wave,
-            &mut stats,
-            &mut out,
-            &mut rejected_keep,
-            &mut front,
-            &mut audit,
-        );
+        replay.flush(&mut wave);
 
         // Restarted, randomized-order DFS: a budgeted DFS from one
         // root only varies the deepest axes, so the budget is split
@@ -162,8 +182,8 @@ impl DfsExplorer {
         // expands into one wave, flushed at its end.
         let mut rng = StdRng::seed_from_u64(self.seed);
         let per_restart = self.budget.div_ceil(DFS_RESTARTS).max(1);
-        let mut visited = std::collections::HashSet::new();
         let mut spent = 0usize;
+        let mut leaves = 0usize;
         while spent < self.budget {
             let mut axis_order: Vec<usize> = (0..self.space.num_axes()).collect();
             axis_order.shuffle(&mut rng);
@@ -174,78 +194,59 @@ impl DfsExplorer {
                     idx
                 })
                 .collect();
-            let mut assignment = vec![0usize; self.space.num_axes()];
             let restart_budget = (self.budget - spent).min(per_restart);
-            let mut restart_evals = 0usize;
-            self.expand(
-                0,
-                &mut assignment,
-                &axis_order,
-                &orders,
-                dataset,
-                model,
-                constraints,
-                restart_budget,
-                &mut restart_evals,
-                &mut visited,
-                &mut wave,
-            );
-            self.flush_wave(
-                estimator,
-                &mut pctx,
-                constraints,
-                &mut wave,
-                &mut stats,
-                &mut out,
-                &mut rejected_keep,
-                &mut front,
-                &mut audit,
-            );
-            if restart_evals == 0 {
+            let expanded = expand(&Restart { axis_order, orders }, restart_budget, &mut wave);
+            replay.flush(&mut wave);
+            leaves += expanded.leaves;
+            if expanded.evals == 0 {
                 break; // space (or all unseen points) exhausted
             }
-            spent += restart_evals;
+            spent += expanded.evals;
         }
-        DfsOutcome { accepted: out, rejected: rejected_keep, front: front.indices(), stats, audit }
+        let outcome = DfsOutcome {
+            accepted: replay.accepted,
+            rejected: replay.rejected,
+            front: replay.front.indices(),
+            stats: replay.stats,
+            audit: replay.audit,
+        };
+        (outcome, leaves)
     }
+}
 
+/// The accumulating side of a run: each flushed wave advances it.
+struct Replay<'a> {
+    estimator: &'a GrayBoxEstimator,
+    constraints: &'a RuntimeConstraints,
+    pctx: PredictionContext,
+    stats: DfsStats,
+    accepted: Vec<EvaluatedCandidate>,
+    rejected: Vec<EvaluatedCandidate>,
+    front: ParetoFront,
+    audit: Vec<AuditRecord>,
+}
+
+impl Replay<'_> {
     /// Batch-evaluates one wave's candidates and replays its decision
     /// log serially — journal events, audit records, accept/reject
     /// bookkeeping, and the incremental Pareto front all advance in
-    /// exactly the order the serial traversal recorded them.
-    #[allow(clippy::too_many_arguments)]
-    fn flush_wave(
-        &self,
-        estimator: &GrayBoxEstimator,
-        pctx: &mut PredictionContext,
-        constraints: &RuntimeConstraints,
-        wave: &mut Vec<WaveStep>,
-        stats: &mut DfsStats,
-        out: &mut Vec<EvaluatedCandidate>,
-        rejected_keep: &mut Vec<EvaluatedCandidate>,
-        front: &mut ParetoFront,
-        audit: &mut Vec<AuditRecord>,
-    ) {
-        if wave.is_empty() {
+    /// exactly the order the serial traversal recorded them. Leaves
+    /// `wave` empty.
+    fn flush(&mut self, wave: &mut Wave) {
+        if wave.steps.is_empty() {
             return;
         }
-        let configs: Vec<TrainingConfig> = wave
-            .iter()
-            .filter_map(|step| match step {
-                WaveStep::Eval { config, .. } => Some(config.clone()),
-                WaveStep::Prune { .. } => None,
-            })
-            .collect();
-        let estimates = estimator.predict_batch(pctx, &configs);
+        let mut evaluated = self
+            .estimator
+            .predict_batch_owned(&mut self.pctx, std::mem::take(&mut wave.configs))
+            .into_iter();
         let metrics = gnnav_obs::global();
         let journal = metrics.journal();
-        let mut next = 0usize;
-        for step in wave.drain(..) {
+        for step in wave.steps.drain(..) {
             match step {
-                WaveStep::Eval { config, seed_candidate } => {
-                    let estimate = estimates[next];
-                    next += 1;
-                    stats.evaluated += 1;
+                WaveStep::Eval { seed_candidate } => {
+                    let (config, estimate) = evaluated.next().expect("one config per Eval step");
+                    self.stats.evaluated += 1;
                     // A degenerate estimator (NaN/inf prediction) must
                     // never crash or silently win the Pareto front:
                     // treat the candidate as rejected, with the defect
@@ -254,7 +255,7 @@ impl DfsExplorer {
                         && estimate.mem_bytes.is_finite()
                         && estimate.accuracy.is_finite();
                     let violation = if finite {
-                        constraints.violation(&estimate)
+                        self.constraints.violation(&estimate)
                     } else {
                         if metrics.is_enabled() {
                             metrics.add(metric::EXPLORER_NONFINITE, 1);
@@ -266,25 +267,28 @@ impl DfsExplorer {
                         ))
                     };
                     let accepted = violation.is_none();
-                    let reason = violation
-                        .unwrap_or_else(|| "satisfies all runtime constraints".to_string());
+                    let reason: Cow<'static, str> = match violation {
+                        Some(violation) => violation.into(),
+                        None => "satisfies all runtime constraints".into(),
+                    };
+                    let summary = config.summary();
                     if journal.is_enabled() {
                         journal.instant(
                             metric::EVENT_CANDIDATE,
                             metric::TRACK_EXPLORER,
                             None,
                             vec![
-                                ("config".into(), config.summary().into()),
+                                ("config".into(), summary.as_str().into()),
                                 ("time_s".into(), estimate.time_s.into()),
                                 ("mem_bytes".into(), estimate.mem_bytes.into()),
                                 ("accuracy".into(), estimate.accuracy.into()),
                                 ("accepted".into(), accepted.into()),
-                                ("reason".into(), reason.as_str().into()),
+                                ("reason".into(), reason.as_ref().into()),
                             ],
                         );
                     }
-                    audit.push(AuditRecord {
-                        config: config.summary(),
+                    self.audit.push(AuditRecord {
+                        config: summary,
                         estimate: Some(estimate),
                         action: if accepted {
                             AuditAction::Accepted
@@ -295,17 +299,17 @@ impl DfsExplorer {
                         seed_candidate,
                     });
                     if accepted {
-                        front.insert(objectives(&estimate));
-                        out.push(EvaluatedCandidate { config, estimate });
+                        self.front.insert(objectives(&estimate));
+                        self.accepted.push(EvaluatedCandidate { config, estimate });
                     } else {
-                        stats.rejected += 1;
+                        self.stats.rejected += 1;
                         if finite {
-                            rejected_keep.push(EvaluatedCandidate { config, estimate });
+                            self.rejected.push(EvaluatedCandidate { config, estimate });
                         }
                     }
                 }
                 WaveStep::Prune { subtree, reason } => {
-                    stats.pruned_subtrees += 1;
+                    self.stats.pruned_subtrees += 1;
                     if journal.is_enabled() {
                         journal.instant(
                             metric::EVENT_PRUNE,
@@ -317,15 +321,76 @@ impl DfsExplorer {
                             ],
                         );
                     }
-                    audit.push(AuditRecord {
+                    self.audit.push(AuditRecord {
                         config: subtree,
                         estimate: None,
                         action: AuditAction::PrunedSubtree,
-                        reason,
+                        reason: reason.into(),
                         seed_candidate: false,
                     });
                 }
             }
+        }
+    }
+}
+
+/// One restart's shuffled traversal plan.
+#[derive(Debug)]
+pub(crate) struct Restart {
+    /// The axis fixed at each depth.
+    pub(crate) axis_order: Vec<usize>,
+    /// The order each axis's values are tried in, indexed by axis.
+    pub(crate) orders: Vec<Vec<usize>>,
+}
+
+/// What expanding one restart cost and yielded.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Expanded {
+    /// Leaves recorded for evaluation (what the budget counts).
+    pub(crate) evals: usize,
+    /// Leaves the walk reached, evaluated or not.
+    pub(crate) leaves: usize,
+}
+
+/// What the restarts of one exploration share: the inputs the walk
+/// reads and the set of leaves already recorded.
+pub(crate) struct Traversal<'a> {
+    space: &'a DesignSpace,
+    dataset: &'a Dataset,
+    model: ModelKind,
+    max_mem_bytes: Option<f64>,
+    /// Place value of each axis in a packed leaf key: the mixed-radix
+    /// number whose digits are the per-axis indices.
+    strides: [u64; axis::COUNT],
+    /// Packed keys of the leaves recorded so far.
+    visited: HashSet<u64>,
+}
+
+impl<'a> Traversal<'a> {
+    /// # Panics
+    ///
+    /// Panics if the space has more than `u64::MAX` raw combinations.
+    pub(crate) fn new(
+        space: &'a DesignSpace,
+        dataset: &'a Dataset,
+        model: ModelKind,
+        constraints: &RuntimeConstraints,
+    ) -> Self {
+        let mut strides = [0u64; axis::COUNT];
+        let mut place = 1u64;
+        for (a, stride) in strides.iter_mut().enumerate() {
+            *stride = place;
+            place = place
+                .checked_mul(space.axis_len(a) as u64)
+                .expect("design space has more leaves than a u64 key can number");
+        }
+        Traversal {
+            space,
+            dataset,
+            model,
+            max_mem_bytes: constraints.max_mem_bytes,
+            strides,
+            visited: HashSet::new(),
         }
     }
 
@@ -334,86 +399,133 @@ impl DfsExplorer {
     /// into `wave` without touching the estimator. Traversal order,
     /// pruning, visited-set, and budget accounting are identical to
     /// evaluating inline (none of them depend on estimates).
-    #[allow(clippy::too_many_arguments)]
-    fn expand(
-        &self,
-        depth: usize,
-        assignment: &mut Vec<usize>,
-        axis_order: &[usize],
-        orders: &[Vec<usize>],
-        dataset: &Dataset,
-        model: ModelKind,
-        constraints: &RuntimeConstraints,
-        budget: usize,
-        evals: &mut usize,
-        visited: &mut std::collections::HashSet<Vec<usize>>,
-        wave: &mut Vec<WaveStep>,
-    ) {
-        if *evals >= budget {
+    pub(crate) fn expand(&mut self, restart: &Restart, budget: usize, wave: &mut Wave) -> Expanded {
+        let mut depth_of = [0; axis::COUNT];
+        for (depth, &axis) in restart.axis_order.iter().enumerate() {
+            depth_of[axis] = depth;
+        }
+        let mut walk = Walk {
+            shared: self,
+            restart,
+            depth_of,
+            budget,
+            assignment: [0; axis::COUNT],
+            expanded: Expanded::default(),
+            wave,
+        };
+        walk.expand(0);
+        walk.expanded
+    }
+}
+
+/// One restart's walk in progress.
+struct Walk<'w, 'a> {
+    shared: &'w mut Traversal<'a>,
+    restart: &'w Restart,
+    /// The depth at which each axis is fixed (inverse of
+    /// `restart.axis_order`).
+    depth_of: [usize; axis::COUNT],
+    budget: usize,
+    assignment: [usize; axis::COUNT],
+    expanded: Expanded,
+    wave: &'w mut Wave,
+}
+
+impl Walk<'_, '_> {
+    fn expand(&mut self, depth: usize) {
+        if self.expanded.evals >= self.budget {
             return;
         }
-        if depth == self.space.num_axes() {
-            if !visited.insert(assignment.clone()) {
-                return; // already evaluated in a previous restart
-            }
-            if let Some(config) = self.space.config_at(assignment, model) {
-                wave.push(WaveStep::Eval { config, seed_candidate: false });
-                *evals += 1;
+        let space = self.shared.space;
+        if depth == axis::COUNT {
+            self.expanded.leaves += 1;
+            if let Some(config) = space.config_at(&self.assignment, self.shared.model) {
+                let key = self.assignment.iter().zip(&self.shared.strides);
+                let key: u64 = key.map(|(&index, stride)| index as u64 * stride).sum();
+                // Not inserted: already evaluated in a previous restart.
+                if self.shared.visited.insert(key) {
+                    self.wave.push_eval(config, false);
+                    self.expanded.evals += 1;
+                }
             }
             return;
         }
-        let axis = axis_order[depth];
-        for &value in &orders[axis] {
-            assignment[axis] = value;
+        let restart = self.restart;
+        let axis = restart.axis_order[depth];
+        // Validity cut: once the cache axes fixed so far admit no valid
+        // completion, nothing below this value is ever evaluated. It
+        // is silent, so it may only skip what is silent too: while a
+        // memory cap is set and the cache-ratio axis is still open,
+        // the subtree has Prune records to emit and is walked.
+        let cache_axis =
+            matches!(axis, axis::CACHE_RATIO | axis::CACHE_POLICY | axis::CACHE_UPDATE);
+        let cut = cache_axis
+            && (self.shared.max_mem_bytes.is_none() || self.depth_of[axis::CACHE_RATIO] <= depth);
+        for &value in &restart.orders[axis] {
+            self.assignment[axis] = value;
             // Analytic lower-bound pruning: once the cache-ratio axis
             // is fixed, Γ_cache alone already lower-bounds memory
             // (Eq. 10) — subtrees that must exceed the budget are cut
             // without querying the estimator.
-            if axis == CACHE_RATIO_AXIS {
-                if let Some(max_mem) = constraints.max_mem_bytes {
-                    let ratio = self.space.cache_ratios[value];
+            if axis == axis::CACHE_RATIO {
+                if let Some(max_mem) = self.shared.max_mem_bytes {
+                    let dataset = self.shared.dataset;
+                    let ratio = space.cache_ratios[value];
                     let min_row_bytes = dataset.feat_dim() as f64 * 2.0; // FP16 floor
                     let cache_lb = ratio * dataset.num_nodes() as f64 * min_row_bytes;
                     if cache_lb > max_mem {
-                        let subtree = format!("subtree {}={ratio}", self.space.axis_name(axis));
+                        let subtree = format!("subtree {}={ratio}", space.axis_name(axis));
                         let reason = format!(
                             "cache memory lower bound {:.2} MB > max {:.2} MB",
                             cache_lb / 1e6,
                             max_mem / 1e6
                         );
-                        wave.push(WaveStep::Prune { subtree, reason });
+                        self.wave.steps.push(WaveStep::Prune { subtree, reason });
                         continue;
                     }
                 }
             }
-            self.expand(
-                depth + 1,
-                assignment,
-                axis_order,
-                orders,
-                dataset,
-                model,
-                constraints,
-                budget,
-                evals,
-                visited,
-                wave,
-            );
-            if *evals >= budget {
+            if cut {
+                let fixed = |a: usize| (self.depth_of[a] <= depth).then(|| self.assignment[a]);
+                if !space.cache_axes_valid(
+                    fixed(axis::CACHE_RATIO),
+                    fixed(axis::CACHE_POLICY),
+                    fixed(axis::CACHE_UPDATE),
+                ) {
+                    continue;
+                }
+            }
+            self.expand(depth + 1);
+            if self.expanded.evals >= self.budget {
                 return;
             }
         }
     }
 }
 
+/// The decisions of one wave in traversal order. The candidates sit in
+/// their own list, one per [`WaveStep::Eval`] in order, so the batch
+/// prediction takes them by value.
+#[derive(Debug, Default)]
+pub(crate) struct Wave {
+    pub(crate) steps: Vec<WaveStep>,
+    pub(crate) configs: Vec<TrainingConfig>,
+}
+
+impl Wave {
+    pub(crate) fn push_eval(&mut self, config: TrainingConfig, seed_candidate: bool) {
+        self.steps.push(WaveStep::Eval { seed_candidate });
+        self.configs.push(config);
+    }
+}
+
 /// One decision recorded during serial wave expansion and replayed in
 /// the same order after the wave's candidates are batch-evaluated.
 #[derive(Debug, Clone)]
-enum WaveStep {
-    /// A leaf (or seed) to evaluate.
+pub(crate) enum WaveStep {
+    /// A leaf (or seed) to evaluate: the next entry of
+    /// [`Wave::configs`].
     Eval {
-        /// The candidate configuration.
-        config: TrainingConfig,
         /// Whether it came from the template seeds.
         seed_candidate: bool,
     },
@@ -429,9 +541,11 @@ enum WaveStep {
 /// Number of DFS restarts a budget is split across.
 const DFS_RESTARTS: usize = 16;
 
-/// Index of the cache-ratio axis in [`DesignSpace`] (see
-/// `DesignSpace::axis_name`).
-const CACHE_RATIO_AXIS: usize = 4;
+/// Differential and visit-bound suites; they live beside the other
+/// explorer suites but need the crate-private walk.
+#[cfg(test)]
+#[path = "../tests/white_box/dfs.rs"]
+mod white_box;
 
 #[cfg(test)]
 mod tests {

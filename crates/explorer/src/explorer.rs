@@ -11,6 +11,7 @@ use gnnav_hwsim::Platform;
 use gnnav_nn::ModelKind;
 use gnnav_obs::names as metric;
 use gnnav_runtime::{DesignSpace, Template};
+use std::sync::Arc;
 
 /// Everything one exploration produced.
 #[derive(Debug, Clone)]
@@ -69,7 +70,7 @@ pub struct ExplorationResult {
 #[derive(Debug)]
 pub struct Explorer<'a> {
     estimator: &'a GrayBoxEstimator,
-    space: DesignSpace,
+    space: Arc<DesignSpace>,
     budget: usize,
     seed: u64,
 }
@@ -78,12 +79,14 @@ impl<'a> Explorer<'a> {
     /// Creates an explorer over the standard design space with the
     /// given (fitted) estimator and leaf-evaluation budget.
     pub fn new(estimator: &'a GrayBoxEstimator, budget: usize) -> Self {
-        Explorer { estimator, space: DesignSpace::standard(), budget, seed: 0xDF5 }
+        Explorer { estimator, space: Arc::new(DesignSpace::standard()), budget, seed: 0xDF5 }
     }
 
-    /// Replaces the design space.
-    pub fn with_space(mut self, space: DesignSpace) -> Self {
-        self.space = space;
+    /// Replaces the design space, taken by value or already shared
+    /// (`Arc`) — a server exploring one space for every request hands
+    /// out the same allocation.
+    pub fn with_space(mut self, space: impl Into<Arc<DesignSpace>>) -> Self {
+        self.space = space.into();
         self
     }
 
@@ -162,7 +165,7 @@ impl<'a> Explorer<'a> {
         // one epoch for every explorer event, immune to wall-clock
         // adjustments and directly comparable across the trace.
         let explore_t0 = journal.is_enabled().then(|| journal.now_us());
-        let dfs = DfsExplorer::new(self.space.clone(), self.budget, self.seed);
+        let dfs = DfsExplorer::new(Arc::clone(&self.space), self.budget, self.seed);
         let outcome = dfs.run_audited(self.estimator, dataset, platform, model, constraints, seeds);
         let (evaluated, rejected, front, stats) =
             (outcome.accepted, outcome.rejected, outcome.front, outcome.stats);
@@ -251,7 +254,7 @@ impl<'a> Explorer<'a> {
             config: guideline.config.summary(),
             estimate: Some(guideline.estimate),
             action,
-            reason,
+            reason: reason.into(),
             seed_candidate: false,
         });
         if let Some(t0) = explore_t0 {

@@ -75,7 +75,7 @@ fn audit_records() -> impl Strategy<Value = AuditRecord> {
             config,
             estimate: has_estimate.then_some(estimate),
             action,
-            reason,
+            reason: reason.into(),
             seed_candidate,
         },
     )

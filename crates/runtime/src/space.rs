@@ -12,6 +12,36 @@ use gnnav_nn::ModelKind;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// Axis numbering of a [`DesignSpace`]: the position of each option
+/// list in a per-axis index vector (as taken by
+/// [`DesignSpace::config_at`] and walked by the explorer's DFS).
+pub mod axis {
+    /// Sampler family.
+    pub const SAMPLER: usize = 0;
+    /// Per-layer fanouts.
+    pub const FANOUTS: usize = 1;
+    /// Locality-bias strength `η`.
+    pub const ETA: usize = 2;
+    /// Mini-batch target count.
+    pub const BATCH_SIZE: usize = 3;
+    /// Cache ratio `r`.
+    pub const CACHE_RATIO: usize = 4;
+    /// Cache policy.
+    pub const CACHE_POLICY: usize = 5;
+    /// Cache-update flag.
+    pub const CACHE_UPDATE: usize = 6;
+    /// Pipelining flag.
+    pub const PIPELINED: usize = 7;
+    /// Precision.
+    pub const PRECISION: usize = 8;
+    /// Hidden width.
+    pub const HIDDEN_DIM: usize = 9;
+    /// Dropout probability.
+    pub const DROPOUT: usize = 10;
+    /// Number of axes.
+    pub const COUNT: usize = 11;
+}
+
 /// Discretized option lists for every configuration axis.
 ///
 /// # Example
@@ -113,27 +143,27 @@ impl DesignSpace {
 
     /// Number of axes (for DFS traversal).
     pub fn num_axes(&self) -> usize {
-        11
+        axis::COUNT
     }
 
     /// Length of axis `axis`.
     ///
     /// # Panics
     ///
-    /// Panics if `axis >= 10`.
+    /// Panics if `axis >= 11` ([`axis::COUNT`]).
     pub fn axis_len(&self, axis: usize) -> usize {
         match axis {
-            0 => self.samplers.len(),
-            1 => self.fanout_options.len(),
-            2 => self.etas.len(),
-            3 => self.batch_sizes.len(),
-            4 => self.cache_ratios.len(),
-            5 => self.cache_policies.len(),
-            6 => self.cache_updates.len(),
-            7 => self.pipelined.len(),
-            8 => self.precisions.len(),
-            9 => self.hidden_dims.len(),
-            10 => self.dropouts.len(),
+            axis::SAMPLER => self.samplers.len(),
+            axis::FANOUTS => self.fanout_options.len(),
+            axis::ETA => self.etas.len(),
+            axis::BATCH_SIZE => self.batch_sizes.len(),
+            axis::CACHE_RATIO => self.cache_ratios.len(),
+            axis::CACHE_POLICY => self.cache_policies.len(),
+            axis::CACHE_UPDATE => self.cache_updates.len(),
+            axis::PIPELINED => self.pipelined.len(),
+            axis::PRECISION => self.precisions.len(),
+            axis::HIDDEN_DIM => self.hidden_dims.len(),
+            axis::DROPOUT => self.dropouts.len(),
             // Internal invariant, not user input: axis indices come
             // from DFS loops bounded by num_axes(), so an
             // out-of-range axis is a caller bug.
@@ -144,20 +174,47 @@ impl DesignSpace {
     /// Human-readable axis name (diagnostics and ablation tables).
     pub fn axis_name(&self, axis: usize) -> &'static str {
         match axis {
-            0 => "sampler",
-            1 => "fanouts",
-            2 => "eta",
-            3 => "batch_size",
-            4 => "cache_ratio",
-            5 => "cache_policy",
-            6 => "cache_update",
-            7 => "pipelined",
-            8 => "precision",
-            9 => "hidden_dim",
-            10 => "dropout",
+            axis::SAMPLER => "sampler",
+            axis::FANOUTS => "fanouts",
+            axis::ETA => "eta",
+            axis::BATCH_SIZE => "batch_size",
+            axis::CACHE_RATIO => "cache_ratio",
+            axis::CACHE_POLICY => "cache_policy",
+            axis::CACHE_UPDATE => "cache_update",
+            axis::PIPELINED => "pipelined",
+            axis::PRECISION => "precision",
+            axis::HIDDEN_DIM => "hidden_dim",
+            axis::DROPOUT => "dropout",
             // Internal invariant, same bound as axis_len above.
             other => panic!("axis {other} out of range (11 axes)"),
         }
+    }
+
+    /// Whether the cache axes fixed so far can still be completed into
+    /// a valid configuration. Each argument is that axis's index, or
+    /// `None` while it is not fixed; a rule is applied once every axis
+    /// it reads is fixed, so with all three fixed this is exactly the
+    /// cache-axis validity of [`DesignSpace::config_at`].
+    pub fn cache_axes_valid(
+        &self,
+        ratio: Option<usize>,
+        policy: Option<usize>,
+        update: Option<usize>,
+    ) -> bool {
+        let Some(policy) = policy.map(|p| self.cache_policies[p]) else {
+            return true;
+        };
+        // Canonical validity: no-cache ⇔ ratio 0 (avoids duplicate
+        // equivalent points in the space).
+        if ratio.is_some_and(|r| (policy == CachePolicy::None) != (self.cache_ratios[r] == 0.0)) {
+            return false;
+        }
+        // A frozen *static* cache is the same point as update=true for
+        // non-dynamic policies; keep only update=false there. A space
+        // that offers a single update value keeps it either way.
+        !(self.cache_updates.len() > 1
+            && !policy.is_dynamic()
+            && update.is_some_and(|u| self.cache_updates[u]))
     }
 
     /// Builds the configuration at the given per-axis indices, or
@@ -172,32 +229,26 @@ impl DesignSpace {
         // Internal invariant: index vectors are produced by the
         // explorer's own traversal, never parsed from user input.
         assert_eq!(indices.len(), self.num_axes(), "one index per axis");
-        let policy = self.cache_policies[indices[5]];
-        let ratio = self.cache_ratios[indices[4]];
-        // Canonical validity: no-cache ⇔ ratio 0 (avoids duplicate
-        // equivalent points in the space).
-        if (policy == CachePolicy::None) != (ratio == 0.0) {
-            return None;
-        }
-        // A frozen *static* cache is the same point as update=true for
-        // non-dynamic policies; keep only update=false there.
-        let update = self.cache_updates[indices[6]];
-        if !policy.is_dynamic() && update && self.cache_updates.len() > 1 {
+        if !self.cache_axes_valid(
+            Some(indices[axis::CACHE_RATIO]),
+            Some(indices[axis::CACHE_POLICY]),
+            Some(indices[axis::CACHE_UPDATE]),
+        ) {
             return None;
         }
         let config = TrainingConfig {
-            sampler: self.samplers[indices[0]],
-            fanouts: self.fanout_options[indices[1]].clone(),
-            locality_eta: self.etas[indices[2]],
-            batch_size: self.batch_sizes[indices[3]],
-            cache_ratio: ratio,
-            cache_policy: policy,
-            cache_update: update,
-            pipelined: self.pipelined[indices[7]],
-            precision: self.precisions[indices[8]],
+            sampler: self.samplers[indices[axis::SAMPLER]],
+            fanouts: self.fanout_options[indices[axis::FANOUTS]].clone(),
+            locality_eta: self.etas[indices[axis::ETA]],
+            batch_size: self.batch_sizes[indices[axis::BATCH_SIZE]],
+            cache_ratio: self.cache_ratios[indices[axis::CACHE_RATIO]],
+            cache_policy: self.cache_policies[indices[axis::CACHE_POLICY]],
+            cache_update: self.cache_updates[indices[axis::CACHE_UPDATE]],
+            pipelined: self.pipelined[indices[axis::PIPELINED]],
+            precision: self.precisions[indices[axis::PRECISION]],
             model,
-            hidden_dim: self.hidden_dims[indices[9]],
-            dropout: self.dropouts[indices[10]],
+            hidden_dim: self.hidden_dims[indices[axis::HIDDEN_DIM]],
+            dropout: self.dropouts[indices[axis::DROPOUT]],
         };
         config.validate().ok().map(|()| config)
     }
@@ -287,6 +338,81 @@ mod tests {
         indices[4] = ratio_idx;
         indices[5] = none_idx;
         assert!(s.config_at(&indices, ModelKind::Gcn).is_none());
+    }
+
+    /// The cache-axis rule as `config_at` spelled it inline before it
+    /// became [`DesignSpace::cache_axes_valid`], kept as the reference.
+    fn inline_rule(s: &DesignSpace, indices: &[usize]) -> bool {
+        let policy = s.cache_policies[indices[5]];
+        let ratio = s.cache_ratios[indices[4]];
+        if (policy == CachePolicy::None) != (ratio == 0.0) {
+            return false;
+        }
+        !(!policy.is_dynamic() && s.cache_updates[indices[6]] && s.cache_updates.len() > 1)
+    }
+
+    #[test]
+    fn enumerate_is_unchanged_in_count_and_order() {
+        // Count and FNV-1a digest of the `summary()` lines in order, as
+        // enumerated when the rule was still inline in `config_at`.
+        for (s, count, digest) in [
+            (DesignSpace::standard(), 362_880, 0x038c_54a6_fc82_7185u64),
+            (DesignSpace::reduced(), 108, 0x561b_ccee_5365_2405),
+        ] {
+            let configs = s.enumerate(ModelKind::Sage);
+            assert_eq!(configs.len(), count);
+            let lines: String = configs.iter().map(TrainingConfig::summary).collect();
+            assert_eq!(gnnav_store::fnv1a64(lines.as_bytes()), digest);
+            // And the inline rule agrees leaf by leaf.
+            let mut indices = vec![0usize; s.num_axes()];
+            let mut valid = 0usize;
+            for raw in 0..s.size() {
+                let mut rest = raw;
+                for axis in (0..s.num_axes()).rev() {
+                    indices[axis] = rest % s.axis_len(axis);
+                    rest /= s.axis_len(axis);
+                }
+                assert_eq!(
+                    s.config_at(&indices, ModelKind::Sage).is_some(),
+                    inline_rule(&s, &indices)
+                );
+                valid += usize::from(inline_rule(&s, &indices));
+            }
+            assert_eq!(valid, count);
+        }
+    }
+
+    #[test]
+    fn partial_cache_assignments_are_cut_only_when_no_completion_is_valid() {
+        for s in [DesignSpace::standard(), DesignSpace::reduced()] {
+            let opts = |n: usize| std::iter::once(None).chain((0..n).map(Some));
+            for r in opts(s.cache_ratios.len()) {
+                for p in opts(s.cache_policies.len()) {
+                    for u in opts(s.cache_updates.len()) {
+                        let fixed = |o: Option<usize>, n: usize| o.map_or(0..n, |i| i..i + 1);
+                        let completable = fixed(r, s.cache_ratios.len()).any(|r| {
+                            fixed(p, s.cache_policies.len()).any(|p| {
+                                fixed(u, s.cache_updates.len()).any(|u| {
+                                    let mut indices = vec![0usize; s.num_axes()];
+                                    indices[axis::CACHE_RATIO] = r;
+                                    indices[axis::CACHE_POLICY] = p;
+                                    indices[axis::CACHE_UPDATE] = u;
+                                    inline_rule(&s, &indices)
+                                })
+                            })
+                        });
+                        // Never cuts a completable prefix; with all
+                        // three fixed it is exactly the leaf rule.
+                        if completable {
+                            assert!(s.cache_axes_valid(r, p, u), "{r:?} {p:?} {u:?}");
+                        }
+                        if r.is_some() && p.is_some() && u.is_some() {
+                            assert_eq!(s.cache_axes_valid(r, p, u), completable);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

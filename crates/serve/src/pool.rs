@@ -8,17 +8,8 @@
 use gnnav_estimator::GrayBoxEstimator;
 use gnnav_hwsim::Platform;
 use gnnav_obs::names as metric;
-use gnnav_store::ByteWriter;
-
-/// FNV-1a 64-bit over `bytes` (same constants as the store codecs).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+use gnnav_store::{fnv1a64, ByteWriter};
+use std::sync::Arc;
 
 /// Fingerprints every field of a [`Platform`]: two platforms share a
 /// pooled estimator only when they are byte-identical.
@@ -41,12 +32,14 @@ pub fn platform_fingerprint(p: &Platform) -> u64 {
 
 /// Bounded LRU pool of fitted estimators keyed by
 /// [`platform_fingerprint`]. Hits, misses, and evictions are metered
-/// as `serve.pool.*`.
+/// as `serve.pool.*`. Fits are handed out shared (`Arc`): a wave's
+/// exploration jobs keep theirs alive without copying the forests,
+/// even when a later request of the same wave evicts it.
 #[derive(Debug)]
 pub struct EstimatorPool {
     capacity: usize,
     /// LRU order: least recently used first, most recent last.
-    entries: Vec<(u64, GrayBoxEstimator)>,
+    entries: Vec<(u64, Arc<GrayBoxEstimator>)>,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -102,7 +95,7 @@ impl EstimatorPool {
 
     /// The pooled fit for `fp`, if warm (no LRU touch, no metering).
     pub fn peek(&self, fp: u64) -> Option<&GrayBoxEstimator> {
-        self.entries.iter().find(|(k, _)| *k == fp).map(|(_, est)| est)
+        self.entries.iter().find(|(k, _)| *k == fp).map(|(_, est)| est.as_ref())
     }
 
     /// Returns the warm fit for `fp`, calibrating one with `fit` on a
@@ -113,26 +106,25 @@ impl EstimatorPool {
         &mut self,
         fp: u64,
         fit: impl FnOnce() -> Result<GrayBoxEstimator, E>,
-    ) -> Result<(&GrayBoxEstimator, bool), E> {
+    ) -> Result<(Arc<GrayBoxEstimator>, bool), E> {
         let metrics = gnnav_obs::global();
         if let Some(pos) = self.entries.iter().position(|(k, _)| *k == fp) {
             self.hits += 1;
             metrics.add(metric::SERVE_POOL_HITS, 1);
             let entry = self.entries.remove(pos);
+            let est = Arc::clone(&entry.1);
             self.entries.push(entry);
-            let (_, est) = self.entries.last().expect("just pushed");
             return Ok((est, true));
         }
         self.misses += 1;
         metrics.add(metric::SERVE_POOL_MISSES, 1);
-        let est = fit()?;
+        let est = Arc::new(fit()?);
         if self.entries.len() == self.capacity {
             self.entries.remove(0);
             self.evictions += 1;
             metrics.add(metric::SERVE_POOL_EVICTIONS, 1);
         }
-        self.entries.push((fp, est));
-        let (_, est) = self.entries.last().expect("just pushed");
+        self.entries.push((fp, Arc::clone(&est)));
         Ok((est, false))
     }
 }

@@ -27,6 +27,7 @@
 //! function of the submission sequence.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use gnnav_estimator::{
     fingerprint_of, profile_fingerprint, GrayBoxEstimator, ProfileDb, ProfileStore, Profiler,
@@ -37,7 +38,7 @@ use gnnav_hwsim::Platform;
 use gnnav_nn::ModelKind;
 use gnnav_obs::names as metric;
 use gnnav_runtime::{DesignSpace, ExecutionOptions, RuntimeBackend, TrainingConfig};
-use gnnav_store::{ByteWriter, StoreError};
+use gnnav_store::{fnv1a64, ByteWriter, StoreError};
 
 use crate::pool::{platform_fingerprint, EstimatorPool};
 use crate::request::{AdmitError, DegradeLevel, NavRequest, NavResponse, ServeTier};
@@ -160,16 +161,18 @@ struct Pending {
     submitted_at_us: f64,
 }
 
-/// One unique exploration scheduled by the plan phase.
-struct ExploreJob {
+/// One unique exploration scheduled by the plan phase. The dataset
+/// and the fit are shared with the service's maps and the platform
+/// borrowed from the pending request, none copied.
+struct ExploreJob<'a> {
     fingerprint: u64,
-    dataset: Dataset,
-    platform: Platform,
+    dataset: Arc<Dataset>,
+    platform: &'a Platform,
     model: ModelKind,
     priority: gnnav_explorer::Priority,
     constraints: gnnav_explorer::RuntimeConstraints,
     budget: usize,
-    estimator: GrayBoxEstimator,
+    estimator: Arc<GrayBoxEstimator>,
 }
 
 /// How the plan phase decided to serve one pending request.
@@ -183,7 +186,7 @@ enum Resolution {
 /// The long-lived multi-tenant guideline server.
 pub struct NavService {
     options: ServeOptions,
-    space: DesignSpace,
+    space: Arc<DesignSpace>,
     pool: EstimatorPool,
     profile_store: Option<ProfileStore>,
     explore_cache: Option<ExploreCache>,
@@ -196,7 +199,7 @@ pub struct NavService {
     /// exploration fingerprint), in first-computed order.
     neighbors: HashMap<u64, Vec<(Vec<f64>, u64)>>,
     /// Materialized datasets by workload shape.
-    datasets: HashMap<(usize, usize, usize, usize, u64), Dataset>,
+    datasets: HashMap<(usize, usize, usize, usize, u64), Arc<Dataset>>,
     next_seq: u64,
 }
 
@@ -216,7 +219,7 @@ impl NavService {
     pub fn new(options: ServeOptions) -> Self {
         NavService {
             options,
-            space: DesignSpace::standard(),
+            space: Arc::new(DesignSpace::standard()),
             pool: EstimatorPool::new(0),
             profile_store: None,
             explore_cache: None,
@@ -478,13 +481,7 @@ impl NavService {
         w.put_str(&format!("{model:?}"));
         w.put_str(priority.label());
         w.put_str(&format!("{constraints:?}"));
-        let bytes = w.finish();
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in bytes.iter() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+        fnv1a64(&w.finish())
     }
 
     /// Squared Euclidean distance between shape vectors.
@@ -510,7 +507,7 @@ impl NavService {
             let req = &p.request;
             let shape = req.workload.shape_key();
             if let std::collections::hash_map::Entry::Vacant(slot) = self.datasets.entry(shape) {
-                slot.insert(req.workload.materialize()?);
+                slot.insert(Arc::new(req.workload.materialize()?));
             }
             let platform_fp = platform_fingerprint(&req.platform);
             let salt = self.estimator_salt(platform_fp);
@@ -590,22 +587,18 @@ impl NavService {
             // requests resolve above without ever touching the pool
             // (the cache fingerprint depends on the calibration
             // recipe, not the fitted coefficients).
-            let (pool_hit, estimator) = {
-                let options = &self.options;
-                let space = &self.space;
-                let store = self.profile_store.as_mut();
-                let (est, hit) = self.pool.get_or_insert_with(platform_fp, || {
-                    Self::calibrate(options, space, store, &req.platform)
-                })?;
-                (hit, est.clone())
-            };
+            let (options, space) = (&self.options, &self.space);
+            let store = self.profile_store.as_mut();
+            let (estimator, pool_hit) = self.pool.get_or_insert_with(platform_fp, || {
+                Self::calibrate(options, space, store, &req.platform)
+            })?;
             let tier = if pool_hit { ServeTier::WarmEstimator } else { ServeTier::Cold };
             let job = jobs.len();
             job_by_fp.insert(fp, job);
             jobs.push(ExploreJob {
                 fingerprint: fp,
-                dataset: dataset.clone(),
-                platform: req.platform.clone(),
+                dataset: Arc::clone(dataset),
+                platform: &req.platform,
                 model: req.workload.model,
                 priority: req.workload.priority,
                 constraints: req.workload.constraints,
@@ -617,13 +610,13 @@ impl NavService {
 
         // --- Phase B: parallel pure explorations ------------------
         let seed = self.options.seed;
-        let space = self.space.clone();
+        let space = &self.space;
         let outputs: Vec<Result<ExplorationResult, gnnav_explorer::ExplorerError>> =
             gnnav_par::par_map_indexed(&jobs, 1, |_, job| {
                 Explorer::new(&job.estimator, job.budget)
-                    .with_space(space.clone())
+                    .with_space(Arc::clone(space))
                     .with_seed(seed)
-                    .explore(&job.dataset, &job.platform, job.model, job.priority, &job.constraints)
+                    .explore(&job.dataset, job.platform, job.model, job.priority, &job.constraints)
             });
 
         // --- Phase C: serial commit in admission order ------------
@@ -634,7 +627,7 @@ impl NavService {
                 cache.insert(job.fingerprint, &result)?;
             }
             let key = Self::neighbor_key(
-                platform_fingerprint(&job.platform),
+                platform_fingerprint(job.platform),
                 job.model,
                 job.priority,
                 &job.constraints,

@@ -12,6 +12,7 @@
 //!   adaptive-navigation resume paths.
 //! - [`ByteWriter`] / [`ByteReader`] — the raw-bits binary codec both
 //!   formats share (floats as IEEE-754 bits, so resume is byte-exact).
+//! - [`fnv1a64`] — the fingerprint hash every content key shares.
 //! - [`corrupt`] — deterministic storage-corruption applicators
 //!   backing the `TornWrite`/`BitFlip` fault kinds.
 //!
@@ -24,6 +25,7 @@ mod codec;
 pub mod corrupt;
 mod crc;
 mod error;
+mod fnv;
 mod wal;
 
 pub use checkpoint::{
@@ -33,6 +35,7 @@ pub use checkpoint::{
 pub use codec::{ByteReader, ByteWriter};
 pub use crc::crc32;
 pub use error::StoreError;
+pub use fnv::fnv1a64;
 pub use wal::{
     atomic_write, RecoveryStats, Wal, WAL_FORMAT_VERSION, WAL_FRAME_LEN, WAL_HEADER_LEN, WAL_MAGIC,
 };
