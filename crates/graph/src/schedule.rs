@@ -123,6 +123,30 @@ impl DegreeSchedule {
         flush_light(&mut groups, run_start, n, run_work);
         DegreeSchedule { groups, total_work, heavy_groups }
     }
+
+    /// The grouping clamped to the row prefix `0..rows`: the groups
+    /// that end at or before `rows`, borrowed unchanged, plus — when
+    /// `rows` falls inside a group — that group cut at `rows` with its
+    /// work recounted through `degree` (the function the schedule was
+    /// built with). Kernels that compute only a row prefix walk
+    /// `whole` then `cut`; boundaries stay a pure function of the
+    /// degree sequence and `rows`, never of the thread count, so a
+    /// clamped kernel keeps the bitwise width-invariance of the full
+    /// one. `rows` at or past the last row returns every group and no
+    /// cut.
+    pub fn prefix(
+        &self,
+        rows: usize,
+        degree: impl Fn(usize) -> usize,
+    ) -> (&[AggGroup], Option<AggGroup>) {
+        let whole = self.groups.partition_point(|g| g.end as usize <= rows);
+        let cut = self.groups.get(whole).filter(|g| (g.start as usize) < rows).map(|g| AggGroup {
+            end: rows as NodeId,
+            work: (g.start as usize..rows).map(|v| degree(v) as u64 + 1).sum(),
+            ..*g
+        });
+        (&self.groups[..whole], cut)
+    }
 }
 
 /// The cached per-graph pair of degree schedules: forward kernels
@@ -204,6 +228,34 @@ mod tests {
         assert_eq!(s.heavy_groups, 0);
         assert_eq!(s.total_work, 7);
         assert!(!s.groups[0].is_empty());
+    }
+
+    #[test]
+    fn prefix_clamps_to_any_row_count() {
+        let mut seq: Vec<usize> = (0..300).map(|v| (v * 7) % 40).collect();
+        seq[120] = 400; // one hub, so heavy groups are crossed too
+        let s = degrees(&seq);
+        for rows in 0..=seq.len() + 3 {
+            let (whole, cut) = s.prefix(rows, |v| seq[v]);
+            let covered = rows.min(seq.len());
+            let mut next = 0usize;
+            let mut work = 0u64;
+            for g in whole.iter().chain(cut.as_ref()) {
+                assert_eq!(g.start as usize, next, "rows={rows}: contiguous");
+                assert!(!g.is_empty(), "rows={rows}: no empty groups");
+                next = g.end as usize;
+                work += g.work;
+            }
+            assert_eq!(next, covered, "rows={rows}: covers exactly the prefix");
+            let expect: u64 = seq[..covered].iter().map(|&d| d as u64 + 1).sum();
+            assert_eq!(work, expect, "rows={rows}: work recounted exactly");
+            // Whole groups are the schedule's own, untouched; a hub row
+            // is a group of one and can never be the cut.
+            assert_eq!(whole, &s.groups[..whole.len()]);
+            assert!(cut.is_none_or(|g| !g.heavy));
+        }
+        let (whole, cut) = s.prefix(seq.len(), |v| seq[v]);
+        assert_eq!((whole.len(), cut), (s.groups.len(), None));
     }
 
     #[test]

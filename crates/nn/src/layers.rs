@@ -28,11 +28,48 @@
 //! in exactly the order the serial scatter produced them, keeping
 //! results bitwise identical across any worker count. Reductions into
 //! shared parameter gradients stay serial to preserve their order.
+//!
+//! # Computing only the rows that are read
+//!
+//! A layer need not run at full subgraph height. [`Layer::forward`]
+//! takes `out_rows` and produces output rows `0..out_rows` only — the
+//! mini-batch contract puts the loss rows first, so a model's output
+//! layer runs on just that prefix — and [`Layer::backward`] takes
+//! `need_input_grad`, which the first layer of a model declines
+//! because nothing reads its input gradient. Both are the *same code*
+//! as the full-height pass (`out_rows = g.num_nodes()`,
+//! `need_input_grad = true`), and neither changes a single bit of any
+//! value that is still computed:
+//!
+//! - Output rows are independent of one another, so dropping rows
+//!   `>= out_rows` from the forward pass touches no surviving row.
+//! - In the full-height backward pass those rows carry an all-`+0.0`
+//!   output gradient (the loss zero-fills it, and `+0.0 * 1/H` is
+//!   `+0.0`). Every place such a row enters a reduction it does so as
+//!   a term `a * (+0.0) = ±0.0` added to an accumulator that *started*
+//!   at `+0.0`. Under round-to-nearest a sum is `-0.0` only when both
+//!   operands are `-0.0`, so such an accumulator can never hold `-0.0`,
+//!   and adding `±0.0` to anything else returns it unchanged: skipping
+//!   the term is invisible. The surviving terms keep their order.
+//! - Rows the full pass computed as dot products against an all-zero
+//!   row (`dY·Wᵀ` beyond `out_rows`) are `+0.0` exactly; here they are
+//!   never materialized, and consumers treat a short matrix as
+//!   zero-extended (see [`gcn_aggregate_into`],
+//!   [`mean_aggregate_backward_into`]) or, where a zero-filled buffer
+//!   costs nothing, keep the full-length buffer and write only the
+//!   prefix (GAT's `ds_r`).
+//!
+//! The one assumption is **finite activations and parameters**:
+//! `inf * 0.0` and `NaN * 0.0` are `NaN`, so a full-height pass smears
+//! a non-finite value in a row the loss never reads into the
+//! parameter gradients, and the restricted pass does not. The training
+//! loop's NaN guard sees the loss, which reads only target rows, so
+//! the two agree on every run that guard lets through.
 
 use crate::init::{glorot_uniform, uniform_vec};
 use crate::scratch::ScratchArena;
-use crate::tensor::{axpy1, dot_lanes, Matrix};
-use gnnav_graph::{AggGroup, Graph};
+use crate::tensor::{axpy1, dot_lanes, Matrix, MatrixView};
+use gnnav_graph::{AggGroup, Graph, NodeId};
 
 /// A trainable dense parameter: weight matrix plus bias with gradient
 /// accumulators.
@@ -118,16 +155,39 @@ pub trait Layer: std::fmt::Debug + Send {
     /// Output feature dimensionality.
     fn out_dim(&self) -> usize;
     /// Forward pass over subgraph `g` with node features `x`
-    /// (`g.num_nodes() x in_dim`); caches intermediates for backward.
-    /// Temporaries come from (and should be returned to) `scratch`.
-    fn forward(&mut self, g: &Graph, x: &Matrix, scratch: &mut ScratchArena) -> Matrix;
-    /// Backward pass: consumes `grad_out`, accumulates parameter
-    /// gradients, returns the gradient with respect to the input.
+    /// (`g.num_nodes() x in_dim`), producing output rows
+    /// `0..out_rows` (an `out_rows x out_dim` matrix; pass
+    /// `g.num_nodes()` for every row); caches intermediates for
+    /// backward. Temporaries come from (and should be returned to)
+    /// `scratch`.
     ///
     /// # Panics
     ///
-    /// Panics if called before `forward`.
-    fn backward(&mut self, g: &Graph, grad_out: &Matrix, scratch: &mut ScratchArena) -> Matrix;
+    /// Panics if `out_rows > g.num_nodes()` or `x` has the wrong shape.
+    fn forward(
+        &mut self,
+        g: &Graph,
+        x: MatrixView<'_>,
+        out_rows: usize,
+        scratch: &mut ScratchArena,
+    ) -> Matrix;
+    /// Backward pass: consumes `grad_out` (the shape `forward`
+    /// returned), accumulates parameter gradients, and returns the
+    /// gradient with respect to the input (`g.num_nodes() x in_dim`) —
+    /// or skips that work and returns `None` when `need_input_grad` is
+    /// false. Parameter gradients are identical either way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called before `forward`, or with a `grad_out` of a
+    /// different height than `forward` produced.
+    fn backward(
+        &mut self,
+        g: &Graph,
+        grad_out: &Matrix,
+        need_input_grad: bool,
+        scratch: &mut ScratchArena,
+    ) -> Option<Matrix>;
     /// Parameters in a stable order.
     fn params_mut(&mut self) -> Vec<ParamRef<'_>>;
     /// Streams the parameters to `f` in the same stable order as
@@ -167,6 +227,34 @@ fn agg_nodes_per_chunk(g: &Graph, d: usize) -> usize {
     (AGG_GRAIN_FLOPS / per_node.max(1)).max(1)
 }
 
+/// The forward (out-degree) schedule of `g` clamped to output rows
+/// `0..rows`, as `(group count, groups)` for
+/// [`gnnav_par::par_for_weighted_tasks_lazy`]. At `rows ==
+/// g.num_nodes()` these are the cached groups themselves.
+fn fwd_groups(g: &Graph, rows: usize) -> (usize, impl Iterator<Item = AggGroup> + '_) {
+    let (whole, cut) = g.agg_schedule().fwd.prefix(rows, |v| g.degree(v as NodeId));
+    (whole.len() + usize::from(cut.is_some()), whole.iter().copied().chain(cut))
+}
+
+/// The backward (in-degree) schedule of `g`, every row.
+fn bwd_groups(g: &Graph) -> (usize, impl Iterator<Item = AggGroup> + '_) {
+    let groups = &g.agg_schedule().bwd.groups;
+    (groups.len(), groups.iter().copied())
+}
+
+/// The leading entries of the ascending id list `ids` that are
+/// `< limit` — the sources a kernel reads when its input holds only
+/// rows `0..limit`. Lists are sorted, so this is a prefix.
+#[inline]
+fn ids_below(ids: &[NodeId], limit: usize) -> &[NodeId] {
+    match ids.last() {
+        Some(&last) if last as usize >= limit => {
+            &ids[..ids.partition_point(|&u| (u as usize) < limit)]
+        }
+        _ => ids,
+    }
+}
+
 /// One scheduled unit of aggregation work: output rows
 /// `v0..v0 + dst.len() / (j1 - j0)`, columns `j0..j1`.
 struct AggTask<'a> {
@@ -183,7 +271,7 @@ struct AggTask<'a> {
 /// from the graph's cached degree schedule, so tasks are a pure
 /// function of the graph and `d` — never of the thread count.
 fn schedule_tasks<'a>(
-    groups: &[AggGroup],
+    groups: impl Iterator<Item = AggGroup>,
     d: usize,
     out: &'a mut [f32],
     emit: &mut dyn FnMut(u64, AggTask<'a>),
@@ -217,7 +305,7 @@ fn schedule_tasks<'a>(
 /// [`gnnav_par::par_for_weighted_tasks_lazy`].
 #[allow(clippy::type_complexity)]
 fn split_two_by_groups<'a>(
-    groups: &[AggGroup],
+    groups: impl Iterator<Item = AggGroup>,
     a: &'a mut [f32],
     a_off: impl Fn(usize) -> usize,
     b: &'a mut [f32],
@@ -243,7 +331,7 @@ fn split_two_by_groups<'a>(
 /// the backward (transpose) aggregation.
 pub fn gcn_aggregate(g: &Graph, x: &Matrix) -> Matrix {
     let mut out = Matrix::zeros(g.num_nodes(), x.cols());
-    gcn_aggregate_into(g, x, &mut out);
+    gcn_aggregate_into(g, x.view(), &mut out);
     out
 }
 
@@ -251,36 +339,47 @@ pub fn gcn_aggregate(g: &Graph, x: &Matrix) -> Matrix {
 /// overwritten). Node-parallel; uses the graph's cached inverse-sqrt
 /// degree norms instead of recomputing them per call.
 ///
+/// Either side may be a row prefix. `out` with fewer than
+/// `g.num_nodes()` rows receives just those leading rows. `x` with
+/// fewer rows is read as zero-extended: the terms of the missing rows
+/// are skipped, which is bitwise what adding their `c * (+0.0)` to
+/// accumulators that start at `+0.0` would have produced (module
+/// docs). The forward pass of an output layer uses the first, its
+/// transpose aggregation in backward the second.
+///
 /// # Panics
 ///
-/// Panics if `out` is not `g.num_nodes() x x.cols()` or `x` has the
-/// wrong number of rows.
-pub fn gcn_aggregate_into(g: &Graph, x: &Matrix, out: &mut Matrix) {
-    let n = g.num_nodes();
+/// Panics if `out` or `x` has more rows than `g` has nodes, or their
+/// widths differ.
+pub fn gcn_aggregate_into(g: &Graph, x: MatrixView<'_>, out: &mut Matrix) {
     let d = x.cols();
-    assert_eq!(x.rows(), n, "one feature row per node");
-    assert_eq!((out.rows(), out.cols()), (n, d), "gcn_aggregate out shape mismatch");
+    let (in_rows, out_rows) = (x.rows(), out.rows());
+    assert!(in_rows <= g.num_nodes(), "at most one feature row per node");
+    assert!(out_rows <= g.num_nodes(), "at most one output row per node");
+    assert_eq!(out.cols(), d, "gcn_aggregate out shape mismatch");
     out.as_mut_slice().fill(0.0);
-    if n == 0 || d == 0 {
+    if out_rows == 0 || d == 0 {
         return;
     }
     let inv_sqrt = g.gcn_inv_sqrt();
-    let groups = &g.agg_schedule().fwd.groups;
+    let (len, groups) = fwd_groups(g, out_rows);
     let out = out.as_mut_slice();
     gnnav_par::par_for_weighted_tasks_lazy(
-        groups.len(),
+        len,
         |emit| schedule_tasks(groups, d, out, emit),
         AGG_GRAIN_WORK,
         |task| {
             let w = task.j1 - task.j0;
             for (lv, dst) in task.dst.chunks_mut(w).enumerate() {
-                let v = (task.v0 + lv) as u32;
-                let cv = inv_sqrt[v as usize];
+                let v = task.v0 + lv;
+                let cv = inv_sqrt[v];
                 // Self-loop term first, then neighbors ascending — the
                 // same per-element accumulation order as the serial
                 // kernel, whatever the grouping or column tiling.
-                axpy1(dst, cv * cv, &x.row(v as usize)[task.j0..task.j1]);
-                for &u in g.neighbors(v) {
+                if v < in_rows {
+                    axpy1(dst, cv * cv, &x.row(v)[task.j0..task.j1]);
+                }
+                for &u in ids_below(g.neighbors(v as NodeId), in_rows) {
                     axpy1(dst, cv * inv_sqrt[u as usize], &x.row(u as usize)[task.j0..task.j1]);
                 }
             }
@@ -292,29 +391,32 @@ pub fn gcn_aggregate_into(g: &Graph, x: &Matrix, out: &mut Matrix) {
 /// isolated nodes).
 pub fn mean_aggregate(g: &Graph, x: &Matrix) -> Matrix {
     let mut out = Matrix::zeros(g.num_nodes(), x.cols());
-    mean_aggregate_into(g, x, &mut out);
+    mean_aggregate_into(g, x.view(), &mut out);
     out
 }
 
 /// [`mean_aggregate`] into a caller-provided output (fully
-/// overwritten), node-parallel.
+/// overwritten), node-parallel. `out` with fewer than
+/// `g.num_nodes()` rows receives just those leading rows.
 ///
 /// # Panics
 ///
-/// Panics on shape mismatch.
-pub fn mean_aggregate_into(g: &Graph, x: &Matrix, out: &mut Matrix) {
-    let n = g.num_nodes();
+/// Panics on shape mismatch, or if `out` has more rows than `g` has
+/// nodes.
+pub fn mean_aggregate_into(g: &Graph, x: MatrixView<'_>, out: &mut Matrix) {
     let d = x.cols();
-    assert_eq!(x.rows(), n, "one feature row per node");
-    assert_eq!((out.rows(), out.cols()), (n, d), "mean_aggregate out shape mismatch");
+    let out_rows = out.rows();
+    assert_eq!(x.rows(), g.num_nodes(), "one feature row per node");
+    assert!(out_rows <= g.num_nodes(), "at most one output row per node");
+    assert_eq!(out.cols(), d, "mean_aggregate out shape mismatch");
     out.as_mut_slice().fill(0.0);
-    if n == 0 || d == 0 {
+    if out_rows == 0 || d == 0 {
         return;
     }
-    let groups = &g.agg_schedule().fwd.groups;
+    let (len, groups) = fwd_groups(g, out_rows);
     let out = out.as_mut_slice();
     gnnav_par::par_for_weighted_tasks_lazy(
-        groups.len(),
+        len,
         |emit| schedule_tasks(groups, d, out, emit),
         AGG_GRAIN_WORK,
         |task| {
@@ -355,13 +457,21 @@ pub fn mean_aggregate_backward(g: &Graph, grad_out: &Matrix) -> Matrix {
 /// them, so the result is bitwise identical — and each output row is
 /// owned by one worker.
 ///
+/// `grad_out` with fewer than `g.num_nodes()` rows is read as
+/// zero-extended: each row gathers only its in-sources below
+/// `grad_out.rows()` — a prefix of the sorted source list — which is
+/// bitwise what adding the missing rows' `1/deg * (+0.0)` terms would
+/// have produced (module docs).
+///
 /// # Panics
 ///
-/// Panics on shape mismatch.
+/// Panics on shape mismatch, or if `grad_out` has more rows than `g`
+/// has nodes.
 pub fn mean_aggregate_backward_into(g: &Graph, grad_out: &Matrix, out: &mut Matrix) {
     let n = g.num_nodes();
     let d = grad_out.cols();
-    assert_eq!(grad_out.rows(), n, "one gradient row per node");
+    let in_rows = grad_out.rows();
+    assert!(in_rows <= n, "at most one gradient row per node");
     assert_eq!((out.rows(), out.cols()), (n, d), "mean_aggregate_backward out shape mismatch");
     out.as_mut_slice().fill(0.0);
     if n == 0 || d == 0 {
@@ -369,17 +479,17 @@ pub fn mean_aggregate_backward_into(g: &Graph, grad_out: &Matrix, out: &mut Matr
     }
     let t = g.transpose_csr();
     // Backward gathers walk in-edges, so grouping follows in-degrees.
-    let groups = &g.agg_schedule().bwd.groups;
+    let (len, groups) = bwd_groups(g);
     let out = out.as_mut_slice();
     gnnav_par::par_for_weighted_tasks_lazy(
-        groups.len(),
+        len,
         |emit| schedule_tasks(groups, d, out, emit),
         AGG_GRAIN_WORK,
         |task| {
             let w = task.j1 - task.j0;
             for (lu, dst) in task.dst.chunks_mut(w).enumerate() {
                 let u = (task.v0 + lu) as u32;
-                for &v in t.in_sources(u) {
+                for &v in ids_below(t.in_sources(u), in_rows) {
                     // Every in-source has at least the edge v -> u, so
                     // degree(v) >= 1 and the divide is finite.
                     let inv = 1.0 / g.degree(v) as f32;
@@ -388,6 +498,16 @@ pub fn mean_aggregate_backward_into(g: &Graph, grad_out: &Matrix, out: &mut Matr
             }
         },
     );
+}
+
+/// `gb += Σ_r grad_out[r]`, rows ascending — the serial, ordered bias
+/// reduction every layer shares.
+fn accumulate_bias_grad(gb: &mut [f32], grad_out: &Matrix) {
+    for r in 0..grad_out.rows() {
+        for (gb, &gv) in gb.iter_mut().zip(grad_out.row(r)) {
+            *gb += gv;
+        }
+    }
 }
 
 /// GCN layer: `out = GcnAgg(g, x) · W + b`.
@@ -413,39 +533,51 @@ impl Layer for GcnLayer {
         self.lin.w.cols()
     }
 
-    fn forward(&mut self, g: &Graph, x: &Matrix, scratch: &mut ScratchArena) -> Matrix {
-        let n = g.num_nodes();
+    fn forward(
+        &mut self,
+        g: &Graph,
+        x: MatrixView<'_>,
+        out_rows: usize,
+        scratch: &mut ScratchArena,
+    ) -> Matrix {
+        assert_eq!(x.rows(), g.num_nodes(), "one feature row per node");
         let mut ax = match self.cache_ax.take() {
-            Some(prev) => scratch.reshape_zeroed(prev, n, x.cols()),
-            None => scratch.take(n, x.cols()),
+            Some(prev) => scratch.reshape_zeroed(prev, out_rows, x.cols()),
+            None => scratch.take(out_rows, x.cols()),
         };
         gcn_aggregate_into(g, x, &mut ax);
-        let mut out = scratch.take(n, self.out_dim());
+        let mut out = scratch.take(out_rows, self.out_dim());
         ax.matmul_into(&self.lin.w, &mut out);
         out.add_row_broadcast(&self.lin.b);
         self.cache_ax = Some(ax);
         out
     }
 
-    fn backward(&mut self, g: &Graph, grad_out: &Matrix, scratch: &mut ScratchArena) -> Matrix {
+    fn backward(
+        &mut self,
+        g: &Graph,
+        grad_out: &Matrix,
+        need_input_grad: bool,
+        scratch: &mut ScratchArena,
+    ) -> Option<Matrix> {
         let ax = self.cache_ax.as_ref().expect("forward before backward");
         let mut gw = scratch.take(self.lin.w.rows(), self.lin.w.cols());
         ax.matmul_at_b_into(grad_out, &mut gw);
         self.lin.gw.add_assign(&gw);
         scratch.recycle(gw);
-        for r in 0..grad_out.rows() {
-            for (gb, &gv) in self.lin.gb.iter_mut().zip(grad_out.row(r)) {
-                *gb += gv;
-            }
+        accumulate_bias_grad(&mut self.lin.gb, grad_out);
+        if !need_input_grad {
+            return None;
         }
         let mut d_ax = scratch.take(grad_out.rows(), self.in_dim());
         grad_out.matmul_a_bt_into(&self.lin.w, &mut d_ax);
         // Symmetric coefficients: the transpose aggregation is the
-        // forward aggregation.
+        // forward aggregation — every row of the input gathers from
+        // the `grad_out.rows()` rows of `d_ax` that exist.
         let mut gx = scratch.take(g.num_nodes(), self.in_dim());
-        gcn_aggregate_into(g, &d_ax, &mut gx);
+        gcn_aggregate_into(g, d_ax.view(), &mut gx);
         scratch.recycle(d_ax);
-        gx
+        Some(gx)
     }
 
     fn params_mut(&mut self) -> Vec<ParamRef<'_>> {
@@ -496,26 +628,40 @@ impl Layer for SageLayer {
         self.lin_self.w.cols()
     }
 
-    fn forward(&mut self, g: &Graph, x: &Matrix, scratch: &mut ScratchArena) -> Matrix {
-        let n = g.num_nodes();
+    fn forward(
+        &mut self,
+        g: &Graph,
+        x: MatrixView<'_>,
+        out_rows: usize,
+        scratch: &mut ScratchArena,
+    ) -> Matrix {
         let mut mean = match self.cache_mean.take() {
-            Some(prev) => scratch.reshape_zeroed(prev, n, x.cols()),
-            None => scratch.take(n, x.cols()),
+            Some(prev) => scratch.reshape_zeroed(prev, out_rows, x.cols()),
+            None => scratch.take(out_rows, x.cols()),
         };
         mean_aggregate_into(g, x, &mut mean);
-        let mut out = scratch.take(n, self.out_dim());
-        x.matmul_into(&self.lin_self.w, &mut out);
-        let mut neigh = scratch.take(n, self.out_dim());
+        // The self transform reads (and backward re-reads) only the
+        // rows it produces: a borrowed prefix, nothing copied.
+        let x_self = x.prefix_rows(out_rows);
+        let mut out = scratch.take(out_rows, self.out_dim());
+        x_self.matmul_into(&self.lin_self.w, &mut out);
+        let mut neigh = scratch.take(out_rows, self.out_dim());
         mean.matmul_into(&self.lin_neigh.w, &mut neigh);
         out.add_assign(&neigh);
         scratch.recycle(neigh);
         out.add_row_broadcast(&self.lin_self.b);
-        scratch.cache_copy(&mut self.cache_x, x);
+        scratch.cache_copy(&mut self.cache_x, x_self);
         self.cache_mean = Some(mean);
         out
     }
 
-    fn backward(&mut self, g: &Graph, grad_out: &Matrix, scratch: &mut ScratchArena) -> Matrix {
+    fn backward(
+        &mut self,
+        g: &Graph,
+        grad_out: &Matrix,
+        need_input_grad: bool,
+        scratch: &mut ScratchArena,
+    ) -> Option<Matrix> {
         let x = self.cache_x.as_ref().expect("forward before backward");
         let mean = self.cache_mean.as_ref().expect("forward before backward");
         let mut gw = scratch.take(self.lin_self.w.rows(), self.lin_self.w.cols());
@@ -524,21 +670,27 @@ impl Layer for SageLayer {
         mean.matmul_at_b_into(grad_out, &mut gw);
         self.lin_neigh.gw.add_assign(&gw);
         scratch.recycle(gw);
-        for r in 0..grad_out.rows() {
-            for (gb, &gv) in self.lin_self.gb.iter_mut().zip(grad_out.row(r)) {
-                *gb += gv;
-            }
+        accumulate_bias_grad(&mut self.lin_self.gb, grad_out);
+        if !need_input_grad {
+            return None;
         }
-        let mut grad_x = scratch.take(grad_out.rows(), self.in_dim());
-        grad_out.matmul_a_bt_into(&self.lin_self.w, &mut grad_x);
-        let mut d_mean = scratch.take(grad_out.rows(), self.in_dim());
+        let out_rows = grad_out.rows();
+        let mut d_self = scratch.take(out_rows, self.in_dim());
+        grad_out.matmul_a_bt_into(&self.lin_self.w, &mut d_self);
+        let mut d_mean = scratch.take(out_rows, self.in_dim());
         grad_out.matmul_a_bt_into(&self.lin_neigh.w, &mut d_mean);
-        let mut bwd = scratch.take(g.num_nodes(), self.in_dim());
-        mean_aggregate_backward_into(g, &d_mean, &mut bwd);
-        grad_x.add_assign(&bwd);
-        scratch.recycle(bwd);
+        let mut grad_x = scratch.take(g.num_nodes(), self.in_dim());
+        mean_aggregate_backward_into(g, &d_mean, &mut grad_x);
         scratch.recycle(d_mean);
-        grad_x
+        // grad_x = [d_self; 0] + bwd. Below `out_rows` that is the
+        // same (commutative) sum; above, the full-height pass computed
+        // `+0.0 + bwd`, which is `bwd` bit for bit because a gather
+        // accumulator that starts at `+0.0` never holds `-0.0`.
+        for (o, &s) in grad_x.as_mut_slice().iter_mut().zip(d_self.as_slice()) {
+            *o += s;
+        }
+        scratch.recycle(d_self);
+        Some(grad_x)
     }
 
     fn params_mut(&mut self) -> Vec<ParamRef<'_>> {
@@ -578,12 +730,16 @@ pub struct GatLayer {
 #[derive(Debug)]
 struct GatCache {
     x: Matrix,
+    /// `W x_u` for every node: full height whatever `out_rows` is,
+    /// because any node can be a *source* of a produced row.
     z: Matrix,
-    /// Flattened attention weights: for node `v`, entries
-    /// `alpha_off[v]..alpha_off[v+1]` cover `N(v)` then the self term.
+    /// Flattened attention weights: for destination `v < out_rows`,
+    /// entries `alpha_off[v]..alpha_off[v+1]` cover `N(v)` then the
+    /// self term.
     alpha: Vec<f32>,
     /// Pre-activation LeakyReLU inputs aligned with `alpha`.
     pre: Vec<f32>,
+    /// `out_rows + 1` span boundaries.
     alpha_off: Vec<usize>,
 }
 
@@ -673,9 +829,17 @@ impl Layer for GatLayer {
         self.lin.w.cols()
     }
 
-    fn forward(&mut self, g: &Graph, x: &Matrix, scratch: &mut ScratchArena) -> Matrix {
+    fn forward(
+        &mut self,
+        g: &Graph,
+        x: MatrixView<'_>,
+        out_rows: usize,
+        scratch: &mut ScratchArena,
+    ) -> Matrix {
         let n = g.num_nodes();
         let d = self.out_dim();
+        assert_eq!(x.rows(), n, "one feature row per node");
+        assert!(out_rows <= n, "at most one output row per node");
         // Reuse the previous cache's storage wholesale.
         let (mut z, mut alpha, mut pre, mut alpha_off, mut cached_x) = match self.cache.take() {
             Some(GatCache { x, z, alpha, pre, alpha_off }) => {
@@ -684,8 +848,10 @@ impl Layer for GatLayer {
             None => (scratch.take(n, d), Vec::new(), Vec::new(), Vec::new(), None),
         };
         x.matmul_into(&self.lin.w, &mut z);
+        // Source scores for every node; destination scores, like every
+        // destination-side pass below, only for the produced rows.
         let mut s_l = scratch.take_raw(n);
-        let mut s_r = scratch.take_raw(n);
+        let mut s_r = scratch.take_raw(out_rows);
         {
             let att_l = &self.att_l.v;
             let att_r = &self.att_r.v;
@@ -700,11 +866,11 @@ impl Layer for GatLayer {
         }
 
         alpha_off.clear();
-        alpha_off.reserve(n + 1);
+        alpha_off.reserve(out_rows + 1);
         alpha_off.push(0usize);
         pre.clear();
-        pre.reserve(g.num_edges() + n);
-        for v in 0..n as u32 {
+        pre.reserve(g.offsets()[out_rows] + out_rows);
+        for v in 0..out_rows as u32 {
             for &u in g.neighbors(v) {
                 pre.push(leakish_input(s_l[u as usize], s_r[v as usize]));
             }
@@ -721,10 +887,10 @@ impl Layer for GatLayer {
         {
             let pre = &pre;
             let alpha_off = &alpha_off;
-            let groups = &g.agg_schedule().fwd.groups;
+            let (len, groups) = fwd_groups(g, out_rows);
             let alpha_out = alpha.as_mut_slice();
             gnnav_par::par_for_weighted_tasks_lazy(
-                groups.len(),
+                len,
                 |emit| {
                     let mut rest = alpha_out;
                     for grp in groups {
@@ -753,16 +919,16 @@ impl Layer for GatLayer {
         // Pass 2: out[v] = Σ α z[u] + bias over neighbors then self,
         // schedule-grouped with column tiling for hub rows (alpha is
         // read-only here, so tiles of one row can run concurrently).
-        let mut out = scratch.take(n, d);
+        let mut out = scratch.take(out_rows, d);
         if d > 0 {
             let bias = &self.lin.b;
             let z = &z;
             let alpha = &alpha;
             let alpha_off = &alpha_off;
-            let groups = &g.agg_schedule().fwd.groups;
+            let (len, groups) = fwd_groups(g, out_rows);
             let out = out.as_mut_slice();
             gnnav_par::par_for_weighted_tasks_lazy(
-                groups.len(),
+                len,
                 |emit| schedule_tasks(groups, d, out, emit),
                 AGG_GRAIN_WORK,
                 |task| {
@@ -790,34 +956,41 @@ impl Layer for GatLayer {
         out
     }
 
-    fn backward(&mut self, g: &Graph, grad_out: &Matrix, scratch: &mut ScratchArena) -> Matrix {
+    fn backward(
+        &mut self,
+        g: &Graph,
+        grad_out: &Matrix,
+        need_input_grad: bool,
+        scratch: &mut ScratchArena,
+    ) -> Option<Matrix> {
         let cache = self.cache.as_ref().expect("forward before backward");
         let n = g.num_nodes();
         let d = self.out_dim();
         let GatCache { x, z, alpha, pre, alpha_off } = cache;
+        let out_rows = alpha_off.len() - 1;
+        assert_eq!(grad_out.rows(), out_rows, "one gradient row per produced row");
 
+        // `dz` and `ds_l` are per *source* and stay full height. `ds_r`
+        // is per destination: only `0..out_rows` is written, and the
+        // zero-filled tail is exactly what the full-height pass
+        // computed there from an all-zero `grad_out` row.
         let mut dz = scratch.take(n, d);
         let mut ds_l = scratch.take_raw(n);
         let mut ds_r = scratch.take_raw(n);
         let mut dpre = scratch.take_raw(alpha.len());
 
-        // Bias gradient.
-        for r in 0..n {
-            for (gb, &gv) in self.lin.gb.iter_mut().zip(grad_out.row(r)) {
-                *gb += gv;
-            }
-        }
+        accumulate_bias_grad(&mut self.lin.gb, grad_out);
 
         // Softmax backward, parallel over destination neighborhoods:
         // d_alpha -> de -> dpre (disjoint spans of `dpre`), plus the
         // per-destination score gradient ds_r[v]. Carved along the
         // forward schedule's group boundaries.
         {
-            let groups = &g.agg_schedule().fwd.groups;
+            let (len, groups) = fwd_groups(g, out_rows);
             let dpre_out = dpre.as_mut_slice();
-            let dsr_out = ds_r.as_mut_slice();
+            let dsr_out = &mut ds_r[..out_rows];
             gnnav_par::par_for_weighted_tasks_lazy(
-                groups.len(),
+                len,
                 |emit| {
                     split_two_by_groups(groups, dpre_out, |i| alpha_off[i], dsr_out, |i| i, emit)
                 },
@@ -856,21 +1029,27 @@ impl Layer for GatLayer {
         // merged at v == u) reproduces the exact per-element add
         // order. No column tiling here — ds_l[u] is a full-row
         // reduction, so a row must stay within one task.
+        //
+        // Only destinations `v < out_rows` exist. The others' terms
+        // were `α·(+0.0)` into `dz` and `+0.0` into `ds_l` — both into
+        // accumulators that start at `+0.0` — so each source gathers
+        // the prefix of its sorted in-sources below `out_rows`, and its
+        // self term only if it is itself a produced row (module docs).
         {
             let t = g.transpose_csr();
-            let groups = &g.agg_schedule().bwd.groups;
+            let (len, groups) = bwd_groups(g);
             let dz_out = dz.as_mut_slice();
             let dsl_out = ds_l.as_mut_slice();
             gnnav_par::par_for_weighted_tasks_lazy(
-                groups.len(),
+                len,
                 |emit| split_two_by_groups(groups, dz_out, |i| i * d, dsl_out, |i| i, emit),
                 AGG_GRAIN_SPAN,
                 |(u0, _u1, dz_run, dsl_run)| {
                     for (lu, dsl) in dsl_run.iter_mut().enumerate() {
                         let u = u0 + lu;
                         let dz_row = &mut dz_run[lu * d..(lu + 1) * d];
-                        let sources = t.in_sources(u as u32);
-                        let edges = t.in_forward_edges(u as u32);
+                        let sources = ids_below(t.in_sources(u as u32), out_rows);
+                        let edges = &t.in_forward_edges(u as u32)[..sources.len()];
                         // The serial scatter touched u once per destination
                         // block, v ascending, with u's own self term at
                         // v == u *after* any in-edge from v == u.
@@ -888,7 +1067,9 @@ impl Layer for GatLayer {
                             // alpha_off[v] + (e - offsets[v]) == e + v.
                             take(edges[i] + sources[i] as usize, sources[i] as usize);
                         }
-                        take(alpha_off[u + 1] - 1, u);
+                        if u < out_rows {
+                            take(alpha_off[u + 1] - 1, u);
+                        }
                         for i in cut..sources.len() {
                             take(edges[i] + sources[i] as usize, sources[i] as usize);
                         }
@@ -918,8 +1099,11 @@ impl Layer for GatLayer {
         x.matmul_at_b_into(&dz, &mut gw);
         self.lin.gw.add_assign(&gw);
         scratch.recycle(gw);
-        let mut gx = scratch.take(n, self.in_dim());
-        dz.matmul_a_bt_into(&self.lin.w, &mut gx);
+        let gx = need_input_grad.then(|| {
+            let mut gx = scratch.take(n, self.in_dim());
+            dz.matmul_a_bt_into(&self.lin.w, &mut gx);
+            gx
+        });
         scratch.recycle(dz);
         scratch.recycle_raw(ds_l);
         scratch.recycle_raw(ds_r);
@@ -999,11 +1183,17 @@ impl Layer for MultiHeadGatLayer {
         self.heads[0].out_dim()
     }
 
-    fn forward(&mut self, g: &Graph, x: &Matrix, scratch: &mut ScratchArena) -> Matrix {
+    fn forward(
+        &mut self,
+        g: &Graph,
+        x: MatrixView<'_>,
+        out_rows: usize,
+        scratch: &mut ScratchArena,
+    ) -> Matrix {
         let inv = 1.0 / self.heads.len() as f32;
         let mut acc: Option<Matrix> = None;
         for head in &mut self.heads {
-            let out = head.forward(g, x, scratch);
+            let out = head.forward(g, x, out_rows, scratch);
             match &mut acc {
                 None => acc = Some(out),
                 Some(a) => {
@@ -1017,24 +1207,32 @@ impl Layer for MultiHeadGatLayer {
         out
     }
 
-    fn backward(&mut self, g: &Graph, grad_out: &Matrix, scratch: &mut ScratchArena) -> Matrix {
+    fn backward(
+        &mut self,
+        g: &Graph,
+        grad_out: &Matrix,
+        need_input_grad: bool,
+        scratch: &mut ScratchArena,
+    ) -> Option<Matrix> {
         let inv = 1.0 / self.heads.len() as f32;
         let mut scaled = scratch.take(grad_out.rows(), grad_out.cols());
         scaled.as_mut_slice().copy_from_slice(grad_out.as_slice());
         scaled.scale(inv);
+        // Every head answers `need_input_grad` alike: all `Some` (summed
+        // in head order) or all `None`.
         let mut acc: Option<Matrix> = None;
         for head in &mut self.heads {
-            let gx = head.backward(g, &scaled, scratch);
-            match &mut acc {
-                None => acc = Some(gx),
-                Some(a) => {
+            let gx = head.backward(g, &scaled, need_input_grad, scratch);
+            match (&mut acc, gx) {
+                (Some(a), Some(gx)) => {
                     a.add_assign(&gx);
                     scratch.recycle(gx);
                 }
+                (_, gx) => acc = gx,
             }
         }
         scratch.recycle(scaled);
-        acc.expect("at least one head")
+        acc
     }
 
     fn params_mut(&mut self) -> Vec<ParamRef<'_>> {
@@ -1132,21 +1330,21 @@ mod tests {
         let r = glorot_uniform(4, layer.out_dim(), 8);
         let mut scratch = ScratchArena::new();
 
-        let out = layer.forward(&g, &x, &mut scratch);
+        let out = layer.forward(&g, x.view(), g.num_nodes(), &mut scratch);
         let _loss0: f32 = out.as_slice().iter().zip(r.as_slice()).map(|(a, b)| a * b).sum();
         layer.zero_grad();
-        let grad_x = layer.backward(&g, &r, &mut scratch);
+        let grad_x = layer.backward(&g, &r, true, &mut scratch).expect("input gradient");
 
         let eps = 1e-2f32;
         // Check d L / d x at a few positions.
         for &(rr, cc) in &[(0usize, 0usize), (2, 1), (3, 2)] {
             let mut xp = x.clone();
             xp.set(rr, cc, xp.get(rr, cc) + eps);
-            let op = layer.forward(&g, &xp, &mut scratch);
+            let op = layer.forward(&g, xp.view(), g.num_nodes(), &mut scratch);
             let lp: f32 = op.as_slice().iter().zip(r.as_slice()).map(|(a, b)| a * b).sum();
             let mut xm = x.clone();
             xm.set(rr, cc, xm.get(rr, cc) - eps);
-            let om = layer.forward(&g, &xm, &mut scratch);
+            let om = layer.forward(&g, xm.view(), g.num_nodes(), &mut scratch);
             let lm: f32 = om.as_slice().iter().zip(r.as_slice()).map(|(a, b)| a * b).sum();
             let fd = (lp - lm) / (2.0 * eps);
             let an = grad_x.get(rr, cc);
@@ -1181,16 +1379,16 @@ mod tests {
         let r = glorot_uniform(4, 2, 21);
         let mut layer = GatLayer::new(3, 2, 22);
         let mut scratch = ScratchArena::new();
-        layer.forward(&g, &x, &mut scratch);
+        layer.forward(&g, x.view(), g.num_nodes(), &mut scratch);
         layer.zero_grad();
-        layer.backward(&g, &r, &mut scratch);
+        layer.backward(&g, &r, true, &mut scratch);
         let analytic = layer.lin.gw.get(1, 0);
 
         let eps = 1e-2f32;
         let orig = layer.lin.w.get(1, 0);
         layer.lin.w.set(1, 0, orig + eps);
         let lp: f32 = layer
-            .forward(&g, &x, &mut scratch)
+            .forward(&g, x.view(), g.num_nodes(), &mut scratch)
             .as_slice()
             .iter()
             .zip(r.as_slice())
@@ -1198,7 +1396,7 @@ mod tests {
             .sum();
         layer.lin.w.set(1, 0, orig - eps);
         let lm: f32 = layer
-            .forward(&g, &x, &mut scratch)
+            .forward(&g, x.view(), g.num_nodes(), &mut scratch)
             .as_slice()
             .iter()
             .zip(r.as_slice())
@@ -1206,6 +1404,58 @@ mod tests {
             .sum();
         let fd = (lp - lm) / (2.0 * eps);
         assert!((fd - analytic).abs() < 5e-2 * (1.0 + fd.abs()), "fd {fd} vs analytic {analytic}");
+    }
+
+    /// Every parameter-gradient scalar of `layer`, in `for_each_param`
+    /// order.
+    fn flat_grads(layer: &mut dyn Layer) -> Vec<f32> {
+        let mut flat = Vec::new();
+        layer.for_each_param(&mut |p| match p {
+            ParamRef::Linear(lin) => {
+                flat.extend_from_slice(lin.gw.as_slice());
+                flat.extend_from_slice(&lin.gb);
+            }
+            ParamRef::Vector(v) => flat.extend_from_slice(&v.g),
+        });
+        flat
+    }
+
+    #[test]
+    fn declining_the_input_gradient_leaves_parameter_gradients_identical() {
+        // The finite-difference checks above run on the `Some` branch;
+        // the `None` branch must skip the input gradient and nothing
+        // else — same parameter gradients, bit for bit — at full
+        // height and on a row prefix.
+        let g = tiny_graph();
+        let x = tiny_x(50);
+        for out_rows in [4usize, 2] {
+            let r = glorot_uniform(out_rows, 2, 51);
+            for kind in ["gcn", "sage", "gat", "multi-head gat"] {
+                let run = |need_input_grad: bool| {
+                    let mut layer: Box<dyn Layer> = match kind {
+                        "gcn" => Box::new(GcnLayer::new(3, 2, 52)),
+                        "sage" => Box::new(SageLayer::new(3, 2, 53)),
+                        "gat" => Box::new(GatLayer::new(3, 2, 54)),
+                        _ => Box::new(MultiHeadGatLayer::new(3, 2, 3, 55)),
+                    };
+                    let mut scratch = ScratchArena::new();
+                    let out = layer.forward(&g, x.view(), out_rows, &mut scratch);
+                    assert_eq!((out.rows(), out.cols()), (out_rows, 2), "{kind}");
+                    layer.zero_grad();
+                    let gx = layer.backward(&g, &r, need_input_grad, &mut scratch);
+                    (gx, flat_grads(layer.as_mut()))
+                };
+                let (wanted, with_gx) = run(true);
+                let (declined, without_gx) = run(false);
+                let gx = wanted.expect("input gradient requested");
+                assert_eq!((gx.rows(), gx.cols()), (4, 3), "{kind}: full-height input gradient");
+                assert!(declined.is_none(), "{kind}: a declined gradient is not computed");
+                assert!(with_gx.iter().any(|&v| v != 0.0), "{kind}: gradients are live");
+                for (i, (a, b)) in with_gx.iter().zip(&without_gx).enumerate() {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{kind} rows={out_rows}: grad {i}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1221,7 +1471,9 @@ mod tests {
     fn backward_requires_forward() {
         let g = tiny_graph();
         let mut l = GcnLayer::new(3, 2, 1);
-        let _ = l.backward(&g, &Matrix::zeros(4, 2), &mut ScratchArena::new());
+        let _ = l
+            .backward(&g, &Matrix::zeros(4, 2), true, &mut ScratchArena::new())
+            .expect("input gradient");
     }
 
     #[test]
@@ -1229,7 +1481,7 @@ mod tests {
         let g = tiny_graph();
         let x = tiny_x(30);
         let mut l = GatLayer::new(3, 2, 31);
-        l.forward(&g, &x, &mut ScratchArena::new());
+        l.forward(&g, x.view(), g.num_nodes(), &mut ScratchArena::new());
         let cache = l.cache.as_ref().expect("cached");
         for v in 0..4 {
             let (s, e) = (cache.alpha_off[v], cache.alpha_off[v + 1]);
@@ -1280,13 +1532,13 @@ mod tests {
                 "sage" => Box::new(SageLayer::new(5, 2, 73)),
                 _ => Box::new(GatLayer::new(5, 2, 74)),
             };
-            let out = layer.forward(&g, &x, &mut scratch);
+            let out = layer.forward(&g, x.view(), g.num_nodes(), &mut scratch);
             assert!(
                 out.as_slice().iter().all(|v| v.is_finite()),
                 "{kind} forward produced non-finite with isolated nodes"
             );
             layer.zero_grad();
-            let gx = layer.backward(&g, &r, &mut scratch);
+            let gx = layer.backward(&g, &r, true, &mut scratch).expect("input gradient");
             assert!(
                 gx.as_slice().iter().all(|v| v.is_finite()),
                 "{kind} backward produced non-finite with isolated nodes"
@@ -1310,9 +1562,9 @@ mod tests {
                 "sage" => Box::new(SageLayer::new(3, 2, 78)),
                 _ => Box::new(GatLayer::new(3, 2, 79)),
             };
-            let out = layer.forward(&g, &x, &mut scratch);
+            let out = layer.forward(&g, x.view(), g.num_nodes(), &mut scratch);
             layer.zero_grad();
-            let gx = layer.backward(&g, &r, &mut scratch);
+            let gx = layer.backward(&g, &r, true, &mut scratch).expect("input gradient");
             assert!(out.as_slice().iter().all(|v| v.is_finite()), "{kind} forward");
             assert!(gx.as_slice().iter().all(|v| v.is_finite()), "{kind} backward");
         }
@@ -1333,10 +1585,10 @@ mod tests {
                 "sage" => Box::new(SageLayer::new(3, 2, 81)),
                 _ => Box::new(GatLayer::new(3, 2, 82)),
             };
-            let out = layer.forward(&g, &x, &mut scratch);
+            let out = layer.forward(&g, x.view(), g.num_nodes(), &mut scratch);
             assert_eq!((out.rows(), out.cols()), (0, 2), "{kind} empty-graph forward shape");
             layer.zero_grad();
-            let gx = layer.backward(&g, &r, &mut scratch);
+            let gx = layer.backward(&g, &r, true, &mut scratch).expect("input gradient");
             assert_eq!((gx.rows(), gx.cols()), (0, 3), "{kind} empty-graph backward shape");
         }
     }
@@ -1350,10 +1602,11 @@ mod tests {
         let x = tiny_x(83);
         let mut layer = GatLayer::new(3, 0, 84);
         let mut scratch = ScratchArena::new();
-        let out = layer.forward(&g, &x, &mut scratch);
+        let out = layer.forward(&g, x.view(), g.num_nodes(), &mut scratch);
         assert_eq!((out.rows(), out.cols()), (4, 0));
         layer.zero_grad();
-        let gx = layer.backward(&g, &Matrix::zeros(4, 0), &mut scratch);
+        let gx =
+            layer.backward(&g, &Matrix::zeros(4, 0), true, &mut scratch).expect("input gradient");
         assert_eq!((gx.rows(), gx.cols()), (4, 3));
         assert!(gx.as_slice().iter().all(|v| v.is_finite()));
     }
@@ -1409,17 +1662,17 @@ mod tests {
                 _ => Box::new(GatLayer::new(3, 2, 42)),
             };
             for _ in 0..2 {
-                let out = layer.forward(&g, &x, &mut scratch);
+                let out = layer.forward(&g, x.view(), g.num_nodes(), &mut scratch);
                 layer.zero_grad();
-                let gx = layer.backward(&g, &r, &mut scratch);
+                let gx = layer.backward(&g, &r, true, &mut scratch).expect("input gradient");
                 scratch.recycle(out);
                 scratch.recycle(gx);
             }
             let warm = scratch.fresh_allocs();
             for _ in 0..3 {
-                let out = layer.forward(&g, &x, &mut scratch);
+                let out = layer.forward(&g, x.view(), g.num_nodes(), &mut scratch);
                 layer.zero_grad();
-                let gx = layer.backward(&g, &r, &mut scratch);
+                let gx = layer.backward(&g, &r, true, &mut scratch).expect("input gradient");
                 scratch.recycle(out);
                 scratch.recycle(gx);
             }
@@ -1447,8 +1700,8 @@ mod multi_head_tests {
         let mut scratch = ScratchArena::new();
         let mut multi = MultiHeadGatLayer::new(3, 2, 1, 40);
         let mut single = GatLayer::new(3, 2, 40);
-        let a = multi.forward(&g, &x, &mut scratch);
-        let b = single.forward(&g, &x, &mut scratch);
+        let a = multi.forward(&g, x.view(), g.num_nodes(), &mut scratch);
+        let b = single.forward(&g, x.view(), g.num_nodes(), &mut scratch);
         for (p, q) in a.as_slice().iter().zip(b.as_slice()) {
             assert!((p - q).abs() < 1e-6);
         }
@@ -1471,16 +1724,16 @@ mod multi_head_tests {
         let r = glorot_uniform(4, 2, 9);
         let mut scratch = ScratchArena::new();
         let mut layer = MultiHeadGatLayer::new(3, 2, 3, 60);
-        layer.forward(&g, &x, &mut scratch);
+        layer.forward(&g, x.view(), g.num_nodes(), &mut scratch);
         layer.zero_grad();
-        let grad_x = layer.backward(&g, &r, &mut scratch);
+        let grad_x = layer.backward(&g, &r, true, &mut scratch).expect("input gradient");
 
         let eps = 1e-2f32;
         for &(rr, cc) in &[(0usize, 0usize), (3, 2)] {
             let loss =
                 |layer: &mut MultiHeadGatLayer, scratch: &mut ScratchArena, x: &Matrix| -> f32 {
                     layer
-                        .forward(&g, x, scratch)
+                        .forward(&g, x.view(), g.num_nodes(), scratch)
                         .as_slice()
                         .iter()
                         .zip(r.as_slice())

@@ -46,4 +46,4 @@ pub mod train;
 pub use model::{GnnModel, ModelKind};
 pub use optim::{Adam, AdamState, Sgd};
 pub use scratch::ScratchArena;
-pub use tensor::{kernel_stats, KernelStats, Matrix};
+pub use tensor::{kernel_stats, KernelStats, Matrix, MatrixView};

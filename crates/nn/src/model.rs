@@ -2,7 +2,7 @@
 
 use crate::layers::{GatLayer, GcnLayer, Layer, MultiHeadGatLayer, ParamRef, SageLayer};
 use crate::scratch::ScratchArena;
-use crate::tensor::Matrix;
+use crate::tensor::{Matrix, MatrixView};
 use gnnav_graph::Graph;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -197,14 +197,31 @@ impl GnnModel {
     }
 
     /// Forward pass over subgraph `g` with features `x`
-    /// (`g.num_nodes() x in_dim`), returning class logits. Stores the
-    /// intermediates needed by [`GnnModel::backward`].
+    /// (`g.num_nodes() x in_dim`), returning class logits for every
+    /// node. Stores the intermediates needed by
+    /// [`GnnModel::backward`].
     ///
     /// # Panics
     ///
     /// Panics if `x` has the wrong number of columns.
     pub fn forward(&mut self, g: &Graph, x: &Matrix) -> Matrix {
+        self.forward_rows(g, x.view(), g.num_nodes())
+    }
+
+    /// [`GnnModel::forward`] over borrowed features, returning logits
+    /// for nodes `0..out_rows` only. Hidden layers run at full height
+    /// (every node can be a neighbor of a produced row); the output
+    /// layer computes just the `out_rows` rows its caller will read,
+    /// and each of those is bit for bit the row the full pass
+    /// produces.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` has the wrong shape or `out_rows` exceeds
+    /// `g.num_nodes()`.
+    pub fn forward_rows(&mut self, g: &Graph, x: MatrixView<'_>, out_rows: usize) -> Matrix {
         assert_eq!(x.cols(), self.in_dim, "feature dim mismatch");
+        let n = g.num_nodes();
         let last = self.layers.len() - 1;
         // Mask buffers persist across batches; only their contents are
         // rewritten, so steady-state forward passes don't allocate.
@@ -212,7 +229,9 @@ impl GnnModel {
         self.dropout_masks.resize_with(last, Vec::new);
         let mut h: Option<Matrix> = None;
         for (i, layer) in self.layers.iter_mut().enumerate() {
-            let mut out = layer.forward(g, h.as_ref().unwrap_or(x), &mut self.scratch);
+            let input = h.as_ref().map_or(x, Matrix::view);
+            let rows = if i == last { out_rows } else { n };
+            let mut out = layer.forward(g, input, rows, &mut self.scratch);
             if let Some(prev) = h.take() {
                 self.scratch.recycle(prev);
             }
@@ -242,13 +261,37 @@ impl GnnModel {
         h.expect("at least one layer")
     }
 
-    /// Backward pass from the logit gradient; accumulates parameter
-    /// gradients in every layer.
+    /// Backward pass from the logit gradient (the shape the forward
+    /// pass returned); accumulates parameter gradients in every
+    /// layer. The first layer is not asked for its input gradient —
+    /// nothing reads it.
     ///
     /// # Panics
     ///
     /// Panics if called before [`GnnModel::forward`].
     pub fn backward(&mut self, g: &Graph, grad_logits: &Matrix) {
+        self.backward_through(g, grad_logits, false);
+    }
+
+    /// [`GnnModel::backward`] that also asks the first layer for — and
+    /// returns — the gradient with respect to the input features
+    /// (`g.num_nodes() x in_dim`). Parameter gradients are identical
+    /// to [`GnnModel::backward`]'s; hand the matrix back through
+    /// [`GnnModel::recycle`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if called before [`GnnModel::forward`].
+    pub fn backward_with_input_grad(&mut self, g: &Graph, grad_logits: &Matrix) -> Matrix {
+        self.backward_through(g, grad_logits, true).expect("input gradient requested")
+    }
+
+    fn backward_through(
+        &mut self,
+        g: &Graph,
+        grad_logits: &Matrix,
+        need_input_grad: bool,
+    ) -> Option<Matrix> {
         let last = self.layers.len() - 1;
         let mut grad: Option<Matrix> = None;
         for (i, layer) in self.layers.iter_mut().enumerate().rev() {
@@ -262,15 +305,18 @@ impl GnnModel {
                 }
                 gm.relu_backward_inplace(&self.relu_masks[i]);
             }
-            let gin = layer.backward(g, grad.as_ref().unwrap_or(grad_logits), &mut self.scratch);
+            let gin = layer.backward(
+                g,
+                grad.as_ref().unwrap_or(grad_logits),
+                need_input_grad || i != 0,
+                &mut self.scratch,
+            );
             if let Some(prev) = grad.take() {
                 self.scratch.recycle(prev);
             }
-            grad = Some(gin);
+            grad = gin;
         }
-        if let Some(last_grad) = grad {
-            self.scratch.recycle(last_grad);
-        }
+        grad
     }
 
     /// Clears all parameter gradients.

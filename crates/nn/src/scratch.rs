@@ -12,7 +12,7 @@
 //! zero-initialized by `take`, so stale contents can never leak into
 //! results — reusing a buffer is arithmetically invisible.
 
-use crate::tensor::Matrix;
+use crate::tensor::{Matrix, MatrixView};
 
 const MAX_POOLED: usize = 64;
 
@@ -89,8 +89,9 @@ impl ScratchArena {
     }
 
     /// Copies `src` into `slot`, reusing `slot`'s previous storage (or
-    /// a pooled buffer) instead of cloning.
-    pub fn cache_copy(&mut self, slot: &mut Option<Matrix>, src: &Matrix) {
+    /// a pooled buffer) instead of cloning. `src` is a view so a layer
+    /// can keep just the row prefix its backward pass will read.
+    pub fn cache_copy(&mut self, slot: &mut Option<Matrix>, src: MatrixView<'_>) {
         let mut buf = match slot.take() {
             Some(m) => m.into_vec(),
             None => {
@@ -164,9 +165,9 @@ mod tests {
         let mut arena = ScratchArena::new();
         let src = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let mut slot: Option<Matrix> = None;
-        arena.cache_copy(&mut slot, &src);
+        arena.cache_copy(&mut slot, src.view());
         let allocs = arena.fresh_allocs();
-        arena.cache_copy(&mut slot, &src);
+        arena.cache_copy(&mut slot, src.view());
         assert_eq!(arena.fresh_allocs(), allocs, "second copy reuses the slot buffer");
         assert_eq!(slot.expect("filled").as_slice(), src.as_slice());
     }

@@ -213,6 +213,200 @@ impl fmt::Debug for Matrix {
     }
 }
 
+/// A borrowed row-major `rows x cols` matrix: the read-only operand
+/// form of [`Matrix`]. It lets a kernel read rows it does not own — a
+/// feature buffer the caller keeps, or the leading rows of a taller
+/// activation ([`MatrixView::prefix_rows`]) — without copying them
+/// into an owned `Matrix` first. `Copy`, two words plus a slice.
+#[derive(Clone, Copy)]
+pub struct MatrixView<'a> {
+    rows: usize,
+    cols: usize,
+    data: &'a [f32],
+}
+
+impl fmt::Debug for MatrixView<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "MatrixView({}x{})", self.rows, self.cols)
+    }
+}
+
+impl<'a> MatrixView<'a> {
+    /// Views `data` as a row-major `rows x cols` matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len() != rows * cols`.
+    pub fn new(rows: usize, cols: usize, data: &'a [f32]) -> Self {
+        assert_eq!(data.len(), rows * cols, "buffer size mismatch");
+        MatrixView { rows, cols, data }
+    }
+
+    /// Number of rows.
+    #[inline]
+    pub fn rows(self) -> usize {
+        self.rows
+    }
+
+    /// Number of columns.
+    #[inline]
+    pub fn cols(self) -> usize {
+        self.cols
+    }
+
+    /// Row `r` as a slice.
+    #[inline]
+    pub fn row(self, r: usize) -> &'a [f32] {
+        &self.data[r * self.cols..(r + 1) * self.cols]
+    }
+
+    /// The raw row-major buffer.
+    #[inline]
+    pub fn as_slice(self) -> &'a [f32] {
+        self.data
+    }
+
+    /// The leading `rows` rows, still borrowed — row-major storage
+    /// makes a row prefix a plain sub-slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows > self.rows()`.
+    pub fn prefix_rows(self, rows: usize) -> MatrixView<'a> {
+        assert!(rows <= self.rows, "row prefix {rows} exceeds {} rows", self.rows);
+        MatrixView { rows, cols: self.cols, data: &self.data[..rows * self.cols] }
+    }
+
+    /// `self * other`, written into `out` (fully overwritten). The
+    /// allocation-free form of [`Matrix::matmul`]; row-parallel,
+    /// column-tiled, and lane-vectorized with a `KU`-deep reduction
+    /// unroll — per element, terms are still added one at a time with
+    /// `k` ascending, so the result is bitwise identical to the naive
+    /// i-k-j loop at any thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.cols != other.rows` or `out` has the wrong
+    /// shape.
+    pub fn matmul_into(self, other: &Matrix, out: &mut Matrix) {
+        assert_eq!(self.cols, other.rows, "matmul dim mismatch");
+        assert_eq!((out.rows, out.cols), (self.rows, other.cols), "matmul out shape mismatch");
+        record_matmul(self.rows, self.cols, other.cols);
+        let n = other.cols;
+        let k_dim = self.cols;
+        out.data.fill(0.0);
+        if n == 0 || self.rows == 0 {
+            return;
+        }
+        let a = self.data;
+        let b = &other.data;
+        let grain = grain_rows(2 * (ROW_BLOCK * k_dim) as u64 * n as u64);
+        gnnav_par::par_chunks(&mut out.data, ROW_BLOCK * n, grain, |off, out_block| {
+            let i0 = off / n;
+            // Tiling (columns, reduction depth, row blocks) only
+            // reorders work *across* elements; within an element the
+            // k loop below stays ascending.
+            let mut j0 = 0;
+            while j0 < n {
+                let j1 = (j0 + COL_TILE).min(n);
+                let mut k0 = 0;
+                while k0 < k_dim {
+                    let k1 = (k0 + K_TILE).min(k_dim);
+                    let kb = k0 + (k1 - k0) / KU * KU;
+                    for (r, out_row) in out_block.chunks_mut(n).enumerate() {
+                        let a_row = &a[(i0 + r) * k_dim..(i0 + r + 1) * k_dim];
+                        let out_tile = &mut out_row[j0..j1];
+                        let mut k = k0;
+                        while k < kb {
+                            axpy4(
+                                out_tile,
+                                [a_row[k], a_row[k + 1], a_row[k + 2], a_row[k + 3]],
+                                &b[k * n + j0..k * n + j1],
+                                &b[(k + 1) * n + j0..(k + 1) * n + j1],
+                                &b[(k + 2) * n + j0..(k + 2) * n + j1],
+                                &b[(k + 3) * n + j0..(k + 3) * n + j1],
+                            );
+                            k += KU;
+                        }
+                        for k in kb..k1 {
+                            axpy1(out_tile, a_row[k], &b[k * n + j0..k * n + j1]);
+                        }
+                    }
+                    k0 = k1;
+                }
+                j0 = j1;
+            }
+        });
+    }
+
+    /// `self^T * other`, written into `out` (fully overwritten).
+    ///
+    /// Parallel over *output* rows (columns of `self`): each output
+    /// row gathers down its column of `self` with `r` ascending —
+    /// exactly the per-element order of the serial scatter kernel, so
+    /// results are bitwise identical (and bitwise equal to
+    /// `self.transpose().matmul(other)`, whose reduction also walks
+    /// one term at a time in ascending order).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.rows != other.rows` or `out` has the wrong
+    /// shape.
+    pub fn matmul_at_b_into(self, other: &Matrix, out: &mut Matrix) {
+        assert_eq!(self.rows, other.rows, "matmul_at_b dim mismatch");
+        assert_eq!((out.rows, out.cols), (self.cols, other.cols), "matmul_at_b out shape mismatch");
+        record_matmul(self.cols, self.rows, other.cols);
+        let n = other.cols;
+        let k_dim = self.cols;
+        let rows = self.rows;
+        out.data.fill(0.0);
+        if n == 0 || k_dim == 0 {
+            return;
+        }
+        let a = self.data;
+        let b = &other.data;
+        let grain = grain_rows(2 * (ROW_BLOCK * rows) as u64 * n as u64);
+        gnnav_par::par_chunks(&mut out.data, ROW_BLOCK * n, grain, |off, out_block| {
+            let kk0 = off / n;
+            let mut j0 = 0;
+            while j0 < n {
+                let j1 = (j0 + COL_TILE).min(n);
+                let mut r0 = 0;
+                while r0 < rows {
+                    let r1 = (r0 + K_TILE).min(rows);
+                    let rb = r0 + (r1 - r0) / KU * KU;
+                    for (dk, out_row) in out_block.chunks_mut(n).enumerate() {
+                        let k = kk0 + dk;
+                        let out_tile = &mut out_row[j0..j1];
+                        let mut r = r0;
+                        while r < rb {
+                            axpy4(
+                                out_tile,
+                                [
+                                    a[r * k_dim + k],
+                                    a[(r + 1) * k_dim + k],
+                                    a[(r + 2) * k_dim + k],
+                                    a[(r + 3) * k_dim + k],
+                                ],
+                                &b[r * n + j0..r * n + j1],
+                                &b[(r + 1) * n + j0..(r + 1) * n + j1],
+                                &b[(r + 2) * n + j0..(r + 2) * n + j1],
+                                &b[(r + 3) * n + j0..(r + 3) * n + j1],
+                            );
+                            r += KU;
+                        }
+                        for r in rb..r1 {
+                            axpy1(out_tile, a[r * k_dim + k], &b[r * n + j0..r * n + j1]);
+                        }
+                    }
+                    r0 = r1;
+                }
+                j0 = j1;
+            }
+        });
+    }
+}
+
 impl Matrix {
     /// Creates a zero-filled matrix.
     pub fn zeros(rows: usize, cols: usize) -> Self {
@@ -315,6 +509,12 @@ impl Matrix {
         self.data
     }
 
+    /// The whole matrix as a borrowed [`MatrixView`].
+    #[inline]
+    pub fn view(&self) -> MatrixView<'_> {
+        MatrixView { rows: self.rows, cols: self.cols, data: &self.data }
+    }
+
     /// `self * other` (standard matmul).
     ///
     /// # Panics
@@ -326,66 +526,16 @@ impl Matrix {
         out
     }
 
-    /// `self * other`, written into `out` (fully overwritten). The
-    /// allocation-free form of [`Matrix::matmul`]; row-parallel,
-    /// column-tiled, and lane-vectorized with a `KU`-deep reduction
-    /// unroll — per element, terms are still added one at a time with
-    /// `k` ascending, so the result is bitwise identical to the naive
-    /// i-k-j loop at any thread count.
+    /// `self * other`, written into `out` (fully overwritten): the
+    /// allocation-free form of [`Matrix::matmul`], run by
+    /// [`MatrixView::matmul_into`].
     ///
     /// # Panics
     ///
     /// Panics if `self.cols != other.rows` or `out` has the wrong
     /// shape.
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
-        assert_eq!(self.cols, other.rows, "matmul dim mismatch");
-        assert_eq!((out.rows, out.cols), (self.rows, other.cols), "matmul out shape mismatch");
-        record_matmul(self.rows, self.cols, other.cols);
-        let n = other.cols;
-        let k_dim = self.cols;
-        out.data.fill(0.0);
-        if n == 0 || self.rows == 0 {
-            return;
-        }
-        let a = &self.data;
-        let b = &other.data;
-        let grain = grain_rows(2 * (ROW_BLOCK * k_dim) as u64 * n as u64);
-        gnnav_par::par_chunks(&mut out.data, ROW_BLOCK * n, grain, |off, out_block| {
-            let i0 = off / n;
-            // Tiling (columns, reduction depth, row blocks) only
-            // reorders work *across* elements; within an element the
-            // k loop below stays ascending.
-            let mut j0 = 0;
-            while j0 < n {
-                let j1 = (j0 + COL_TILE).min(n);
-                let mut k0 = 0;
-                while k0 < k_dim {
-                    let k1 = (k0 + K_TILE).min(k_dim);
-                    let kb = k0 + (k1 - k0) / KU * KU;
-                    for (r, out_row) in out_block.chunks_mut(n).enumerate() {
-                        let a_row = &a[(i0 + r) * k_dim..(i0 + r + 1) * k_dim];
-                        let out_tile = &mut out_row[j0..j1];
-                        let mut k = k0;
-                        while k < kb {
-                            axpy4(
-                                out_tile,
-                                [a_row[k], a_row[k + 1], a_row[k + 2], a_row[k + 3]],
-                                &b[k * n + j0..k * n + j1],
-                                &b[(k + 1) * n + j0..(k + 1) * n + j1],
-                                &b[(k + 2) * n + j0..(k + 2) * n + j1],
-                                &b[(k + 3) * n + j0..(k + 3) * n + j1],
-                            );
-                            k += KU;
-                        }
-                        for k in kb..k1 {
-                            axpy1(out_tile, a_row[k], &b[k * n + j0..k * n + j1]);
-                        }
-                    }
-                    k0 = k1;
-                }
-                j0 = j1;
-            }
-        });
+        self.view().matmul_into(other, out);
     }
 
     /// `self^T * other` without materializing the transpose.
@@ -399,71 +549,15 @@ impl Matrix {
         out
     }
 
-    /// `self^T * other`, written into `out` (fully overwritten).
-    ///
-    /// Parallel over *output* rows (columns of `self`): each output
-    /// row gathers down its column of `self` with `r` ascending —
-    /// exactly the per-element order of the serial scatter kernel, so
-    /// results are bitwise identical (and bitwise equal to
-    /// `self.transpose().matmul(other)`, whose reduction also walks
-    /// one term at a time in ascending order).
+    /// `self^T * other`, written into `out` (fully overwritten); run
+    /// by [`MatrixView::matmul_at_b_into`].
     ///
     /// # Panics
     ///
     /// Panics if `self.rows != other.rows` or `out` has the wrong
     /// shape.
     pub fn matmul_at_b_into(&self, other: &Matrix, out: &mut Matrix) {
-        assert_eq!(self.rows, other.rows, "matmul_at_b dim mismatch");
-        assert_eq!((out.rows, out.cols), (self.cols, other.cols), "matmul_at_b out shape mismatch");
-        record_matmul(self.cols, self.rows, other.cols);
-        let n = other.cols;
-        let k_dim = self.cols;
-        let rows = self.rows;
-        out.data.fill(0.0);
-        if n == 0 || k_dim == 0 {
-            return;
-        }
-        let a = &self.data;
-        let b = &other.data;
-        let grain = grain_rows(2 * (ROW_BLOCK * rows) as u64 * n as u64);
-        gnnav_par::par_chunks(&mut out.data, ROW_BLOCK * n, grain, |off, out_block| {
-            let kk0 = off / n;
-            let mut j0 = 0;
-            while j0 < n {
-                let j1 = (j0 + COL_TILE).min(n);
-                let mut r0 = 0;
-                while r0 < rows {
-                    let r1 = (r0 + K_TILE).min(rows);
-                    let rb = r0 + (r1 - r0) / KU * KU;
-                    for (dk, out_row) in out_block.chunks_mut(n).enumerate() {
-                        let k = kk0 + dk;
-                        let out_tile = &mut out_row[j0..j1];
-                        let mut r = r0;
-                        while r < rb {
-                            axpy4(
-                                out_tile,
-                                [
-                                    a[r * k_dim + k],
-                                    a[(r + 1) * k_dim + k],
-                                    a[(r + 2) * k_dim + k],
-                                    a[(r + 3) * k_dim + k],
-                                ],
-                                &b[r * n + j0..r * n + j1],
-                                &b[(r + 1) * n + j0..(r + 1) * n + j1],
-                                &b[(r + 2) * n + j0..(r + 2) * n + j1],
-                                &b[(r + 3) * n + j0..(r + 3) * n + j1],
-                            );
-                            r += KU;
-                        }
-                        for r in rb..r1 {
-                            axpy1(out_tile, a[r * k_dim + k], &b[r * n + j0..r * n + j1]);
-                        }
-                    }
-                    r0 = r1;
-                }
-                j0 = j1;
-            }
-        });
+        self.view().matmul_at_b_into(other, out);
     }
 
     /// `self * other^T` without materializing the transpose.

@@ -10,7 +10,7 @@ use crate::loss::softmax_cross_entropy_into;
 use crate::metrics::accuracy;
 use crate::model::GnnModel;
 use crate::optim::Adam;
-use crate::tensor::Matrix;
+use crate::tensor::{Matrix, MatrixView};
 use gnnav_graph::Graph;
 
 /// Runs one optimization step of `model` on a mini-batch subgraph.
@@ -34,10 +34,37 @@ pub fn train_step(
     labels: &[u16],
     target_rows: &[u32],
 ) -> f32 {
+    train_step_view(model, opt, g, x.view(), labels, target_rows)
+}
+
+/// [`train_step`] over borrowed features — the form a caller that
+/// gathers rows into a reusable buffer uses, so the buffer never has
+/// to be moved into a [`Matrix`] and back.
+///
+/// The step computes only what the loss reads. When `target_rows` is
+/// the prefix `0..T` — the `MiniBatch` ordering contract — the output
+/// layer runs forward and backward on those `T` rows alone; any other
+/// target set runs it at full height. Same code either way, and the
+/// loss, every parameter gradient and the optimizer state come out
+/// bit for bit the same (see [`crate::layers`]).
+///
+/// # Panics
+///
+/// Panics if shapes disagree or `target_rows` is empty.
+pub fn train_step_view(
+    model: &mut GnnModel,
+    opt: &mut Adam,
+    g: &Graph,
+    x: MatrixView<'_>,
+    labels: &[u16],
+    target_rows: &[u32],
+) -> f32 {
     assert_eq!(x.rows(), g.num_nodes(), "one feature row per node");
     assert_eq!(labels.len(), g.num_nodes(), "one label per node");
+    let is_prefix = target_rows.iter().enumerate().all(|(i, &r)| r as usize == i);
+    let out_rows = if is_prefix { target_rows.len() } else { g.num_nodes() };
     model.set_train_mode(true);
-    let logits = model.forward(g, x);
+    let logits = model.forward_rows(g, x, out_rows);
     let mut grad = model.scratch_mut().take(logits.rows(), logits.cols());
     let loss = softmax_cross_entropy_into(&logits, labels, target_rows, &mut grad);
     model.zero_grad();
@@ -52,9 +79,15 @@ pub fn train_step(
 ///
 /// At the reproduction's graph scales a full-graph forward is cheap,
 /// so evaluation does not sample.
-pub fn evaluate(model: &mut GnnModel, g: &Graph, x: &Matrix, labels: &[u16], rows: &[u32]) -> f64 {
+pub fn evaluate(
+    model: &mut GnnModel,
+    g: &Graph,
+    x: MatrixView<'_>,
+    labels: &[u16],
+    rows: &[u32],
+) -> f64 {
     model.set_train_mode(false);
-    let logits = model.forward(g, x);
+    let logits = model.forward_rows(g, x, g.num_nodes());
     model.set_train_mode(true);
     let acc = accuracy(&logits, labels, rows);
     model.recycle(logits);
@@ -109,7 +142,7 @@ mod tests {
                 last = train_step(&mut model, &mut opt, &g, &x, &labels, &all);
             }
             assert!(last < first * 0.7, "{kind}: loss {first} -> {last}");
-            let acc = evaluate(&mut model, &g, &x, &labels, &all);
+            let acc = evaluate(&mut model, &g, x.view(), &labels, &all);
             assert!(acc > 0.8, "{kind}: accuracy {acc}");
         }
     }

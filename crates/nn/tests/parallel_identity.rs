@@ -12,10 +12,19 @@
 //! Thread limits above the core count still exercise real worker
 //! threads (the limit overrides the hardware budget), so this suite is
 //! meaningful even on single-core CI runners.
+//!
+//! The row-restricted forms of the kernels (an output layer computing
+//! only the loss rows; see `gnnav_nn::layers`) run over the degree
+//! schedule *clamped* to a row prefix, so they get the same sweep: at
+//! every width, and against the matching rows of the full-height
+//! result.
 
 use gnnav_graph::generators::barabasi_albert;
 use gnnav_graph::{Graph, GraphBuilder};
-use gnnav_nn::layers::{gcn_aggregate, mean_aggregate, mean_aggregate_backward, GatLayer, Layer};
+use gnnav_nn::layers::{
+    gcn_aggregate, gcn_aggregate_into, mean_aggregate, mean_aggregate_backward,
+    mean_aggregate_backward_into, mean_aggregate_into, GatLayer, Layer,
+};
 use gnnav_nn::scratch::ScratchArena;
 use gnnav_nn::tensor::Matrix;
 use gnnav_nn::{Adam, GnnModel, ModelKind};
@@ -129,9 +138,9 @@ fn bucketed_gat_identical_across_widths() {
         gnnav_par::with_thread_limit(w, || {
             let mut layer = GatLayer::new(8, 128, 12);
             let mut scratch = ScratchArena::new();
-            let out = layer.forward(&g, &x, &mut scratch);
+            let out = layer.forward(&g, x.view(), 200, &mut scratch);
             layer.zero_grad();
-            let gx = layer.backward(&g, &r, &mut scratch);
+            let gx = layer.backward(&g, &r, true, &mut scratch).expect("input gradient");
             (out, gx)
         })
     };
@@ -145,6 +154,159 @@ fn bucketed_gat_identical_across_widths() {
                     "gat {label} width={w}: element {i} differs: {p:?} vs {q:?}"
                 );
             }
+        }
+    }
+}
+
+fn assert_slices_bit_equal(label: &str, a: &[f32], b: &[f32]) {
+    assert_eq!(a.len(), b.len(), "{label}: length");
+    for (i, (p, q)) in a.iter().zip(b).enumerate() {
+        assert!(p.to_bits() == q.to_bits(), "{label}: element {i} differs: {p:?} vs {q:?}");
+    }
+}
+
+#[test]
+fn restricted_aggregations_identical_across_widths_and_to_full_height() {
+    // Row prefixes that stop at the hub row alone (1), inside a light
+    // group (37, 150) and one short of everything (299); narrow and
+    // column-tiled feature widths.
+    let n = 300;
+    let g = skewed_graph(n, 5);
+    for d in [3usize, 128] {
+        let x = gnnav_nn::init::glorot_uniform(n, d, 6);
+        let full = gnnav_par::with_thread_limit(1, || {
+            (gcn_aggregate(&g, &x), mean_aggregate(&g, &x), mean_aggregate_backward(&g, &x))
+        });
+        for rows in [1usize, 37, 150, 299, n] {
+            // A zero-extended input: rows `>= rows` of `x` cleared, so
+            // the full-height kernels see the matrix the short input
+            // stands for.
+            let short = Matrix::from_vec(rows, d, x.as_slice()[..rows * d].to_vec());
+            let mut padded = Matrix::zeros(n, d);
+            padded.as_mut_slice()[..rows * d].copy_from_slice(short.as_slice());
+            let (pad_gcn, pad_mean_bwd) = gnnav_par::with_thread_limit(1, || {
+                (gcn_aggregate(&g, &padded), mean_aggregate_backward(&g, &padded))
+            });
+            for w in ALL_WIDTHS {
+                let label = format!("d={d} rows={rows} width={w}");
+                gnnav_par::with_thread_limit(w, || {
+                    // Output prefix: the leading rows of the full result.
+                    let mut out = Matrix::zeros(rows, d);
+                    gcn_aggregate_into(&g, x.view(), &mut out);
+                    assert_slices_bit_equal(
+                        &format!("gcn out-prefix {label}"),
+                        out.as_slice(),
+                        &full.0.as_slice()[..rows * d],
+                    );
+                    mean_aggregate_into(&g, x.view(), &mut out);
+                    assert_slices_bit_equal(
+                        &format!("mean out-prefix {label}"),
+                        out.as_slice(),
+                        &full.1.as_slice()[..rows * d],
+                    );
+                    // Input prefix: the full result on the zero-extended input.
+                    let mut back = Matrix::zeros(n, d);
+                    gcn_aggregate_into(&g, short.view(), &mut back);
+                    assert_slices_bit_equal(
+                        &format!("gcn in-prefix {label}"),
+                        back.as_slice(),
+                        pad_gcn.as_slice(),
+                    );
+                    mean_aggregate_backward_into(&g, &short, &mut back);
+                    assert_slices_bit_equal(
+                        &format!("mean_bwd in-prefix {label}"),
+                        back.as_slice(),
+                        pad_mean_bwd.as_slice(),
+                    );
+                });
+            }
+        }
+    }
+}
+
+#[test]
+fn restricted_gat_identical_across_widths_and_to_full_height() {
+    // The destination-side GAT passes (softmax spans, output rows,
+    // dpre/ds_r) on a row prefix; source-side passes at full height
+    // gathering only from that prefix.
+    let n = 200;
+    let g = skewed_graph(n, 9);
+    let x = gnnav_nn::init::glorot_uniform(n, 8, 10);
+    let r = gnnav_nn::init::glorot_uniform(n, 128, 11);
+    let grads = |layer: &mut GatLayer| -> Vec<f32> {
+        let mut flat = Vec::new();
+        layer.for_each_param(&mut |p| match p {
+            gnnav_nn::layers::ParamRef::Linear(lin) => {
+                flat.extend_from_slice(lin.gw.as_slice());
+                flat.extend_from_slice(&lin.gb);
+            }
+            gnnav_nn::layers::ParamRef::Vector(v) => flat.extend_from_slice(&v.g),
+        });
+        flat
+    };
+    for rows in [1usize, 77, n] {
+        // Full-height reference on the zero-extended output gradient.
+        let mut r_padded = Matrix::zeros(n, 128);
+        r_padded.as_mut_slice()[..rows * 128].copy_from_slice(&r.as_slice()[..rows * 128]);
+        let r_short = Matrix::from_vec(rows, 128, r.as_slice()[..rows * 128].to_vec());
+        let (full_out, full_gx, full_grads) = gnnav_par::with_thread_limit(1, || {
+            let mut layer = GatLayer::new(8, 128, 12);
+            let mut scratch = ScratchArena::new();
+            let out = layer.forward(&g, x.view(), n, &mut scratch);
+            layer.zero_grad();
+            let gx = layer.backward(&g, &r_padded, true, &mut scratch).expect("input gradient");
+            (out, gx, grads(&mut layer))
+        });
+        for w in ALL_WIDTHS {
+            let label = format!("gat rows={rows} width={w}");
+            let (out, gx, got_grads) = gnnav_par::with_thread_limit(w, || {
+                let mut layer = GatLayer::new(8, 128, 12);
+                let mut scratch = ScratchArena::new();
+                let out = layer.forward(&g, x.view(), rows, &mut scratch);
+                layer.zero_grad();
+                let gx = layer.backward(&g, &r_short, true, &mut scratch).expect("input gradient");
+                (out, gx, grads(&mut layer))
+            });
+            assert_slices_bit_equal(
+                &format!("{label} forward"),
+                out.as_slice(),
+                &full_out.as_slice()[..rows * 128],
+            );
+            assert_slices_bit_equal(&format!("{label} gx"), gx.as_slice(), full_gx.as_slice());
+            assert_slices_bit_equal(&format!("{label} param grads"), &got_grads, &full_grads);
+        }
+    }
+}
+
+#[test]
+fn restricted_training_identical_across_widths() {
+    // Whole training steps on a prefix target set (T < n), every model
+    // kind, on the skewed graph so heavy groups, light groups and the
+    // clamped cut are all in play.
+    let n = 200;
+    let g = skewed_graph(n, 13);
+    let x = gnnav_nn::init::glorot_uniform(n, 12, 14);
+    let labels: Vec<u16> = (0..n as u16).map(|v| v % 5).collect();
+    let targets: Vec<u32> = (0..61).collect();
+    for kind in ModelKind::ALL {
+        let run = |w: usize| {
+            gnnav_par::with_thread_limit(w, || {
+                let mut m = GnnModel::new(kind, 12, 128, 5, 2, 15);
+                m.set_dropout(0.2);
+                let mut opt = Adam::new(0.01);
+                let losses: Vec<f32> = (0..3)
+                    .map(|_| {
+                        gnnav_nn::train::train_step(&mut m, &mut opt, &g, &x, &labels, &targets)
+                    })
+                    .collect();
+                (losses, m.param_vector())
+            })
+        };
+        let reference = run(1);
+        for w in WIDTHS {
+            let (losses, params) = run(w);
+            assert_slices_bit_equal(&format!("{kind} losses width={w}"), &losses, &reference.0);
+            assert_slices_bit_equal(&format!("{kind} params width={w}"), &params, &reference.1);
         }
     }
 }

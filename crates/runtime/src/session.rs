@@ -22,7 +22,7 @@ use gnnav_cache::{build_cache, Cache, CacheStats};
 use gnnav_faults::{FaultInjector, FaultKind, FaultPlan};
 use gnnav_graph::Dataset;
 use gnnav_hwsim::{CostModel, MemoryLedger, Platform, SimTime};
-use gnnav_nn::tensor::Matrix;
+use gnnav_nn::tensor::MatrixView;
 use gnnav_nn::{train, Adam, GnnModel};
 use gnnav_obs::alloc::AllocStats;
 use gnnav_obs::names as metric;
@@ -749,22 +749,20 @@ impl<'d> ExecutionSession<'d> {
                 // the gated `alloc.steady_state_allocs_per_epoch`.
                 let alloc_t0 = gnnav_obs::alloc::is_tracking().then(gnnav_obs::alloc::stats);
                 feats.gather_into(&mb.nodes, &mut self.x_buf);
-                let x =
-                    Matrix::from_vec(mb.num_nodes(), feats.dim(), std::mem::take(&mut self.x_buf));
+                let x = MatrixView::new(mb.num_nodes(), feats.dim(), &self.x_buf);
                 feats.gather_labels_into(&mb.nodes, &mut self.label_buf);
                 self.target_locals_buf.clear();
                 self.target_locals_buf.extend(0..mb.targets_len as u32);
                 let step_site = self.train_steps;
                 self.train_steps += 1;
-                let mut loss = train::train_step(
+                let mut loss = train::train_step_view(
                     &mut self.model,
                     &mut self.opt,
                     &mb.subgraph,
-                    &x,
+                    x,
                     &self.label_buf,
                     &self.target_locals_buf,
                 );
-                self.x_buf = x.into_vec();
                 if self.inject_fault(FaultKind::NanLoss, step_site, 0).is_some() {
                     loss = f32::NAN;
                 }
@@ -916,8 +914,8 @@ impl<'d> ExecutionSession<'d> {
         let graph = dataset.graph();
         let feats = dataset.features();
         let accuracy = if self.opts.train {
-            let x = Matrix::from_vec(graph.num_nodes(), feats.dim(), feats.matrix().to_vec());
-            train::evaluate(&mut self.model, graph, &x, feats.labels(), &dataset.split().test)
+            let x = MatrixView::new(graph.num_nodes(), feats.dim(), feats.matrix());
+            train::evaluate(&mut self.model, graph, x, feats.labels(), &dataset.split().test)
         } else {
             0.0
         };
