@@ -154,8 +154,9 @@ impl Navigator {
     /// [`Navigator::generate_guideline`] fingerprints every exploration
     /// input and serves a cached [`ExplorationResult`] when the
     /// fingerprint matches, skipping the DSE entirely — a repeat
-    /// invocation returns the byte-identical guideline in
-    /// sub-millisecond time. Fresh explorations are appended.
+    /// invocation returns the byte-identical guideline for the price of
+    /// a hash probe (the cost that remains is reopening the log; see
+    /// `explorer::cache`). Fresh explorations are appended.
     pub fn with_explore_cache(mut self, cache: ExploreCache) -> Self {
         self.explore_cache = Some(std::cell::RefCell::new(cache));
         self

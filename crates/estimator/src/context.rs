@@ -184,12 +184,12 @@ pub(crate) fn config_key(config: &TrainingConfig) -> Vec<u8> {
 /// Reusable per-(dataset, platform) prediction inputs plus a per-run
 /// memo of completed predictions.
 ///
-/// [`Context::new`] recomputes `dataset.stats()` — an O(|V| + |E|)
-/// edge scan — on every call, which dominates prediction cost when an
+/// [`Context::new`] reads the dataset's (memoised) statistics and
+/// deep-copies the platform on every call, which adds up when an
 /// explorer queries hundreds of candidates against one dataset. A
 /// `PredictionContext` hoists that work: build it once, then
 /// [`context`](Self::context) assembles a candidate [`Context`] in
-/// O(1).
+/// O(1) with the platform shared.
 ///
 /// The memo backs
 /// [`GrayBoxEstimator::predict_batch`](crate::GrayBoxEstimator::predict_batch):

@@ -267,13 +267,14 @@ impl Profiler {
         // machine.
         let _pool_claim = gnnav_par::PoolClaim::register(workers);
         crossbeam::thread::scope(|scope| {
+            let mut handles = Vec::with_capacity(workers);
             for worker in 0..workers {
                 let sweep_path = &sweep_path;
                 let injector = &injector;
                 let (results, failed, busy) = (&results, &failed, &busy);
                 let (next, retries_total, timeouts_total) =
                     (&next, &retries_total, &timeouts_total);
-                scope.spawn(move |_| {
+                handles.push(scope.spawn(move |_| {
                     let started = Instant::now();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
@@ -393,7 +394,17 @@ impl Profiler {
                         }
                     }
                     busy.lock().push(started.elapsed());
-                });
+                }));
+            }
+            // The scope alone waits for the closures to return, not for
+            // the threads to exit. A worker still on its way out holds
+            // its allocator arena, so the next sweep's worker (the
+            // augmentation graph follows at once) would sometimes be
+            // given a fresh one and the process's peak RSS would read
+            // 31 or 41 MiB from run to run. A real join lets each
+            // sweep inherit the arena the last one warmed.
+            for handle in handles {
+                handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
             }
         })
         .expect("profiling threads do not panic");

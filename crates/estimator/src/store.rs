@@ -224,20 +224,17 @@ impl ProfileStore {
     /// be read, or [`StoreError::BadMagic`] /
     /// [`StoreError::VersionMismatch`] on an alien file header.
     pub fn open(path: impl Into<PathBuf>) -> Result<ProfileStore, StoreError> {
-        let wal = Wal::open(path)?;
         let mut index = HashMap::new();
-        let mut records = Vec::with_capacity(wal.len());
+        let mut records = Vec::new();
         let mut undecodable = 0usize;
-        for frame in wal.records() {
-            match decode_record(frame) {
-                Ok(record) => {
-                    let fp = fingerprint_of(record.dataset_id, &record.context);
-                    index.insert(fp, records.len());
-                    records.push((fp, record));
-                }
-                Err(_) => undecodable += 1,
+        let wal = Wal::replay(path, |frame| match decode_record(frame) {
+            Ok(record) => {
+                let fp = fingerprint_of(record.dataset_id, &record.context);
+                index.insert(fp, records.len());
+                records.push((fp, record));
             }
-        }
+            Err(_) => undecodable += 1,
+        })?;
         Ok(ProfileStore { wal, index, records, undecodable })
     }
 

@@ -75,9 +75,10 @@ fn the_fixed_exploration_still_encodes_to_the_committed_frame() {
     let mut cache = ExploreCache::open(&path).expect("open");
     assert!(cache.insert(fingerprint, &result).expect("insert"));
     drop(cache);
-    let wal = Wal::open(&path).expect("reopen as a plain log");
-    assert_eq!(wal.records().len(), 1);
-    let frame = &wal.records()[0];
+    let mut frames = Vec::new();
+    Wal::replay(&path, |frame| frames.push(frame.to_vec())).expect("reopen as a plain log");
+    assert_eq!(frames.len(), 1);
+    let frame = &frames[0];
     assert_eq!(frame.len(), GOLDEN.len(), "frame length");
     let first_difference = frame.iter().zip(GOLDEN).position(|(got, want)| got != want);
     assert_eq!(first_difference, None, "first differing byte offset");

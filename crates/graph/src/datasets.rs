@@ -21,6 +21,7 @@ use crate::GraphError;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::sync::OnceLock;
 
 /// Identifier of a benchmark dataset stand-in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -183,6 +184,10 @@ pub struct Dataset {
     communities: Vec<u32>,
     features: Features,
     split: Split,
+    /// `stats()` memo. Graph and communities never change after
+    /// construction, so a filled cell stays right through `clone` and
+    /// `with_split`.
+    stats: OnceLock<GraphStats>,
 }
 
 impl Dataset {
@@ -225,7 +230,7 @@ impl Dataset {
             .with_label_noise(r.label_noise);
         let features = Features::synthesize(&communities, &spec, r.seed ^ 0xFEED);
         let split = Split::random(nodes, r.seed ^ 0x5EED);
-        Ok(Dataset { id, scale, graph, communities, features, split })
+        Ok(Dataset { id, scale, graph, communities, features, split, stats: OnceLock::new() })
     }
 
     /// Generates a random power-law dataset for estimator data
@@ -253,7 +258,15 @@ impl Dataset {
         let spec = FeatureSpec::new(feat_dim, num_classes).with_noise(1.8).with_label_noise(0.12);
         let features = Features::synthesize(&communities, &spec, seed ^ 0xFEED);
         let split = Split::random(num_nodes, seed ^ 0x5EED);
-        Ok(Dataset { id: DatasetId::Synthetic, scale: 1.0, graph, communities, features, split })
+        Ok(Dataset {
+            id: DatasetId::Synthetic,
+            scale: 1.0,
+            graph,
+            communities,
+            features,
+            split,
+            stats: OnceLock::new(),
+        })
     }
 
     /// Dataset identifier.
@@ -319,9 +332,13 @@ impl Dataset {
         self.features.num_classes()
     }
 
-    /// Structural statistics (with community mixing).
+    /// Structural statistics (with community mixing). The O(V + E)
+    /// walk runs on the first call only; every store key and estimator
+    /// context built from this dataset afterwards reads the memo.
     pub fn stats(&self) -> GraphStats {
-        GraphStats::with_communities(&self.graph, &self.communities)
+        self.stats
+            .get_or_init(|| GraphStats::with_communities(&self.graph, &self.communities))
+            .clone()
     }
 }
 
@@ -393,6 +410,22 @@ mod tests {
         let f_pr = pr.stats().intra_community_fraction.expect("edges");
         let f_ar = ar.stats().intra_community_fraction.expect("edges");
         assert!(f_pr > f_ar, "PR {f_pr} should exceed AR {f_ar}");
+    }
+
+    #[test]
+    fn memoised_stats_survive_clone_and_with_split() {
+        let d = Dataset::load_scaled(DatasetId::Reddit2, 0.02).expect("load");
+        let fresh = |d: &Dataset| GraphStats::with_communities(d.graph(), d.communities());
+        // Cloned before and after the memo is filled.
+        let early = d.clone();
+        assert_eq!(d.stats(), fresh(&d));
+        assert_eq!(d.stats(), fresh(&d), "second read comes from the memo");
+        assert_eq!(early.stats(), fresh(&early));
+        assert_eq!(d.clone().stats(), fresh(&d));
+        let split = Split { train: vec![0, 1], val: vec![2], test: vec![3] };
+        let resplit = d.clone().with_split(split).expect("in range");
+        assert_eq!(resplit.stats(), fresh(&resplit));
+        assert_eq!(resplit.stats(), d.stats());
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! expensive artifacts durable:
 //!
 //! - [`Wal`] — append-only segments of CRC-framed records (the
-//!   on-disk ProfileDb substrate). Recovery truncates torn tails and
-//!   skips checksum-failed records, loudly.
+//!   on-disk ProfileDb substrate). An append is one write of one
+//!   frame; recovery truncates torn tails and skips checksum-failed
+//!   records, loudly.
 //! - [`write_checkpoint`] / [`read_checkpoint`] / [`CheckpointDir`] —
 //!   atomic whole-state checkpoint files for the training and
 //!   adaptive-navigation resume paths.
