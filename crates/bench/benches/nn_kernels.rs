@@ -9,11 +9,12 @@ use gnnav_nn::{train, Adam, GnnModel, Matrix, ModelKind};
 
 /// Hard throughput gate, not a measurement: single-thread 256³ matmul
 /// must clear [`gnnav_bench::MATMUL_GFLOPS_FLOOR`] GFLOP/s (set ~30%
-/// below what the vectorized lane kernels measure, and above 2× the
-/// scalar kernels they replaced). Takes the best of a few samples so
-/// one descheduled run can't fail the gate; a genuine regression —
-/// e.g. reintroducing bounds checks into the inner loops — still
-/// lands far below the floor on every sample.
+/// below what the register-tile kernels measure when built for the
+/// x86-64 baseline, and above 2× the scalar kernels of PR 4). Takes
+/// the best of a few samples so one descheduled run can't fail the
+/// gate; a genuine regression — e.g. bounds checks back in the tile
+/// loop, or accumulators falling out of registers — still lands far
+/// below the floor on every sample.
 fn assert_matmul_throughput_floor(_c: &mut Criterion) {
     let gflops = gnnav_bench::best_matmul_gflops(256, 1, 3);
     println!(
@@ -23,7 +24,7 @@ fn assert_matmul_throughput_floor(_c: &mut Criterion) {
     assert!(
         gflops >= gnnav_bench::MATMUL_GFLOPS_FLOOR,
         "single-thread matmul throughput {gflops:.2} GFLOP/s fell below the \
-         committed floor of {:.1} — the lane kernels regressed",
+         committed floor of {:.1} — the tile kernels regressed",
         gnnav_bench::MATMUL_GFLOPS_FLOOR
     );
 }

@@ -47,14 +47,20 @@ pub fn template_config(template: Template, model: ModelKind, scale: f64) -> Trai
 /// bench on a 256x256x256 problem (see `benches/nn_kernels.rs`).
 ///
 /// The value is the gate the `kernel-bench` CI job and
-/// `perf_baseline` enforce: the scalar PR 4 kernels measured
-/// 7.6 GFLOP/s on the reference runner and the vectorized lane
-/// kernels measure 21-24, so the floor sits at slightly above 2x the
-/// old kernels and ~30% below the new ones — it fails on a genuine
-/// kernel regression (or a return to scalar code) but not on ordinary
-/// machine noise. The same number is recorded in `BENCH_nn.json` as
-/// the `nn.matmul_gflops_floor` counter so `metrics-diff` flags any
-/// attempt to quietly lower it.
+/// `perf_baseline` enforce, and it is the **portable** build's floor:
+/// the register-tile kernels are compiled once for the target's
+/// baseline and once for AVX2, and a runner without AVX2 must pass
+/// too. Measured on the reference container: scalar PR 4 kernels 7.6,
+/// the saxpy-form lane kernels of PR 6 21-25, the register-tile body
+/// 22-24 built for SSE2 and 44-52 built for AVX2 (no FMA on either).
+/// So the floor sits ~2x above scalar code and ~30% below the
+/// portable build — it fails on a genuine kernel regression (bounds
+/// checks back in the tile loop, accumulators falling out of
+/// registers, a return to scalar code) but not on ordinary machine
+/// noise — and on an AVX2 runner it is cleared even in the sandbox's
+/// slow mode (x0.6), which the PR 6 kernels were not. The same number
+/// is recorded in `BENCH_nn.json` as the `nn.matmul_gflops_floor`
+/// counter so `metrics-diff` flags any attempt to quietly lower it.
 pub const MATMUL_GFLOPS_FLOOR: f64 = 16.0;
 
 /// Measures dense-matmul throughput in GFLOP/s for an `n x n x n`

@@ -243,10 +243,11 @@ impl Profiler {
             self.opts.fault_plan.as_ref().filter(|p| !p.is_empty()).map(FaultInjector::new);
         let metrics = gnnav_obs::global();
         let sweep_span = metrics.span(metric::PROFILER_SWEEP_WALL);
-        // Spans opened on the workers below would otherwise record at
-        // the top level — their thread-local span stacks are empty —
-        // so the sweep's dotted path is captured here and re-anchored
-        // per worker with `span_under`.
+        // Spans opened on worker threads would otherwise record at the
+        // top level — their thread-local span stacks are empty — so
+        // the sweep's dotted path is captured here and re-anchored per
+        // worker with `span_under` (a plain span when the one worker
+        // is this thread).
         let sweep_path = sweep_span.path().to_string();
         let journal = metrics.journal();
         // Records carry the config index they came from so the final
@@ -266,148 +267,149 @@ impl Profiler {
         // worker count, so outer x inner never oversubscribes the
         // machine.
         let _pool_claim = gnnav_par::PoolClaim::register(workers);
-        crossbeam::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for worker in 0..workers {
-                let sweep_path = &sweep_path;
-                let injector = &injector;
-                let (results, failed, busy) = (&results, &failed, &busy);
-                let (next, retries_total, timeouts_total) =
-                    (&next, &retries_total, &timeouts_total);
-                handles.push(scope.spawn(move |_| {
-                    let started = Instant::now();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= configs.len() {
-                            break;
-                        }
-                        // One attempt: injected worker faults first,
-                        // then the real execution, then post-hoc
-                        // timeout classification. Err carries the
-                        // rendered cause and whether it was a timeout.
-                        let attempt_once =
-                            |attempt: u32| -> Result<ExecutionReport, (String, bool)> {
-                                if injector.as_ref().is_some_and(|inj| {
-                                    inj.inject(FaultKind::WorkerCrash, i as u64, attempt, None)
-                                        .is_some()
-                                }) {
-                                    return Err(("injected worker crash".into(), false));
-                                }
-                                if let Some(secs) = injector.as_ref().and_then(|inj| {
-                                    inj.inject(FaultKind::Straggler, i as u64, attempt, None)
-                                }) {
-                                    std::thread::sleep(
-                                        Duration::from_secs_f64(secs.max(0.0))
-                                            .min(STRAGGLER_SLEEP_CAP),
-                                    );
-                                }
-                                let t0 = Instant::now();
-                                let report = self
-                                    .backend
-                                    .execute(dataset, &configs[i], &self.opts)
-                                    .map_err(|e| (e.to_string(), false))?;
-                                if let Some(limit) = self.config_timeout {
-                                    let elapsed = t0.elapsed();
-                                    if elapsed > limit {
-                                        return Err((
-                                            format!(
-                                                "exceeded per-config timeout \
+        // One worker's share of the sweep: configs claimed off `next`
+        // until none are left.
+        let run_worker = |worker: usize| {
+            let started = Instant::now();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= configs.len() {
+                    break;
+                }
+                // One attempt: injected worker faults first,
+                // then the real execution, then post-hoc
+                // timeout classification. Err carries the
+                // rendered cause and whether it was a timeout.
+                let attempt_once = |attempt: u32| -> Result<ExecutionReport, (String, bool)> {
+                    if injector.as_ref().is_some_and(|inj| {
+                        inj.inject(FaultKind::WorkerCrash, i as u64, attempt, None).is_some()
+                    }) {
+                        return Err(("injected worker crash".into(), false));
+                    }
+                    if let Some(secs) = injector
+                        .as_ref()
+                        .and_then(|inj| inj.inject(FaultKind::Straggler, i as u64, attempt, None))
+                    {
+                        std::thread::sleep(
+                            Duration::from_secs_f64(secs.max(0.0)).min(STRAGGLER_SLEEP_CAP),
+                        );
+                    }
+                    let t0 = Instant::now();
+                    let report = self
+                        .backend
+                        .execute(dataset, &configs[i], &self.opts)
+                        .map_err(|e| (e.to_string(), false))?;
+                    if let Some(limit) = self.config_timeout {
+                        let elapsed = t0.elapsed();
+                        if elapsed > limit {
+                            return Err((
+                                format!(
+                                    "exceeded per-config timeout \
                                                  ({elapsed:?} > {limit:?})"
-                                            ),
-                                            true,
-                                        ));
-                                    }
-                                }
-                                Ok(report)
-                            };
-
-                        let config_span = metrics.span_under(sweep_path, "config");
-                        let config_wall_us = journal.is_enabled().then(|| journal.now_us());
-                        let mut attempt = 0u32;
-                        let outcome = loop {
-                            match attempt_once(attempt) {
-                                Ok(report) => break Ok(report),
-                                Err((error, timed_out)) => {
-                                    if timed_out {
-                                        timeouts_total.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    if attempt >= self.config_retries {
-                                        break Err(ConfigFailure {
-                                            config_index: i,
-                                            config: configs[i].summary(),
-                                            error,
-                                            attempts: attempt + 1,
-                                            timed_out,
-                                        });
-                                    }
-                                    retries_total.fetch_add(1, Ordering::Relaxed);
-                                    attempt += 1;
-                                }
-                            }
-                        };
-                        if let Some(wall0) = config_wall_us {
-                            journal.span_complete(
-                                metric::EVENT_PROFILE_CONFIG,
-                                format!("{}{worker}", metric::TRACK_PROFILER_WORKER_PREFIX),
-                                wall0,
-                                Some(journal.now_us() - wall0),
-                                None,
-                                None,
-                                vec![
-                                    ("config_index".into(), i.into()),
-                                    ("config".into(), configs[i].summary().into()),
-                                    ("ok".into(), outcome.is_ok().into()),
-                                    ("attempts".into(), (attempt as u64 + 1).into()),
-                                ],
-                            );
-                        }
-                        drop(config_span);
-                        match outcome {
-                            Ok(report) => {
-                                let ctx = Context::new(
-                                    dataset,
-                                    self.backend.platform(),
-                                    configs[i].clone(),
-                                );
-                                let p = report.perf;
-                                let n_iter = p.n_iter.max(1) as f64;
-                                let record = ProfileRecord {
-                                    dataset_id: dataset.id(),
-                                    context: ctx,
-                                    epoch_time_s: p.epoch_time.as_secs(),
-                                    mem_bytes: p.peak_mem_bytes as f64,
-                                    accuracy: p.accuracy,
-                                    hit_rate: p.hit_rate,
-                                    avg_batch_nodes: p.avg_batch_nodes,
-                                    avg_batch_edges: p.avg_batch_edges,
-                                    phase_s: [
-                                        p.phases.sample.as_secs() / n_iter,
-                                        p.phases.transfer.as_secs() / n_iter,
-                                        p.phases.replace.as_secs() / n_iter,
-                                        p.phases.compute.as_secs() / n_iter,
-                                    ],
-                                    n_iter,
-                                };
-                                results.lock().push((i, record));
-                            }
-                            Err(failure) => failed.lock().push((i, failure)),
+                                ),
+                                true,
+                            ));
                         }
                     }
-                    busy.lock().push(started.elapsed());
-                }));
+                    Ok(report)
+                };
+
+                let config_span = metrics.span_under(&sweep_path, "config");
+                let config_wall_us = journal.is_enabled().then(|| journal.now_us());
+                let mut attempt = 0u32;
+                let outcome = loop {
+                    match attempt_once(attempt) {
+                        Ok(report) => break Ok(report),
+                        Err((error, timed_out)) => {
+                            if timed_out {
+                                timeouts_total.fetch_add(1, Ordering::Relaxed);
+                            }
+                            if attempt >= self.config_retries {
+                                break Err(ConfigFailure {
+                                    config_index: i,
+                                    config: configs[i].summary(),
+                                    error,
+                                    attempts: attempt + 1,
+                                    timed_out,
+                                });
+                            }
+                            retries_total.fetch_add(1, Ordering::Relaxed);
+                            attempt += 1;
+                        }
+                    }
+                };
+                if let Some(wall0) = config_wall_us {
+                    journal.span_complete(
+                        metric::EVENT_PROFILE_CONFIG,
+                        format!("{}{worker}", metric::TRACK_PROFILER_WORKER_PREFIX),
+                        wall0,
+                        Some(journal.now_us() - wall0),
+                        None,
+                        None,
+                        vec![
+                            ("config_index".into(), i.into()),
+                            ("config".into(), configs[i].summary().into()),
+                            ("ok".into(), outcome.is_ok().into()),
+                            ("attempts".into(), (attempt as u64 + 1).into()),
+                        ],
+                    );
+                }
+                drop(config_span);
+                match outcome {
+                    Ok(report) => {
+                        let ctx =
+                            Context::new(dataset, self.backend.platform(), configs[i].clone());
+                        let p = report.perf;
+                        let n_iter = p.n_iter.max(1) as f64;
+                        let record = ProfileRecord {
+                            dataset_id: dataset.id(),
+                            context: ctx,
+                            epoch_time_s: p.epoch_time.as_secs(),
+                            mem_bytes: p.peak_mem_bytes as f64,
+                            accuracy: p.accuracy,
+                            hit_rate: p.hit_rate,
+                            avg_batch_nodes: p.avg_batch_nodes,
+                            avg_batch_edges: p.avg_batch_edges,
+                            phase_s: [
+                                p.phases.sample.as_secs() / n_iter,
+                                p.phases.transfer.as_secs() / n_iter,
+                                p.phases.replace.as_secs() / n_iter,
+                                p.phases.compute.as_secs() / n_iter,
+                            ],
+                            n_iter,
+                        };
+                        results.lock().push((i, record));
+                    }
+                    Err(failure) => failed.lock().push((i, failure)),
+                }
             }
-            // The scope alone waits for the closures to return, not for
-            // the threads to exit. A worker still on its way out holds
-            // its allocator arena, so the next sweep's worker (the
-            // augmentation graph follows at once) would sometimes be
-            // given a fresh one and the process's peak RSS would read
-            // 31 or 41 MiB from run to run. A real join lets each
-            // sweep inherit the arena the last one warmed.
-            for handle in handles {
-                handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            }
-        })
-        .expect("profiling threads do not panic");
+            busy.lock().push(started.elapsed());
+        };
+        if workers == 1 {
+            // A lone worker overlaps with nothing, so it runs here: a
+            // thread of its own would only move every execution's
+            // buffers into a second allocator arena, which costs
+            // ~10 MiB of peak RSS on a cold navigation and makes the
+            // figure depend on how arena and main heap interleave
+            // from run to run.
+            run_worker(0);
+        } else {
+            crossbeam::thread::scope(|scope| {
+                let run_worker = &run_worker;
+                let handles: Vec<_> =
+                    (0..workers).map(|worker| scope.spawn(move |_| run_worker(worker))).collect();
+                // The scope alone waits for the closures to return, not
+                // for the threads to exit. A worker still on its way
+                // out holds its allocator arena, so the next sweep's
+                // workers (the augmentation graph follows at once)
+                // would sometimes be given fresh ones. A real join lets
+                // each sweep inherit the arenas the last one warmed.
+                for handle in handles {
+                    handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                }
+            })
+            .expect("profiling threads do not panic");
+        }
         let mut indexed = results.into_inner();
         indexed.sort_by_key(|(i, _)| *i);
         let records: Vec<ProfileRecord> = indexed.into_iter().map(|(_, r)| r).collect();
@@ -552,6 +554,17 @@ mod tests {
         );
         assert!(snap.histograms.contains_key("profiler.sweep.config.backend.execute"));
         assert!(snap.histograms.contains_key("profiler.sweep.config.backend.execute.epoch"));
+        // A sweep of one worker runs on this thread, where the sweep
+        // span is already open: its spans land on the same paths, not
+        // under a repeated parent.
+        profiler().with_threads(1).profile(&dataset, &small_configs(2)).expect("profile");
+        let doubled: Vec<_> = metrics
+            .snapshot()
+            .histograms
+            .into_keys()
+            .filter(|path| path.matches("profiler.sweep").count() > 1)
+            .collect();
+        assert!(doubled.is_empty(), "{doubled:?}");
     }
 
     #[test]

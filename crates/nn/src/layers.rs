@@ -17,17 +17,27 @@
 //!
 //! # Parallelism and determinism
 //!
-//! The aggregation kernels are node-parallel: output rows are split
-//! into static per-node chunks, every chunk runs the identical serial
-//! inner loop, and per-element accumulation order never changes.
+//! The aggregation kernels are node-parallel: output rows are carved
+//! into tasks along the graph's cached degree schedule — a function
+//! of the graph and the feature width, never of the thread count —
+//! and every task runs the identical serial loop. Each output row is
+//! one `gather_row` of `kernel.rs`: a register tile of its columns
+//! starts at `+0.0`, takes `c · x[u]` for the row's whole source
+//! list, one source at a time in list order, and is stored once; the
+//! output buffer is never read, so none of these kernels zero-fills
+//! it. An accumulator depends on its own column's chain
+//! only, so the tile width, the hub rows' column tiling, the vector
+//! ISA the body was compiled for (one source, built for the target's
+//! baseline and for AVX2, picked by the CPU — see the kernel module)
+//! and the worker count cannot move a bit of the result.
 //! Backward aggregations that are scatters in textbook form
 //! (`mean_aggregate_backward`, the GAT `dz`/`ds_l` terms) are
 //! re-expressed as per-row *gathers* over the graph's cached
 //! [`transpose`](gnnav_graph::Graph::transpose_csr): because in-edge
 //! source lists are sorted ascending, the gather visits contributions
-//! in exactly the order the serial scatter produced them, keeping
-//! results bitwise identical across any worker count. Reductions into
-//! shared parameter gradients stay serial to preserve their order.
+//! in exactly the order the serial scatter produced them. Reductions
+//! into shared parameter gradients stay serial to preserve their
+//! order.
 //!
 //! # Computing only the rows that are read
 //!
@@ -67,8 +77,9 @@
 //! the two agree on every run that guard lets through.
 
 use crate::init::{glorot_uniform, uniform_vec};
+use crate::kernel::{dispatch, gather_row};
 use crate::scratch::ScratchArena;
-use crate::tensor::{axpy1, dot_lanes, Matrix, MatrixView};
+use crate::tensor::{dot_lanes, Matrix, MatrixView};
 use gnnav_graph::{AggGroup, Graph, NodeId};
 
 /// A trainable dense parameter: weight matrix plus bias with gradient
@@ -335,8 +346,8 @@ pub fn gcn_aggregate(g: &Graph, x: &Matrix) -> Matrix {
     out
 }
 
-/// [`gcn_aggregate`] into a caller-provided output (fully
-/// overwritten). Node-parallel; uses the graph's cached inverse-sqrt
+/// [`gcn_aggregate`] into a caller-provided output (fully overwritten,
+/// never read). Node-parallel; uses the graph's cached inverse-sqrt
 /// degree norms instead of recomputing them per call.
 ///
 /// Either side may be a row prefix. `out` with fewer than
@@ -353,15 +364,13 @@ pub fn gcn_aggregate(g: &Graph, x: &Matrix) -> Matrix {
 /// widths differ.
 pub fn gcn_aggregate_into(g: &Graph, x: MatrixView<'_>, out: &mut Matrix) {
     let d = x.cols();
-    let (in_rows, out_rows) = (x.rows(), out.rows());
-    assert!(in_rows <= g.num_nodes(), "at most one feature row per node");
+    let out_rows = out.rows();
+    assert!(x.rows() <= g.num_nodes(), "at most one feature row per node");
     assert!(out_rows <= g.num_nodes(), "at most one output row per node");
     assert_eq!(out.cols(), d, "gcn_aggregate out shape mismatch");
-    out.as_mut_slice().fill(0.0);
     if out_rows == 0 || d == 0 {
         return;
     }
-    let inv_sqrt = g.gcn_inv_sqrt();
     let (len, groups) = fwd_groups(g, out_rows);
     let out = out.as_mut_slice();
     gnnav_par::par_for_weighted_tasks_lazy(
@@ -369,22 +378,33 @@ pub fn gcn_aggregate_into(g: &Graph, x: MatrixView<'_>, out: &mut Matrix) {
         |emit| schedule_tasks(groups, d, out, emit),
         AGG_GRAIN_WORK,
         |task| {
-            let w = task.j1 - task.j0;
-            for (lv, dst) in task.dst.chunks_mut(w).enumerate() {
-                let v = task.v0 + lv;
-                let cv = inv_sqrt[v];
-                // Self-loop term first, then neighbors ascending — the
-                // same per-element accumulation order as the serial
-                // kernel, whatever the grouping or column tiling.
-                if v < in_rows {
-                    axpy1(dst, cv * cv, &x.row(v)[task.j0..task.j1]);
-                }
-                for &u in ids_below(g.neighbors(v as NodeId), in_rows) {
-                    axpy1(dst, cv * inv_sqrt[u as usize], &x.row(u as usize)[task.j0..task.j1]);
-                }
-            }
+            dispatch(
+                #[inline(always)]
+                || gcn_task(g, x, task),
+            )
         },
     );
+}
+
+/// The rows of one scheduled task of [`gcn_aggregate_into`].
+#[inline(always)]
+fn gcn_task(g: &Graph, x: MatrixView<'_>, task: AggTask<'_>) {
+    let inv_sqrt = g.gcn_inv_sqrt();
+    let in_rows = x.rows();
+    for (lv, dst) in task.dst.chunks_mut(task.j1 - task.j0).enumerate() {
+        let v = task.v0 + lv;
+        let cv = inv_sqrt[v];
+        // Self-loop term first (its `cv * cv` is `cv * inv_sqrt[v]`),
+        // then neighbors ascending — the same per-element accumulation
+        // order as the serial kernel, whatever the grouping or column
+        // tiling.
+        let own = usize::from(v < in_rows);
+        let neigh = ids_below(g.neighbors(v as NodeId), in_rows);
+        gather_row(dst, task.j0, own + neigh.len(), |t| {
+            let u = if t < own { v } else { neigh[t - own] as usize };
+            (cv * inv_sqrt[u], x.row(u))
+        });
+    }
 }
 
 /// Mean aggregation: `out[v] = mean_{u ∈ N(v)} x[u]` (zero for
@@ -396,7 +416,7 @@ pub fn mean_aggregate(g: &Graph, x: &Matrix) -> Matrix {
 }
 
 /// [`mean_aggregate`] into a caller-provided output (fully
-/// overwritten), node-parallel. `out` with fewer than
+/// overwritten, never read), node-parallel. `out` with fewer than
 /// `g.num_nodes()` rows receives just those leading rows.
 ///
 /// # Panics
@@ -409,7 +429,6 @@ pub fn mean_aggregate_into(g: &Graph, x: MatrixView<'_>, out: &mut Matrix) {
     assert_eq!(x.rows(), g.num_nodes(), "one feature row per node");
     assert!(out_rows <= g.num_nodes(), "at most one output row per node");
     assert_eq!(out.cols(), d, "mean_aggregate out shape mismatch");
-    out.as_mut_slice().fill(0.0);
     if out_rows == 0 || d == 0 {
         return;
     }
@@ -420,26 +439,29 @@ pub fn mean_aggregate_into(g: &Graph, x: MatrixView<'_>, out: &mut Matrix) {
         |emit| schedule_tasks(groups, d, out, emit),
         AGG_GRAIN_WORK,
         |task| {
-            let w = task.j1 - task.j0;
-            for (lv, dst) in task.dst.chunks_mut(w).enumerate() {
-                let v = (task.v0 + lv) as u32;
-                let neigh = g.neighbors(v);
-                if neigh.is_empty() {
-                    // Isolated node: the row stays exactly zero.
-                    continue;
-                }
-                let inv = 1.0 / neigh.len() as f32;
-                for &u in neigh {
-                    for (o, &s) in dst.iter_mut().zip(&x.row(u as usize)[task.j0..task.j1]) {
-                        *o += s;
-                    }
-                }
-                for o in dst.iter_mut() {
-                    *o *= inv;
-                }
-            }
+            dispatch(
+                #[inline(always)]
+                || mean_task(g, x, task),
+            )
         },
     );
+}
+
+/// The rows of one scheduled task of [`mean_aggregate_into`].
+#[inline(always)]
+fn mean_task(g: &Graph, x: MatrixView<'_>, task: AggTask<'_>) {
+    for (lv, dst) in task.dst.chunks_mut(task.j1 - task.j0).enumerate() {
+        let neigh = g.neighbors((task.v0 + lv) as NodeId);
+        gather_row(dst, task.j0, neigh.len(), |t| (1.0, x.row(neigh[t] as usize)));
+        // Isolated node: the empty sum above is exactly zero and
+        // stays so (`1 / 0` must not touch it).
+        if !neigh.is_empty() {
+            let inv = 1.0 / neigh.len() as f32;
+            for o in dst.iter_mut() {
+                *o *= inv;
+            }
+        }
+    }
 }
 
 /// Transpose of [`mean_aggregate`]: node `u` receives
@@ -451,11 +473,11 @@ pub fn mean_aggregate_backward(g: &Graph, grad_out: &Matrix) -> Matrix {
 }
 
 /// [`mean_aggregate_backward`] into a caller-provided output (fully
-/// overwritten). The textbook scatter is rewritten as a per-row
-/// gather over the cached transpose CSR: in-edge sources arrive
-/// sorted ascending, which is the order the serial scatter added
-/// them, so the result is bitwise identical — and each output row is
-/// owned by one worker.
+/// overwritten, never read). The textbook scatter is rewritten as a
+/// per-row gather over the cached transpose CSR: in-edge sources
+/// arrive sorted ascending, which is the order the serial scatter
+/// added them, so the result is bitwise identical — and each output
+/// row is owned by one worker.
 ///
 /// `grad_out` with fewer than `g.num_nodes()` rows is read as
 /// zero-extended: each row gathers only its in-sources below
@@ -470,14 +492,11 @@ pub fn mean_aggregate_backward(g: &Graph, grad_out: &Matrix) -> Matrix {
 pub fn mean_aggregate_backward_into(g: &Graph, grad_out: &Matrix, out: &mut Matrix) {
     let n = g.num_nodes();
     let d = grad_out.cols();
-    let in_rows = grad_out.rows();
-    assert!(in_rows <= n, "at most one gradient row per node");
+    assert!(grad_out.rows() <= n, "at most one gradient row per node");
     assert_eq!((out.rows(), out.cols()), (n, d), "mean_aggregate_backward out shape mismatch");
-    out.as_mut_slice().fill(0.0);
     if n == 0 || d == 0 {
         return;
     }
-    let t = g.transpose_csr();
     // Backward gathers walk in-edges, so grouping follows in-degrees.
     let (len, groups) = bwd_groups(g);
     let out = out.as_mut_slice();
@@ -486,18 +505,28 @@ pub fn mean_aggregate_backward_into(g: &Graph, grad_out: &Matrix, out: &mut Matr
         |emit| schedule_tasks(groups, d, out, emit),
         AGG_GRAIN_WORK,
         |task| {
-            let w = task.j1 - task.j0;
-            for (lu, dst) in task.dst.chunks_mut(w).enumerate() {
-                let u = (task.v0 + lu) as u32;
-                for &v in ids_below(t.in_sources(u), in_rows) {
-                    // Every in-source has at least the edge v -> u, so
-                    // degree(v) >= 1 and the divide is finite.
-                    let inv = 1.0 / g.degree(v) as f32;
-                    axpy1(dst, inv, &grad_out.row(v as usize)[task.j0..task.j1]);
-                }
-            }
+            dispatch(
+                #[inline(always)]
+                || mean_backward_task(g, grad_out.view(), task),
+            )
         },
     );
+}
+
+/// The rows of one scheduled task of [`mean_aggregate_backward_into`].
+#[inline(always)]
+fn mean_backward_task(g: &Graph, grad_out: MatrixView<'_>, task: AggTask<'_>) {
+    let transpose = g.transpose_csr();
+    for (lu, dst) in task.dst.chunks_mut(task.j1 - task.j0).enumerate() {
+        let u = (task.v0 + lu) as NodeId;
+        let sources = ids_below(transpose.in_sources(u), grad_out.rows());
+        // Every in-source has at least the edge v -> u, so
+        // degree(v) >= 1 and the divide is finite.
+        gather_row(dst, task.j0, sources.len(), |t| {
+            let v = sources[t];
+            (1.0 / g.degree(v) as f32, grad_out.row(v as usize))
+        });
+    }
 }
 
 /// `gb += Σ_r grad_out[r]`, rows ascending — the serial, ordered bias
@@ -932,19 +961,25 @@ impl Layer for GatLayer {
                 |emit| schedule_tasks(groups, d, out, emit),
                 AGG_GRAIN_WORK,
                 |task| {
-                    let w = task.j1 - task.j0;
-                    for (lv, out_row) in task.dst.chunks_mut(w).enumerate() {
-                        let v = task.v0 + lv;
-                        let (start, end) = (alpha_off[v], alpha_off[v + 1]);
-                        let aspan = &alpha[start..end];
-                        for (i, &u) in g.neighbors(v as u32).iter().enumerate() {
-                            axpy1(out_row, aspan[i], &z.row(u as usize)[task.j0..task.j1]);
-                        }
-                        axpy1(out_row, aspan[aspan.len() - 1], &z.row(v)[task.j0..task.j1]);
-                        for (o, &b) in out_row.iter_mut().zip(&bias[task.j0..task.j1]) {
-                            *o += b;
-                        }
-                    }
+                    dispatch(
+                        #[inline(always)]
+                        || {
+                            for (lv, out_row) in task.dst.chunks_mut(task.j1 - task.j0).enumerate()
+                            {
+                                let v = task.v0 + lv;
+                                // Neighbors ascending, then the self term.
+                                let span = &alpha[alpha_off[v]..alpha_off[v + 1]];
+                                let neigh = g.neighbors(v as u32);
+                                gather_row(out_row, task.j0, span.len(), |t| {
+                                    let u = neigh.get(t).map_or(v, |&u| u as usize);
+                                    (span[t], z.row(u))
+                                });
+                                for (o, &b) in out_row.iter_mut().zip(&bias[task.j0..task.j1]) {
+                                    *o += b;
+                                }
+                            }
+                        },
+                    )
                 },
             );
         }
@@ -1045,36 +1080,39 @@ impl Layer for GatLayer {
                 |emit| split_two_by_groups(groups, dz_out, |i| i * d, dsl_out, |i| i, emit),
                 AGG_GRAIN_SPAN,
                 |(u0, _u1, dz_run, dsl_run)| {
-                    for (lu, dsl) in dsl_run.iter_mut().enumerate() {
-                        let u = u0 + lu;
-                        let dz_row = &mut dz_run[lu * d..(lu + 1) * d];
-                        let sources = ids_below(t.in_sources(u as u32), out_rows);
-                        let edges = &t.in_forward_edges(u as u32)[..sources.len()];
-                        // The serial scatter touched u once per destination
-                        // block, v ascending, with u's own self term at
-                        // v == u *after* any in-edge from v == u.
-                        let cut = sources.partition_point(|&v| v <= u as u32);
-                        let mut acc = 0.0f32;
-                        let mut take = |alpha_idx: usize, src: usize| {
-                            let a = alpha[alpha_idx];
-                            for (o, &gv) in dz_row.iter_mut().zip(grad_out.row(src)) {
-                                *o += a * gv;
+                    dispatch(
+                        #[inline(always)]
+                        || {
+                            for (lu, dsl) in dsl_run.iter_mut().enumerate() {
+                                let u = u0 + lu;
+                                let sources = ids_below(t.in_sources(u as u32), out_rows);
+                                let edges = &t.in_forward_edges(u as u32)[..sources.len()];
+                                // The serial scatter touched u once per
+                                // destination block, v ascending, with u's own
+                                // self term at v == u *after* any in-edge from
+                                // v == u. Alpha index of forward edge e from
+                                // source v: alpha_off[v] + (e - offsets[v]) ==
+                                // e + v.
+                                let cut = sources.partition_point(|&v| v <= u as u32);
+                                let own = usize::from(u < out_rows);
+                                // `(alpha index, destination)` of term `t`.
+                                let term = |t: usize| {
+                                    if t == cut && own == 1 {
+                                        return (alpha_off[u + 1] - 1, u);
+                                    }
+                                    let i = if t > cut { t - own } else { t };
+                                    let v = sources[i] as usize;
+                                    (edges[i] + v, v)
+                                };
+                                let terms = own + sources.len();
+                                gather_row(&mut dz_run[lu * d..(lu + 1) * d], 0, terms, |t| {
+                                    let (ai, v) = term(t);
+                                    (alpha[ai], grad_out.row(v))
+                                });
+                                *dsl = (0..terms).fold(0.0, |acc, t| acc + dpre[term(t).0]);
                             }
-                            acc += dpre[alpha_idx];
-                        };
-                        for i in 0..cut {
-                            // alpha index of forward edge e from source v:
-                            // alpha_off[v] + (e - offsets[v]) == e + v.
-                            take(edges[i] + sources[i] as usize, sources[i] as usize);
-                        }
-                        if u < out_rows {
-                            take(alpha_off[u + 1] - 1, u);
-                        }
-                        for i in cut..sources.len() {
-                            take(edges[i] + sources[i] as usize, sources[i] as usize);
-                        }
-                        *dsl = acc;
-                    }
+                        },
+                    )
                 },
             );
         }
@@ -1259,6 +1297,7 @@ impl Layer for MultiHeadGatLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tensor::{assert_bits_eq, awkward_values};
     use gnnav_graph::GraphBuilder;
 
     fn tiny_graph() -> Graph {
@@ -1543,6 +1582,144 @@ mod tests {
                 gx.as_slice().iter().all(|v| v.is_finite()),
                 "{kind} backward produced non-finite with isolated nodes"
             );
+        }
+    }
+
+    /// A directed graph with every row shape the gathers meet: two
+    /// hubs whose out- and in-lists are long enough to be scheduled as
+    /// heavy (column-tiled at wide `d`), a kept self-loop, short
+    /// lists, and ten nodes with no edge in either direction.
+    fn skewed_graph() -> Graph {
+        let n = 120u32;
+        let mut b = GraphBuilder::new(n as usize);
+        b.keep_self_loops();
+        for u in 1..100 {
+            b.add_edge(0, u).add_edge(u, 0);
+            if u % 3 != 0 {
+                b.add_edge(5, u).add_edge(u, 5);
+            }
+            b.add_edge(u, (u * 7 + 3) % 110).add_edge(u, (u * u + 1) % 110);
+        }
+        b.add_edge(100, 1).add_edge(100, 2).add_edge(9, 9);
+        b.build().expect("build")
+    }
+
+    /// [`awkward_values`] with row 2 the negation of row 1: node 100
+    /// of [`skewed_graph`] gathers exactly those two, so its sums end
+    /// on an exact `+0.0`.
+    fn awkward_features(rows: usize, d: usize, salt: usize) -> Matrix {
+        let mut x = awkward_values(rows, d, salt);
+        if rows > 2 {
+            for c in 0..d {
+                x.set(2, c, -x.get(1, c));
+            }
+        }
+        x
+    }
+
+    /// Runs `task_body` — a kernel body *called directly*, so the
+    /// portable build whatever the CPU — serially over the scheduled
+    /// tasks of an `out.rows() x d` output.
+    fn portable(
+        groups: (usize, impl Iterator<Item = AggGroup>),
+        out: &mut Matrix,
+        task_body: impl Fn(AggTask<'_>),
+    ) {
+        let d = out.cols();
+        schedule_tasks(groups.1, d, out.as_mut_slice(), &mut |_, task| task_body(task));
+    }
+
+    #[test]
+    fn aggregations_match_serial_gather_bitwise_across_widths() {
+        // Three ways each — a naive serial gather, the portable tile
+        // body, the dispatched entry point — over widths below LANE
+        // (no tile fits), at every tile width and one off either side
+        // (slid tail tile), and wide enough to column-tile the hubs;
+        // at full height and on row prefixes of output and input.
+        let g = skewed_graph();
+        let n = g.num_nodes();
+        let t = g.transpose_csr();
+        let inv_sqrt = g.gcn_inv_sqrt();
+        let sched = g.agg_schedule();
+        assert!(sched.fwd.groups.iter().any(|grp| grp.heavy), "hubs schedule as heavy rows");
+        assert!(sched.bwd.groups.iter().any(|grp| grp.heavy), "hubs schedule as heavy rows");
+        let stale = |rows: usize, d: usize| Matrix::from_vec(rows, d, vec![f32::NAN; rows * d]);
+        for &d in &[1usize, 7, 8, 15, 16, 17, 41, 47, 64, 129] {
+            for &(out_rows, in_rows) in &[(n, n), (37, n), (1, n), (n, 37), (37, 5), (n, 0)] {
+                let what = format!("d={d} out_rows={out_rows} in_rows={in_rows}");
+                let x = awkward_features(n, d, d + out_rows);
+                let short = MatrixView::new(in_rows, d, &x.as_slice()[..in_rows * d]);
+
+                let mut naive = Matrix::zeros(out_rows, d);
+                for v in 0..out_rows {
+                    let sources =
+                        std::iter::once(v).chain(g.neighbors(v as u32).iter().map(|&u| u as usize));
+                    for u in sources.filter(|&u| u < in_rows) {
+                        let c = inv_sqrt[v] * inv_sqrt[u];
+                        for j in 0..d {
+                            naive.set(v, j, naive.get(v, j) + c * x.get(u, j));
+                        }
+                    }
+                }
+                let mut direct = stale(out_rows, d);
+                portable(fwd_groups(&g, out_rows), &mut direct, |task| gcn_task(&g, short, task));
+                assert_bits_eq(&direct, &naive, &format!("gcn portable {what}"));
+                let mut dispatched = stale(out_rows, d);
+                gcn_aggregate_into(&g, short, &mut dispatched);
+                assert_bits_eq(&dispatched, &naive, &format!("gcn dispatched {what}"));
+
+                if in_rows == n {
+                    let mut naive = Matrix::zeros(out_rows, d);
+                    for v in 0..out_rows {
+                        let neigh = g.neighbors(v as u32);
+                        for &u in neigh {
+                            for j in 0..d {
+                                naive.set(v, j, naive.get(v, j) + x.get(u as usize, j));
+                            }
+                        }
+                        for j in 0..d.min(neigh.len() * d) {
+                            naive.set(v, j, naive.get(v, j) * (1.0 / neigh.len() as f32));
+                        }
+                    }
+                    let mut direct = stale(out_rows, d);
+                    portable(fwd_groups(&g, out_rows), &mut direct, |task| {
+                        mean_task(&g, x.view(), task)
+                    });
+                    assert_bits_eq(&direct, &naive, &format!("mean portable {what}"));
+                    let mut dispatched = stale(out_rows, d);
+                    mean_aggregate_into(&g, x.view(), &mut dispatched);
+                    assert_bits_eq(&dispatched, &naive, &format!("mean dispatched {what}"));
+                }
+
+                if out_rows == n {
+                    let grad = Matrix::from_vec(in_rows, d, short.as_slice().to_vec());
+                    let mut naive = Matrix::zeros(n, d);
+                    for u in 0..n {
+                        for &v in t.in_sources(u as u32).iter().filter(|&&v| (v as usize) < in_rows)
+                        {
+                            let c = 1.0 / g.degree(v) as f32;
+                            for j in 0..d {
+                                naive.set(u, j, naive.get(u, j) + c * grad.get(v as usize, j));
+                            }
+                        }
+                    }
+                    let mut direct = stale(n, d);
+                    portable(bwd_groups(&g), &mut direct, |task| {
+                        mean_backward_task(&g, grad.view(), task)
+                    });
+                    assert_bits_eq(&direct, &naive, &format!("mean_bwd portable {what}"));
+                    let mut dispatched = stale(n, d);
+                    mean_aggregate_backward_into(&g, &grad, &mut dispatched);
+                    assert_bits_eq(&dispatched, &naive, &format!("mean_bwd dispatched {what}"));
+                }
+            }
+        }
+        // The cancellation really happens: node 100's mean is rows 1
+        // and 2, `x + (-x)`.
+        let x = awkward_features(n, 9, 0);
+        assert_eq!(g.neighbors(100), &[1, 2]);
+        for v in mean_aggregate(&g, &x).row(100) {
+            assert_eq!(v.to_bits(), 0.0f32.to_bits());
         }
     }
 

@@ -34,6 +34,7 @@
 //! ```
 
 pub mod init;
+mod kernel;
 pub mod layers;
 pub mod loss;
 pub mod metrics;

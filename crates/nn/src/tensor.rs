@@ -2,131 +2,47 @@
 //!
 //! This is deliberately small: the GNN layers need matmul, transpose
 //! variants, elementwise maps, and row reductions — nothing more. The
-//! matmul kernels process fixed-width [`LANE`]-element f32 chunks with
-//! explicit accumulator arrays plus a scalar tail, a shape LLVM
-//! autovectorizes on any x86-64 / aarch64 baseline target (verified by
-//! the throughput gate in `gnnav-bench`'s `nn_kernels` bench).
+//! three products run on the register-tile bodies of `kernel.rs`:
+//! a small block of output elements keeps its accumulators in vector
+//! registers across the whole reduction and is stored once, and each
+//! body is compiled twice from one source — for the target's baseline
+//! and, on x86-64, for AVX2 — with the CPU picking at run time
+//! (throughput is gated by `gnnav-bench`'s `nn_kernels` bench).
 //!
 //! # Parallelism and determinism
 //!
-//! The three matmul kernels are cache-blocked over output-column tiles
-//! and row-parallel over `gnnav_par`: output rows are split into
-//! static chunks and each chunk runs the identical serial inner loop.
-//! Per output element, `matmul` and `matmul_at_b` accumulate one
-//! reduction term at a time with the reduction index ascending (lanes
-//! run across *columns*, so lane width never touches the per-element
-//! order), and `matmul_a_bt` reduces a fixed [`LANE`]-way partial-sum
-//! split whose layout depends only on the reduction length. All three
-//! are therefore **bitwise identical** for any worker count — the
-//! thread pool only changes wall time, never a single bit of output.
+//! The three matmul kernels are row-parallel over `gnnav_par`: output
+//! rows are split into static `ROW_BLOCK`-row chunks and each chunk
+//! runs the identical serial tile loop. Per output element, `matmul`
+//! and `matmul_at_b` start at `+0.0` and add one reduction term at a
+//! time with the reduction index ascending, each product and each sum
+//! rounded separately (no FMA) — bit for bit the naive i-k-j loop —
+//! and `matmul_a_bt` reduces a fixed [`LANE`]-way partial-sum split
+//! whose layout depends only on the reduction length. An accumulator
+//! never depends on which other elements share its tile or its vector
+//! instruction, so tile shape, vector width and worker count are all
+//! invisible: the three kernels are **bitwise identical** on either
+//! ISA path at any thread count (the full argument is in
+//! `kernel.rs`'s module docs).
 
+use crate::kernel::{dispatch, dot_block, matmul_block, RowMajor, Transposed};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Vector lane width (f32 elements) the kernels are written around:
-/// wide enough for one AVX2 register or two SSE2/NEON registers, and
-/// small enough that the scalar tail never dominates.
+/// Width (f32 elements) of `matmul_a_bt`'s partial-sum split, and the
+/// narrowest register tile of every kernel: one AVX2 register or two
+/// SSE2/NEON registers. Part of the numerics — changing it changes
+/// `matmul_a_bt`'s bits — unlike the tile shapes in `kernel.rs`.
 pub const LANE: usize = 8;
 
-/// Reduction-axis unroll of the saxpy-form kernels: each pass streams
-/// `KU` rows of `B` against one resident output tile, cutting
-/// output-tile load/store traffic by `KU`x.
-const KU: usize = 4;
-
-/// Output-column tile width (f32 elements) for the blocked matmuls:
-/// one tile of the output row plus [`KU`] tiles of `B` rows stay
-/// resident in L1 while the kernel streams over `k`.
-const COL_TILE: usize = 128;
-
-/// Output rows per parallel chunk unit in the saxpy-form matmuls. A
-/// reduction-axis tile of `B` ([`K_TILE`]` x `[`COL_TILE`]) is swept
-/// once per row *block* instead of once per row, dividing `B` cache
-/// traffic by `ROW_BLOCK`. Chunk boundaries stay static (every
-/// `ROW_BLOCK` rows, final block short), so the thread-count
-/// invariance is untouched.
+/// Output rows per parallel chunk unit of the matmuls. Chunk
+/// boundaries are static (every `ROW_BLOCK` rows, final block short),
+/// which fixes the `nn.kernel.par_*` counters; within a chunk the
+/// `B` panel a column tile streams is reused by every row group.
 const ROW_BLOCK: usize = 8;
-
-/// Reduction-axis tile depth: `K_TILE x COL_TILE` f32 of `B` (16 KiB)
-/// stays L1-resident while every row of the current [`ROW_BLOCK`]
-/// sweeps it. Per output element the reduction still walks `k`
-/// ascending — tile-ascending outer, `k`-ascending inner — so tiling
-/// is bitwise invisible.
-const K_TILE: usize = 32;
 
 /// Minimum FLOPs a worker must have before the kernels fan out.
 const PAR_GRAIN_FLOPS: u64 = 65_536;
-
-/// `out[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]` with the four
-/// terms added *sequentially* per element (reduction index ascending),
-/// lane-vectorized across `j` with a scalar tail. The sequential adds
-/// keep every output element's accumulation order identical to the
-/// one-term-at-a-time loop, so unrolling is bitwise invisible.
-#[inline]
-fn axpy4(out: &mut [f32], a: [f32; KU], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) {
-    // Equal-length reslices up front so the chunk iterators below are
-    // provably in lockstep and the indexing stays bounds-check-free.
-    let n = out.len();
-    let (b0, b1, b2, b3) = (&b0[..n], &b1[..n], &b2[..n], &b3[..n]);
-    let mut o_it = out.chunks_exact_mut(LANE);
-    let mut c0_it = b0.chunks_exact(LANE);
-    let mut c1_it = b1.chunks_exact(LANE);
-    let mut c2_it = b2.chunks_exact(LANE);
-    let mut c3_it = b3.chunks_exact(LANE);
-    for ((((o, c0), c1), c2), c3) in o_it
-        .by_ref()
-        .zip(c0_it.by_ref())
-        .zip(c1_it.by_ref())
-        .zip(c2_it.by_ref())
-        .zip(c3_it.by_ref())
-    {
-        let mut acc = [0.0f32; LANE];
-        acc.copy_from_slice(o);
-        for l in 0..LANE {
-            acc[l] += a[0] * c0[l];
-        }
-        for l in 0..LANE {
-            acc[l] += a[1] * c1[l];
-        }
-        for l in 0..LANE {
-            acc[l] += a[2] * c2[l];
-        }
-        for l in 0..LANE {
-            acc[l] += a[3] * c3[l];
-        }
-        o.copy_from_slice(&acc);
-    }
-    for ((((o, &v0), &v1), &v2), &v3) in o_it
-        .into_remainder()
-        .iter_mut()
-        .zip(c0_it.remainder())
-        .zip(c1_it.remainder())
-        .zip(c2_it.remainder())
-        .zip(c3_it.remainder())
-    {
-        let mut acc = *o;
-        acc += a[0] * v0;
-        acc += a[1] * v1;
-        acc += a[2] * v2;
-        acc += a[3] * v3;
-        *o = acc;
-    }
-}
-
-/// `out[j] += a * b[j]`, lane-vectorized with a scalar tail.
-#[inline]
-pub(crate) fn axpy1(out: &mut [f32], a: f32, b: &[f32]) {
-    let b = &b[..out.len()];
-    let mut o_it = out.chunks_exact_mut(LANE);
-    let mut b_it = b.chunks_exact(LANE);
-    for (o, c) in o_it.by_ref().zip(b_it.by_ref()) {
-        for l in 0..LANE {
-            o[l] += a * c[l];
-        }
-    }
-    for (o, &bv) in o_it.into_remainder().iter_mut().zip(b_it.remainder()) {
-        *o += a * bv;
-    }
-}
 
 /// Dot product over a fixed [`LANE`]-way partial-sum split: lane `l`
 /// accumulates elements `l, l+LANE, l+2*LANE, ...`, the scalar tail is
@@ -277,12 +193,11 @@ impl<'a> MatrixView<'a> {
         MatrixView { rows, cols: self.cols, data: &self.data[..rows * self.cols] }
     }
 
-    /// `self * other`, written into `out` (fully overwritten). The
-    /// allocation-free form of [`Matrix::matmul`]; row-parallel,
-    /// column-tiled, and lane-vectorized with a `KU`-deep reduction
-    /// unroll — per element, terms are still added one at a time with
-    /// `k` ascending, so the result is bitwise identical to the naive
-    /// i-k-j loop at any thread count.
+    /// `self * other`, written into `out` (fully overwritten, never
+    /// read). The allocation-free form of [`Matrix::matmul`];
+    /// row-parallel over register tiles — per element, terms are
+    /// added one at a time with `k` ascending, so the result is
+    /// bitwise identical to the naive i-k-j loop at any thread count.
     ///
     /// # Panics
     ///
@@ -294,59 +209,29 @@ impl<'a> MatrixView<'a> {
         record_matmul(self.rows, self.cols, other.cols);
         let n = other.cols;
         let k_dim = self.cols;
-        out.data.fill(0.0);
         if n == 0 || self.rows == 0 {
             return;
         }
-        let a = self.data;
+        let lhs = RowMajor { data: self.data, k_dim };
         let b = &other.data;
         let grain = grain_rows(2 * (ROW_BLOCK * k_dim) as u64 * n as u64);
         gnnav_par::par_chunks(&mut out.data, ROW_BLOCK * n, grain, |off, out_block| {
-            let i0 = off / n;
-            // Tiling (columns, reduction depth, row blocks) only
-            // reorders work *across* elements; within an element the
-            // k loop below stays ascending.
-            let mut j0 = 0;
-            while j0 < n {
-                let j1 = (j0 + COL_TILE).min(n);
-                let mut k0 = 0;
-                while k0 < k_dim {
-                    let k1 = (k0 + K_TILE).min(k_dim);
-                    let kb = k0 + (k1 - k0) / KU * KU;
-                    for (r, out_row) in out_block.chunks_mut(n).enumerate() {
-                        let a_row = &a[(i0 + r) * k_dim..(i0 + r + 1) * k_dim];
-                        let out_tile = &mut out_row[j0..j1];
-                        let mut k = k0;
-                        while k < kb {
-                            axpy4(
-                                out_tile,
-                                [a_row[k], a_row[k + 1], a_row[k + 2], a_row[k + 3]],
-                                &b[k * n + j0..k * n + j1],
-                                &b[(k + 1) * n + j0..(k + 1) * n + j1],
-                                &b[(k + 2) * n + j0..(k + 2) * n + j1],
-                                &b[(k + 3) * n + j0..(k + 3) * n + j1],
-                            );
-                            k += KU;
-                        }
-                        for k in kb..k1 {
-                            axpy1(out_tile, a_row[k], &b[k * n + j0..k * n + j1]);
-                        }
-                    }
-                    k0 = k1;
-                }
-                j0 = j1;
-            }
+            dispatch(
+                #[inline(always)]
+                || matmul_block(lhs, off / n, b, n, out_block),
+            );
         });
     }
 
-    /// `self^T * other`, written into `out` (fully overwritten).
+    /// `self^T * other`, written into `out` (fully overwritten, never
+    /// read).
     ///
     /// Parallel over *output* rows (columns of `self`): each output
     /// row gathers down its column of `self` with `r` ascending —
     /// exactly the per-element order of the serial scatter kernel, so
     /// results are bitwise identical (and bitwise equal to
-    /// `self.transpose().matmul(other)`, whose reduction also walks
-    /// one term at a time in ascending order).
+    /// `self.transpose().matmul(other)`, which runs the same tile body
+    /// over the materialized transpose).
     ///
     /// # Panics
     ///
@@ -357,52 +242,18 @@ impl<'a> MatrixView<'a> {
         assert_eq!((out.rows, out.cols), (self.cols, other.cols), "matmul_at_b out shape mismatch");
         record_matmul(self.cols, self.rows, other.cols);
         let n = other.cols;
-        let k_dim = self.cols;
         let rows = self.rows;
-        out.data.fill(0.0);
-        if n == 0 || k_dim == 0 {
+        if n == 0 || self.cols == 0 {
             return;
         }
-        let a = self.data;
+        let lhs = Transposed { data: self.data, cols: self.cols };
         let b = &other.data;
         let grain = grain_rows(2 * (ROW_BLOCK * rows) as u64 * n as u64);
         gnnav_par::par_chunks(&mut out.data, ROW_BLOCK * n, grain, |off, out_block| {
-            let kk0 = off / n;
-            let mut j0 = 0;
-            while j0 < n {
-                let j1 = (j0 + COL_TILE).min(n);
-                let mut r0 = 0;
-                while r0 < rows {
-                    let r1 = (r0 + K_TILE).min(rows);
-                    let rb = r0 + (r1 - r0) / KU * KU;
-                    for (dk, out_row) in out_block.chunks_mut(n).enumerate() {
-                        let k = kk0 + dk;
-                        let out_tile = &mut out_row[j0..j1];
-                        let mut r = r0;
-                        while r < rb {
-                            axpy4(
-                                out_tile,
-                                [
-                                    a[r * k_dim + k],
-                                    a[(r + 1) * k_dim + k],
-                                    a[(r + 2) * k_dim + k],
-                                    a[(r + 3) * k_dim + k],
-                                ],
-                                &b[r * n + j0..r * n + j1],
-                                &b[(r + 1) * n + j0..(r + 1) * n + j1],
-                                &b[(r + 2) * n + j0..(r + 2) * n + j1],
-                                &b[(r + 3) * n + j0..(r + 3) * n + j1],
-                            );
-                            r += KU;
-                        }
-                        for r in rb..r1 {
-                            axpy1(out_tile, a[r * k_dim + k], &b[r * n + j0..r * n + j1]);
-                        }
-                    }
-                    r0 = r1;
-                }
-                j0 = j1;
-            }
+            dispatch(
+                #[inline(always)]
+                || matmul_block(lhs, off / n, b, n, out_block),
+            );
         });
     }
 }
@@ -572,9 +423,10 @@ impl Matrix {
     }
 
     /// `self * other^T`, written into `out` (fully overwritten).
-    /// Row-parallel; each element is one `dot_lanes` dot product —
-    /// [`LANE`] independent partial sums whose split depends only on
-    /// the reduction length, combined in a fixed order. Unlike the
+    /// Row-parallel; each element is the dot product `dot_lanes`
+    /// defines — [`LANE`] independent partial sums whose split depends
+    /// only on the reduction length, combined in a fixed order —
+    /// computed a register tile of elements at a time. Unlike the
     /// saxpy-form kernels this is *not* a sequential reduction, so the
     /// result matches `self.matmul(&other.transpose())` numerically
     /// (to rounding) but not bitwise; across thread counts it is still
@@ -597,18 +449,10 @@ impl Matrix {
         let b = &other.data;
         let grain = grain_rows(2 * (ROW_BLOCK * k_dim) as u64 * m as u64);
         gnnav_par::par_chunks(&mut out.data, ROW_BLOCK * m, grain, |off, out_block| {
-            let i0 = off / m;
-            // `j` outer so one `B` row is reused by the whole row
-            // block while it is still cache-resident. Every element
-            // is an independent dot product, so the walk order is
-            // free.
-            for j in 0..m {
-                let b_row = &b[j * k_dim..(j + 1) * k_dim];
-                for (r, out_row) in out_block.chunks_mut(m).enumerate() {
-                    let a_row = &a[(i0 + r) * k_dim..(i0 + r + 1) * k_dim];
-                    out_row[j] = dot_lanes(a_row, b_row);
-                }
-            }
+            dispatch(
+                #[inline(always)]
+                || dot_block(a, off / m, k_dim, b, m, out_block),
+            );
         });
     }
 
@@ -723,6 +567,31 @@ impl Matrix {
     }
 }
 
+/// Asserts two matrices equal bit for bit (`-0.0` is not `+0.0`), for
+/// the kernel tests here and in [`crate::layers`].
+#[cfg(test)]
+#[track_caller]
+pub(crate) fn assert_bits_eq(got: &Matrix, expect: &Matrix, what: &str) {
+    assert_eq!((got.rows(), got.cols()), (expect.rows(), expect.cols()), "{what}: shape");
+    for (i, (x, y)) in got.as_slice().iter().zip(expect.as_slice()).enumerate() {
+        assert_eq!(x.to_bits(), y.to_bits(), "{what}: element {i}: {x:e} vs {y:e}");
+    }
+}
+
+/// A `rows x cols` matrix built to make a reordered, fused or flushed
+/// reduction visible: mixed signs and magnitudes, `-0.0` and
+/// subnormals. Shared with the gather tests in [`crate::layers`].
+#[cfg(test)]
+pub(crate) fn awkward_values(rows: usize, cols: usize, salt: usize) -> Matrix {
+    let value = |i: usize| match (i + salt) % 13 {
+        0 => -0.0,
+        5 => f32::from_bits(1 + (i as u32 % 97)),
+        9 => -1.0e-39,
+        r => ((i * 37 + salt * 11) % 23) as f32 * 0.21 * (r as f32 - 6.0) - 1.3,
+    };
+    Matrix::from_vec(rows, cols, (0..rows * cols).map(value).collect())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -826,26 +695,6 @@ mod tests {
         assert_eq!(out, a.matmul_a_bt(&b));
     }
 
-    #[test]
-    fn wide_matmul_exercises_column_tiles() {
-        // cols > COL_TILE so the tiled path takes more than one tile.
-        let k = 3;
-        let n = super::COL_TILE + 37;
-        let a = Matrix::from_vec(2, k, (0..2 * k).map(|i| (i as f32) * 0.5 - 1.0).collect());
-        let b = Matrix::from_vec(k, n, (0..k * n).map(|i| ((i % 17) as f32) * 0.25).collect());
-        let c = a.matmul(&b);
-        // Reference: naive triple loop.
-        for i in 0..2 {
-            for j in 0..n {
-                let mut acc = 0.0f32;
-                for kk in 0..k {
-                    acc += a.get(i, kk) * b.get(kk, j);
-                }
-                assert_eq!(c.get(i, j), acc, "mismatch at ({i},{j})");
-            }
-        }
-    }
-
     /// Naive triple-loop reference with the same per-element
     /// reduction order as the saxpy-form kernels.
     fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
@@ -861,36 +710,128 @@ mod tests {
         out
     }
 
+    /// [`awkward_values`] as a left operand: its second column negates
+    /// the first, so that against [`awkward_rhs`] the first two terms
+    /// of every reduction cancel to exactly `+0.0`.
+    fn awkward(rows: usize, cols: usize, salt: usize) -> Matrix {
+        let mut m = awkward_values(rows, cols, salt);
+        if cols >= 2 {
+            for r in 0..rows {
+                m.set(r, 1, -m.get(r, 0));
+            }
+        }
+        m
+    }
+
+    /// The right operand that pairs with [`awkward`]: rows 0 and 1 are
+    /// equal, so `a[i][0]·b[0][j] + a[i][1]·b[1][j]` is `x + (-x)`.
+    fn awkward_rhs(rows: usize, cols: usize, salt: usize) -> Matrix {
+        let mut m = awkward(rows, cols, salt);
+        if rows >= 2 {
+            for c in 0..cols {
+                m.set(1, c, m.get(0, c));
+            }
+        }
+        m
+    }
+
+    /// `lhs`'s product run serially through `block`, a kernel body
+    /// *called directly*: inlined into this ordinary function it is
+    /// the portable build, whatever the CPU — the reference the
+    /// dispatched public entry points must match bit for bit.
+    fn portable(m: usize, n: usize, block: impl Fn(usize, &mut [f32])) -> Matrix {
+        let mut out = Matrix::from_vec(m, n, vec![f32::NAN; m * n]);
+        for (ci, out_block) in out.data.chunks_mut(ROW_BLOCK * n).enumerate() {
+            block(ci * ROW_BLOCK, out_block);
+        }
+        out
+    }
+
     #[test]
     fn lane_kernels_match_naive_bitwise_across_shapes() {
-        // Shapes straddling every lane/unroll boundary: k and n below,
-        // at, and above LANE and KU, including scalar-tail-only cases.
-        for &(m, k, n) in &[
-            (1usize, 1usize, 1usize),
-            (2, 3, 5),
-            (3, super::KU, super::LANE),
-            (2, super::KU + 1, super::LANE - 1),
-            (2, 2 * super::KU + 3, super::LANE + 3),
-            (5, 17, 2 * super::LANE + 7),
-            (2, 3, super::COL_TILE + 9),
-        ] {
-            let a = Matrix::from_vec(m, k, (0..m * k).map(|i| (i as f32) * 0.37 - 1.1).collect());
-            let b = Matrix::from_vec(
-                k,
-                n,
-                (0..k * n).map(|i| ((i % 23) as f32) * 0.21 - 2.0).collect(),
-            );
-            let got = a.matmul(&b);
-            let expect = naive_matmul(&a, &b);
-            for (i, (x, y)) in got.as_slice().iter().zip(expect.as_slice()).enumerate() {
-                assert_eq!(x.to_bits(), y.to_bits(), "({m}x{k}x{n}) element {i}: {x} vs {y}");
+        // Shapes straddling every tile boundary — rows below, at and
+        // above MR and ROW_BLOCK, columns below LANE (no tile fits), at
+        // LANE/NR and one off either side (slid tail tile), reduction
+        // lengths with and without a LANE tail. Three ways each: the
+        // naive loop, the portable tile body, the dispatched entry.
+        for &m in &[1usize, 3, 4, 5, 8, 9, 33] {
+            for &n in &[1usize, 7, 8, 15, 16, 17, 41, 47, 64, 129] {
+                for &k in &[1usize, 3, 32, 33, 150] {
+                    let shape = format!("{m}x{k}x{n}");
+                    let a = awkward(m, k, m + n);
+                    let b = awkward_rhs(k, n, k);
+                    let naive = naive_matmul(&a, &b);
+                    assert!(naive.as_slice().iter().all(|v| v.is_finite()), "{shape}");
+                    let lhs = RowMajor { data: a.as_slice(), k_dim: k };
+                    let direct = portable(m, n, |r0, out| {
+                        matmul_block(lhs, r0, b.as_slice(), n, out);
+                    });
+                    assert_bits_eq(&direct, &naive, &format!("matmul {shape} portable"));
+                    assert_bits_eq(&a.matmul(&b), &naive, &format!("matmul {shape} dispatched"));
+
+                    // Aᵀ·B reduces over the shared *row* count `k`; the
+                    // transpose turns the negated column into a row.
+                    let a_t = awkward(m, k, n).transpose();
+                    let naive = naive_matmul(&a_t.transpose(), &b);
+                    let lhs = Transposed { data: a_t.as_slice(), cols: m };
+                    let direct = portable(m, n, |r0, out| {
+                        matmul_block(lhs, r0, b.as_slice(), n, out);
+                    });
+                    assert_bits_eq(&direct, &naive, &format!("at_b {shape} portable"));
+                    assert_bits_eq(
+                        &a_t.matmul_at_b(&b),
+                        &naive,
+                        &format!("at_b {shape} dispatched"),
+                    );
+
+                    // A·Bᵀ: every element is `dot_lanes` by definition.
+                    let bt = awkward(n, k, k + 2);
+                    let mut naive = Matrix::zeros(m, n);
+                    for i in 0..m {
+                        for j in 0..n {
+                            naive.set(i, j, dot_lanes(a.row(i), bt.row(j)));
+                        }
+                    }
+                    let direct = portable(m, n, |r0, out| {
+                        dot_block(a.as_slice(), r0, k, bt.as_slice(), n, out);
+                    });
+                    assert_bits_eq(&direct, &naive, &format!("a_bt {shape} portable"));
+                    assert_bits_eq(
+                        &a.matmul_a_bt(&bt),
+                        &naive,
+                        &format!("a_bt {shape} dispatched"),
+                    );
+                }
             }
-            // at_b keeps the same sequential reduction order.
-            let atb = a.matmul_at_b(&got);
-            let atb_expect = naive_matmul(&a.transpose(), &got);
-            for (x, y) in atb.as_slice().iter().zip(atb_expect.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "at_b ({m}x{k}x{n})");
-            }
+        }
+    }
+
+    #[test]
+    fn row_prefix_view_multiplies_like_the_rows_it_keeps() {
+        let (m, k, n) = (9usize, 33usize, 17usize);
+        let a = awkward(m, k, 1);
+        let b = awkward_rhs(k, n, 2);
+        let full = a.matmul(&b);
+        for rows in [0usize, 1, 5, 8] {
+            let mut out = Matrix::from_vec(rows, n, vec![f32::NAN; rows * n]);
+            a.view().prefix_rows(rows).matmul_into(&b, &mut out);
+            assert_eq!(out.as_slice(), &full.as_slice()[..rows * n], "prefix {rows}");
+        }
+    }
+
+    #[test]
+    fn cancelling_and_signed_zero_terms_leave_positive_zero() {
+        // `x + (-x)` is `+0.0`, and `+0.0 + (-0.0)` is `+0.0`: an
+        // accumulator that starts at `+0.0` can never be `-0.0`. A
+        // kernel that seeded its accumulator with the first product
+        // instead would store `-0.0` here.
+        let a = Matrix::from_rows(&[&[-0.0, -0.0], &[1.5, -1.5]]);
+        let b = Matrix::from_vec(2, 9, vec![2.0; 18]);
+        for v in a.matmul(&b).as_slice() {
+            assert_eq!(v.to_bits(), 0.0f32.to_bits());
+        }
+        for v in a.matmul_a_bt(&b.transpose()).as_slice() {
+            assert_eq!(v.to_bits(), 0.0f32.to_bits());
         }
     }
 

@@ -373,7 +373,9 @@ impl Registry {
     /// blindspot: the worker passes the parent's dotted path (see
     /// [`Span::path`]) and both this span and any span nested inside
     /// it on the same thread record under `parent.…`. An empty
-    /// `parent` behaves exactly like [`Registry::span`].
+    /// `parent`, or one that is already this thread's current path
+    /// (the caller *is* the thread the parent is open on), behaves
+    /// exactly like [`Registry::span`].
     #[inline]
     pub fn span_under<'r>(&'r self, parent: &str, name: &'static str) -> Span<'r> {
         if !self.is_enabled() {
@@ -382,7 +384,7 @@ impl Registry {
         let (path, pushed) = SPAN_STACK.with(|stack| {
             let mut stack = stack.borrow_mut();
             let mut pushed = 1usize;
-            if !parent.is_empty() {
+            if !parent.is_empty() && stack.join(".") != parent {
                 stack.push(Cow::Owned(parent.to_string()));
                 pushed = 2;
             }
@@ -985,6 +987,27 @@ mod tests {
             let _top = r.span("top");
         }
         assert!(r.snapshot().histograms.contains_key("top"));
+    }
+
+    #[test]
+    fn span_under_on_the_parents_own_thread_is_plain_span() {
+        // A fan-out of one runs on the thread that opened the parent:
+        // same paths as a worker thread records, parent not repeated.
+        let r = Registry::new();
+        r.enable(true);
+        {
+            let _outer = r.span("prepare");
+            let sweep = r.span("sweep");
+            let parent = sweep.path().to_string();
+            let _cfg = r.span_under(&parent, "config");
+            let _nested = r.span("execute");
+        }
+        let snap = r.snapshot();
+        let paths: Vec<_> = snap.histograms.keys().map(String::as_str).collect();
+        assert_eq!(
+            paths,
+            ["prepare", "prepare.sweep", "prepare.sweep.config", "prepare.sweep.config.execute"]
+        );
     }
 
     #[test]

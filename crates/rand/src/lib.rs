@@ -123,6 +123,17 @@ pub trait SampleUniform: Sized {
     ) -> Self;
 }
 
+/// `x mod span` for a span in `1..=2^64`. Every span but `2^64` — the
+/// full inclusive `u64`/`i64` range, where `x mod span` is `x` — fits
+/// a `u64`, so no draw pays for a 128-bit division.
+#[inline]
+fn reduce(x: u64, span: u128) -> u64 {
+    match u64::try_from(span) {
+        Ok(span) => x % span,
+        Err(_) => x,
+    }
+}
+
 macro_rules! uniform_uint {
     ($($t:ty),*) => {$(
         impl SampleUniform for $t {
@@ -134,7 +145,7 @@ macro_rules! uniform_uint {
             ) -> Self {
                 let span = (high as u128) - (low as u128) + inclusive as u128;
                 assert!(span > 0, "cannot sample from empty range");
-                low + (rng.next_u64() as u128 % span) as $t
+                low + reduce(rng.next_u64(), span) as $t
             }
         }
     )*};
@@ -152,7 +163,10 @@ macro_rules! uniform_int {
             ) -> Self {
                 let span = (high as i128) - (low as i128) + inclusive as i128;
                 assert!(span > 0, "cannot sample from empty range");
-                low + (rng.next_u64() as i128 % span) as $t
+                // The offset can exceed `Self::MAX` (a span above half
+                // the type's range); two's-complement wrap lands on
+                // `low + offset` all the same.
+                low.wrapping_add(reduce(rng.next_u64(), span as u128) as $t)
             }
         }
     )*};
@@ -231,6 +245,53 @@ mod tests {
             let i = rng.gen_range(0usize..=4);
             assert!(i <= 4);
         }
+    }
+
+    #[test]
+    fn integer_ranges_match_the_128_bit_reference() {
+        // `gen_range` reduces in 64 bits wherever the span allows; the
+        // values and the stream must be those of `low + x mod span`
+        // computed in 128 bits, for every span shape.
+        const DRAWS: usize = 10_000;
+        let spans: [u128; 9] =
+            [1, 2, 3, (1 << 32) - 1, 1 << 32, (1 << 32) + 1, 1 << 63, u64::MAX as u128, 1 << 64];
+        for (si, &span) in spans.iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(si as u64);
+            let mut reference = rng.clone();
+            for draw in 0..DRAWS {
+                // Unsigned: the range ends at `u64::MAX` or starts at 0.
+                let low = if draw % 2 == 0 { 0 } else { (u64::MAX as u128 + 1 - span) as u64 };
+                let high = (low as u128 + span - 1) as u64;
+                let expect = (low as u128 + reference.next_u64() as u128 % span) as u64;
+                assert_eq!(rng.gen_range(low..=high), expect, "u64 span {span} draw {draw}");
+                if high < u64::MAX {
+                    let expect = (low as u128 + reference.next_u64() as u128 % span) as u64;
+                    assert_eq!(rng.gen_range(low..high + 1), expect, "u64 half-open {span}");
+                }
+                // Signed: the range starts at `i64::MIN` or ends at `i64::MAX`.
+                let low = if draw % 2 == 0 {
+                    i64::MIN
+                } else {
+                    (i64::MAX as i128 + 1 - span as i128) as i64
+                };
+                let high = (low as i128 + span as i128 - 1) as i64;
+                let expect = (low as i128 + (reference.next_u64() as u128 % span) as i128) as i64;
+                assert_eq!(rng.gen_range(low..=high), expect, "i64 span {span} draw {draw}");
+            }
+            assert_eq!(rng.state(), reference.state(), "span {span}: one draw per sample");
+        }
+        // Narrow types take the same path through `as` conversions.
+        let mut rng = StdRng::seed_from_u64(99);
+        let mut reference = rng.clone();
+        for _ in 0..DRAWS {
+            let expect = (-128i128 + (reference.next_u64() as u128 % 256) as i128) as i8;
+            assert_eq!(rng.gen_range(i8::MIN..=i8::MAX), expect);
+            let expect = (7u128 + reference.next_u64() as u128 % 3) as u32;
+            assert_eq!(rng.gen_range(7u32..10), expect);
+            let expect = (reference.next_u64() as u128 % 1165) as usize;
+            assert_eq!(rng.gen_range(0usize..1165), expect);
+        }
+        assert_eq!(rng.state(), reference.state());
     }
 
     #[test]

@@ -80,18 +80,68 @@ impl LocalityBias {
         if k >= candidates.len() {
             return candidates.to_vec();
         }
-        // Efraimidis–Spirakis reservoir: key = u^(1/w); take top-k.
-        let mut keyed: Vec<(f64, NodeId)> = candidates
-            .iter()
-            .map(|&v| {
-                let mut w = self.weight(v);
-                if let Some(f) = extra_weight {
-                    w *= f(v).max(1e-12);
-                }
-                let u: f64 = rng.gen::<f64>().max(1e-12);
-                (u.powf(1.0 / w), v)
-            })
-            .collect();
+        if k == 1 {
+            return vec![self.weighted_pick(candidates, extra_weight, rng)];
+        }
+        self.top_k_by_key(candidates, extra_weight, k, rng)
+    }
+
+    /// One weighted draw: what
+    /// [`LocalityBias::weighted_sample_without_replacement`] returns
+    /// for `k = 1`, without the `Vec` — a lone candidate is returned
+    /// as is and consumes no randomness, otherwise every candidate
+    /// draws its key in order and the first strict maximum wins (where
+    /// the stable descending sort of the general form puts it).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `candidates` is empty.
+    pub(crate) fn weighted_pick(
+        &self,
+        candidates: &[NodeId],
+        extra_weight: Option<&dyn Fn(NodeId) -> f64>,
+        rng: &mut impl rand::Rng,
+    ) -> NodeId {
+        let (&first, rest) = candidates.split_first().expect("at least one candidate");
+        if rest.is_empty() {
+            return first;
+        }
+        let mut best = (self.key(first, extra_weight, rng), first);
+        for &v in rest {
+            let key = self.key(v, extra_weight, rng);
+            if key > best.0 {
+                best = (key, v);
+            }
+        }
+        best.1
+    }
+
+    /// Efraimidis–Spirakis reservoir key of `v`: `u^(1/w)` for one
+    /// uniform draw `u`. Finite: `u ∈ [1e-12, 1)` and `w > 0`.
+    fn key(
+        &self,
+        v: NodeId,
+        extra_weight: Option<&dyn Fn(NodeId) -> f64>,
+        rng: &mut impl rand::Rng,
+    ) -> f64 {
+        let mut w = self.weight(v);
+        if let Some(f) = extra_weight {
+            w *= f(v).max(1e-12);
+        }
+        let u: f64 = rng.gen::<f64>().max(1e-12);
+        u.powf(1.0 / w)
+    }
+
+    /// The general form: key every candidate, take the top `k`.
+    fn top_k_by_key(
+        &self,
+        candidates: &[NodeId],
+        extra_weight: Option<&dyn Fn(NodeId) -> f64>,
+        k: usize,
+        rng: &mut impl rand::Rng,
+    ) -> Vec<NodeId> {
+        let mut keyed: Vec<(f64, NodeId)> =
+            candidates.iter().map(|&v| (self.key(v, extra_weight, rng), v)).collect();
         keyed.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("keys are finite"));
         keyed.truncate(k);
         keyed.into_iter().map(|(_, v)| v).collect()
@@ -143,7 +193,7 @@ pub const COLD_DROP_AT_FULL_ETA: f64 = 0.6;
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn weight_reflects_eta() {
@@ -204,6 +254,41 @@ mod tests {
         // with 10x weight the hot share must be much higher.
         let avg = hot_picks as f64 / trials as f64;
         assert!(avg > 3.0, "avg hot picks {avg}");
+    }
+
+    #[test]
+    fn single_pick_matches_the_general_form_and_its_rng_stream() {
+        // Random candidate lists (duplicates allowed), hot sets, eta and
+        // extra weights — including ones that tie every key at 1.0
+        // (`w = inf`) so that "first strict maximum" is what decides.
+        let mut meta = StdRng::seed_from_u64(0x5eed);
+        for case in 0..400u64 {
+            let n = meta.gen_range(2usize..40);
+            let candidates: Vec<NodeId> = (0..n).map(|_| meta.gen_range(0u32..64)).collect();
+            let hot: Vec<NodeId> = (0..64).filter(|_| meta.gen_bool(0.3)).collect();
+            let bias = LocalityBias::new(64, &hot, meta.gen_range(0.0f64..1.0));
+            let scale = meta.gen_range(0.0f64..3.0);
+            let ties = case % 7 == 0;
+            let extra =
+                move |v: NodeId| if ties { f64::INFINITY } else { f64::from(v % 5) * scale };
+            let extra: Option<&dyn Fn(NodeId) -> f64> =
+                if case % 3 == 0 { None } else { Some(&extra) };
+            let mut general_rng = StdRng::seed_from_u64(case);
+            let mut pick_rng = general_rng.clone();
+            let general = bias.top_k_by_key(&candidates, extra, 1, &mut general_rng);
+            let pick = bias.weighted_pick(&candidates, extra, &mut pick_rng);
+            assert_eq!(general, vec![pick], "case {case}");
+            assert_eq!(general_rng.state(), pick_rng.state(), "case {case}: rng stream");
+            let mut public_rng = StdRng::seed_from_u64(case);
+            let public =
+                bias.weighted_sample_without_replacement(&candidates, extra, 1, &mut public_rng);
+            assert_eq!((public, public_rng.state()), (general, general_rng.state()));
+        }
+        // A lone candidate is returned without a draw, like `k >= len`.
+        let mut rng = StdRng::seed_from_u64(9);
+        let before = rng.state();
+        assert_eq!(LocalityBias::none(8).weighted_pick(&[5], None, &mut rng), 5);
+        assert_eq!(rng.state(), before);
     }
 
     #[test]

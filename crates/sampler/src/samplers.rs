@@ -236,7 +236,7 @@ impl Sampler for SubgraphWiseSampler {
                 }
                 // Fanout-1 biased step.
                 let next = if self.bias.eta() > 0.0 {
-                    self.bias.weighted_sample_without_replacement(neigh, None, 1, rng)[0]
+                    self.bias.weighted_pick(neigh, None, rng)
                 } else {
                     neigh[rng.gen_range(0..neigh.len())]
                 };
