@@ -1,29 +1,26 @@
-//! Crash-safe durability for the adaptive loop.
+//! The adaptive loop's checkpoint payload.
 //!
-//! [`AdaptiveRunner::run_durable`] mirrors the runtime backend's
-//! `execute_durable`: it checkpoints the *entire* adaptive state (the
-//! wrapped [`SessionCheckpoint`] plus the drift detector, the observed
-//! warm-start records, the re-exploration seeds, and every switch
-//! already taken) after every K completed epochs, honors injected
-//! `ProcessKill` / `TornWrite` / `BitFlip` faults, and resumes from
-//! the newest verifiable checkpoint. A killed adaptive run re-invoked
-//! with the same arguments finishes with a report byte-identical to
-//! the uninterrupted run — including the same switches at the same
-//! epochs.
+//! [`AdaptiveRunner::run_durable`] persists through the runtime's one
+//! epoch driver; what it persists is defined here: the *entire*
+//! adaptive state (the wrapped [`SessionCheckpoint`] plus the drift
+//! detector, the observed warm-start records, the re-exploration
+//! seeds, and every switch already taken). A killed adaptive run
+//! re-invoked with the same arguments finishes with a report
+//! byte-identical to the uninterrupted run — including the same
+//! switches at the same epochs.
 
 use crate::runner::AdaptState;
-use crate::{AdaptError, AdaptiveReport, AdaptiveRunner, DriftDetector};
-use gnnav_estimator::{Context, PerfEstimate, ProfileDb, ProfileRecord};
-use gnnav_explorer::{AuditAction, AuditRecord, ExplorationResult, RuntimeConstraints};
-use gnnav_faults::{FaultInjector, FaultKind};
+use crate::{AdaptiveRunner, DriftDetector};
+use gnnav_estimator::{Context, PerfEstimate, ProfileRecord};
+use gnnav_explorer::cache::{get_audit, get_estimate, put_audit, put_estimate};
+use gnnav_explorer::{AuditRecord, ExplorationResult};
 use gnnav_graph::Dataset;
 use gnnav_obs::names as metric;
-use gnnav_runtime::checkpoint::{get_config, put_config, LINEAGE_WAL};
+use gnnav_runtime::checkpoint::{get_config, put_config};
 use gnnav_runtime::{
-    DurabilityOptions, ExecutionOptions, ExecutionSession, RuntimeError, SessionCheckpoint,
-    TrainingConfig,
+    ExecutionOptions, ExecutionSession, RuntimeError, SessionCheckpoint, TrainingConfig,
 };
-use gnnav_store::{ByteReader, ByteWriter, CheckpointDir, StoreError, Wal};
+use gnnav_store::{ByteReader, ByteWriter, StoreError};
 
 /// Leading payload byte of an adaptive checkpoint — distinct from the
 /// runtime session tag so neither layer resumes from the other's file.
@@ -51,8 +48,8 @@ struct ObservedEpoch {
 /// adaptive layer's own state: the drift detector's EWMA band, the
 /// observed epochs that feed the warm-start refit, the re-exploration
 /// seed set, the current prediction baseline, and the accumulated
-/// switches/audit/drift history that the final [`AdaptiveReport`]
-/// reproduces verbatim.
+/// switches/audit/drift history that the final
+/// [`AdaptiveReport`](crate::AdaptiveReport) reproduces verbatim.
 #[derive(Debug, Clone)]
 pub struct AdaptiveCheckpoint {
     session: SessionCheckpoint,
@@ -67,48 +64,13 @@ pub struct AdaptiveCheckpoint {
     seen_degradations: usize,
 }
 
-fn put_estimate(w: &mut ByteWriter, e: &PerfEstimate) {
-    w.put_f64(e.time_s);
-    w.put_f64(e.mem_bytes);
-    w.put_f64(e.accuracy);
-    w.put_f64(e.batch_nodes);
-    w.put_f64(e.hit_rate);
-}
-
-fn get_estimate(r: &mut ByteReader) -> Result<PerfEstimate, StoreError> {
-    Ok(PerfEstimate {
-        time_s: r.get_f64()?,
-        mem_bytes: r.get_f64()?,
-        accuracy: r.get_f64()?,
-        batch_nodes: r.get_f64()?,
-        hit_rate: r.get_f64()?,
-    })
-}
-
-fn action_tag(a: AuditAction) -> u8 {
-    match a {
-        AuditAction::Accepted => 0,
-        AuditAction::Rejected => 1,
-        AuditAction::PrunedSubtree => 2,
-        AuditAction::Selected => 3,
-        AuditAction::Fallback => 4,
-        AuditAction::Switched => 5,
-    }
-}
-
-fn action_from_tag(t: u8) -> Result<AuditAction, StoreError> {
-    Ok(match t {
-        0 => AuditAction::Accepted,
-        1 => AuditAction::Rejected,
-        2 => AuditAction::PrunedSubtree,
-        3 => AuditAction::Selected,
-        4 => AuditAction::Fallback,
-        5 => AuditAction::Switched,
-        t => return Err(StoreError::decode(format!("unknown audit-action tag {t}"))),
-    })
-}
-
 impl AdaptiveCheckpoint {
+    /// The config the checkpointed run started from — what identifies
+    /// the run, since a switch replaces the session's own config.
+    pub(crate) fn initial_config(&self) -> &TrainingConfig {
+        self.switches.first().map_or(&self.session.config, |s| &s.from)
+    }
+
     /// Captures the adaptive loop's full state.
     pub(crate) fn capture(state: &mut AdaptState<'_>) -> AdaptiveCheckpoint {
         AdaptiveCheckpoint {
@@ -190,20 +152,7 @@ impl AdaptiveCheckpoint {
         for &d in &self.drift_scores {
             w.put_f64(d);
         }
-        w.put_usize(self.audit.len());
-        for a in &self.audit {
-            w.put_str(&a.config);
-            match &a.estimate {
-                Some(e) => {
-                    w.put_bool(true);
-                    put_estimate(&mut w, e);
-                }
-                None => w.put_bool(false),
-            }
-            w.put_u8(action_tag(a.action));
-            w.put_str(&a.reason);
-            w.put_bool(a.seed_candidate);
-        }
+        put_audit(&mut w, &self.audit);
         w.put_u32(self.reexplorations);
         w.put_usize(self.seen_degradations);
         w.finish()
@@ -267,17 +216,7 @@ impl AdaptiveCheckpoint {
         for _ in 0..n {
             drift_scores.push(r.get_f64()?);
         }
-        let n = r.get_usize()?;
-        let mut audit = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            audit.push(AuditRecord {
-                config: r.get_str()?,
-                estimate: if r.get_bool()? { Some(get_estimate(&mut r)?) } else { None },
-                action: action_from_tag(r.get_u8()?)?,
-                reason: r.get_str()?.into(),
-                seed_candidate: r.get_bool()?,
-            });
-        }
+        let audit = get_audit(&mut r)?;
         let reexplorations = r.get_u32()?;
         let seen_degradations = r.get_usize()?;
         if !r.is_exhausted() {
@@ -301,20 +240,16 @@ impl AdaptiveCheckpoint {
     }
 }
 
-fn store_err(e: StoreError) -> AdaptError {
-    AdaptError::Runtime(RuntimeError::from(e))
-}
-
 impl AdaptiveRunner {
     /// Rebuilds the adaptive loop from a checkpoint taken on this
     /// platform.
-    fn restore_state<'d>(
+    pub(crate) fn restore_state<'d>(
         &self,
         dataset: &'d Dataset,
         exploration: &ExplorationResult,
         exec_opts: &ExecutionOptions,
         ckpt: AdaptiveCheckpoint,
-    ) -> Result<AdaptState<'d>, AdaptError> {
+    ) -> Result<AdaptState<'d>, RuntimeError> {
         let metrics = gnnav_obs::global();
         if metrics.is_enabled() {
             metrics.add(metric::ADAPT_SWITCHES, 0);
@@ -354,119 +289,152 @@ impl AdaptiveRunner {
             seen_degradations: ckpt.seen_degradations,
         })
     }
+}
 
-    /// Runs the adaptive loop with crash-safe durability: resume from
-    /// the newest verifiable checkpoint in `dur.dir` (when
-    /// `dur.resume`), checkpoint every `dur.every` completed epochs,
-    /// and honor the crash/corruption fault kinds in
-    /// `exec_opts.fault_plan` exactly like the runtime backend's
-    /// durable driver:
-    ///
-    /// - `ProcessKill` at epoch-boundary site `e` aborts with
-    ///   [`RuntimeError::Killed`] before epoch `e` runs (the attempt
-    ///   number is the lineage's persisted kill count, so
-    ///   `duration_attempts` bounds kills per checkpoint directory).
-    /// - `TornWrite` / `BitFlip` at site `e` corrupt the checkpoint
-    ///   written after epoch `e`, exercising the resume fallback.
-    ///
-    /// A run killed at any boundary and re-invoked with the same
-    /// arguments produces an [`AdaptiveReport`] whose report,
-    /// switches, and drift history match the uninterrupted run
-    /// (only the advisory `reexplore_wall_ms` wall-clock field may
-    /// differ).
-    ///
-    /// # Errors
-    ///
-    /// Everything [`run`](Self::run) returns, plus
-    /// [`RuntimeError::Killed`] and [`RuntimeError::Store`] wrapped in
-    /// [`AdaptError::Runtime`].
-    pub fn run_durable(
-        &self,
-        dataset: &Dataset,
-        exploration: &ExplorationResult,
-        profile_db: &ProfileDb,
-        exec_opts: &ExecutionOptions,
-        constraints: &RuntimeConstraints,
-        dur: &DurabilityOptions,
-    ) -> Result<AdaptiveReport, AdaptError> {
-        self.opts.validate()?;
-        let ckpts = CheckpointDir::create(&dur.dir, "adapt").map_err(store_err)?;
-        let mut lineage = Wal::open(dur.dir.join(LINEAGE_WAL)).map_err(store_err)?;
-        let kill_attempt = lineage.len() as u32;
-        let every = dur.every.max(1);
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::SwitchPlan;
+    use gnnav_explorer::AuditAction;
+    use gnnav_hwsim::SimTime;
+    use gnnav_nn::AdamState;
+    use gnnav_runtime::{PhaseBreakdown, RecoveryLog};
 
-        let mut state = None;
-        if dur.resume {
-            if let Some((_, payload)) = ckpts.load_latest().map_err(store_err)? {
-                match AdaptiveCheckpoint::decode(&payload) {
-                    Ok(ckpt) => {
-                        state = Some(self.restore_state(dataset, exploration, exec_opts, ckpt)?);
-                    }
-                    Err(_) => {
-                        // CRC-valid but undecodable (foreign tag or
-                        // incompatible shape): reject like any other
-                        // damaged checkpoint and cold-start.
-                        let metrics = gnnav_obs::global();
-                        if metrics.is_enabled() {
-                            metrics.add(metric::STORE_CHECKPOINT_REJECTED, 1);
-                        }
-                    }
-                }
-            }
+    fn config(batch_size: usize) -> TrainingConfig {
+        TrainingConfig { batch_size, ..TrainingConfig::default() }
+    }
+
+    fn estimate(time_s: f64) -> PerfEstimate {
+        PerfEstimate {
+            time_s,
+            mem_bytes: 2.5e8,
+            accuracy: 0.75,
+            batch_nodes: 1234.5,
+            hit_rate: 0.25,
         }
-        let mut state = match state {
-            Some(s) => s,
-            None => self.cold_state(dataset, exploration, exec_opts)?,
+    }
+
+    /// A hand-built checkpoint exercising every field of the layout:
+    /// two seeds, a live EWMA, one observed epoch, one switch, and
+    /// audit records with and without an estimate.
+    fn sample_checkpoint() -> AdaptiveCheckpoint {
+        let mut session = SessionCheckpoint {
+            config: config(128),
+            eff_config: config(128),
+            cache_entries: 32,
+            micro_batch: 1,
+            fanout_reduced: false,
+            params: vec![0.5, -1.25],
+            dropout_rng: [1, 2, 3, 4],
+            opt: AdamState { lr: 0.01, t: 7, m: vec![vec![0.1]], v: vec![vec![0.2]] },
+            rng: [9, 8, 7, 6],
+            cache: Default::default(),
+            stats_carry: Default::default(),
+            peak_mem_bytes: 123_456,
+            phases: PhaseBreakdown::default(),
+            epoch_time_total: SimTime::from_secs(6.75),
+            total_nodes: 1000,
+            total_edges: 5000,
+            total_batches: 12,
+            n_iter: 6,
+            loss_history: vec![1.5, 1.2],
+            recovery: RecoveryLog::default(),
+            evictions: 17,
+            epochs_run: 2,
+            train_steps: 12,
+            faults_injected: 0,
         };
-
-        let kill_injector =
-            exec_opts.fault_plan.as_ref().filter(|p| !p.is_empty()).map(FaultInjector::new);
-        while state.session.epochs_run() < exec_opts.epochs {
-            let epoch = state.session.epochs_run();
-            if let Some(inj) = &kill_injector {
-                if inj.inject(FaultKind::ProcessKill, epoch as u64, kill_attempt, None).is_some() {
-                    // Record the kill in the lineage log so the next
-                    // life sees attempt+1, then "die".
-                    lineage.append(&(epoch as u64).to_le_bytes()).map_err(store_err)?;
-                    let metrics = gnnav_obs::global();
-                    let journal = metrics.journal();
-                    if journal.is_enabled() {
-                        journal.instant(
-                            metric::EVENT_KILL,
-                            metric::TRACK_STORE,
-                            None,
-                            vec![
-                                ("epoch".into(), epoch.into()),
-                                ("attempt".into(), (kill_attempt as u64).into()),
-                            ],
-                        );
-                    }
-                    return Err(AdaptError::Runtime(RuntimeError::Killed { epoch }));
-                }
-            }
-            self.step_epoch(&mut state, dataset, profile_db, constraints, exec_opts.epochs)?;
-            let done = state.session.epochs_run();
-            if done % every == 0 && done < exec_opts.epochs {
-                let payload = AdaptiveCheckpoint::capture(&mut state).encode();
-                ckpts.write(done, &payload).map_err(store_err)?;
-                let metrics = gnnav_obs::global();
-                if metrics.is_enabled() {
-                    metrics.gauge_set(metric::STORE_CHECKPOINT_BYTES, payload.len() as f64);
-                }
-                if let Some(inj) = &kill_injector {
-                    let site = (done - 1) as u64;
-                    let path = ckpts.path_for(done);
-                    if let Some(m) = inj.inject(FaultKind::TornWrite, site, 0, None) {
-                        gnnav_store::corrupt::torn_write(&path, m.max(1.0) as u64)
-                            .map_err(store_err)?;
-                    }
-                    if let Some(m) = inj.inject(FaultKind::BitFlip, site, 0, None) {
-                        gnnav_store::corrupt::bit_flip(&path, m.max(0.0) as u64, 3)
-                            .map_err(store_err)?;
-                    }
-                }
-            }
+        session.cache.capacity = 32;
+        session.cache.resident = vec![3, 1, 4];
+        session.stats_carry.lookups = 100;
+        session.stats_carry.hits = 40;
+        AdaptiveCheckpoint {
+            session,
+            predicted: estimate(1.5),
+            seeds: vec![config(128), config(256)],
+            detector: (Some(0.625), 2, 3),
+            observed: vec![ObservedEpoch {
+                config: config(64),
+                epoch_time_s: 2.0,
+                mem_bytes: 3.0e8,
+                accuracy: 0.0,
+                hit_rate: 0.5,
+                avg_batch_nodes: 900.0,
+                avg_batch_edges: 4000.0,
+                phase_s: [0.1, 0.2, 0.3, 0.4],
+                n_iter: 6.0,
+            }],
+            switches: vec![SwitchPlan {
+                epoch: 1,
+                from: config(64),
+                to: config(128),
+                migration_sim_s: 0.125,
+                predicted: estimate(1.5),
+                drift_ewma: 0.875,
+                reexplore_wall_ms: 3.5,
+            }],
+            drift_scores: vec![0.25, 0.875],
+            audit: vec![
+                AuditRecord {
+                    config: config(128).summary(),
+                    estimate: Some(estimate(1.5)),
+                    action: AuditAction::Switched,
+                    reason: "drift".into(),
+                    seed_candidate: false,
+                },
+                AuditRecord {
+                    config: "pruned".into(),
+                    estimate: None,
+                    action: AuditAction::PrunedSubtree,
+                    reason: "memory bound".into(),
+                    seed_candidate: true,
+                },
+            ],
+            reexplorations: 1,
+            seen_degradations: 0,
         }
-        state.into_report()
+    }
+
+    #[test]
+    fn encode_decode_round_trips_exactly() {
+        let ckpt = sample_checkpoint();
+        let decoded = AdaptiveCheckpoint::decode(&ckpt.encode()).expect("decode");
+        assert_eq!(format!("{decoded:?}"), format!("{ckpt:?}"));
+        assert_eq!(decoded.initial_config().batch_size, 64, "the first switch's `from`");
+    }
+
+    #[test]
+    fn decode_rejects_foreign_tag_truncation_and_trailing() {
+        let bytes = sample_checkpoint().encode();
+
+        // A static-session payload is not an adaptive checkpoint.
+        let session = sample_checkpoint().session.encode();
+        assert!(AdaptiveCheckpoint::decode(&session).is_err());
+
+        let truncated = &bytes[..bytes.len() - 3];
+        assert!(AdaptiveCheckpoint::decode(truncated).is_err());
+
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        let err = AdaptiveCheckpoint::decode(&trailing).expect_err("trailing");
+        assert!(err.to_string().contains("trailing"));
+
+        // After the last audit record's action tag come its reason
+        // (8 + 12 bytes), its seed flag, `reexplorations` (4) and
+        // `seen_degradations` (8).
+        let mut bad_action = bytes.clone();
+        let at = bytes.len() - 34;
+        assert_eq!(bad_action[at], 2, "PrunedSubtree tag");
+        bad_action[at] = 99;
+        let err = AdaptiveCheckpoint::decode(&bad_action).expect_err("bad action");
+        assert!(err.to_string().contains("audit-action"));
+    }
+
+    #[test]
+    fn payload_bytes_are_pinned() {
+        // Every byte of the tag-2 layout, including the parts encoded
+        // by `explorer::cache`'s estimate/audit codec.
+        let bytes = sample_checkpoint().encode();
+        assert_eq!((bytes.len(), gnnav_store::crc32(&bytes)), (1353, 0xd8f2_b01e));
     }
 }

@@ -1,6 +1,7 @@
 //! The adaptive execution loop: run, watch, re-explore, switch.
 
 use crate::drift::{DriftConfig, DriftDetector, EpochSignal};
+use crate::durable::AdaptiveCheckpoint;
 use crate::AdaptError;
 use gnnav_estimator::{Context, GrayBoxEstimator, PerfEstimate, ProfileDb, ProfileRecord};
 use gnnav_explorer::{
@@ -11,7 +12,8 @@ use gnnav_graph::Dataset;
 use gnnav_hwsim::Platform;
 use gnnav_obs::names as metric;
 use gnnav_runtime::{
-    EpochStats, ExecutionOptions, ExecutionReport, ExecutionSession, TrainingConfig,
+    drive, DurabilityOptions, EpochLoop, EpochStats, ExecutionOptions, ExecutionReport,
+    ExecutionSession, RuntimeError, TrainingConfig,
 };
 use std::time::Instant;
 
@@ -191,12 +193,49 @@ impl AdaptiveRunner {
         exec_opts: &ExecutionOptions,
         constraints: &RuntimeConstraints,
     ) -> Result<AdaptiveReport, AdaptError> {
+        self.run_with(dataset, exploration, profile_db, exec_opts, constraints, None)
+    }
+
+    /// [`run`](Self::run) with crash-safe durability: the same
+    /// [`drive`] loop, persisting into `dur.dir`. Each checkpoint holds
+    /// the *entire* adaptive state (see [`AdaptiveCheckpoint`]), and
+    /// one is resumed only if its run started from this
+    /// `exploration`'s guideline. A run killed at any boundary and
+    /// re-invoked with the same arguments produces an
+    /// [`AdaptiveReport`] whose report, switches, and drift history
+    /// match the uninterrupted run (only the advisory
+    /// `reexplore_wall_ms` wall-clock field may differ).
+    ///
+    /// # Errors
+    ///
+    /// Everything [`run`](Self::run) returns, plus
+    /// [`RuntimeError::Killed`] and [`RuntimeError::Store`] wrapped in
+    /// [`AdaptError::Runtime`].
+    pub fn run_durable(
+        &self,
+        dataset: &Dataset,
+        exploration: &ExplorationResult,
+        profile_db: &ProfileDb,
+        exec_opts: &ExecutionOptions,
+        constraints: &RuntimeConstraints,
+        dur: &DurabilityOptions,
+    ) -> Result<AdaptiveReport, AdaptError> {
+        self.run_with(dataset, exploration, profile_db, exec_opts, constraints, Some(dur))
+    }
+
+    fn run_with(
+        &self,
+        dataset: &Dataset,
+        exploration: &ExplorationResult,
+        profile_db: &ProfileDb,
+        exec_opts: &ExecutionOptions,
+        constraints: &RuntimeConstraints,
+        dur: Option<&DurabilityOptions>,
+    ) -> Result<AdaptiveReport, AdaptError> {
         self.opts.validate()?;
-        let mut state = self.cold_state(dataset, exploration, exec_opts)?;
-        while state.session.epochs_run() < exec_opts.epochs {
-            self.step_epoch(&mut state, dataset, profile_db, constraints, exec_opts.epochs)?;
-        }
-        state.into_report()
+        let adapt_loop =
+            AdaptLoop { runner: self, dataset, exploration, profile_db, exec_opts, constraints };
+        drive(&adapt_loop, exec_opts, dur)?.into_report()
     }
 
     /// Opens a fresh adaptive loop on the explored guideline.
@@ -205,7 +244,7 @@ impl AdaptiveRunner {
         dataset: &'d Dataset,
         exploration: &ExplorationResult,
         exec_opts: &ExecutionOptions,
-    ) -> Result<AdaptState<'d>, AdaptError> {
+    ) -> Result<AdaptState<'d>, RuntimeError> {
         let metrics = gnnav_obs::global();
         if metrics.is_enabled() {
             // Register the switch counter at zero so clean adaptive
@@ -443,9 +482,57 @@ impl AdaptiveRunner {
     }
 }
 
-/// The adaptive loop's full mutable state, shared between the plain
-/// and durable drivers. Everything here (minus the borrowed session's
-/// dataset) is captured by an adaptive checkpoint.
+/// The adaptive run as an [`EpochLoop`]: an [`AdaptState`] stepped by
+/// [`AdaptiveRunner::step_epoch`].
+struct AdaptLoop<'a, 'd> {
+    runner: &'a AdaptiveRunner,
+    dataset: &'d Dataset,
+    exploration: &'a ExplorationResult,
+    profile_db: &'a ProfileDb,
+    exec_opts: &'a ExecutionOptions,
+    constraints: &'a RuntimeConstraints,
+}
+
+impl<'d> EpochLoop for AdaptLoop<'_, 'd> {
+    type Run = AdaptState<'d>;
+    type Error = AdaptError;
+    const LABEL: &'static str = "adapt";
+
+    fn open(&self) -> Result<Self::Run, RuntimeError> {
+        self.runner.cold_state(self.dataset, self.exploration, self.exec_opts)
+    }
+
+    fn restore(&self, payload: &[u8]) -> Result<Option<Self::Run>, RuntimeError> {
+        match AdaptiveCheckpoint::decode(payload) {
+            Ok(ckpt) if *ckpt.initial_config() == self.exploration.guideline.config => self
+                .runner
+                .restore_state(self.dataset, self.exploration, self.exec_opts, ckpt)
+                .map(Some),
+            _ => Ok(None),
+        }
+    }
+
+    fn epochs_run(run: &Self::Run) -> usize {
+        run.session.epochs_run()
+    }
+
+    fn step(&self, run: &mut Self::Run) -> Result<(), AdaptError> {
+        self.runner.step_epoch(
+            run,
+            self.dataset,
+            self.profile_db,
+            self.constraints,
+            self.exec_opts.epochs,
+        )
+    }
+
+    fn encode(run: &mut Self::Run) -> Vec<u8> {
+        AdaptiveCheckpoint::capture(run).encode()
+    }
+}
+
+/// The adaptive loop's full mutable state. Everything here (minus the
+/// borrowed session's dataset) is captured by an adaptive checkpoint.
 pub(crate) struct AdaptState<'d> {
     /// The running (possibly switched/degraded) training session.
     pub session: ExecutionSession<'d>,

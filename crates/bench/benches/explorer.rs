@@ -74,44 +74,5 @@ fn bench_pareto_and_decision(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_search_strategy_ablation(c: &mut Criterion) {
-    // DFS vs evolutionary search at the same evaluation budget — the
-    // search-strategy design choice DESIGN.md calls out.
-    use gnnav_explorer::{EvolutionParams, EvolutionarySearch};
-    let (dataset, est) = setup();
-    let platform = Platform::default_rtx4090();
-    let mut group = c.benchmark_group("search_strategy_ablation");
-    group.sample_size(10);
-    group.bench_function("dfs_600", |b| {
-        let dfs = DfsExplorer::new(DesignSpace::standard(), 600, 3);
-        b.iter(|| {
-            dfs.run(&est, &dataset, &platform, ModelKind::Sage, &RuntimeConstraints::none(), &[])
-        });
-    });
-    group.bench_function("evolution_600", |b| {
-        let search = EvolutionarySearch::new(
-            DesignSpace::standard(),
-            EvolutionParams { budget: 600, ..Default::default() },
-        );
-        b.iter(|| {
-            search.run(
-                &est,
-                &dataset,
-                &platform,
-                ModelKind::Sage,
-                Priority::Balance,
-                &RuntimeConstraints::none(),
-                &[],
-            )
-        });
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_dfs_budgets,
-    bench_pareto_and_decision,
-    bench_search_strategy_ablation
-);
+criterion_group!(benches, bench_dfs_budgets, bench_pareto_and_decision);
 criterion_main!(benches);

@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let aug_cfgs: Vec<_> =
         DesignSpace::standard().sample(12, ModelKind::Sage, 404).into_iter().map(shrink).collect();
-    train.merge(profiler.profile_augmentation(2, 3000, &aug_cfgs, 77)?);
+    train.merge(profiler.profile_augmentation(None, 2, 3000, &aug_cfgs, 77)?);
 
     // Test configurations span the FULL design space (batch sizes the
     // profiling grid never covered): this is how the DFS explorer

@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     // Data enhancement: random power-law graphs (paper §4.1).
     let aug_configs = DesignSpace::standard().sample(20, ModelKind::Sage, 777);
-    db.merge(profiler.profile_augmentation(3, 2000, &aug_configs, 31)?);
+    db.merge(profiler.profile_augmentation(None, 3, 2000, &aug_configs, 31)?);
     eprintln!("augmented ({} records total)", db.len());
 
     let mut rows = Vec::new();

@@ -94,8 +94,6 @@ pub enum NavigatorError {
     Explorer(gnnav_explorer::ExplorerError),
     /// Adaptive execution failed.
     Adapt(gnnav_adapt::AdaptError),
-    /// A durable-store operation (profile store, checkpoint) failed.
-    Store(gnnav_store::StoreError),
     /// A pipeline step failed with a contextual message.
     Pipeline(String),
 }
@@ -110,7 +108,6 @@ impl fmt::Display for NavigatorError {
             NavigatorError::Estimator(e) => write!(f, "estimator error: {e}"),
             NavigatorError::Explorer(e) => write!(f, "explorer error: {e}"),
             NavigatorError::Adapt(e) => write!(f, "adaptive execution error: {e}"),
-            NavigatorError::Store(e) => write!(f, "store error: {e}"),
             NavigatorError::Pipeline(msg) => write!(f, "pipeline error: {msg}"),
         }
     }
@@ -123,7 +120,6 @@ impl Error for NavigatorError {
             NavigatorError::Estimator(e) => Some(e),
             NavigatorError::Explorer(e) => Some(e),
             NavigatorError::Adapt(e) => Some(e),
-            NavigatorError::Store(e) => Some(e),
             _ => None,
         }
     }
@@ -150,12 +146,6 @@ impl From<gnnav_explorer::ExplorerError> for NavigatorError {
 impl From<gnnav_adapt::AdaptError> for NavigatorError {
     fn from(e: gnnav_adapt::AdaptError) -> Self {
         NavigatorError::Adapt(e)
-    }
-}
-
-impl From<gnnav_store::StoreError> for NavigatorError {
-    fn from(e: gnnav_store::StoreError) -> Self {
-        NavigatorError::Store(e)
     }
 }
 

@@ -12,7 +12,7 @@
 
 use crate::NavigatorError;
 use gnnav_adapt::{AdaptOptions, AdaptiveReport, AdaptiveRunner};
-use gnnav_estimator::{profile_fingerprint, GrayBoxEstimator, ProfileDb, ProfileStore, Profiler};
+use gnnav_estimator::{GrayBoxEstimator, ProfileDb, ProfileStore, Profiler};
 use gnnav_explorer::{
     explore_fingerprint, ExplorationResult, ExploreCache, Explorer, Guideline, Priority,
     RuntimeConstraints,
@@ -80,13 +80,16 @@ impl Default for NavigatorOptions {
 ///
 /// ```no_run
 /// use gnnavigator::{Navigator, Priority, RuntimeConstraints};
+/// use gnnavigator::runtime::DurabilityOptions;
 /// use gnnav_graph::{Dataset, DatasetId};
 /// use gnnav_hwsim::Platform;
 /// use gnnav_nn::ModelKind;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let dataset = Dataset::load_scaled(DatasetId::Reddit2, 0.1)?;
-/// let mut nav = Navigator::new(dataset, Platform::default_rtx4090(), ModelKind::Sage);
+/// let mut nav = Navigator::new(dataset, Platform::default_rtx4090(), ModelKind::Sage)
+///     // Optional: checkpoint `apply` every epoch and resume it if killed.
+///     .with_checkpoints(DurabilityOptions::new("ckpts", 1));
 /// nav.prepare()?; // profile + fit the gray-box estimator
 /// let result = nav.generate_guideline(Priority::Balance, &RuntimeConstraints::none())?;
 /// let report = nav.apply(&result.guideline)?;
@@ -109,6 +112,7 @@ pub struct Navigator {
     // RefCell: `generate_guideline` is `&self`, but a lookup/insert
     // must meter the cache and append to its log.
     explore_cache: Option<std::cell::RefCell<ExploreCache>>,
+    checkpoints: Option<DurabilityOptions>,
 }
 
 impl Navigator {
@@ -126,6 +130,7 @@ impl Navigator {
             profile_db: ProfileDb::new(),
             profile_store: None,
             explore_cache: None,
+            checkpoints: None,
         }
     }
 
@@ -167,6 +172,19 @@ impl Navigator {
         self.explore_cache.as_ref().map(|c| c.borrow())
     }
 
+    /// Makes [`Navigator::apply`] and [`Navigator::apply_adaptive`]
+    /// crash-safe: the run writes an atomic checkpoint every
+    /// `checkpoints.every` epochs into `checkpoints.dir` and, with
+    /// `checkpoints.resume`, continues from the newest valid checkpoint
+    /// of the same guideline instead of epoch 0. A run killed at any
+    /// epoch boundary and resumed this way produces the byte-identical
+    /// report of an uninterrupted run — for the adaptive path with its
+    /// drift state and guideline switches intact.
+    pub fn with_checkpoints(mut self, checkpoints: DurabilityOptions) -> Self {
+        self.checkpoints = Some(checkpoints);
+        self
+    }
+
     /// The dataset under navigation.
     pub fn dataset(&self) -> &Dataset {
         &self.dataset
@@ -193,101 +211,30 @@ impl Navigator {
         let profiler = Profiler::new(self.backend.clone(), self.options.profile_exec.clone());
         let configs =
             self.options.space.sample(self.options.profile_samples, self.model, self.options.seed);
-        let db = Self::profile_with_store(
-            &profiler,
-            &self.platform,
-            self.profile_store.as_mut(),
+        let mut store = self.profile_store.as_mut();
+        self.profile_db.merge(profiler.profile_through(
+            store.as_deref_mut(),
             &self.dataset,
             &configs,
-        )?;
-        self.profile_db.merge(db);
+        )?);
         if self.options.augmentation_graphs > 0 {
             let aug_configs = self.options.space.sample(
                 (self.options.profile_samples / 2).max(4),
                 self.model,
                 self.options.seed ^ 0xA06,
             );
-            // The augmentation loop mirrors
-            // `Profiler::profile_augmentation` graph for graph (same
-            // degrees and seeds), regenerating each synthetic dataset
-            // so its fingerprints can be checked against the store.
-            let seed = self.options.seed ^ 0x9999;
-            for i in 0..self.options.augmentation_graphs {
-                let dataset = Dataset::synthetic(
-                    self.options.augmentation_nodes,
-                    3 + (i % 5),
-                    64,
-                    16,
-                    seed.wrapping_add(i as u64),
-                )
-                .map_err(|e| NavigatorError::Pipeline(e.to_string()))?;
-                let aug = Self::profile_with_store(
-                    &profiler,
-                    &self.platform,
-                    self.profile_store.as_mut(),
-                    &dataset,
-                    &aug_configs,
-                )?;
-                self.profile_db.merge(aug);
-            }
+            self.profile_db.merge(profiler.profile_augmentation(
+                store,
+                self.options.augmentation_graphs,
+                self.options.augmentation_nodes,
+                &aug_configs,
+                self.options.seed ^ 0x9999,
+            )?);
         }
         let mut estimator = GrayBoxEstimator::new();
         estimator.fit(&self.profile_db)?;
         self.estimator = Some(estimator);
         Ok(self.estimator.as_ref().expect("just set"))
-    }
-
-    /// Profiles `configs` on `dataset`, pulling already-covered
-    /// records from the store and appending fresh ones, so the
-    /// returned database is in config order either way — a warm run
-    /// assembles the byte-identical database of the cold run without
-    /// executing a single redundant sweep config.
-    fn profile_with_store(
-        profiler: &Profiler,
-        platform: &Platform,
-        store: Option<&mut ProfileStore>,
-        dataset: &Dataset,
-        configs: &[TrainingConfig],
-    ) -> Result<ProfileDb, NavigatorError> {
-        let Some(store) = store else {
-            return Ok(profiler.profile(dataset, configs)?);
-        };
-        let fps: Vec<u64> =
-            configs.iter().map(|c| profile_fingerprint(dataset, platform, c)).collect();
-        let uncovered: Vec<usize> =
-            (0..configs.len()).filter(|&i| !store.contains(fps[i])).collect();
-        let mut fresh: std::collections::HashMap<usize, gnnav_estimator::ProfileRecord> =
-            std::collections::HashMap::new();
-        if !uncovered.is_empty() {
-            let cfgs: Vec<TrainingConfig> = uncovered.iter().map(|&i| configs[i].clone()).collect();
-            let db = profiler.profile(dataset, &cfgs)?;
-            // Fresh records come back in subset order; configs that
-            // failed to execute (infeasible points) leave gaps, so
-            // match sequentially by config equality.
-            let mut j = 0usize;
-            for rec in db.records() {
-                while j < uncovered.len() && configs[uncovered[j]] != rec.context.config {
-                    j += 1;
-                }
-                if j == uncovered.len() {
-                    break;
-                }
-                store.insert(rec)?;
-                fresh.insert(uncovered[j], rec.clone());
-                j += 1;
-            }
-        }
-        let mut db = ProfileDb::new();
-        for (i, fp) in fps.iter().enumerate() {
-            if let Some(r) = fresh.get(&i) {
-                db.push(r.clone());
-            } else if let Some(r) = store.get(*fp) {
-                db.push(r.clone());
-            }
-            // Neither stored nor freshly profiled: the config failed
-            // to execute — skipped exactly like a cold sweep skips it.
-        }
-        Ok(db)
     }
 
     /// Everything the fitted estimator depends on beyond the dataset
@@ -367,29 +314,36 @@ impl Navigator {
     }
 
     /// Applies a guideline on the runtime backend (Step 3), returning
-    /// the measured performance.
+    /// the measured performance — crash-safely when
+    /// [checkpoints](Navigator::with_checkpoints) are attached.
     ///
     /// # Errors
     ///
-    /// Propagates backend failures.
+    /// Propagates backend and checkpoint-store failures.
     pub fn apply(&self, guideline: &Guideline) -> Result<ExecutionReport, NavigatorError> {
-        Ok(self.backend.execute(&self.dataset, &guideline.config, &self.options.apply_exec)?)
+        let (dataset, exec) = (&self.dataset, &self.options.apply_exec);
+        Ok(match &self.checkpoints {
+            Some(dur) => self.backend.execute_durable(dataset, &guideline.config, exec, dur)?,
+            None => self.backend.execute(dataset, &guideline.config, exec)?,
+        })
     }
 
     /// Applies a guideline adaptively (Step 4 extended): trains epoch
     /// by epoch, watches observed time / hit rate / memory against the
     /// exploration's prediction, and on sustained drift re-explores
-    /// incrementally and switches the guideline mid-training.
+    /// incrementally and switches the guideline mid-training. With
+    /// [checkpoints](Navigator::with_checkpoints) attached, drift
+    /// state, switches and the training session checkpoint together.
     ///
     /// Without drift the run is byte-identical to [`Navigator::apply`]
-    /// on the same guideline: the adaptive loop drives the exact same
-    /// execution session, epoch for epoch.
+    /// on the same guideline: both are the same epoch loop over the
+    /// same execution session.
     ///
     /// # Errors
     ///
     /// Returns [`NavigatorError::NotPrepared`] before
     /// [`Navigator::prepare`]; otherwise propagates backend, refit,
-    /// and re-exploration failures.
+    /// re-exploration, and checkpoint-store failures.
     pub fn apply_adaptive(
         &self,
         exploration: &ExplorationResult,
@@ -400,67 +354,11 @@ impl Navigator {
             return Err(NavigatorError::NotPrepared);
         }
         let runner = AdaptiveRunner::new(self.platform.clone(), adapt);
-        Ok(runner.run(
-            &self.dataset,
-            exploration,
-            &self.profile_db,
-            &self.options.apply_exec,
-            constraints,
-        )?)
-    }
-
-    /// Applies a guideline with crash-safe checkpointing: the run
-    /// writes an atomic checkpoint every `dur.every` epochs into
-    /// `dur.dir` and, with `dur.resume`, continues from the latest
-    /// valid checkpoint instead of epoch 0. A run killed at any epoch
-    /// boundary and resumed this way produces the byte-identical
-    /// [`ExecutionReport`] of an uninterrupted run.
-    ///
-    /// # Errors
-    ///
-    /// Propagates backend and checkpoint-store failures.
-    pub fn apply_durable(
-        &self,
-        guideline: &Guideline,
-        dur: &DurabilityOptions,
-    ) -> Result<ExecutionReport, NavigatorError> {
-        Ok(self.backend.execute_durable(
-            &self.dataset,
-            &guideline.config,
-            &self.options.apply_exec,
-            dur,
-        )?)
-    }
-
-    /// [`Navigator::apply_adaptive`] with crash-safe checkpointing:
-    /// drift state, guideline switches, and the underlying training
-    /// session all checkpoint together, so a killed adaptive run
-    /// resumes mid-training with its drift history intact.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NavigatorError::NotPrepared`] before
-    /// [`Navigator::prepare`]; otherwise propagates backend, refit,
-    /// re-exploration, and checkpoint-store failures.
-    pub fn apply_adaptive_durable(
-        &self,
-        exploration: &ExplorationResult,
-        constraints: &RuntimeConstraints,
-        adapt: AdaptOptions,
-        dur: &DurabilityOptions,
-    ) -> Result<AdaptiveReport, NavigatorError> {
-        if self.estimator.is_none() {
-            return Err(NavigatorError::NotPrepared);
-        }
-        let runner = AdaptiveRunner::new(self.platform.clone(), adapt);
-        Ok(runner.run_durable(
-            &self.dataset,
-            exploration,
-            &self.profile_db,
-            &self.options.apply_exec,
-            constraints,
-            dur,
-        )?)
+        let (dataset, db, exec) = (&self.dataset, &self.profile_db, &self.options.apply_exec);
+        Ok(match &self.checkpoints {
+            Some(dur) => runner.run_durable(dataset, exploration, db, exec, constraints, dur)?,
+            None => runner.run(dataset, exploration, db, exec, constraints)?,
+        })
     }
 
     /// Runs a baseline template under the same execution options, for

@@ -583,6 +583,12 @@ fn durability_flags_require_checkpoint_dir() {
     let out = gnnavigate().arg("--resume").output().expect("spawn");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("requires --checkpoint-dir"));
+
+    // Same rule for the adaptive knob: a threshold nothing reads is an
+    // error, not a silent no-op.
+    let out = gnnavigate().args(["--drift-threshold", "0.5"]).output().expect("spawn");
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("requires --adapt"));
 }
 
 #[test]

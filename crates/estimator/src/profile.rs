@@ -7,6 +7,7 @@
 //! the gray-box model fits against.
 
 use crate::context::Context;
+use crate::store::{profile_fingerprint, ProfileStore};
 use gnnav_faults::{FaultInjector, FaultKind};
 use gnnav_graph::{Dataset, DatasetId};
 use gnnav_obs::names as metric;
@@ -219,13 +220,54 @@ impl Profiler {
         dataset: &Dataset,
         configs: &[TrainingConfig],
     ) -> Result<ProfileDb, RuntimeError> {
-        let report = self.profile_with_report(dataset, configs);
-        if report.db.is_empty() && !configs.is_empty() {
+        self.profile_through(None, dataset, configs)
+    }
+
+    /// [`profile`](Self::profile) through a durable store: configs the
+    /// store already covers are read back instead of executed, fresh
+    /// records are appended, and the database comes back in config
+    /// order either way — a warm sweep assembles the byte-identical
+    /// database of the cold one without executing a single covered
+    /// config. With no store this is `profile`.
+    ///
+    /// # Errors
+    ///
+    /// As [`profile`](Self::profile), plus [`RuntimeError::Store`] when
+    /// an append fails.
+    pub fn profile_through(
+        &self,
+        store: Option<&mut ProfileStore>,
+        dataset: &Dataset,
+        configs: &[TrainingConfig],
+    ) -> Result<ProfileDb, RuntimeError> {
+        let db = match store {
+            None => self.profile_with_report(dataset, configs).db,
+            Some(store) => {
+                let platform = self.backend.platform();
+                let fps: Vec<u64> =
+                    configs.iter().map(|c| profile_fingerprint(dataset, platform, c)).collect();
+                let uncovered: Vec<TrainingConfig> = configs
+                    .iter()
+                    .zip(&fps)
+                    .filter(|(_, fp)| !store.contains(**fp))
+                    .map(|(c, _)| c.clone())
+                    .collect();
+                if !uncovered.is_empty() {
+                    for record in self.profile_with_report(dataset, &uncovered).db.records() {
+                        store.insert(record)?;
+                    }
+                }
+                // A position the store still lacks failed to execute:
+                // skipped, exactly as the store-less sweep skips it.
+                fps.iter().filter_map(|fp| store.get(*fp).cloned()).collect()
+            }
+        };
+        if db.is_empty() && !configs.is_empty() {
             return Err(RuntimeError::InvalidConfig(
                 "every profiled configuration failed to execute".into(),
             ));
         }
-        Ok(report.db)
+        Ok(db)
     }
 
     /// Like [`profile`](Self::profile), but never gives up on the
@@ -441,7 +483,8 @@ impl Profiler {
     }
 
     /// Profiles `configs` on `count` randomly generated power-law
-    /// graphs (the paper's data-enhancement step). Graph `i` uses
+    /// graphs (the paper's data-enhancement step), each sweep going
+    /// [through](Self::profile_through) `store`. Graph `i` uses
     /// `seed + i`.
     ///
     /// # Errors
@@ -450,16 +493,17 @@ impl Profiler {
     /// [`Profiler::profile`].
     pub fn profile_augmentation(
         &self,
+        mut store: Option<&mut ProfileStore>,
         count: usize,
         num_nodes: usize,
         configs: &[TrainingConfig],
         seed: u64,
-    ) -> Result<ProfileDb, Box<dyn std::error::Error>> {
+    ) -> Result<ProfileDb, RuntimeError> {
         let mut db = ProfileDb::new();
         for i in 0..count {
             let dataset =
                 Dataset::synthetic(num_nodes, 3 + (i % 5), 64, 16, seed.wrapping_add(i as u64))?;
-            db.merge(self.profile(&dataset, configs)?);
+            db.merge(self.profile_through(store.as_deref_mut(), &dataset, configs)?);
         }
         Ok(db)
     }
@@ -589,6 +633,39 @@ mod tests {
     }
 
     #[test]
+    fn store_aware_sweep_matches_the_plain_one() {
+        // One config list with a duplicate and with a config that
+        // fails to execute: store-less, cold-with-store and
+        // warm-with-store sweeps must assemble the same database.
+        let dataset = Dataset::load_scaled(DatasetId::Reddit2, 0.01).expect("load");
+        let mut cfgs = small_configs(3);
+        cfgs.push(cfgs[0].clone());
+        cfgs.insert(1, TrainingConfig { batch_size: 0, ..cfgs[0].clone() });
+        let p = profiler();
+        let plain = p.profile(&dataset, &cfgs).expect("store-less");
+        assert_eq!(plain.len(), 4, "the invalid config is skipped, the duplicate kept");
+
+        let dir = std::env::temp_dir().join(format!("gnnav-sweep-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("profiles.wal");
+        let mut store = ProfileStore::open(&path).expect("open");
+        let cold = p.profile_through(Some(&mut store), &dataset, &cfgs).expect("cold");
+        assert_eq!(store.len(), 3, "one record per distinct executable config");
+        drop(store);
+        let mut store = ProfileStore::open(&path).expect("reopen");
+        let warm = p.profile_through(Some(&mut store), &dataset, &cfgs).expect("warm");
+        assert_eq!(store.len(), 3, "a warm sweep appends nothing");
+        assert_eq!(format!("{cold:?}"), format!("{plain:?}"));
+        assert_eq!(format!("{warm:?}"), format!("{plain:?}"));
+
+        // A store cannot hide a systematic failure.
+        let bad = [cfgs[1].clone()];
+        assert!(p.profile_through(Some(&mut store), &dataset, &bad).is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn leave_one_out_partitions() {
         let d1 = Dataset::load_scaled(DatasetId::Reddit2, 0.01).expect("load");
         let d2 = Dataset::load_scaled(DatasetId::OgbnArxiv, 0.01).expect("load");
@@ -603,7 +680,8 @@ mod tests {
 
     #[test]
     fn augmentation_uses_synthetic_graphs() {
-        let db = profiler().profile_augmentation(2, 300, &small_configs(2), 9).expect("augment");
+        let db =
+            profiler().profile_augmentation(None, 2, 300, &small_configs(2), 9).expect("augment");
         assert!(db.records().iter().all(|r| r.dataset_id == DatasetId::Synthetic));
         assert!(db.len() >= 2);
     }

@@ -93,7 +93,9 @@ fn action_from_tag(t: u8) -> Result<AuditAction, StoreError> {
     })
 }
 
-fn put_estimate(w: &mut ByteWriter, e: &PerfEstimate) {
+/// Appends a [`PerfEstimate`] in the stable field order (shared with
+/// the adaptive layer's checkpoint format).
+pub fn put_estimate(w: &mut ByteWriter, e: &PerfEstimate) {
     w.put_f64(e.time_s);
     w.put_f64(e.mem_bytes);
     w.put_f64(e.accuracy);
@@ -101,7 +103,8 @@ fn put_estimate(w: &mut ByteWriter, e: &PerfEstimate) {
     w.put_f64(e.hit_rate);
 }
 
-fn get_estimate(r: &mut ByteReader) -> Result<PerfEstimate, StoreError> {
+/// Reads back a [`PerfEstimate`] written by [`put_estimate`].
+pub fn get_estimate(r: &mut ByteReader) -> Result<PerfEstimate, StoreError> {
     Ok(PerfEstimate {
         time_s: r.get_f64()?,
         mem_bytes: r.get_f64()?,
@@ -109,6 +112,38 @@ fn get_estimate(r: &mut ByteReader) -> Result<PerfEstimate, StoreError> {
         batch_nodes: r.get_f64()?,
         hit_rate: r.get_f64()?,
     })
+}
+
+/// Appends a length-prefixed audit trail (shared with the adaptive
+/// layer's checkpoint format).
+pub fn put_audit(w: &mut ByteWriter, audit: &[AuditRecord]) {
+    w.put_usize(audit.len());
+    for r in audit {
+        w.put_str(&r.config);
+        w.put_bool(r.estimate.is_some());
+        if let Some(e) = &r.estimate {
+            put_estimate(w, e);
+        }
+        w.put_u8(action_tag(r.action));
+        w.put_str(&r.reason);
+        w.put_bool(r.seed_candidate);
+    }
+}
+
+/// Reads back an audit trail written by [`put_audit`], rejecting
+/// unknown action tags with a typed decode error.
+pub fn get_audit(r: &mut ByteReader) -> Result<Vec<AuditRecord>, StoreError> {
+    let n = r.get_usize()?;
+    let mut audit = Vec::with_capacity(n.min(1 << 20));
+    for _ in 0..n {
+        let config = r.get_str()?;
+        let estimate = if r.get_bool()? { Some(get_estimate(r)?) } else { None };
+        let action = action_from_tag(r.get_u8()?)?;
+        let reason = r.get_str()?.into();
+        let seed_candidate = r.get_bool()?;
+        audit.push(AuditRecord { config, estimate, action, reason, seed_candidate });
+    }
+    Ok(audit)
 }
 
 /// The canonical fingerprint of one exploration: everything the search
@@ -188,17 +223,7 @@ fn encode_result(fingerprint: u64, result: &ExplorationResult) -> Vec<u8> {
     w.put_usize(result.stats.evaluated);
     w.put_usize(result.stats.rejected);
     w.put_usize(result.stats.pruned_subtrees);
-    w.put_usize(result.audit.len());
-    for r in &result.audit {
-        w.put_str(&r.config);
-        w.put_bool(r.estimate.is_some());
-        if let Some(e) = &r.estimate {
-            put_estimate(&mut w, e);
-        }
-        w.put_u8(action_tag(r.action));
-        w.put_str(&r.reason);
-        w.put_bool(r.seed_candidate);
-    }
+    put_audit(&mut w, &result.audit);
     w.put_bool(result.fallback.is_some());
     if let Some(f) = &result.fallback {
         w.put_str(f);
@@ -232,16 +257,7 @@ fn decode_result(payload: &[u8]) -> Result<(u64, ExplorationResult), StoreError>
         rejected: r.get_usize()?,
         pruned_subtrees: r.get_usize()?,
     };
-    let n = r.get_usize()?;
-    let mut audit = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        let config = r.get_str()?;
-        let estimate = if r.get_bool()? { Some(get_estimate(&mut r)?) } else { None };
-        let action = action_from_tag(r.get_u8()?)?;
-        let reason = r.get_str()?.into();
-        let seed_candidate = r.get_bool()?;
-        audit.push(AuditRecord { config, estimate, action, reason, seed_candidate });
-    }
+    let audit = get_audit(&mut r)?;
     let fallback = if r.get_bool()? { Some(r.get_str()?) } else { None };
     if !r.is_exhausted() {
         return Err(StoreError::decode(format!(

@@ -18,7 +18,6 @@ pub mod audit;
 pub mod cache;
 pub mod decision;
 pub mod dfs;
-pub mod evolution;
 pub mod explorer;
 pub mod pareto;
 pub mod targets;
@@ -27,7 +26,6 @@ pub use audit::{audit_to_json, AuditAction, AuditRecord};
 pub use cache::{explore_fingerprint, ExploreCache};
 pub use decision::{decide, Guideline};
 pub use dfs::{DfsExplorer, DfsOutcome, DfsStats, EvaluatedCandidate};
-pub use evolution::{EvolutionParams, EvolutionarySearch};
 pub use explorer::{ExplorationResult, Explorer};
 pub use pareto::{dominates, objectives, pareto_front_indices, ParetoFront};
 pub use targets::{ExploreTargets, Priority, RuntimeConstraints};

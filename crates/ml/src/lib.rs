@@ -13,14 +13,12 @@
 //!   baseline in Fig. 5.
 //! - [`RandomForestRegressor`] — bagged CART for the noisy accuracy
 //!   response.
-//! - [`KnnRegressor`] — assumption-free baseline.
 //!
 //! Plus [`Table`] data handling, [`metrics`] (R², MSE, MAE — the
 //! paper's Tab. 2 metrics), and [`split`] utilities.
 
 pub mod dataset;
 pub mod forest;
-pub mod knn;
 pub mod linear;
 pub mod metrics;
 pub mod regressor;
@@ -29,7 +27,6 @@ pub mod tree;
 
 pub use dataset::Table;
 pub use forest::{ForestParams, RandomForestRegressor};
-pub use knn::KnnRegressor;
 pub use linear::{log1p_features, RidgeRegressor};
 pub use metrics::{mae, mse, r2_score};
 pub use regressor::Regressor;
@@ -95,7 +92,6 @@ mod tests {
             Box::new(RidgeRegressor::new(1e-6)),
             Box::new(DecisionTreeRegressor::new(TreeParams::default())),
             Box::new(RandomForestRegressor::new(ForestParams::default())),
-            Box::new(KnnRegressor::new(3)),
         ];
         for m in &mut models {
             m.fit(&table).expect("fit");

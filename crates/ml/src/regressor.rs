@@ -6,9 +6,9 @@ use crate::MlError;
 /// A trainable regression model mapping a feature vector to a scalar.
 ///
 /// Implemented by [`RidgeRegressor`](crate::RidgeRegressor),
-/// [`DecisionTreeRegressor`](crate::DecisionTreeRegressor),
-/// [`RandomForestRegressor`](crate::RandomForestRegressor), and
-/// [`KnnRegressor`](crate::KnnRegressor). Object-safe so the gray-box
+/// [`DecisionTreeRegressor`](crate::DecisionTreeRegressor), and
+/// [`RandomForestRegressor`](crate::RandomForestRegressor).
+/// Object-safe so the gray-box
 /// estimator can mix learners behind `Box<dyn Regressor>`.
 pub trait Regressor: std::fmt::Debug + Send {
     /// Fits the model on `table`.

@@ -1,8 +1,8 @@
 //! Property-based tests for the regression substrate.
 
 use gnnav_ml::{
-    mse, r2_score, train_test_split, DecisionTreeRegressor, KnnRegressor, Regressor,
-    RidgeRegressor, Table, TreeParams,
+    mse, r2_score, train_test_split, DecisionTreeRegressor, Regressor, RidgeRegressor, Table,
+    TreeParams,
 };
 use proptest::prelude::*;
 
@@ -59,15 +59,6 @@ proptest! {
         let p = m.predict(&[50.0]);
         let expected = slope * 50.0 + intercept;
         prop_assert!((p - expected).abs() < 1e-3 * (1.0 + expected.abs()), "{p} vs {expected}");
-    }
-
-    #[test]
-    fn knn_prediction_is_a_training_target_mean(table in table_strategy()) {
-        let mut m = KnnRegressor::new(1);
-        m.fit(&table).expect("fit");
-        // 1-NN prediction must be one of the training targets.
-        let p = m.predict(&[0.0]);
-        prop_assert!(table.targets().iter().any(|&y| (y - p).abs() < 1e-12));
     }
 
     #[test]

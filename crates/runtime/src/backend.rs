@@ -7,7 +7,9 @@
 //! the NN substrate — while the hardware simulator supplies phase
 //! times and the memory ledger enforces device capacity.
 
+use crate::checkpoint::{DurabilityOptions, SessionCheckpoint};
 use crate::config::TrainingConfig;
+use crate::driver::{drive, EpochLoop};
 use crate::perf::Perf;
 use crate::session::ExecutionSession;
 use crate::RuntimeError;
@@ -233,27 +235,72 @@ impl RuntimeBackend {
         config: &TrainingConfig,
         opts: &ExecutionOptions,
     ) -> Result<ExecutionReport, RuntimeError> {
-        let mut session = ExecutionSession::new(self.platform.clone(), dataset, config, opts)?;
-        for _ in 0..opts.epochs {
-            session.run_epoch()?;
-        }
-        session.finish()
+        drive(&SessionLoop { platform: &self.platform, dataset, config, opts }, opts, None)?
+            .finish()
     }
 
-    /// Opens a resumable [`ExecutionSession`] on this backend's
-    /// platform — the epoch-at-a-time form of
-    /// [`execute`](Self::execute) used by adaptive training.
+    /// [`execute`](Self::execute) with crash-safe durability: the same
+    /// [`drive`] loop, persisting into `dur.dir` (resume, checkpoint
+    /// cadence and the crash/corruption fault kinds are documented
+    /// there). A checkpoint is resumed only if it was written by a run
+    /// of this same `config`. A run killed at any boundary and
+    /// re-invoked with the same arguments finishes with a report
+    /// byte-identical to the uninterrupted run.
     ///
     /// # Errors
     ///
-    /// Same validation errors as [`execute`](Self::execute).
-    pub fn open_session<'d>(
+    /// Everything [`execute`](Self::execute) returns, plus
+    /// [`RuntimeError::Killed`] and [`RuntimeError::Store`].
+    pub fn execute_durable(
         &self,
-        dataset: &'d Dataset,
+        dataset: &Dataset,
         config: &TrainingConfig,
         opts: &ExecutionOptions,
-    ) -> Result<ExecutionSession<'d>, RuntimeError> {
-        ExecutionSession::new(self.platform.clone(), dataset, config, opts)
+        dur: &DurabilityOptions,
+    ) -> Result<ExecutionReport, RuntimeError> {
+        drive(&SessionLoop { platform: &self.platform, dataset, config, opts }, opts, Some(dur))?
+            .finish()
+    }
+}
+
+/// The static run as an [`EpochLoop`]: a bare [`ExecutionSession`]
+/// under one fixed config.
+struct SessionLoop<'a, 'd> {
+    platform: &'a Platform,
+    dataset: &'d Dataset,
+    config: &'a TrainingConfig,
+    opts: &'a ExecutionOptions,
+}
+
+impl<'d> EpochLoop for SessionLoop<'_, 'd> {
+    type Run = ExecutionSession<'d>;
+    type Error = RuntimeError;
+    const LABEL: &'static str = "session";
+
+    fn open(&self) -> Result<Self::Run, RuntimeError> {
+        ExecutionSession::new(self.platform.clone(), self.dataset, self.config, self.opts)
+    }
+
+    fn restore(&self, payload: &[u8]) -> Result<Option<Self::Run>, RuntimeError> {
+        match SessionCheckpoint::decode(payload) {
+            Ok(ckpt) if ckpt.config == *self.config => {
+                ExecutionSession::resume(self.platform.clone(), self.dataset, self.opts, &ckpt)
+                    .map(Some)
+            }
+            _ => Ok(None),
+        }
+    }
+
+    fn epochs_run(run: &Self::Run) -> usize {
+        run.epochs_run()
+    }
+
+    fn step(&self, run: &mut Self::Run) -> Result<(), RuntimeError> {
+        run.run_epoch().map(drop)
+    }
+
+    fn encode(run: &mut Self::Run) -> Vec<u8> {
+        run.checkpoint().encode()
     }
 }
 

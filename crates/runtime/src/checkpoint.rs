@@ -1,7 +1,7 @@
 //! Crash-safe checkpoint/resume for backend executions.
 //!
 //! [`SessionCheckpoint`] captures *everything* an
-//! [`ExecutionSession`] needs to continue a
+//! [`ExecutionSession`](crate::ExecutionSession) needs to continue a
 //! run bit-for-bit: model weights, optimizer slots, every RNG stream
 //! position, the cache's resident set and eviction bookkeeping, the
 //! simulated clock, and all accumulated report state. The determinism
@@ -9,25 +9,21 @@
 //! from its latest checkpoint produces a final `ExecutionReport`
 //! byte-identical to the uninterrupted run.
 //!
-//! [`RuntimeBackend::execute_durable`](crate::RuntimeBackend::execute_durable)
-//! is the driver: it checkpoints every K epochs into a
-//! [`CheckpointDir`], resumes from the newest verifiable checkpoint,
-//! and honors the crash/corruption fault kinds (`ProcessKill`,
+//! [`drive`](crate::driver::drive) is the one function that writes and
+//! reads these payloads: it checkpoints every K epochs into a
+//! [`CheckpointDir`](gnnav_store::CheckpointDir), resumes from the
+//! newest one that verifies and belongs to the run asked for, and
+//! honors the crash/corruption fault kinds (`ProcessKill`,
 //! `TornWrite`, `BitFlip`) so chaos tests can kill and corrupt a run
 //! at every epoch boundary.
 
-use crate::backend::{DegradationStep, ExecutionOptions, ExecutionReport, RecoveryLog};
+use crate::backend::{DegradationStep, RecoveryLog};
 use crate::config::TrainingConfig;
 use crate::perf::PhaseBreakdown;
-use crate::session::ExecutionSession;
-use crate::{RuntimeBackend, RuntimeError};
 use gnnav_cache::{CachePolicy, CacheSnapshot, CacheStats};
-use gnnav_faults::{FaultInjector, FaultKind};
-use gnnav_graph::Dataset;
 use gnnav_hwsim::{Precision, SimTime};
 use gnnav_nn::{AdamState, ModelKind};
-use gnnav_obs::names as metric;
-use gnnav_store::{ByteReader, ByteWriter, CheckpointDir, StoreError, Wal};
+use gnnav_store::{ByteReader, ByteWriter, StoreError};
 use std::path::PathBuf;
 
 /// Leading payload byte of a static-session checkpoint, so a resume
@@ -40,7 +36,7 @@ pub const SESSION_PAYLOAD_TAG: u8 = 1;
 /// when no checkpoint does.
 pub const LINEAGE_WAL: &str = "lineage.wal";
 
-/// Where and how often [`RuntimeBackend::execute_durable`] persists.
+/// Where and how often a [driven](crate::driver::drive) run persists.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DurabilityOptions {
     /// Directory holding checkpoints and the lineage log.
@@ -444,130 +440,6 @@ impl SessionCheckpoint {
     }
 }
 
-impl RuntimeBackend {
-    /// Reopens a session from a checkpoint taken on this platform,
-    /// ready to run its next epoch.
-    ///
-    /// # Errors
-    ///
-    /// The same validation errors as
-    /// [`open_session`](Self::open_session), plus
-    /// [`RuntimeError::InvalidConfig`] when the checkpoint does not
-    /// fit the dataset (wrong parameter count, out-of-range cache
-    /// nodes).
-    pub fn resume_session<'d>(
-        &self,
-        dataset: &'d Dataset,
-        opts: &ExecutionOptions,
-        ckpt: &SessionCheckpoint,
-    ) -> Result<ExecutionSession<'d>, RuntimeError> {
-        ExecutionSession::resume(self.platform().clone(), dataset, opts, ckpt)
-    }
-
-    /// Executes training with crash-safe durability: resume from the
-    /// newest verifiable checkpoint in `dur.dir` (when `dur.resume`),
-    /// checkpoint after every `dur.every` completed epochs, and honor
-    /// the crash/corruption fault kinds in `opts.fault_plan`:
-    ///
-    /// - `ProcessKill` at epoch-boundary site `e` (attempt = the
-    ///   lineage's persisted kill count) aborts the run with
-    ///   [`RuntimeError::Killed`] before epoch `e` runs.
-    /// - `TornWrite` / `BitFlip` at site `e` corrupt the checkpoint
-    ///   file written after epoch `e`, exercising the resume
-    ///   fallback chain.
-    ///
-    /// A run killed at any boundary and re-invoked with the same
-    /// arguments finishes with a report byte-identical to the
-    /// uninterrupted run.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`execute`](Self::execute) returns, plus
-    /// [`RuntimeError::Killed`] and [`RuntimeError::Store`].
-    pub fn execute_durable(
-        &self,
-        dataset: &Dataset,
-        config: &TrainingConfig,
-        opts: &ExecutionOptions,
-        dur: &DurabilityOptions,
-    ) -> Result<ExecutionReport, RuntimeError> {
-        let ckpts = CheckpointDir::create(&dur.dir, "session")?;
-        let mut lineage = Wal::open(dur.dir.join(LINEAGE_WAL))?;
-        let kill_attempt = lineage.len() as u32;
-        let every = dur.every.max(1);
-
-        let mut session = None;
-        if dur.resume {
-            if let Some((_, payload)) = ckpts.load_latest()? {
-                match SessionCheckpoint::decode(&payload) {
-                    Ok(ckpt) => session = Some(self.resume_session(dataset, opts, &ckpt)?),
-                    Err(_) => {
-                        // CRC-valid but undecodable (foreign tag or
-                        // incompatible shape): reject like any other
-                        // damaged checkpoint and cold-start.
-                        let metrics = gnnav_obs::global();
-                        if metrics.is_enabled() {
-                            metrics.add(metric::STORE_CHECKPOINT_REJECTED, 1);
-                        }
-                    }
-                }
-            }
-        }
-        let mut session = match session {
-            Some(s) => s,
-            None => self.open_session(dataset, config, opts)?,
-        };
-
-        let kill_injector =
-            opts.fault_plan.as_ref().filter(|p| !p.is_empty()).map(FaultInjector::new);
-        while session.epochs_run() < opts.epochs {
-            let epoch = session.epochs_run();
-            if let Some(inj) = &kill_injector {
-                if inj.inject(FaultKind::ProcessKill, epoch as u64, kill_attempt, None).is_some() {
-                    // Record the kill in the lineage log so the next
-                    // life sees attempt+1, then "die".
-                    lineage.append(&(epoch as u64).to_le_bytes())?;
-                    let metrics = gnnav_obs::global();
-                    let journal = metrics.journal();
-                    if journal.is_enabled() {
-                        journal.instant(
-                            metric::EVENT_KILL,
-                            metric::TRACK_STORE,
-                            None,
-                            vec![
-                                ("epoch".into(), epoch.into()),
-                                ("attempt".into(), (kill_attempt as u64).into()),
-                            ],
-                        );
-                    }
-                    return Err(RuntimeError::Killed { epoch });
-                }
-            }
-            session.run_epoch()?;
-            let done = session.epochs_run();
-            if done % every == 0 && done < opts.epochs {
-                let ckpt = session.checkpoint();
-                ckpts.write(done, &ckpt.encode())?;
-                let metrics = gnnav_obs::global();
-                if metrics.is_enabled() {
-                    metrics.gauge_set(metric::STORE_CHECKPOINT_BYTES, ckpt.encode().len() as f64);
-                }
-                if let Some(inj) = &kill_injector {
-                    let site = (done - 1) as u64;
-                    let path = ckpts.path_for(done);
-                    if let Some(m) = inj.inject(FaultKind::TornWrite, site, 0, None) {
-                        gnnav_store::corrupt::torn_write(&path, m.max(1.0) as u64)?;
-                    }
-                    if let Some(m) = inj.inject(FaultKind::BitFlip, site, 0, None) {
-                        gnnav_store::corrupt::bit_flip(&path, m.max(0.0) as u64, 3)?;
-                    }
-                }
-            }
-        }
-        session.finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -666,6 +538,14 @@ mod tests {
     }
 
     #[test]
+    fn payload_bytes_are_pinned() {
+        // The length alone is pinned by `bench.checkpoint.bytes_per_write`;
+        // this pins every byte of the tag-1 layout.
+        let bytes = sample_checkpoint().encode();
+        assert_eq!((bytes.len(), gnnav_store::crc32(&bytes)), (657, 0xbf2a_ad72));
+    }
+
+    #[test]
     fn durability_options_clamp_every() {
         let d = DurabilityOptions::new("/tmp/x", 0);
         assert_eq!(d.every, 1);
@@ -673,7 +553,8 @@ mod tests {
 
     #[test]
     fn checkpoint_resume_midrun_is_byte_identical() {
-        use gnnav_graph::DatasetId;
+        use crate::{ExecutionOptions, ExecutionSession, RuntimeBackend};
+        use gnnav_graph::{Dataset, DatasetId};
         use gnnav_hwsim::Platform;
 
         let dataset = Dataset::load_scaled(DatasetId::Reddit2, 0.01).expect("load");
@@ -684,18 +565,21 @@ mod tests {
             ..TrainingConfig::default()
         };
         let opts = ExecutionOptions { epochs: 3, ..Default::default() };
-        let backend = RuntimeBackend::new(Platform::default_rtx4090());
+        let platform = Platform::default_rtx4090();
+        let backend = RuntimeBackend::new(platform.clone());
 
         let straight = backend.execute(&dataset, &config, &opts).expect("straight");
 
-        let mut first = backend.open_session(&dataset, &config, &opts).expect("open");
+        let mut first =
+            ExecutionSession::new(platform.clone(), &dataset, &config, &opts).expect("open");
         first.run_epoch().expect("epoch 0");
         let ckpt = first.checkpoint();
         drop(first);
         // The checkpoint survives a full encode/decode round trip
         // before resuming — the same path a real crash takes.
         let ckpt = SessionCheckpoint::decode(&ckpt.encode()).expect("decode");
-        let mut resumed = backend.resume_session(&dataset, &opts, &ckpt).expect("resume");
+        let mut resumed =
+            ExecutionSession::resume(platform, &dataset, &opts, &ckpt).expect("resume");
         while resumed.epochs_run() < opts.epochs {
             resumed.run_epoch().expect("epoch");
         }

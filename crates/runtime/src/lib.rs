@@ -17,6 +17,7 @@
 pub mod backend;
 pub mod checkpoint;
 pub mod config;
+pub mod driver;
 pub mod perf;
 pub mod report;
 pub mod session;
@@ -28,6 +29,7 @@ pub use backend::{
 };
 pub use checkpoint::{DurabilityOptions, SessionCheckpoint};
 pub use config::{SamplerKind, TrainingConfig};
+pub use driver::{drive, EpochLoop};
 pub use perf::{Perf, PhaseBreakdown};
 pub use report::{write_perf_csv, write_perf_jsonl, PERF_CSV_HEADER};
 pub use session::{EpochStats, ExecutionSession};

@@ -6,10 +6,12 @@
 //! epoch at a time, observe per-epoch statistics ([`EpochStats`]), and
 //! — between epochs — switch to a different [`TrainingConfig`] without
 //! losing the model weights ([`ExecutionSession::switch_config`]).
-//! `execute` itself is a thin wrapper (`new` → N × `run_epoch` →
-//! `finish`), so a session driven straight through produces a report
-//! byte-identical to the one-shot path. The adaptive layer
-//! (`gnnav-adapt`) builds its drift-reexplore-switch loop on this API.
+//! `execute` itself is [`drive`](crate::driver::drive) over a bare
+//! session (`new` → N × `run_epoch` → `finish`), so a session driven
+//! straight through produces a report byte-identical to the one-shot
+//! path. The adaptive layer (`gnnav-adapt`) builds its
+//! drift-reexplore-switch loop on this API and runs it through the
+//! same driver.
 
 use crate::backend::{
     DegradationStep, ExecutionOptions, ExecutionReport, RecoveryLog, LINK_STALL_FACTOR,
@@ -291,6 +293,17 @@ impl<'d> ExecutionSession<'d> {
         SimTime::from_millis(self.opts.recovery.backoff_base_ms * (1u64 << attempt.min(20)) as f64)
     }
 
+    /// Charges one bounded retry — the backoff pause for `attempt`
+    /// goes on the simulated clock and into the recovery log — and
+    /// returns the next attempt number.
+    fn charge_retry(&mut self, attempt: u32) -> u32 {
+        let pause = self.backoff(attempt);
+        self.epoch_time_total += pause;
+        self.recovery.recovery_sim += pause;
+        self.recovery.retries += 1;
+        attempt + 1
+    }
+
     /// Queries (and records) the fault schedule at the current
     /// simulated time.
     fn inject_fault(&mut self, kind: FaultKind, site: u64, attempt: u32) -> Option<f64> {
@@ -558,11 +571,7 @@ impl<'d> ExecutionSession<'d> {
                             last_error: "injected sampler failure".into(),
                         });
                     }
-                    let pause = self.backoff(attempt);
-                    self.epoch_time_total += pause;
-                    self.recovery.recovery_sim += pause;
-                    self.recovery.retries += 1;
-                    attempt += 1;
+                    attempt = self.charge_retry(attempt);
                 };
                 let t_sample = self.cost.t_sample(mb.expansion(), mb.num_edges());
 
@@ -587,11 +596,7 @@ impl<'d> ExecutionSession<'d> {
                                     ),
                                 });
                             }
-                            let pause = self.backoff(attempt);
-                            self.epoch_time_total += pause;
-                            self.recovery.recovery_sim += pause;
-                            self.recovery.retries += 1;
-                            attempt += 1;
+                            attempt = self.charge_retry(attempt);
                         }
                         Some(factor) => {
                             t_transfer = t_transfer * factor.max(1.0);
@@ -638,11 +643,7 @@ impl<'d> ExecutionSession<'d> {
                     match self.ledger.begin_batch(requested) {
                         Ok(()) => break None,
                         Err(_) if attempt < self.opts.recovery.max_retries => {
-                            let pause = self.backoff(attempt);
-                            self.epoch_time_total += pause;
-                            self.recovery.recovery_sim += pause;
-                            self.recovery.retries += 1;
-                            attempt += 1;
+                            attempt = self.charge_retry(attempt);
                         }
                         Err(e) => break Some(e),
                     }

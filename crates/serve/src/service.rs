@@ -29,15 +29,13 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use gnnav_estimator::{
-    fingerprint_of, profile_fingerprint, GrayBoxEstimator, ProfileDb, ProfileStore, Profiler,
-};
+use gnnav_estimator::{GrayBoxEstimator, ProfileDb, ProfileStore, Profiler};
 use gnnav_explorer::{explore_fingerprint, ExplorationResult, ExploreCache, Explorer};
 use gnnav_graph::Dataset;
 use gnnav_hwsim::Platform;
 use gnnav_nn::ModelKind;
 use gnnav_obs::names as metric;
-use gnnav_runtime::{DesignSpace, ExecutionOptions, RuntimeBackend, TrainingConfig};
+use gnnav_runtime::{DesignSpace, ExecutionOptions, RuntimeBackend};
 use gnnav_store::{fnv1a64, ByteWriter, StoreError};
 
 use crate::pool::{platform_fingerprint, EstimatorPool};
@@ -364,45 +362,6 @@ impl NavService {
         )
     }
 
-    /// Profiles `configs` on `dataset`, reading covered records from
-    /// the shared store and appending fresh ones (mirrors the
-    /// single-tenant `Navigator`'s store-aware sweep).
-    fn profile_via_store(
-        profiler: &Profiler,
-        platform: &Platform,
-        store: Option<&mut ProfileStore>,
-        dataset: &Dataset,
-        configs: &[TrainingConfig],
-    ) -> Result<ProfileDb, ServeError> {
-        let Some(store) = store else {
-            return Ok(profiler.profile(dataset, configs)?);
-        };
-        let fps: Vec<u64> =
-            configs.iter().map(|c| profile_fingerprint(dataset, platform, c)).collect();
-        let uncovered: Vec<usize> =
-            (0..configs.len()).filter(|&i| !store.contains(fps[i])).collect();
-        let mut fresh: HashMap<u64, gnnav_estimator::ProfileRecord> = HashMap::new();
-        if !uncovered.is_empty() {
-            let cfgs: Vec<TrainingConfig> = uncovered.iter().map(|&i| configs[i].clone()).collect();
-            let db = profiler.profile(dataset, &cfgs)?;
-            for rec in db.records() {
-                store.insert(rec)?;
-                fresh.insert(fingerprint_of(rec.dataset_id, &rec.context), rec.clone());
-            }
-        }
-        let mut db = ProfileDb::new();
-        for fp in &fps {
-            if let Some(r) = fresh.get(fp) {
-                db.push(r.clone());
-            } else if let Some(r) = store.get(*fp) {
-                db.push(r.clone());
-            }
-            // Neither stored nor freshly profiled: the config failed
-            // to execute — skipped exactly like a cold sweep skips it.
-        }
-        Ok(db)
-    }
-
     /// Calibrates a fresh gray-box fit for `platform`: a fixed,
     /// seeded synthetic sweep (the same graphs for every tenant of
     /// the platform), profiled through the shared store when one is
@@ -438,16 +397,7 @@ impl NavService {
             for (m, model) in ModelKind::ALL.iter().enumerate() {
                 let configs =
                     space.sample(per_model, *model, options.seed ^ ((g as u64) << 8) ^ m as u64);
-                let sub = Self::profile_via_store(
-                    &profiler,
-                    platform,
-                    store.as_deref_mut(),
-                    &dataset,
-                    &configs,
-                )?;
-                for rec in sub.records() {
-                    db.push(rec.clone());
-                }
+                db.merge(profiler.profile_through(store.as_deref_mut(), &dataset, &configs)?);
             }
         }
         let mut est = GrayBoxEstimator::new();

@@ -175,20 +175,36 @@ impl CheckpointDir {
         write_checkpoint(&self.path_for(epoch), payload)
     }
 
-    /// Loads the newest checkpoint that verifies, walking backwards
-    /// over damaged ones (each rejection is metered). Returns
-    /// `Ok(None)` when no checkpoint survives.
+    /// Restores from the newest checkpoint that verifies *and* that
+    /// `accept` recognises, walking backwards over the rest. `accept`
+    /// sees each CRC-valid payload, newest first, and returns the
+    /// restored run, or `Ok(None)` for "not mine" — a payload it cannot
+    /// decode or that belongs to a different run. Both a damaged file
+    /// and a declined one are metered as `store.checkpoint.rejected`.
+    /// Returns `Ok(None)` when no checkpoint is accepted.
     ///
     /// # Errors
     ///
-    /// Propagates directory-read and file-read I/O failures; damaged
-    /// checkpoints are skipped, not errors.
-    pub fn load_latest(&self) -> Result<Option<(usize, Vec<u8>)>, StoreError> {
+    /// Propagates directory-read and file-read I/O failures and any
+    /// error `accept` returns; damaged and declined checkpoints are
+    /// skipped, not errors.
+    pub fn load_latest<T, E: From<StoreError>>(
+        &self,
+        mut accept: impl FnMut(&[u8]) -> Result<Option<T>, E>,
+    ) -> Result<Option<(usize, T)>, E> {
         for epoch in self.epochs()?.into_iter().rev() {
             match read_checkpoint(&self.path_for(epoch)) {
-                Ok(payload) => return Ok(Some((epoch, payload))),
+                Ok(payload) => {
+                    if let Some(run) = accept(&payload)? {
+                        return Ok(Some((epoch, run)));
+                    }
+                    let metrics = gnnav_obs::global();
+                    if metrics.is_enabled() {
+                        metrics.add(metric::STORE_CHECKPOINT_REJECTED, 1);
+                    }
+                }
                 Err(StoreError::Io { path, source }) => {
-                    return Err(StoreError::Io { path, source })
+                    return Err(StoreError::Io { path, source }.into())
                 }
                 // Damaged (torn, flipped, foreign, wrong version):
                 // fall back to the next-older checkpoint.
@@ -203,6 +219,11 @@ impl CheckpointDir {
 mod tests {
     use super::*;
 
+    /// Accepts every payload as it is.
+    fn any(payload: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
+        Ok(Some(payload.to_vec()))
+    }
+
     fn tmpdir(tag: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("gnnav-store-ckpt-{tag}-{}", std::process::id()));
@@ -215,7 +236,7 @@ mod tests {
         let dir = tmpdir("rt");
         let cd = CheckpointDir::create(&dir, "train").expect("create");
         cd.write(3, b"payload").expect("write");
-        let (epoch, payload) = cd.load_latest().expect("load").expect("some");
+        let (epoch, payload) = cd.load_latest(any).expect("load").expect("some");
         assert_eq!(epoch, 3);
         assert_eq!(payload, b"payload");
     }
@@ -232,7 +253,7 @@ mod tests {
         let off = CHECKPOINT_HEADER_LEN + 1;
         bytes[off] ^= 0x40;
         std::fs::write(&p, &bytes).expect("write corrupted");
-        let (epoch, payload) = cd.load_latest().expect("load").expect("some");
+        let (epoch, payload) = cd.load_latest(any).expect("load").expect("some");
         assert_eq!(epoch, 1, "damaged newest falls back to older");
         assert_eq!(payload, b"old");
     }
@@ -249,14 +270,37 @@ mod tests {
         drop(f);
         let err = read_checkpoint(&p).expect_err("torn");
         assert!(matches!(err, StoreError::ChecksumMismatch { .. }));
-        assert!(cd.load_latest().expect("load").is_none());
+        assert!(cd.load_latest(any).expect("load").is_none());
+    }
+
+    #[test]
+    fn declined_payloads_are_walked_past() {
+        let dir = tmpdir("declined");
+        let cd = CheckpointDir::create(&dir, "train").expect("create");
+        cd.write(1, b"mine").expect("write");
+        cd.write(2, b"theirs").expect("write");
+        cd.write(3, b"garbage").expect("write");
+        let mut seen = Vec::new();
+        let got = cd
+            .load_latest(|p| {
+                seen.push(p.to_vec());
+                Ok::<_, StoreError>((p == b"mine").then_some(p.len()))
+            })
+            .expect("load");
+        assert_eq!(got, Some((1, 4)), "newest accepted checkpoint wins");
+        assert_eq!(seen, [b"garbage".to_vec(), b"theirs".to_vec(), b"mine".to_vec()]);
+        // Declining everything is a cold start, not an error.
+        assert!(cd.load_latest(|_| Ok::<Option<()>, StoreError>(None)).expect("load").is_none());
+        // An error from `accept` stops the walk and is returned.
+        let err = cd.load_latest(|_| Err::<Option<()>, _>(StoreError::decode("no fit")));
+        assert!(err.expect_err("propagated").to_string().contains("no fit"));
     }
 
     #[test]
     fn empty_dir_is_none() {
         let dir = tmpdir("empty");
         let cd = CheckpointDir::create(&dir, "train").expect("create");
-        assert!(cd.load_latest().expect("load").is_none());
+        assert!(cd.load_latest(any).expect("load").is_none());
     }
 
     #[test]

@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("profiled {} -> {} records total", id, db.len());
     }
     let aug_configs = DesignSpace::standard().sample(15, ModelKind::Sage, 99);
-    db.merge(profiler.profile_augmentation(2, 2000, &aug_configs, 7)?);
+    db.merge(profiler.profile_augmentation(None, 2, 2000, &aug_configs, 7)?);
     println!("augmented -> {} records total", db.len());
 
     // Leave-one-dataset-out validation (paper Tab. 2).

@@ -10,7 +10,7 @@
 //! field is `SwitchPlan::reexplore_wall_ms`, which is wall-clock and
 //! advisory by contract.
 
-use gnnavigator::adapt::{AdaptError, AdaptOptions, AdaptiveReport, AdaptiveRunner};
+use gnnavigator::adapt::{AdaptError, AdaptOptions, AdaptiveReport, AdaptiveRunner, DriftConfig};
 use gnnavigator::estimator::{Context, GrayBoxEstimator, ProfileDb, ProfileStore, Profiler};
 use gnnavigator::explorer::{DfsStats, ExplorationResult};
 use gnnavigator::faults::{FaultKind, FaultPlan, FaultSpec};
@@ -20,7 +20,7 @@ use gnnavigator::nn::ModelKind;
 use gnnavigator::runtime::{
     DesignSpace, DurabilityOptions, ExecutionOptions, RuntimeBackend, RuntimeError, TrainingConfig,
 };
-use gnnavigator::store::corrupt;
+use gnnavigator::store::{corrupt, read_checkpoint, write_checkpoint};
 use gnnavigator::{Guideline, Navigator, NavigatorOptions, Priority, RuntimeConstraints};
 use proptest::prelude::*;
 
@@ -131,6 +131,50 @@ fn corrupted_checkpoints_fall_back_and_stay_identical() {
             format!("{resumed:?}"),
             format!("{straight:?}"),
             "kill at boundary {k} with all checkpoints corrupted must still resume clean"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[test]
+fn resume_walks_past_checkpoints_that_are_not_this_runs() {
+    // A checkpoint directory may hold a newer file that is not this
+    // run's: another config's leftover, or a CRC-valid payload that
+    // does not decode. Neither may be resumed from, and neither may
+    // hide the run's own older checkpoint.
+    let ds = dataset();
+    let (a, b) = (config(), TrainingConfig { batch_size: 32, ..config() });
+    let epochs = 4;
+    let backend = RuntimeBackend::new(platform());
+    let straight = backend.execute(&ds, &b, &exec_opts(epochs, None)).expect("uninterrupted B");
+
+    // Run A to completion, then B on the same directory: B's report.
+    let a_dir = tmp_dir("a-then-b");
+    let a_dur = DurabilityOptions::new(&a_dir, 1);
+    backend.execute_durable(&ds, &a, &exec_opts(epochs, None), &a_dur).expect("run A");
+    let foreign = read_checkpoint(&a_dir.join("session-000003.ckpt")).expect("A's last file");
+    let b_over_a =
+        backend.execute_durable(&ds, &b, &exec_opts(epochs, None), &a_dur).expect("B over A");
+    assert_eq!(format!("{b_over_a:?}"), format!("{straight:?}"), "B must not resume A's run");
+    std::fs::remove_dir_all(&a_dir).ok();
+
+    for (tag, leftover) in [("foreign", foreign), ("undecodable", b"\x01 not a session".to_vec())] {
+        let dir = tmp_dir(&format!("leftover-{tag}"));
+        write_checkpoint(&dir.join("session-000003.ckpt"), &leftover).expect("plant leftover");
+        let opts = exec_opts(epochs, Some(kill_at(0xB0B, 2, &[])));
+        let dur = DurabilityOptions::new(&dir, 1);
+        // The first life cold-starts under the leftover and leaves its
+        // own epoch-1 and epoch-2 files. Dropping the older one makes
+        // the resume point observable: only a second life that does
+        // not resume from epoch 2 would write it again.
+        let first = backend.execute_durable(&ds, &b, &opts, &dur).expect_err("first life");
+        assert!(matches!(first, RuntimeError::Killed { epoch: 2 }), "{tag}: {first:?}");
+        std::fs::remove_file(dir.join("session-000001.ckpt")).expect("B's epoch-1 file");
+        let resumed = backend.execute_durable(&ds, &b, &opts, &dur).expect("second life");
+        assert_eq!(format!("{resumed:?}"), format!("{straight:?}"), "{tag}");
+        assert!(
+            !dir.join("session-000001.ckpt").exists(),
+            "{tag}: the second life must resume from B's own epoch-2 checkpoint"
         );
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -282,6 +326,51 @@ fn adaptive_kill_at_every_boundary_resumes_identically() {
         );
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+#[test]
+fn four_instantiations_of_the_one_loop_agree() {
+    // {session, adaptive without drift} x {ephemeral, durable without
+    // kills}: one epoch loop, so one report.
+    let ds = dataset();
+    let cfg = config();
+    let opts = exec_opts(3, None);
+    let (db, estimator) = profile_and_fit(&ds, &cfg);
+    let exploration = exploration_for(&ds, &estimator, cfg.clone());
+    let backend = RuntimeBackend::new(platform());
+    let never = DriftConfig { threshold: f64::MAX, ..DriftConfig::default() };
+    let runner =
+        AdaptiveRunner::new(platform(), AdaptOptions { drift: never, ..Default::default() });
+    let none = RuntimeConstraints::none();
+    let dir = tmp_dir("four-ways");
+    let dur = DurabilityOptions::new(&dir, 1);
+
+    let adaptive = |outcome: AdaptiveReport| {
+        assert!(outcome.switches.is_empty() && outcome.audit.is_empty());
+        outcome.report
+    };
+    let reports = [
+        backend.execute(&ds, &cfg, &opts).expect("session"),
+        backend.execute_durable(&ds, &cfg, &opts, &dur).expect("durable session"),
+        adaptive(runner.run(&ds, &exploration, &db, &opts, &none).expect("adaptive")),
+        adaptive(
+            runner
+                .run_durable(&ds, &exploration, &db, &opts, &none, &dur)
+                .expect("durable adaptive"),
+        ),
+    ];
+    for report in &reports[1..] {
+        assert_eq!(format!("{report:?}"), format!("{:?}", reports[0]));
+    }
+
+    // The directory now holds this guideline's adaptive checkpoints; an
+    // adaptive run of another guideline must not resume from them.
+    let other = TrainingConfig { batch_size: 32, ..cfg };
+    let expected = backend.execute(&ds, &other, &opts).expect("other, static");
+    let exploration = exploration_for(&ds, &estimator, other);
+    let over = runner.run_durable(&ds, &exploration, &db, &opts, &none, &dur).expect("other");
+    assert_eq!(format!("{:?}", over.report), format!("{expected:?}"));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 // ------------------------------------------------------- profile store
