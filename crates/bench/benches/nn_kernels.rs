@@ -115,10 +115,26 @@ fn bench_forward_only(c: &mut Criterion) {
     group.finish();
 }
 
+/// The two activation-mask passes at the height and width of a hidden
+/// layer over a benchmark batch; about half the entries are active.
+fn bench_relu_masks(c: &mut Criterion) {
+    let mut group = c.benchmark_group("relu_masks");
+    group.sample_size(20);
+    let mut x = glorot_uniform(2048, 256, 10);
+    let mut mask = Vec::new();
+    group.bench_function("relu_forward/2048x256", |b| b.iter(|| x.relu_inplace_with(&mut mask)));
+    let mut grad = glorot_uniform(2048, 256, 11);
+    group.bench_function("relu_backward/2048x256", |b| {
+        b.iter(|| grad.relu_backward_inplace(&mask));
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     assert_matmul_throughput_floor,
     bench_matmul,
+    bench_relu_masks,
     bench_train_step_per_model,
     bench_thread_sweep,
     bench_forward_only

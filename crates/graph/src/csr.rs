@@ -12,7 +12,8 @@ pub type NodeId = u32;
 /// An immutable directed graph in CSR form.
 ///
 /// Neighbor lists are sorted ascending, which makes `has_edge` a binary
-/// search and keeps subgraph induction deterministic. Use
+/// search; [`Graph::induced_subgraph`] produces its rows in that order
+/// directly, through the cached in-edge view. Use
 /// [`GraphBuilder`](crate::GraphBuilder) to construct one from an edge
 /// list, or [`Graph::from_csr`] if you already hold validated CSR
 /// arrays.
@@ -293,6 +294,11 @@ impl Graph {
     /// Edges whose endpoint is outside `nodes` are dropped. Duplicate
     /// entries in `nodes` are rejected.
     ///
+    /// Rows are produced already sorted: they are filled by walking the
+    /// new ids in ascending order over their in-edges, which builds
+    /// (and caches) this graph's [`Graph::transpose_csr`] on first use
+    /// — once per parent graph, shared by every batch induced from it.
+    ///
     /// # Errors
     ///
     /// Returns [`GraphError::NodeOutOfRange`] if any entry of `nodes`
@@ -311,21 +317,27 @@ impl Graph {
             }
             local[v as usize] = i as NodeId;
         }
+        // Row lengths come from the forward lists; the rows are then
+        // filled through the in-edges, new ids ascending: row
+        // `local[s]` receives `j` for every kept edge `s -> nodes[j]`,
+        // so each row is written in ascending order and needs no sort.
+        let local_of = |u: NodeId| Some(local[u as usize]).filter(|&l| l != NodeId::MAX);
         let mut offsets = Vec::with_capacity(nodes.len() + 1);
-        let mut targets = Vec::new();
         offsets.push(0);
-        let mut row: Vec<NodeId> = Vec::new();
+        let mut total = 0;
         for &v in nodes {
-            row.clear();
-            for &u in self.neighbors(v) {
-                let lu = local[u as usize];
-                if lu != NodeId::MAX {
-                    row.push(lu);
-                }
+            total += self.neighbors(v).iter().filter(|&&u| local_of(u).is_some()).count();
+            offsets.push(total);
+        }
+        let mut cursor = offsets[..nodes.len()].to_vec();
+        let mut targets = vec![0 as NodeId; total];
+        let transpose = self.transpose_csr();
+        for (j, &v) in nodes.iter().enumerate() {
+            for row in transpose.in_sources(v).iter().filter_map(|&s| local_of(s)) {
+                let slot = &mut cursor[row as usize];
+                targets[*slot] = j as NodeId;
+                *slot += 1;
             }
-            row.sort_unstable();
-            targets.extend_from_slice(&row);
-            offsets.push(targets.len());
         }
         let g = Graph { num_nodes: nodes.len(), offsets, targets, caches: KernelCache::default() };
         Ok((g, nodes.to_vec()))
@@ -472,6 +484,26 @@ mod tests {
         let g = path3();
         assert!(matches!(g.induced_subgraph(&[0, 0]), Err(GraphError::InvalidParameter(_))));
         assert!(matches!(g.induced_subgraph(&[9]), Err(GraphError::NodeOutOfRange { .. })));
+    }
+
+    #[test]
+    fn induced_subgraph_edge_cases() {
+        // Directed: 0 -> {0, 1, 2}, 1 -> 2, 2 -> 0, 3 -> 1; node 0
+        // carries a self-loop.
+        let g = Graph::from_csr(4, vec![0, 3, 4, 5, 6], vec![0, 1, 2, 2, 0, 1]).expect("valid");
+        let (none, map) = g.induced_subgraph(&[]).expect("induce");
+        assert_eq!((none.num_nodes(), none.num_edges(), map.len()), (0, 0, 0));
+        assert_eq!(none.offsets(), &[0]);
+        // Every node in its own order is the graph itself.
+        let (all, _) = g.induced_subgraph(&[0, 1, 2, 3]).expect("induce");
+        assert_eq!(all, g);
+        // Reversed: local 3 = node 0 keeps its loop, rows stay sorted.
+        let (rev, _) = g.induced_subgraph(&[3, 2, 1, 0]).expect("induce");
+        assert_eq!(rev.offsets(), &[0, 1, 2, 3, 6]);
+        assert_eq!(rev.targets(), &[2, 3, 1, 1, 2, 3]);
+        // The loop survives alone; a one-way edge is kept one way.
+        let (pair, _) = g.induced_subgraph(&[1, 0]).expect("induce");
+        assert_eq!((pair.neighbors(0), pair.neighbors(1)), (&[][..], &[0, 1][..]));
     }
 
     #[test]

@@ -11,6 +11,22 @@ fn edges(max_nodes: usize, max_edges: usize) -> impl Strategy<Value = (usize, Ve
     })
 }
 
+/// The induction `Graph::induced_subgraph` replaced: scan each node's
+/// forward list, keep the neighbours inside the set, sort the row.
+/// `from_csr` then validates what the production path only promises.
+fn induce_by_scan_and_sort(g: &Graph, nodes: &[NodeId]) -> Graph {
+    let local = |u: NodeId| nodes.iter().position(|&v| v == u).map(|i| i as NodeId);
+    let mut offsets = vec![0];
+    let mut targets = Vec::new();
+    for &v in nodes {
+        let mut row: Vec<NodeId> = g.neighbors(v).iter().filter_map(|&u| local(u)).collect();
+        row.sort_unstable();
+        targets.extend(row);
+        offsets.push(targets.len());
+    }
+    Graph::from_csr(nodes.len(), offsets, targets).expect("sorted rows, ids in range")
+}
+
 proptest! {
     #[test]
     fn builder_output_is_valid_csr((n, list) in edges(64, 256)) {
@@ -74,6 +90,25 @@ proptest! {
             .filter(|&(u, v)| in_set(u) && in_set(v))
             .count();
         prop_assert_eq!(sub.num_edges(), internal);
+    }
+
+    #[test]
+    fn induced_subgraph_matches_scan_and_sort(
+        (n, list) in edges(40, 200),
+        keys in proptest::collection::vec(any::<u32>(), 40),
+        share in 0usize..=100,
+    ) {
+        // Directed, self-loops kept; an arbitrary subset of the nodes
+        // in an arbitrary order.
+        let mut b = GraphBuilder::new(n);
+        b.keep_self_loops().add_edges(list);
+        let g = b.build().expect("build");
+        let mut nodes: Vec<NodeId> = (0..n as u32).collect();
+        nodes.sort_by_key(|&v| keys[v as usize]);
+        nodes.truncate((n * share).div_ceil(100));
+        let (sub, map) = g.induced_subgraph(&nodes).expect("induce");
+        prop_assert_eq!(&map, &nodes);
+        prop_assert_eq!(sub, induce_by_scan_and_sort(&g, &nodes));
     }
 
     #[test]

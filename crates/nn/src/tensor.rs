@@ -7,7 +7,9 @@
 //! registers across the whole reduction and is stored once, and each
 //! body is compiled twice from one source — for the target's baseline
 //! and, on x86-64, for AVX2 — with the CPU picking at run time
-//! (throughput is gated by `gnnav-bench`'s `nn_kernels` bench).
+//! (throughput is gated by `gnnav-bench`'s `nn_kernels` bench). The
+//! ReLU passes are branch-free selects over pre-sized buffers
+//! (`x = if mask { x } else { 0.0 }`), the form the compiler vectorises.
 //!
 //! # Parallelism and determinism
 //!
@@ -507,29 +509,20 @@ impl Matrix {
         }
     }
 
-    /// ReLU forward in place; returns the activation mask for backward.
-    pub fn relu_inplace(&mut self) -> Vec<bool> {
-        let mut mask = Vec::new();
-        self.relu_inplace_with(&mut mask);
-        mask
-    }
-
     /// ReLU forward in place, writing the activation mask into `mask`
-    /// (cleared first). Reuses `mask`'s capacity so the training hot
-    /// path does not allocate.
+    /// (resized to the element count). Reuses `mask`'s capacity so the
+    /// training hot path does not allocate. Anything that is not
+    /// `> 0` — negatives, `-0.0`, NaN — becomes `+0.0`.
     pub fn relu_inplace_with(&mut self, mask: &mut Vec<bool>) {
-        mask.clear();
-        mask.reserve(self.data.len());
-        for x in &mut self.data {
-            let active = *x > 0.0;
-            mask.push(active);
-            if !active {
-                *x = 0.0;
-            }
+        mask.resize(self.data.len(), false);
+        for (x, m) in self.data.iter_mut().zip(mask.iter_mut()) {
+            *m = *x > 0.0;
+            *x = if *m { *x } else { 0.0 };
         }
     }
 
-    /// ReLU backward: zeroes gradient entries where `mask` is false.
+    /// ReLU backward: zeroes gradient entries (NaN included) where
+    /// `mask` is false.
     ///
     /// # Panics
     ///
@@ -537,9 +530,7 @@ impl Matrix {
     pub fn relu_backward_inplace(&mut self, mask: &[bool]) {
         assert_eq!(mask.len(), self.data.len(), "mask length mismatch");
         for (x, &m) in self.data.iter_mut().zip(mask) {
-            if !m {
-                *x = 0.0;
-            }
+            *x = if m { *x } else { 0.0 };
         }
     }
 
@@ -642,7 +633,8 @@ mod tests {
     #[test]
     fn relu_roundtrip() {
         let mut m = Matrix::from_rows(&[&[-1.0, 2.0], &[0.0, -3.0]]);
-        let mask = m.relu_inplace();
+        let mut mask = Vec::new();
+        m.relu_inplace_with(&mut mask);
         assert_eq!(m.row(0), &[0.0, 2.0]);
         assert_eq!(mask, vec![false, true, false, false]);
         let mut g = Matrix::from_rows(&[&[5.0, 5.0], &[5.0, 5.0]]);
@@ -875,14 +867,86 @@ mod tests {
         assert!(after.matmul_flops >= before.matmul_flops + 2 * 4 * 5 * 6);
     }
 
+    /// The loops the select forms replaced: a `push` per element, and
+    /// a store under a branch on the mask.
+    fn relu_push_reference(data: &mut [f32]) -> Vec<bool> {
+        let mut mask = Vec::new();
+        for x in data {
+            let active = *x > 0.0;
+            mask.push(active);
+            if !active {
+                *x = 0.0;
+            }
+        }
+        mask
+    }
+
+    fn relu_backward_branch_reference(grad: &mut [f32], mask: &[bool]) {
+        for (x, &m) in grad.iter_mut().zip(mask) {
+            if !m {
+                *x = 0.0;
+            }
+        }
+    }
+
     #[test]
     fn relu_inplace_with_reuses_mask() {
         let mut m = Matrix::from_rows(&[&[-1.0, 2.0]]);
         let mut mask = Vec::with_capacity(16);
+        let buffer = mask.as_ptr();
         m.relu_inplace_with(&mut mask);
         assert_eq!(mask, vec![false, true]);
-        let mut m2 = Matrix::from_rows(&[&[3.0, -4.0]]);
+        let mut m2 = Matrix::from_rows(&[&[3.0, -4.0, 5.0]]);
         m2.relu_inplace_with(&mut mask);
-        assert_eq!(mask, vec![true, false]);
+        assert_eq!(mask, vec![true, false, true]);
+        // A shorter matrix shrinks the mask; no stale tail survives.
+        let mut m3 = Matrix::from_rows(&[&[-6.0]]);
+        m3.relu_inplace_with(&mut mask);
+        assert_eq!(mask, vec![false]);
+        assert_eq!((mask.as_ptr(), mask.capacity()), (buffer, 16), "same allocation throughout");
+    }
+
+    #[test]
+    fn relu_selects_match_the_push_and_branch_loops() {
+        let special = [
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -0.0,
+            0.0,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::from_bits(0x007f_ffff),
+        ];
+        // Longest first: every later pass must fit the same buffer.
+        let mut mask = Vec::with_capacity(4099);
+        let buffer = (mask.as_ptr(), mask.capacity());
+        for len in [4099].into_iter().chain(0..=67) {
+            // Awkward magnitudes with a special value every third slot,
+            // at a phase that moves with the length.
+            let fill = |salt: usize| {
+                let mut v = awkward_values(1, len, salt).as_slice().to_vec();
+                for (i, x) in v.iter_mut().enumerate().skip(salt % 3).step_by(3) {
+                    *x = special[(i + salt) % special.len()];
+                }
+                v
+            };
+            let mut expect = fill(len);
+            let expect_mask = relu_push_reference(&mut expect);
+            let mut got = Matrix::from_vec(1, len, fill(len));
+            got.relu_inplace_with(&mut mask);
+            assert_bits_eq(&got, &Matrix::from_vec(1, len, expect), "forward");
+            assert_eq!(mask, expect_mask, "len {len}: mask");
+            assert_eq!((mask.as_ptr(), mask.capacity()), buffer, "len {len}: mask reallocated");
+
+            let mut expect = fill(len + 5);
+            relu_backward_branch_reference(&mut expect, &expect_mask);
+            let mut got = Matrix::from_vec(1, len, fill(len + 5));
+            got.relu_backward_inplace(&mask);
+            assert_bits_eq(&got, &Matrix::from_vec(1, len, expect), "backward");
+        }
     }
 }

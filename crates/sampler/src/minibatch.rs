@@ -27,9 +27,20 @@ impl MiniBatch {
     /// Assembles a batch from layered frontiers, inducing the
     /// subgraph. `layers[0]` must be the target set.
     ///
+    /// Ids that are not nodes of `g` are *skipped*, not reported: the
+    /// dedup pass drops them together with repeats, so what reaches
+    /// [`Graph::induced_subgraph`] is always in range and distinct.
+    /// The guard against a bad target is the samplers' own check
+    /// before they expand anything ([`Sampler::sample`] returns
+    /// [`GraphError::NodeOutOfRange`]); every deeper id is read from
+    /// `g`'s neighbor lists and cannot be out of range.
+    ///
     /// # Errors
     ///
-    /// Propagates subgraph-induction errors (out-of-range ids).
+    /// None in practice; the `Result` carries the induction's error
+    /// type, whose two causes the dedup pass has already removed.
+    ///
+    /// [`Sampler::sample`]: crate::Sampler::sample
     ///
     /// # Panics
     ///

@@ -81,24 +81,26 @@ impl Sampler for NodeWiseSampler {
     ) -> Result<MiniBatch, GraphError> {
         validate_targets(g, targets)?;
         let mut layers: Vec<Vec<NodeId>> = vec![targets.to_vec()];
-        let mut frontier: Vec<NodeId> = targets.to_vec();
+        // One membership map and one key buffer for the whole call: the
+        // map is cleared after each hop by walking what the hop set.
+        let mut in_next = vec![false; g.num_nodes()];
+        let mut keyed = Vec::new();
         for &k in &self.fanouts {
+            let frontier = layers.last().expect("the target layer");
+            if frontier.is_empty() {
+                break;
+            }
             let mut next: Vec<NodeId> = Vec::new();
-            let mut in_next = vec![false; g.num_nodes()];
-            for &v in &frontier {
-                let picked = self.bias.select(g.neighbors(v), None, k, rng);
-                for u in picked {
+            for &v in frontier {
+                self.bias.select_each(g.neighbors(v), None, k, rng, &mut keyed, |u| {
                     if !in_next[u as usize] {
                         in_next[u as usize] = true;
                         next.push(u);
                     }
-                }
+                });
             }
-            layers.push(next.clone());
-            frontier = next;
-            if frontier.is_empty() {
-                break;
-            }
+            next.iter().for_each(|&u| in_next[u as usize] = false);
+            layers.push(next);
         }
         MiniBatch::from_layers(g, layers)
     }
@@ -150,12 +152,17 @@ impl Sampler for LayerWiseSampler {
     ) -> Result<MiniBatch, GraphError> {
         validate_targets(g, targets)?;
         let mut layers: Vec<Vec<NodeId>> = vec![targets.to_vec()];
-        let mut frontier: Vec<NodeId> = targets.to_vec();
+        let mut seen = vec![false; g.num_nodes()];
+        let mut candidates: Vec<NodeId> = Vec::new();
+        let degree_importance = |v: NodeId| g.degree(v) as f64;
         for &delta in &self.layer_sizes {
+            let frontier = layers.last().expect("the target layer");
+            if frontier.is_empty() {
+                break;
+            }
             // Union of neighbors of the frontier.
-            let mut candidates: Vec<NodeId> = Vec::new();
-            let mut seen = vec![false; g.num_nodes()];
-            for &v in &frontier {
+            candidates.clear();
+            for &v in frontier {
                 for &u in g.neighbors(v) {
                     if !seen[u as usize] {
                         seen[u as usize] = true;
@@ -163,18 +170,13 @@ impl Sampler for LayerWiseSampler {
                     }
                 }
             }
-            let degree_importance = |v: NodeId| g.degree(v) as f64;
-            let picked = self.bias.weighted_sample_without_replacement(
+            candidates.iter().for_each(|&u| seen[u as usize] = false);
+            layers.push(self.bias.weighted_sample_without_replacement(
                 &candidates,
                 Some(&degree_importance),
                 delta,
                 rng,
-            );
-            layers.push(picked.clone());
-            frontier = picked;
-            if frontier.is_empty() {
-                break;
-            }
+            ));
         }
         MiniBatch::from_layers(g, layers)
     }
