@@ -1,10 +1,13 @@
 //! Criterion benches for the gray-box estimator: fit cost,
 //! per-candidate prediction latency (the paper claims "negligible
-//! latency"), and gray-box vs. black-box fitting cost.
+//! latency") alone, per forest and through the memoizing batch path,
+//! and gray-box vs. black-box fitting cost.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use gnnav_bench::benchmark_shape_estimator;
 use gnnav_estimator::{
-    BatchSizePredictor, BlackBoxBatchSize, Context, GrayBoxEstimator, ProfileDb, Profiler,
+    AccuracyEstimator, BatchSizePredictor, BlackBoxBatchSize, Context, GrayBoxEstimator,
+    HitRatePredictor, PredictionContext, ProfileDb, Profiler,
 };
 use gnnav_graph::{Dataset, DatasetId};
 use gnnav_hwsim::Platform;
@@ -47,6 +50,44 @@ fn bench_fit_and_predict(c: &mut Criterion) {
     group.finish();
 }
 
+/// The two forests a prediction walks, each over 256 sampled
+/// candidates per iteration (one candidate walked again and again
+/// would be all predicted branches), and the batch path over 2000.
+fn bench_forests_and_batch(c: &mut Criterion) {
+    let (dataset, db) = profiled_db();
+    let platform = Platform::default_rtx4090();
+    let configs = DesignSpace::standard().sample(2000, ModelKind::Sage, 17);
+    let contexts: Vec<Context> =
+        configs[..256].iter().map(|c| Context::new(&dataset, &platform, c.clone())).collect();
+    // Cached candidates only: the hit-rate predictor answers 0 for a
+    // cacheless one without consulting its forest.
+    let cached: Vec<&Context> = contexts.iter().filter(|c| c.config.cache_ratio > 0.0).collect();
+    let mut hit = HitRatePredictor::new();
+    hit.fit(&db).expect("fit");
+    let mut accuracy = AccuracyEstimator::new();
+    accuracy.fit(&db).expect("fit");
+    let mut group = c.benchmark_group("forest_predict");
+    group.sample_size(20);
+    group.bench_function("hit_20x7", |b| {
+        b.iter(|| cached.iter().map(|c| hit.predict(c, 500.0)).sum::<f64>());
+    });
+    group.bench_function("accuracy_40x9", |b| {
+        b.iter(|| contexts.iter().map(|c| accuracy.predict(c, 500.0)).sum::<f64>());
+    });
+    group.finish();
+
+    let est = benchmark_shape_estimator();
+    let mut group = c.benchmark_group("predict_batch_owned");
+    group.sample_size(20);
+    group.bench_function("2000", |b| {
+        b.iter(|| {
+            let mut pctx = PredictionContext::new(&dataset, &platform);
+            est.predict_batch_owned(&mut pctx, configs.clone())
+        });
+    });
+    group.finish();
+}
+
 fn bench_gray_vs_black_fit(c: &mut Criterion) {
     let (_, db) = profiled_db();
     let mut group = c.benchmark_group("batch_size_model_fit");
@@ -68,5 +109,5 @@ fn bench_gray_vs_black_fit(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_fit_and_predict, bench_gray_vs_black_fit);
+criterion_group!(benches, bench_fit_and_predict, bench_forests_and_batch, bench_gray_vs_black_fit);
 criterion_main!(benches);

@@ -15,9 +15,11 @@
 //! (default experiment-specific) to shrink the dataset stand-ins for
 //! quick smoke runs, and `GNNAV_EPOCHS` to override training epochs.
 
-use gnnav_hwsim::SimTime;
+use gnnav_estimator::{GrayBoxEstimator, ProfileDb, Profiler};
+use gnnav_graph::{Dataset, DatasetId};
+use gnnav_hwsim::{Platform, SimTime};
 use gnnav_nn::ModelKind;
-use gnnav_runtime::{DesignSpace, Template, TrainingConfig};
+use gnnav_runtime::{DesignSpace, ExecutionOptions, RuntimeBackend, Template, TrainingConfig};
 
 /// The design space with its batch axis adapted to the dataset scale
 /// (the paper defines the space around full-size graphs; the
@@ -41,6 +43,34 @@ pub fn template_config(template: Template, model: ModelKind, scale: f64) -> Trai
         config.batch_size = 128;
     }
     config
+}
+
+/// An estimator of the shape the wall-clock benchmark's `explore_sweep`
+/// fits (`benchmark/src/workloads/explore.rs`): 16 sampled configs on
+/// the Reddit2 and ogbn-products stand-ins at scale 0.05, one trained
+/// epoch capped at two batches — 32 records, all five components
+/// fitted, so the 40-tree accuracy forest and the 20-tree hit-rate
+/// forest have the depth a candidate pays for there.
+///
+/// # Panics
+///
+/// Panics if a stand-in fails to load, profile or fit.
+pub fn benchmark_shape_estimator() -> GrayBoxEstimator {
+    let exec = ExecutionOptions {
+        train_batches_cap: Some(2),
+        ..gnnavigator::NavigatorOptions::default().profile_exec
+    };
+    let profiler = Profiler::new(RuntimeBackend::new(Platform::default_rtx4090()), exec);
+    let configs = DesignSpace::standard().sample(16, ModelKind::Sage, 0x7A51);
+    let mut db = ProfileDb::new();
+    for id in [DatasetId::Reddit2, DatasetId::OgbnProducts] {
+        let small = Dataset::load_scaled(id, 0.05).expect("load");
+        db.merge(profiler.profile(&small, &configs).expect("profile"));
+    }
+    let mut estimator = GrayBoxEstimator::new();
+    estimator.fit(&db).expect("fit");
+    assert!(estimator.predicts_accuracy());
+    estimator
 }
 
 /// Measured single-thread GFLOP/s floor for the `matmul` criterion

@@ -1,4 +1,9 @@
 //! Shared feature-vector builders for the estimator components.
+//!
+//! Every builder returns a fixed-size array: the widths are part of
+//! the fitted models' shape, and a prediction (five of these per
+//! candidate, thousands of candidates per exploration) allocates
+//! nothing.
 
 use crate::context::Context;
 use gnnav_cache::CachePolicy;
@@ -48,14 +53,14 @@ pub fn model_onehot(kind: ModelKind) -> [f64; 3] {
 /// large batches it caps at the graph size — the overlap behavior
 /// `f_overlapping` models. The remaining features let the learned
 /// penalty correct for degree structure and sampling bias.
-pub fn batch_size_features(ctx: &Context) -> Vec<f64> {
+pub fn batch_size_features(ctx: &Context) -> [f64; 4] {
     let n = ctx.num_nodes.max(1.0);
     let s = ctx.batch_skeleton().max(1.0);
     let saturating = n * (1.0 - (-s / n).exp());
     // No raw degree feature here: degree already enters the skeleton
     // through the per-hop `min(k, d̄)` cap, and a near-constant raw
     // degree column destabilizes cross-dataset extrapolation.
-    vec![
+    [
         saturating.max(1.0).ln(),
         (s / n).min(4.0),
         ctx.config.locality_eta,
@@ -65,9 +70,9 @@ pub fn batch_size_features(ctx: &Context) -> Vec<f64> {
 
 /// Raw features for the pure black-box (decision-tree) batch-size
 /// baseline of Fig. 5.
-pub fn batch_size_raw_features(ctx: &Context) -> Vec<f64> {
+pub fn batch_size_raw_features(ctx: &Context) -> [f64; 9] {
     let s = sampler_onehot(ctx.config.sampler);
-    vec![
+    [
         ctx.config.batch_size as f64,
         ctx.config.fanouts.iter().map(|&k| k as f64).product(),
         ctx.config.fanouts.iter().map(|&k| k as f64).sum(),
@@ -82,9 +87,9 @@ pub fn batch_size_raw_features(ctx: &Context) -> Vec<f64> {
 
 /// Features for the cache-hit-rate model: ratio, policy, bias, degree
 /// skew, and the predicted batch coverage `|V_i|/|V|`.
-pub fn hit_rate_features(ctx: &Context, vi_pred: f64) -> Vec<f64> {
+pub fn hit_rate_features(ctx: &Context, vi_pred: f64) -> [f64; 10] {
     let p = policy_onehot(ctx.config.cache_policy);
-    vec![
+    [
         ctx.config.cache_ratio,
         p[0],
         p[1],
@@ -100,10 +105,10 @@ pub fn hit_rate_features(ctx: &Context, vi_pred: f64) -> Vec<f64> {
 
 /// Features for the accuracy model (Eq. 11's spirit: sampling bias,
 /// batch composition, dataset difficulty proxies, architecture).
-pub fn accuracy_features(ctx: &Context, vi_pred: f64) -> Vec<f64> {
+pub fn accuracy_features(ctx: &Context, vi_pred: f64) -> [f64; 17] {
     let s = sampler_onehot(ctx.config.sampler);
     let m = model_onehot(ctx.config.model);
-    vec![
+    [
         ctx.config.locality_eta,
         ctx.config.fanouts.iter().map(|&k| k as f64).sum::<f64>(),
         (ctx.config.batch_size as f64).ln(),
@@ -152,17 +157,13 @@ mod tests {
     #[test]
     fn feature_vectors_are_finite_and_stable_width() {
         let c = ctx();
-        for f in [
-            batch_size_features(&c),
-            batch_size_raw_features(&c),
-            hit_rate_features(&c, 500.0),
-            accuracy_features(&c, 500.0),
-        ] {
-            assert!(f.iter().all(|v| v.is_finite()));
-            assert!(!f.is_empty());
-        }
-        assert_eq!(batch_size_features(&c).len(), 4);
-        assert_eq!(hit_rate_features(&c, 1.0).len(), 10);
-        assert_eq!(accuracy_features(&c, 1.0).len(), 17);
+        let features: [&[f64]; 4] = [
+            &batch_size_features(&c),
+            &batch_size_raw_features(&c),
+            &hit_rate_features(&c, 500.0),
+            &accuracy_features(&c, 500.0),
+        ];
+        assert_eq!(features.map(<[f64]>::len), [4, 9, 10, 17]);
+        assert!(features.iter().all(|f| f.iter().all(|v| v.is_finite())));
     }
 }

@@ -10,8 +10,8 @@ use crate::profile::ProfileDb;
 use crate::EstimatorError;
 use gnnav_ml::{Regressor, RidgeRegressor, Table};
 
-fn memory_features(ctx: &Context, vi: f64) -> Vec<f64> {
-    vec![
+fn memory_features(ctx: &Context, vi: f64) -> [f64; 3] {
+    [
         ctx.param_count() * ctx.config.precision.bytes() as f64,
         ctx.cache_bytes_proxy(),
         ctx.activation_proxy(vi),

@@ -112,37 +112,37 @@ impl Default for TimeEstimator {
 
 /// Analytic per-iteration feature for each phase, shared between fit
 /// (with measured `vi`/`hit`) and predict (with estimated ones).
-fn sample_features(ctx: &Context, vi: f64) -> Vec<f64> {
+fn sample_features(ctx: &Context, vi: f64) -> [f64; 2] {
     let mvps = ctx.platform.host.sample_mvps * 1e6;
     let expansion = (vi - ctx.config.batch_size as f64).max(0.0);
     let edges = vi * ctx.avg_degree;
-    vec![expansion / mvps, edges / mvps]
+    [expansion / mvps, edges / mvps]
 }
 
-fn transfer_features(ctx: &Context, vi: f64, hit: f64) -> Vec<f64> {
+fn transfer_features(ctx: &Context, vi: f64, hit: f64) -> [f64; 1] {
     let bytes = vi * (1.0 - hit) * ctx.row_bytes();
-    vec![bytes / (ctx.platform.link.bandwidth_gbs * 1e9)]
+    [bytes / (ctx.platform.link.bandwidth_gbs * 1e9)]
 }
 
-fn replace_features(ctx: &Context, vi: f64, hit: f64) -> Vec<f64> {
+fn replace_features(ctx: &Context, vi: f64, hit: f64) -> [f64; 2] {
     // Only dynamic, updating caches replace entries.
     let active = ctx.config.cache_policy.is_dynamic() && ctx.config.cache_update;
     if !active {
-        return vec![0.0, 0.0];
+        return [0.0, 0.0];
     }
     let bytes = vi * (1.0 - hit) * ctx.row_bytes();
     let entries = ctx.config.cache_ratio * ctx.num_nodes;
-    vec![bytes / (ctx.platform.device.mem_bandwidth_gbs * 1e9), (entries + 1.0).ln() * 1e-6]
+    [bytes / (ctx.platform.device.mem_bandwidth_gbs * 1e9), (entries + 1.0).ln() * 1e-6]
 }
 
-fn compute_features(ctx: &Context, vi: f64) -> Vec<f64> {
+fn compute_features(ctx: &Context, vi: f64) -> [f64; 1] {
     let dev = &ctx.platform.device;
     let speed = match ctx.config.precision {
         gnnav_hwsim::Precision::Fp16 => dev.fp16_speedup,
         _ => 1.0,
     };
     let util = vi / (vi + 8192.0);
-    vec![ctx.flops_proxy(vi) / (dev.compute_tflops * 1e12 * util.max(1e-4) * speed)]
+    [ctx.flops_proxy(vi) / (dev.compute_tflops * 1e12 * util.max(1e-4) * speed)]
 }
 
 impl TimeEstimator {

@@ -5,7 +5,7 @@
 //! front theory to obtain the most suitable candidates" (paper §3.3).
 
 use crate::dfs::EvaluatedCandidate;
-use crate::pareto::{objectives, pareto_front_indices};
+use crate::pareto::{objectives, ParetoFront};
 use crate::targets::Priority;
 
 /// A training guideline: the chosen configuration with its predicted
@@ -24,20 +24,39 @@ pub struct Guideline {
 ///
 /// Candidates are first reduced to the estimated Pareto front over
 /// `(T, Γ, −Acc)`; the front is then scalarized with the priority's
-/// weights over min–max-normalized objectives and the minimizer wins.
-/// Returns `None` when `candidates` is empty.
+/// weights over min–max-normalized objectives and the minimizer wins
+/// (the earliest candidate, among equal scores). Returns `None` when
+/// `candidates` is empty.
+///
+/// The front is built with [`ParetoFront`], whose result is the
+/// reference [`pareto_front_indices`](crate::pareto_front_indices)
+/// wherever dominance is transitive — on finite objectives. Every
+/// caller hands in accepted candidates, which are finite by
+/// construction: the DFS rejects a non-finite prediction before it can
+/// be accepted.
 pub fn decide(candidates: &[EvaluatedCandidate], priority: Priority) -> Option<Guideline> {
-    if candidates.is_empty() {
-        return None;
+    let mut front = ParetoFront::new();
+    for candidate in candidates {
+        front.insert(objectives(&candidate.estimate));
     }
-    let points: Vec<[f64; 3]> = candidates.iter().map(|c| objectives(&c.estimate)).collect();
-    let front = pareto_front_indices(&points);
+    decide_on_front(candidates, &front.indices(), priority)
+}
 
+/// [`decide`] for a caller that already holds the Pareto front of
+/// `candidates` — the DFS maintains it while it accepts them — as
+/// ascending indices into `candidates`, which is the order ties are
+/// met in.
+pub fn decide_on_front(
+    candidates: &[EvaluatedCandidate],
+    front: &[usize],
+    priority: Priority,
+) -> Option<Guideline> {
     // Min–max normalization bounds over the whole candidate set (the
     // front alone can collapse a dimension).
     let mut lo = [f64::INFINITY; 3];
     let mut hi = [f64::NEG_INFINITY; 3];
-    for p in &points {
+    for candidate in candidates {
+        let p = objectives(&candidate.estimate);
         for d in 0..3 {
             lo[d] = lo[d].min(p[d]);
             hi[d] = hi[d].max(p[d]);
@@ -51,14 +70,14 @@ pub fn decide(candidates: &[EvaluatedCandidate], priority: Priority) -> Option<G
         }
     };
     let t = priority.targets();
-    let best = front.into_iter().min_by(|&a, &b| {
-        let score = |i: usize| {
-            t.w_time * norm(points[i][0], 0)
-                + t.w_memory * norm(points[i][1], 1)
-                + t.w_accuracy * norm(points[i][2], 2)
-        };
-        score(a).partial_cmp(&score(b)).expect("finite scores")
-    })?;
+    let score = |i: usize| {
+        let p = objectives(&candidates[i].estimate);
+        t.w_time * norm(p[0], 0) + t.w_memory * norm(p[1], 1) + t.w_accuracy * norm(p[2], 2)
+    };
+    let best = front
+        .iter()
+        .copied()
+        .min_by(|&a, &b| score(a).partial_cmp(&score(b)).expect("finite scores"))?;
     Some(Guideline {
         config: candidates[best].config.clone(),
         estimate: candidates[best].estimate,

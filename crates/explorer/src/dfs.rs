@@ -19,6 +19,12 @@
 //! exactly the serial traversal's order. Predictions are pure given
 //! the context and the pool's chunking is static, so the outcome is
 //! byte-identical to a serial evaluation loop at every thread count.
+//!
+//! A leaf's audit summary is assembled during expansion from a
+//! [`SummaryTable`] rendered once per exploration — eleven string
+//! copies by axis index, the bytes `TrainingConfig::summary` would
+//! format; only the template seeds, which are not index vectors, are
+//! formatted.
 
 use crate::audit::{AuditAction, AuditRecord};
 use crate::pareto::{objectives, ParetoFront};
@@ -29,7 +35,7 @@ use gnnav_hwsim::Platform;
 use gnnav_nn::ModelKind;
 use gnnav_obs::names as metric;
 use gnnav_runtime::space::axis;
-use gnnav_runtime::{DesignSpace, TrainingConfig};
+use gnnav_runtime::{DesignSpace, SummaryTable, TrainingConfig};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -169,7 +175,7 @@ impl DfsExplorer {
         // about.
         for seed_config in seeds {
             if seed_config.validate().is_ok() {
-                wave.push_eval(seed_config.clone(), true);
+                wave.push_seed(seed_config.clone());
             }
         }
         replay.flush(&mut wave);
@@ -244,7 +250,7 @@ impl Replay<'_> {
         let journal = metrics.journal();
         for step in wave.steps.drain(..) {
             match step {
-                WaveStep::Eval { seed_candidate } => {
+                WaveStep::Eval { summary, seed_candidate } => {
                     let (config, estimate) = evaluated.next().expect("one config per Eval step");
                     self.stats.evaluated += 1;
                     // A degenerate estimator (NaN/inf prediction) must
@@ -271,7 +277,6 @@ impl Replay<'_> {
                         Some(violation) => violation.into(),
                         None => "satisfies all runtime constraints".into(),
                     };
-                    let summary = config.summary();
                     if journal.is_enabled() {
                         journal.instant(
                             metric::EVENT_CANDIDATE,
@@ -359,6 +364,8 @@ pub(crate) struct Traversal<'a> {
     dataset: &'a Dataset,
     model: ModelKind,
     max_mem_bytes: Option<f64>,
+    /// Every axis value's piece of a leaf's audit summary.
+    summaries: SummaryTable,
     /// Place value of each axis in a packed leaf key: the mixed-radix
     /// number whose digits are the per-axis indices.
     strides: [u64; axis::COUNT],
@@ -389,6 +396,7 @@ impl<'a> Traversal<'a> {
             dataset,
             model,
             max_mem_bytes: constraints.max_mem_bytes,
+            summaries: space.summary_table(),
             strides,
             visited: HashSet::new(),
         }
@@ -444,7 +452,8 @@ impl Walk<'_, '_> {
                 let key: u64 = key.map(|(&index, stride)| index as u64 * stride).sum();
                 // Not inserted: already evaluated in a previous restart.
                 if self.shared.visited.insert(key) {
-                    self.wave.push_eval(config, false);
+                    let summary = self.shared.summaries.summary_at(&self.assignment);
+                    self.wave.push_leaf(config, summary);
                     self.expanded.evals += 1;
                 }
             }
@@ -513,8 +522,17 @@ pub(crate) struct Wave {
 }
 
 impl Wave {
-    pub(crate) fn push_eval(&mut self, config: TrainingConfig, seed_candidate: bool) {
-        self.steps.push(WaveStep::Eval { seed_candidate });
+    /// Records a template seed, which is no index vector into the
+    /// space: its summary is formatted.
+    fn push_seed(&mut self, config: TrainingConfig) {
+        self.steps.push(WaveStep::Eval { summary: config.summary(), seed_candidate: true });
+        self.configs.push(config);
+    }
+
+    /// Records a leaf of the walk with the summary assembled from its
+    /// axis indices.
+    pub(crate) fn push_leaf(&mut self, config: TrainingConfig, summary: String) {
+        self.steps.push(WaveStep::Eval { summary, seed_candidate: false });
         self.configs.push(config);
     }
 }
@@ -526,6 +544,9 @@ pub(crate) enum WaveStep {
     /// A leaf (or seed) to evaluate: the next entry of
     /// [`Wave::configs`].
     Eval {
+        /// The candidate's one-line summary, the audit record's
+        /// subject.
+        summary: String,
         /// Whether it came from the template seeds.
         seed_candidate: bool,
     },

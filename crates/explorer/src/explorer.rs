@@ -1,7 +1,7 @@
 //! End-to-end guideline exploration (Step 2 of Fig. 2).
 
 use crate::audit::{AuditAction, AuditRecord};
-use crate::decision::{decide, Guideline};
+use crate::decision::{decide_on_front, Guideline};
 use crate::dfs::{DfsExplorer, DfsStats, EvaluatedCandidate};
 use crate::targets::{Priority, RuntimeConstraints};
 use crate::ExplorerError;
@@ -176,7 +176,7 @@ impl<'a> Explorer<'a> {
             // `explorer.explore.explorer.decide`).
             let decide_t0 = std::time::Instant::now();
             let t0 = journal.is_enabled().then(|| journal.now_us());
-            let decided = decide(&evaluated, priority);
+            let decided = decide_on_front(&evaluated, &front, priority);
             if let Some(t0) = t0 {
                 journal.span_complete(
                     metric::EVENT_DECIDE,

@@ -24,7 +24,7 @@ pub mod targets;
 
 pub use audit::{audit_to_json, AuditAction, AuditRecord};
 pub use cache::{explore_fingerprint, ExploreCache};
-pub use decision::{decide, Guideline};
+pub use decision::{decide, decide_on_front, Guideline};
 pub use dfs::{DfsExplorer, DfsOutcome, DfsStats, EvaluatedCandidate};
 pub use explorer::{ExplorationResult, Explorer};
 pub use pareto::{dominates, objectives, pareto_front_indices, ParetoFront};

@@ -1,13 +1,19 @@
 //! Property-based tests for Pareto dominance, the incremental front,
-//! the decision maker, and the exploration-cache codec.
+//! the decision maker (alone and at the end of an exploration), and
+//! the exploration-cache codec.
 
-use gnnav_estimator::PerfEstimate;
+use gnnav_estimator::{GrayBoxEstimator, PerfEstimate, Profiler};
 use gnnav_explorer::{
-    decide, dominates, pareto_front_indices, AuditAction, AuditRecord, DfsStats,
-    EvaluatedCandidate, ExplorationResult, ExploreCache, Guideline, ParetoFront, Priority,
+    decide, decide_on_front, dominates, objectives, pareto_front_indices, AuditAction, AuditRecord,
+    DfsStats, EvaluatedCandidate, ExplorationResult, ExploreCache, Explorer, Guideline,
+    ParetoFront, Priority, RuntimeConstraints,
 };
-use gnnav_runtime::TrainingConfig;
+use gnnav_graph::{Dataset, DatasetId};
+use gnnav_hwsim::Platform;
+use gnnav_nn::ModelKind;
+use gnnav_runtime::{DesignSpace, ExecutionOptions, RuntimeBackend, TrainingConfig};
 use proptest::prelude::*;
+use std::sync::OnceLock;
 
 fn points() -> impl Strategy<Value = Vec<[f64; 3]>> {
     proptest::collection::vec(
@@ -87,6 +93,44 @@ fn priorities() -> impl Strategy<Value = Priority> {
         1 => Priority::ExTimeMemory,
         2 => Priority::ExMemoryAccuracy,
         _ => Priority::ExTimeAccuracy,
+    })
+}
+
+/// Candidates at `pts`, told apart by their batch size (index + 1):
+/// which of two equal points a decision picked shows in its config.
+fn candidates_at(pts: &[[f64; 3]]) -> Vec<EvaluatedCandidate> {
+    pts.iter()
+        .enumerate()
+        .map(|(i, p)| EvaluatedCandidate {
+            config: TrainingConfig { batch_size: i + 1, ..TrainingConfig::default() },
+            estimate: PerfEstimate {
+                time_s: p[0],
+                mem_bytes: p[1],
+                accuracy: -p[2],
+                batch_nodes: 0.0,
+                hit_rate: 0.0,
+            },
+        })
+        .collect()
+}
+
+/// One dataset and one timing-only fit for every explored case: with
+/// no accuracy component the third objective is constant, so ties and
+/// equal points on the front are the rule.
+fn fixture() -> &'static (Dataset, GrayBoxEstimator) {
+    static FIXTURE: OnceLock<(Dataset, GrayBoxEstimator)> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let dataset = Dataset::load_scaled(DatasetId::Reddit2, 0.02).expect("load");
+        let profiler = Profiler::new(
+            RuntimeBackend::new(Platform::default_rtx4090()),
+            ExecutionOptions::timing_only(),
+        )
+        .with_threads(2);
+        let configs = DesignSpace::standard().sample(25, ModelKind::Sage, 5);
+        let db = profiler.profile(&dataset, &configs).expect("profile");
+        let mut estimator = GrayBoxEstimator::new();
+        estimator.fit(&db).expect("fit");
+        (dataset, estimator)
     })
 }
 
@@ -198,19 +242,7 @@ proptest! {
 
     #[test]
     fn decision_always_picks_from_front(pts in points()) {
-        let candidates: Vec<EvaluatedCandidate> = pts
-            .iter()
-            .map(|p| EvaluatedCandidate {
-                config: TrainingConfig::default(),
-                estimate: PerfEstimate {
-                    time_s: p[0],
-                    mem_bytes: p[1],
-                    accuracy: -p[2],
-                    batch_nodes: 0.0,
-                    hit_rate: 0.0,
-                },
-            })
-            .collect();
+        let candidates = candidates_at(&pts);
         let front = pareto_front_indices(&pts);
         for priority in Priority::ALL {
             let g = decide(&candidates, priority).expect("non-empty");
@@ -219,6 +251,65 @@ proptest! {
                 front.iter().any(|&i| pts[i] == chosen),
                 "{priority} picked a dominated candidate"
             );
+        }
+    }
+
+    #[test]
+    fn decision_over_its_own_front_is_the_decision_over_the_reference_front(
+        pts in coarse_points(),
+    ) {
+        // Coarse points: duplicated points on the front and equal
+        // scores are common, so the order ties are met in matters.
+        let candidates = candidates_at(&pts);
+        let front = pareto_front_indices(&pts);
+        for priority in Priority::ALL {
+            let own = decide(&candidates, priority).expect("non-empty");
+            let handed = decide_on_front(&candidates, &front, priority).expect("non-empty");
+            prop_assert_eq!(format!("{own:?}"), format!("{handed:?}"));
+            // Of equal points the earliest wins.
+            let chosen = own.config.batch_size - 1;
+            prop_assert!(front.contains(&chosen));
+            prop_assert_eq!(front.iter().find(|&&i| pts[i] == pts[chosen]), Some(&chosen));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn exploration_guideline_is_the_public_decision_over_its_candidates(
+        budget in 1usize..301,
+        seed in any::<u64>(),
+        priority in priorities(),
+        cap_kind in 0u8..3,
+    ) {
+        let (dataset, estimator) = fixture();
+        let constraints = match cap_kind {
+            0 => RuntimeConstraints::none(),
+            // Prunes the larger caches and rejects some of the rest.
+            1 => RuntimeConstraints {
+                max_mem_bytes: Some(
+                    0.2 * dataset.num_nodes() as f64 * dataset.feat_dim() as f64 * 2.0,
+                ),
+                ..RuntimeConstraints::none()
+            },
+            // Rejects everything: the fallback decides, not `decide`.
+            _ => RuntimeConstraints { max_time_s: Some(1e-12), ..RuntimeConstraints::none() },
+        };
+        let result = Explorer::new(estimator, budget)
+            .with_seed(seed)
+            .explore(dataset, &Platform::default_rtx4090(), ModelKind::Sage, priority, &constraints)
+            .expect("explore");
+        let points: Vec<[f64; 3]> =
+            result.evaluated.iter().map(|c| objectives(&c.estimate)).collect();
+        prop_assert_eq!(&result.front, &pareto_front_indices(&points));
+        match decide(&result.evaluated, priority) {
+            Some(decided) => {
+                prop_assert!(result.fallback.is_none());
+                prop_assert_eq!(format!("{decided:?}"), format!("{:?}", result.guideline));
+            }
+            None => prop_assert!(result.fallback.is_some() && result.evaluated.is_empty()),
         }
     }
 }

@@ -39,7 +39,9 @@ fn fixture() -> &'static (Dataset, GrayBoxEstimator) {
 /// The traversal as it was before the validity cut: every subtree is
 /// walked to the bottom, every leaf reached (valid or not) enters a
 /// `HashSet<Vec<usize>>`, and validity is learnt from `config_at` one
-/// leaf at a time.
+/// leaf at a time. Its leaves' summaries are formatted by
+/// `TrainingConfig::summary`, so the waves compared below also hold the
+/// production walk's per-axis assembly against the format itself.
 struct Naive<'a> {
     space: &'a DesignSpace,
     dataset: &'a Dataset,
@@ -73,7 +75,8 @@ impl Naive<'_> {
                 return;
             }
             if let Some(config) = self.space.config_at(assignment, MODEL) {
-                wave.push_eval(config, false);
+                let summary = config.summary();
+                wave.push_leaf(config, summary);
                 expanded.evals += 1;
             }
             return;

@@ -1,5 +1,15 @@
 //! Random-forest regression: bagged CART trees with feature
 //! subsampling.
+//!
+//! Each tree is fitted on its own bootstrap of the rows and its own
+//! subset of the columns, and then *widened* once
+//! (`DecisionTreeRegressor::widen`): its feature indices are
+//! rewritten from positions in the subset to columns of the full table.
+//! A prediction therefore walks every tree over the caller's slice as
+//! it is — no per-tree copy of the selected features, no allocation.
+//! The walk reads the same values the projected copy held, the trees
+//! are summed in the same order and the sum divided once, so every bit
+//! of the result is what the projecting forest returned.
 
 use crate::dataset::Table;
 use crate::regressor::Regressor;
@@ -34,7 +44,8 @@ impl Default for ForestParams {
 #[derive(Debug, Clone)]
 pub struct RandomForestRegressor {
     params: ForestParams,
-    trees: Vec<(Vec<usize>, DecisionTreeRegressor)>,
+    /// The fitted trees, widened to read full-width rows.
+    trees: Vec<DecisionTreeRegressor>,
     num_features: usize,
 }
 
@@ -71,16 +82,7 @@ impl RandomForestRegressor {
     pub fn predict_with_std(&self, features: &[f64]) -> (f64, f64) {
         assert!(!self.trees.is_empty(), "model not fitted");
         assert_eq!(features.len(), self.num_features, "feature dim mismatch");
-        let mut proj = Vec::new();
-        let preds: Vec<f64> = self
-            .trees
-            .iter()
-            .map(|(cols, tree)| {
-                proj.clear();
-                proj.extend(cols.iter().map(|&c| features[c]));
-                tree.predict(&proj)
-            })
-            .collect();
+        let preds: Vec<f64> = self.trees.iter().map(|tree| tree.walk(features)).collect();
         let mean = preds.iter().sum::<f64>() / preds.len() as f64;
         let var = preds.iter().map(|p| (p - mean).powi(2)).sum::<f64>() / preds.len() as f64;
         (mean, var.sqrt())
@@ -99,19 +101,12 @@ impl Regressor for RandomForestRegressor {
         self.trees.clear();
         self.num_features = d;
         for _ in 0..self.params.num_trees {
-            // Bootstrap rows.
-            let rows: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
-            // Subsample features.
-            let mut cols: Vec<usize> = (0..d).collect();
-            for i in (1..cols.len()).rev() {
-                cols.swap(i, rng.gen_range(0..=i));
-            }
-            cols.truncate(k);
-            cols.sort_unstable();
+            let (rows, cols) = draw_bag(&mut rng, n, d, k);
             let sub = table.select_rows(&rows).select_columns(&cols);
             let mut tree = DecisionTreeRegressor::new(self.params.tree);
             tree.fit(&sub)?;
-            self.trees.push((cols, tree));
+            tree.widen(&cols, d);
+            self.trees.push(tree);
         }
         Ok(())
     }
@@ -120,20 +115,31 @@ impl Regressor for RandomForestRegressor {
         assert!(!self.trees.is_empty(), "model not fitted");
         assert_eq!(features.len(), self.num_features, "feature dim mismatch");
         let mut acc = 0.0;
-        let mut proj = Vec::new();
-        for (cols, tree) in &self.trees {
-            proj.clear();
-            proj.extend(cols.iter().map(|&c| features[c]));
-            acc += tree.predict(&proj);
+        for tree in &self.trees {
+            acc += tree.walk(features);
         }
         acc / self.trees.len() as f64
     }
+}
+
+/// One tree's training bag: `n` bootstrap rows, then `k` of the `d`
+/// columns in ascending order.
+fn draw_bag(rng: &mut StdRng, n: usize, d: usize, k: usize) -> (Vec<usize>, Vec<usize>) {
+    let rows: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
+    let mut cols: Vec<usize> = (0..d).collect();
+    for i in (1..cols.len()).rev() {
+        cols.swap(i, rng.gen_range(0..=i));
+    }
+    cols.truncate(k);
+    cols.sort_unstable();
+    (rows, cols)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::r2_score;
+    use crate::tree::reference::{random_table, BoxedNode};
 
     fn noisy_table(seed: u64) -> Table {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -158,6 +164,64 @@ mod tests {
         let pred: Vec<f64> = (0..test.num_rows()).map(|i| f.predict(test.row(i))).collect();
         let r2 = r2_score(&truth, &pred);
         assert!(r2 > 0.8, "forest generalization r2 = {r2}");
+    }
+
+    /// The forest as it predicted before its trees were widened: each
+    /// tree boxed, fitted on its bag, and fed a projected copy of the
+    /// features.
+    fn projecting_reference(params: ForestParams, table: &Table) -> Vec<(Vec<usize>, BoxedNode)> {
+        let (n, d) = (table.num_rows(), table.num_features());
+        let k = ((d as f64 * params.feature_fraction).ceil() as usize).clamp(1, d);
+        let mut rng = StdRng::seed_from_u64(params.seed);
+        (0..params.num_trees)
+            .map(|_| {
+                let (rows, cols) = draw_bag(&mut rng, n, d, k);
+                let sub = table.select_rows(&rows).select_columns(&cols);
+                let boxed = BoxedNode::fit(&DecisionTreeRegressor::new(params.tree), &sub);
+                (cols, boxed)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn widened_forest_matches_the_projecting_reference_bitwise() {
+        let mut rng = StdRng::seed_from_u64(0xF0E5);
+        for (case, fraction) in [1.0, 0.7, 0.8, 0.3, 0.05].into_iter().enumerate() {
+            let (rows, dims) = (rng.gen_range(20..120), rng.gen_range(2..18));
+            let table = random_table(&mut rng, rows, dims);
+            let params = ForestParams {
+                num_trees: 12,
+                feature_fraction: fraction,
+                seed: case as u64,
+                ..ForestParams::default()
+            };
+            let mut forest = RandomForestRegressor::new(params);
+            forest.fit(&table).expect("fit");
+            let reference = projecting_reference(params, &table);
+            for (tree, (_, boxed)) in forest.trees.iter().zip(&reference) {
+                assert_eq!(tree.num_leaves(), boxed.num_leaves());
+                assert_eq!(tree.depth(), boxed.depth());
+            }
+            let probes = (0..rows)
+                .map(|i| table.row(i).to_vec())
+                .chain((0..32).map(|_| (0..dims).map(|_| rng.gen_range(-5.0..5.0)).collect()));
+            for probe in probes {
+                let preds: Vec<f64> = reference
+                    .iter()
+                    .map(|(cols, boxed)| {
+                        let proj: Vec<f64> = cols.iter().map(|&c| probe[c]).collect();
+                        boxed.predict(&proj)
+                    })
+                    .collect();
+                let mean = preds.iter().sum::<f64>() / preds.len() as f64;
+                let var =
+                    preds.iter().map(|p| (p - mean).powi(2)).sum::<f64>() / preds.len() as f64;
+                assert_eq!(forest.predict(&probe).to_bits(), mean.to_bits(), "fraction {fraction}");
+                let (got_mean, got_std) = forest.predict_with_std(&probe);
+                assert_eq!(got_mean.to_bits(), mean.to_bits());
+                assert_eq!(got_std.to_bits(), var.sqrt().to_bits());
+            }
+        }
     }
 
     #[test]

@@ -207,22 +207,97 @@ impl TrainingConfig {
         })
     }
 
-    /// A short one-line summary for tables and logs.
+    /// A short one-line summary for tables and logs: the
+    /// [`summary_piece`]s of the eleven printed fields.
     pub fn summary(&self) -> String {
-        format!(
-            "{} f{:?} eta{:.2} b{} {} r{:.2}{} {} {} h{} d{:.1}",
-            self.sampler,
-            self.fanouts,
-            self.locality_eta,
-            self.batch_size,
-            self.cache_policy,
-            self.cache_ratio,
-            if self.cache_update { "" } else { " frozen" },
-            if self.pipelined { "pipelined" } else { "serial" },
-            self.precision,
-            self.hidden_dim,
-            self.dropout,
-        )
+        let mut out = String::with_capacity(SUMMARY_CAPACITY);
+        summary_piece::sampler(&mut out, self.sampler);
+        summary_piece::fanouts(&mut out, &self.fanouts);
+        summary_piece::eta(&mut out, self.locality_eta);
+        summary_piece::batch_size(&mut out, self.batch_size);
+        summary_piece::cache_policy(&mut out, self.cache_policy);
+        summary_piece::cache_ratio(&mut out, self.cache_ratio);
+        summary_piece::cache_update(&mut out, self.cache_update);
+        summary_piece::pipelined(&mut out, self.pipelined);
+        summary_piece::precision(&mut out, self.precision);
+        summary_piece::hidden_dim(&mut out, self.hidden_dim);
+        summary_piece::dropout(&mut out, self.dropout);
+        out
+    }
+}
+
+/// Room for any summary of the standard space (the longest is 91
+/// bytes) without a second allocation.
+const SUMMARY_CAPACITY: usize = 96;
+
+/// The single definition of the [`TrainingConfig::summary`] format:
+/// one function per printed field, each appending its piece (leading
+/// separator included) to `out`. `summary()` is their concatenation; a
+/// [`SummaryTable`](crate::space::SummaryTable) renders each value of a
+/// design space through the same functions once, so a leaf's summary
+/// is eleven copies and no formatting.
+pub mod summary_piece {
+    use super::*;
+    use std::fmt::{Arguments, Write};
+
+    fn push(out: &mut String, piece: Arguments<'_>) {
+        out.write_fmt(piece).expect("formatting into a String cannot fail");
+    }
+
+    /// `node-wise` — the sampler family, first and without separator.
+    pub fn sampler(out: &mut String, kind: SamplerKind) {
+        push(out, format_args!("{kind}"));
+    }
+
+    /// ` f[10, 10]` — the per-layer fanouts.
+    pub fn fanouts(out: &mut String, fanouts: &[usize]) {
+        push(out, format_args!(" f{fanouts:?}"));
+    }
+
+    /// ` eta0.25` — the locality bias, two decimals.
+    pub fn eta(out: &mut String, eta: f64) {
+        push(out, format_args!(" eta{eta:.2}"));
+    }
+
+    /// ` b1024` — the mini-batch target count.
+    pub fn batch_size(out: &mut String, batch_size: usize) {
+        push(out, format_args!(" b{batch_size}"));
+    }
+
+    /// ` lru` — the cache policy.
+    pub fn cache_policy(out: &mut String, policy: CachePolicy) {
+        push(out, format_args!(" {policy}"));
+    }
+
+    /// ` r0.10` — the cache ratio, two decimals.
+    pub fn cache_ratio(out: &mut String, ratio: f64) {
+        push(out, format_args!(" r{ratio:.2}"));
+    }
+
+    /// ` frozen` directly after the ratio when the cache does not
+    /// update; nothing when it does.
+    pub fn cache_update(out: &mut String, update: bool) {
+        out.push_str(if update { "" } else { " frozen" });
+    }
+
+    /// ` pipelined` or ` serial`.
+    pub fn pipelined(out: &mut String, pipelined: bool) {
+        out.push_str(if pipelined { " pipelined" } else { " serial" });
+    }
+
+    /// ` fp32` — the precision.
+    pub fn precision(out: &mut String, precision: Precision) {
+        push(out, format_args!(" {precision}"));
+    }
+
+    /// ` h64` — the hidden width.
+    pub fn hidden_dim(out: &mut String, hidden_dim: usize) {
+        push(out, format_args!(" h{hidden_dim}"));
+    }
+
+    /// ` d0.5` — the dropout probability, one decimal.
+    pub fn dropout(out: &mut String, dropout: f64) {
+        push(out, format_args!(" d{dropout:.1}"));
     }
 }
 

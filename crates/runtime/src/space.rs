@@ -5,7 +5,7 @@
 //! design space" (paper §3.2). The explorer walks this space with DFS;
 //! the estimator trains on samples from it.
 
-use crate::config::{SamplerKind, TrainingConfig};
+use crate::config::{summary_piece, SamplerKind, TrainingConfig};
 use gnnav_cache::CachePolicy;
 use gnnav_hwsim::Precision;
 use gnnav_nn::ModelKind;
@@ -253,6 +253,38 @@ impl DesignSpace {
         config.validate().ok().map(|()| config)
     }
 
+    /// Renders the [`summary_piece`] of every value on every axis,
+    /// once: [`SummaryTable::summary_at`] then assembles the summary of
+    /// any leaf of this space from its index vector alone.
+    pub fn summary_table(&self) -> SummaryTable {
+        fn render<T>(values: &[T], piece: impl Fn(&mut String, &T)) -> Vec<String> {
+            let one = |value| {
+                let mut out = String::new();
+                piece(&mut out, value);
+                out
+            };
+            values.iter().map(one).collect()
+        }
+        let mut pieces: [Vec<String>; axis::COUNT] = Default::default();
+        pieces[axis::SAMPLER] = render(&self.samplers, |o, &v| summary_piece::sampler(o, v));
+        pieces[axis::FANOUTS] = render(&self.fanout_options, |o, v| summary_piece::fanouts(o, v));
+        pieces[axis::ETA] = render(&self.etas, |o, &v| summary_piece::eta(o, v));
+        pieces[axis::BATCH_SIZE] =
+            render(&self.batch_sizes, |o, &v| summary_piece::batch_size(o, v));
+        pieces[axis::CACHE_RATIO] =
+            render(&self.cache_ratios, |o, &v| summary_piece::cache_ratio(o, v));
+        pieces[axis::CACHE_POLICY] =
+            render(&self.cache_policies, |o, &v| summary_piece::cache_policy(o, v));
+        pieces[axis::CACHE_UPDATE] =
+            render(&self.cache_updates, |o, &v| summary_piece::cache_update(o, v));
+        pieces[axis::PIPELINED] = render(&self.pipelined, |o, &v| summary_piece::pipelined(o, v));
+        pieces[axis::PRECISION] = render(&self.precisions, |o, &v| summary_piece::precision(o, v));
+        pieces[axis::HIDDEN_DIM] =
+            render(&self.hidden_dims, |o, &v| summary_piece::hidden_dim(o, v));
+        pieces[axis::DROPOUT] = render(&self.dropouts, |o, &v| summary_piece::dropout(o, v));
+        SummaryTable { pieces }
+    }
+
     /// Every valid configuration, in lexicographic axis order.
     pub fn enumerate(&self, model: ModelKind) -> Vec<TrainingConfig> {
         let mut out = Vec::new();
@@ -291,6 +323,51 @@ impl DesignSpace {
                 out.push(c);
             }
         }
+        out
+    }
+}
+
+/// Every axis value's piece of [`TrainingConfig::summary`], rendered
+/// ahead of time by [`DesignSpace::summary_table`].
+#[derive(Debug, Clone)]
+pub struct SummaryTable {
+    /// Indexed by axis, then by the value's index on that axis.
+    pieces: [Vec<String>; axis::COUNT],
+}
+
+/// The order `summary()` lists the fields in: design-space order,
+/// except that the cache policy comes before the ratio it qualifies.
+const SUMMARY_ORDER: [usize; axis::COUNT] = [
+    axis::SAMPLER,
+    axis::FANOUTS,
+    axis::ETA,
+    axis::BATCH_SIZE,
+    axis::CACHE_POLICY,
+    axis::CACHE_RATIO,
+    axis::CACHE_UPDATE,
+    axis::PIPELINED,
+    axis::PRECISION,
+    axis::HIDDEN_DIM,
+    axis::DROPOUT,
+];
+
+impl SummaryTable {
+    /// The bytes of `space.config_at(indices, model).summary()`, for
+    /// the space this table was rendered from and any model (the
+    /// summary does not print it), without building the configuration
+    /// or formatting a number.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `indices` has the wrong length or an index is out of
+    /// range.
+    pub fn summary_at(&self, indices: &[usize]) -> String {
+        assert_eq!(indices.len(), axis::COUNT, "one index per axis");
+        let pieces = SUMMARY_ORDER.map(|axis| self.pieces[axis][indices[axis]].as_str());
+        // Sized exactly: an exploration keeps one of these per
+        // candidate for as long as its audit trail lives.
+        let mut out = String::with_capacity(pieces.iter().map(|piece| piece.len()).sum());
+        pieces.iter().for_each(|piece| out.push_str(piece));
         out
     }
 }
@@ -363,7 +440,10 @@ mod tests {
             assert_eq!(configs.len(), count);
             let lines: String = configs.iter().map(TrainingConfig::summary).collect();
             assert_eq!(gnnav_store::fnv1a64(lines.as_bytes()), digest);
-            // And the inline rule agrees leaf by leaf.
+            // And the inline rule agrees leaf by leaf, as does the
+            // summary assembled from the per-axis pieces with the one
+            // `summary()` formats.
+            let table = s.summary_table();
             let mut indices = vec![0usize; s.num_axes()];
             let mut valid = 0usize;
             for raw in 0..s.size() {
@@ -372,11 +452,15 @@ mod tests {
                     indices[axis] = rest % s.axis_len(axis);
                     rest /= s.axis_len(axis);
                 }
-                assert_eq!(
-                    s.config_at(&indices, ModelKind::Sage).is_some(),
-                    inline_rule(&s, &indices)
-                );
-                valid += usize::from(inline_rule(&s, &indices));
+                let config = s.config_at(&indices, ModelKind::Sage);
+                assert_eq!(config.is_some(), inline_rule(&s, &indices));
+                if let Some(config) = config {
+                    assert_eq!(config, configs[valid], "enumeration order");
+                    let assembled = table.summary_at(&indices);
+                    assert_eq!(assembled, config.summary(), "{indices:?}");
+                    assert_eq!(assembled.capacity(), assembled.len());
+                    valid += 1;
+                }
             }
             assert_eq!(valid, count);
         }

@@ -17,9 +17,9 @@
 //!    under `gnnav_par::par_map_indexed`, which returns results in
 //!    input order regardless of width.
 //! 3. **Commit (serial).** Responses are committed in admission
-//!    order: results enter the in-memory map, the durable
-//!    `ExploreCache`, and the nearest-neighbor index, and metering is
-//!    flushed.
+//!    order: each result enters the durable `ExploreCache` whole,
+//!    its guideline the in-memory map, its fingerprint the
+//!    nearest-neighbor index, and metering is flushed.
 //!
 //! Admission control is decided entirely at submit time — queue
 //! bound, per-tenant token bucket, and the degradation rung derived
@@ -30,7 +30,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use gnnav_estimator::{GrayBoxEstimator, ProfileDb, ProfileStore, Profiler};
-use gnnav_explorer::{explore_fingerprint, ExplorationResult, ExploreCache, Explorer};
+use gnnav_explorer::{explore_fingerprint, ExplorationResult, ExploreCache, Explorer, Guideline};
 use gnnav_graph::Dataset;
 use gnnav_hwsim::Platform;
 use gnnav_nn::ModelKind;
@@ -191,8 +191,11 @@ pub struct NavService {
     queue: Vec<Pending>,
     /// Remaining tokens per tenant id.
     buckets: HashMap<u64, u32>,
-    /// Completed explorations by exploration fingerprint.
-    results: HashMap<u64, ExplorationResult>,
+    /// The guideline of every completed exploration, by exploration
+    /// fingerprint — all a response reads of one. The candidates and
+    /// the audit trail go to the durable cache, when one is attached,
+    /// and are not kept here.
+    results: HashMap<u64, Guideline>,
     /// Nearest-neighbor index: context key → (shape vector,
     /// exploration fingerprint), in first-computed order.
     neighbors: HashMap<u64, Vec<(Vec<f64>, u64)>>,
@@ -275,7 +278,7 @@ impl NavService {
         self.profile_store.as_ref()
     }
 
-    /// Completed explorations held in memory.
+    /// Completed explorations whose guideline is held in memory.
     pub fn cached_results(&self) -> usize {
         self.results.len()
     }
@@ -489,8 +492,8 @@ impl NavService {
             }
             if let Some(cache) = self.explore_cache.as_mut() {
                 if let Some(result) = cache.lookup(fp) {
-                    let result = result.clone();
-                    self.results.insert(fp, result);
+                    let guideline = result.guideline.clone();
+                    self.results.insert(fp, guideline);
                     metrics.add(metric::SERVE_CACHE_HITS, 1);
                     resolutions
                         .push(Resolution::Ready { fingerprint: fp, tier: ServeTier::ExploreCache });
@@ -586,7 +589,7 @@ impl NavService {
                 .entry(key)
                 .or_default()
                 .push((Self::shape_vector(&job.dataset), job.fingerprint));
-            self.results.insert(job.fingerprint, result);
+            self.results.insert(job.fingerprint, result.guideline);
         }
         let mut responses = Vec::with_capacity(pending.len());
         for (p, resolution) in pending.iter().zip(&resolutions) {
@@ -594,7 +597,7 @@ impl NavService {
                 Resolution::Job { job, tier } => (jobs[*job].fingerprint, *tier),
                 Resolution::Ready { fingerprint, tier } => (*fingerprint, *tier),
             };
-            let result = self.results.get(&fp).expect("committed before responses");
+            let guideline = self.results.get(&fp).expect("committed before responses");
             metrics.add(metric::SERVE_RESPONSES, 1);
             metrics.observe(
                 metric::SERVE_LATENCY,
@@ -605,7 +608,7 @@ impl NavService {
                 tenant: p.request.tenant,
                 tier,
                 degrade: p.degrade,
-                guideline: result.guideline.clone(),
+                guideline: guideline.clone(),
             });
         }
         // Refill every known tenant bucket, capped at capacity.
