@@ -214,6 +214,7 @@ impl Navigator {
         let mut store = self.profile_store.as_mut();
         self.profile_db.merge(profiler.profile_through(
             store.as_deref_mut(),
+            None,
             &self.dataset,
             &configs,
         )?);

@@ -11,7 +11,9 @@
 //!   memoizes per-config predictions for
 //!   [`GrayBoxEstimator::predict_batch`].
 //! - [`Profiler`]/[`ProfileDb`] — ground-truth collection over the
-//!   design space, with power-law data enhancement (§4.1).
+//!   design space, with power-law data enhancement (§4.1);
+//!   [`ProfileStore`] keeps records across processes and
+//!   [`ExecutionTraces`] keeps executions across platforms.
 //! - [`BatchSizePredictor`] — Eq. 12's analytic skeleton with a
 //!   learned `f_overlapping` penalty, vs. the pure decision-tree
 //!   baseline [`BlackBoxBatchSize`] (Fig. 5).
@@ -32,6 +34,7 @@ pub mod memory;
 pub mod profile;
 pub mod store;
 pub mod time;
+pub mod traces;
 
 pub use accuracy::AccuracyEstimator;
 pub use batch_size::{BatchSizePredictor, BlackBoxBatchSize};
@@ -41,6 +44,7 @@ pub use memory::MemoryEstimator;
 pub use profile::{ProfileDb, ProfileRecord, Profiler};
 pub use store::{fingerprint_of, profile_fingerprint, ProfileStore};
 pub use time::{HitRatePredictor, TimeEstimator};
+pub use traces::ExecutionTraces;
 
 use std::error::Error;
 use std::fmt;

@@ -8,11 +8,13 @@
 
 use crate::context::Context;
 use crate::store::{profile_fingerprint, ProfileStore};
+use crate::traces::ExecutionTraces;
 use gnnav_faults::{FaultInjector, FaultKind};
 use gnnav_graph::{Dataset, DatasetId};
 use gnnav_obs::names as metric;
 use gnnav_runtime::{
-    ExecutionOptions, ExecutionReport, RuntimeBackend, RuntimeError, TrainingConfig,
+    ExecutionOptions, ExecutionReport, ExecutionTrace, Perf, RuntimeBackend, RuntimeError,
+    TrainingConfig,
 };
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -46,6 +48,30 @@ pub struct ProfileRecord {
     pub phase_s: [f64; 4],
     /// Iterations per epoch.
     pub n_iter: f64,
+}
+
+impl ProfileRecord {
+    /// The record of measuring `perf` for `context` on `dataset_id`.
+    fn measured(dataset_id: DatasetId, context: Context, perf: Perf) -> Self {
+        let n_iter = perf.n_iter.max(1) as f64;
+        ProfileRecord {
+            dataset_id,
+            context,
+            epoch_time_s: perf.epoch_time.as_secs(),
+            mem_bytes: perf.peak_mem_bytes as f64,
+            accuracy: perf.accuracy,
+            hit_rate: perf.hit_rate,
+            avg_batch_nodes: perf.avg_batch_nodes,
+            avg_batch_edges: perf.avg_batch_edges,
+            phase_s: [
+                perf.phases.sample.as_secs() / n_iter,
+                perf.phases.transfer.as_secs() / n_iter,
+                perf.phases.replace.as_secs() / n_iter,
+                perf.phases.compute.as_secs() / n_iter,
+            ],
+            n_iter,
+        }
+    }
 }
 
 /// A collection of profile records.
@@ -159,6 +185,11 @@ impl SweepReport {
     }
 }
 
+/// What one executed configuration of a sweep left: its index in the
+/// sweep's input, its record and, when the execution was clean, its
+/// platform-free trace.
+type Swept = (usize, ProfileRecord, Option<ExecutionTrace>);
+
 /// Executes configurations on the backend and records ground truth.
 #[derive(Debug, Clone)]
 pub struct Profiler {
@@ -220,15 +251,21 @@ impl Profiler {
         dataset: &Dataset,
         configs: &[TrainingConfig],
     ) -> Result<ProfileDb, RuntimeError> {
-        self.profile_through(None, dataset, configs)
+        self.profile_through(None, None, dataset, configs)
     }
 
-    /// [`profile`](Self::profile) through a durable store: configs the
-    /// store already covers are read back instead of executed, fresh
-    /// records are appended, and the database comes back in config
-    /// order either way — a warm sweep assembles the byte-identical
-    /// database of the cold one without executing a single covered
-    /// config. With no store this is `profile`.
+    /// [`profile`](Self::profile) through what earlier sweeps left, in
+    /// the order *store hit → trace hit, re-charged → execute*.
+    ///
+    /// Configs the durable `store` already covers are read back
+    /// instead of executed and fresh records are appended. Of the
+    /// rest, a config with a clean trace in `traces` that this
+    /// platform could have run unchanged is re-charged
+    /// ([`ExecutionTrace::recharge`]) instead of executed, and every
+    /// clean execution leaves its trace there for the next platform.
+    /// The database comes back in config order whichever tier answered
+    /// and is the byte-identical database of a sweep that executed
+    /// everything. With neither this is `profile`.
     ///
     /// # Errors
     ///
@@ -237,11 +274,12 @@ impl Profiler {
     pub fn profile_through(
         &self,
         store: Option<&mut ProfileStore>,
+        traces: Option<&mut ExecutionTraces>,
         dataset: &Dataset,
         configs: &[TrainingConfig],
     ) -> Result<ProfileDb, RuntimeError> {
         let db = match store {
-            None => self.profile_with_report(dataset, configs).db,
+            None => self.profile_replaying(traces, dataset, configs),
             Some(store) => {
                 let platform = self.backend.platform();
                 let fps: Vec<u64> =
@@ -253,7 +291,7 @@ impl Profiler {
                     .map(|(c, _)| c.clone())
                     .collect();
                 if !uncovered.is_empty() {
-                    for record in self.profile_with_report(dataset, &uncovered).db.records() {
+                    for record in self.profile_replaying(traces, dataset, &uncovered).records() {
                         store.insert(record)?;
                     }
                 }
@@ -270,6 +308,50 @@ impl Profiler {
         Ok(db)
     }
 
+    /// The platform-free tier of [`profile_through`](Self::profile_through):
+    /// configs whose trace re-charges for this platform become records
+    /// without executing, the rest go through one sweep and leave
+    /// their traces. Traces are read before the worker loop and
+    /// written after it, so the workers share nothing new. Records
+    /// come back in config order, failed configs skipped.
+    fn profile_replaying(
+        &self,
+        traces: Option<&mut ExecutionTraces>,
+        dataset: &Dataset,
+        configs: &[TrainingConfig],
+    ) -> ProfileDb {
+        let Some(traces) = traces else {
+            return self.profile_with_report(dataset, configs).db;
+        };
+        let platform = self.backend.platform();
+        let mut keys = Vec::with_capacity(configs.len());
+        let mut slots: Vec<Option<ProfileRecord>> = Vec::with_capacity(configs.len());
+        for config in configs {
+            let ctx = Context::new(dataset, platform, config.clone());
+            let key = ExecutionTraces::key(dataset.id(), &ctx, &self.opts);
+            let report = traces.get(&key).and_then(|trace| trace.recharge(platform));
+            slots.push(report.map(|r| ProfileRecord::measured(dataset.id(), ctx, r.perf)));
+            keys.push(key);
+        }
+        let replayed = slots.iter().flatten().count() as u64;
+        let missing: Vec<usize> = (0..configs.len()).filter(|&i| slots[i].is_none()).collect();
+        if !missing.is_empty() {
+            let to_execute: Vec<TrainingConfig> =
+                missing.iter().map(|&i| configs[i].clone()).collect();
+            for (executed, record, trace) in self.sweep(dataset, &to_execute).0 {
+                let i = missing[executed];
+                slots[i] = Some(record);
+                if let Some(trace) = trace {
+                    traces.insert(std::mem::take(&mut keys[i]), trace);
+                }
+            }
+        }
+        let metrics = gnnav_obs::global();
+        metrics.add(metric::PROFILER_RECORDS, replayed);
+        metrics.add(metric::PROFILER_REPLAYED, replayed);
+        slots.into_iter().flatten().collect()
+    }
+
     /// Like [`profile`](Self::profile), but never gives up on the
     /// sweep: failed configurations are retried up to the configured
     /// budget, quarantined on exhaustion, and reported alongside the
@@ -281,6 +363,17 @@ impl Profiler {
         dataset: &Dataset,
         configs: &[TrainingConfig],
     ) -> SweepReport {
+        let (swept, failures) = self.sweep(dataset, configs);
+        SweepReport { db: swept.into_iter().map(|(_, record, _)| record).collect(), failures }
+    }
+
+    /// Executes every configuration: what each that ran left, in index
+    /// order, and the quarantined rest.
+    fn sweep(
+        &self,
+        dataset: &Dataset,
+        configs: &[TrainingConfig],
+    ) -> (Vec<Swept>, Vec<ConfigFailure>) {
         let injector =
             self.opts.fault_plan.as_ref().filter(|p| !p.is_empty()).map(FaultInjector::new);
         let metrics = gnnav_obs::global();
@@ -295,8 +388,7 @@ impl Profiler {
         // Records carry the config index they came from so the final
         // database order is independent of thread completion order —
         // downstream fits must be deterministic for a given seed.
-        let results: Mutex<Vec<(usize, ProfileRecord)>> =
-            Mutex::new(Vec::with_capacity(configs.len()));
+        let results: Mutex<Vec<Swept>> = Mutex::new(Vec::with_capacity(configs.len()));
         let failed: Mutex<Vec<(usize, ConfigFailure)>> = Mutex::new(Vec::new());
         let busy: Mutex<Vec<Duration>> = Mutex::new(Vec::new());
         let retries_total = AtomicU64::new(0);
@@ -322,7 +414,8 @@ impl Profiler {
                 // then the real execution, then post-hoc
                 // timeout classification. Err carries the
                 // rendered cause and whether it was a timeout.
-                let attempt_once = |attempt: u32| -> Result<ExecutionReport, (String, bool)> {
+                type Executed = (ExecutionReport, Option<ExecutionTrace>);
+                let attempt_once = |attempt: u32| -> Result<Executed, (String, bool)> {
                     if injector.as_ref().is_some_and(|inj| {
                         inj.inject(FaultKind::WorkerCrash, i as u64, attempt, None).is_some()
                     }) {
@@ -337,9 +430,9 @@ impl Profiler {
                         );
                     }
                     let t0 = Instant::now();
-                    let report = self
+                    let executed = self
                         .backend
-                        .execute(dataset, &configs[i], &self.opts)
+                        .execute_traced(dataset, &configs[i], &self.opts)
                         .map_err(|e| (e.to_string(), false))?;
                     if let Some(limit) = self.config_timeout {
                         let elapsed = t0.elapsed();
@@ -353,7 +446,7 @@ impl Profiler {
                             ));
                         }
                     }
-                    Ok(report)
+                    Ok(executed)
                 };
 
                 let config_span = metrics.span_under(&sweep_path, "config");
@@ -361,7 +454,7 @@ impl Profiler {
                 let mut attempt = 0u32;
                 let outcome = loop {
                     match attempt_once(attempt) {
-                        Ok(report) => break Ok(report),
+                        Ok(executed) => break Ok(executed),
                         Err((error, timed_out)) => {
                             if timed_out {
                                 timeouts_total.fetch_add(1, Ordering::Relaxed);
@@ -398,29 +491,11 @@ impl Profiler {
                 }
                 drop(config_span);
                 match outcome {
-                    Ok(report) => {
+                    Ok((report, trace)) => {
                         let ctx =
                             Context::new(dataset, self.backend.platform(), configs[i].clone());
-                        let p = report.perf;
-                        let n_iter = p.n_iter.max(1) as f64;
-                        let record = ProfileRecord {
-                            dataset_id: dataset.id(),
-                            context: ctx,
-                            epoch_time_s: p.epoch_time.as_secs(),
-                            mem_bytes: p.peak_mem_bytes as f64,
-                            accuracy: p.accuracy,
-                            hit_rate: p.hit_rate,
-                            avg_batch_nodes: p.avg_batch_nodes,
-                            avg_batch_edges: p.avg_batch_edges,
-                            phase_s: [
-                                p.phases.sample.as_secs() / n_iter,
-                                p.phases.transfer.as_secs() / n_iter,
-                                p.phases.replace.as_secs() / n_iter,
-                                p.phases.compute.as_secs() / n_iter,
-                            ],
-                            n_iter,
-                        };
-                        results.lock().push((i, record));
+                        let record = ProfileRecord::measured(dataset.id(), ctx, report.perf);
+                        results.lock().push((i, record, trace));
                     }
                     Err(failure) => failed.lock().push((i, failure)),
                 }
@@ -452,16 +527,15 @@ impl Profiler {
             })
             .expect("profiling threads do not panic");
         }
-        let mut indexed = results.into_inner();
-        indexed.sort_by_key(|(i, _)| *i);
-        let records: Vec<ProfileRecord> = indexed.into_iter().map(|(_, r)| r).collect();
+        let mut swept = results.into_inner();
+        swept.sort_by_key(|(i, ..)| *i);
         let mut failures = failed.into_inner();
         failures.sort_by_key(|(i, _)| *i);
         let failures: Vec<ConfigFailure> = failures.into_iter().map(|(_, f)| f).collect();
 
         if metrics.is_enabled() {
             let wall = sweep_span.elapsed().as_secs_f64();
-            metrics.add(metric::PROFILER_RECORDS, records.len() as u64);
+            metrics.add(metric::PROFILER_RECORDS, swept.len() as u64);
             metrics.add(metric::PROFILER_FAILED, failures.len() as u64);
             // Zero-valued adds still register the series, pinning the
             // perf-gate baselines at zero on the no-fault path.
@@ -470,7 +544,7 @@ impl Profiler {
             metrics.add(metric::PROFILER_TIMEOUTS, timeouts_total.load(Ordering::Relaxed));
             metrics.gauge_set(metric::PROFILER_THREADS, workers as f64);
             if wall > 0.0 {
-                metrics.gauge_set(metric::PROFILER_RECORDS_PER_S, records.len() as f64 / wall);
+                metrics.gauge_set(metric::PROFILER_RECORDS_PER_S, swept.len() as f64 / wall);
                 let busy_total: f64 = busy.lock().iter().map(|d| d.as_secs_f64()).sum();
                 metrics.gauge_set(
                     metric::PROFILER_UTILIZATION,
@@ -479,7 +553,7 @@ impl Profiler {
             }
         }
 
-        SweepReport { db: ProfileDb { records }, failures }
+        (swept, failures)
     }
 
     /// Profiles `configs` on `count` randomly generated power-law
@@ -503,7 +577,7 @@ impl Profiler {
         for i in 0..count {
             let dataset =
                 Dataset::synthetic(num_nodes, 3 + (i % 5), 64, 16, seed.wrapping_add(i as u64))?;
-            db.merge(self.profile_through(store.as_deref_mut(), &dataset, configs)?);
+            db.merge(self.profile_through(store.as_deref_mut(), None, &dataset, configs)?);
         }
         Ok(db)
     }
@@ -650,18 +724,45 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("profiles.wal");
         let mut store = ProfileStore::open(&path).expect("open");
-        let cold = p.profile_through(Some(&mut store), &dataset, &cfgs).expect("cold");
+        let cold = p.profile_through(Some(&mut store), None, &dataset, &cfgs).expect("cold");
         assert_eq!(store.len(), 3, "one record per distinct executable config");
         drop(store);
         let mut store = ProfileStore::open(&path).expect("reopen");
-        let warm = p.profile_through(Some(&mut store), &dataset, &cfgs).expect("warm");
+        let warm = p.profile_through(Some(&mut store), None, &dataset, &cfgs).expect("warm");
         assert_eq!(store.len(), 3, "a warm sweep appends nothing");
         assert_eq!(format!("{cold:?}"), format!("{plain:?}"));
         assert_eq!(format!("{warm:?}"), format!("{plain:?}"));
 
         // A store cannot hide a systematic failure.
         let bad = [cfgs[1].clone()];
-        assert!(p.profile_through(Some(&mut store), &dataset, &bad).is_err());
+        assert!(p.profile_through(Some(&mut store), None, &dataset, &bad).is_err());
+
+        // The platform-free tier: traces another platform's sweep left
+        // re-charge into the same database, and into the same log. A
+        // zero timeout fails every execution, so a complete database
+        // under it executed nothing.
+        let mut traces = ExecutionTraces::new();
+        let a100 = Profiler::new(RuntimeBackend::new(Platform::default_a100()), p.opts.clone());
+        a100.profile_through(None, Some(&mut traces), &dataset, &cfgs).expect("record");
+        assert_eq!(traces.len(), 3, "one trace per distinct executable config");
+        let no_exec = p.clone().with_config_timeout(Duration::ZERO);
+        let replay_path = dir.join("replayed.wal");
+        let mut replay_store = ProfileStore::open(&replay_path).expect("open");
+        let replayed = no_exec
+            .profile_through(Some(&mut replay_store), Some(&mut traces), &dataset, &cfgs)
+            .expect("replayed");
+        assert_eq!(format!("{replayed:?}"), format!("{plain:?}"));
+        assert_eq!(traces.len(), 3, "a replayed sweep records nothing");
+        drop((store, replay_store));
+        assert_eq!(std::fs::read(&replay_path).expect("read"), std::fs::read(&path).expect("read"));
+        assert!(no_exec.profile(&dataset, &cfgs).is_err(), "the timeout does fail executions");
+
+        // A sweep under a fault plan is never answered from a clean
+        // one's traces: its worker faults still fire.
+        let crash = FaultPlan::new(41).with_fault(FaultSpec::new(FaultKind::WorkerCrash));
+        assert!(profiler_with_plan(crash)
+            .profile_through(None, Some(&mut traces), &dataset, &cfgs)
+            .is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 

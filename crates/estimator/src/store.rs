@@ -20,7 +20,7 @@ use crate::context::Context;
 use crate::profile::ProfileRecord;
 use gnnav_graph::{Dataset, DatasetId};
 use gnnav_hwsim::Platform;
-use gnnav_runtime::checkpoint::{get_config, put_config};
+use gnnav_runtime::checkpoint::{get_config, put_config, put_platform};
 use gnnav_runtime::TrainingConfig;
 use gnnav_store::{fnv1a64, ByteReader, ByteWriter, StoreError, Wal};
 use std::collections::HashMap;
@@ -59,6 +59,16 @@ fn dataset_from_tag(t: u8) -> Result<DatasetId, StoreError> {
 /// (config, dataset statistics, platform), so a store is only reused
 /// when all of them match.
 fn put_key(w: &mut ByteWriter, id: DatasetId, ctx: &Context) {
+    put_workload_key(w, id, ctx);
+    put_platform(w, &ctx.platform);
+}
+
+/// The platform-free part of [`put_key`]: the dataset's identity and
+/// statistics and the config. What an [`ExecutionTrace`] is keyed by,
+/// together with the execution options.
+///
+/// [`ExecutionTrace`]: gnnav_runtime::ExecutionTrace
+pub(crate) fn put_workload_key(w: &mut ByteWriter, id: DatasetId, ctx: &Context) {
     w.put_u8(dataset_tag(id));
     put_config(w, &ctx.config);
     w.put_f64(ctx.num_nodes);
@@ -69,20 +79,6 @@ fn put_key(w: &mut ByteWriter, id: DatasetId, ctx: &Context) {
     w.put_f64(ctx.feat_dim);
     w.put_f64(ctx.num_classes);
     w.put_f64(ctx.num_train);
-    let p = &ctx.platform;
-    w.put_str(&p.host.name);
-    w.put_f64(p.host.sample_mvps);
-    w.put_f64(p.host.mem_bandwidth_gbs);
-    w.put_f64(p.host.iteration_overhead_us);
-    w.put_str(&p.device.name);
-    w.put_f64(p.device.compute_tflops);
-    w.put_f64(p.device.mem_bandwidth_gbs);
-    w.put_usize(p.device.mem_capacity_bytes);
-    w.put_f64(p.device.launch_overhead_us);
-    w.put_f64(p.device.fp16_speedup);
-    w.put_str(&p.link.name);
-    w.put_f64(p.link.bandwidth_gbs);
-    w.put_f64(p.link.latency_us);
 }
 
 fn get_key(r: &mut ByteReader) -> Result<(DatasetId, Context), StoreError> {

@@ -41,7 +41,7 @@ use gnnav_graph::Dataset;
 use gnnav_hwsim::Platform;
 use gnnav_nn::ModelKind;
 use gnnav_obs::names as metric;
-use gnnav_runtime::checkpoint::{get_config, put_config};
+use gnnav_runtime::checkpoint::{get_config, put_config, put_platform};
 use gnnav_runtime::DesignSpace;
 use gnnav_store::{fnv1a64, ByteReader, ByteWriter, StoreError, Wal};
 use std::collections::HashMap;
@@ -180,20 +180,7 @@ pub fn explore_fingerprint(
     w.put_f64(dataset.feat_dim() as f64);
     w.put_f64(dataset.num_classes() as f64);
     w.put_f64(dataset.split().train.len() as f64);
-    let p = platform;
-    w.put_str(&p.host.name);
-    w.put_f64(p.host.sample_mvps);
-    w.put_f64(p.host.mem_bandwidth_gbs);
-    w.put_f64(p.host.iteration_overhead_us);
-    w.put_str(&p.device.name);
-    w.put_f64(p.device.compute_tflops);
-    w.put_f64(p.device.mem_bandwidth_gbs);
-    w.put_usize(p.device.mem_capacity_bytes);
-    w.put_f64(p.device.launch_overhead_us);
-    w.put_f64(p.device.fp16_speedup);
-    w.put_str(&p.link.name);
-    w.put_f64(p.link.bandwidth_gbs);
-    w.put_f64(p.link.latency_us);
+    put_platform(&mut w, platform);
     w.put_str(&format!("{model:?}"));
     // The design space and constraints are structs of plain values with
     // derived Debug — the rendering is canonical and covers every axis

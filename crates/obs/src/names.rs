@@ -29,6 +29,7 @@
 //! | `backend.execute[.epoch]` | histogram | wall s | span in `RuntimeBackend::execute` |
 //! | `backend.loss.last` / `.mean` | gauge | loss | `RuntimeBackend::execute` (last run) |
 //! | `profiler.records` | counter | records | `Profiler::profile` |
+//! | `profiler.replayed` | counter | records | `Profiler::profile_through`, given traces |
 //! | `profiler.failed_configs` | counter | configs | `Profiler::profile` |
 //! | `profiler.records_per_s` | gauge | rec/wall s | `Profiler::profile` (last sweep) |
 //! | `profiler.thread_utilization` | gauge | ratio | `Profiler::profile` (last sweep) |
@@ -175,6 +176,10 @@ pub const BACKEND_NAN_SKIPS: &str = "backend.nan_loss_skips";
 
 /// Ground-truth records collected by profiling sweeps.
 pub const PROFILER_RECORDS: &str = "profiler.records";
+/// Records assembled by re-charging an earlier execution's trace for
+/// this platform instead of executing (counted in `profiler.records`
+/// too). Only a sweep that was handed traces touches it.
+pub const PROFILER_REPLAYED: &str = "profiler.replayed";
 /// Configurations that failed to execute during sweeps.
 pub const PROFILER_FAILED: &str = "profiler.failed_configs";
 /// Records per wall second of the last sweep (gauge).

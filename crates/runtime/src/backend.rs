@@ -11,7 +11,7 @@ use crate::checkpoint::{DurabilityOptions, SessionCheckpoint};
 use crate::config::TrainingConfig;
 use crate::driver::{drive, EpochLoop};
 use crate::perf::Perf;
-use crate::session::ExecutionSession;
+use crate::session::{ExecutionSession, ExecutionTrace};
 use crate::RuntimeError;
 use gnnav_faults::FaultPlan;
 use gnnav_graph::Dataset;
@@ -235,8 +235,25 @@ impl RuntimeBackend {
         config: &TrainingConfig,
         opts: &ExecutionOptions,
     ) -> Result<ExecutionReport, RuntimeError> {
+        self.execute_traced(dataset, config, opts).map(|(report, _)| report)
+    }
+
+    /// [`execute`](Self::execute), plus the platform-free
+    /// [`ExecutionTrace`] of the run when it ended clean — what
+    /// [`ExecutionTrace::recharge`] needs to return this same report
+    /// for another platform without running anything.
+    ///
+    /// # Errors
+    ///
+    /// As [`execute`](Self::execute).
+    pub fn execute_traced(
+        &self,
+        dataset: &Dataset,
+        config: &TrainingConfig,
+        opts: &ExecutionOptions,
+    ) -> Result<(ExecutionReport, Option<ExecutionTrace>), RuntimeError> {
         drive(&SessionLoop { platform: &self.platform, dataset, config, opts }, opts, None)?
-            .finish()
+            .finish_traced()
     }
 
     /// [`execute`](Self::execute) with crash-safe durability: the same

@@ -21,7 +21,7 @@ use crate::backend::{DegradationStep, RecoveryLog};
 use crate::config::TrainingConfig;
 use crate::perf::PhaseBreakdown;
 use gnnav_cache::{CachePolicy, CacheSnapshot, CacheStats};
-use gnnav_hwsim::{Precision, SimTime};
+use gnnav_hwsim::{Platform, Precision, SimTime};
 use gnnav_nn::{AdamState, ModelKind};
 use gnnav_store::{ByteReader, ByteWriter, StoreError};
 use std::path::PathBuf;
@@ -204,6 +204,26 @@ pub fn get_config(r: &mut ByteReader) -> Result<TrainingConfig, StoreError> {
         hidden_dim: r.get_usize()?,
         dropout: r.get_f64()?,
     })
+}
+
+/// Appends every field of a [`Platform`] in the stable order the
+/// profile-store key, the exploration fingerprint and the serve pool's
+/// platform fingerprint share: two platforms encode alike only when
+/// they are equal.
+pub fn put_platform(w: &mut ByteWriter, p: &Platform) {
+    w.put_str(&p.host.name);
+    w.put_f64(p.host.sample_mvps);
+    w.put_f64(p.host.mem_bandwidth_gbs);
+    w.put_f64(p.host.iteration_overhead_us);
+    w.put_str(&p.device.name);
+    w.put_f64(p.device.compute_tflops);
+    w.put_f64(p.device.mem_bandwidth_gbs);
+    w.put_usize(p.device.mem_capacity_bytes);
+    w.put_f64(p.device.launch_overhead_us);
+    w.put_f64(p.device.fp16_speedup);
+    w.put_str(&p.link.name);
+    w.put_f64(p.link.bandwidth_gbs);
+    w.put_f64(p.link.latency_us);
 }
 
 fn put_sim_time(w: &mut ByteWriter, t: SimTime) {

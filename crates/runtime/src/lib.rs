@@ -32,7 +32,7 @@ pub use config::{SamplerKind, TrainingConfig};
 pub use driver::{drive, EpochLoop};
 pub use perf::{Perf, PhaseBreakdown};
 pub use report::{write_perf_csv, write_perf_jsonl, PERF_CSV_HEADER};
-pub use session::{EpochStats, ExecutionSession};
+pub use session::{EpochStats, ExecutionSession, ExecutionTrace};
 pub use space::{DesignSpace, SummaryTable};
 pub use templates::Template;
 

@@ -12,6 +12,27 @@
 //! path. The adaptive layer (`gnnav-adapt`) builds its
 //! drift-reexplore-switch loop on this API and runs it through the
 //! same driver.
+//!
+//! # What is platform-free
+//!
+//! The platform enters an execution in two places only: the
+//! [`CostModel`] that prices each mini-batch, and the
+//! [`MemoryLedger`]'s capacity. Everything else — batching, sampling,
+//! cache hits and replacements, the training steps, accuracy, the
+//! ledger's *peak* — is a function of `(dataset, config, options)`.
+//! A clean run (no fault plan, no retry, no degradation step, no
+//! config switch) therefore leaves an [`ExecutionTrace`]: the seven
+//! counts the cost model reads of every mini-batch, in order, plus the
+//! report with its simulated times left out.
+//! [`ExecutionTrace::recharge`] prices those batches for another
+//! platform and returns the report
+//! [`RuntimeBackend::execute`](crate::RuntimeBackend::execute) would
+//! return there, bit for bit: it calls the same `charge` and the same
+//! `accumulate` that `run_epoch` calls, batch by batch in the recorded
+//! order, so every floating-point sum is taken in the live loop's
+//! order, and it ends in the same `per_epoch` averaging as `finish`.
+//! A platform whose capacity is below the recorded peak would have
+//! failed a claim and walked the ladder; `recharge` declines it.
 
 use crate::backend::{
     DegradationStep, ExecutionOptions, ExecutionReport, RecoveryLog, LINK_STALL_FACTOR,
@@ -23,7 +44,7 @@ use crate::RuntimeError;
 use gnnav_cache::{build_cache, Cache, CacheStats};
 use gnnav_faults::{FaultInjector, FaultKind, FaultPlan};
 use gnnav_graph::Dataset;
-use gnnav_hwsim::{CostModel, MemoryLedger, Platform, SimTime};
+use gnnav_hwsim::{CostModel, MemoryLedger, Platform, Precision, SimTime};
 use gnnav_nn::tensor::MatrixView;
 use gnnav_nn::{train, Adam, GnnModel};
 use gnnav_obs::alloc::AllocStats;
@@ -62,6 +83,126 @@ pub struct EpochStats {
     /// Iterations this epoch (same as `batches` unless sampling was
     /// aborted mid-epoch).
     pub n_iter: usize,
+}
+
+/// Everything the cost model reads of one mini-batch. None of it
+/// depends on the platform.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct BatchCounts {
+    /// Nodes sampling added to the targets, `|V_i| − |B^0|` (Eq. 7).
+    expansion: usize,
+    /// Edges of the sampled subgraph.
+    num_edges: usize,
+    /// Nodes of the sampled subgraph, `|V_i|`.
+    num_nodes: usize,
+    /// Feature rows the device cache missed (sent over the link).
+    miss_rows: usize,
+    /// Feature rows the cache update wrote.
+    replaced_rows: usize,
+    /// Cache entries resident after the update.
+    cache_len: usize,
+    /// Aggregate+combine FLOPs of the batch.
+    flops: f64,
+}
+
+/// Prices one mini-batch on `cost`'s platform: `[sample, transfer,
+/// replace, compute]`. The live loop and
+/// [`ExecutionTrace::recharge`] both charge through here.
+fn charge(
+    cost: &CostModel,
+    batch: &BatchCounts,
+    row_bytes: usize,
+    precision: Precision,
+) -> [SimTime; 4] {
+    [
+        cost.t_sample(batch.expansion, batch.num_edges),
+        cost.t_transfer(batch.miss_rows * row_bytes),
+        cost.t_replace(batch.replaced_rows * row_bytes, batch.cache_len),
+        cost.t_compute(batch.flops, batch.num_nodes, precision),
+    ]
+}
+
+/// Adds one charged mini-batch to the running phase totals and, as one
+/// iteration of Eq. 4, to the run's simulated clock.
+fn accumulate(
+    cost: &CostModel,
+    [sample, transfer, replace, compute]: [SimTime; 4],
+    pipelined: bool,
+    phases: &mut PhaseBreakdown,
+    clock: &mut SimTime,
+) {
+    phases.sample += sample;
+    phases.transfer += transfer;
+    phases.replace += replace;
+    phases.compute += compute;
+    *clock += cost.iteration_time(sample, transfer, replace, compute, pipelined);
+}
+
+/// Run totals averaged over the epochs that ran: the report's
+/// `epoch_time` and `phases`.
+fn per_epoch(
+    clock: SimTime,
+    phases: PhaseBreakdown,
+    epochs_run: usize,
+) -> (SimTime, PhaseBreakdown) {
+    let inv_epochs = 1.0 / epochs_run.max(1) as f64;
+    (
+        clock * inv_epochs,
+        PhaseBreakdown {
+            sample: phases.sample * inv_epochs,
+            transfer: phases.transfer * inv_epochs,
+            replace: phases.replace * inv_epochs,
+            compute: phases.compute * inv_epochs,
+        },
+    )
+}
+
+/// The platform-free record of one clean execution (see the module
+/// header): enough to price the same run on any platform that could
+/// have held it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ExecutionTrace {
+    /// Every mini-batch of the run, in execution order across epochs.
+    batches: Vec<BatchCounts>,
+    row_bytes: usize,
+    epochs_run: usize,
+    /// The run's report with `epoch_time` and `phases` zeroed — what
+    /// is left does not depend on the platform.
+    report: ExecutionReport,
+}
+
+impl ExecutionTrace {
+    /// Mini-batches recorded.
+    pub fn num_batches(&self) -> usize {
+        self.batches.len()
+    }
+
+    /// Peak device memory of the recorded run: the least capacity a
+    /// platform needs for [`recharge`](Self::recharge) to answer.
+    pub fn peak_mem_bytes(&self) -> usize {
+        self.report.perf.peak_mem_bytes
+    }
+
+    /// The report executing the recorded `(dataset, config, options)`
+    /// on `platform` would return, or `None` when `platform` cannot
+    /// hold the recorded peak (its run would have degraded, so it is
+    /// not this one).
+    pub fn recharge(&self, platform: &Platform) -> Option<ExecutionReport> {
+        if platform.device.mem_capacity_bytes < self.peak_mem_bytes() {
+            return None;
+        }
+        let cost = CostModel::new(platform.clone());
+        let config = &self.report.config;
+        let mut phases = PhaseBreakdown::default();
+        let mut clock = SimTime::ZERO;
+        for batch in &self.batches {
+            let times = charge(&cost, batch, self.row_bytes, config.precision);
+            accumulate(&cost, times, config.pipelined, &mut phases, &mut clock);
+        }
+        let mut report = self.report.clone();
+        (report.perf.epoch_time, report.perf.phases) = per_epoch(clock, phases, self.epochs_run);
+        Some(report)
+    }
 }
 
 /// Owned fault state: the injector proper borrows its plan, so the
@@ -135,6 +276,11 @@ pub struct ExecutionSession<'d> {
     total_batches: usize,
     n_iter: usize,
     loss_history: Vec<f32>,
+    /// The mini-batches charged so far, while the run can still end
+    /// clean: `None` under a fault plan, after a config switch (its
+    /// migration is not a batch) and after a resume (the earlier
+    /// batches are gone).
+    trace: Option<Vec<BatchCounts>>,
     recovery: RecoveryLog,
     evictions: usize,
     wall_sample: Duration,
@@ -248,6 +394,7 @@ impl<'d> ExecutionSession<'d> {
             total_batches: 0,
             n_iter: 0,
             loss_history: Vec::new(),
+            trace: injector.is_none().then(Vec::new),
             recovery: RecoveryLog::default(),
             evictions: 0,
             wall_sample: Duration::ZERO,
@@ -401,6 +548,7 @@ impl<'d> ExecutionSession<'d> {
         self.cache_entries = entries;
         self.micro_batch = 1;
         self.fanout_reduced = false;
+        self.trace = None;
         Ok(migration)
     }
 
@@ -485,6 +633,7 @@ impl<'d> ExecutionSession<'d> {
         s.total_batches = ckpt.total_batches;
         s.n_iter = ckpt.n_iter;
         s.loss_history = ckpt.loss_history.clone();
+        s.trace = None;
         s.recovery = ckpt.recovery.clone();
         s.evictions = ckpt.evictions;
         s.epochs_run = ckpt.epochs_run;
@@ -542,6 +691,9 @@ impl<'d> ExecutionSession<'d> {
         if self.opts.train {
             self.loss_history.reserve(batches.len());
         }
+        if let Some(trace) = &mut self.trace {
+            trace.reserve(batches.len());
+        }
         for (bi, targets) in batches.iter().enumerate() {
             let batch_site = self.total_batches as u64;
 
@@ -549,7 +701,7 @@ impl<'d> ExecutionSession<'d> {
             // transient memory claim — can be aborted and
             // restarted by the degradation ladder, so phase times
             // are only accumulated after the claim succeeds.
-            let (mb, t_sample, t_transfer, t_replace, t_compute) = 'batch: loop {
+            let (mb, counts, times) = 'batch: loop {
                 // Host: sampling, with bounded retry of injected
                 // sampler failures.
                 let mut attempt = 0u32;
@@ -573,7 +725,6 @@ impl<'d> ExecutionSession<'d> {
                     }
                     attempt = self.charge_retry(attempt);
                 };
-                let t_sample = self.cost.t_sample(mb.expansion(), mb.num_edges());
 
                 // Device cache: split hits/misses, transfer the
                 // misses — through a possibly degraded link. A
@@ -581,8 +732,7 @@ impl<'d> ExecutionSession<'d> {
                 // retried with backoff; a slow one just stretches
                 // the transfer.
                 let outcome = self.cache.lookup(&mb.nodes);
-                let miss_bytes = outcome.misses.len() * self.row_bytes;
-                let mut t_transfer = self.cost.t_transfer(miss_bytes);
+                let mut link_stretch = None;
                 let mut attempt = 0u32;
                 loop {
                     match self.inject_fault(FaultKind::LinkDegrade, batch_site, attempt) {
@@ -599,7 +749,7 @@ impl<'d> ExecutionSession<'d> {
                             attempt = self.charge_retry(attempt);
                         }
                         Some(factor) => {
-                            t_transfer = t_transfer * factor.max(1.0);
+                            link_stretch = Some(factor.max(1.0));
                             break;
                         }
                         None => break,
@@ -612,15 +762,25 @@ impl<'d> ExecutionSession<'d> {
                     self.config.cache_update || self.cache.len() < self.cache.capacity();
                 let replaced = if may_update { self.cache.update(&outcome.misses) } else { 0 };
                 self.evictions += replaced;
-                let t_replace = self.cost.t_replace(replaced * self.row_bytes, self.cache.len());
 
-                // Device compute; micro-batching pays one extra
-                // kernel launch per additional micro-step.
-                let flops = self.model.flops_per_batch(mb.num_nodes(), mb.num_edges());
-                let mut t_compute =
-                    self.cost.t_compute(flops, mb.num_nodes(), self.config.precision);
+                // The four phase times of the batch. A degraded link
+                // stretches the transfer; micro-batching pays one
+                // extra kernel launch per additional micro-step.
+                let counts = BatchCounts {
+                    expansion: mb.expansion(),
+                    num_edges: mb.num_edges(),
+                    num_nodes: mb.num_nodes(),
+                    miss_rows: outcome.misses.len(),
+                    replaced_rows: replaced,
+                    cache_len: self.cache.len(),
+                    flops: self.model.flops_per_batch(mb.num_nodes(), mb.num_edges()),
+                };
+                let mut times = charge(&self.cost, &counts, self.row_bytes, self.config.precision);
+                if let Some(factor) = link_stretch {
+                    times[1] = times[1] * factor;
+                }
                 if self.micro_batch > 1 {
-                    t_compute += SimTime::from_micros(
+                    times[3] += SimTime::from_micros(
                         self.platform.device.launch_overhead_us * (self.micro_batch - 1) as f64,
                     );
                 }
@@ -651,7 +811,7 @@ impl<'d> ExecutionSession<'d> {
                 let oom = match claim_err {
                     None => {
                         self.ledger.end_batch();
-                        break 'batch (mb, t_sample, t_transfer, t_replace, t_compute);
+                        break 'batch (mb, counts, times);
                     }
                     Some(e) => e,
                 };
@@ -714,17 +874,16 @@ impl<'d> ExecutionSession<'d> {
                 self.recovery.degradations.push(step);
             };
 
-            self.phases.sample += t_sample;
-            self.phases.transfer += t_transfer;
-            self.phases.replace += t_replace;
-            self.phases.compute += t_compute;
-            self.epoch_time_total += self.cost.iteration_time(
-                t_sample,
-                t_transfer,
-                t_replace,
-                t_compute,
+            accumulate(
+                &self.cost,
+                times,
                 self.config.pipelined,
+                &mut self.phases,
+                &mut self.epoch_time_total,
             );
+            if let Some(trace) = &mut self.trace {
+                trace.push(counts);
+            }
 
             self.total_nodes += mb.num_nodes();
             self.total_edges += mb.num_edges();
@@ -910,7 +1069,16 @@ impl<'d> ExecutionSession<'d> {
     /// Evaluates accuracy, averages the accumulated totals over the
     /// epochs that ran, flushes the metric accumulators, and produces
     /// the final [`ExecutionReport`].
-    pub fn finish(mut self) -> Result<ExecutionReport, RuntimeError> {
+    pub fn finish(self) -> Result<ExecutionReport, RuntimeError> {
+        self.finish_traced().map(|(report, _)| report)
+    }
+
+    /// [`finish`](Self::finish), plus the run's [`ExecutionTrace`]
+    /// when it ended clean: straight through under one config, no
+    /// fault plan, no retry, no degradation step.
+    pub fn finish_traced(
+        mut self,
+    ) -> Result<(ExecutionReport, Option<ExecutionTrace>), RuntimeError> {
         let dataset = self.dataset;
         let graph = dataset.graph();
         let feats = dataset.features();
@@ -921,24 +1089,18 @@ impl<'d> ExecutionSession<'d> {
             0.0
         };
 
-        let epochs_f = self.epochs_run.max(1) as f64;
-        let inv_epochs = 1.0 / epochs_f;
         let total_stats = self.cache_stats_total();
         self.recovery.faults_injected = self.injector.as_ref().map_or(0, |inj| inj.injected);
+        let (epoch_time, phases) = per_epoch(self.epoch_time_total, self.phases, self.epochs_run);
         let perf = Perf {
-            epoch_time: self.epoch_time_total * inv_epochs,
+            epoch_time,
             peak_mem_bytes: self.ledger.peak_bytes(),
             accuracy,
             hit_rate: total_stats.hit_rate(),
             avg_batch_nodes: self.total_nodes as f64 / self.total_batches.max(1) as f64,
             avg_batch_edges: self.total_edges as f64 / self.total_batches.max(1) as f64,
             n_iter: self.n_iter,
-            phases: PhaseBreakdown {
-                sample: self.phases.sample * inv_epochs,
-                transfer: self.phases.transfer * inv_epochs,
-                replace: self.phases.replace * inv_epochs,
-                compute: self.phases.compute * inv_epochs,
-            },
+            phases,
         };
 
         if self.observing {
@@ -1030,11 +1192,27 @@ impl<'d> ExecutionSession<'d> {
                 }
             }
         }
-        Ok(ExecutionReport {
+        let clean = self.recovery.retries == 0 && self.recovery.degradations.is_empty();
+        let batches = self.trace.take().filter(|_| clean);
+        let report = ExecutionReport {
             perf,
             loss_history: self.loss_history,
             config: self.config,
             recovery: self.recovery,
-        })
+        };
+        let trace = batches.map(|batches| ExecutionTrace {
+            batches,
+            row_bytes: self.row_bytes,
+            epochs_run: self.epochs_run,
+            report: ExecutionReport {
+                perf: Perf {
+                    epoch_time: SimTime::ZERO,
+                    phases: PhaseBreakdown::default(),
+                    ..report.perf
+                },
+                ..report.clone()
+            },
+        });
+        Ok((report, trace))
     }
 }

@@ -4,29 +4,28 @@
 //! tenant's platform — by far the most expensive step of a cold
 //! navigation. The pool keeps the most recently used fits warm under
 //! an LRU bound so repeat platforms skip calibration entirely.
+//!
+//! A fit is per platform because the cost model's charges are; the
+//! executions under them are not. What a miss costs therefore depends
+//! on whether the service has calibrated before: its first miss
+//! trains the calibration sweep, every later one — a new platform, or
+//! one this pool evicted — re-charges the traces the first one left
+//! (see `service`), about a twentieth of the work. The pool itself
+//! knows none of this: it calls the `fit` it is handed.
 
 use gnnav_estimator::GrayBoxEstimator;
 use gnnav_hwsim::Platform;
 use gnnav_obs::names as metric;
+use gnnav_runtime::checkpoint::put_platform;
 use gnnav_store::{fnv1a64, ByteWriter};
 use std::sync::Arc;
 
-/// Fingerprints every field of a [`Platform`]: two platforms share a
-/// pooled estimator only when they are byte-identical.
+/// Fingerprints every field of a [`Platform`] (the one list,
+/// [`put_platform`]): two platforms share a pooled estimator only when
+/// they are byte-identical.
 pub fn platform_fingerprint(p: &Platform) -> u64 {
     let mut w = ByteWriter::new();
-    w.put_str(&p.host.name);
-    w.put_f64(p.host.sample_mvps);
-    w.put_f64(p.host.mem_bandwidth_gbs);
-    w.put_f64(p.host.iteration_overhead_us);
-    w.put_str(&p.device.name);
-    w.put_f64(p.device.compute_tflops);
-    w.put_f64(p.device.mem_bandwidth_gbs);
-    w.put_usize(p.device.mem_capacity_bytes);
-    w.put_f64(p.device.launch_overhead_us);
-    w.put_str(&p.link.name);
-    w.put_f64(p.link.bandwidth_gbs);
-    w.put_f64(p.link.latency_us);
+    put_platform(&mut w, p);
     fnv1a64(&w.finish())
 }
 
@@ -148,6 +147,34 @@ mod tests {
         assert_ne!(b, c);
         // Byte-identical platforms fingerprint identically.
         assert_eq!(a, platform_fingerprint(&Platform::default_rtx4090()));
+    }
+
+    #[test]
+    fn platform_fingerprint_reads_every_field() {
+        // `device.fp16_speedup` was once left out: two platforms
+        // differing only there shared one fit.
+        let edits: [fn(&mut Platform); 13] = [
+            |hw| hw.host.name.push('x'),
+            |hw| hw.host.sample_mvps += 1.0,
+            |hw| hw.host.mem_bandwidth_gbs += 1.0,
+            |hw| hw.host.iteration_overhead_us += 1.0,
+            |hw| hw.device.name.push('x'),
+            |hw| hw.device.compute_tflops += 1.0,
+            |hw| hw.device.mem_bandwidth_gbs += 1.0,
+            |hw| hw.device.mem_capacity_bytes += 1,
+            |hw| hw.device.launch_overhead_us += 1.0,
+            |hw| hw.device.fp16_speedup += 1.0,
+            |hw| hw.link.name.push('x'),
+            |hw| hw.link.bandwidth_gbs += 1.0,
+            |hw| hw.link.latency_us += 1.0,
+        ];
+        let base = Platform::default_a100();
+        for (field, edit) in edits.iter().enumerate() {
+            let mut edited = base.clone();
+            edit(&mut edited);
+            assert_ne!(edited, base);
+            assert_ne!(platform_fingerprint(&edited), platform_fingerprint(&base), "field {field}");
+        }
     }
 
     #[test]

@@ -11,7 +11,14 @@
 //!    warm estimator (pool hit or calibration), exploration
 //!    fingerprint, and serve tier in admission order. All cache
 //!    lookups, pool mutations, and coalescing decisions happen here,
-//!    so they are identical at every worker width.
+//!    so they are identical at every worker width. Calibration is one
+//!    fixed sweep — the same graphs, configs and execution seed for
+//!    every platform — so all of it but the cost model's charge is
+//!    platform-free: the first pool miss of a service trains the
+//!    sweep and keeps each execution's trace, every later miss
+//!    (another platform, or one the pool evicted) re-charges those
+//!    traces and trains nothing. The fit is the same either way, bit
+//!    for bit (`gnnav_runtime::session`).
 //! 2. **Explore (parallel).** The unique explorations the plan
 //!    scheduled run as pure `(estimator, dataset) → result` jobs
 //!    under `gnnav_par::par_map_indexed`, which returns results in
@@ -29,7 +36,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use gnnav_estimator::{GrayBoxEstimator, ProfileDb, ProfileStore, Profiler};
+use gnnav_estimator::{ExecutionTraces, GrayBoxEstimator, ProfileDb, ProfileStore, Profiler};
 use gnnav_explorer::{explore_fingerprint, ExplorationResult, ExploreCache, Explorer, Guideline};
 use gnnav_graph::Dataset;
 use gnnav_hwsim::Platform;
@@ -181,11 +188,24 @@ enum Resolution {
     Ready { fingerprint: u64, tier: ServeTier },
 }
 
+/// What every calibration of one service shares: the sweep's synthetic
+/// graphs, generated at the first pool miss, and the platform-free
+/// trace of each of its executions. Both are bounded by the options'
+/// sweep shape (`calibration_graphs` graphs, about
+/// `calibration_samples` traces for each), however many platforms or
+/// tenants arrive.
+#[derive(Debug, Default)]
+struct Calibration {
+    graphs: Vec<Dataset>,
+    traces: ExecutionTraces,
+}
+
 /// The long-lived multi-tenant guideline server.
 pub struct NavService {
     options: ServeOptions,
     space: Arc<DesignSpace>,
     pool: EstimatorPool,
+    calibration: Calibration,
     profile_store: Option<ProfileStore>,
     explore_cache: Option<ExploreCache>,
     queue: Vec<Pending>,
@@ -219,9 +239,10 @@ impl NavService {
     /// Creates a service with no durable backing.
     pub fn new(options: ServeOptions) -> Self {
         NavService {
-            options,
             space: Arc::new(DesignSpace::standard()),
-            pool: EstimatorPool::new(0),
+            pool: EstimatorPool::new(options.pool_capacity),
+            calibration: Calibration::default(),
+            options,
             profile_store: None,
             explore_cache: None,
             queue: Vec::new(),
@@ -231,12 +252,6 @@ impl NavService {
             datasets: HashMap::new(),
             next_seq: 0,
         }
-        .finish_pool()
-    }
-
-    fn finish_pool(mut self) -> Self {
-        self.pool = EstimatorPool::new(self.options.pool_capacity);
-        self
     }
 
     /// Attaches a durable profile store; calibration sweeps reuse its
@@ -366,14 +381,18 @@ impl NavService {
     }
 
     /// Calibrates a fresh gray-box fit for `platform`: a fixed,
-    /// seeded synthetic sweep (the same graphs for every tenant of
-    /// the platform), profiled through the shared store when one is
-    /// attached. Sampling covers all model families so one fit serves
-    /// every request on the platform.
+    /// seeded synthetic sweep (the same graphs, configs and execution
+    /// seed for every platform and tenant), profiled through the
+    /// shared store when one is attached and through the service's
+    /// traces always — so only configs neither covers are executed,
+    /// which after the first calibration of a process is none.
+    /// Sampling covers all model families so one fit serves every
+    /// request on the platform.
     fn calibrate(
         options: &ServeOptions,
         space: &DesignSpace,
         store: Option<&mut ProfileStore>,
+        calibration: &mut Calibration,
         platform: &Platform,
     ) -> Result<GrayBoxEstimator, ServeError> {
         let exec = ExecutionOptions {
@@ -387,20 +406,31 @@ impl NavService {
         let profiler = Profiler::new(RuntimeBackend::new(platform.clone()), exec).with_threads(1);
         let mut db = ProfileDb::new();
         let mut store = store;
-        for g in 0..options.calibration_graphs.max(1) {
-            let nodes = options.calibration_nodes + g * 137;
-            let dataset = Dataset::synthetic(
-                nodes,
-                3 + g % 3,
-                32,
-                8,
-                options.seed ^ 0x5E21 ^ (g as u64).wrapping_mul(0x9E37_79B9),
-            )?;
+        let Calibration { graphs, traces } = calibration;
+        if graphs.is_empty() {
+            *graphs = (0..options.calibration_graphs.max(1))
+                .map(|g| {
+                    Dataset::synthetic(
+                        options.calibration_nodes + g * 137,
+                        3 + g % 3,
+                        32,
+                        8,
+                        options.seed ^ 0x5E21 ^ (g as u64).wrapping_mul(0x9E37_79B9),
+                    )
+                })
+                .collect::<Result<_, _>>()?;
+        }
+        for (g, dataset) in graphs.iter().enumerate() {
             let per_model = options.calibration_samples.max(3).div_ceil(3);
             for (m, model) in ModelKind::ALL.iter().enumerate() {
                 let configs =
                     space.sample(per_model, *model, options.seed ^ ((g as u64) << 8) ^ m as u64);
-                db.merge(profiler.profile_through(store.as_deref_mut(), &dataset, &configs)?);
+                db.merge(profiler.profile_through(
+                    store.as_deref_mut(),
+                    Some(&mut *traces),
+                    dataset,
+                    &configs,
+                )?);
             }
         }
         let mut est = GrayBoxEstimator::new();
@@ -542,8 +572,9 @@ impl NavService {
             // recipe, not the fitted coefficients).
             let (options, space) = (&self.options, &self.space);
             let store = self.profile_store.as_mut();
+            let calibration = &mut self.calibration;
             let (estimator, pool_hit) = self.pool.get_or_insert_with(platform_fp, || {
-                Self::calibrate(options, space, store, &req.platform)
+                Self::calibrate(options, space, store, calibration, &req.platform)
             })?;
             let tier = if pool_hit { ServeTier::WarmEstimator } else { ServeTier::Cold };
             let job = jobs.len();

@@ -1,10 +1,21 @@
 //! Durable backing: a restarted service warm-starts from the shared
 //! `ProfileStore` and `ExploreCache` — the repeat tenant's guideline
-//! is an explore-cache hit and calibration re-profiles nothing.
+//! is an explore-cache hit and calibration re-profiles nothing — and
+//! the store a service writes does not depend on whether its
+//! calibrations trained or re-charged.
+
+use std::path::Path;
+use std::sync::Mutex;
 
 use gnnav_estimator::ProfileStore;
 use gnnav_explorer::ExploreCache;
-use gnnav_serve::{tenant_request, NavService, ServeOptions, ServeTier};
+use gnnav_hwsim::Platform;
+use gnnav_obs::names as metric;
+use gnnav_serve::{tenant_request, NavRequest, NavService, ServeOptions, ServeTier};
+
+/// Serializes the tests of this file: one reads a global counter's
+/// delta, and every calibration moves it.
+static METRICS_LOCK: Mutex<()> = Mutex::new(());
 
 fn fast_options(seed: u64) -> ServeOptions {
     ServeOptions {
@@ -25,6 +36,7 @@ fn fast_options(seed: u64) -> ServeOptions {
 
 #[test]
 fn restart_warm_starts_from_durable_stores() {
+    let _guard = METRICS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let dir = std::env::temp_dir().join(format!("gnnav-serve-dur-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("mkdir");
@@ -64,6 +76,80 @@ fn restart_warm_starts_from_durable_stores() {
         "restart calibration must reuse stored profile records, not re-profile"
     );
     assert_eq!(format!("{:?}", resp[0].guideline.config), cold_config);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The first tenant of the stream on each preset, in preset order.
+fn one_tenant_per_preset(seed: u64) -> Vec<NavRequest> {
+    [Platform::default_rtx4090(), Platform::default_a100(), Platform::default_m90()]
+        .iter()
+        .map(|platform| {
+            (0..256)
+                .map(|tenant| tenant_request(seed, tenant))
+                .find(|request| request.platform == *platform)
+                .expect("the tenant stream covers every preset")
+        })
+        .collect()
+}
+
+fn service_over(profiles: &Path) -> NavService {
+    NavService::new(fast_options(32))
+        .with_profile_store(ProfileStore::open(profiles).expect("open profiles"))
+}
+
+fn backend_runs() -> u64 {
+    gnnav_obs::global().snapshot().counters.get(metric::BACKEND_RUNS).copied().unwrap_or(0)
+}
+
+#[test]
+fn the_store_is_the_same_bytes_whether_calibrations_trained_or_recharged() {
+    let _guard = METRICS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = std::env::temp_dir().join(format!("gnnav-serve-dur-bytes-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let tenants = one_tenant_per_preset(32);
+
+    // One service meets all three platforms: it trains the first
+    // calibration and re-charges the other two.
+    let shared = dir.join("shared.wal");
+    {
+        let mut service = service_over(&shared);
+        for request in &tenants {
+            service.submit(request.clone()).expect("admit");
+        }
+        service.drain().expect("wave");
+        assert_eq!(service.pool().misses(), 3);
+    }
+
+    // Three services in turn, one platform each, into one path: each
+    // starts without traces, so each trains.
+    let serial = dir.join("serial.wal");
+    for request in &tenants {
+        let mut service = service_over(&serial);
+        service.submit(request.clone()).expect("admit");
+        service.drain().expect("wave");
+        assert_eq!(service.pool().misses(), 1);
+    }
+    let bytes = std::fs::read(&shared).expect("read shared");
+    assert!(!bytes.is_empty());
+    assert_eq!(bytes, std::fs::read(&serial).expect("read serial"));
+
+    // A restart over the store calibrates all three platforms from
+    // records: nothing executes, nothing is appended.
+    let metrics = gnnav_obs::global();
+    metrics.enable(true);
+    let runs_before = backend_runs();
+    let mut service = service_over(&shared);
+    for request in &tenants {
+        service.submit(request.clone()).expect("admit");
+    }
+    service.drain().expect("restart wave");
+    assert_eq!(service.pool().misses(), 3);
+    assert_eq!(backend_runs(), runs_before, "a covered platform executes nothing");
+    metrics.enable(false);
+    drop(service);
+    assert_eq!(bytes, std::fs::read(&shared).expect("read shared again"));
 
     let _ = std::fs::remove_dir_all(&dir);
 }
