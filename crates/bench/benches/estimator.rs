@@ -1,6 +1,6 @@
 //! Criterion benches for the gray-box estimator: fit cost,
 //! per-candidate prediction latency (the paper claims "negligible
-//! latency") alone, per forest and through the memoizing batch path,
+//! latency") alone, per forest and through the batch path,
 //! and gray-box vs. black-box fitting cost.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -81,8 +81,8 @@ fn bench_forests_and_batch(c: &mut Criterion) {
     group.sample_size(20);
     group.bench_function("2000", |b| {
         b.iter(|| {
-            let mut pctx = PredictionContext::new(&dataset, &platform);
-            est.predict_batch_owned(&mut pctx, configs.clone())
+            let pctx = PredictionContext::new(&dataset, &platform);
+            est.predict_batch_owned(&pctx, configs.clone())
         });
     });
     group.finish();

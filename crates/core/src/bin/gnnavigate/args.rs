@@ -31,6 +31,27 @@ impl<'a> Flags<'a> {
     {
         self.value(name)?.parse().map_err(|e| format!("bad {name}: {e}"))
     }
+
+    /// The value following flag `name`, parsed as a count of at least
+    /// one.
+    pub fn at_least_one(&mut self, name: &str) -> Result<usize, String> {
+        match self.parsed(name)? {
+            0 => Err(format!("{name} must be >= 1")),
+            n => Ok(n),
+        }
+    }
+
+    /// The value following flag `name`, parsed as a finite number: NaN
+    /// compares false with everything, so a bound set to it would
+    /// silently constrain nothing.
+    pub fn finite(&mut self, name: &str) -> Result<f64, String> {
+        let value: f64 = self.parsed(name)?;
+        if value.is_finite() {
+            Ok(value)
+        } else {
+            Err(format!("{name} {value} must be finite"))
+        }
+    }
 }
 
 /// Writes `contents` to `path`, naming the path in any error.

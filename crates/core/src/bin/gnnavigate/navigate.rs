@@ -106,30 +106,18 @@ pub fn parse_args(argv: &[String]) -> Result<Args, String> {
                 };
             }
             "--scale" => args.scale = flags.parsed(flag)?,
-            "--max-time-ms" => {
-                args.constraints.max_time_s = Some(flags.parsed::<f64>(flag)? * 1e-3);
-            }
-            "--max-mem-mb" => {
-                args.constraints.max_mem_bytes = Some(flags.parsed::<f64>(flag)? * 1e6);
-            }
-            "--min-acc" => {
-                args.constraints.min_accuracy = Some(flags.parsed::<f64>(flag)? / 100.0);
-            }
+            "--max-time-ms" => args.constraints.max_time_s = Some(flags.finite(flag)? * 1e-3),
+            "--max-mem-mb" => args.constraints.max_mem_bytes = Some(flags.finite(flag)? * 1e6),
+            "--min-acc" => args.constraints.min_accuracy = Some(flags.finite(flag)? / 100.0),
             "--profile-samples" => args.profile_samples = Some(flags.parsed(flag)?),
-            "--explore-budget" => args.explore_budget = Some(flags.parsed(flag)?),
+            "--explore-budget" => args.explore_budget = Some(flags.at_least_one(flag)?),
             "--epochs" => args.epochs = Some(flags.parsed(flag)?),
             "--seed" => args.seed = Some(flags.parsed(flag)?),
             "--fault-plan" => args.fault_plan = Some(flags.value(flag)?.into()),
             "--profile-db" => args.profile_db = Some(flags.value(flag)?.into()),
             "--explore-cache" => args.explore_cache = Some(flags.value(flag)?.into()),
             "--checkpoint-dir" => args.checkpoint_dir = Some(flags.value(flag)?.into()),
-            "--checkpoint-every" => {
-                let n: usize = flags.parsed(flag)?;
-                if n == 0 {
-                    return Err("--checkpoint-every must be >= 1".into());
-                }
-                args.checkpoint_every = Some(n);
-            }
+            "--checkpoint-every" => args.checkpoint_every = Some(flags.at_least_one(flag)?),
             "--resume" => args.resume = true,
             "--adapt" => args.adapt = true,
             "--drift-threshold" => {

@@ -22,7 +22,7 @@ pub fn run(argv: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
             "--tenants" => load.tenants = flags.parsed(flag)?,
             "--requests" => load.requests = flags.parsed(flag)?,
             "--burst" => load.burst = flags.parsed(flag)?,
-            "--zipf" => load.zipf_exponent = flags.parsed(flag)?,
+            "--zipf" => load.zipf_exponent = flags.finite(flag)?,
             "--workers" => workers = flags.parsed(flag)?,
             "--seed" => {
                 let seed: u64 = flags.parsed(flag)?;

@@ -24,6 +24,31 @@ fn unknown_flag_fails_with_message() {
 }
 
 #[test]
+fn out_of_range_numbers_are_rejected_before_any_work() {
+    // A zero budget used to panic after the profiling sweep; a NaN
+    // bound used to be accepted and constrain nothing.
+    let cases: [&[&str]; 6] = [
+        &["--explore-budget", "0"],
+        &["--max-time-ms", "nan"],
+        &["--max-mem-mb", "NaN"],
+        &["--min-acc", "nan"],
+        &["--max-mem-mb", "inf"],
+        &["serve-bench", "--zipf", "nan"],
+    ];
+    for args in cases {
+        let started = std::time::Instant::now();
+        let out = gnnavigate().args(args).output().expect("spawn");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert!(started.elapsed().as_secs_f64() < 1.0, "{args:?} did work before failing");
+        let text = String::from_utf8_lossy(&out.stderr);
+        let flag = args[args.len() - 2];
+        let message = text.lines().next().unwrap_or_default();
+        assert!(message.starts_with("error: ") && message.contains(flag), "{args:?}: {text}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
+}
+
+#[test]
 fn bad_dataset_fails() {
     let out = gnnavigate().args(["--dataset", "nope"]).output().expect("spawn");
     assert!(!out.status.success());

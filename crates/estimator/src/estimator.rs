@@ -2,7 +2,7 @@
 
 use crate::accuracy::AccuracyEstimator;
 use crate::batch_size::BatchSizePredictor;
-use crate::context::{config_hash, same_bits, Context, HashChains, PredictionContext};
+use crate::context::{Context, PredictionContext};
 use crate::memory::MemoryEstimator;
 use crate::profile::ProfileDb;
 use crate::time::{HitRatePredictor, TimeEstimator};
@@ -192,36 +192,19 @@ impl GrayBoxEstimator {
     }
 
     /// Predicts a batch of candidates against one precomputed
-    /// [`PredictionContext`].
-    ///
-    /// What it saves over a `predict` loop, none of it observable in
-    /// the returned estimates (`predict` is pure given the context):
-    ///
-    /// 1. The per-(dataset, platform) feature work is hoisted into
-    ///    `pctx` — building each candidate's [`Context`] is O(1).
-    /// 2. Configurations already in `pctx`'s memo (from this call or a
-    ///    previous one) are served without re-predicting; duplicates
-    ///    within the batch are predicted once. Both lookups share one
-    ///    64-bit hash per candidate, taken over the fields' bit
-    ///    patterns without encoding them, and compare the fields bit
-    ///    for bit inside a bucket (see [`PredictionContext`] for why
-    ///    bits). Memo hits are metered as
-    ///    `estimator.predictions.memoized` and skip the
-    ///    `estimator.predictions` counter, which the batch bumps once
-    ///    by the number of predictions it computed.
-    /// 3. The remaining unique predictions fan out across the
-    ///    `gnnav-par` pool. Chunk boundaries are static, so the output
-    ///    is bitwise identical at every thread count.
+    /// [`PredictionContext`]: building each candidate's [`Context`] is
+    /// O(1), and the predictions fan out across the `gnnav-par` pool.
+    /// Chunk boundaries are static, so the output is bitwise identical
+    /// to a `predict` loop at every thread count.
     ///
     /// Returns one estimate per entry of `configs`, in order.
     ///
     /// # Panics
     ///
-    /// Panics if the estimator is unfitted and any prediction is
-    /// actually computed.
+    /// Panics if the estimator is unfitted and `configs` is not empty.
     pub fn predict_batch(
         &self,
-        pctx: &mut PredictionContext,
+        pctx: &PredictionContext,
         configs: &[TrainingConfig],
     ) -> Vec<PerfEstimate> {
         self.predict_batch_owned(pctx, configs.to_vec()).into_iter().map(|(_, e)| e).collect()
@@ -229,68 +212,19 @@ impl GrayBoxEstimator {
 
     /// [`predict_batch`](Self::predict_batch) for a caller that owns
     /// its candidates: each configuration moves into its [`Context`]
-    /// and back out beside its estimate; the only copy made is the one
-    /// the memo keeps of a configuration it has not seen.
+    /// and back out beside its estimate, never copied.
     pub fn predict_batch_owned(
         &self,
-        pctx: &mut PredictionContext,
+        pctx: &PredictionContext,
         configs: Vec<TrainingConfig>,
-    ) -> Vec<(TrainingConfig, PerfEstimate)> {
-        self.predict_batch_hashed(pctx, configs, config_hash)
-    }
-
-    /// [`predict_batch_owned`](Self::predict_batch_owned) with the
-    /// hash as a parameter, so a test can force every configuration
-    /// into one bucket. All calls on one `pctx` must pass the same
-    /// `hash`.
-    fn predict_batch_hashed(
-        &self,
-        pctx: &mut PredictionContext,
-        configs: Vec<TrainingConfig>,
-        hash: impl Fn(&TrainingConfig) -> u64,
     ) -> Vec<(TrainingConfig, PerfEstimate)> {
         let contexts: Vec<Context> = configs.into_iter().map(|c| pctx.context(c)).collect();
-        let hashes: Vec<u64> = contexts.iter().map(|c| hash(&c.config)).collect();
-        let memoized: Vec<Option<PerfEstimate>> =
-            contexts.iter().zip(&hashes).map(|(c, &h)| pctx.memo_get(h, &c.config)).collect();
-        // First-appearance order of the unique un-memoized configs;
-        // later duplicates point at the same slot.
-        let mut slot_of: Vec<Option<usize>> = vec![None; contexts.len()];
-        let mut uniques: Vec<usize> = Vec::new();
-        let mut first = HashChains::default();
-        for (i, context) in contexts.iter().enumerate() {
-            if memoized[i].is_some() {
-                continue;
-            }
-            let seen = first.find(hashes[i], |slot| {
-                same_bits(&contexts[uniques[slot]].config, &context.config)
-            });
-            slot_of[i] = Some(seen.unwrap_or_else(|| {
-                uniques.push(i);
-                first.push(hashes[i])
-            }));
+        let estimates =
+            gnnav_par::par_map_indexed(&contexts, 8, |_, ctx| self.predict_uncounted(ctx));
+        if !contexts.is_empty() {
+            gnnav_obs::global().add(metric::ESTIMATOR_PREDICTIONS, contexts.len() as u64);
         }
-        let metrics = gnnav_obs::global();
-        let memo_hits = (contexts.len() - uniques.len()) as u64;
-        if memo_hits > 0 {
-            metrics.add(metric::ESTIMATOR_MEMOIZED, memo_hits);
-        }
-        let fresh: Vec<PerfEstimate> =
-            gnnav_par::par_map_indexed(&uniques, 8, |_, &i| self.predict_uncounted(&contexts[i]));
-        if !uniques.is_empty() {
-            metrics.add(metric::ESTIMATOR_PREDICTIONS, uniques.len() as u64);
-        }
-        for (slot, &i) in uniques.iter().enumerate() {
-            pctx.memo_put(hashes[i], contexts[i].config.clone(), fresh[slot]);
-        }
-        contexts
-            .into_iter()
-            .zip(memoized.iter().zip(&slot_of))
-            .map(|(ctx, (memoized, slot))| {
-                let estimate = memoized.unwrap_or_else(|| fresh[slot.expect("miss has a slot")]);
-                (ctx.config, estimate)
-            })
-            .collect()
+        contexts.into_iter().map(|ctx| ctx.config).zip(estimates).collect()
     }
 
     /// Evaluates prediction quality on held-out records (Tab. 2's
@@ -413,100 +347,25 @@ mod tests {
         est.fit(&db).expect("fit");
         let dataset = Dataset::load_scaled(DatasetId::Reddit2, 0.05).expect("load");
         let platform = Platform::default_rtx4090();
-        let configs: Vec<_> = DesignSpace::standard().sample(12, ModelKind::Sage, 7);
+        // Twelve distinct configs, one of them twice, and a pair that
+        // differs only in the sign of a zero: each entry is answered
+        // for itself, in place.
+        let mut configs: Vec<_> = DesignSpace::standard().sample(12, ModelKind::Sage, 7);
+        configs.push(configs[3].clone());
+        let zero = TrainingConfig { locality_eta: 0.0, ..configs[1].clone() };
+        configs.extend([TrainingConfig { locality_eta: -0.0, ..zero.clone() }, zero]);
         let serial: Vec<PerfEstimate> = configs
             .iter()
             .map(|c| est.predict(&Context::new(&dataset, &platform, c.clone())))
             .collect();
-        let mut pctx = PredictionContext::new(&dataset, &platform);
-        let batch = est.predict_batch(&mut pctx, &configs);
+        let pctx = PredictionContext::new(&dataset, &platform);
+        let batch = est.predict_batch(&pctx, &configs);
         assert_eq!(format!("{batch:?}"), format!("{serial:?}"), "bit-exact vs serial");
         // Bit-exact at every thread width, too.
         for threads in [1, 2, 4, 8] {
-            let wide = gnnav_par::with_thread_limit(threads, || {
-                let mut pctx = PredictionContext::new(&dataset, &platform);
-                est.predict_batch(&mut pctx, &configs)
-            });
+            let wide = gnnav_par::with_thread_limit(threads, || est.predict_batch(&pctx, &configs));
             assert_eq!(format!("{wide:?}"), format!("{serial:?}"), "{threads} threads");
         }
-    }
-
-    #[test]
-    fn predict_batch_memoizes_duplicates() {
-        let db = db_for(DatasetId::Reddit2, 3, 18);
-        let mut est = GrayBoxEstimator::new();
-        est.fit(&db).expect("fit");
-        let dataset = Dataset::load_scaled(DatasetId::Reddit2, 0.05).expect("load");
-        let platform = Platform::default_rtx4090();
-        let config = gnnav_runtime::TrainingConfig::default();
-        let mut pctx = PredictionContext::new(&dataset, &platform);
-        // Duplicates inside one batch collapse to a single prediction.
-        let batch = est.predict_batch(&mut pctx, &[config.clone(), config.clone()]);
-        assert_eq!(format!("{:?}", batch[0]), format!("{:?}", batch[1]));
-        assert_eq!(pctx.memo_len(), 1);
-        // A later batch over the same config is served from the memo
-        // with the identical estimate.
-        let again = est.predict_batch(&mut pctx, &[config]);
-        assert_eq!(format!("{:?}", again[0]), format!("{:?}", batch[0]));
-        assert_eq!(pctx.memo_len(), 1);
-    }
-
-    #[test]
-    fn one_bucket_memo_answers_like_the_hashed_one() {
-        let db = db_for(DatasetId::Reddit2, 3, 18);
-        let mut est = GrayBoxEstimator::new();
-        est.fit(&db).expect("fit");
-        let dataset = Dataset::load_scaled(DatasetId::Reddit2, 0.05).expect("load");
-        let platform = Platform::default_rtx4090();
-
-        // Wave 1: twelve distinct configs, two in-batch repeats, and
-        // two pairs that differ only in the sign of a zero and only
-        // in how many fanouts they list.
-        let sampled = DesignSpace::standard().sample(16, ModelKind::Sage, 7);
-        let mut wave1 = sampled[..12].to_vec();
-        wave1.extend([sampled[3].clone(), sampled[0].clone()]);
-        // (Hidden widths the space does not offer keep them off the
-        // sampled configs.)
-        let zero = TrainingConfig { locality_eta: 0.0, hidden_dim: 48, ..sampled[1].clone() };
-        let minus_zero = TrainingConfig { locality_eta: -0.0, ..zero.clone() };
-        let short = TrainingConfig { fanouts: vec![5], hidden_dim: 40, ..sampled[2].clone() };
-        let long = TrainingConfig { fanouts: vec![5, 5], ..short.clone() };
-        wave1.extend([zero, minus_zero, short, long]);
-        // Wave 2: four revisits across waves, four new configs.
-        let mut wave2 = wave1[5..9].to_vec();
-        wave2.extend_from_slice(&sampled[12..]);
-        let distinct = |configs: &[TrainingConfig]| {
-            let mut seen: Vec<&TrainingConfig> = Vec::new();
-            for c in configs {
-                if !seen.iter().any(|s| same_bits(s, c)) {
-                    seen.push(c);
-                }
-            }
-            seen.len()
-        };
-        assert_eq!(distinct(&wave1), 16, "the signed zeros and the fanout lengths stay apart");
-
-        let run = |hash: fn(&TrainingConfig) -> u64| {
-            let mut pctx = PredictionContext::new(&dataset, &platform);
-            let first = est.predict_batch_hashed(&mut pctx, wave1.clone(), hash);
-            let after_first = pctx.memo_len();
-            let second = est.predict_batch_hashed(&mut pctx, wave2.clone(), hash);
-            (format!("{first:?} {second:?}"), after_first, pctx.memo_len())
-        };
-        let hashed = run(config_hash);
-        let one_bucket = run(|_| 0);
-        // Every fresh prediction adds one memo entry, so equal memo
-        // growth is equal `estimator.predictions`, and the rest of each
-        // wave is equal `estimator.predictions.memoized`.
-        assert_eq!((hashed.1, hashed.2), (16, 20));
-        assert_eq!(one_bucket, hashed);
-        let serial: Vec<_> = wave1
-            .iter()
-            .chain(&wave2)
-            .map(|c| (c.clone(), est.predict(&Context::new(&dataset, &platform, c.clone()))))
-            .collect();
-        let (first, second) = serial.split_at(wave1.len());
-        assert_eq!(hashed.0, format!("{first:?} {second:?}"), "bit-exact vs serial");
     }
 
     #[test]

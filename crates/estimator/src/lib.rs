@@ -7,9 +7,8 @@
 //!
 //! - [`Context`] — everything a prediction conditions on (candidate
 //!   configuration, dataset statistics, platform);
-//!   [`PredictionContext`] hoists the dataset statistics once and
-//!   memoizes per-config predictions for
-//!   [`GrayBoxEstimator::predict_batch`].
+//!   [`PredictionContext`] hoists the dataset statistics and the
+//!   platform once for [`GrayBoxEstimator::predict_batch`].
 //! - [`Profiler`]/[`ProfileDb`] — ground-truth collection over the
 //!   design space, with power-law data enhancement (§4.1);
 //!   [`ProfileStore`] keeps records across processes and

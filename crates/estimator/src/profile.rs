@@ -190,6 +190,10 @@ impl SweepReport {
 /// platform-free trace.
 type Swept = (usize, ProfileRecord, Option<ExecutionTrace>);
 
+/// Retries granted to a configuration that failed to execute, before
+/// it is quarantined.
+const CONFIG_RETRIES: u32 = 1;
+
 /// Executes configurations on the backend and records ground truth.
 #[derive(Debug, Clone)]
 pub struct Profiler {
@@ -197,8 +201,6 @@ pub struct Profiler {
     opts: ExecutionOptions,
     /// Number of worker threads for the sweep.
     threads: usize,
-    /// Bounded retries per failed configuration.
-    config_retries: u32,
     /// Post-hoc per-config wall-time limit: an execution that comes
     /// back slower than this is treated as failed and retried.
     config_timeout: Option<Duration>,
@@ -208,7 +210,7 @@ impl Profiler {
     /// Creates a profiler running each configuration under `opts`.
     pub fn new(backend: RuntimeBackend, opts: ExecutionOptions) -> Self {
         let threads = std::thread::available_parallelism().map_or(4, |n| n.get()).min(16);
-        Profiler { backend, opts, threads, config_retries: 1, config_timeout: None }
+        Profiler { backend, opts, threads, config_timeout: None }
     }
 
     /// Overrides the worker-thread count.
@@ -219,12 +221,6 @@ impl Profiler {
     pub fn with_threads(mut self, threads: usize) -> Self {
         assert!(threads > 0, "at least one thread required");
         self.threads = threads;
-        self
-    }
-
-    /// Overrides the per-config retry budget (default 1).
-    pub fn with_config_retries(mut self, retries: u32) -> Self {
-        self.config_retries = retries;
         self
     }
 
@@ -459,7 +455,7 @@ impl Profiler {
                             if timed_out {
                                 timeouts_total.fetch_add(1, Ordering::Relaxed);
                             }
-                            if attempt >= self.config_retries {
+                            if attempt >= CONFIG_RETRIES {
                                 break Err(ConfigFailure {
                                     config_index: i,
                                     config: configs[i].summary(),

@@ -244,7 +244,7 @@ impl Replay<'_> {
         }
         let mut evaluated = self
             .estimator
-            .predict_batch_owned(&mut self.pctx, std::mem::take(&mut wave.configs))
+            .predict_batch_owned(&self.pctx, std::mem::take(&mut wave.configs))
             .into_iter();
         let metrics = gnnav_obs::global();
         let journal = metrics.journal();

@@ -8,8 +8,8 @@
 //! `Explorer::explore`, as produced by the commit *before* the flat
 //! trees, the hashed memo key, the per-axis summary pieces and the
 //! front-taking `decide`; this test re-explores and compares.
-//! `golden_frame.rs` pins one cache frame and `memo_revisits.rs` two
-//! counters; this pins audit strings and rejected lists as well, over
+//! `golden_frame.rs` pins one cache frame and `prediction_count.rs` one
+//! counter; this pins audit strings and rejected lists as well, over
 //! both datasets, every priority, three constraint shapes, two budgets
 //! and two restart seeds, on an estimator with all five components
 //! fitted.
@@ -92,7 +92,7 @@ const PINS: [[u64; 2]; 48] = [
 ];
 
 /// `explore_from` with the PyG template handed in three times: the one
-/// path on which the prediction memo is hit.
+/// path on which a candidate repeats.
 const DUPLICATED_SEED_PIN: u64 = 0xcdd3_08fa_8833_5070;
 
 fn fixture() -> (Vec<Dataset>, GrayBoxEstimator) {

@@ -11,31 +11,6 @@ use crate::GraphError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Generates an Erdős–Rényi graph with `num_nodes` nodes and expected
-/// average (undirected) degree `avg_degree`, symmetrized.
-///
-/// # Errors
-///
-/// Returns [`GraphError::InvalidParameter`] if `num_nodes == 0` or
-/// `avg_degree < 0`.
-pub fn erdos_renyi(num_nodes: usize, avg_degree: f64, seed: u64) -> Result<Graph, GraphError> {
-    if num_nodes == 0 {
-        return Err(GraphError::InvalidParameter("num_nodes must be > 0".into()));
-    }
-    if avg_degree < 0.0 {
-        return Err(GraphError::InvalidParameter("avg_degree must be >= 0".into()));
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    let num_edges = ((num_nodes as f64) * avg_degree / 2.0).round() as usize;
-    let mut b = GraphBuilder::with_capacity(num_nodes, num_edges * 2);
-    for _ in 0..num_edges {
-        let u = rng.gen_range(0..num_nodes) as NodeId;
-        let v = rng.gen_range(0..num_nodes) as NodeId;
-        b.add_edge(u, v);
-    }
-    b.symmetrize().build()
-}
-
 /// Generates a Barabási–Albert preferential-attachment graph: each new
 /// node attaches to `edges_per_node` existing nodes chosen proportional
 /// to degree. Degree distribution follows a power law.
@@ -81,136 +56,6 @@ pub fn barabasi_albert(
         }
     }
     b.symmetrize().build()
-}
-
-/// Parameters of an R-MAT generator: quadrant probabilities.
-///
-/// The four probabilities must be positive and sum to (approximately)
-/// one; [`rmat`] normalizes them.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RmatParams {
-    /// Top-left quadrant probability (hub-hub edges).
-    pub a: f64,
-    /// Top-right quadrant probability.
-    pub b: f64,
-    /// Bottom-left quadrant probability.
-    pub c: f64,
-    /// Bottom-right quadrant probability.
-    pub d: f64,
-}
-
-impl Default for RmatParams {
-    /// The Graph500 defaults `(0.57, 0.19, 0.19, 0.05)`.
-    fn default() -> Self {
-        RmatParams { a: 0.57, b: 0.19, c: 0.19, d: 0.05 }
-    }
-}
-
-/// Generates an R-MAT graph with `2^scale` nodes and
-/// `edge_factor * 2^scale` undirected edges, symmetrized.
-///
-/// # Errors
-///
-/// Returns [`GraphError::InvalidParameter`] if `scale == 0`,
-/// `edge_factor == 0`, or any quadrant probability is non-positive.
-pub fn rmat(
-    scale: u32,
-    edge_factor: usize,
-    params: RmatParams,
-    seed: u64,
-) -> Result<Graph, GraphError> {
-    if scale == 0 || edge_factor == 0 {
-        return Err(GraphError::InvalidParameter("scale and edge_factor must be > 0".into()));
-    }
-    let RmatParams { a, b, c, d } = params;
-    if a <= 0.0 || b <= 0.0 || c <= 0.0 || d <= 0.0 {
-        return Err(GraphError::InvalidParameter(
-            "rmat quadrant probabilities must be positive".into(),
-        ));
-    }
-    let total = a + b + c + d;
-    let (a, b, c) = (a / total, b / total, c / total);
-    let n = 1usize << scale;
-    let num_edges = edge_factor * n;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut builder = GraphBuilder::with_capacity(n, num_edges * 2);
-    for _ in 0..num_edges {
-        let (mut u, mut v) = (0usize, 0usize);
-        for level in (0..scale).rev() {
-            let r: f64 = rng.gen();
-            let bit = 1usize << level;
-            if r < a {
-                // top-left: no bits set
-            } else if r < a + b {
-                v |= bit;
-            } else if r < a + b + c {
-                u |= bit;
-            } else {
-                u |= bit;
-                v |= bit;
-            }
-        }
-        builder.add_edge(u as NodeId, v as NodeId);
-    }
-    builder.symmetrize().build()
-}
-
-/// Generates a stochastic block model graph.
-///
-/// `community_sizes` gives the size of each block; edges inside a block
-/// appear with probability `p_in`, edges across blocks with `p_out`.
-/// Uses expected-count sampling per block pair so it stays fast for
-/// tens of thousands of nodes. Returns the graph and each node's
-/// community id.
-///
-/// # Errors
-///
-/// Returns [`GraphError::InvalidParameter`] for empty community lists or
-/// probabilities outside `[0, 1]`.
-pub fn stochastic_block_model(
-    community_sizes: &[usize],
-    p_in: f64,
-    p_out: f64,
-    seed: u64,
-) -> Result<(Graph, Vec<u32>), GraphError> {
-    if community_sizes.is_empty() || community_sizes.contains(&0) {
-        return Err(GraphError::InvalidParameter(
-            "community sizes must be non-empty and positive".into(),
-        ));
-    }
-    for p in [p_in, p_out] {
-        if !(0.0..=1.0).contains(&p) {
-            return Err(GraphError::InvalidParameter(format!("probability {p} outside [0, 1]")));
-        }
-    }
-    let n: usize = community_sizes.iter().sum();
-    let mut community = Vec::with_capacity(n);
-    let mut starts = Vec::with_capacity(community_sizes.len());
-    let mut cursor = 0usize;
-    for (cid, &size) in community_sizes.iter().enumerate() {
-        starts.push(cursor);
-        community.extend(std::iter::repeat_n(cid as u32, size));
-        cursor += size;
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut b = GraphBuilder::new(n);
-    for i in 0..community_sizes.len() {
-        for j in i..community_sizes.len() {
-            let (si, sj) = (community_sizes[i], community_sizes[j]);
-            let pairs = if i == j { si * (si - 1) / 2 } else { si * sj };
-            let p = if i == j { p_in } else { p_out };
-            let expected = (pairs as f64 * p).round() as usize;
-            for _ in 0..expected {
-                let u = starts[i] + rng.gen_range(0..si);
-                let v = starts[j] + rng.gen_range(0..sj);
-                if u != v {
-                    b.add_edge(u as NodeId, v as NodeId);
-                }
-            }
-        }
-    }
-    let g = b.symmetrize().build()?;
-    Ok((g, community))
 }
 
 /// Generates a community-aware preferential-attachment graph: the
@@ -283,58 +128,9 @@ pub fn community_preferential(
     Ok((g, community))
 }
 
-/// Generates `count` random power-law graphs with node counts sampled
-/// uniformly from `node_range`, used as "data enhancement" for the
-/// performance estimator (paper §4.1).
-///
-/// # Errors
-///
-/// Returns [`GraphError::InvalidParameter`] if the range is empty or
-/// `count == 0`.
-pub fn power_law_suite(
-    count: usize,
-    node_range: std::ops::Range<usize>,
-    seed: u64,
-) -> Result<Vec<Graph>, GraphError> {
-    if count == 0 || node_range.is_empty() {
-        return Err(GraphError::InvalidParameter(
-            "count must be > 0 and node_range non-empty".into(),
-        ));
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut graphs = Vec::with_capacity(count);
-    for i in 0..count {
-        let n = rng.gen_range(node_range.clone());
-        let m = rng.gen_range(2..=6);
-        graphs.push(barabasi_albert(n, m, seed.wrapping_add(1 + i as u64))?);
-    }
-    Ok(graphs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn erdos_renyi_degree_close_to_requested() {
-        let g = erdos_renyi(2000, 10.0, 1).expect("gen");
-        assert_eq!(g.num_nodes(), 2000);
-        // Symmetrized: directed avg degree ~= undirected avg degree.
-        assert!((g.avg_degree() - 10.0).abs() < 1.0, "avg {}", g.avg_degree());
-    }
-
-    #[test]
-    fn erdos_renyi_rejects_bad_params() {
-        assert!(erdos_renyi(0, 5.0, 1).is_err());
-        assert!(erdos_renyi(10, -1.0, 1).is_err());
-    }
-
-    #[test]
-    fn erdos_renyi_deterministic() {
-        let a = erdos_renyi(500, 6.0, 42).expect("gen");
-        let b = erdos_renyi(500, 6.0, 42).expect("gen");
-        assert_eq!(a, b);
-    }
 
     #[test]
     fn barabasi_albert_is_skewed() {
@@ -348,41 +144,6 @@ mod tests {
         let g = barabasi_albert(500, 2, 3).expect("gen");
         let isolated = g.node_ids().filter(|&v| g.degree(v) == 0).count();
         assert_eq!(isolated, 0);
-    }
-
-    #[test]
-    fn rmat_produces_hubs() {
-        let g = rmat(10, 8, RmatParams::default(), 5).expect("gen");
-        assert_eq!(g.num_nodes(), 1024);
-        assert!(g.max_degree() as f64 > 4.0 * g.avg_degree());
-    }
-
-    #[test]
-    fn rmat_rejects_bad_params() {
-        assert!(rmat(0, 8, RmatParams::default(), 5).is_err());
-        let bad = RmatParams { a: 0.0, b: 0.3, c: 0.3, d: 0.4 };
-        assert!(rmat(8, 8, bad, 5).is_err());
-    }
-
-    #[test]
-    fn sbm_prefers_intra_community_edges() {
-        let (g, comm) = stochastic_block_model(&[300, 300, 300], 0.05, 0.002, 11).expect("gen");
-        let mut intra = 0usize;
-        let mut inter = 0usize;
-        for (u, v) in g.edges() {
-            if comm[u as usize] == comm[v as usize] {
-                intra += 1;
-            } else {
-                inter += 1;
-            }
-        }
-        assert!(intra > inter * 2, "intra {intra} inter {inter}");
-    }
-
-    #[test]
-    fn sbm_rejects_bad_probability() {
-        assert!(stochastic_block_model(&[10], 1.5, 0.0, 1).is_err());
-        assert!(stochastic_block_model(&[], 0.5, 0.0, 1).is_err());
     }
 
     #[test]
@@ -416,20 +177,5 @@ mod tests {
         // Fully mixed: intra fraction close to 1/num_communities.
         assert!((intra as f64 / total as f64) < 0.3);
         assert!(g.num_edges() > 0);
-    }
-
-    #[test]
-    fn power_law_suite_sizes_in_range() {
-        let graphs = power_law_suite(5, 100..200, 3).expect("gen");
-        assert_eq!(graphs.len(), 5);
-        for g in &graphs {
-            assert!((100..200).contains(&g.num_nodes()));
-        }
-    }
-
-    #[test]
-    fn power_law_suite_rejects_empty() {
-        assert!(power_law_suite(0, 10..20, 1).is_err());
-        assert!(power_law_suite(3, 10..10, 1).is_err());
     }
 }

@@ -9,10 +9,9 @@
 //! - [`GraphBuilder`]: an edge-list accumulator that sorts,
 //!   deduplicates, and optionally symmetrizes edges before freezing
 //!   them into a [`Graph`].
-//! - [`generators`]: seeded synthetic graph generators (Erdős–Rényi,
-//!   Barabási–Albert, R-MAT, stochastic block model, and a
-//!   community-aware preferential-attachment hybrid used for the
-//!   dataset stand-ins).
+//! - [`generators`]: seeded synthetic graph generators
+//!   (Barabási–Albert, and the community-aware preferential-attachment
+//!   hybrid used for the dataset stand-ins).
 //! - [`datasets`]: deterministic stand-ins for the graphs used in the
 //!   paper's evaluation (ogbn-arxiv, ogbn-products, Reddit, Reddit2),
 //!   bundling graph + features + labels + splits.
@@ -41,8 +40,6 @@ pub mod csr;
 pub mod datasets;
 pub mod features;
 pub mod generators;
-pub mod io;
-pub mod partition;
 pub mod schedule;
 pub mod stats;
 

@@ -1182,118 +1182,6 @@ fn leakish_input(sl: f32, sr: f32) -> f32 {
     sl + sr
 }
 
-/// Multi-head GAT layer: `H` independent [`GatLayer`] heads whose
-/// outputs are *averaged* (the aggregation the GAT paper uses on its
-/// output layer; averaging keeps the layer's output width equal to
-/// `out_dim`, so heads compose transparently in a [`crate::GnnModel`]
-/// stack).
-#[derive(Debug)]
-pub struct MultiHeadGatLayer {
-    heads: Vec<GatLayer>,
-}
-
-impl MultiHeadGatLayer {
-    /// Creates a layer with `num_heads` attention heads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_heads == 0`.
-    pub fn new(in_dim: usize, out_dim: usize, num_heads: usize, seed: u64) -> Self {
-        assert!(num_heads > 0, "at least one head required");
-        let heads = (0..num_heads)
-            .map(|h| GatLayer::new(in_dim, out_dim, seed.wrapping_add(31 * h as u64)))
-            .collect();
-        MultiHeadGatLayer { heads }
-    }
-
-    /// Number of attention heads.
-    pub fn num_heads(&self) -> usize {
-        self.heads.len()
-    }
-}
-
-impl Layer for MultiHeadGatLayer {
-    fn in_dim(&self) -> usize {
-        self.heads[0].in_dim()
-    }
-
-    fn out_dim(&self) -> usize {
-        self.heads[0].out_dim()
-    }
-
-    fn forward(
-        &mut self,
-        g: &Graph,
-        x: MatrixView<'_>,
-        out_rows: usize,
-        scratch: &mut ScratchArena,
-    ) -> Matrix {
-        let inv = 1.0 / self.heads.len() as f32;
-        let mut acc: Option<Matrix> = None;
-        for head in &mut self.heads {
-            let out = head.forward(g, x, out_rows, scratch);
-            match &mut acc {
-                None => acc = Some(out),
-                Some(a) => {
-                    a.add_assign(&out);
-                    scratch.recycle(out);
-                }
-            }
-        }
-        let mut out = acc.expect("at least one head");
-        out.scale(inv);
-        out
-    }
-
-    fn backward(
-        &mut self,
-        g: &Graph,
-        grad_out: &Matrix,
-        need_input_grad: bool,
-        scratch: &mut ScratchArena,
-    ) -> Option<Matrix> {
-        let inv = 1.0 / self.heads.len() as f32;
-        let mut scaled = scratch.take(grad_out.rows(), grad_out.cols());
-        scaled.as_mut_slice().copy_from_slice(grad_out.as_slice());
-        scaled.scale(inv);
-        // Every head answers `need_input_grad` alike: all `Some` (summed
-        // in head order) or all `None`.
-        let mut acc: Option<Matrix> = None;
-        for head in &mut self.heads {
-            let gx = head.backward(g, &scaled, need_input_grad, scratch);
-            match (&mut acc, gx) {
-                (Some(a), Some(gx)) => {
-                    a.add_assign(&gx);
-                    scratch.recycle(gx);
-                }
-                (_, gx) => acc = gx,
-            }
-        }
-        scratch.recycle(scaled);
-        acc
-    }
-
-    fn params_mut(&mut self) -> Vec<ParamRef<'_>> {
-        self.heads.iter_mut().flat_map(|h| h.params_mut()).collect()
-    }
-
-    fn for_each_param(&mut self, f: &mut dyn FnMut(ParamRef<'_>)) {
-        for h in &mut self.heads {
-            h.for_each_param(f);
-        }
-    }
-
-    fn param_count(&self) -> usize {
-        self.heads.iter().map(|h| h.param_count()).sum()
-    }
-
-    fn zero_grad(&mut self) {
-        for head in &mut self.heads {
-            head.zero_grad();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1469,13 +1357,12 @@ mod tests {
         let x = tiny_x(50);
         for out_rows in [4usize, 2] {
             let r = glorot_uniform(out_rows, 2, 51);
-            for kind in ["gcn", "sage", "gat", "multi-head gat"] {
+            for kind in ["gcn", "sage", "gat"] {
                 let run = |need_input_grad: bool| {
                     let mut layer: Box<dyn Layer> = match kind {
                         "gcn" => Box::new(GcnLayer::new(3, 2, 52)),
                         "sage" => Box::new(SageLayer::new(3, 2, 53)),
-                        "gat" => Box::new(GatLayer::new(3, 2, 54)),
-                        _ => Box::new(MultiHeadGatLayer::new(3, 2, 3, 55)),
+                        _ => Box::new(GatLayer::new(3, 2, 54)),
                     };
                     let mut scratch = ScratchArena::new();
                     let out = layer.forward(&g, x.view(), out_rows, &mut scratch);
@@ -1855,86 +1742,5 @@ mod tests {
             }
             assert_eq!(scratch.fresh_allocs(), warm, "{kind} allocated in steady state");
         }
-    }
-}
-
-#[cfg(test)]
-mod multi_head_tests {
-    use super::*;
-    use crate::init::glorot_uniform;
-    use gnnav_graph::GraphBuilder;
-
-    fn tiny_graph() -> Graph {
-        let mut b = GraphBuilder::new(4);
-        b.add_edge(0, 1).add_edge(1, 2).add_edge(0, 2).add_edge(2, 3);
-        b.symmetrize().build().expect("build")
-    }
-
-    #[test]
-    fn single_head_matches_plain_gat() {
-        let g = tiny_graph();
-        let x = glorot_uniform(4, 3, 7);
-        let mut scratch = ScratchArena::new();
-        let mut multi = MultiHeadGatLayer::new(3, 2, 1, 40);
-        let mut single = GatLayer::new(3, 2, 40);
-        let a = multi.forward(&g, x.view(), g.num_nodes(), &mut scratch);
-        let b = single.forward(&g, x.view(), g.num_nodes(), &mut scratch);
-        for (p, q) in a.as_slice().iter().zip(b.as_slice()) {
-            assert!((p - q).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn heads_have_distinct_parameters() {
-        let mut m = MultiHeadGatLayer::new(3, 2, 4, 50);
-        assert_eq!(m.num_heads(), 4);
-        assert_eq!(m.param_count(), 4 * GatLayer::new(3, 2, 1).param_count());
-        assert_eq!(m.params_mut().len(), 4 * 3);
-    }
-
-    #[test]
-    fn multi_head_gradient_check() {
-        // Finite-difference input-gradient check across the averaged
-        // heads (same harness as the single layers).
-        let g = tiny_graph();
-        let x = glorot_uniform(4, 3, 8);
-        let r = glorot_uniform(4, 2, 9);
-        let mut scratch = ScratchArena::new();
-        let mut layer = MultiHeadGatLayer::new(3, 2, 3, 60);
-        layer.forward(&g, x.view(), g.num_nodes(), &mut scratch);
-        layer.zero_grad();
-        let grad_x = layer.backward(&g, &r, true, &mut scratch).expect("input gradient");
-
-        let eps = 1e-2f32;
-        for &(rr, cc) in &[(0usize, 0usize), (3, 2)] {
-            let loss =
-                |layer: &mut MultiHeadGatLayer, scratch: &mut ScratchArena, x: &Matrix| -> f32 {
-                    layer
-                        .forward(&g, x.view(), g.num_nodes(), scratch)
-                        .as_slice()
-                        .iter()
-                        .zip(r.as_slice())
-                        .map(|(a, b)| a * b)
-                        .sum()
-                };
-            let mut xp = x.clone();
-            xp.set(rr, cc, xp.get(rr, cc) + eps);
-            let lp = loss(&mut layer, &mut scratch, &xp);
-            let mut xm = x.clone();
-            xm.set(rr, cc, xm.get(rr, cc) - eps);
-            let lm = loss(&mut layer, &mut scratch, &xm);
-            let fd = (lp - lm) / (2.0 * eps);
-            let an = grad_x.get(rr, cc);
-            assert!(
-                (fd - an).abs() < 5e-2 * (1.0 + fd.abs().max(an.abs())),
-                "({rr},{cc}): fd {fd} vs analytic {an}"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one head")]
-    fn zero_heads_rejected() {
-        let _ = MultiHeadGatLayer::new(3, 2, 0, 1);
     }
 }

@@ -27,57 +27,6 @@ pub fn accuracy(logits: &Matrix, labels: &[u16], rows: &[u32]) -> f64 {
     correct as f64 / rows.len() as f64
 }
 
-/// Macro-averaged F1 over the classes that appear among `rows`.
-///
-/// Returns 0.0 when `rows` is empty.
-pub fn macro_f1(logits: &Matrix, labels: &[u16], rows: &[u32]) -> f64 {
-    if rows.is_empty() {
-        return 0.0;
-    }
-    let classes = logits.cols();
-    let mut tp = vec![0usize; classes];
-    let mut fp = vec![0usize; classes];
-    let mut fnn = vec![0usize; classes];
-    let mut present = vec![false; classes];
-    for &r in rows {
-        let row = logits.row(r as usize);
-        let mut pred = 0usize;
-        let mut best = f32::NEG_INFINITY;
-        for (c, &v) in row.iter().enumerate() {
-            if v > best {
-                best = v;
-                pred = c;
-            }
-        }
-        let truth = labels[r as usize] as usize;
-        present[truth] = true;
-        if pred == truth {
-            tp[truth] += 1;
-        } else {
-            fp[pred] += 1;
-            fnn[truth] += 1;
-        }
-    }
-    let mut sum = 0.0f64;
-    let mut count = 0usize;
-    for c in 0..classes {
-        if !present[c] {
-            continue;
-        }
-        count += 1;
-        let p = tp[c] as f64 / (tp[c] + fp[c]).max(1) as f64;
-        let r = tp[c] as f64 / (tp[c] + fnn[c]).max(1) as f64;
-        if p + r > 0.0 {
-            sum += 2.0 * p * r / (p + r);
-        }
-    }
-    if count == 0 {
-        0.0
-    } else {
-        sum / count as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,22 +44,5 @@ mod tests {
         let labels = [1u16, 1];
         assert_eq!(accuracy(&logits, &labels, &[1]), 1.0);
         assert_eq!(accuracy(&logits, &labels, &[]), 0.0);
-    }
-
-    #[test]
-    fn macro_f1_perfect_is_one() {
-        let logits = Matrix::from_rows(&[&[3.0, 0.0], &[0.0, 3.0]]);
-        let labels = [0u16, 1];
-        assert!((macro_f1(&logits, &labels, &[0, 1]) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn macro_f1_penalizes_minority_errors_more_than_accuracy() {
-        // 3 of class 0 correct, 1 of class 1 wrong.
-        let logits = Matrix::from_rows(&[&[1.0, 0.0], &[1.0, 0.0], &[1.0, 0.0], &[1.0, 0.0]]);
-        let labels = [0u16, 0, 0, 1];
-        let acc = accuracy(&logits, &labels, &[0, 1, 2, 3]);
-        let f1 = macro_f1(&logits, &labels, &[0, 1, 2, 3]);
-        assert!(f1 < acc, "f1 {f1} should be below acc {acc}");
     }
 }

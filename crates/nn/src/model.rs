@@ -1,6 +1,6 @@
 //! GNN model: a stack of layers with ReLU between them.
 
-use crate::layers::{GatLayer, GcnLayer, Layer, MultiHeadGatLayer, ParamRef, SageLayer};
+use crate::layers::{GatLayer, GcnLayer, Layer, ParamRef, SageLayer};
 use crate::scratch::ScratchArena;
 use crate::tensor::{Matrix, MatrixView};
 use gnnav_graph::Graph;
@@ -125,45 +125,6 @@ impl GnnModel {
     /// mode (dropout off).
     pub fn set_train_mode(&mut self, train: bool) {
         self.train_mode = train;
-    }
-
-    /// Builds a multi-head GAT: like [`GnnModel::new`] with
-    /// `ModelKind::Gat`, but each layer averages `num_heads`
-    /// independent attention heads (the GAT paper's output-layer
-    /// aggregation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_layers == 0` or `num_heads == 0`.
-    pub fn new_gat_multi_head(
-        in_dim: usize,
-        hidden_dim: usize,
-        out_dim: usize,
-        num_layers: usize,
-        num_heads: usize,
-        seed: u64,
-    ) -> Self {
-        assert!(num_layers > 0, "at least one layer required");
-        let mut layers: Vec<Box<dyn Layer>> = Vec::with_capacity(num_layers);
-        for l in 0..num_layers {
-            let li = if l == 0 { in_dim } else { hidden_dim };
-            let lo = if l + 1 == num_layers { out_dim } else { hidden_dim };
-            let lseed = seed.wrapping_add(101 * l as u64);
-            layers.push(Box::new(MultiHeadGatLayer::new(li, lo, num_heads, lseed)));
-        }
-        GnnModel {
-            kind: ModelKind::Gat,
-            layers,
-            relu_masks: Vec::new(),
-            dropout_masks: Vec::new(),
-            dropout: 0.0,
-            train_mode: true,
-            dropout_rng: StdRng::seed_from_u64(seed ^ 0xD0D0),
-            scratch: ScratchArena::new(),
-            in_dim,
-            hidden_dim,
-            out_dim,
-        }
     }
 
     /// The architecture family.
@@ -672,31 +633,5 @@ mod dropout_tests {
     fn dropout_range_validated() {
         let mut m = GnnModel::new(ModelKind::Gcn, 4, 4, 2, 2, 1);
         m.set_dropout(1.0);
-    }
-}
-
-#[cfg(test)]
-mod multi_head_model_tests {
-    use super::*;
-    use crate::init::glorot_uniform;
-    use gnnav_graph::GraphBuilder;
-
-    #[test]
-    fn multi_head_model_trains_shapes() {
-        let mut b = GraphBuilder::new(6);
-        for v in 0..6u32 {
-            b.add_edge(v, (v + 1) % 6);
-        }
-        let g = b.symmetrize().build().expect("build");
-        let x = glorot_uniform(6, 5, 1);
-        let mut m = GnnModel::new_gat_multi_head(5, 8, 3, 2, 4, 2);
-        assert_eq!(m.kind(), ModelKind::Gat);
-        let out = m.forward(&g, &x);
-        assert_eq!((out.rows(), out.cols()), (6, 3));
-        m.zero_grad();
-        m.backward(&g, &Matrix::zeros(6, 3));
-        // Four heads quadruple the per-layer parameter count.
-        let single = GnnModel::new(ModelKind::Gat, 5, 8, 3, 2, 2);
-        assert_eq!(m.param_count(), 4 * single.param_count());
     }
 }

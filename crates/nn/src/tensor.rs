@@ -502,13 +502,6 @@ impl Matrix {
         }
     }
 
-    /// Applies `f` to every element in place.
-    pub fn map_inplace<F: FnMut(f32) -> f32>(&mut self, mut f: F) {
-        for x in &mut self.data {
-            *x = f(*x);
-        }
-    }
-
     /// ReLU forward in place, writing the activation mask into `mask`
     /// (resized to the element count). Reuses `mask`'s capacity so the
     /// training hot path does not allocate. Anything that is not

@@ -25,26 +25,8 @@ const HIDDEN: usize = 9;
 const CLASSES: usize = 4;
 const STEPS: usize = 5;
 
-#[derive(Debug, Clone, Copy)]
-enum Arch {
-    Kind(ModelKind),
-    MultiHeadGat,
-}
-
-const ARCHS: [Arch; 4] = [
-    Arch::Kind(ModelKind::Gcn),
-    Arch::Kind(ModelKind::Sage),
-    Arch::Kind(ModelKind::Gat),
-    Arch::MultiHeadGat,
-];
-
-fn build_model(arch: Arch, layers: usize, dropout: f32, seed: u64) -> GnnModel {
-    let mut m = match arch {
-        Arch::Kind(kind) => GnnModel::new(kind, IN_DIM, HIDDEN, CLASSES, layers, seed),
-        Arch::MultiHeadGat => {
-            GnnModel::new_gat_multi_head(IN_DIM, HIDDEN, CLASSES, layers, 3, seed)
-        }
-    };
+fn build_model(kind: ModelKind, layers: usize, dropout: f32, seed: u64) -> GnnModel {
+    let mut m = GnnModel::new(kind, IN_DIM, HIDDEN, CLASSES, layers, seed);
     m.set_dropout(dropout);
     m
 }
@@ -129,15 +111,15 @@ fn reference_step(model: &mut GnnModel, opt: &mut Adam, batch: &Batch) -> f32 {
     loss
 }
 
-fn assert_same_bits(what: &str, a: &[f32], b: &[f32]) {
+fn assert_bits_match(what: &str, a: &[f32], b: &[f32]) {
     assert_eq!(a.len(), b.len(), "{what}: length");
     for (i, (p, q)) in a.iter().zip(b).enumerate() {
         assert!(p.to_bits() == q.to_bits(), "{what}: scalar {i} differs: {p:?} vs {q:?}");
     }
 }
 
-fn check(arch: Arch, layers: usize, dropout: f32, seed: u64) {
-    let what = format!("{arch:?} L={layers} dropout={dropout} seed={seed}");
+fn check(kind: ModelKind, layers: usize, dropout: f32, seed: u64) {
+    let what = format!("{kind:?} L={layers} dropout={dropout} seed={seed}");
     let mut rng = StdRng::seed_from_u64(seed);
     // Every step sees a new batch, and the three target shapes rotate,
     // so the arena and the layer caches are reshaped between steps.
@@ -148,8 +130,8 @@ fn check(arch: Arch, layers: usize, dropout: f32, seed: u64) {
         })
         .collect();
 
-    let mut fast = build_model(arch, layers, dropout, seed);
-    let mut slow = build_model(arch, layers, dropout, seed);
+    let mut fast = build_model(kind, layers, dropout, seed);
+    let mut slow = build_model(kind, layers, dropout, seed);
     let mut fast_opt = Adam::new(0.01);
     let mut slow_opt = Adam::new(0.01);
     for (s, batch) in batches.iter().enumerate() {
@@ -171,14 +153,14 @@ fn check(arch: Arch, layers: usize, dropout: f32, seed: u64) {
             batch.g.num_nodes()
         );
     }
-    assert_same_bits(&format!("{what}: parameters"), &fast.param_vector(), &slow.param_vector());
+    assert_bits_match(&format!("{what}: parameters"), &fast.param_vector(), &slow.param_vector());
     let (fs, ss) = (fast_opt.state(), slow_opt.state());
     assert_eq!(fs.t, ss.t, "{what}: Adam step count");
     assert_eq!(fs.m.len(), ss.m.len(), "{what}: Adam slots");
     for (i, ((fm, sm), (fv, sv))) in fs.m.iter().zip(&ss.m).zip(fs.v.iter().zip(&ss.v)).enumerate()
     {
-        assert_same_bits(&format!("{what}: Adam m[{i}]"), fm, sm);
-        assert_same_bits(&format!("{what}: Adam v[{i}]"), fv, sv);
+        assert_bits_match(&format!("{what}: Adam m[{i}]"), fm, sm);
+        assert_bits_match(&format!("{what}: Adam v[{i}]"), fv, sv);
     }
     assert_eq!(
         fast.dropout_rng_state(),
@@ -189,11 +171,11 @@ fn check(arch: Arch, layers: usize, dropout: f32, seed: u64) {
 
 #[test]
 fn restricted_step_matches_full_height_reference_bit_for_bit() {
-    for arch in ARCHS {
+    for kind in ModelKind::ALL {
         for layers in 1..=3 {
             for dropout in [0.0f32, 0.4] {
                 for seed in [3u64, 17, 101] {
-                    check(arch, layers, dropout, seed);
+                    check(kind, layers, dropout, seed);
                 }
             }
         }
@@ -221,12 +203,12 @@ fn non_prefix_targets_run_the_same_code_at_full_height() {
     // A target set that is not `0..T` (here: reversed) cannot use the
     // prefix, so `train_step` runs the output layer at full height. It
     // must still agree with the reference driven on the same rows.
-    for arch in ARCHS {
+    for kind in ModelKind::ALL {
         let mut rng = StdRng::seed_from_u64(23);
         let batch = random_batch(&mut rng, Targets::Some);
         let rows: Vec<u32> = (0..batch.targets as u32).rev().collect();
-        let mut fast = build_model(arch, 2, 0.0, 5);
-        let mut slow = build_model(arch, 2, 0.0, 5);
+        let mut fast = build_model(kind, 2, 0.0, 5);
+        let mut slow = build_model(kind, 2, 0.0, 5);
         let (mut fo, mut so) = (Adam::new(0.01), Adam::new(0.01));
         let got = train::train_step(&mut fast, &mut fo, &batch.g, &batch.x, &batch.labels, &rows);
         slow.set_train_mode(true);
@@ -235,7 +217,7 @@ fn non_prefix_targets_run_the_same_code_at_full_height() {
         slow.zero_grad();
         slow.backward(&batch.g, &grad);
         so.step_with(|f| slow.for_each_param_mut(f));
-        assert!(got.to_bits() == want.to_bits(), "{arch:?}: loss {got:?} vs {want:?}");
-        assert_same_bits(&format!("{arch:?}"), &fast.param_vector(), &slow.param_vector());
+        assert!(got.to_bits() == want.to_bits(), "{kind:?}: loss {got:?} vs {want:?}");
+        assert_bits_match(&format!("{kind:?}"), &fast.param_vector(), &slow.param_vector());
     }
 }

@@ -37,13 +37,12 @@
 //! | `profiler.sweep` | histogram | wall s | span in `Profiler::profile` |
 //! | `profiler.sweep.config[.backend.execute[.epoch]]` | histogram | wall s | `span_under` on sweep workers |
 //! | `estimator.fits` / `.predictions` | counter | calls | `GrayBoxEstimator` |
-//! | `estimator.predictions.memoized` | counter | calls | `GrayBoxEstimator::predict_batch` |
 //! | `estimator.fit_wall_s` | gauge | wall s | `GrayBoxEstimator::fit` |
 //! | `estimator.mape.{time,memory,accuracy}` | gauge | ratio | `GrayBoxEstimator::fit` |
 //! | `explorer.runs` | counter | runs | `Explorer::explore` |
-//! | `explorer.candidates.evaluated` | counter | candidates | `DfsExplorer::run` |
-//! | `explorer.candidates.rejected` | counter | candidates | `DfsExplorer::run` |
-//! | `explorer.subtrees.pruned` | counter | subtrees | `DfsExplorer::run` |
+//! | `explorer.candidates.evaluated` | counter | candidates | `Explorer::explore_from` (a bare `DfsExplorer` emits none) |
+//! | `explorer.candidates.rejected` | counter | candidates | `Explorer::explore_from` (a bare `DfsExplorer` emits none) |
+//! | `explorer.subtrees.pruned` | counter | subtrees | `Explorer::explore_from` (a bare `DfsExplorer` emits none) |
 //! | `explorer.front.size` | gauge | candidates | `Explorer::explore` |
 //! | `explorer.explore` | histogram | wall s | span in `Explorer::explore` |
 //! | `explorer.decide` | histogram | wall s | `Explorer::explore` decision step (flat, not span-nested) |
@@ -205,9 +204,6 @@ pub const ESTIMATOR_FITS: &str = "estimator.fits";
 pub const ESTIMATOR_FIT_WALL: &str = "estimator.fit_wall_s";
 /// Predictions served.
 pub const ESTIMATOR_PREDICTIONS: &str = "estimator.predictions";
-/// Predictions served from a `PredictionContext` memo instead of
-/// being recomputed (duplicate configs within one exploration).
-pub const ESTIMATOR_MEMOIZED: &str = "estimator.predictions.memoized";
 /// In-sample MAPE of epoch-time prediction after the last fit.
 pub const ESTIMATOR_MAPE_TIME: &str = "estimator.mape.time";
 /// In-sample MAPE of peak-memory prediction after the last fit.

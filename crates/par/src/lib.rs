@@ -273,60 +273,6 @@ where
     .expect("pool worker panicked");
 }
 
-/// Runs `f` over every task in `tasks`, in contiguous ascending runs
-/// distributed across the worker budget. Each task is executed exactly
-/// once; use this when a kernel needs pre-split disjoint mutable views
-/// (e.g. two slices chunked on the same variable-width boundaries).
-///
-/// `grain` is the minimum number of tasks per worker.
-pub fn par_for_tasks<T, F>(tasks: Vec<T>, grain: usize, f: F)
-where
-    T: Send,
-    F: Fn(T) + Sync,
-{
-    if tasks.is_empty() {
-        return;
-    }
-    REGIONS.fetch_add(1, Ordering::Relaxed);
-    let width = plan_width(tasks.len(), grain);
-    if width <= 1 {
-        TASKS.fetch_add(1, Ordering::Relaxed);
-        for task in tasks {
-            f(task);
-        }
-        return;
-    }
-    TASKS.fetch_add(width as u64, Ordering::Relaxed);
-    HELPERS_SPAWNED.fetch_add(width as u64 - 1, Ordering::Relaxed);
-
-    let total = tasks.len();
-    let mut runs: Vec<Vec<T>> = Vec::with_capacity(width);
-    let mut iter = tasks.into_iter();
-    for t in 0..width {
-        let run_len = split_range(total, width, t).len();
-        runs.push(iter.by_ref().take(run_len).collect());
-    }
-
-    let f = &f;
-    crossbeam::thread::scope(|s| {
-        let mut runs = runs.into_iter();
-        let first = runs.next().expect("width >= 1");
-        for run in runs {
-            s.spawn(move |_| {
-                let _worker = WorkerFlagGuard::set();
-                for task in run {
-                    f(task);
-                }
-            });
-        }
-        let _worker = WorkerFlagGuard::set();
-        for task in first {
-            f(task);
-        }
-    })
-    .expect("pool worker panicked");
-}
-
 /// Runs `f` over every `(weight, task)` pair, in contiguous ascending
 /// runs of roughly equal *total weight* distributed across the worker
 /// budget. Weighted scheduling is what the degree-bucketed aggregation
@@ -571,20 +517,6 @@ mod tests {
         let after = stats();
         assert_eq!(after.helpers_spawned, before.helpers_spawned);
         assert_eq!(after.tasks - before.tasks, 1);
-    }
-
-    #[test]
-    fn par_for_tasks_runs_each_task_once() {
-        let _guard = serialize();
-        let (tx, rx) = std::sync::mpsc::channel();
-        let tasks: Vec<usize> = (0..37).collect();
-        with_thread_limit(4, || {
-            par_for_tasks(tasks, 1, |t| tx.send(t).expect("send"));
-        });
-        drop(tx);
-        let mut seen: Vec<usize> = rx.into_iter().collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..37).collect::<Vec<_>>());
     }
 
     #[test]
