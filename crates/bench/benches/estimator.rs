@@ -77,12 +77,12 @@ fn bench_forests_and_batch(c: &mut Criterion) {
     group.finish();
 
     let est = benchmark_shape_estimator();
-    let mut group = c.benchmark_group("predict_batch_owned");
+    let mut group = c.benchmark_group("predict_batch");
     group.sample_size(20);
     group.bench_function("2000", |b| {
         b.iter(|| {
             let pctx = PredictionContext::new(&dataset, &platform);
-            est.predict_batch_owned(&pctx, configs.clone())
+            est.predict_batch(&pctx, &configs)
         });
     });
     group.finish();

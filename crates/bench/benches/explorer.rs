@@ -40,7 +40,7 @@ fn bench_dfs_budgets(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(budget), &budget, |b, &budget| {
             let dfs = DfsExplorer::new(DesignSpace::standard(), budget, 1);
             b.iter(|| {
-                dfs.run(
+                dfs.run_audited(
                     &est,
                     &dataset,
                     &platform,

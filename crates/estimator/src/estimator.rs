@@ -181,7 +181,8 @@ impl GrayBoxEstimator {
     }
 
     /// [`predict`](Self::predict) without the `estimator.predictions`
-    /// bump: a batch adds its count once, not from inside its loop.
+    /// bump: a batch or a search adds its count once, not per
+    /// candidate.
     fn predict_uncounted(&self, ctx: &Context) -> PerfEstimate {
         let vi = self.batch.predict(ctx);
         let hit = self.hit.predict(ctx, vi);
@@ -191,11 +192,31 @@ impl GrayBoxEstimator {
         PerfEstimate { time_s, mem_bytes, accuracy, batch_nodes: vi, hit_rate: hit }
     }
 
+    /// Predicts one candidate the caller owns against a precomputed
+    /// [`PredictionContext`]: the configuration moves into its
+    /// [`Context`] and back out beside its estimate, never copied.
+    ///
+    /// Unlike [`predict`](Self::predict) this does not advance
+    /// `estimator.predictions`: a caller that asks once per candidate
+    /// of a search adds its total once, when the search ends.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the estimator is unfitted.
+    pub fn predict_owned(
+        &self,
+        pctx: &PredictionContext,
+        config: TrainingConfig,
+    ) -> (TrainingConfig, PerfEstimate) {
+        let ctx = pctx.context(config);
+        let estimate = self.predict_uncounted(&ctx);
+        (ctx.config, estimate)
+    }
+
     /// Predicts a batch of candidates against one precomputed
-    /// [`PredictionContext`]: building each candidate's [`Context`] is
-    /// O(1), and the predictions fan out across the `gnnav-par` pool.
-    /// Chunk boundaries are static, so the output is bitwise identical
-    /// to a `predict` loop at every thread count.
+    /// [`PredictionContext`], one after the other: building each
+    /// candidate's [`Context`] is O(1), and `estimator.predictions`
+    /// advances once, by the batch's length.
     ///
     /// Returns one estimate per entry of `configs`, in order.
     ///
@@ -207,24 +228,10 @@ impl GrayBoxEstimator {
         pctx: &PredictionContext,
         configs: &[TrainingConfig],
     ) -> Vec<PerfEstimate> {
-        self.predict_batch_owned(pctx, configs.to_vec()).into_iter().map(|(_, e)| e).collect()
-    }
-
-    /// [`predict_batch`](Self::predict_batch) for a caller that owns
-    /// its candidates: each configuration moves into its [`Context`]
-    /// and back out beside its estimate, never copied.
-    pub fn predict_batch_owned(
-        &self,
-        pctx: &PredictionContext,
-        configs: Vec<TrainingConfig>,
-    ) -> Vec<(TrainingConfig, PerfEstimate)> {
-        let contexts: Vec<Context> = configs.into_iter().map(|c| pctx.context(c)).collect();
-        let estimates =
-            gnnav_par::par_map_indexed(&contexts, 8, |_, ctx| self.predict_uncounted(ctx));
-        if !contexts.is_empty() {
-            gnnav_obs::global().add(metric::ESTIMATOR_PREDICTIONS, contexts.len() as u64);
+        if !configs.is_empty() {
+            gnnav_obs::global().add(metric::ESTIMATOR_PREDICTIONS, configs.len() as u64);
         }
-        contexts.into_iter().map(|ctx| ctx.config).zip(estimates).collect()
+        configs.iter().map(|c| self.predict_owned(pctx, c.clone()).1).collect()
     }
 
     /// Evaluates prediction quality on held-out records (Tab. 2's
@@ -361,10 +368,11 @@ mod tests {
         let pctx = PredictionContext::new(&dataset, &platform);
         let batch = est.predict_batch(&pctx, &configs);
         assert_eq!(format!("{batch:?}"), format!("{serial:?}"), "bit-exact vs serial");
-        // Bit-exact at every thread width, too.
-        for threads in [1, 2, 4, 8] {
-            let wide = gnnav_par::with_thread_limit(threads, || est.predict_batch(&pctx, &configs));
-            assert_eq!(format!("{wide:?}"), format!("{serial:?}"), "{threads} threads");
+        // So is a candidate handed over by value, which comes back.
+        for (config, want) in configs.iter().zip(&serial) {
+            let (back, got) = est.predict_owned(&pctx, config.clone());
+            assert_eq!(format!("{got:?}"), format!("{want:?}"));
+            assert_eq!(back, *config);
         }
     }
 

@@ -8,7 +8,10 @@
 //! - [`Context`] — everything a prediction conditions on (candidate
 //!   configuration, dataset statistics, platform);
 //!   [`PredictionContext`] hoists the dataset statistics and the
-//!   platform once for [`GrayBoxEstimator::predict_batch`].
+//!   platform once for a caller with many candidates — a search
+//!   asking one at a time ([`GrayBoxEstimator::predict_owned`]) or a
+//!   list in hand ([`GrayBoxEstimator::predict_batch`]); both are
+//!   plain serial calls.
 //! - [`Profiler`]/[`ProfileDb`] — ground-truth collection over the
 //!   design space, with power-law data enhancement (§4.1);
 //!   [`ProfileStore`] keeps records across processes and

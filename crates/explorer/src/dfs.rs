@@ -5,22 +5,21 @@
 //! estimator at candidates and pruning subtrees whose estimated
 //! performance cannot satisfy the runtime constraints.
 //!
-//! # Wave-parallel evaluation
+//! # One pass
 //!
-//! The traversal itself is estimate-independent: pruning uses only the
-//! analytic cache-ratio bound, the validity cut only the cache-axis
-//! rule of [`DesignSpace::cache_axes_valid`], and budget/visited
-//! accounting counts leaves, not predictions. [`DfsExplorer::run_audited`] exploits that
-//! by expanding each restart serially into an ordered *wave* of
-//! decisions, batch-evaluating the wave's candidates through
-//! [`GrayBoxEstimator::predict_batch_owned`] (which fans out across
-//! the `gnnav-par` pool), and then replaying the wave serially to emit
-//! journal events, audit records, and accept/reject bookkeeping in
-//! exactly the serial traversal's order. Predictions are pure given
-//! the context and the pool's chunking is static, so the outcome is
-//! byte-identical to a serial evaluation loop at every thread count.
+//! An exploration is serial. The walk hands every decision — leaf to
+//! evaluate, subtree to prune — to a `Sink` the moment it makes it,
+//! and the production sink (`Evaluator`) predicts that one candidate
+//! against a [`PredictionContext`] built once per exploration and books
+//! it on the spot: journal instant, audit record, accept / reject, the
+//! incremental Pareto front. One prediction is well under a
+//! microsecond, far below what forking a thread for it costs, so
+//! nothing inside an exploration looks at the `gnnav-par` budget;
+//! explorations run in parallel *across* requests (`gnnav-serve`
+//! Phase B), and `tests/serial_within.rs` holds the first half of that
+//! sentence.
 //!
-//! A leaf's audit summary is assembled during expansion from a
+//! A leaf's audit summary is assembled by the walk from a
 //! [`SummaryTable`] rendered once per exploration — eleven string
 //! copies by axis index, the bytes `TrainingConfig::summary` would
 //! format; only the template seeds, which are not index vectors, are
@@ -108,27 +107,13 @@ impl DfsExplorer {
     }
 
     /// Runs DFS from `seeds` (evaluated first, outside the budget) and
-    /// then across the space, returning every constraint-satisfying
-    /// evaluated candidate plus traversal stats.
-    pub fn run(
-        &self,
-        estimator: &GrayBoxEstimator,
-        dataset: &Dataset,
-        platform: &Platform,
-        model: ModelKind,
-        constraints: &RuntimeConstraints,
-        seeds: &[TrainingConfig],
-    ) -> (Vec<EvaluatedCandidate>, DfsStats) {
-        let outcome = self.run_audited(estimator, dataset, platform, model, constraints, seeds);
-        (outcome.accepted, outcome.stats)
-    }
-
-    /// Like [`DfsExplorer::run`], additionally returning the rejected
-    /// (but finitely predicted) candidates and one [`AuditRecord`] per
-    /// decision — every evaluated candidate (accepted or rejected,
-    /// with the violated constraint spelled out) and every pruned
-    /// subtree. When the global journal is recording, each decision is
-    /// also emitted as an instant event on the `explorer` track.
+    /// then across the space. Returns the constraint-satisfying
+    /// candidates, the rejected (but finitely predicted) ones, the
+    /// traversal stats and one [`AuditRecord`] per decision — every
+    /// evaluated candidate (accepted or rejected, with the violated
+    /// constraint spelled out) and every pruned subtree. When the
+    /// global journal is recording, each decision is also emitted as
+    /// an instant event on the `explorer` track.
     pub fn run_audited(
         &self,
         estimator: &GrayBoxEstimator,
@@ -139,15 +124,16 @@ impl DfsExplorer {
         seeds: &[TrainingConfig],
     ) -> DfsOutcome {
         let mut traversal = Traversal::new(&self.space, dataset, model, constraints);
-        let expand =
-            |restart: &Restart, budget, wave: &mut Wave| traversal.expand(restart, budget, wave);
-        self.run_with(estimator, dataset, platform, constraints, seeds, expand).0
+        let walk = |restart: &Restart, budget, sink: &mut dyn Sink| {
+            traversal.expand(restart, budget, sink)
+        };
+        self.run_with(estimator, dataset, platform, constraints, seeds, walk).0
     }
 
-    /// The restart loop around one `expand` strategy: seeds first,
-    /// then restarts until the budget is spent, each expanded into a
-    /// wave and flushed. Also returns the number of leaves the
-    /// strategy visited, which is traversal cost and no part of the
+    /// The restart loop around one `walk` strategy: seeds first, then
+    /// restarts until the budget is spent, each walked into the
+    /// evaluating sink. Also returns the number of leaves the strategy
+    /// visited, which is traversal cost and no part of the
     /// (serialized) outcome.
     pub(crate) fn run_with(
         &self,
@@ -156,36 +142,36 @@ impl DfsExplorer {
         platform: &Platform,
         constraints: &RuntimeConstraints,
         seeds: &[TrainingConfig],
-        mut expand: impl FnMut(&Restart, usize, &mut Wave) -> Expanded,
+        mut walk: impl FnMut(&Restart, usize, &mut dyn Sink) -> Expanded,
     ) -> (DfsOutcome, usize) {
-        let mut replay = Replay {
+        let mut evaluator = Evaluator {
             estimator,
             constraints,
             pctx: PredictionContext::new(dataset, platform),
+            seed_candidate: true,
             stats: DfsStats::default(),
             accepted: Vec::new(),
             rejected: Vec::new(),
             front: ParetoFront::new(),
             audit: Vec::new(),
         };
-        let mut wave = Wave::default();
 
-        // Wave 0 — the seeds: the templates of existing systems, so
+        // The seeds first: the templates of existing systems, so
         // guidelines never lose to the approaches the explorer knows
-        // about.
+        // about. They are no index vectors into the space, so their
+        // summaries are formatted.
         for seed_config in seeds {
             if seed_config.validate().is_ok() {
-                wave.push_seed(seed_config.clone());
+                evaluator.leaf(seed_config.clone(), seed_config.summary());
             }
         }
-        replay.flush(&mut wave);
+        evaluator.seed_candidate = false;
 
         // Restarted, randomized-order DFS: a budgeted DFS from one
         // root only varies the deepest axes, so the budget is split
         // across restarts, each with a freshly shuffled axis order and
         // per-axis value orders. Every restart is a plain DFS; the
-        // restarts make a bounded budget cover all axes. Each restart
-        // expands into one wave, flushed at its end.
+        // restarts make a bounded budget cover all axes.
         let mut rng = StdRng::seed_from_u64(self.seed);
         let per_restart = self.budget.div_ceil(DFS_RESTARTS).max(1);
         let mut spent = 0usize;
@@ -201,30 +187,49 @@ impl DfsExplorer {
                 })
                 .collect();
             let restart_budget = (self.budget - spent).min(per_restart);
-            let expanded = expand(&Restart { axis_order, orders }, restart_budget, &mut wave);
-            replay.flush(&mut wave);
+            let expanded = walk(&Restart { axis_order, orders }, restart_budget, &mut evaluator);
             leaves += expanded.leaves;
             if expanded.evals == 0 {
                 break; // space (or all unseen points) exhausted
             }
             spent += expanded.evals;
         }
+        // Once per exploration, never per candidate: an enabled
+        // registry takes a lock and allocates the name on every add.
+        if evaluator.stats.evaluated > 0 {
+            gnnav_obs::global()
+                .add(metric::ESTIMATOR_PREDICTIONS, evaluator.stats.evaluated as u64);
+        }
         let outcome = DfsOutcome {
-            accepted: replay.accepted,
-            rejected: replay.rejected,
-            front: replay.front.indices(),
-            stats: replay.stats,
-            audit: replay.audit,
+            accepted: evaluator.accepted,
+            rejected: evaluator.rejected,
+            front: evaluator.front.indices(),
+            stats: evaluator.stats,
+            audit: evaluator.audit,
         };
         (outcome, leaves)
     }
 }
 
-/// The accumulating side of a run: each flushed wave advances it.
-struct Replay<'a> {
+/// What a walk hands its decisions to, each the moment it is made.
+pub(crate) trait Sink {
+    /// A candidate to evaluate — a leaf of the walk or a template seed
+    /// — with its one-line summary, the audit record's subject.
+    fn leaf(&mut self, config: TrainingConfig, summary: String);
+    /// A subtree cut by the analytic bound, and why.
+    fn prune(&mut self, subtree: String, reason: String);
+}
+
+/// The production sink and the accumulating side of a run: predicts
+/// each candidate as it arrives and books the decision — journal
+/// event, audit record, accept/reject bookkeeping and the incremental
+/// Pareto front all advance in traversal order.
+struct Evaluator<'a> {
     estimator: &'a GrayBoxEstimator,
     constraints: &'a RuntimeConstraints,
     pctx: PredictionContext,
+    /// Whether the candidates arriving now are the template seeds.
+    seed_candidate: bool,
     stats: DfsStats,
     accepted: Vec<EvaluatedCandidate>,
     rejected: Vec<EvaluatedCandidate>,
@@ -232,110 +237,89 @@ struct Replay<'a> {
     audit: Vec<AuditRecord>,
 }
 
-impl Replay<'_> {
-    /// Batch-evaluates one wave's candidates and replays its decision
-    /// log serially — journal events, audit records, accept/reject
-    /// bookkeeping, and the incremental Pareto front all advance in
-    /// exactly the order the serial traversal recorded them. Leaves
-    /// `wave` empty.
-    fn flush(&mut self, wave: &mut Wave) {
-        if wave.steps.is_empty() {
-            return;
-        }
-        let mut evaluated = self
-            .estimator
-            .predict_batch_owned(&self.pctx, std::mem::take(&mut wave.configs))
-            .into_iter();
+impl Sink for Evaluator<'_> {
+    fn leaf(&mut self, config: TrainingConfig, summary: String) {
+        let (config, estimate) = self.estimator.predict_owned(&self.pctx, config);
         let metrics = gnnav_obs::global();
         let journal = metrics.journal();
-        for step in wave.steps.drain(..) {
-            match step {
-                WaveStep::Eval { summary, seed_candidate } => {
-                    let (config, estimate) = evaluated.next().expect("one config per Eval step");
-                    self.stats.evaluated += 1;
-                    // A degenerate estimator (NaN/inf prediction) must
-                    // never crash or silently win the Pareto front:
-                    // treat the candidate as rejected, with the defect
-                    // spelled out.
-                    let finite = estimate.time_s.is_finite()
-                        && estimate.mem_bytes.is_finite()
-                        && estimate.accuracy.is_finite();
-                    let violation = if finite {
-                        self.constraints.violation(&estimate)
-                    } else {
-                        if metrics.is_enabled() {
-                            metrics.add(metric::EXPLORER_NONFINITE, 1);
-                        }
-                        Some(format!(
-                            "estimator returned a non-finite prediction (time_s={}, \
-                             mem_bytes={}, accuracy={})",
-                            estimate.time_s, estimate.mem_bytes, estimate.accuracy
-                        ))
-                    };
-                    let accepted = violation.is_none();
-                    let reason: Cow<'static, str> = match violation {
-                        Some(violation) => violation.into(),
-                        None => "satisfies all runtime constraints".into(),
-                    };
-                    if journal.is_enabled() {
-                        journal.instant(
-                            metric::EVENT_CANDIDATE,
-                            metric::TRACK_EXPLORER,
-                            None,
-                            vec![
-                                ("config".into(), summary.as_str().into()),
-                                ("time_s".into(), estimate.time_s.into()),
-                                ("mem_bytes".into(), estimate.mem_bytes.into()),
-                                ("accuracy".into(), estimate.accuracy.into()),
-                                ("accepted".into(), accepted.into()),
-                                ("reason".into(), reason.as_ref().into()),
-                            ],
-                        );
-                    }
-                    self.audit.push(AuditRecord {
-                        config: summary,
-                        estimate: Some(estimate),
-                        action: if accepted {
-                            AuditAction::Accepted
-                        } else {
-                            AuditAction::Rejected
-                        },
-                        reason,
-                        seed_candidate,
-                    });
-                    if accepted {
-                        self.front.insert(objectives(&estimate));
-                        self.accepted.push(EvaluatedCandidate { config, estimate });
-                    } else {
-                        self.stats.rejected += 1;
-                        if finite {
-                            self.rejected.push(EvaluatedCandidate { config, estimate });
-                        }
-                    }
-                }
-                WaveStep::Prune { subtree, reason } => {
-                    self.stats.pruned_subtrees += 1;
-                    if journal.is_enabled() {
-                        journal.instant(
-                            metric::EVENT_PRUNE,
-                            metric::TRACK_EXPLORER,
-                            None,
-                            vec![
-                                ("subtree".into(), subtree.as_str().into()),
-                                ("reason".into(), reason.as_str().into()),
-                            ],
-                        );
-                    }
-                    self.audit.push(AuditRecord {
-                        config: subtree,
-                        estimate: None,
-                        action: AuditAction::PrunedSubtree,
-                        reason: reason.into(),
-                        seed_candidate: false,
-                    });
-                }
+        self.stats.evaluated += 1;
+        // A degenerate estimator (NaN/inf prediction) must never crash
+        // or silently win the Pareto front: treat the candidate as
+        // rejected, with the defect spelled out.
+        let finite = estimate.time_s.is_finite()
+            && estimate.mem_bytes.is_finite()
+            && estimate.accuracy.is_finite();
+        let violation = if finite {
+            self.constraints.violation(&estimate)
+        } else {
+            if metrics.is_enabled() {
+                metrics.add(metric::EXPLORER_NONFINITE, 1);
+            }
+            Some(format!(
+                "estimator returned a non-finite prediction (time_s={}, mem_bytes={}, \
+                 accuracy={})",
+                estimate.time_s, estimate.mem_bytes, estimate.accuracy
+            ))
+        };
+        let accepted = violation.is_none();
+        let reason: Cow<'static, str> = match violation {
+            Some(violation) => violation.into(),
+            None => "satisfies all runtime constraints".into(),
+        };
+        if journal.is_enabled() {
+            journal.instant(
+                metric::EVENT_CANDIDATE,
+                metric::TRACK_EXPLORER,
+                None,
+                vec![
+                    ("config".into(), summary.as_str().into()),
+                    ("time_s".into(), estimate.time_s.into()),
+                    ("mem_bytes".into(), estimate.mem_bytes.into()),
+                    ("accuracy".into(), estimate.accuracy.into()),
+                    ("accepted".into(), accepted.into()),
+                    ("reason".into(), reason.as_ref().into()),
+                ],
+            );
+        }
+        self.audit.push(AuditRecord {
+            config: summary,
+            estimate: Some(estimate),
+            action: if accepted { AuditAction::Accepted } else { AuditAction::Rejected },
+            reason,
+            seed_candidate: self.seed_candidate,
+        });
+        if accepted {
+            self.front.insert(objectives(&estimate));
+            self.accepted.push(EvaluatedCandidate { config, estimate });
+        } else {
+            self.stats.rejected += 1;
+            if finite {
+                self.rejected.push(EvaluatedCandidate { config, estimate });
             }
         }
+    }
+
+    fn prune(&mut self, subtree: String, reason: String) {
+        let journal = gnnav_obs::global().journal();
+        self.stats.pruned_subtrees += 1;
+        if journal.is_enabled() {
+            journal.instant(
+                metric::EVENT_PRUNE,
+                metric::TRACK_EXPLORER,
+                None,
+                vec![
+                    ("subtree".into(), subtree.as_str().into()),
+                    ("reason".into(), reason.as_str().into()),
+                ],
+            );
+        }
+        self.audit.push(AuditRecord {
+            config: subtree,
+            estimate: None,
+            action: AuditAction::PrunedSubtree,
+            reason: reason.into(),
+            seed_candidate: false,
+        });
     }
 }
 
@@ -348,17 +332,17 @@ pub(crate) struct Restart {
     pub(crate) orders: Vec<Vec<usize>>,
 }
 
-/// What expanding one restart cost and yielded.
+/// What walking one restart cost and yielded.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Expanded {
-    /// Leaves recorded for evaluation (what the budget counts).
+    /// Leaves handed over for evaluation (what the budget counts).
     pub(crate) evals: usize,
     /// Leaves the walk reached, evaluated or not.
     pub(crate) leaves: usize,
 }
 
 /// What the restarts of one exploration share: the inputs the walk
-/// reads and the set of leaves already recorded.
+/// reads and the set of leaves already handed over.
 pub(crate) struct Traversal<'a> {
     space: &'a DesignSpace,
     dataset: &'a Dataset,
@@ -369,7 +353,7 @@ pub(crate) struct Traversal<'a> {
     /// Place value of each axis in a packed leaf key: the mixed-radix
     /// number whose digits are the per-axis indices.
     strides: [u64; axis::COUNT],
-    /// Packed keys of the leaves recorded so far.
+    /// Packed keys of the leaves handed over so far.
     visited: HashSet<u64>,
 }
 
@@ -402,12 +386,18 @@ impl<'a> Traversal<'a> {
         }
     }
 
-    /// The serial frontier expansion of one restart: a plain DFS that
-    /// records every decision — leaf to evaluate, subtree to prune —
-    /// into `wave` without touching the estimator. Traversal order,
-    /// pruning, visited-set, and budget accounting are identical to
-    /// evaluating inline (none of them depend on estimates).
-    pub(crate) fn expand(&mut self, restart: &Restart, budget: usize, wave: &mut Wave) -> Expanded {
+    /// One restart: a plain DFS that hands every decision — leaf to
+    /// evaluate, subtree to prune — to `sink` as it makes it. Nothing
+    /// the walk itself does depends on an estimate: pruning uses only
+    /// the analytic cache-ratio bound, the validity cut only the
+    /// cache-axis rule of [`DesignSpace::cache_axes_valid`], and
+    /// budget/visited accounting counts leaves, not predictions.
+    pub(crate) fn expand(
+        &mut self,
+        restart: &Restart,
+        budget: usize,
+        sink: &mut dyn Sink,
+    ) -> Expanded {
         let mut depth_of = [0; axis::COUNT];
         for (depth, &axis) in restart.axis_order.iter().enumerate() {
             depth_of[axis] = depth;
@@ -419,7 +409,7 @@ impl<'a> Traversal<'a> {
             budget,
             assignment: [0; axis::COUNT],
             expanded: Expanded::default(),
-            wave,
+            sink,
         };
         walk.expand(0);
         walk.expanded
@@ -436,7 +426,7 @@ struct Walk<'w, 'a> {
     budget: usize,
     assignment: [usize; axis::COUNT],
     expanded: Expanded,
-    wave: &'w mut Wave,
+    sink: &'w mut dyn Sink,
 }
 
 impl Walk<'_, '_> {
@@ -453,7 +443,7 @@ impl Walk<'_, '_> {
                 // Not inserted: already evaluated in a previous restart.
                 if self.shared.visited.insert(key) {
                     let summary = self.shared.summaries.summary_at(&self.assignment);
-                    self.wave.push_leaf(config, summary);
+                    self.sink.leaf(config, summary);
                     self.expanded.evals += 1;
                 }
             }
@@ -489,7 +479,7 @@ impl Walk<'_, '_> {
                             cache_lb / 1e6,
                             max_mem / 1e6
                         );
-                        self.wave.steps.push(WaveStep::Prune { subtree, reason });
+                        self.sink.prune(subtree, reason);
                         continue;
                     }
                 }
@@ -510,53 +500,6 @@ impl Walk<'_, '_> {
             }
         }
     }
-}
-
-/// The decisions of one wave in traversal order. The candidates sit in
-/// their own list, one per [`WaveStep::Eval`] in order, so the batch
-/// prediction takes them by value.
-#[derive(Debug, Default)]
-pub(crate) struct Wave {
-    pub(crate) steps: Vec<WaveStep>,
-    pub(crate) configs: Vec<TrainingConfig>,
-}
-
-impl Wave {
-    /// Records a template seed, which is no index vector into the
-    /// space: its summary is formatted.
-    fn push_seed(&mut self, config: TrainingConfig) {
-        self.steps.push(WaveStep::Eval { summary: config.summary(), seed_candidate: true });
-        self.configs.push(config);
-    }
-
-    /// Records a leaf of the walk with the summary assembled from its
-    /// axis indices.
-    pub(crate) fn push_leaf(&mut self, config: TrainingConfig, summary: String) {
-        self.steps.push(WaveStep::Eval { summary, seed_candidate: false });
-        self.configs.push(config);
-    }
-}
-
-/// One decision recorded during serial wave expansion and replayed in
-/// the same order after the wave's candidates are batch-evaluated.
-#[derive(Debug, Clone)]
-pub(crate) enum WaveStep {
-    /// A leaf (or seed) to evaluate: the next entry of
-    /// [`Wave::configs`].
-    Eval {
-        /// The candidate's one-line summary, the audit record's
-        /// subject.
-        summary: String,
-        /// Whether it came from the template seeds.
-        seed_candidate: bool,
-    },
-    /// A subtree cut by the analytic bound.
-    Prune {
-        /// Human-readable subtree description.
-        subtree: String,
-        /// Why it was cut.
-        reason: String,
-    },
 }
 
 /// Number of DFS restarts a budget is split across.
@@ -593,7 +536,7 @@ mod tests {
         let dataset = Dataset::load_scaled(DatasetId::Reddit2, 0.02).expect("load");
         let est = fitted(&dataset);
         let explorer = DfsExplorer::new(DesignSpace::standard(), 200, 1);
-        let (cands, stats) = explorer.run(
+        let outcome = explorer.run_audited(
             &est,
             &dataset,
             &Platform::default_rtx4090(),
@@ -601,9 +544,9 @@ mod tests {
             &RuntimeConstraints::none(),
             &[],
         );
-        assert!(stats.evaluated <= 200);
-        assert!(!cands.is_empty());
-        assert_eq!(stats.rejected, 0, "no constraints, nothing rejected");
+        assert!(outcome.stats.evaluated <= 200);
+        assert!(!outcome.accepted.is_empty());
+        assert_eq!(outcome.stats.rejected, 0, "no constraints, nothing rejected");
     }
 
     #[test]
@@ -612,7 +555,7 @@ mod tests {
         let est = fitted(&dataset);
         let explorer = DfsExplorer::new(DesignSpace::standard(), 10, 2);
         let seeds: Vec<_> = Template::ALL.iter().map(|t| t.config(ModelKind::Sage)).collect();
-        let (cands, _) = explorer.run(
+        let outcome = explorer.run_audited(
             &est,
             &dataset,
             &Platform::default_rtx4090(),
@@ -622,7 +565,7 @@ mod tests {
         );
         for s in &seeds {
             assert!(
-                cands.iter().any(|c| c.config == *s),
+                outcome.accepted.iter().any(|c| c.config == *s),
                 "seed {} missing from results",
                 s.summary()
             );
@@ -639,7 +582,7 @@ mod tests {
             max_mem_bytes: Some(0.2 * dataset.num_nodes() as f64 * dataset.feat_dim() as f64 * 2.0),
             ..RuntimeConstraints::none()
         };
-        let (cands, stats) = explorer.run(
+        let outcome = explorer.run_audited(
             &est,
             &dataset,
             &Platform::default_rtx4090(),
@@ -647,8 +590,8 @@ mod tests {
             &constraints,
             &[],
         );
-        assert!(stats.pruned_subtrees > 0, "large-cache subtrees should be pruned");
-        for c in &cands {
+        assert!(outcome.stats.pruned_subtrees > 0, "large-cache subtrees should be pruned");
+        for c in &outcome.accepted {
             assert!(c.config.cache_ratio <= 0.2 + 1e-9);
         }
     }
@@ -660,7 +603,7 @@ mod tests {
         let explorer = DfsExplorer::new(DesignSpace::standard(), 50, 9);
         let run = || {
             explorer
-                .run(
+                .run_audited(
                     &est,
                     &dataset,
                     &Platform::default_rtx4090(),
@@ -668,7 +611,7 @@ mod tests {
                     &RuntimeConstraints::none(),
                     &[],
                 )
-                .0
+                .accepted
                 .iter()
                 .map(|c| c.config.summary())
                 .collect::<Vec<_>>()

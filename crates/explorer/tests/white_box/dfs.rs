@@ -40,8 +40,9 @@ fn fixture() -> &'static (Dataset, GrayBoxEstimator) {
 /// walked to the bottom, every leaf reached (valid or not) enters a
 /// `HashSet<Vec<usize>>`, and validity is learnt from `config_at` one
 /// leaf at a time. Its leaves' summaries are formatted by
-/// `TrainingConfig::summary`, so the waves compared below also hold the
-/// production walk's per-axis assembly against the format itself.
+/// `TrainingConfig::summary`, so the decision streams compared below
+/// also hold the production walk's per-axis assembly against the format
+/// itself.
 struct Naive<'a> {
     space: &'a DesignSpace,
     dataset: &'a Dataset,
@@ -50,10 +51,10 @@ struct Naive<'a> {
 }
 
 impl Naive<'_> {
-    fn expand(&mut self, restart: &Restart, budget: usize, wave: &mut Wave) -> Expanded {
+    fn expand(&mut self, restart: &Restart, budget: usize, sink: &mut dyn Sink) -> Expanded {
         let mut expanded = Expanded::default();
         let mut assignment = vec![0usize; self.space.num_axes()];
-        self.descend(0, &mut assignment, restart, budget, &mut expanded, wave);
+        self.descend(0, &mut assignment, restart, budget, &mut expanded, sink);
         expanded
     }
 
@@ -64,7 +65,7 @@ impl Naive<'_> {
         restart: &Restart,
         budget: usize,
         expanded: &mut Expanded,
-        wave: &mut Wave,
+        sink: &mut dyn Sink,
     ) {
         if expanded.evals >= budget {
             return;
@@ -76,7 +77,7 @@ impl Naive<'_> {
             }
             if let Some(config) = self.space.config_at(assignment, MODEL) {
                 let summary = config.summary();
-                wave.push_leaf(config, summary);
+                sink.leaf(config, summary);
                 expanded.evals += 1;
             }
             return;
@@ -91,19 +92,19 @@ impl Naive<'_> {
                         * self.dataset.num_nodes() as f64
                         * (self.dataset.feat_dim() as f64 * 2.0);
                     if cache_lb > max_mem {
-                        wave.steps.push(WaveStep::Prune {
-                            subtree: format!("subtree {}={ratio}", self.space.axis_name(axis)),
-                            reason: format!(
+                        sink.prune(
+                            format!("subtree {}={ratio}", self.space.axis_name(axis)),
+                            format!(
                                 "cache memory lower bound {:.2} MB > max {:.2} MB",
                                 cache_lb / 1e6,
                                 max_mem / 1e6
                             ),
-                        });
+                        );
                         continue;
                     }
                 }
             }
-            self.descend(depth + 1, assignment, restart, budget, expanded, wave);
+            self.descend(depth + 1, assignment, restart, budget, expanded, sink);
             if expanded.evals >= budget {
                 return;
             }
@@ -151,9 +152,28 @@ fn cap(kind: u8, space: &DesignSpace, dataset: &Dataset, rng: &mut StdRng) -> Op
     }
 }
 
+/// Writes down every decision of one restart on its way to the
+/// evaluating sink.
+struct Recorder<'s> {
+    log: String,
+    inner: &'s mut dyn Sink,
+}
+
+impl Sink for Recorder<'_> {
+    fn leaf(&mut self, config: TrainingConfig, summary: String) {
+        self.log.push_str(&format!("leaf {config:?} {summary:?}\n"));
+        self.inner.leaf(config, summary);
+    }
+
+    fn prune(&mut self, subtree: String, reason: String) {
+        self.log.push_str(&format!("prune {subtree:?} {reason:?}\n"));
+        self.inner.prune(subtree, reason);
+    }
+}
+
 /// What one exploration did, as far as the suites compare it.
 struct Explored {
-    /// Per restart: its evaluation count and its wave as expanded.
+    /// Per restart: its evaluation count and its decisions as made.
     restarts: Vec<String>,
     /// The `DfsOutcome`'s Debug rendering.
     outcome: String,
@@ -165,7 +185,7 @@ struct Explored {
 fn explore(
     explorer: &DfsExplorer,
     constraints: &RuntimeConstraints,
-    mut expand: impl FnMut(&Restart, usize, &mut Wave) -> Expanded,
+    mut expand: impl FnMut(&Restart, usize, &mut dyn Sink) -> Expanded,
 ) -> Explored {
     let (dataset, estimator) = fixture();
     let mut restarts = Vec::new();
@@ -176,9 +196,10 @@ fn explore(
         &Platform::default_rtx4090(),
         constraints,
         &[],
-        |restart, budget, wave| {
-            let expanded = expand(restart, budget, wave);
-            restarts.push(format!("evals={} {wave:?}", expanded.evals));
+        |restart, budget, sink| {
+            let mut recorder = Recorder { log: String::new(), inner: sink };
+            let expanded = expand(restart, budget, &mut recorder);
+            restarts.push(format!("evals={}\n{}", expanded.evals, recorder.log));
             evaluated += expanded.evals;
             expanded
         },
@@ -206,14 +227,14 @@ proptest! {
         let explorer = DfsExplorer::new(space.clone(), budget, dfs_seed);
 
         let mut production = Traversal::new(&space, dataset, MODEL, &constraints);
-        let got = explore(&explorer, &constraints, |r, b, w| production.expand(r, b, w));
+        let got = explore(&explorer, &constraints, |r, b, s| production.expand(r, b, s));
         let mut naive = Naive {
             space: &space,
             dataset,
             max_mem_bytes: constraints.max_mem_bytes,
             visited: HashSet::new(),
         };
-        let want = explore(&explorer, &constraints, |r, b, w| naive.expand(r, b, w));
+        let want = explore(&explorer, &constraints, |r, b, s| naive.expand(r, b, s));
 
         prop_assert_eq!(got.restarts.len(), want.restarts.len(), "restart count, {space:?}");
         for (i, (got, want)) in got.restarts.iter().zip(&want.restarts).enumerate() {
@@ -239,7 +260,7 @@ fn leaves_visited_stay_proportional_to_leaves_evaluated() {
                 let explorer = DfsExplorer::new(space.clone(), budget, seed);
                 let mut walk = Traversal::new(&space, dataset, MODEL, &constraints);
                 let Explored { evaluated, leaves, .. } =
-                    explore(&explorer, &constraints, |r, b, w| walk.expand(r, b, w));
+                    explore(&explorer, &constraints, |r, b, s| walk.expand(r, b, s));
                 assert_eq!(evaluated, budget, "the standard space outlasts every budget here");
                 assert!(
                     leaves <= 2 * evaluated + 64,

@@ -36,7 +36,7 @@
 //! | `profiler.threads` | gauge | threads | `Profiler::profile` (last sweep) |
 //! | `profiler.sweep` | histogram | wall s | span in `Profiler::profile` |
 //! | `profiler.sweep.config[.backend.execute[.epoch]]` | histogram | wall s | `span_under` on sweep workers |
-//! | `estimator.fits` / `.predictions` | counter | calls | `GrayBoxEstimator` |
+//! | `estimator.fits` / `.predictions` | counter | calls | `GrayBoxEstimator` (an exploration's predictions are added once, by `DfsExplorer::run_audited`) |
 //! | `estimator.fit_wall_s` | gauge | wall s | `GrayBoxEstimator::fit` |
 //! | `estimator.mape.{time,memory,accuracy}` | gauge | ratio | `GrayBoxEstimator::fit` |
 //! | `explorer.runs` | counter | runs | `Explorer::explore` |
@@ -58,7 +58,7 @@
 //! | `profiler.quarantined` | counter | configs | `Profiler::profile` |
 //! | `profiler.timeouts` | counter | configs | `Profiler::profile` |
 //! | `explorer.fallbacks` | counter | guidelines | `Explorer::explore` |
-//! | `explorer.predictions.nonfinite` | counter | candidates | `DfsExplorer::run` |
+//! | `explorer.predictions.nonfinite` | counter | candidates | `DfsExplorer::run_audited` |
 //! | `nn.matmul.calls` | counter | kernel calls | `RuntimeBackend::execute` |
 //! | `nn.matmul.flops` | counter | flops | `RuntimeBackend::execute` |
 //! | `nn.matmul_gflops_wall` | gauge | GFLOP/wall s | `RuntimeBackend::execute` (last run) |
@@ -108,8 +108,8 @@
 //! | `alloc` | `backend` | instant | `RuntimeBackend::execute`, one/run with tracking on |
 //! | `backend.epoch.hit_rate` | `backend` | counter sample | `RuntimeBackend::execute`, one/epoch |
 //! | `profile.config` | `profiler.worker-<i>` | span (wall) | `Profiler::profile`, one/config |
-//! | `candidate` | `explorer` | instant | `DfsExplorer::run`, one/evaluation |
-//! | `prune` | `explorer` | instant | `DfsExplorer::run`, one/pruned subtree |
+//! | `candidate` | `explorer` | instant | `DfsExplorer::run_audited`, one/evaluation |
+//! | `prune` | `explorer` | instant | `DfsExplorer::run_audited`, one/pruned subtree |
 //! | `guideline` | `explorer` | instant | `Explorer::explore`, selected config |
 //! | `explore` / `decide` | `explorer` | span (wall) | `Explorer::explore`, one/run |
 //! | `explore.cache` | `explorer` | instant | `ExploreCache` lookup/insert |
@@ -202,7 +202,7 @@ pub const PROFILER_TIMEOUTS: &str = "profiler.timeouts";
 pub const ESTIMATOR_FITS: &str = "estimator.fits";
 /// Wall seconds of the last fit (gauge).
 pub const ESTIMATOR_FIT_WALL: &str = "estimator.fit_wall_s";
-/// Predictions served.
+/// Predictions served; a batch or an exploration adds its count once.
 pub const ESTIMATOR_PREDICTIONS: &str = "estimator.predictions";
 /// In-sample MAPE of epoch-time prediction after the last fit.
 pub const ESTIMATOR_MAPE_TIME: &str = "estimator.mape.time";

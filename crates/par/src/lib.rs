@@ -71,17 +71,21 @@ fn env_threads() -> usize {
 
 /// Runs `f` with the calling thread's worker budget overridden to `n`
 /// (clamped to `1..=`[`MAX_POOL_THREADS`]), restoring the previous
-/// override afterwards. The override may exceed the hardware thread
-/// count — the determinism proptests use that to sweep 1/2/4/8 workers
-/// on any machine.
+/// override afterwards — also when `f` unwinds, so a caught panic does
+/// not leave the thread on `f`'s budget. The override may exceed the
+/// hardware thread count — the determinism proptests use that to sweep
+/// 1/2/4/8 workers on any machine.
 pub fn with_thread_limit<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    let n = n.clamp(1, MAX_POOL_THREADS);
-    THREAD_LIMIT.with(|limit| {
-        let prev = limit.replace(n);
-        let out = f();
-        limit.set(prev);
-        out
-    })
+    struct Restore(usize);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            // `try_with`: a drop must not panic, even during thread
+            // teardown, when the slot is already gone.
+            let _ = THREAD_LIMIT.try_with(|limit| limit.set(self.0));
+        }
+    }
+    let _restore = Restore(THREAD_LIMIT.with(|limit| limit.replace(n.clamp(1, MAX_POOL_THREADS))));
+    f()
 }
 
 /// A registration of `workers` externally managed threads (e.g. the
@@ -598,6 +602,18 @@ mod tests {
         with_thread_limit(2, || {
             assert_eq!(effective_threads(), 2);
             with_thread_limit(5, || assert_eq!(effective_threads(), 5));
+            assert_eq!(effective_threads(), 2);
+        });
+    }
+
+    #[test]
+    fn limit_is_restored_after_a_caught_panic() {
+        let _guard = serialize();
+        with_thread_limit(2, || {
+            let caught = std::panic::catch_unwind(|| {
+                with_thread_limit(5, || panic!("inside the override"));
+            });
+            assert!(caught.is_err());
             assert_eq!(effective_threads(), 2);
         });
     }

@@ -15,8 +15,8 @@
 //! - a deterministic closed-loop zipf load generator
 //!   ([`run_load`]) behind `gnnavigate serve-bench`.
 //!
-//! Waves resolve with the same plan → parallel-explore → commit
-//! discipline as the parallel explorer benches, so the full
+//! Waves resolve plan → parallel-explore → commit (each exploration
+//! serial inside, the wave's explorations side by side), so the full
 //! request/response sequence is byte-identical at every worker
 //! width. See `docs/SERVING.md` for the architecture tour.
 

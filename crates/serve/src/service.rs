@@ -4,8 +4,7 @@
 //! request/response loop: tenants [`submit`](NavService::submit)
 //! navigation requests into a bounded admission queue and a
 //! [`drain`](NavService::drain) wave resolves them together. A wave
-//! runs the same three-phase wave-replay discipline as the parallel
-//! explorer benches:
+//! runs in three phases, and only the middle one forks:
 //!
 //! 1. **Plan (serial).** Every pending request resolves its dataset,
 //!    warm estimator (pool hit or calibration), exploration
