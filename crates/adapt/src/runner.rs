@@ -576,7 +576,7 @@ impl AdaptState<'_> {
 /// prepended — the seed set of the next re-exploration.
 fn front_configs(result: &ExplorationResult, current: &TrainingConfig) -> Vec<TrainingConfig> {
     let mut seeds = vec![current.clone()];
-    for &i in &result.front {
+    for &i in result.front.iter() {
         let c = &result.evaluated[i].config;
         if c != current {
             seeds.push(c.clone());

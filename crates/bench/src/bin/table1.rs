@@ -66,8 +66,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // GNNavigator guidelines.
         nav.prepare()?;
         let mut chosen: Vec<(String, String)> = Vec::new();
-        for priority in Priority::ALL {
-            let result = nav.generate_guideline(priority, &RuntimeConstraints::none())?;
+        // One walk of the design space, one decision per priority.
+        let results = nav.generate_all(&RuntimeConstraints::none())?;
+        for (priority, result) in Priority::ALL.into_iter().zip(&results) {
             let report = nav.apply(&result.guideline)?;
             perfs.push((priority.label().to_string(), report.perf));
             chosen.push((priority.label().to_string(), result.guideline.config.summary()));

@@ -413,7 +413,7 @@ pub fn run(args: Args) -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     if let Some(path) = &args.audit_out {
-        let mut audit = result.audit.clone();
+        let mut audit = result.audit.to_vec();
         audit.extend(adapt_audit);
         write_file(path, gnnavigator::explorer::audit_to_json(&audit))?;
         eprintln!("decision audit ({} records) written to {}", audit.len(), path.display());

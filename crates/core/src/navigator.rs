@@ -156,12 +156,15 @@ impl Navigator {
     }
 
     /// Attaches a durable [`ExploreCache`]:
-    /// [`Navigator::generate_guideline`] fingerprints every exploration
-    /// input and serves a cached [`ExplorationResult`] when the
-    /// fingerprint matches, skipping the DSE entirely — a repeat
-    /// invocation returns the byte-identical guideline for the price of
-    /// a hash probe (the cost that remains is reopening the log; see
-    /// `explorer::cache`). Fresh explorations are appended.
+    /// [`Navigator::generate_guideline`] and [`Navigator::generate_all`]
+    /// fingerprint every exploration input and serve a cached
+    /// [`ExplorationResult`] when the fingerprint matches, skipping the
+    /// DSE entirely — a repeat invocation returns the byte-identical
+    /// guideline for the price of a hash probe (the cost that remains
+    /// is reopening the log, one decode per walk however many
+    /// priorities were decided over it; see `explorer::cache`). Fresh
+    /// explorations are appended, a walk's first result whole and the
+    /// others as the few hundred bytes that differ.
     pub fn with_explore_cache(mut self, cache: ExploreCache) -> Self {
         self.explore_cache = Some(std::cell::RefCell::new(cache));
         self
@@ -254,6 +257,33 @@ impl Navigator {
         )
     }
 
+    /// The explorer over the fitted estimator.
+    fn explorer(&self) -> Result<Explorer<'_>, NavigatorError> {
+        let estimator = self.estimator.as_ref().ok_or(NavigatorError::NotPrepared)?;
+        Ok(Explorer::new(estimator, self.options.explore_budget)
+            .with_space(self.options.space.clone()))
+    }
+
+    /// The exploration-cache key of `explorer`'s result for `priority`.
+    fn fingerprint(
+        &self,
+        explorer: &Explorer<'_>,
+        priority: Priority,
+        constraints: &RuntimeConstraints,
+    ) -> u64 {
+        explore_fingerprint(
+            &self.dataset,
+            &self.platform,
+            self.model,
+            &self.options.space,
+            priority,
+            constraints,
+            explorer.budget(),
+            explorer.seed(),
+            &self.estimator_salt(),
+        )
+    }
+
     /// Generates the guideline for one priority.
     ///
     /// With an attached [`ExploreCache`], a fingerprint hit returns the
@@ -269,49 +299,63 @@ impl Navigator {
         priority: Priority,
         constraints: &RuntimeConstraints,
     ) -> Result<ExplorationResult, NavigatorError> {
-        let estimator = self.estimator.as_ref().ok_or(NavigatorError::NotPrepared)?;
-        let explorer = Explorer::new(estimator, self.options.explore_budget)
-            .with_space(self.options.space.clone());
-        let fingerprint = self.explore_cache.as_ref().map(|_| {
-            explore_fingerprint(
-                &self.dataset,
-                &self.platform,
-                self.model,
-                &self.options.space,
-                priority,
-                constraints,
-                explorer.budget(),
-                explorer.seed(),
-                &self.estimator_salt(),
-            )
-        });
-        if let (Some(cache), Some(fp)) = (&self.explore_cache, fingerprint) {
-            if let Some(result) = cache.borrow_mut().lookup(fp) {
-                return Ok(result.clone());
-            }
+        let explorer = self.explorer()?;
+        let explore =
+            || explorer.explore(&self.dataset, &self.platform, self.model, priority, constraints);
+        let Some(cache) = &self.explore_cache else {
+            return Ok(explore()?);
+        };
+        let fingerprint = self.fingerprint(&explorer, priority, constraints);
+        if let Some(result) = cache.borrow_mut().lookup(fingerprint) {
+            return Ok(result.clone());
         }
-        let result =
-            explorer.explore(&self.dataset, &self.platform, self.model, priority, constraints)?;
-        if let (Some(cache), Some(fp)) = (&self.explore_cache, fingerprint) {
-            cache
-                .borrow_mut()
-                .insert(fp, &result)
-                .map_err(|e| NavigatorError::Pipeline(e.to_string()))?;
-        }
+        let result = explore()?;
+        cache
+            .borrow_mut()
+            .insert(fingerprint, &result)
+            .map_err(|e| NavigatorError::Pipeline(e.to_string()))?;
         Ok(result)
     }
 
     /// Generates guidelines for every priority preset (the Bal /
-    /// Ex-TM / Ex-MA / Ex-TA rows of Tab. 1).
+    /// Ex-TM / Ex-MA / Ex-TA rows of Tab. 1), in [`Priority::ALL`]
+    /// order, from one walk of the design space
+    /// ([`Explorer::explore_all`]): each result is what
+    /// [`generate_guideline`](Self::generate_guideline) returns for its
+    /// priority.
+    ///
+    /// With an attached [`ExploreCache`], four fingerprint hits skip
+    /// the DSE; on any miss the space is walked once and the results
+    /// that missed are appended.
     ///
     /// # Errors
     ///
-    /// Propagates the first failure.
+    /// Same contract as [`generate_guideline`](Self::generate_guideline).
     pub fn generate_all(
         &self,
         constraints: &RuntimeConstraints,
     ) -> Result<Vec<ExplorationResult>, NavigatorError> {
-        Priority::ALL.iter().map(|&p| self.generate_guideline(p, constraints)).collect()
+        let explorer = self.explorer()?;
+        let explore_all =
+            || explorer.explore_all(&self.dataset, &self.platform, self.model, constraints);
+        let Some(cache) = &self.explore_cache else {
+            return Ok(explore_all()?);
+        };
+        let mut cache = cache.borrow_mut();
+        let fingerprints = Priority::ALL.map(|p| self.fingerprint(&explorer, p, constraints));
+        let cached: Vec<_> =
+            fingerprints.iter().filter_map(|&fp| cache.lookup(fp).cloned()).collect();
+        if cached.len() == fingerprints.len() {
+            return Ok(cached);
+        }
+        let results = explore_all()?;
+        for (&fingerprint, result) in fingerprints.iter().zip(&results) {
+            // A fingerprint that hit is skipped by the insert itself.
+            cache
+                .insert(fingerprint, result)
+                .map_err(|e| NavigatorError::Pipeline(e.to_string()))?;
+        }
+        Ok(results)
     }
 
     /// Applies a guideline on the runtime backend (Step 3), returning
@@ -515,6 +559,66 @@ mod tests {
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.inserts(), 1);
 
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The log one `generate_all` leaves — a base frame and three
+    /// decision frames — cut at every frame boundary and inside every
+    /// frame: a reopen serves exactly the complete prefix, the next
+    /// `generate_all` re-inserts the rest, and what a third reopen
+    /// serves (and holds on disk) is an uninterrupted run's.
+    #[test]
+    fn a_walk_log_cut_anywhere_serves_its_complete_prefix_and_is_refilled() {
+        use gnnav_store::{Wal, WAL_FRAME_LEN, WAL_HEADER_LEN};
+        let dir = std::env::temp_dir().join(format!("gnnav-nav-cuts-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("explore.wal");
+        let _ = std::fs::remove_file(&path);
+        let none = RuntimeConstraints::none();
+
+        let mut nav = fast_navigator().with_explore_cache(ExploreCache::open(&path).expect("open"));
+        nav.prepare().expect("prepare");
+        let uninterrupted = format!("{:?}", nav.generate_all(&none).expect("generate all"));
+        assert_eq!(nav.explore_cache().expect("cache").inserts(), 4);
+        let log = std::fs::read(&path).expect("read");
+        let mut ends = vec![WAL_HEADER_LEN];
+        Wal::replay(&path, |frame| ends.push(ends[ends.len() - 1] + WAL_FRAME_LEN + frame.len()))
+            .expect("read as a plain log");
+        assert_eq!(ends.len(), 5, "one frame per priority");
+        assert_eq!(ends[4], log.len());
+        let tags: Vec<u8> = ends[..4].iter().map(|&start| log[start + WAL_FRAME_LEN]).collect();
+        assert_eq!(tags, [1, 2, 2, 2], "the walk once, then three decisions over it");
+        assert!(ends[4] - ends[1] < 2048, "three decision frames take {} bytes", ends[4] - ends[1]);
+
+        let mut cuts = vec![0, WAL_HEADER_LEN / 2, log.len()];
+        for frame in ends.windows(2) {
+            let (start, end) = (frame[0], frame[1]);
+            let payload = start + WAL_FRAME_LEN;
+            cuts.extend([start, start + 1, payload, payload + 1, (payload + end) / 2, end - 1]);
+        }
+        for cut in cuts {
+            std::fs::write(&path, &log[..cut]).expect("write cut");
+            let complete = ends[1..].iter().filter(|&&end| end <= cut).count();
+            let cache = ExploreCache::open(&path).expect("reopen");
+            assert_eq!((cache.len(), cache.undecodable()), (complete, 0), "cut at {cut}");
+            nav = nav.with_explore_cache(cache);
+            let refilled = nav.generate_all(&none).expect("second generate all");
+            assert_eq!(format!("{refilled:?}"), uninterrupted, "cut at {cut}");
+            {
+                let cache = nav.explore_cache().expect("cache");
+                assert_eq!(cache.hits(), complete as u64, "cut at {cut}");
+                assert_eq!(cache.inserts(), 4 - complete as u64, "cut at {cut}");
+            }
+
+            let cache = ExploreCache::open(&path).expect("third reopen");
+            assert!(cache.recovery().is_clean(), "cut at {cut}");
+            assert_eq!((cache.len(), cache.undecodable()), (4, 0), "cut at {cut}");
+            nav = nav.with_explore_cache(cache);
+            let served = nav.generate_all(&none).expect("third generate all");
+            assert_eq!(format!("{served:?}"), uninterrupted, "cut at {cut}");
+            assert_eq!(nav.explore_cache().expect("cache").inserts(), 0, "cut at {cut}");
+            assert!(std::fs::read(&path).expect("read") == log, "cut at {cut}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -9,6 +9,8 @@
 use gnnav_estimator::PerfEstimate;
 use gnnav_obs::json;
 use std::borrow::Cow;
+use std::fmt;
+use std::sync::Arc;
 
 /// What the explorer did with a candidate (or subtree).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,6 +66,72 @@ pub struct AuditRecord {
     /// Whether the candidate came from the template seeds rather than
     /// the DFS traversal.
     pub seed_candidate: bool,
+}
+
+/// The audit trail of one exploration: the walk's records — one per
+/// evaluated candidate and pruned subtree, shared (not copied) by every
+/// result decided over that walk — then the decision's own record.
+///
+/// Reads as the plain list it used to be: `iter`, `len`, `last`, and a
+/// `Debug` rendering identical to `Vec<AuditRecord>`'s.
+#[derive(Clone, Default)]
+pub struct AuditTrail {
+    walk: Arc<Vec<AuditRecord>>,
+    /// `None` only in the empty trail.
+    decision: Option<AuditRecord>,
+}
+
+impl AuditTrail {
+    /// The trail of `walk` followed by `decision`.
+    pub fn new(walk: Arc<Vec<AuditRecord>>, decision: AuditRecord) -> Self {
+        AuditTrail { walk, decision: Some(decision) }
+    }
+
+    /// The walk's records: everything but the last.
+    pub fn walk(&self) -> &Arc<Vec<AuditRecord>> {
+        &self.walk
+    }
+
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.walk.len() + usize::from(self.decision.is_some())
+    }
+
+    /// Whether the trail holds no record.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The records in decision order.
+    pub fn iter(&self) -> impl Iterator<Item = &AuditRecord> {
+        self.walk.iter().chain(&self.decision)
+    }
+
+    /// The last record: the decision's — `Selected` or `Fallback` for
+    /// an exploration; `None` in an empty trail.
+    pub fn last(&self) -> Option<&AuditRecord> {
+        self.decision.as_ref()
+    }
+
+    /// An owned copy of every record, for a caller that extends the
+    /// trail (the CLI appends the adaptive layer's switches).
+    pub fn to_vec(&self) -> Vec<AuditRecord> {
+        self.iter().cloned().collect()
+    }
+}
+
+impl From<Vec<AuditRecord>> for AuditTrail {
+    /// Splits the last record off as the decision.
+    fn from(mut records: Vec<AuditRecord>) -> Self {
+        let decision = records.pop();
+        AuditTrail { walk: Arc::new(records), decision }
+    }
+}
+
+impl fmt::Debug for AuditTrail {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 /// Serializes an audit trail as deterministic JSON:
@@ -152,6 +220,32 @@ mod tests {
         assert_eq!(recs[0].get("seed"), Some(&json::Value::Bool(true)));
         assert_eq!(recs[1].get("predicted"), Some(&json::Value::Null));
         assert_eq!(recs[1].get("action").and_then(json::Value::as_str), Some("pruned_subtree"));
+    }
+
+    #[test]
+    fn a_trail_renders_and_reads_as_the_list_of_its_records() {
+        let record = |config: &str, action| AuditRecord {
+            config: config.into(),
+            estimate: None,
+            action,
+            reason: "because".into(),
+            seed_candidate: false,
+        };
+        let records = vec![
+            record("a", AuditAction::Accepted),
+            record("b", AuditAction::PrunedSubtree),
+            record("c", AuditAction::Selected),
+        ];
+        let trail = AuditTrail::from(records.clone());
+        assert_eq!(format!("{trail:?}"), format!("{records:?}"));
+        assert_eq!(format!("{trail:#?}"), format!("{records:#?}"));
+        assert_eq!(trail.len(), 3);
+        assert_eq!(trail.walk().len(), 2);
+        assert_eq!(trail.last().map(|r| r.config.as_str()), Some("c"));
+        assert_eq!(format!("{:?}", trail.to_vec()), format!("{records:?}"));
+        let empty = AuditTrail::default();
+        assert!(empty.is_empty() && empty.last().is_none());
+        assert_eq!(format!("{empty:?}"), "[]");
     }
 
     #[test]

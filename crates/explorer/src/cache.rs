@@ -12,26 +12,58 @@
 //! conditions on, so a repeated invocation skips the DSE entirely and
 //! hands back a byte-identical result.
 //!
-//! What that costs, measured by the `benchmark/` trace pass on one
-//! pinned CPU: a hit is a hash probe returning a reference, 0.05–0.08
-//! µs; an insert is one encoded frame appended, 0.22 ms for a
-//! budget-400 result; reopening the log is a CRC check and a decode per
-//! result, 17 ms for 64 of them. A whole repeat navigation — open both
-//! stores, refit, look up, apply — is 16 ms at the median
-//! (`warm_navigate`), 4.9 ms of it opening the stores.
+//! # A walk is stored once
+//!
+//! Only the last step of an exploration looks at the priority: the
+//! four results of one navigation agree in `evaluated`, `front`,
+//! `stats` and every audit record but the last. The log therefore
+//! holds two kinds of frame. The first result over a walk is written
+//! whole, as a *base frame* ([`EXPLORE_RESULT_TAG`], the only kind
+//! earlier builds wrote, byte for byte what they wrote). Every later
+//! result over an equal walk is a *decision frame*
+//! ([`EXPLORE_DECISION_TAG`]): its fingerprint, the base's
+//! fingerprint, the guideline, its own final audit record and the
+//! fallback — a few hundred bytes against the base's hundreds of
+//! kilobytes. Replay resolves a decision frame against the base that
+//! precedes it and shares the base's `Arc`s, so a walk is written,
+//! decoded and held once however many priorities were decided over it.
+//!
+//! Whether two results share a walk is decided on their contents, not
+//! on how they arrived: pointer-equal `Arc`s (the results of one
+//! [`Explorer::explore_all`](crate::Explorer::explore_all)) settle it
+//! at once; otherwise a digest of a few summary fields finds the
+//! candidate bases and a field-by-field comparison, floats by bit
+//! pattern, confirms one. Four separate `explore` calls therefore
+//! leave the same log as one `explore_all`.
+//!
+//! What it costs, measured by the `benchmark/` trace pass on one
+//! pinned CPU: a hit is a hash probe returning a reference, 0.02–0.08
+//! µs, and cloning it copies a guideline, one audit record and three
+//! reference counts; an insert of a base frame is one encoded frame
+//! appended, 0.18 ms for a budget-400 result, and of a decision frame
+//! a few microseconds; reopening the log is a CRC check per frame and
+//! a decode per walk, 13–16 ms for 64 budget-400 walks and 0.84 ms for
+//! the one budget-2 000 walk (554 KB) and three decisions of a
+//! navigation. A whole repeat navigation over all four priorities —
+//! load the dataset, open both stores, refit, look up — is 10.8 ms at
+//! the median (`warm_navigate`), 0.95 ms of it opening the stores;
+//! EXPERIMENTS.md "One walk, four decisions" has the stage split.
 //!
 //! Durability semantics match the profile store's: torn tails are
 //! truncated and checksum-failed frames dropped at WAL open; a
-//! CRC-valid frame that fails result decoding (a foreign format
-//! version, say) is skipped and counted in
-//! [`ExploreCache::undecodable`] — the exploration then simply reruns.
+//! CRC-valid frame that fails decoding (a foreign format version, say)
+//! is skipped and counted in [`ExploreCache::undecodable`] — the
+//! exploration then simply reruns. So is an *orphan*: a decision frame
+//! whose base is not among the frames before it (dropped by the CRC
+//! scan, torn away, undecodable, or written later). It has no walk to
+//! serve, and nothing is inferred for it.
 //!
 //! Hits, misses, and inserts are metered both on the cache instance
 //! (for tests, immune to the shared global registry) and under
 //! `explorer.cache.*` in the global registry, with `explore.cache`
 //! instants on the explorer journal track.
 
-use crate::audit::{AuditAction, AuditRecord};
+use crate::audit::{AuditAction, AuditRecord, AuditTrail};
 use crate::decision::Guideline;
 use crate::dfs::{DfsStats, EvaluatedCandidate};
 use crate::explorer::ExplorationResult;
@@ -44,12 +76,20 @@ use gnnav_obs::names as metric;
 use gnnav_runtime::checkpoint::{get_config, put_config, put_platform};
 use gnnav_runtime::DesignSpace;
 use gnnav_store::{fnv1a64, ByteReader, ByteWriter, StoreError, Wal};
-use std::collections::HashMap;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
-/// Leading byte of every cached-result frame; bumped on layout changes
-/// so old caches are skipped (and re-explored) rather than misread.
+/// Leading byte of a base frame — a whole result, walk included;
+/// bumped on layout changes so old caches are skipped (and
+/// re-explored) rather than misread.
 pub const EXPLORE_RESULT_TAG: u8 = 1;
+
+/// Leading byte of a decision frame — one more result over the walk of
+/// a base frame earlier in the log.
+pub const EXPLORE_DECISION_TAG: u8 = 2;
 
 fn priority_tag(p: Priority) -> u8 {
     match p {
@@ -114,34 +154,48 @@ pub fn get_estimate(r: &mut ByteReader) -> Result<PerfEstimate, StoreError> {
     })
 }
 
+/// Fewest bytes one encoded audit record takes: two empty strings,
+/// no estimate.
+const MIN_RECORD_BYTES: usize = 8 + 1 + 1 + 8 + 1;
+
+/// Fewest bytes one encoded candidate takes: its estimate (the
+/// configuration before it is longer, and owned by `gnnav-runtime`).
+const MIN_CANDIDATE_BYTES: usize = 5 * 8;
+
+fn put_record(w: &mut ByteWriter, r: &AuditRecord) {
+    w.put_str(&r.config);
+    w.put_bool(r.estimate.is_some());
+    if let Some(e) = &r.estimate {
+        put_estimate(w, e);
+    }
+    w.put_u8(action_tag(r.action));
+    w.put_str(&r.reason);
+    w.put_bool(r.seed_candidate);
+}
+
+fn get_record(r: &mut ByteReader) -> Result<AuditRecord, StoreError> {
+    let config = r.get_str()?;
+    let estimate = if r.get_bool()? { Some(get_estimate(r)?) } else { None };
+    let action = action_from_tag(r.get_u8()?)?;
+    let reason = r.get_str()?.into();
+    let seed_candidate = r.get_bool()?;
+    Ok(AuditRecord { config, estimate, action, reason, seed_candidate })
+}
+
 /// Appends a length-prefixed audit trail (shared with the adaptive
 /// layer's checkpoint format).
 pub fn put_audit(w: &mut ByteWriter, audit: &[AuditRecord]) {
     w.put_usize(audit.len());
-    for r in audit {
-        w.put_str(&r.config);
-        w.put_bool(r.estimate.is_some());
-        if let Some(e) = &r.estimate {
-            put_estimate(w, e);
-        }
-        w.put_u8(action_tag(r.action));
-        w.put_str(&r.reason);
-        w.put_bool(r.seed_candidate);
-    }
+    audit.iter().for_each(|r| put_record(w, r));
 }
 
 /// Reads back an audit trail written by [`put_audit`], rejecting
 /// unknown action tags with a typed decode error.
 pub fn get_audit(r: &mut ByteReader) -> Result<Vec<AuditRecord>, StoreError> {
-    let n = r.get_usize()?;
-    let mut audit = Vec::with_capacity(n.min(1 << 20));
+    let n = r.get_len(MIN_RECORD_BYTES)?;
+    let mut audit = Vec::with_capacity(n);
     for _ in 0..n {
-        let config = r.get_str()?;
-        let estimate = if r.get_bool()? { Some(get_estimate(r)?) } else { None };
-        let action = action_from_tag(r.get_u8()?)?;
-        let reason = r.get_str()?.into();
-        let seed_candidate = r.get_bool()?;
-        audit.push(AuditRecord { config, estimate, action, reason, seed_candidate });
+        audit.push(get_record(r)?);
     }
     Ok(audit)
 }
@@ -194,57 +248,28 @@ pub fn explore_fingerprint(
     fnv1a64(&w.finish())
 }
 
-fn encode_result(fingerprint: u64, result: &ExplorationResult) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u8(EXPLORE_RESULT_TAG);
-    w.put_u64(fingerprint);
-    put_config(&mut w, &result.guideline.config);
-    put_estimate(&mut w, &result.guideline.estimate);
-    w.put_u8(priority_tag(result.guideline.priority));
-    w.put_usize(result.evaluated.len());
-    for c in &result.evaluated {
-        put_config(&mut w, &c.config);
-        put_estimate(&mut w, &c.estimate);
-    }
-    w.put_usize_slice(&result.front);
-    w.put_usize(result.stats.evaluated);
-    w.put_usize(result.stats.rejected);
-    w.put_usize(result.stats.pruned_subtrees);
-    put_audit(&mut w, &result.audit);
-    w.put_bool(result.fallback.is_some());
-    if let Some(f) = &result.fallback {
-        w.put_str(f);
-    }
-    w.finish()
+fn put_guideline(w: &mut ByteWriter, g: &Guideline) {
+    put_config(w, &g.config);
+    put_estimate(w, &g.estimate);
+    w.put_u8(priority_tag(g.priority));
 }
 
-fn decode_result(payload: &[u8]) -> Result<(u64, ExplorationResult), StoreError> {
-    let mut r = ByteReader::new(payload);
-    let tag = r.get_u8()?;
-    if tag != EXPLORE_RESULT_TAG {
-        return Err(StoreError::decode(format!(
-            "frame tag {tag} is not an exploration result (want {EXPLORE_RESULT_TAG})"
-        )));
-    }
-    let fingerprint = r.get_u64()?;
-    let config = get_config(&mut r)?;
-    let estimate = get_estimate(&mut r)?;
+fn get_guideline(r: &mut ByteReader) -> Result<Guideline, StoreError> {
+    let config = get_config(r)?;
+    let estimate = get_estimate(r)?;
     let priority = priority_from_tag(r.get_u8()?)?;
-    let guideline = Guideline { config, estimate, priority };
-    let n = r.get_usize()?;
-    let mut evaluated = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        let config = get_config(&mut r)?;
-        let estimate = get_estimate(&mut r)?;
-        evaluated.push(EvaluatedCandidate { config, estimate });
+    Ok(Guideline { config, estimate, priority })
+}
+
+fn put_fallback(w: &mut ByteWriter, fallback: &Option<String>) {
+    w.put_bool(fallback.is_some());
+    if let Some(f) = fallback {
+        w.put_str(f);
     }
-    let front = r.get_usize_vec()?;
-    let stats = DfsStats {
-        evaluated: r.get_usize()?,
-        rejected: r.get_usize()?,
-        pruned_subtrees: r.get_usize()?,
-    };
-    let audit = get_audit(&mut r)?;
+}
+
+/// The fallback closes both frame kinds: anything after it is an error.
+fn get_fallback(r: &mut ByteReader) -> Result<Option<String>, StoreError> {
     let fallback = if r.get_bool()? { Some(r.get_str()?) } else { None };
     if !r.is_exhausted() {
         return Err(StoreError::decode(format!(
@@ -252,7 +277,168 @@ fn decode_result(payload: &[u8]) -> Result<(u64, ExplorationResult), StoreError>
             r.remaining()
         )));
     }
-    Ok((fingerprint, ExplorationResult { guideline, evaluated, front, stats, audit, fallback }))
+    Ok(fallback)
+}
+
+/// A base frame: the whole of `result`, in the layout every build so
+/// far has written under [`EXPLORE_RESULT_TAG`].
+fn encode_base(fingerprint: u64, result: &ExplorationResult) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.put_u8(EXPLORE_RESULT_TAG);
+    w.put_u64(fingerprint);
+    put_guideline(&mut w, &result.guideline);
+    w.put_usize(result.evaluated.len());
+    for c in result.evaluated.iter() {
+        put_config(&mut w, &c.config);
+        put_estimate(&mut w, &c.estimate);
+    }
+    w.put_usize_slice(&result.front);
+    w.put_usize(result.stats.evaluated);
+    w.put_usize(result.stats.rejected);
+    w.put_usize(result.stats.pruned_subtrees);
+    w.put_usize(result.audit.len());
+    result.audit.iter().for_each(|r| put_record(&mut w, r));
+    put_fallback(&mut w, &result.fallback);
+    w.finish()
+}
+
+/// The priority's share of a result: everything a decision frame holds
+/// beside the two fingerprints.
+struct Decision {
+    guideline: Guideline,
+    record: AuditRecord,
+    fallback: Option<String>,
+}
+
+impl Decision {
+    /// The result of this decision over the walk `base` holds, sharing
+    /// it.
+    fn over(self, base: &ExplorationResult) -> ExplorationResult {
+        ExplorationResult {
+            guideline: self.guideline,
+            evaluated: Arc::clone(&base.evaluated),
+            front: Arc::clone(&base.front),
+            stats: base.stats,
+            audit: AuditTrail::new(Arc::clone(base.audit.walk()), self.record),
+            fallback: self.fallback,
+        }
+    }
+}
+
+/// A decision frame: `decision`, over the walk of the base frame cached
+/// under `base`.
+fn encode_decision(fingerprint: u64, base: u64, decision: &Decision) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.put_u8(EXPLORE_DECISION_TAG);
+    w.put_u64(fingerprint);
+    w.put_u64(base);
+    put_guideline(&mut w, &decision.guideline);
+    put_record(&mut w, &decision.record);
+    put_fallback(&mut w, &decision.fallback);
+    w.finish()
+}
+
+/// One decoded frame of the log.
+enum Frame {
+    Base(u64, ExplorationResult),
+    Decision { fingerprint: u64, base: u64, decision: Decision },
+}
+
+fn decode_frame(payload: &[u8]) -> Result<Frame, StoreError> {
+    let mut r = ByteReader::new(payload);
+    match r.get_u8()? {
+        EXPLORE_RESULT_TAG => {
+            let fingerprint = r.get_u64()?;
+            let guideline = get_guideline(&mut r)?;
+            let n = r.get_len(MIN_CANDIDATE_BYTES)?;
+            let mut evaluated = Vec::with_capacity(n);
+            for _ in 0..n {
+                let config = get_config(&mut r)?;
+                let estimate = get_estimate(&mut r)?;
+                evaluated.push(EvaluatedCandidate { config, estimate });
+            }
+            let front = r.get_usize_vec()?;
+            let stats = DfsStats {
+                evaluated: r.get_usize()?,
+                rejected: r.get_usize()?,
+                pruned_subtrees: r.get_usize()?,
+            };
+            let audit = get_audit(&mut r)?.into();
+            let fallback = get_fallback(&mut r)?;
+            let result = ExplorationResult {
+                guideline,
+                evaluated: Arc::new(evaluated),
+                front: Arc::new(front),
+                stats,
+                audit,
+                fallback,
+            };
+            Ok(Frame::Base(fingerprint, result))
+        }
+        EXPLORE_DECISION_TAG => {
+            let fingerprint = r.get_u64()?;
+            let base = r.get_u64()?;
+            let guideline = get_guideline(&mut r)?;
+            let record = get_record(&mut r)?;
+            let fallback = get_fallback(&mut r)?;
+            Ok(Frame::Decision {
+                fingerprint,
+                base,
+                decision: Decision { guideline, record, fallback },
+            })
+        }
+        tag => Err(StoreError::decode(format!(
+            "frame tag {tag} is neither an exploration result ({EXPLORE_RESULT_TAG}) nor a \
+             decision over one ({EXPLORE_DECISION_TAG})"
+        ))),
+    }
+}
+
+/// A digest of the walk `result` was decided over, from fields cheap
+/// to read: it only narrows which cached walks [`same_walk`] compares.
+fn walk_digest(result: &ExplorationResult) -> u64 {
+    let mut h = DefaultHasher::new();
+    let stats = result.stats;
+    (stats.evaluated, stats.rejected, stats.pruned_subtrees).hash(&mut h);
+    (result.evaluated.len(), result.audit.walk().len()).hash(&mut h);
+    result.front.hash(&mut h);
+    for c in result.evaluated.first().into_iter().chain(result.evaluated.last()) {
+        estimate_bits(&c.estimate).hash(&mut h);
+    }
+    h.finish()
+}
+
+fn estimate_bits(e: &PerfEstimate) -> [u64; 5] {
+    [e.time_s, e.mem_bytes, e.accuracy, e.batch_nodes, e.hit_rate].map(f64::to_bits)
+}
+
+/// Whether `a` and `b` were decided over equal walks: everything of a
+/// result but its guideline, its decision's audit record and its
+/// fallback, compared exactly — floats by bit pattern, since that is
+/// what a frame stores and `Debug` renders.
+fn same_walk(a: &ExplorationResult, b: &ExplorationResult) -> bool {
+    fn same_candidate(a: &EvaluatedCandidate, b: &EvaluatedCandidate) -> bool {
+        let floats = |c: &gnnav_runtime::TrainingConfig| {
+            [c.locality_eta, c.cache_ratio, c.dropout].map(f64::to_bits)
+        };
+        estimate_bits(&a.estimate) == estimate_bits(&b.estimate)
+            && a.config == b.config
+            && floats(&a.config) == floats(&b.config)
+    }
+    fn same_record(a: &AuditRecord, b: &AuditRecord) -> bool {
+        a.config == b.config
+            && a.estimate.as_ref().map(estimate_bits) == b.estimate.as_ref().map(estimate_bits)
+            && a.action == b.action
+            && a.reason == b.reason
+            && a.seed_candidate == b.seed_candidate
+    }
+    fn same_list<T>(a: &Arc<Vec<T>>, b: &Arc<Vec<T>>, same: impl Fn(&T, &T) -> bool) -> bool {
+        Arc::ptr_eq(a, b) || (a.len() == b.len() && a.iter().zip(b.iter()).all(|(a, b)| same(a, b)))
+    }
+    a.stats == b.stats
+        && same_list(&a.front, &b.front, usize::eq)
+        && same_list(&a.evaluated, &b.evaluated, same_candidate)
+        && same_list(a.audit.walk(), b.audit.walk(), same_record)
 }
 
 /// A WAL-backed, fingerprint-indexed cache of exploration results.
@@ -271,7 +457,12 @@ fn decode_result(payload: &[u8]) -> Result<(u64, ExplorationResult), StoreError>
 pub struct ExploreCache {
     wal: Wal,
     index: HashMap<u64, usize>,
+    /// Every result served, in log order; the results over one walk
+    /// share its `Arc`s.
     results: Vec<(u64, ExplorationResult)>,
+    /// The base-frame results (as indices into `results`) by
+    /// [`walk_digest`]: where an insert looks for an equal walk.
+    bases: HashMap<u64, Vec<usize>>,
     undecodable: usize,
     hits: u64,
     misses: u64,
@@ -282,7 +473,8 @@ impl ExploreCache {
     /// Opens (or creates) the cache at `path`, replaying its log.
     ///
     /// Frame-level damage (torn tail, CRC failure) is handled by the
-    /// WAL recovery scan; CRC-valid frames that fail result decoding
+    /// WAL recovery scan; CRC-valid frames that fail decoding, and
+    /// decision frames whose base is not among the frames before them,
     /// are skipped and counted in [`undecodable`](Self::undecodable).
     ///
     /// # Errors
@@ -291,17 +483,26 @@ impl ExploreCache {
     /// be read, or [`StoreError::BadMagic`] /
     /// [`StoreError::VersionMismatch`] on an alien file header.
     pub fn open(path: impl Into<PathBuf>) -> Result<ExploreCache, StoreError> {
-        let mut index = HashMap::new();
-        let mut results = Vec::new();
+        let mut index: HashMap<u64, usize> = HashMap::new();
+        let mut results: Vec<(u64, ExplorationResult)> = Vec::new();
+        let mut bases: HashMap<u64, Vec<usize>> = HashMap::new();
         let mut undecodable = 0usize;
-        let wal = Wal::replay(path, |frame| match decode_result(frame) {
-            Ok((fp, result)) => {
-                index.insert(fp, results.len());
-                results.push((fp, result));
-            }
-            Err(_) => undecodable += 1,
+        let wal = Wal::replay(path, |frame| {
+            let (fingerprint, result) = match decode_frame(frame) {
+                Ok(Frame::Base(fingerprint, result)) => {
+                    bases.entry(walk_digest(&result)).or_default().push(results.len());
+                    (fingerprint, result)
+                }
+                Ok(Frame::Decision { fingerprint, base, decision }) => match index.get(&base) {
+                    Some(&i) => (fingerprint, decision.over(&results[i].1)),
+                    None => return undecodable += 1,
+                },
+                Err(_) => return undecodable += 1,
+            };
+            index.insert(fingerprint, results.len());
+            results.push((fingerprint, result));
         })?;
-        Ok(ExploreCache { wal, index, results, undecodable, hits: 0, misses: 0, inserts: 0 })
+        Ok(ExploreCache { wal, index, results, bases, undecodable, hits: 0, misses: 0, inserts: 0 })
     }
 
     /// The backing log's path.
@@ -319,8 +520,9 @@ impl ExploreCache {
         self.results.is_empty()
     }
 
-    /// CRC-valid frames that failed result decoding at open (foreign
-    /// format versions); their explorations will simply rerun.
+    /// CRC-valid frames that served nothing at open — foreign format
+    /// versions and decision frames without their base; their
+    /// explorations will simply rerun.
     pub fn undecodable(&self) -> usize {
         self.undecodable
     }
@@ -341,7 +543,7 @@ impl ExploreCache {
         self.misses
     }
 
-    /// Results appended since open.
+    /// Results appended since open, base and decision frames alike.
     pub fn inserts(&self) -> u64 {
         self.inserts
     }
@@ -382,9 +584,11 @@ impl ExploreCache {
         }
     }
 
-    /// Durably appends `result` under `fingerprint`. A fingerprint
-    /// already cached is skipped (exploration is deterministic, so the
-    /// stored result is identical); returns whether an append happened.
+    /// Durably appends `result` under `fingerprint`: as a decision
+    /// frame when the cache already holds a result over an equal walk,
+    /// as a base frame otherwise. A fingerprint already cached is
+    /// skipped (exploration is deterministic, so the stored result is
+    /// identical); returns whether an append happened.
     ///
     /// # Errors
     ///
@@ -397,23 +601,62 @@ impl ExploreCache {
         if self.index.contains_key(&fingerprint) {
             return Ok(false);
         }
-        self.wal.append(&encode_result(fingerprint, result))?;
-        self.index.insert(fingerprint, self.results.len());
-        self.results.push((fingerprint, result.clone()));
+        let digest = walk_digest(result);
+        // A trail without a decision (empty: only a hand-built result
+        // has one) has nothing a decision frame could carry.
+        let base = result.audit.last().and_then(|record| {
+            let candidates = self.bases.get(&digest)?;
+            let &i = candidates.iter().find(|&&i| same_walk(&self.results[i].1, result))?;
+            Some((i, record))
+        });
+        let slot = self.results.len();
+        let cached = match base {
+            Some((i, record)) => {
+                let (base_fingerprint, base) = &self.results[i];
+                let decision = Decision {
+                    guideline: result.guideline.clone(),
+                    record: record.clone(),
+                    fallback: result.fallback.clone(),
+                };
+                self.wal.append(&encode_decision(fingerprint, *base_fingerprint, &decision))?;
+                decision.over(base)
+            }
+            None => {
+                self.wal.append(&encode_base(fingerprint, result))?;
+                self.bases.entry(digest).or_default().push(slot);
+                result.clone()
+            }
+        };
+        self.index.insert(fingerprint, slot);
+        self.results.push((fingerprint, cached));
         self.inserts += 1;
         self.meter("insert", fingerprint, metric::EXPLORER_CACHE_INSERTS);
         Ok(true)
     }
 
-    /// Rewrites the log with only the frames that decode as exploration
-    /// results, purging dead bytes and undecodable frames. Returns the
-    /// number of frames dropped.
+    /// Rewrites the log with only the frames a reopen would serve,
+    /// purging dead bytes, undecodable frames and orphaned decision
+    /// frames — never a base frame a kept decision frame resolves
+    /// against. Returns the number of frames dropped.
     ///
     /// # Errors
     ///
     /// [`StoreError::Io`] when the rewrite fails.
     pub fn compact(&mut self) -> Result<usize, StoreError> {
-        let dropped = self.wal.compact(|_, frame| decode_result(frame).is_ok())?;
+        let mut kept = HashSet::new();
+        let dropped = self.wal.compact(|_, frame| {
+            let (fingerprint, served) = match decode_frame(frame) {
+                Ok(Frame::Base(fingerprint, _)) => (fingerprint, true),
+                Ok(Frame::Decision { fingerprint, base, .. }) => {
+                    (fingerprint, kept.contains(&base))
+                }
+                Err(_) => return false,
+            };
+            if served {
+                kept.insert(fingerprint);
+            }
+            served
+        })?;
         self.undecodable = 0;
         Ok(dropped)
     }
@@ -497,6 +740,96 @@ mod tests {
         assert_eq!(format!("{got:?}"), format!("{result:?}"));
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A base, three decisions over it, and their fingerprints.
+    fn one_walk_four_ways() -> Vec<(u64, ExplorationResult)> {
+        let (_, result) = explored();
+        Priority::ALL
+            .iter()
+            .zip(1u64..)
+            .map(|(&priority, fingerprint)| {
+                let mut r = result.clone();
+                r.guideline.priority = priority;
+                (fingerprint, r)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_walk_is_written_and_held_once() {
+        let results = one_walk_four_ways();
+        let path = temp_wal("once");
+        let mut cache = ExploreCache::open(&path).expect("open");
+        for (fp, r) in &results {
+            // Equal walks, not shared ones: as four `explore` calls
+            // hand them in.
+            let copy = ExplorationResult {
+                evaluated: Arc::new(r.evaluated.to_vec()),
+                front: Arc::new(r.front.to_vec()),
+                audit: r.audit.to_vec().into(),
+                ..r.clone()
+            };
+            assert!(cache.insert(*fp, &copy).expect("insert"));
+        }
+        assert_eq!(cache.inserts(), 4);
+        drop(cache);
+        let mut sizes = Vec::new();
+        Wal::replay(&path, |frame| sizes.push((frame[0], frame.len()))).expect("plain log");
+        let tags: Vec<u8> = sizes.iter().map(|&(tag, _)| tag).collect();
+        assert_eq!(tags, [EXPLORE_RESULT_TAG, EXPLORE_DECISION_TAG, 2, 2]);
+        assert!(sizes[1..].iter().all(|&(_, len)| len * 20 < sizes[0].1), "{sizes:?}");
+
+        let mut cache = ExploreCache::open(&path).expect("reopen");
+        assert_eq!((cache.len(), cache.undecodable()), (4, 0));
+        let base = cache.lookup(1).expect("base").clone();
+        for (fp, r) in &results {
+            let got = cache.lookup(*fp).expect("present");
+            assert_eq!(format!("{got:?}"), format!("{r:?}"));
+            assert!(Arc::ptr_eq(&got.evaluated, &base.evaluated));
+            assert!(Arc::ptr_eq(&got.front, &base.front));
+            assert!(Arc::ptr_eq(got.audit.walk(), base.audit.walk()));
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn orphaned_decisions_are_counted_rerun_and_compacted_away() {
+        let results = one_walk_four_ways();
+        let path = temp_wal("orphans");
+        {
+            let mut cache = ExploreCache::open(&path).expect("open");
+            for (fp, r) in &results {
+                cache.insert(*fp, r).expect("insert");
+            }
+        }
+        // A flipped bit inside the base frame: the CRC scan drops it,
+        // and the three decisions after it have no walk to serve.
+        gnnav_store::corrupt::bit_flip(&path, 64, 3).expect("flip");
+        let mut cache = ExploreCache::open(&path).expect("recover");
+        assert_eq!(cache.recovery().crc_failures, 1);
+        assert_eq!((cache.len(), cache.undecodable()), (0, 3));
+        for (fp, r) in &results {
+            assert!(cache.lookup(*fp).is_none(), "an orphan serves nothing");
+            assert!(cache.insert(*fp, r).expect("the exploration reruns and is re-inserted"));
+        }
+        drop(cache);
+        // The orphans precede the base written after them: still
+        // orphans, still counted, until a compaction drops them — and
+        // only them.
+        let mut cache = ExploreCache::open(&path).expect("reopen");
+        assert!(cache.recovery().is_clean());
+        assert_eq!((cache.len(), cache.undecodable()), (4, 3));
+        assert_eq!(cache.compact().expect("compact"), 3);
+        assert_eq!(cache.undecodable(), 0);
+        drop(cache);
+        let mut cache = ExploreCache::open(&path).expect("reopen compacted");
+        assert_eq!((cache.len(), cache.undecodable()), (4, 0));
+        for (fp, r) in &results {
+            let got = cache.lookup(*fp).expect("present");
+            assert_eq!(format!("{got:?}"), format!("{r:?}"));
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -1,6 +1,6 @@
 //! End-to-end guideline exploration (Step 2 of Fig. 2).
 
-use crate::audit::{AuditAction, AuditRecord};
+use crate::audit::{AuditAction, AuditRecord, AuditTrail};
 use crate::decision::{decide_on_front, Guideline};
 use crate::dfs::{DfsExplorer, DfsStats, EvaluatedCandidate};
 use crate::targets::{Priority, RuntimeConstraints};
@@ -10,24 +10,31 @@ use gnnav_graph::Dataset;
 use gnnav_hwsim::Platform;
 use gnnav_nn::ModelKind;
 use gnnav_obs::names as metric;
-use gnnav_runtime::{DesignSpace, Template};
+use gnnav_runtime::{DesignSpace, Template, TrainingConfig};
 use std::sync::Arc;
 
-/// Everything one exploration produced.
+/// Everything one exploration produced: one decision over one walk.
+///
+/// The walk's share — `evaluated`, `front`, `stats`, every audit record
+/// but the last — depends on no priority, so the results of one
+/// [`Explorer::explore_all`] (and the [`ExploreCache`](crate::ExploreCache)
+/// entries over one walk) hold it once, behind `Arc`; a clone copies
+/// the guideline, the decision's audit record and three reference
+/// counts.
 #[derive(Debug, Clone)]
 pub struct ExplorationResult {
     /// The selected guideline.
     pub guideline: Guideline,
     /// Every constraint-satisfying candidate the DFS evaluated.
-    pub evaluated: Vec<EvaluatedCandidate>,
+    pub evaluated: Arc<Vec<EvaluatedCandidate>>,
     /// Indices (into `evaluated`) of the estimated Pareto front.
-    pub front: Vec<usize>,
+    pub front: Arc<Vec<usize>>,
     /// Traversal statistics.
     pub stats: DfsStats,
     /// The decision audit trail: one record per evaluated candidate
     /// and pruned subtree, plus the selected guideline (dumped via
     /// `gnnavigate --audit-out`).
-    pub audit: Vec<AuditRecord>,
+    pub audit: AuditTrail,
     /// `Some(reason)` when no candidate satisfied the constraints and
     /// the guideline is the nearest-feasible candidate instead of a
     /// constraint-satisfying one; `None` for a clean selection.
@@ -134,8 +141,30 @@ impl<'a> Explorer<'a> {
         priority: Priority,
         constraints: &RuntimeConstraints,
     ) -> Result<ExplorationResult, ExplorerError> {
-        let seeds: Vec<_> = Template::ALL.iter().map(|t| t.config(model)).collect();
+        let seeds = template_seeds(model);
         self.explore_from(dataset, platform, model, priority, constraints, &seeds)
+    }
+
+    /// [`explore`](Self::explore) for every priority at once, in
+    /// [`Priority::ALL`] order: the design space is walked once — no
+    /// step of the walk looks at a priority — and the decision maker
+    /// picks from that one front four times (Fig. 2). Each result is
+    /// what `explore` returns for its priority, byte for byte; the
+    /// four share the walk's `evaluated`, `front` and audit records
+    /// instead of owning copies.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`explore`](Self::explore).
+    pub fn explore_all(
+        &self,
+        dataset: &Dataset,
+        platform: &Platform,
+        model: ModelKind,
+        constraints: &RuntimeConstraints,
+    ) -> Result<Vec<ExplorationResult>, ExplorerError> {
+        let seeds = template_seeds(model);
+        self.walk_and_decide(dataset, platform, model, &Priority::ALL, constraints, &seeds)
     }
 
     /// Like [`explore`](Self::explore), but seeds the DFS with the
@@ -156,8 +185,23 @@ impl<'a> Explorer<'a> {
         model: ModelKind,
         priority: Priority,
         constraints: &RuntimeConstraints,
-        seeds: &[gnnav_runtime::TrainingConfig],
+        seeds: &[TrainingConfig],
     ) -> Result<ExplorationResult, ExplorerError> {
+        let mut decided =
+            self.walk_and_decide(dataset, platform, model, &[priority], constraints, seeds)?;
+        Ok(decided.pop().expect("one result per priority asked for"))
+    }
+
+    /// One walk, then one decision over it per entry of `priorities`.
+    fn walk_and_decide(
+        &self,
+        dataset: &Dataset,
+        platform: &Platform,
+        model: ModelKind,
+        priorities: &[Priority],
+        constraints: &RuntimeConstraints,
+        seeds: &[TrainingConfig],
+    ) -> Result<Vec<ExplorationResult>, ExplorerError> {
         let metrics = gnnav_obs::global();
         let journal = metrics.journal();
         let _explore_span = metrics.span(metric::EXPLORER_EXPLORE_WALL);
@@ -167,30 +211,12 @@ impl<'a> Explorer<'a> {
         let explore_t0 = journal.is_enabled().then(|| journal.now_us());
         let dfs = DfsExplorer::new(Arc::clone(&self.space), self.budget, self.seed);
         let outcome = dfs.run_audited(self.estimator, dataset, platform, model, constraints, seeds);
-        let (evaluated, rejected, front, stats) =
-            (outcome.accepted, outcome.rejected, outcome.front, outcome.stats);
-        let mut audit = outcome.audit;
-        let decided = {
-            // Recorded flat (not via `Registry::span`, which would
-            // nest the series under the enclosing explore span as
-            // `explorer.explore.explorer.decide`).
-            let decide_t0 = std::time::Instant::now();
-            let t0 = journal.is_enabled().then(|| journal.now_us());
-            let decided = decide_on_front(&evaluated, &front, priority);
-            if let Some(t0) = t0 {
-                journal.span_complete(
-                    metric::EVENT_DECIDE,
-                    metric::TRACK_EXPLORER,
-                    t0,
-                    Some(journal.now_us() - t0),
-                    None,
-                    None,
-                    vec![("candidates".into(), (evaluated.len() as f64).into())],
-                );
-            }
-            metrics.observe_duration(metric::EXPLORER_DECIDE_WALL, decide_t0.elapsed());
-            decided
-        };
+        let (rejected, stats) = (outcome.rejected, outcome.stats);
+        // Moved behind `Arc`, not copied: every decision below shares
+        // them.
+        let evaluated = Arc::new(outcome.accepted);
+        let front = Arc::new(outcome.front);
+        let walk_audit = Arc::new(outcome.audit);
         if metrics.is_enabled() {
             metrics.add(metric::EXPLORER_RUNS, 1);
             metrics.add(metric::EXPLORER_EVALUATED, stats.evaluated as u64);
@@ -202,61 +228,96 @@ impl<'a> Explorer<'a> {
             metrics.add(metric::EXPLORER_NONFINITE, 0);
             metrics.gauge_set(metric::EXPLORER_FRONT_SIZE, front.len() as f64);
         }
-        let (guideline, action, reason, fallback) = match decided {
-            Some(g) => {
-                let reason = format!(
-                    "minimizes the {}-weighted scalarization over a {}-point Pareto front",
-                    priority.label(),
-                    front.len()
-                );
-                (g, AuditAction::Selected, reason, None)
-            }
-            None => {
-                // Graceful degradation: constraints are unsatisfiable
-                // within the budget, so hand back the least-infeasible
-                // candidate rather than nothing.
-                let best = rejected
-                    .iter()
-                    .min_by(|a, b| {
-                        constraints
-                            .excess(&a.estimate)
-                            .partial_cmp(&constraints.excess(&b.estimate))
-                            .expect("excess is never NaN")
-                    })
-                    .ok_or(ExplorerError::NoFeasibleCandidate)?;
-                let excess = constraints.excess(&best.estimate);
-                let reason = format!(
-                    "no evaluated candidate satisfies the runtime constraints; nearest-feasible \
-                     fallback (total constraint excess {excess:.4})"
-                );
-                if metrics.is_enabled() {
-                    metrics.add(metric::EXPLORER_FALLBACKS, 1);
+        let decide = |&priority: &Priority| {
+            let decided = {
+                // Recorded flat (not via `Registry::span`, which would
+                // nest the series under the enclosing explore span as
+                // `explorer.explore.explorer.decide`).
+                let decide_t0 = std::time::Instant::now();
+                let t0 = journal.is_enabled().then(|| journal.now_us());
+                let decided = decide_on_front(&evaluated, &front, priority);
+                if let Some(t0) = t0 {
+                    journal.span_complete(
+                        metric::EVENT_DECIDE,
+                        metric::TRACK_EXPLORER,
+                        t0,
+                        Some(journal.now_us() - t0),
+                        None,
+                        None,
+                        vec![("candidates".into(), (evaluated.len() as f64).into())],
+                    );
                 }
-                let g =
-                    Guideline { config: best.config.clone(), estimate: best.estimate, priority };
-                (g, AuditAction::Fallback, reason.clone(), Some(reason))
+                metrics.observe_duration(metric::EXPLORER_DECIDE_WALL, decide_t0.elapsed());
+                decided
+            };
+            let (guideline, action, reason, fallback) = match decided {
+                Some(g) => {
+                    let reason = format!(
+                        "minimizes the {}-weighted scalarization over a {}-point Pareto front",
+                        priority.label(),
+                        front.len()
+                    );
+                    (g, AuditAction::Selected, reason, None)
+                }
+                None => {
+                    // Graceful degradation: constraints are
+                    // unsatisfiable within the budget, so hand back the
+                    // least-infeasible candidate rather than nothing.
+                    let best = rejected
+                        .iter()
+                        .min_by(|a, b| {
+                            constraints
+                                .excess(&a.estimate)
+                                .partial_cmp(&constraints.excess(&b.estimate))
+                                .expect("excess is never NaN")
+                        })
+                        .ok_or(ExplorerError::NoFeasibleCandidate)?;
+                    let excess = constraints.excess(&best.estimate);
+                    let reason = format!(
+                        "no evaluated candidate satisfies the runtime constraints; \
+                         nearest-feasible fallback (total constraint excess {excess:.4})"
+                    );
+                    if metrics.is_enabled() {
+                        metrics.add(metric::EXPLORER_FALLBACKS, 1);
+                    }
+                    let g = Guideline {
+                        config: best.config.clone(),
+                        estimate: best.estimate,
+                        priority,
+                    };
+                    (g, AuditAction::Fallback, reason.clone(), Some(reason))
+                }
+            };
+            if journal.is_enabled() {
+                journal.instant(
+                    metric::EVENT_GUIDELINE,
+                    metric::TRACK_EXPLORER,
+                    None,
+                    vec![
+                        ("config".into(), guideline.config.summary().into()),
+                        ("priority".into(), priority.label().into()),
+                        ("reason".into(), reason.as_str().into()),
+                        ("fallback".into(), fallback.is_some().into()),
+                    ],
+                );
             }
+            let decision = AuditRecord {
+                config: guideline.config.summary(),
+                estimate: Some(guideline.estimate),
+                action,
+                reason: reason.into(),
+                seed_candidate: false,
+            };
+            Ok(ExplorationResult {
+                guideline,
+                evaluated: Arc::clone(&evaluated),
+                front: Arc::clone(&front),
+                stats,
+                audit: AuditTrail::new(Arc::clone(&walk_audit), decision),
+                fallback,
+            })
         };
-        if journal.is_enabled() {
-            journal.instant(
-                metric::EVENT_GUIDELINE,
-                metric::TRACK_EXPLORER,
-                None,
-                vec![
-                    ("config".into(), guideline.config.summary().into()),
-                    ("priority".into(), priority.label().into()),
-                    ("reason".into(), reason.as_str().into()),
-                    ("fallback".into(), fallback.is_some().into()),
-                ],
-            );
-        }
-        audit.push(AuditRecord {
-            config: guideline.config.summary(),
-            estimate: Some(guideline.estimate),
-            action,
-            reason: reason.into(),
-            seed_candidate: false,
-        });
+        let results = priorities.iter().map(decide).collect::<Result<Vec<_>, ExplorerError>>()?;
         if let Some(t0) = explore_t0 {
             journal.span_complete(
                 metric::EVENT_EXPLORE,
@@ -272,8 +333,14 @@ impl<'a> Explorer<'a> {
                 ],
             );
         }
-        Ok(ExplorationResult { guideline, evaluated, front, stats, audit, fallback })
+        Ok(results)
     }
+}
+
+/// The baseline templates every exploration is seeded with, so a
+/// guideline never loses to the systems the explorer knows about.
+fn template_seeds(model: ModelKind) -> Vec<TrainingConfig> {
+    Template::ALL.iter().map(|t| t.config(model)).collect()
 }
 
 #[cfg(test)]

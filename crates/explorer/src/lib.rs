@@ -5,12 +5,14 @@
 //! walks the design space querying the gray-box estimator and pruning
 //! infeasible subtrees; the decision maker reduces survivors to the
 //! Pareto front over `(T, Γ, −Acc)` and scalarizes it into a
-//! [`Guideline`]. [`Explorer`] wires the pipeline end to end and
-//! seeds the search with the baseline templates so guidelines never
-//! lose to the prior systems they generalize. [`ExploreCache`]
-//! persists whole [`ExplorationResult`]s keyed by
-//! [`explore_fingerprint`] so a repeated invocation skips the DSE
-//! entirely.
+//! [`Guideline`]. [`Explorer`] wires the pipeline end to end — one
+//! walk to the estimated front, then one decision per priority asked
+//! for ([`Explorer::explore_all`] decides all four over a single
+//! walk) — and seeds the search with the baseline templates so
+//! guidelines never lose to the prior systems they generalize.
+//! [`ExploreCache`] persists [`ExplorationResult`]s keyed by
+//! [`explore_fingerprint`], each walk once, so a repeated invocation
+//! skips the DSE entirely.
 
 #![warn(missing_docs)]
 
@@ -22,7 +24,7 @@ pub mod explorer;
 pub mod pareto;
 pub mod targets;
 
-pub use audit::{audit_to_json, AuditAction, AuditRecord};
+pub use audit::{audit_to_json, AuditAction, AuditRecord, AuditTrail};
 pub use cache::{explore_fingerprint, ExploreCache};
 pub use decision::{decide, decide_on_front, Guideline};
 pub use dfs::{DfsExplorer, DfsOutcome, DfsStats, EvaluatedCandidate};

@@ -1,19 +1,28 @@
 //! Property-based tests for Pareto dominance, the incremental front,
 //! the decision maker (alone and at the end of an exploration), and
-//! the exploration-cache codec.
+//! the exploration-cache codec: round trips of base and decision
+//! frames, and both decoders against bytes they did not write.
 
 use gnnav_estimator::{GrayBoxEstimator, PerfEstimate, Profiler};
+use gnnav_explorer::cache::{EXPLORE_DECISION_TAG, EXPLORE_RESULT_TAG};
 use gnnav_explorer::{
     decide, decide_on_front, dominates, objectives, pareto_front_indices, AuditAction, AuditRecord,
-    DfsStats, EvaluatedCandidate, ExplorationResult, ExploreCache, Explorer, Guideline,
+    AuditTrail, DfsStats, EvaluatedCandidate, ExplorationResult, ExploreCache, Explorer, Guideline,
     ParetoFront, Priority, RuntimeConstraints,
 };
 use gnnav_graph::{Dataset, DatasetId};
 use gnnav_hwsim::Platform;
 use gnnav_nn::ModelKind;
 use gnnav_runtime::{DesignSpace, ExecutionOptions, RuntimeBackend, TrainingConfig};
+use gnnav_store::Wal;
 use proptest::prelude::*;
-use std::sync::OnceLock;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
+use std::collections::HashMap;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 fn points() -> impl Strategy<Value = Vec<[f64; 3]>> {
     proptest::collection::vec(
@@ -134,26 +143,116 @@ fn fixture() -> &'static (Dataset, GrayBoxEstimator) {
     })
 }
 
-fn exploration_results() -> impl Strategy<Value = ExplorationResult> {
+/// The priority-free share of a result: candidates, front, stats and
+/// the audit records of the walk.
+type Walk = (Vec<EvaluatedCandidate>, Vec<usize>, DfsStats, Vec<AuditRecord>);
+
+fn walks() -> impl Strategy<Value = Walk> {
     (
-        (configs(), estimates(), priorities()),
         proptest::collection::vec((configs(), estimates()), 0..8),
         proptest::collection::vec(0usize..64, 0..8),
         (0usize..500, 0usize..500, 0usize..500),
         proptest::collection::vec(audit_records(), 0..8),
-        (any::<bool>(), strings()),
     )
-        .prop_map(|(g, evaluated, front, stats, audit, fallback)| ExplorationResult {
-            guideline: Guideline { config: g.0, estimate: g.1, priority: g.2 },
-            evaluated: evaluated
+        .prop_map(|(evaluated, front, stats, audit)| {
+            let evaluated = evaluated
                 .into_iter()
                 .map(|(config, estimate)| EvaluatedCandidate { config, estimate })
-                .collect(),
-            front,
-            stats: DfsStats { evaluated: stats.0, rejected: stats.1, pruned_subtrees: stats.2 },
-            audit,
-            fallback: fallback.0.then_some(fallback.1),
+                .collect();
+            let stats =
+                DfsStats { evaluated: stats.0, rejected: stats.1, pruned_subtrees: stats.2 };
+            (evaluated, front, stats, audit)
         })
+}
+
+/// The priority's share of a result: guideline (its priority set by
+/// the caller), the decision's audit record, fallback.
+type Decision = (Guideline, AuditRecord, Option<String>);
+
+fn decisions() -> impl Strategy<Value = Decision> {
+    ((configs(), estimates(), priorities()), audit_records(), (any::<bool>(), strings())).prop_map(
+        |(g, record, fallback)| {
+            let guideline = Guideline { config: g.0, estimate: g.1, priority: g.2 };
+            (guideline, record, fallback.0.then_some(fallback.1))
+        },
+    )
+}
+
+/// Any result at all, the empty audit trail included.
+fn exploration_results() -> impl Strategy<Value = ExplorationResult> {
+    (walks(), decisions(), any::<bool>()).prop_map(
+        |((evaluated, front, stats, mut audit), (guideline, record, fallback), decided)| {
+            if decided {
+                audit.push(record);
+            }
+            ExplorationResult {
+                guideline,
+                evaluated: Arc::new(evaluated),
+                front: Arc::new(front),
+                stats,
+                audit: audit.into(),
+                fallback,
+            }
+        },
+    )
+}
+
+/// A fresh log path in a directory of its own.
+fn temp_log() -> (PathBuf, PathBuf) {
+    static CASE: AtomicU64 = AtomicU64::new(0);
+    let case = CASE.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("gnnav-ec-prop-{}-{case}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let path = dir.join("explore.wal");
+    (dir, path)
+}
+
+/// The frames of the log at `path`, as written.
+fn frames_of(path: &PathBuf) -> Vec<Vec<u8>> {
+    let mut frames = Vec::new();
+    Wal::replay(path, |frame| frames.push(frame.to_vec())).expect("read as a plain log");
+    frames
+}
+
+/// A log holding exactly `frames`.
+fn log_of(frames: &[Vec<u8>]) -> (PathBuf, PathBuf) {
+    let (dir, path) = temp_log();
+    let mut wal = Wal::open(&path).expect("open");
+    frames.iter().for_each(|frame| wal.append(frame).expect("append"));
+    (dir, path)
+}
+
+/// The walk a result was decided over, rendered: equal strings, equal
+/// walks (every float is finite, so `Debug` tells bit patterns apart).
+fn walk_key(r: &ExplorationResult) -> String {
+    format!("{:?}", (&r.evaluated, &r.front, &r.stats, r.audit.walk()))
+}
+
+/// A base frame and a decision frame over it, as a cache writes them.
+fn valid_frames() -> &'static Vec<Vec<u8>> {
+    static FRAMES: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
+    FRAMES.get_or_init(|| {
+        let (dataset, estimator) = fixture();
+        let results = Explorer::new(estimator, 40)
+            .explore_all(
+                dataset,
+                &Platform::default_rtx4090(),
+                ModelKind::Sage,
+                &RuntimeConstraints::none(),
+            )
+            .expect("explore");
+        let (dir, path) = temp_log();
+        let mut cache = ExploreCache::open(&path).expect("open");
+        for (fingerprint, result) in (1u64..).zip(&results[..2]) {
+            cache.insert(fingerprint, result).expect("insert");
+        }
+        drop(cache);
+        let frames = frames_of(&path);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(frames.len(), 2);
+        assert_eq!((frames[0][0], frames[1][0]), (EXPLORE_RESULT_TAG, EXPLORE_DECISION_TAG));
+        frames
+    })
 }
 
 proptest! {
@@ -217,26 +316,145 @@ proptest! {
     }
 
     #[test]
-    fn cache_round_trip_preserves_result_byte_for_byte(result in exploration_results()) {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static CASE: AtomicU64 = AtomicU64::new(0);
-        let case = CASE.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir()
-            .join(format!("gnnav-ec-prop-{}-{case}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("explore.wal");
-        let fingerprint = 0x9E3779B97F4A7C15u64.wrapping_mul(case + 1);
+    fn cache_round_trip_preserves_result_byte_for_byte(
+        walks in proptest::collection::vec(
+            (walks(), 1u8..16, proptest::collection::vec((decisions(), any::<bool>()), 4)),
+            1..3,
+        ),
+        others in proptest::collection::vec(exploration_results(), 0..3),
+        order in any::<u64>(),
+    ) {
+        // Any subset of the priorities over each walk, its results
+        // sharing the walk's `Arc`s (as `explore_all` returns them) or
+        // holding equal copies (as four `explore` calls do)...
+        let mut results = others;
+        for ((evaluated, front, stats, audit), subset, decisions) in walks {
+            let shared = (Arc::new(evaluated), Arc::new(front), Arc::new(audit));
+            for (i, ((mut guideline, record, fallback), shares)) in
+                decisions.into_iter().enumerate()
+            {
+                if subset & (1 << i) == 0 {
+                    continue;
+                }
+                guideline.priority = Priority::ALL[i];
+                let (evaluated, front, audit) = if shares {
+                    shared.clone()
+                } else {
+                    let (e, f, a) = &shared;
+                    (Arc::new(e.to_vec()), Arc::new(f.to_vec()), Arc::new(a.to_vec()))
+                };
+                let audit = AuditTrail::new(audit, record);
+                results.push(ExplorationResult {
+                    guideline, evaluated, front, stats, audit, fallback,
+                });
+            }
+        }
+        // ...inserted in any order, interleaved with results of other
+        // walks.
+        results.shuffle(&mut StdRng::seed_from_u64(order));
+        let keyed: Vec<(u64, ExplorationResult)> = (1u64..).zip(results).collect();
+
+        // What the log must hold: a base frame for the first result of
+        // each walk, a decision frame for every later one.
+        let mut bases: HashMap<String, u64> = HashMap::new();
+        let mut base_of: HashMap<u64, u64> = HashMap::new();
+        let tags: Vec<u8> = keyed
+            .iter()
+            .map(|(fingerprint, result)| {
+                let base = bases.get(&walk_key(result)).copied();
+                match base.filter(|_| !result.audit.is_empty()) {
+                    Some(base) => {
+                        base_of.insert(*fingerprint, base);
+                        EXPLORE_DECISION_TAG
+                    }
+                    None => {
+                        bases.entry(walk_key(result)).or_insert(*fingerprint);
+                        EXPLORE_RESULT_TAG
+                    }
+                }
+            })
+            .collect();
+
+        let (dir, path) = temp_log();
         {
             let mut cache = ExploreCache::open(&path).expect("open");
-            prop_assert!(cache.insert(fingerprint, &result).expect("insert"));
+            for (fingerprint, result) in &keyed {
+                prop_assert!(cache.insert(*fingerprint, result).expect("insert"));
+                prop_assert!(!cache.insert(*fingerprint, result).expect("a repeat is skipped"));
+            }
+            prop_assert_eq!(cache.inserts(), keyed.len() as u64);
+            for (fingerprint, result) in &keyed {
+                let got = cache.lookup(*fingerprint).expect("present before reopening");
+                prop_assert_eq!(format!("{got:?}"), format!("{result:?}"));
+            }
         }
-        // Reopen: the result must survive the durable round trip with
-        // every f64 payload, audit string, and enum tag intact.
+        let frames = frames_of(&path);
+        prop_assert_eq!(frames.iter().map(|f| f[0]).collect::<Vec<_>>(), tags);
+
+        // Reopen: every result must survive the durable round trip with
+        // every f64 payload, audit string, and enum tag intact, and
+        // the results over one walk must hold it once.
         let mut cache = ExploreCache::open(&path).expect("reopen");
         prop_assert!(cache.recovery().is_clean());
         prop_assert_eq!(cache.undecodable(), 0);
-        let got = cache.lookup(fingerprint).expect("present");
-        prop_assert_eq!(format!("{got:?}"), format!("{result:?}"));
+        prop_assert_eq!(cache.len(), keyed.len());
+        for (fingerprint, result) in &keyed {
+            let got = cache.lookup(*fingerprint).expect("present").clone();
+            prop_assert_eq!(format!("{got:?}"), format!("{result:?}"));
+            if let Some(base) = base_of.get(fingerprint) {
+                let base = cache.lookup(*base).expect("base present");
+                prop_assert!(Arc::ptr_eq(&got.evaluated, &base.evaluated));
+                prop_assert!(Arc::ptr_eq(&got.front, &base.front));
+                prop_assert!(Arc::ptr_eq(got.audit.walk(), base.audit.walk()));
+            }
+        }
+        // Nothing a reopen serves is dropped by a compaction.
+        prop_assert_eq!(cache.compact().expect("compact"), 0);
+        prop_assert_eq!(frames_of(&path), frames);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn arbitrary_frames_are_served_or_counted_never_fatal(
+        frames in proptest::collection::vec(
+            (0u8..4, proptest::collection::vec(any::<u8>(), 0..200)),
+            1..6,
+        ),
+    ) {
+        // Half of the frames open with a tag a decoder answers to, so
+        // both are reached with bytes neither wrote.
+        let frames: Vec<Vec<u8>> = frames
+            .into_iter()
+            .map(|(lead, mut frame)| {
+                match lead {
+                    0 => frame.insert(0, EXPLORE_RESULT_TAG),
+                    1 => frame.insert(0, EXPLORE_DECISION_TAG),
+                    _ => {}
+                }
+                frame
+            })
+            .collect();
+        let (dir, path) = log_of(&frames);
+        let mut cache = ExploreCache::open(&path).expect("open survives");
+        prop_assert_eq!(cache.len() + cache.undecodable(), frames.len());
+        // What was not served is dropped by a compaction, and nothing
+        // else is.
+        prop_assert_eq!(cache.compact().expect("compact"), frames.len() - cache.len());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_mutated_byte_is_served_or_counted_never_fatal(
+        which in 0usize..2,
+        at in any::<u64>(),
+        flip in 1u8..=255,
+    ) {
+        let mut frames = valid_frames().clone();
+        let at = (at % frames[which].len() as u64) as usize;
+        frames[which][at] ^= flip;
+        let (dir, path) = log_of(&frames);
+        let cache = ExploreCache::open(&path).expect("open survives");
+        prop_assert_eq!(cache.len() + cache.undecodable(), frames.len());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -274,6 +492,58 @@ proptest! {
     }
 }
 
+/// A length prefix is refused where it is read when the payload behind
+/// it could not hold that many elements, so a decoder never reserves on
+/// a corrupt prefix's say-so: opening a log whose base frame claims
+/// 2^40 candidates allocates what the frame's own bytes account for,
+/// not the 140 MB a `with_capacity` clamped at 2^20 candidates takes.
+#[test]
+fn an_impossible_length_prefix_reserves_nothing() {
+    let mut frame = valid_frames()[0].clone();
+    // tag, fingerprint, guideline (config, estimate, priority), then
+    // the candidate count.
+    let (dataset, estimator) = fixture();
+    let guideline = Explorer::new(estimator, 40)
+        .explore(
+            dataset,
+            &Platform::default_rtx4090(),
+            ModelKind::Sage,
+            Priority::Balance,
+            &RuntimeConstraints::none(),
+        )
+        .expect("explore")
+        .guideline;
+    let mut config = gnnav_store::ByteWriter::new();
+    gnnav_runtime::checkpoint::put_config(&mut config, &guideline.config);
+    let count_at = 1 + 8 + config.len() + 5 * 8 + 1;
+    let count = u64::from_le_bytes(frame[count_at..count_at + 8].try_into().expect("8 bytes"));
+    assert_eq!(count, 40 + 4, "the candidate count sits where the layout says");
+    frame[count_at..count_at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+    let (dir, path) = log_of(&[frame.clone()]);
+
+    // The allocator counters are process-wide and the other tests of
+    // this binary run beside this one: what they allocate can only add
+    // to a reading, so the smallest of several is the one to hold.
+    let allocated = (0..20)
+        .map(|_| {
+            gnnav_obs::alloc::set_tracking(true);
+            let before = gnnav_obs::alloc::stats();
+            let cache = ExploreCache::open(&path).expect("open survives");
+            let delta = gnnav_obs::alloc::stats().delta_since(&before);
+            gnnav_obs::alloc::set_tracking(false);
+            assert_eq!((cache.len(), cache.undecodable()), (0, 1));
+            delta.alloc_bytes
+        })
+        .min()
+        .expect("twenty readings");
+    assert!(
+        allocated < 16 * frame.len() as u64,
+        "opening a {}-byte log allocated {allocated} bytes",
+        frame.len()
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -303,7 +573,7 @@ proptest! {
             .expect("explore");
         let points: Vec<[f64; 3]> =
             result.evaluated.iter().map(|c| objectives(&c.estimate)).collect();
-        prop_assert_eq!(&result.front, &pareto_front_indices(&points));
+        prop_assert_eq!(&*result.front, &pareto_front_indices(&points));
         match decide(&result.evaluated, priority) {
             Some(decided) => {
                 prop_assert!(result.fallback.is_none());

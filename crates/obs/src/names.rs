@@ -39,7 +39,7 @@
 //! | `estimator.fits` / `.predictions` | counter | calls | `GrayBoxEstimator` (an exploration's predictions are added once, by `DfsExplorer::run_audited`) |
 //! | `estimator.fit_wall_s` | gauge | wall s | `GrayBoxEstimator::fit` |
 //! | `estimator.mape.{time,memory,accuracy}` | gauge | ratio | `GrayBoxEstimator::fit` |
-//! | `explorer.runs` | counter | runs | `Explorer::explore` |
+//! | `explorer.runs` | counter | walks | one per walk of the design space: `Explorer::explore` / `explore_from`, and one — not four — per `Explorer::explore_all` |
 //! | `explorer.candidates.evaluated` | counter | candidates | `Explorer::explore_from` (a bare `DfsExplorer` emits none) |
 //! | `explorer.candidates.rejected` | counter | candidates | `Explorer::explore_from` (a bare `DfsExplorer` emits none) |
 //! | `explorer.subtrees.pruned` | counter | subtrees | `Explorer::explore_from` (a bare `DfsExplorer` emits none) |
@@ -48,7 +48,7 @@
 //! | `explorer.decide` | histogram | wall s | `Explorer::explore` decision step (flat, not span-nested) |
 //! | `explorer.cache.hits` | counter | lookups | `ExploreCache::lookup` |
 //! | `explorer.cache.misses` | counter | lookups | `ExploreCache::lookup` |
-//! | `explorer.cache.inserts` | counter | results | `ExploreCache::insert` |
+//! | `explorer.cache.inserts` | counter | results | `ExploreCache::insert`: results made durable, base and decision frames alike (4 per cold `Navigator::generate_all` over 1 walk) |
 //! | `faults.injected` | counter | faults | `FaultInjector::inject` |
 //! | `faults.injected.<kind>` | counter | faults | `FaultInjector::inject` |
 //! | `backend.retries` | counter | retries | `RuntimeBackend::execute` |
@@ -214,7 +214,8 @@ pub const ESTIMATOR_MAPE_ACCURACY: &str = "estimator.mape.accuracy";
 
 // --- explorer --------------------------------------------------------
 
-/// Explorations completed.
+/// Walks of the design space completed (one per `explore`, one per
+/// `explore_all` whatever the number of priorities decided over it).
 pub const EXPLORER_RUNS: &str = "explorer.runs";
 /// Constraint-satisfying candidates evaluated by the search.
 pub const EXPLORER_EVALUATED: &str = "explorer.candidates.evaluated";
@@ -233,7 +234,8 @@ pub const EXPLORER_DECIDE_WALL: &str = "explorer.decide";
 pub const EXPLORER_CACHE_HITS: &str = "explorer.cache.hits";
 /// Exploration-cache lookups that missed.
 pub const EXPLORER_CACHE_MISSES: &str = "explorer.cache.misses";
-/// Exploration results durably appended to the cache.
+/// Exploration results durably appended to the cache, as base or
+/// decision frames.
 pub const EXPLORER_CACHE_INSERTS: &str = "explorer.cache.inserts";
 /// Explorations that fell back to a nearest-feasible guideline.
 pub const EXPLORER_FALLBACKS: &str = "explorer.fallbacks";

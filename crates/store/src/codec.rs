@@ -173,6 +173,22 @@ impl<'a> ByteReader<'a> {
         usize::try_from(v).map_err(|_| StoreError::decode(format!("usize overflow: {v}")))
     }
 
+    /// Reads the length prefix of a list whose elements take at least
+    /// `min_element_bytes` (> 0) each, refusing one the rest of the
+    /// payload could not hold — so a corrupt prefix is a typed error
+    /// where it is read, and a caller that reserves for the length it
+    /// gets back never reserves on such a prefix's say-so.
+    pub fn get_len(&mut self, min_element_bytes: usize) -> Result<usize, StoreError> {
+        let n = self.get_usize()?;
+        if n > self.remaining() / min_element_bytes {
+            return Err(StoreError::decode(format!(
+                "length prefix {n} exceeds what the remaining {} bytes could hold",
+                self.remaining()
+            )));
+        }
+        Ok(n)
+    }
+
     /// Reads an `f32` from raw bits.
     pub fn get_f32(&mut self) -> Result<f32, StoreError> {
         Ok(f32::from_bits(self.get_u32()?))
@@ -274,6 +290,19 @@ mod tests {
         let mut r = ByteReader::new(&[1, 2]);
         let err = r.get_u64().unwrap_err();
         assert!(err.to_string().contains("truncated"));
+    }
+
+    #[test]
+    fn a_length_prefix_the_payload_cannot_hold_is_refused_where_it_is_read() {
+        let mut w = ByteWriter::new();
+        w.put_usize(3);
+        w.put_raw(&[0; 24]);
+        let bytes = w.finish();
+        assert_eq!(ByteReader::new(&bytes).get_len(8).expect("3 x 8 bytes follow"), 3);
+        let err = ByteReader::new(&bytes).get_len(9).unwrap_err();
+        assert!(err.to_string().contains("length prefix 3"), "{err}");
+        let huge = (1u64 << 40).to_le_bytes();
+        assert!(ByteReader::new(&huge).get_len(1).is_err());
     }
 
     #[test]

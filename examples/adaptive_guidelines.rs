@@ -22,8 +22,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     nav.prepare()?;
     println!("## Priorities on RTX 4090 (ogbn-products stand-in)\n");
     println!("{:<6} {:>12} {:>10} {:>9}  config", "prio", "time/epoch", "memory", "accuracy");
-    for priority in Priority::ALL {
-        let result = nav.generate_guideline(priority, &RuntimeConstraints::none())?;
+    // One walk of the design space, one decision per priority.
+    let results = nav.generate_all(&RuntimeConstraints::none())?;
+    for (priority, result) in Priority::ALL.into_iter().zip(&results) {
         let report = nav.apply(&result.guideline)?;
         println!(
             "{:<6} {:>12} {:>8.1}MB {:>8.1}%  {}",

@@ -249,10 +249,10 @@ fn exploration_for(
     let estimate = estimator.predict(&Context::new(ds, &platform(), config.clone()));
     ExplorationResult {
         guideline: Guideline { config, estimate, priority: Priority::ExTimeAccuracy },
-        evaluated: Vec::new(),
-        front: Vec::new(),
+        evaluated: Default::default(),
+        front: Default::default(),
         stats: DfsStats::default(),
-        audit: Vec::new(),
+        audit: Default::default(),
         fallback: None,
     }
 }

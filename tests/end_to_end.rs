@@ -69,7 +69,7 @@ fn memory_constraint_is_respected_by_prediction() {
         squeezed.guideline.estimate.mem_bytes
     );
     // Every surviving candidate satisfies the constraint.
-    for c in &squeezed.evaluated {
+    for c in squeezed.evaluated.iter() {
         assert!(c.estimate.mem_bytes <= budget);
     }
 }
@@ -96,7 +96,17 @@ fn generate_all_covers_every_priority() {
     nav.prepare().expect("prepare");
     let all = nav.generate_all(&RuntimeConstraints::none()).expect("generate all");
     assert_eq!(all.len(), Priority::ALL.len());
+    // The one walk decides what four walks decide: a second navigator
+    // asked one priority at a time returns the same results.
+    let dataset = Dataset::load_scaled(DatasetId::OgbnArxiv, 0.02).expect("load");
+    let mut one_at_a_time = Navigator::new(dataset, Platform::default_rtx4090(), ModelKind::Gcn)
+        .with_options(fast_options());
+    one_at_a_time.prepare().expect("prepare");
     for (result, priority) in all.iter().zip(Priority::ALL) {
         assert_eq!(result.guideline.priority, priority);
+        let alone = one_at_a_time
+            .generate_guideline(priority, &RuntimeConstraints::none())
+            .expect("generate one");
+        assert_eq!(format!("{result:?}"), format!("{alone:?}"), "{priority}");
     }
 }
