@@ -21,7 +21,7 @@ use crate::GraphError;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Identifier of a benchmark dataset stand-in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -176,13 +176,26 @@ impl Split {
 }
 
 /// A complete dataset: graph + communities + features + labels + split.
+///
+/// Features and labels are synthesized on the first
+/// [`features`](Self::features) call, not at construction: what
+/// GNNavigator decides from (the estimator's `Deg(G)` and `n_attr`,
+/// every profile and exploration fingerprint) reads the graph and the
+/// feature *shape* only, so a navigation served from its stores never
+/// draws the matrix. Clones share the one synthesis, including clones
+/// taken before it ran.
 #[derive(Debug, Clone)]
 pub struct Dataset {
     id: DatasetId,
     scale: f64,
     graph: Graph,
     communities: Vec<u32>,
-    features: Features,
+    feature_spec: FeatureSpec,
+    feature_seed: u64,
+    /// Filled by the first `features()` call on this dataset or any
+    /// clone of it; the draw depends only on `communities`,
+    /// `feature_spec` and `feature_seed`, which no clone can change.
+    features: Arc<OnceLock<Features>>,
     split: Split,
     /// `stats()` memo. Graph and communities never change after
     /// construction, so a filled cell stays right through `clone` and
@@ -228,9 +241,8 @@ impl Dataset {
         let spec = FeatureSpec::new(r.feat_dim, r.num_classes)
             .with_noise(r.noise)
             .with_label_noise(r.label_noise);
-        let features = Features::synthesize(&communities, &spec, r.seed ^ 0xFEED);
         let split = Split::random(nodes, r.seed ^ 0x5EED);
-        Ok(Dataset { id, scale, graph, communities, features, split, stats: OnceLock::new() })
+        Ok(Dataset::new(id, scale, graph, communities, spec, r.seed ^ 0xFEED, split))
     }
 
     /// Generates a random power-law dataset for estimator data
@@ -256,17 +268,30 @@ impl Dataset {
         let (graph, communities) =
             generators::community_preferential(num_nodes, num_classes, edges_per_node, 0.3, seed)?;
         let spec = FeatureSpec::new(feat_dim, num_classes).with_noise(1.8).with_label_noise(0.12);
-        let features = Features::synthesize(&communities, &spec, seed ^ 0xFEED);
         let split = Split::random(num_nodes, seed ^ 0x5EED);
-        Ok(Dataset {
-            id: DatasetId::Synthetic,
-            scale: 1.0,
+        Ok(Dataset::new(DatasetId::Synthetic, 1.0, graph, communities, spec, seed ^ 0xFEED, split))
+    }
+
+    fn new(
+        id: DatasetId,
+        scale: f64,
+        graph: Graph,
+        communities: Vec<u32>,
+        feature_spec: FeatureSpec,
+        feature_seed: u64,
+        split: Split,
+    ) -> Self {
+        Dataset {
+            id,
+            scale,
             graph,
             communities,
-            features,
+            feature_spec,
+            feature_seed,
+            features: Arc::default(),
             split,
             stats: OnceLock::new(),
-        })
+        }
     }
 
     /// Dataset identifier.
@@ -289,9 +314,13 @@ impl Dataset {
         &self.communities
     }
 
-    /// Node features and labels.
+    /// Node features and labels. The first call on this dataset or any
+    /// clone of it synthesizes them (one O(nodes × `feat_dim`) draw);
+    /// every later call, on any of them, returns that one matrix.
     pub fn features(&self) -> &Features {
-        &self.features
+        self.features.get_or_init(|| {
+            Features::synthesize(&self.communities, &self.feature_spec, self.feature_seed)
+        })
     }
 
     /// Train/val/test split.
@@ -323,13 +352,15 @@ impl Dataset {
     }
 
     /// Feature dimensionality (`n_attr` in the paper's cost model).
+    /// Read from the spec: the features are not synthesized for it.
     pub fn feat_dim(&self) -> usize {
-        self.features.dim()
+        self.feature_spec.dim
     }
 
-    /// Number of label classes.
+    /// Number of label classes. Read from the spec, like
+    /// [`feat_dim`](Self::feat_dim).
     pub fn num_classes(&self) -> usize {
-        self.features.num_classes()
+        self.feature_spec.num_classes
     }
 
     /// Structural statistics (with community mixing). The O(V + E)
@@ -428,6 +459,92 @@ mod tests {
         assert_eq!(resplit.stats(), d.stats());
     }
 
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Matrix and labels equal bit for bit.
+    fn assert_same_features(lazy: &Features, eager: &Features, what: &str) {
+        assert_eq!((lazy.dim(), lazy.num_classes()), (eager.dim(), eager.num_classes()), "{what}");
+        assert_eq!(lazy.labels(), eager.labels(), "{what}: labels");
+        assert!(bits(lazy.matrix()) == bits(eager.matrix()), "{what}: matrix bits");
+    }
+
+    /// The reference: `load_scaled`'s generator call, spec and seed,
+    /// with the features synthesized at once.
+    fn eager_load(id: DatasetId, scale: f64) -> (Vec<u32>, Features) {
+        let r = id.recipe();
+        let nodes = ((r.nodes as f64 * scale).round() as usize).max(64);
+        let (_, communities) = generators::community_preferential(
+            nodes,
+            r.num_classes,
+            r.edges_per_node,
+            r.mixing,
+            r.seed,
+        )
+        .expect("generate");
+        let spec = FeatureSpec::new(r.feat_dim, r.num_classes)
+            .with_noise(r.noise)
+            .with_label_noise(r.label_noise);
+        let features = Features::synthesize(&communities, &spec, r.seed ^ 0xFEED);
+        (communities, features)
+    }
+
+    #[test]
+    fn lazy_features_equal_the_eager_draw() {
+        for id in DatasetId::ALL.into_iter().chain([DatasetId::Synthetic]) {
+            for scale in [0.01, 0.04] {
+                let d = Dataset::load_scaled(id, scale).expect("load");
+                let (communities, eager) = eager_load(id, scale);
+                assert_eq!(d.communities(), communities.as_slice(), "{id}@{scale}");
+                assert_eq!((d.feat_dim(), d.num_classes()), (eager.dim(), eager.num_classes()));
+                assert_same_features(d.features(), &eager, &format!("{id}@{scale}"));
+            }
+        }
+        let d = Dataset::synthetic(700, 4, 48, 12, 99).expect("gen");
+        let (_, communities) =
+            generators::community_preferential(700, 12, 4, 0.3, 99).expect("generate");
+        let spec = FeatureSpec::new(48, 12).with_noise(1.8).with_label_noise(0.12);
+        let eager = Features::synthesize(&communities, &spec, 99 ^ 0xFEED);
+        assert_eq!(d.communities(), communities.as_slice());
+        assert_same_features(d.features(), &eager, "synthetic");
+    }
+
+    #[test]
+    fn clones_taken_before_the_first_read_share_one_matrix() {
+        let d = Dataset::load_scaled(DatasetId::OgbnArxiv, 0.02).expect("load");
+        let early = d.clone();
+        let split = Split { train: vec![0, 1], val: vec![2], test: vec![3] };
+        let resplit = d.clone().with_split(split).expect("in range");
+        let first = d.features().matrix();
+        assert!(std::ptr::eq(early.features().matrix(), first));
+        assert!(std::ptr::eq(resplit.features().matrix(), first));
+        assert!(std::ptr::eq(d.clone().features().matrix(), first), "a clone after the read");
+        assert!(std::ptr::eq(d.features().matrix(), first), "a second read");
+    }
+
+    #[test]
+    fn racing_first_reads_see_one_matrix() {
+        let d = Dataset::load_scaled(DatasetId::Reddit2, 0.02).expect("load");
+        let clones: Vec<Dataset> = (0..4).map(|_| d.clone()).collect();
+        let start = std::sync::Barrier::new(clones.len());
+        let seen: Vec<usize> = std::thread::scope(|s| {
+            let readers: Vec<_> = clones
+                .iter()
+                .map(|c| {
+                    let start = &start;
+                    s.spawn(move || {
+                        start.wait();
+                        c.features().matrix().as_ptr() as usize
+                    })
+                })
+                .collect();
+            readers.into_iter().map(|r| r.join().expect("reader")).collect()
+        });
+        let first = d.features().matrix().as_ptr() as usize;
+        assert_eq!(seen, vec![first; 4]);
+    }
+
     #[test]
     fn deterministic_across_loads() {
         let a = Dataset::load_scaled(DatasetId::OgbnArxiv, 0.02).expect("load");
@@ -453,6 +570,8 @@ mod synthetic_tests {
         assert_eq!(a.num_classes(), 8);
     }
 
+    /// At construction: with the draw deferred, a zero dimension must
+    /// not wait for the first `features()` call to surface as a panic.
     #[test]
     fn synthetic_rejects_zero_dims() {
         assert!(Dataset::synthetic(100, 3, 0, 4, 1).is_err());

@@ -19,6 +19,12 @@ impl std::fmt::Display for TenantId {
 /// The shape of a tenant's training workload. Materialized into a
 /// seeded synthetic [`Dataset`] on first use, so two tenants with the
 /// same spec share one dataset (and one exploration fingerprint).
+///
+/// A tenant's dataset is its graph and its feature shape: exploration
+/// and fingerprinting read `feat_dim` and `num_classes`, never the
+/// feature values, and the service executes only its calibration
+/// graphs, so a tenant's feature matrix is never drawn
+/// ([`Dataset::features`] synthesizes on first read).
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
     /// Graph size in nodes.
