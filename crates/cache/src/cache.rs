@@ -1,13 +1,17 @@
-//! Device feature-cache implementations.
+//! The device feature cache.
 //!
 //! All transmission strategies reduce to the same abstraction (paper
 //! §3.2): given a mini-batch, split it into cache *hits* (already on
 //! device) and *misses* (must cross the link), then optionally update
-//! the cache. The concrete policies differ only in what they keep.
+//! the cache. The policies differ only in what a hit touches and what
+//! an admission evicts, so one [`FeatureCache`] owns the split, the
+//! resident set and the statistics, and a private `Order` holds the
+//! per-policy rest.
 
 use crate::policy::CachePolicy;
 use gnnav_graph::{stats::nodes_by_degree_desc, Graph, NodeId};
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Result of a cache lookup over a batch's nodes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,8 +56,9 @@ impl CacheStats {
 
 /// Serializable snapshot of a cache's observable state, for
 /// checkpoint/resume. `resident` is in the policy's canonical order
-/// (FIFO queue front→back, LRU MRU→LRU, LFU/static ascending id);
-/// the `freq`/`heap`/`seq` fields are LFU-only and empty elsewhere.
+/// (static descending degree, FIFO queue front→back, LRU MRU→LRU, LFU
+/// ascending id); the `freq`/`heap`/`seq` fields are LFU-only and empty
+/// elsewhere.
 ///
 /// Restoring a snapshot onto a freshly built cache of the same
 /// policy, capacity, and graph reproduces the original's observable
@@ -78,84 +83,46 @@ pub struct CacheSnapshot {
     pub stats: CacheStats,
 }
 
-/// A device feature cache.
+/// A device feature cache under one [`CachePolicy`].
 ///
-/// Implementations store node *ids* (each standing for one resident
-/// feature row); the backend charges bytes via the row size.
-pub trait Cache: std::fmt::Debug + Send {
-    /// Splits `nodes` into hits and misses, updating recency/frequency
-    /// metadata and cumulative stats.
-    fn lookup(&mut self, nodes: &[NodeId]) -> LookupOutcome;
-
-    /// Admits `missed` nodes per the policy. Returns the number of
-    /// rows written to the device (insertions, including those that
-    /// evicted an older entry) — the paper's replaced-volume input to
-    /// `t_replace`.
-    fn update(&mut self, missed: &[NodeId]) -> usize;
-
-    /// Maximum number of resident entries.
-    fn capacity(&self) -> usize;
-
-    /// Current number of resident entries.
-    fn len(&self) -> usize;
-
-    /// Whether the cache is empty.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// This cache's policy.
-    fn policy(&self) -> CachePolicy;
-
-    /// Whether `v` is resident.
-    fn contains(&self, v: NodeId) -> bool;
-
-    /// Snapshot of resident node ids (order unspecified); used to seed
-    /// the locality bias of cache-aware samplers.
-    fn resident(&self) -> Vec<NodeId>;
-
-    /// Cumulative statistics.
-    fn stats(&self) -> CacheStats;
-
-    /// Captures the cache's observable state for checkpointing.
-    fn snapshot(&self) -> CacheSnapshot;
-
-    /// Restores state captured by [`Cache::snapshot`] from a cache of
-    /// the same policy, capacity, and graph.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the mismatch (wrong capacity, node id
-    /// out of range) without modifying the cache.
-    fn restore(&mut self, snap: &CacheSnapshot) -> Result<(), String>;
-}
-
-/// Shared restore sanity checks.
-fn check_snapshot(snap: &CacheSnapshot, capacity: usize, num_nodes: usize) -> Result<(), String> {
-    if snap.capacity != capacity {
-        return Err(format!(
-            "snapshot capacity {} does not match cache capacity {capacity}",
-            snap.capacity
-        ));
-    }
-    if let Some(&v) = snap.resident.iter().find(|&&v| v as usize >= num_nodes) {
-        return Err(format!("snapshot resident node {v} out of range (graph has {num_nodes})"));
-    }
-    Ok(())
+/// Stores node *ids* (each standing for one resident feature row); the
+/// backend charges bytes via the row size. Built by [`build_cache`].
+#[derive(Debug)]
+pub struct FeatureCache {
+    policy: CachePolicy,
+    capacity: usize,
+    resident: Vec<bool>,
+    len: usize,
+    order: Order,
+    stats: CacheStats,
 }
 
 /// Builds a cache of `capacity` entries with the given policy.
 ///
 /// [`CachePolicy::StaticDegree`] pre-fills with the highest-degree
 /// nodes of `graph`; other policies start empty.
-pub fn build_cache(policy: CachePolicy, capacity: usize, graph: &Graph) -> Box<dyn Cache> {
-    match policy {
-        CachePolicy::None => Box::new(NoCache::new(graph.num_nodes())),
-        CachePolicy::StaticDegree => Box::new(StaticDegreeCache::new(capacity, graph)),
-        CachePolicy::Fifo => Box::new(FifoCache::new(capacity, graph.num_nodes())),
-        CachePolicy::Lru => Box::new(LruCache::new(capacity, graph.num_nodes())),
-        CachePolicy::Lfu => Box::new(LfuCache::new(capacity, graph.num_nodes())),
+/// [`CachePolicy::None`] has capacity 0 whatever `capacity` says.
+pub fn build_cache(policy: CachePolicy, capacity: usize, graph: &Graph) -> FeatureCache {
+    let num_nodes = graph.num_nodes();
+    let capacity = if policy == CachePolicy::None { 0 } else { capacity };
+    let order = match policy {
+        CachePolicy::None => Order::Fixed(Vec::new()),
+        CachePolicy::StaticDegree => {
+            Order::Fixed(nodes_by_degree_desc(graph).into_iter().take(capacity).collect())
+        }
+        CachePolicy::Fifo => Order::Fifo(VecDeque::with_capacity(capacity)),
+        CachePolicy::Lru => Order::Lru(Recency::new(num_nodes)),
+        CachePolicy::Lfu => {
+            Order::Lfu { freq: vec![0; num_nodes], heap: BinaryHeap::new(), seq: 0 }
+        }
+    };
+    let mut resident = vec![false; num_nodes];
+    let mut len = 0;
+    if let Order::Fixed(entries) = &order {
+        entries.iter().for_each(|&v| resident[v as usize] = true);
+        len = entries.len();
     }
+    FeatureCache { policy, capacity, resident, len, order, stats: CacheStats::default() }
 }
 
 /// Number of cache entries affordable within `budget_bytes` when each
@@ -164,104 +131,16 @@ pub fn entries_for_budget(budget_bytes: usize, row_bytes: usize) -> usize {
     budget_bytes.checked_div(row_bytes).unwrap_or(0)
 }
 
-// ---------------------------------------------------------------------
-// No cache.
-// ---------------------------------------------------------------------
-
-/// The degenerate cache: everything misses (PyG's default path).
-#[derive(Debug)]
-pub struct NoCache {
-    stats: CacheStats,
-    num_nodes: usize,
-}
-
-impl NoCache {
-    /// Creates a no-op cache for a graph of `num_nodes` nodes.
-    pub fn new(num_nodes: usize) -> Self {
-        NoCache { stats: CacheStats::default(), num_nodes }
-    }
-}
-
-impl Cache for NoCache {
-    fn lookup(&mut self, nodes: &[NodeId]) -> LookupOutcome {
-        self.stats.lookups += nodes.len();
-        LookupOutcome { hits: Vec::new(), misses: nodes.to_vec() }
-    }
-
-    fn update(&mut self, _missed: &[NodeId]) -> usize {
-        0
-    }
-
-    fn capacity(&self) -> usize {
-        0
-    }
-
-    fn len(&self) -> usize {
-        0
-    }
-
-    fn policy(&self) -> CachePolicy {
-        CachePolicy::None
-    }
-
-    fn contains(&self, v: NodeId) -> bool {
-        debug_assert!((v as usize) < self.num_nodes);
-        false
-    }
-
-    fn resident(&self) -> Vec<NodeId> {
-        Vec::new()
-    }
-
-    fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    fn snapshot(&self) -> CacheSnapshot {
-        CacheSnapshot { capacity: 0, stats: self.stats, ..CacheSnapshot::default() }
-    }
-
-    fn restore(&mut self, snap: &CacheSnapshot) -> Result<(), String> {
-        check_snapshot(snap, 0, self.num_nodes)?;
-        self.stats = snap.stats;
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------
-// Static degree-ordered cache (PaGraph).
-// ---------------------------------------------------------------------
-
-/// PaGraph-style static cache: pre-filled with the top-degree nodes,
-/// never updated at runtime.
-#[derive(Debug)]
-pub struct StaticDegreeCache {
-    resident: Vec<bool>,
-    entries: Vec<NodeId>,
-    capacity: usize,
-    stats: CacheStats,
-}
-
-impl StaticDegreeCache {
-    /// Creates the cache pre-filled with the `capacity` highest-degree
-    /// nodes of `graph`.
-    pub fn new(capacity: usize, graph: &Graph) -> Self {
-        let order = nodes_by_degree_desc(graph);
-        let entries: Vec<NodeId> = order.into_iter().take(capacity).collect();
-        let mut resident = vec![false; graph.num_nodes()];
-        for &v in &entries {
-            resident[v as usize] = true;
-        }
-        StaticDegreeCache { resident, entries, capacity, stats: CacheStats::default() }
-    }
-}
-
-impl Cache for StaticDegreeCache {
-    fn lookup(&mut self, nodes: &[NodeId]) -> LookupOutcome {
+impl FeatureCache {
+    /// Splits `nodes` into hits and misses, updating recency/frequency
+    /// metadata and cumulative stats.
+    pub fn lookup(&mut self, nodes: &[NodeId]) -> LookupOutcome {
         let mut hits = Vec::new();
         let mut misses = Vec::new();
         for &v in nodes {
-            if self.resident[v as usize] {
+            let hit = self.resident[v as usize];
+            self.order.looked_up(v, hit);
+            if hit {
                 hits.push(v);
             } else {
                 misses.push(v);
@@ -272,196 +151,245 @@ impl Cache for StaticDegreeCache {
         LookupOutcome { hits, misses }
     }
 
-    fn update(&mut self, _missed: &[NodeId]) -> usize {
-        0 // static: never replaced
-    }
-
-    fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    fn policy(&self) -> CachePolicy {
-        CachePolicy::StaticDegree
-    }
-
-    fn contains(&self, v: NodeId) -> bool {
-        self.resident[v as usize]
-    }
-
-    fn resident(&self) -> Vec<NodeId> {
-        self.entries.clone()
-    }
-
-    fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    fn snapshot(&self) -> CacheSnapshot {
-        // The entry set is a pure function of (graph, capacity), so
-        // only the stats are mutable state; entries ride along for
-        // the restore sanity check.
-        CacheSnapshot {
-            capacity: self.capacity,
-            resident: self.entries.clone(),
-            stats: self.stats,
-            ..CacheSnapshot::default()
-        }
-    }
-
-    fn restore(&mut self, snap: &CacheSnapshot) -> Result<(), String> {
-        check_snapshot(snap, self.capacity, self.resident.len())?;
-        if snap.resident != self.entries {
-            return Err("static-degree snapshot resident set does not match graph".into());
-        }
-        self.stats = snap.stats;
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------
-// FIFO.
-// ---------------------------------------------------------------------
-
-/// First-in-first-out cache.
-#[derive(Debug)]
-pub struct FifoCache {
-    resident: Vec<bool>,
-    queue: VecDeque<NodeId>,
-    capacity: usize,
-    stats: CacheStats,
-}
-
-impl FifoCache {
-    /// Creates an empty FIFO cache.
-    pub fn new(capacity: usize, num_nodes: usize) -> Self {
-        FifoCache {
-            resident: vec![false; num_nodes],
-            queue: VecDeque::with_capacity(capacity),
-            capacity,
-            stats: CacheStats::default(),
-        }
-    }
-}
-
-impl Cache for FifoCache {
-    fn lookup(&mut self, nodes: &[NodeId]) -> LookupOutcome {
-        let mut hits = Vec::new();
-        let mut misses = Vec::new();
-        for &v in nodes {
-            if self.resident[v as usize] {
-                hits.push(v);
-            } else {
-                misses.push(v);
-            }
-        }
-        self.stats.lookups += nodes.len();
-        self.stats.hits += hits.len();
-        LookupOutcome { hits, misses }
-    }
-
-    fn update(&mut self, missed: &[NodeId]) -> usize {
-        if self.capacity == 0 {
+    /// Admits `missed` nodes per the policy. Returns the number of
+    /// rows written to the device (insertions, including those that
+    /// evicted an older entry) — the paper's replaced-volume input to
+    /// `t_replace`. A fixed (none / static) cache never writes.
+    pub fn update(&mut self, missed: &[NodeId]) -> usize {
+        if self.capacity == 0 || !self.policy.is_dynamic() {
             return 0;
         }
         let mut inserted = 0usize;
         for &v in missed {
             if self.resident[v as usize] {
+                self.order.readmitted(v);
                 continue;
             }
-            if self.queue.len() == self.capacity {
-                if let Some(old) = self.queue.pop_front() {
+            if self.len == self.capacity {
+                if let Some(old) = self.order.evict(&self.resident) {
                     self.resident[old as usize] = false;
+                    self.len -= 1;
                 }
             }
-            self.queue.push_back(v);
+            self.order.admit(v);
             self.resident[v as usize] = true;
+            self.len += 1;
             inserted += 1;
         }
         inserted
     }
 
-    fn capacity(&self) -> usize {
+    /// Maximum number of resident entries.
+    pub fn capacity(&self) -> usize {
         self.capacity
     }
 
-    fn len(&self) -> usize {
-        self.queue.len()
+    /// Current number of resident entries.
+    pub fn len(&self) -> usize {
+        self.len
     }
 
-    fn policy(&self) -> CachePolicy {
-        CachePolicy::Fifo
+    /// Whether the cache is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 
-    fn contains(&self, v: NodeId) -> bool {
+    /// This cache's policy.
+    pub fn policy(&self) -> CachePolicy {
+        self.policy
+    }
+
+    /// Whether `v` is resident.
+    pub fn contains(&self, v: NodeId) -> bool {
         self.resident[v as usize]
     }
 
-    fn resident(&self) -> Vec<NodeId> {
-        self.queue.iter().copied().collect()
+    /// Resident node ids, in the snapshot's canonical order.
+    pub fn resident(&self) -> Vec<NodeId> {
+        match &self.order {
+            Order::Fixed(entries) => entries.clone(),
+            Order::Fifo(queue) => queue.iter().copied().collect(),
+            Order::Lru(list) => list.mru_first(self.len),
+            Order::Lfu { .. } => {
+                (0..self.resident.len() as u32).filter(|&v| self.resident[v as usize]).collect()
+            }
+        }
     }
 
-    fn stats(&self) -> CacheStats {
+    /// Cumulative statistics.
+    pub fn stats(&self) -> CacheStats {
         self.stats
     }
 
-    fn snapshot(&self) -> CacheSnapshot {
-        CacheSnapshot {
+    /// Captures the cache's observable state for checkpointing.
+    pub fn snapshot(&self) -> CacheSnapshot {
+        let mut snap = CacheSnapshot {
             capacity: self.capacity,
-            resident: self.queue.iter().copied().collect(),
+            resident: self.resident(),
             stats: self.stats,
             ..CacheSnapshot::default()
+        };
+        // The lazy heap's entries are all distinct (unique `seq`), so
+        // its pop sequence is determined by the entry multiset alone;
+        // capturing the entries in internal order and re-heapifying on
+        // restore reproduces eviction behavior exactly.
+        if let Order::Lfu { freq, heap, seq } = &self.order {
+            snap.freq = freq.clone();
+            snap.heap = heap.iter().map(|Reverse(t)| *t).collect();
+            snap.seq = *seq;
         }
+        snap
     }
 
-    fn restore(&mut self, snap: &CacheSnapshot) -> Result<(), String> {
-        check_snapshot(snap, self.capacity, self.resident.len())?;
-        self.resident.iter_mut().for_each(|r| *r = false);
-        self.queue.clear();
-        for &v in &snap.resident {
-            self.queue.push_back(v);
-            self.resident[v as usize] = true;
+    /// Restores state captured by [`FeatureCache::snapshot`] from a
+    /// cache of the same policy, capacity, and graph.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the mismatch (wrong capacity, node id
+    /// out of range, a fixed cache's entries differing from the ones
+    /// this graph gives, an LFU frequency table of another length)
+    /// without modifying the cache.
+    pub fn restore(&mut self, snap: &CacheSnapshot) -> Result<(), String> {
+        let num_nodes = self.resident.len();
+        if snap.capacity != self.capacity {
+            return Err(format!(
+                "snapshot capacity {} does not match cache capacity {}",
+                snap.capacity, self.capacity
+            ));
         }
+        if let Some(&v) = snap.resident.iter().find(|&&v| v as usize >= num_nodes) {
+            return Err(format!("snapshot resident node {v} out of range (graph has {num_nodes})"));
+        }
+        match &mut self.order {
+            // Fixed entries are a pure function of (graph, capacity);
+            // they ride along only for this check.
+            Order::Fixed(entries) if snap.resident != *entries => {
+                return Err(format!("{} snapshot resident set does not match graph", self.policy));
+            }
+            Order::Fixed(_) => {}
+            Order::Fifo(queue) => {
+                queue.clear();
+                queue.extend(&snap.resident);
+            }
+            Order::Lru(list) => list.rebuild(&snap.resident),
+            Order::Lfu { freq, heap, seq } => {
+                if snap.freq.len() != freq.len() {
+                    return Err(format!(
+                        "LFU snapshot frequency table covers {} nodes, cache has {}",
+                        snap.freq.len(),
+                        freq.len()
+                    ));
+                }
+                freq.copy_from_slice(&snap.freq);
+                *heap = snap.heap.iter().map(|&t| Reverse(t)).collect();
+                *seq = snap.seq;
+            }
+        }
+        self.resident.fill(false);
+        snap.resident.iter().for_each(|&v| self.resident[v as usize] = true);
+        self.len = snap.resident.len();
         self.stats = snap.stats;
         Ok(())
     }
 }
 
-// ---------------------------------------------------------------------
-// LRU (intrusive doubly-linked list over node-id slots: O(1) ops).
-// ---------------------------------------------------------------------
+/// What differs between policies: what a hit touches, which entry an
+/// admission evicts, and the snapshot's canonical order.
+#[derive(Debug)]
+enum Order {
+    /// `None` and `StaticDegree`: the entries chosen at build time
+    /// (descending degree), never replaced.
+    Fixed(Vec<NodeId>),
+    /// Admission order, oldest at the front.
+    Fifo(VecDeque<NodeId>),
+    /// Recency, most recent first.
+    Lru(Recency),
+    /// Per-node access counts (misses included) and a lazy min-heap of
+    /// `(freq, seq, node)`: an entry whose recorded frequency no longer
+    /// matches is stale and skipped on eviction.
+    Lfu { freq: Vec<u32>, heap: LfuHeap, seq: u64 },
+}
+
+type LfuHeap = BinaryHeap<Reverse<(u32, u64, NodeId)>>;
+
+impl Order {
+    /// A lookup of `v` that hit (`hit`) or missed.
+    fn looked_up(&mut self, v: NodeId, hit: bool) {
+        match self {
+            Order::Lru(list) if hit => list.touch(v),
+            Order::Lfu { freq, heap, seq } => {
+                freq[v as usize] = freq[v as usize].saturating_add(1);
+                if hit {
+                    reindex(freq, heap, seq, v);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// An update offered `v`, which is already resident.
+    fn readmitted(&mut self, v: NodeId) {
+        if let Order::Lru(list) = self {
+            list.touch(v);
+        }
+    }
+
+    /// Removes and returns the entry an admission into a full cache
+    /// replaces.
+    fn evict(&mut self, resident: &[bool]) -> Option<NodeId> {
+        match self {
+            Order::Fixed(_) => unreachable!("a fixed cache admits nothing"),
+            Order::Fifo(queue) => queue.pop_front(),
+            Order::Lru(list) => {
+                let victim = list.tail;
+                debug_assert_ne!(victim, NIL);
+                list.unlink(victim);
+                Some(victim)
+            }
+            Order::Lfu { freq, heap, .. } => {
+                while let Some(Reverse((f, _, v))) = heap.pop() {
+                    if resident[v as usize] && freq[v as usize] == f {
+                        return Some(v);
+                    }
+                }
+                None
+            }
+        }
+    }
+
+    /// Records the admission of `v`.
+    fn admit(&mut self, v: NodeId) {
+        match self {
+            Order::Fixed(_) => unreachable!("a fixed cache admits nothing"),
+            Order::Fifo(queue) => queue.push_back(v),
+            Order::Lru(list) => list.push_front(v),
+            Order::Lfu { freq, heap, seq } => reindex(freq, heap, seq, v),
+        }
+    }
+}
+
+/// Pushes `v`'s current frequency as a fresh LFU heap entry.
+fn reindex(freq: &[u32], heap: &mut LfuHeap, seq: &mut u64, v: NodeId) {
+    *seq += 1;
+    heap.push(Reverse((freq[v as usize], *seq, v)));
+}
 
 const NIL: u32 = u32::MAX;
 
-/// Least-recently-used cache with O(1) lookup, touch, and eviction.
+/// Intrusive doubly-linked list over node-id slots: O(1) touch and
+/// eviction.
 #[derive(Debug)]
-pub struct LruCache {
+struct Recency {
     prev: Vec<u32>,
     next: Vec<u32>,
-    resident: Vec<bool>,
     head: u32, // most recently used
     tail: u32, // least recently used
-    len: usize,
-    capacity: usize,
-    stats: CacheStats,
 }
 
-impl LruCache {
-    /// Creates an empty LRU cache.
-    pub fn new(capacity: usize, num_nodes: usize) -> Self {
-        LruCache {
-            prev: vec![NIL; num_nodes],
-            next: vec![NIL; num_nodes],
-            resident: vec![false; num_nodes],
-            head: NIL,
-            tail: NIL,
-            len: 0,
-            capacity,
-            stats: CacheStats::default(),
-        }
+impl Recency {
+    fn new(num_nodes: usize) -> Self {
+        Recency { prev: vec![NIL; num_nodes], next: vec![NIL; num_nodes], head: NIL, tail: NIL }
     }
 
     fn unlink(&mut self, v: u32) {
@@ -499,68 +427,9 @@ impl LruCache {
         self.unlink(v);
         self.push_front(v);
     }
-}
 
-impl Cache for LruCache {
-    fn lookup(&mut self, nodes: &[NodeId]) -> LookupOutcome {
-        let mut hits = Vec::new();
-        let mut misses = Vec::new();
-        for &v in nodes {
-            if self.resident[v as usize] {
-                self.touch(v);
-                hits.push(v);
-            } else {
-                misses.push(v);
-            }
-        }
-        self.stats.lookups += nodes.len();
-        self.stats.hits += hits.len();
-        LookupOutcome { hits, misses }
-    }
-
-    fn update(&mut self, missed: &[NodeId]) -> usize {
-        if self.capacity == 0 {
-            return 0;
-        }
-        let mut inserted = 0usize;
-        for &v in missed {
-            if self.resident[v as usize] {
-                self.touch(v);
-                continue;
-            }
-            if self.len == self.capacity {
-                let victim = self.tail;
-                debug_assert_ne!(victim, NIL);
-                self.unlink(victim);
-                self.resident[victim as usize] = false;
-                self.len -= 1;
-            }
-            self.push_front(v);
-            self.resident[v as usize] = true;
-            self.len += 1;
-            inserted += 1;
-        }
-        inserted
-    }
-
-    fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn policy(&self) -> CachePolicy {
-        CachePolicy::Lru
-    }
-
-    fn contains(&self, v: NodeId) -> bool {
-        self.resident[v as usize]
-    }
-
-    fn resident(&self) -> Vec<NodeId> {
-        let mut out = Vec::with_capacity(self.len);
+    fn mru_first(&self, len: usize) -> Vec<NodeId> {
+        let mut out = Vec::with_capacity(len);
         let mut cur = self.head;
         while cur != NIL {
             out.push(cur);
@@ -569,185 +438,10 @@ impl Cache for LruCache {
         out
     }
 
-    fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    fn snapshot(&self) -> CacheSnapshot {
-        CacheSnapshot {
-            capacity: self.capacity,
-            resident: Cache::resident(self),
-            stats: self.stats,
-            ..CacheSnapshot::default()
-        }
-    }
-
-    fn restore(&mut self, snap: &CacheSnapshot) -> Result<(), String> {
-        check_snapshot(snap, self.capacity, self.resident.len())?;
-        self.resident.iter_mut().for_each(|r| *r = false);
-        self.prev.iter_mut().for_each(|p| *p = NIL);
-        self.next.iter_mut().for_each(|n| *n = NIL);
-        self.head = NIL;
-        self.tail = NIL;
-        // `resident` is MRU→LRU; rebuilding front-first in reverse
-        // order reconstructs the exact recency list.
-        for &v in snap.resident.iter().rev() {
-            self.push_front(v);
-            self.resident[v as usize] = true;
-        }
-        self.len = snap.resident.len();
-        self.stats = snap.stats;
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------
-// LFU (lazy min-heap keyed by access frequency).
-// ---------------------------------------------------------------------
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-/// Least-frequently-used cache. Eviction uses a lazy heap: stale heap
-/// entries (whose recorded frequency no longer matches) are skipped.
-#[derive(Debug)]
-pub struct LfuCache {
-    freq: Vec<u32>,
-    resident: Vec<bool>,
-    heap: BinaryHeap<Reverse<(u32, u64, NodeId)>>,
-    seq: u64,
-    len: usize,
-    capacity: usize,
-    stats: CacheStats,
-}
-
-impl LfuCache {
-    /// Creates an empty LFU cache.
-    pub fn new(capacity: usize, num_nodes: usize) -> Self {
-        LfuCache {
-            freq: vec![0; num_nodes],
-            resident: vec![false; num_nodes],
-            heap: BinaryHeap::new(),
-            seq: 0,
-            len: 0,
-            capacity,
-            stats: CacheStats::default(),
-        }
-    }
-
-    fn evict_one(&mut self) {
-        while let Some(Reverse((f, _, v))) = self.heap.pop() {
-            if self.resident[v as usize] && self.freq[v as usize] == f {
-                self.resident[v as usize] = false;
-                self.len -= 1;
-                return;
-            }
-            // Stale entry: skip.
-        }
-    }
-
-    fn reindex(&mut self, v: NodeId) {
-        self.seq += 1;
-        self.heap.push(Reverse((self.freq[v as usize], self.seq, v)));
-    }
-}
-
-impl Cache for LfuCache {
-    fn lookup(&mut self, nodes: &[NodeId]) -> LookupOutcome {
-        let mut hits = Vec::new();
-        let mut misses = Vec::new();
-        for &v in nodes {
-            self.freq[v as usize] = self.freq[v as usize].saturating_add(1);
-            if self.resident[v as usize] {
-                self.reindex(v);
-                hits.push(v);
-            } else {
-                misses.push(v);
-            }
-        }
-        self.stats.lookups += nodes.len();
-        self.stats.hits += hits.len();
-        LookupOutcome { hits, misses }
-    }
-
-    fn update(&mut self, missed: &[NodeId]) -> usize {
-        if self.capacity == 0 {
-            return 0;
-        }
-        let mut inserted = 0usize;
-        for &v in missed {
-            if self.resident[v as usize] {
-                continue;
-            }
-            if self.len == self.capacity {
-                self.evict_one();
-            }
-            self.resident[v as usize] = true;
-            self.len += 1;
-            self.reindex(v);
-            inserted += 1;
-        }
-        inserted
-    }
-
-    fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn policy(&self) -> CachePolicy {
-        CachePolicy::Lfu
-    }
-
-    fn contains(&self, v: NodeId) -> bool {
-        self.resident[v as usize]
-    }
-
-    fn resident(&self) -> Vec<NodeId> {
-        (0..self.resident.len() as u32).filter(|&v| self.resident[v as usize]).collect()
-    }
-
-    fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    fn snapshot(&self) -> CacheSnapshot {
-        // The lazy heap's entries are all distinct (unique `seq`), so
-        // its pop sequence is determined by the entry multiset alone;
-        // capturing the entries in internal order and re-heapifying on
-        // restore reproduces eviction behavior exactly.
-        CacheSnapshot {
-            capacity: self.capacity,
-            resident: Cache::resident(self),
-            freq: self.freq.clone(),
-            heap: self.heap.iter().map(|Reverse(t)| *t).collect(),
-            seq: self.seq,
-            stats: self.stats,
-        }
-    }
-
-    fn restore(&mut self, snap: &CacheSnapshot) -> Result<(), String> {
-        check_snapshot(snap, self.capacity, self.resident.len())?;
-        if snap.freq.len() != self.freq.len() {
-            return Err(format!(
-                "LFU snapshot frequency table covers {} nodes, cache has {}",
-                snap.freq.len(),
-                self.freq.len()
-            ));
-        }
-        self.freq.copy_from_slice(&snap.freq);
-        self.resident.iter_mut().for_each(|r| *r = false);
-        for &v in &snap.resident {
-            self.resident[v as usize] = true;
-        }
-        self.heap = snap.heap.iter().map(|&t| Reverse(t)).collect();
-        self.seq = snap.seq;
-        self.len = snap.resident.len();
-        self.stats = snap.stats;
-        Ok(())
+    /// Rebuilds the list from `mru_first` order.
+    fn rebuild(&mut self, mru_first: &[NodeId]) {
+        *self = Recency::new(self.prev.len());
+        mru_first.iter().rev().for_each(|&v| self.push_front(v));
     }
 }
 
@@ -800,7 +494,7 @@ mod tests {
     #[test]
     fn fifo_evicts_oldest() {
         let g = star(10);
-        let mut c = FifoCache::new(2, g.num_nodes());
+        let mut c = build_cache(CachePolicy::Fifo, 2, &g);
         assert_eq!(c.update(&[1, 2]), 2);
         assert_eq!(c.update(&[3]), 1); // evicts 1
         assert!(!c.contains(1));
@@ -811,7 +505,7 @@ mod tests {
     #[test]
     fn fifo_skips_already_resident() {
         let g = star(10);
-        let mut c = FifoCache::new(2, g.num_nodes());
+        let mut c = build_cache(CachePolicy::Fifo, 2, &g);
         c.update(&[1]);
         assert_eq!(c.update(&[1]), 0);
         assert_eq!(c.len(), 1);
@@ -820,7 +514,7 @@ mod tests {
     #[test]
     fn lru_evicts_least_recent() {
         let g = star(10);
-        let mut c = LruCache::new(2, g.num_nodes());
+        let mut c = build_cache(CachePolicy::Lru, 2, &g);
         c.update(&[1, 2]);
         let _ = c.lookup(&[1]); // 1 now most recent
         c.update(&[3]); // evicts 2
@@ -833,7 +527,7 @@ mod tests {
     #[test]
     fn lru_capacity_never_exceeded() {
         let g = star(50);
-        let mut c = LruCache::new(5, g.num_nodes());
+        let mut c = build_cache(CachePolicy::Lru, 5, &g);
         for batch in (0u32..40).collect::<Vec<_>>().chunks(7) {
             let out = c.lookup(batch);
             c.update(&out.misses);
@@ -844,7 +538,7 @@ mod tests {
     #[test]
     fn lfu_keeps_frequent_nodes() {
         let g = star(10);
-        let mut c = LfuCache::new(2, g.num_nodes());
+        let mut c = build_cache(CachePolicy::Lfu, 2, &g);
         // Node 1 accessed many times; node 2 once.
         for _ in 0..5 {
             let out = c.lookup(&[1]);
@@ -863,7 +557,7 @@ mod tests {
     #[test]
     fn hit_rate_accumulates() {
         let g = star(10);
-        let mut c = FifoCache::new(4, g.num_nodes());
+        let mut c = build_cache(CachePolicy::Fifo, 4, &g);
         let out = c.lookup(&[1, 2]); // 2 misses
         c.update(&out.misses);
         let _ = c.lookup(&[1, 2]); // 2 hits
@@ -877,6 +571,45 @@ mod tests {
             let mut c = build_cache(policy, 0, &g);
             assert_eq!(c.update(&[1, 2, 3]), 0, "{policy}");
             assert_eq!(c.len(), 0);
+        }
+    }
+
+    #[test]
+    fn restore_rejects_a_snapshot_it_cannot_reproduce() {
+        let g = star(10);
+        let snap_of = |policy, capacity| build_cache(policy, capacity, &g).snapshot();
+        let rejects = |policy, capacity, snap: &CacheSnapshot| {
+            let mut c = build_cache(policy, capacity, &g);
+            let before = c.snapshot();
+            assert!(c.restore(snap).is_err(), "{policy} accepted {snap:?}");
+            assert_eq!(c.snapshot(), before, "{policy}: a rejected restore changed the cache");
+        };
+        for policy in CachePolicy::ALL {
+            let mut snap = snap_of(policy, 3);
+            snap.capacity += 1;
+            rejects(policy, 3, &snap);
+            let mut snap = snap_of(policy, 3);
+            snap.resident.push(10);
+            rejects(policy, 3, &snap);
+        }
+        // A fixed cache's entries come from the graph, not the snapshot.
+        let mut snap = snap_of(CachePolicy::StaticDegree, 3);
+        snap.resident.reverse();
+        rejects(CachePolicy::StaticDegree, 3, &snap);
+        let mut snap = snap_of(CachePolicy::None, 3);
+        snap.resident.push(1);
+        rejects(CachePolicy::None, 3, &snap);
+        let mut snap = snap_of(CachePolicy::Lfu, 3);
+        snap.freq.pop();
+        rejects(CachePolicy::Lfu, 3, &snap);
+        // Dynamic policies take any in-range resident list.
+        for policy in [CachePolicy::Fifo, CachePolicy::Lru, CachePolicy::Lfu] {
+            let mut snap = snap_of(policy, 3);
+            snap.resident = vec![4, 2];
+            let mut c = build_cache(policy, 3, &g);
+            c.restore(&snap).expect("in-range residents");
+            assert_eq!(c.len(), 2);
+            assert!(c.contains(4) && c.contains(2) && !c.contains(0), "{policy}");
         }
     }
 

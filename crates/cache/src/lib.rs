@@ -1,12 +1,13 @@
-//! Device feature-cache policies for the GNNavigator reproduction.
+//! The device feature cache of the GNNavigator reproduction.
 //!
 //! Transmission strategies (paper §3.2) all reduce to: initialize a
 //! device cache within the free memory budget, split each mini-batch
 //! into hits and misses, transfer only the misses, then update the
-//! cache per policy. This crate provides that abstraction
-//! ([`Cache`]) and the concrete policies ([`CachePolicy`]):
+//! cache per policy. This crate provides that one operation as
+//! [`FeatureCache`], built by [`build_cache`] for any [`CachePolicy`]:
 //! PaGraph's static degree-ordered cache, FIFO, LRU, LFU, and the
-//! no-cache baseline.
+//! no-cache baseline. The policies differ only in what a hit touches
+//! and what an admission evicts.
 //!
 //! # Example
 //!
@@ -28,7 +29,6 @@ pub mod cache;
 pub mod policy;
 
 pub use cache::{
-    build_cache, entries_for_budget, Cache, CacheSnapshot, CacheStats, FifoCache, LfuCache,
-    LookupOutcome, LruCache, NoCache, StaticDegreeCache,
+    build_cache, entries_for_budget, CacheSnapshot, CacheStats, FeatureCache, LookupOutcome,
 };
 pub use policy::{CachePolicy, ParsePolicyError};

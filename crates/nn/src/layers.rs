@@ -199,11 +199,9 @@ pub trait Layer: std::fmt::Debug + Send {
         need_input_grad: bool,
         scratch: &mut ScratchArena,
     ) -> Option<Matrix>;
-    /// Parameters in a stable order.
-    fn params_mut(&mut self) -> Vec<ParamRef<'_>>;
-    /// Streams the parameters to `f` in the same stable order as
-    /// [`Layer::params_mut`], without allocating a `Vec` — the
-    /// training hot path drives the optimizer through this form.
+    /// Streams the parameters to `f` in a stable order, without
+    /// allocating — the optimizer and checkpointing key their state by
+    /// position in this order.
     fn for_each_param(&mut self, f: &mut dyn FnMut(ParamRef<'_>));
     /// Total scalar parameter count (`|Φ|` contribution).
     fn param_count(&self) -> usize;
@@ -609,10 +607,6 @@ impl Layer for GcnLayer {
         Some(gx)
     }
 
-    fn params_mut(&mut self) -> Vec<ParamRef<'_>> {
-        vec![ParamRef::Linear(&mut self.lin)]
-    }
-
     fn for_each_param(&mut self, f: &mut dyn FnMut(ParamRef<'_>)) {
         f(ParamRef::Linear(&mut self.lin));
     }
@@ -720,10 +714,6 @@ impl Layer for SageLayer {
         }
         scratch.recycle(d_self);
         Some(grad_x)
-    }
-
-    fn params_mut(&mut self) -> Vec<ParamRef<'_>> {
-        vec![ParamRef::Linear(&mut self.lin_self), ParamRef::Linear(&mut self.lin_neigh)]
     }
 
     fn for_each_param(&mut self, f: &mut dyn FnMut(ParamRef<'_>)) {
@@ -1147,14 +1137,6 @@ impl Layer for GatLayer {
         scratch.recycle_raw(ds_r);
         scratch.recycle_raw(dpre);
         gx
-    }
-
-    fn params_mut(&mut self) -> Vec<ParamRef<'_>> {
-        vec![
-            ParamRef::Linear(&mut self.lin),
-            ParamRef::Vector(&mut self.att_l),
-            ParamRef::Vector(&mut self.att_r),
-        ]
     }
 
     fn for_each_param(&mut self, f: &mut dyn FnMut(ParamRef<'_>)) {

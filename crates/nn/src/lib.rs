@@ -45,6 +45,6 @@ pub mod tensor;
 pub mod train;
 
 pub use model::{GnnModel, ModelKind};
-pub use optim::{Adam, AdamState, Sgd};
+pub use optim::{Adam, AdamState};
 pub use scratch::ScratchArena;
 pub use tensor::{kernel_stats, KernelStats, Matrix, MatrixView};

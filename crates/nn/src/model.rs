@@ -287,14 +287,10 @@ impl GnnModel {
         }
     }
 
-    /// All parameters in a stable order, for the optimizer.
-    pub fn params_mut(&mut self) -> Vec<ParamRef<'_>> {
-        self.layers.iter_mut().flat_map(|l| l.params_mut()).collect()
-    }
-
-    /// Streams all parameters to `f` in the same stable order as
-    /// [`GnnModel::params_mut`], without allocating. Pair with
-    /// `Adam::step_with` for an allocation-free optimizer step.
+    /// Streams all parameters to `f` in a stable order (layer by layer,
+    /// each layer's own [`Layer::for_each_param`] order), without
+    /// allocating. `Adam::step_with` and checkpointing key their state
+    /// by position in this order.
     pub fn for_each_param_mut(&mut self, f: &mut dyn FnMut(ParamRef<'_>)) {
         for layer in &mut self.layers {
             layer.for_each_param(f);
@@ -302,8 +298,8 @@ impl GnnModel {
     }
 
     /// Flattens every parameter scalar into one vector, in the stable
-    /// [`GnnModel::params_mut`] traversal order (weights before bias
-    /// per linear parameter). Used by checkpointing.
+    /// [`GnnModel::for_each_param_mut`] traversal order (weights before
+    /// bias per linear parameter). Used by checkpointing.
     pub fn param_vector(&mut self) -> Vec<f32> {
         let mut out = Vec::with_capacity(self.param_count());
         self.for_each_param_mut(&mut |p| match p {
@@ -411,6 +407,21 @@ impl GnnModel {
     }
 }
 
+/// Runs `f` on the model's first parameter, which must be linear.
+#[cfg(test)]
+fn with_first_linear<R>(
+    m: &mut GnnModel,
+    f: impl FnOnce(&mut crate::layers::LinearParam) -> R,
+) -> R {
+    let (mut f, mut out) = (Some(f), None);
+    m.for_each_param_mut(&mut |p| match (f.take(), p) {
+        (Some(f), ParamRef::Linear(lin)) => out = Some(f(lin)),
+        (Some(_), ParamRef::Vector(_)) => panic!("the first parameter is not linear"),
+        (None, _) => {}
+    });
+    out.expect("the model has parameters")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -475,16 +486,10 @@ mod tests {
         m.zero_grad();
         m.backward(&g, &r);
         // Spot-check parameter gradient of the first linear param.
-        let analytic = match &mut m.params_mut()[0] {
-            ParamRef::Linear(p) => p.gw.get(0, 0),
-            ParamRef::Vector(_) => unreachable!("sage starts with linear"),
-        };
+        let analytic = with_first_linear(&mut m, |p| p.gw.get(0, 0));
         let eps = 1e-2f32;
         let bump = |m: &mut GnnModel, delta: f32| {
-            if let ParamRef::Linear(p) = &mut m.params_mut()[0] {
-                let v = p.w.get(0, 0);
-                p.w.set(0, 0, v + delta);
-            }
+            with_first_linear(m, |p| p.w.set(0, 0, p.w.get(0, 0) + delta));
         };
         bump(&mut m, eps);
         let lp = loss(&mut m, &x);
@@ -609,16 +614,10 @@ mod dropout_tests {
         let _ = loss(&mut m, &x);
         m.zero_grad();
         m.backward(&g, &r);
-        let analytic = match &mut m.params_mut()[0] {
-            ParamRef::Linear(p) => p.gw.get(0, 0),
-            ParamRef::Vector(_) => unreachable!(),
-        };
+        let analytic = with_first_linear(&mut m, |p| p.gw.get(0, 0));
         let eps = 1e-2f32;
         let bump = |m: &mut GnnModel, d: f32| {
-            if let ParamRef::Linear(p) = &mut m.params_mut()[0] {
-                let v = p.w.get(0, 0);
-                p.w.set(0, 0, v + d);
-            }
+            with_first_linear(m, |p| p.w.set(0, 0, p.w.get(0, 0) + d));
         };
         bump(&mut m, eps);
         let lp = loss(&mut m, &x);

@@ -5,8 +5,8 @@ use crate::layers::ParamRef;
 /// Adam optimizer with bias correction.
 ///
 /// Moment buffers are keyed by the position of each parameter in the
-/// model's stable `params_mut()` traversal order, so a single `Adam`
-/// instance must only ever be used with one model.
+/// model's stable `for_each_param_mut` traversal order, so a single
+/// `Adam` instance must only ever be used with one model.
 ///
 /// # Example
 ///
@@ -16,7 +16,7 @@ use crate::layers::ParamRef;
 /// let mut model = GnnModel::new(ModelKind::Gcn, 4, 8, 2, 2, 1);
 /// let mut opt = Adam::new(1e-2);
 /// // ... forward / backward ...
-/// opt.step(&mut model.params_mut());
+/// opt.step_with(|f| model.for_each_param_mut(f));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Adam {
@@ -47,27 +47,11 @@ impl Adam {
         self.lr = lr;
     }
 
-    /// Applies one update step to `params` using their accumulated
+    /// Applies one update step to the parameters `visit` streams (for
+    /// example `GnnModel::for_each_param_mut`) using their accumulated
     /// gradients, then leaves the gradients untouched (call
-    /// `zero_grad` on the model afterwards).
-    pub fn step(&mut self, params: &mut [ParamRef<'_>]) {
-        self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        let mut slot = 0usize;
-        for p in params.iter_mut() {
-            let p = match p {
-                ParamRef::Linear(lin) => ParamRef::Linear(lin),
-                ParamRef::Vector(vp) => ParamRef::Vector(vp),
-            };
-            self.apply_param(&mut slot, p, bc1, bc2);
-        }
-    }
-
-    /// Like [`Adam::step`], but streams parameters from `visit` (for
-    /// example `GnnModel::for_each_param_mut`) instead of collecting
-    /// them into a `Vec` first — the training hot path uses this form
-    /// so a steady-state step performs zero heap allocations.
+    /// `zero_grad` on the model afterwards). Nothing is collected, so a
+    /// steady-state step performs zero heap allocations.
     pub fn step_with(&mut self, visit: impl FnOnce(&mut dyn FnMut(ParamRef<'_>))) {
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
@@ -151,40 +135,6 @@ impl Adam {
     }
 }
 
-/// Plain SGD, used as a baseline and in tests.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f32,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer.
-    pub fn new(lr: f32) -> Self {
-        Sgd { lr }
-    }
-
-    /// Applies one gradient-descent step.
-    pub fn step(&self, params: &mut [ParamRef<'_>]) {
-        for p in params.iter_mut() {
-            match p {
-                ParamRef::Linear(lin) => {
-                    for (w, &g) in lin.w.as_mut_slice().iter_mut().zip(lin.gw.as_slice()) {
-                        *w -= self.lr * g;
-                    }
-                    for (b, &g) in lin.b.iter_mut().zip(&lin.gb) {
-                        *b -= self.lr * g;
-                    }
-                }
-                ParamRef::Vector(vp) => {
-                    for (w, &g) in vp.v.iter_mut().zip(&vp.g) {
-                        *w -= self.lr * g;
-                    }
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,22 +149,9 @@ mod tests {
         for _ in 0..200 {
             let w = p.w.get(0, 0);
             p.gw.set(0, 0, w);
-            opt.step(&mut [ParamRef::Linear(&mut p)]);
+            opt.step_with(|f| f(ParamRef::Linear(&mut p)));
         }
         assert!(p.w.get(0, 0).abs() < 0.05, "w = {}", p.w.get(0, 0));
-    }
-
-    #[test]
-    fn sgd_reduces_quadratic() {
-        let mut p = LinearParam::new_no_bias(1, 1, 1);
-        p.w.set(0, 0, 2.0);
-        let opt = Sgd::new(0.1);
-        for _ in 0..100 {
-            let w = p.w.get(0, 0);
-            p.gw.set(0, 0, w);
-            opt.step(&mut [ParamRef::Linear(&mut p)]);
-        }
-        assert!(p.w.get(0, 0).abs() < 1e-3);
     }
 
     #[test]
@@ -225,7 +162,7 @@ mod tests {
         for _ in 0..300 {
             p.gb[0] = p.b[0];
             p.gw.set(0, 0, 0.0);
-            opt.step(&mut [ParamRef::Linear(&mut p)]);
+            opt.step_with(|f| f(ParamRef::Linear(&mut p)));
         }
         assert!(p.b[0].abs() < 0.05, "b = {}", p.b[0]);
     }

@@ -86,7 +86,7 @@ proptest! {
         let w0 = p.w.get(0, 0);
         p.gw.set(0, 0, 1.0); // positive gradient
         let mut opt = Adam::new(lr);
-        opt.step(&mut [ParamRef::Linear(&mut p)]);
+        opt.step_with(|f| f(ParamRef::Linear(&mut p)));
         prop_assert!(p.w.get(0, 0) < w0, "positive grad must decrease w");
     }
 }

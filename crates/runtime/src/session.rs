@@ -41,7 +41,7 @@ use crate::backend::{
 use crate::config::TrainingConfig;
 use crate::perf::{Perf, PhaseBreakdown};
 use crate::RuntimeError;
-use gnnav_cache::{build_cache, Cache, CacheStats};
+use gnnav_cache::{build_cache, CacheStats, FeatureCache};
 use gnnav_faults::{FaultInjector, FaultKind, FaultPlan};
 use gnnav_graph::Dataset;
 use gnnav_hwsim::{CostModel, MemoryLedger, Platform, Precision, SimTime};
@@ -247,7 +247,7 @@ pub struct ExecutionSession<'d> {
     model: GnnModel,
     opt: Adam,
     rng: StdRng,
-    cache: Box<dyn Cache>,
+    cache: FeatureCache,
     sampler: Box<dyn Sampler>,
     /// The currently requested config (becomes the report's config).
     config: TrainingConfig,
