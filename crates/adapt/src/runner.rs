@@ -42,7 +42,7 @@ impl Default for AdaptOptions {
             max_switches: 3,
             observed_weight: 4,
             explore_budget: 120,
-            explore_seed: 0xDF5,
+            explore_seed: Explorer::DEFAULT_SEED,
         }
     }
 }

@@ -64,7 +64,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let pyg = perfs[0].1;
 
         // GNNavigator guidelines.
-        nav.prepare()?;
         let mut chosen: Vec<(String, String)> = Vec::new();
         // One walk of the design space, one decision per priority.
         let results = nav.generate_all(&RuntimeConstraints::none())?;

@@ -1,5 +1,6 @@
 //! The default command: profile → fit → explore → apply, printing the
-//! guideline next to the PyG baseline.
+//! guideline next to the PyG baseline. With `--explore-cache` holding
+//! the exploration, profile → fit → explore is one lookup.
 
 use crate::args::{write_file, Flags};
 use crate::USAGE;
@@ -188,6 +189,20 @@ fn report_store_open(
     eprintln!("{what} {path}: {loaded} {unit}(s) loaded");
 }
 
+/// Whether the navigator has fitted its gray-box estimator: only an
+/// exploration needs one, so a run the explore cache serves fits none.
+fn report_fit(nav: &Navigator) {
+    let records = nav.profile_db().len();
+    if records == 0 {
+        eprintln!("gray-box estimator not needed: no exploration ran");
+        return;
+    }
+    eprintln!("gray-box estimator fitted on {records} profile record(s)");
+    if let Some(store) = nav.profile_store() {
+        eprintln!("profile db now holds {} record(s)", store.len());
+    }
+}
+
 pub fn run(args: Args) -> Result<(), Box<dyn std::error::Error>> {
     let metrics = gnnavigator::obs::global();
     let tracing = args.trace_out.is_some() || args.trace_summary || args.flame_out.is_some();
@@ -257,13 +272,9 @@ pub fn run(args: Args) -> Result<(), Box<dyn std::error::Error>> {
         );
         nav = nav.with_explore_cache(cache);
     }
-    eprintln!("profiling design space + fitting gray-box estimator...");
-    nav.prepare()?;
-    if let Some(store) = nav.profile_store() {
-        eprintln!("profile db now holds {} record(s)", store.len());
-    }
-    eprintln!("exploring guidelines...");
+    eprintln!("exploring guidelines (profiling + fitting the gray-box estimator on a miss)...");
     let result = nav.generate_guideline(args.priority, &args.constraints)?;
+    report_fit(&nav);
     if let Some(cache) = nav.explore_cache() {
         if cache.hits() > 0 {
             eprintln!("explore cache hit: exploration skipped, cached result returned");
@@ -301,7 +312,11 @@ pub fn run(args: Args) -> Result<(), Box<dyn std::error::Error>> {
         if let Some(t) = args.drift_threshold {
             adapt.drift.threshold = t;
         }
+        let fitted = !nav.profile_db().is_empty();
         let outcome = nav.apply_adaptive(&result, &args.constraints, adapt)?;
+        if !fitted {
+            report_fit(&nav);
+        }
         if outcome.switches.is_empty() {
             if outcome.reexplorations == 0 {
                 eprintln!(

@@ -29,7 +29,8 @@
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let dataset = Dataset::load_scaled(DatasetId::OgbnProducts, 0.2)?;
 //! let mut nav = Navigator::new(dataset, Platform::default_rtx4090(), ModelKind::Sage);
-//! nav.prepare()?;
+//! // No `prepare()` needed: the estimator is fitted when an exploration
+//! // needs it.
 //! let result = nav.generate_guideline(Priority::ExTimeMemory,
 //!                                     &RuntimeConstraints::none())?;
 //! println!("guideline: {}", result.guideline.config.summary());
@@ -84,8 +85,6 @@ use std::fmt;
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum NavigatorError {
-    /// [`Navigator::prepare`] has not been called yet.
-    NotPrepared,
     /// A backend execution failed.
     Runtime(gnnav_runtime::RuntimeError),
     /// Estimator fitting failed.
@@ -101,9 +100,6 @@ pub enum NavigatorError {
 impl fmt::Display for NavigatorError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            NavigatorError::NotPrepared => {
-                write!(f, "navigator not prepared: call prepare() first")
-            }
             NavigatorError::Runtime(e) => write!(f, "runtime error: {e}"),
             NavigatorError::Estimator(e) => write!(f, "estimator error: {e}"),
             NavigatorError::Explorer(e) => write!(f, "explorer error: {e}"),
@@ -157,6 +153,6 @@ mod tests {
     fn error_impls() {
         fn assert_err<T: Error + Send>() {}
         assert_err::<NavigatorError>();
-        assert!(NavigatorError::NotPrepared.to_string().contains("prepare"));
+        assert!(NavigatorError::Pipeline("x".into()).to_string().contains("pipeline"));
     }
 }

@@ -4,7 +4,8 @@
 //!    (priorities + constraints), hardware platform.
 //! 2. **Prepare** — profile the design space on the runtime backend
 //!    (plus power-law data enhancement) and fit the gray-box
-//!    estimator.
+//!    estimator, on demand: only an exploration needs it, so a
+//!    navigation the exploration cache serves fits nothing.
 //! 3. **Explore** — generate training guidelines adapted to the
 //!    requirements.
 //! 4. **Apply** — execute a guideline on the backend and verify the
@@ -90,7 +91,7 @@ impl Default for NavigatorOptions {
 /// let mut nav = Navigator::new(dataset, Platform::default_rtx4090(), ModelKind::Sage)
 ///     // Optional: checkpoint `apply` every epoch and resume it if killed.
 ///     .with_checkpoints(DurabilityOptions::new("ckpts", 1));
-/// nav.prepare()?; // profile + fit the gray-box estimator
+/// // Profiles and fits the gray-box estimator first: nothing is cached.
 /// let result = nav.generate_guideline(Priority::Balance, &RuntimeConstraints::none())?;
 /// let report = nav.apply(&result.guideline)?;
 /// println!("measured: {} / {:.1} MB / {:.1}%",
@@ -109,9 +110,7 @@ pub struct Navigator {
     estimator: Option<GrayBoxEstimator>,
     profile_db: ProfileDb,
     profile_store: Option<ProfileStore>,
-    // RefCell: `generate_guideline` is `&self`, but a lookup/insert
-    // must meter the cache and append to its log.
-    explore_cache: Option<std::cell::RefCell<ExploreCache>>,
+    explore_cache: Option<ExploreCache>,
     checkpoints: Option<DurabilityOptions>,
 }
 
@@ -144,7 +143,9 @@ impl Navigator {
     /// skips every configuration the store already covers and appends
     /// each freshly profiled record, so repeat invocations against the
     /// same store re-profile nothing and still fit on a byte-identical
-    /// database.
+    /// database. A navigation the exploration cache serves in full
+    /// never prepares, so it leaves a partially filled store as it
+    /// found it.
     pub fn with_profile_store(mut self, store: ProfileStore) -> Self {
         self.profile_store = Some(store);
         self
@@ -159,20 +160,21 @@ impl Navigator {
     /// [`Navigator::generate_guideline`] and [`Navigator::generate_all`]
     /// fingerprint every exploration input and serve a cached
     /// [`ExplorationResult`] when the fingerprint matches, skipping the
-    /// DSE entirely — a repeat invocation returns the byte-identical
-    /// guideline for the price of a hash probe (the cost that remains
-    /// is reopening the log, one decode per walk however many
-    /// priorities were decided over it; see `explorer::cache`). Fresh
-    /// explorations are appended, a walk's first result whole and the
-    /// others as the few hundred bytes that differ.
+    /// DSE and the estimator fit entirely — a repeat invocation returns
+    /// the byte-identical guideline for the price of a hash probe (the
+    /// cost that remains is reopening the log, one decode per walk
+    /// however many priorities were decided over it; see
+    /// `explorer::cache`). Fresh explorations are appended, a walk's
+    /// first result whole and the others as the few hundred bytes that
+    /// differ.
     pub fn with_explore_cache(mut self, cache: ExploreCache) -> Self {
-        self.explore_cache = Some(std::cell::RefCell::new(cache));
+        self.explore_cache = Some(cache);
         self
     }
 
     /// The attached exploration cache, if any.
-    pub fn explore_cache(&self) -> Option<std::cell::Ref<'_, ExploreCache>> {
-        self.explore_cache.as_ref().map(|c| c.borrow())
+    pub fn explore_cache(&self) -> Option<&ExploreCache> {
+        self.explore_cache.as_ref()
     }
 
     /// Makes [`Navigator::apply`] and [`Navigator::apply_adaptive`]
@@ -198,47 +200,52 @@ impl Navigator {
         &self.platform
     }
 
-    /// The profile database collected by [`Navigator::prepare`].
+    /// The profile database the estimator was fitted on: empty until
+    /// [`Navigator::prepare`] runs, as it does after a navigation the
+    /// exploration cache served in full.
     pub fn profile_db(&self) -> &ProfileDb {
         &self.profile_db
     }
 
-    /// Profiles the design space and fits the gray-box estimator
-    /// (idempotent: subsequent calls refit on the accumulated
-    /// profiles).
+    /// Profiles the design space and fits the gray-box estimator, at
+    /// most once: a later call returns the same fit.
+    ///
+    /// Optional: [`generate_guideline`](Self::generate_guideline),
+    /// [`generate_all`](Self::generate_all) and
+    /// [`apply_adaptive`](Self::apply_adaptive) call it when they need
+    /// an estimator, and a navigation the exploration cache serves in
+    /// full never does. Call it to fit ahead of time or to read
+    /// [`Navigator::profile_db`].
     ///
     /// # Errors
     ///
-    /// Propagates profiling and fitting failures.
+    /// Propagates profiling and fitting failures; nothing is fitted
+    /// then, and the next call starts over.
     pub fn prepare(&mut self) -> Result<&GrayBoxEstimator, NavigatorError> {
-        let profiler = Profiler::new(self.backend.clone(), self.options.profile_exec.clone());
-        let configs =
-            self.options.space.sample(self.options.profile_samples, self.model, self.options.seed);
-        let mut store = self.profile_store.as_mut();
-        self.profile_db.merge(profiler.profile_through(
-            store.as_deref_mut(),
-            None,
-            &self.dataset,
-            &configs,
-        )?);
-        if self.options.augmentation_graphs > 0 {
-            let aug_configs = self.options.space.sample(
-                (self.options.profile_samples / 2).max(4),
-                self.model,
-                self.options.seed ^ 0xA06,
-            );
-            self.profile_db.merge(profiler.profile_augmentation(
-                store,
-                self.options.augmentation_graphs,
-                self.options.augmentation_nodes,
-                &aug_configs,
-                self.options.seed ^ 0x9999,
-            )?);
+        if self.estimator.is_none() {
+            let profiler = Profiler::new(self.backend.clone(), self.options.profile_exec.clone());
+            let o = &self.options;
+            let configs = o.space.sample(o.profile_samples, self.model, o.seed);
+            let mut store = self.profile_store.as_mut();
+            let mut db =
+                profiler.profile_through(store.as_deref_mut(), None, &self.dataset, &configs)?;
+            if o.augmentation_graphs > 0 {
+                let aug_configs =
+                    o.space.sample((o.profile_samples / 2).max(4), self.model, o.seed ^ 0xA06);
+                db.merge(profiler.profile_augmentation(
+                    store,
+                    o.augmentation_graphs,
+                    o.augmentation_nodes,
+                    &aug_configs,
+                    o.seed ^ 0x9999,
+                )?);
+            }
+            let mut estimator = GrayBoxEstimator::new();
+            estimator.fit(&db)?;
+            self.profile_db = db;
+            self.estimator = Some(estimator);
         }
-        let mut estimator = GrayBoxEstimator::new();
-        estimator.fit(&self.profile_db)?;
-        self.estimator = Some(estimator);
-        Ok(self.estimator.as_ref().expect("just set"))
+        Ok(self.estimator.as_ref().expect("fitted above"))
     }
 
     /// Everything the fitted estimator depends on beyond the dataset
@@ -257,20 +264,16 @@ impl Navigator {
         )
     }
 
-    /// The explorer over the fitted estimator.
-    fn explorer(&self) -> Result<Explorer<'_>, NavigatorError> {
-        let estimator = self.estimator.as_ref().ok_or(NavigatorError::NotPrepared)?;
-        Ok(Explorer::new(estimator, self.options.explore_budget)
-            .with_space(self.options.space.clone()))
+    /// The explorer over the estimator [`Navigator::prepare`] fitted.
+    fn explorer(&self) -> Explorer<'_> {
+        let estimator = self.estimator.as_ref().expect("prepare() runs before every exploration");
+        Explorer::new(estimator, self.options.explore_budget).with_space(self.options.space.clone())
     }
 
-    /// The exploration-cache key of `explorer`'s result for `priority`.
-    fn fingerprint(
-        &self,
-        explorer: &Explorer<'_>,
-        priority: Priority,
-        constraints: &RuntimeConstraints,
-    ) -> u64 {
+    /// The exploration-cache key of the result for `priority`: a
+    /// function of the inputs and options alone, so it is known before
+    /// anything is fitted.
+    fn fingerprint(&self, priority: Priority, constraints: &RuntimeConstraints) -> u64 {
         explore_fingerprint(
             &self.dataset,
             &self.platform,
@@ -278,42 +281,63 @@ impl Navigator {
             &self.options.space,
             priority,
             constraints,
-            explorer.budget(),
-            explorer.seed(),
+            self.options.explore_budget,
+            Explorer::DEFAULT_SEED,
             &self.estimator_salt(),
         )
+    }
+
+    /// The cached results for `fingerprints`, in order, if the attached
+    /// cache holds every one. Each fingerprint is looked up, so each is
+    /// metered as a hit or a miss.
+    fn lookup(&mut self, fingerprints: &[u64]) -> Option<Vec<ExplorationResult>> {
+        let cache = self.explore_cache.as_mut()?;
+        let hits: Vec<_> =
+            fingerprints.iter().filter_map(|&fp| cache.lookup(fp).cloned()).collect();
+        (hits.len() == fingerprints.len()).then_some(hits)
+    }
+
+    /// Appends fresh results to the attached cache, if any; a
+    /// fingerprint that hit is skipped by the insert itself.
+    fn append(
+        &mut self,
+        fingerprints: &[u64],
+        results: &[ExplorationResult],
+    ) -> Result<(), NavigatorError> {
+        let Some(cache) = self.explore_cache.as_mut() else { return Ok(()) };
+        for (&fingerprint, result) in fingerprints.iter().zip(results) {
+            cache
+                .insert(fingerprint, result)
+                .map_err(|e| NavigatorError::Pipeline(e.to_string()))?;
+        }
+        Ok(())
     }
 
     /// Generates the guideline for one priority.
     ///
     /// With an attached [`ExploreCache`], a fingerprint hit returns the
-    /// cached result without running the DSE; a miss explores and
-    /// appends the fresh result.
+    /// cached result without fitting or running the DSE; a miss
+    /// [prepares](Navigator::prepare), explores and appends the fresh
+    /// result.
     ///
     /// # Errors
     ///
-    /// Returns [`NavigatorError::NotPrepared`] before
-    /// [`Navigator::prepare`], or exploration / cache-append failures.
+    /// Propagates profiling, fitting, exploration and cache-append
+    /// failures.
     pub fn generate_guideline(
-        &self,
+        &mut self,
         priority: Priority,
         constraints: &RuntimeConstraints,
     ) -> Result<ExplorationResult, NavigatorError> {
-        let explorer = self.explorer()?;
-        let explore =
-            || explorer.explore(&self.dataset, &self.platform, self.model, priority, constraints);
-        let Some(cache) = &self.explore_cache else {
-            return Ok(explore()?);
-        };
-        let fingerprint = self.fingerprint(&explorer, priority, constraints);
-        if let Some(result) = cache.borrow_mut().lookup(fingerprint) {
-            return Ok(result.clone());
+        let fingerprint = self.fingerprint(priority, constraints);
+        if let Some(hit) = self.lookup(&[fingerprint]).and_then(|mut hits| hits.pop()) {
+            return Ok(hit);
         }
-        let result = explore()?;
-        cache
-            .borrow_mut()
-            .insert(fingerprint, &result)
-            .map_err(|e| NavigatorError::Pipeline(e.to_string()))?;
+        self.prepare()?;
+        let (dataset, platform) = (&self.dataset, &self.platform);
+        let result =
+            self.explorer().explore(dataset, platform, self.model, priority, constraints)?;
+        self.append(&[fingerprint], std::slice::from_ref(&result))?;
         Ok(result)
     }
 
@@ -325,36 +349,24 @@ impl Navigator {
     /// priority.
     ///
     /// With an attached [`ExploreCache`], four fingerprint hits skip
-    /// the DSE; on any miss the space is walked once and the results
-    /// that missed are appended.
+    /// the fit and the DSE; on any miss the space is walked once and
+    /// the results that missed are appended.
     ///
     /// # Errors
     ///
     /// Same contract as [`generate_guideline`](Self::generate_guideline).
     pub fn generate_all(
-        &self,
+        &mut self,
         constraints: &RuntimeConstraints,
     ) -> Result<Vec<ExplorationResult>, NavigatorError> {
-        let explorer = self.explorer()?;
-        let explore_all =
-            || explorer.explore_all(&self.dataset, &self.platform, self.model, constraints);
-        let Some(cache) = &self.explore_cache else {
-            return Ok(explore_all()?);
-        };
-        let mut cache = cache.borrow_mut();
-        let fingerprints = Priority::ALL.map(|p| self.fingerprint(&explorer, p, constraints));
-        let cached: Vec<_> =
-            fingerprints.iter().filter_map(|&fp| cache.lookup(fp).cloned()).collect();
-        if cached.len() == fingerprints.len() {
-            return Ok(cached);
+        let fingerprints = Priority::ALL.map(|p| self.fingerprint(p, constraints));
+        if let Some(hits) = self.lookup(&fingerprints) {
+            return Ok(hits);
         }
-        let results = explore_all()?;
-        for (&fingerprint, result) in fingerprints.iter().zip(&results) {
-            // A fingerprint that hit is skipped by the insert itself.
-            cache
-                .insert(fingerprint, result)
-                .map_err(|e| NavigatorError::Pipeline(e.to_string()))?;
-        }
+        self.prepare()?;
+        let results =
+            self.explorer().explore_all(&self.dataset, &self.platform, self.model, constraints)?;
+        self.append(&fingerprints, &results)?;
         Ok(results)
     }
 
@@ -384,20 +396,20 @@ impl Navigator {
     /// on the same guideline: both are the same epoch loop over the
     /// same execution session.
     ///
+    /// A re-exploration refits on [`Navigator::profile_db`], so this
+    /// [prepares](Navigator::prepare) first if nothing has yet.
+    ///
     /// # Errors
     ///
-    /// Returns [`NavigatorError::NotPrepared`] before
-    /// [`Navigator::prepare`]; otherwise propagates backend, refit,
-    /// re-exploration, and checkpoint-store failures.
+    /// Propagates profiling, fitting, backend, refit, re-exploration,
+    /// and checkpoint-store failures.
     pub fn apply_adaptive(
-        &self,
+        &mut self,
         exploration: &ExplorationResult,
         constraints: &RuntimeConstraints,
         adapt: AdaptOptions,
     ) -> Result<AdaptiveReport, NavigatorError> {
-        if self.estimator.is_none() {
-            return Err(NavigatorError::NotPrepared);
-        }
+        self.prepare()?;
         let runner = AdaptiveRunner::new(self.platform.clone(), adapt);
         let (dataset, db, exec) = (&self.dataset, &self.profile_db, &self.options.apply_exec);
         Ok(match &self.checkpoints {
@@ -466,12 +478,31 @@ mod tests {
     }
 
     #[test]
-    fn guideline_requires_prepare() {
-        let nav = fast_navigator();
-        assert!(matches!(
-            nav.generate_guideline(Priority::Balance, &RuntimeConstraints::none()),
-            Err(NavigatorError::NotPrepared)
-        ));
+    fn a_guideline_needs_no_prepare() {
+        let none = RuntimeConstraints::none();
+        let mut prepared = fast_navigator();
+        prepared.prepare().expect("prepare");
+        let expected = prepared.generate_guideline(Priority::Balance, &none).expect("prepared");
+
+        let mut lazy = fast_navigator();
+        let result = lazy.generate_guideline(Priority::Balance, &none).expect("fits on demand");
+        assert_eq!(format!("{result:?}"), format!("{expected:?}"), "byte-identical");
+        assert_eq!(lazy.profile_db().len(), prepared.profile_db().len());
+    }
+
+    #[test]
+    fn prepare_fits_once() {
+        let mut nav = fast_navigator();
+        let ctx = gnnav_estimator::Context::new(
+            nav.dataset(),
+            nav.platform(),
+            Template::Pyg.config(ModelKind::Sage),
+        );
+        let first = format!("{:?}", nav.prepare().expect("first").predict(&ctx));
+        let records = nav.profile_db().len();
+        let second = format!("{:?}", nav.prepare().expect("second").predict(&ctx));
+        assert_eq!(nav.profile_db().len(), records, "a second prepare merges nothing");
+        assert_eq!(second, first, "and fits nothing: the same estimate, bit for bit");
     }
 
     #[test]
@@ -533,13 +564,12 @@ mod tests {
         assert_eq!(cold.explore_cache().expect("cache").hits(), 1);
         assert_eq!(format!("{again:?}"), format!("{cold_result:?}"));
 
-        // Fresh process equivalent: reopen the log, re-prepare, and the
-        // exploration is skipped outright — byte-identical result,
+        // Fresh process equivalent: reopen the log, and the fit and the
+        // exploration are skipped outright — byte-identical result,
         // zero candidates evaluated by this navigator.
         let cache = ExploreCache::open(&cache_path).expect("open warm");
         assert_eq!(cache.len(), 1, "result survives reopen");
         let mut warm = fast_navigator().with_explore_cache(cache);
-        warm.prepare().expect("warm prepare");
         let warm_result =
             warm.generate_guideline(Priority::Balance, &RuntimeConstraints::none()).expect("warm");
         {
@@ -548,16 +578,49 @@ mod tests {
             assert_eq!(cache.misses(), 0);
             assert_eq!(cache.inserts(), 0, "nothing re-explored, nothing appended");
         }
+        assert!(warm.profile_db().is_empty(), "nothing profiled, nothing fitted");
         assert_eq!(format!("{warm_result:?}"), format!("{cold_result:?}"), "byte-identical");
 
-        // A different priority is a different fingerprint: no false hit.
+        // A different priority is a different fingerprint: no false hit,
+        // and the miss fits on demand.
         let _ = warm
             .generate_guideline(Priority::ExTimeMemory, &RuntimeConstraints::none())
             .expect("other priority");
+        assert_eq!(warm.profile_db().len(), cold.profile_db().len());
         let cache = warm.explore_cache().expect("cache");
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.inserts(), 1);
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_adaptive_run_after_a_cache_hit_needs_no_prepare() {
+        let dir = std::env::temp_dir().join(format!("gnnav-nav-adapt-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let cache_path = dir.join("explore.wal");
+        let _ = std::fs::remove_file(&cache_path);
+        let none = RuntimeConstraints::none();
+        // The one wall-clock field of a report is advisory.
+        let render = |mut report: AdaptiveReport| {
+            report.switches.iter_mut().for_each(|s| s.reexplore_wall_ms = 0.0);
+            format!("{report:?}")
+        };
+
+        let cache = ExploreCache::open(&cache_path).expect("open cold");
+        let mut cold = fast_navigator().with_explore_cache(cache);
+        cold.prepare().expect("prepare");
+        let explored = cold.generate_guideline(Priority::Balance, &none).expect("cold");
+        let expected = cold.apply_adaptive(&explored, &none, AdaptOptions::default());
+
+        let cache = ExploreCache::open(&cache_path).expect("open warm");
+        let mut warm = fast_navigator().with_explore_cache(cache);
+        let served = warm.generate_guideline(Priority::Balance, &none).expect("warm");
+        assert_eq!(warm.explore_cache().expect("cache").hits(), 1);
+        assert!(warm.profile_db().is_empty(), "the hit fitted nothing");
+        let report = warm.apply_adaptive(&served, &none, AdaptOptions::default());
+        assert_eq!(render(report.expect("fits on demand")), render(expected.expect("prepared")));
 
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -577,7 +640,6 @@ mod tests {
         let none = RuntimeConstraints::none();
 
         let mut nav = fast_navigator().with_explore_cache(ExploreCache::open(&path).expect("open"));
-        nav.prepare().expect("prepare");
         let uninterrupted = format!("{:?}", nav.generate_all(&none).expect("generate all"));
         assert_eq!(nav.explore_cache().expect("cache").inserts(), 4);
         let log = std::fs::read(&path).expect("read");

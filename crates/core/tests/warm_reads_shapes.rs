@@ -1,8 +1,9 @@
 //! A repeat navigation decides from the dataset's shape alone: with
 //! both stores populated by a cold run, a freshly loaded `Navigator`
-//! profiles nothing, explores nothing, returns the cold run's results,
-//! and never synthesizes the dataset's features — the first read after
-//! the navigation is the one that allocates the matrix.
+//! profiles nothing, fits nothing, explores nothing, returns the cold
+//! run's results, and never synthesizes the dataset's features — the
+//! first read after the navigation is the one that allocates the
+//! matrix.
 //!
 //! Lives in its own integration-test binary with one test: the
 //! allocation counters are process-wide, so the measured window must
@@ -12,9 +13,13 @@ use gnnavigator::estimator::ProfileStore;
 use gnnavigator::graph::{Dataset, DatasetId};
 use gnnavigator::hwsim::Platform;
 use gnnavigator::nn::ModelKind;
-use gnnavigator::obs::alloc;
+use gnnavigator::obs::{alloc, names as metric};
 use gnnavigator::{ExploreCache, Navigator, NavigatorOptions, RuntimeConstraints};
 use std::path::Path;
+
+fn counter(name: &str) -> u64 {
+    gnnavigator::obs::global().snapshot().counters.get(name).copied().unwrap_or(0)
+}
 
 fn navigator(dir: &Path) -> Navigator {
     let options = NavigatorOptions {
@@ -48,11 +53,17 @@ fn a_warm_navigation_never_draws_the_features() {
 
     let mut nav = navigator(&dir);
     let stored = nav.profile_store().map_or(0, ProfileStore::len);
-    nav.prepare().expect("warm prepare");
+    gnnavigator::obs::global().enable(true);
+    let before = [metric::ESTIMATOR_FITS, metric::PROFILER_RECORDS].map(counter);
     let results = nav.generate_all(&none).expect("warm generate");
+    let after = [metric::ESTIMATOR_FITS, metric::PROFILER_RECORDS].map(counter);
+    gnnavigator::obs::global().enable(false);
     assert_eq!(nav.profile_store().map_or(0, ProfileStore::len), stored, "profiled 0");
     assert_eq!(nav.explore_cache().map_or(u64::MAX, |c| c.inserts()), 0, "inserted 0");
     assert!(format!("{results:?}") == cold, "the warm results are the cold run's");
+    assert_eq!(after[0] - before[0], 0, "fitted 0");
+    assert_eq!(after[1] - before[1], 0, "replayed 0 profile records");
+    assert!(nav.profile_db().is_empty(), "no estimator was needed");
 
     let dataset = nav.dataset();
     let matrix_bytes = (dataset.num_nodes() * dataset.feat_dim() * 4) as u64;

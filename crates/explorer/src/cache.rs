@@ -44,10 +44,12 @@
 //! a few microseconds; reopening the log is a CRC check per frame and
 //! a decode per walk, 13–16 ms for 64 budget-400 walks and 0.84 ms for
 //! the one budget-2 000 walk (554 KB) and three decisions of a
-//! navigation. A whole repeat navigation over all four priorities —
-//! load the dataset, open both stores, refit, look up — is 10.8 ms at
-//! the median (`warm_navigate`), 0.95 ms of it opening the stores;
-//! EXPERIMENTS.md "One walk, four decisions" has the stage split.
+//! navigation. The fingerprint needs no fitted estimator, so a repeat
+//! navigation over all four priorities through `Navigator` loads the
+//! dataset, opens both stores and looks up four fingerprints: it
+//! neither replays the profile store nor refits. EXPERIMENTS.md "One
+//! walk, four decisions" has the stage split of the path that still
+//! refits.
 //!
 //! Durability semantics match the profile store's: torn tails are
 //! truncated and checksum-failed frames dropped at WAL open; a

@@ -83,10 +83,20 @@ pub struct Explorer<'a> {
 }
 
 impl<'a> Explorer<'a> {
+    /// The traversal seed of [`Explorer::new`]: known without an
+    /// estimator, so an exploration-cache fingerprint can be computed
+    /// before anything is fitted.
+    pub const DEFAULT_SEED: u64 = 0xDF5;
+
     /// Creates an explorer over the standard design space with the
     /// given (fitted) estimator and leaf-evaluation budget.
     pub fn new(estimator: &'a GrayBoxEstimator, budget: usize) -> Self {
-        Explorer { estimator, space: Arc::new(DesignSpace::standard()), budget, seed: 0xDF5 }
+        Explorer {
+            estimator,
+            space: Arc::new(DesignSpace::standard()),
+            budget,
+            seed: Self::DEFAULT_SEED,
+        }
     }
 
     /// Replaces the design space, taken by value or already shared

@@ -2,7 +2,8 @@
 
 use crate::MlError;
 
-/// A dense `(X, y)` regression table with named feature columns.
+/// A dense `(X, y)` regression table of a fixed number of feature
+/// columns.
 ///
 /// # Example
 ///
@@ -10,7 +11,7 @@ use crate::MlError;
 /// use gnnav_ml::Table;
 ///
 /// # fn main() -> Result<(), gnnav_ml::MlError> {
-/// let mut t = Table::new(vec!["x0".into(), "x1".into()]);
+/// let mut t = Table::with_dims(2);
 /// t.push_row(&[1.0, 2.0], 3.0)?;
 /// t.push_row(&[2.0, 0.5], 2.5)?;
 /// assert_eq!(t.num_rows(), 2);
@@ -19,20 +20,15 @@ use crate::MlError;
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Table {
-    feature_names: Vec<String>,
+    num_features: usize,
     x: Vec<f64>,
     y: Vec<f64>,
 }
 
 impl Table {
-    /// Creates an empty table with the given feature columns.
-    pub fn new(feature_names: Vec<String>) -> Self {
-        Table { feature_names, x: Vec::new(), y: Vec::new() }
-    }
-
-    /// Creates a table with anonymous feature names `f0..f{n}`.
+    /// Creates an empty table of `num_features` feature columns.
     pub fn with_dims(num_features: usize) -> Self {
-        Table::new((0..num_features).map(|i| format!("f{i}")).collect())
+        Table { num_features, x: Vec::new(), y: Vec::new() }
     }
 
     /// Appends one observation.
@@ -43,9 +39,9 @@ impl Table {
     /// not match the table width, and [`MlError::NonFinite`] if any
     /// value is NaN or infinite.
     pub fn push_row(&mut self, features: &[f64], target: f64) -> Result<(), MlError> {
-        if features.len() != self.feature_names.len() {
+        if features.len() != self.num_features {
             return Err(MlError::DimensionMismatch {
-                expected: self.feature_names.len(),
+                expected: self.num_features,
                 got: features.len(),
             });
         }
@@ -64,7 +60,7 @@ impl Table {
 
     /// Number of feature columns.
     pub fn num_features(&self) -> usize {
-        self.feature_names.len()
+        self.num_features
     }
 
     /// Whether the table has no rows.
@@ -96,11 +92,6 @@ impl Table {
         &self.y
     }
 
-    /// Feature column names.
-    pub fn feature_names(&self) -> &[String] {
-        &self.feature_names
-    }
-
     /// A new table containing only the rows at `indices` (duplicates
     /// allowed: used for bootstrap resampling).
     ///
@@ -108,7 +99,7 @@ impl Table {
     ///
     /// Panics if an index is out of range.
     pub fn select_rows(&self, indices: &[usize]) -> Table {
-        let mut out = Table::new(self.feature_names.clone());
+        let mut out = Table::with_dims(self.num_features);
         for &i in indices {
             out.x.extend_from_slice(self.row(i));
             out.y.push(self.y[i]);
@@ -123,8 +114,8 @@ impl Table {
     ///
     /// Panics if a column index is out of range.
     pub fn select_columns(&self, cols: &[usize]) -> Table {
-        let names = cols.iter().map(|&c| self.feature_names[c].clone()).collect();
-        let mut out = Table::new(names);
+        assert!(cols.iter().all(|&c| c < self.num_features), "column out of range");
+        let mut out = Table::with_dims(cols.len());
         for i in 0..self.num_rows() {
             let row = self.row(i);
             out.x.extend(cols.iter().map(|&c| row[c]));
@@ -205,7 +196,6 @@ mod tests {
         let s = t.select_columns(&[1]);
         assert_eq!(s.num_features(), 1);
         assert_eq!(s.row(0), &[10.0]);
-        assert_eq!(s.feature_names(), &["f1".to_string()]);
     }
 
     #[test]

@@ -14,23 +14,21 @@
 //! - [`RandomForestRegressor`] — bagged CART for the noisy accuracy
 //!   response.
 //!
-//! Plus [`Table`] data handling, [`metrics`] (R², MSE, MAE — the
-//! paper's Tab. 2 metrics), and [`split`] utilities.
+//! Plus [`Table`] data handling and [`metrics`] (R² and MSE — the
+//! paper's Tab. 2 metrics).
 
 pub mod dataset;
 pub mod forest;
 pub mod linear;
 pub mod metrics;
 pub mod regressor;
-pub mod split;
 pub mod tree;
 
 pub use dataset::Table;
 pub use forest::{ForestParams, RandomForestRegressor};
-pub use linear::{log1p_features, RidgeRegressor};
-pub use metrics::{mae, mse, r2_score};
+pub use linear::RidgeRegressor;
+pub use metrics::{mse, r2_score};
 pub use regressor::Regressor;
-pub use split::{k_fold_indices, train_test_split};
 pub use tree::{DecisionTreeRegressor, TreeParams};
 
 use std::error::Error;

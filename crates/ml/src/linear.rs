@@ -193,13 +193,6 @@ fn cholesky_solve(a: &[f64], b: &[f64], d: usize) -> Result<Vec<f64>, MlError> {
     Ok(x)
 }
 
-/// Applies `ln(1 + v)` to every feature (and optionally the target) —
-/// the transform that turns the estimator's multiplicative analytic
-/// skeletons (Eq. 12) into linear-regression problems.
-pub fn log1p_features(features: &[f64]) -> Vec<f64> {
-    features.iter().map(|&v| (1.0 + v.max(0.0)).ln()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,14 +245,6 @@ mod tests {
     fn predict_before_fit_panics() {
         let m = RidgeRegressor::new(1.0);
         let _ = m.predict(&[1.0]);
-    }
-
-    #[test]
-    fn log1p_transform() {
-        let f = log1p_features(&[0.0, std::f64::consts::E - 1.0, -5.0]);
-        assert!((f[0]).abs() < 1e-12);
-        assert!((f[1] - 1.0).abs() < 1e-12);
-        assert_eq!(f[2], 0.0, "negative clamped to ln(1)");
     }
 
     #[test]

@@ -40,17 +40,6 @@ pub fn mse(truth: &[f64], pred: &[f64]) -> f64 {
     truth.iter().zip(pred).map(|(t, p)| (t - p).powi(2)).sum::<f64>() / truth.len() as f64
 }
 
-/// Mean absolute error.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths or are empty.
-pub fn mae(truth: &[f64], pred: &[f64]) -> f64 {
-    assert_eq!(truth.len(), pred.len(), "length mismatch");
-    assert!(!truth.is_empty(), "empty input");
-    truth.iter().zip(pred).map(|(t, p)| (t - p).abs()).sum::<f64>() / truth.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -60,7 +49,6 @@ mod tests {
         let y = [1.0, 2.0, 3.0];
         assert_eq!(r2_score(&y, &y), 1.0);
         assert_eq!(mse(&y, &y), 0.0);
-        assert_eq!(mae(&y, &y), 0.0);
     }
 
     #[test]
@@ -85,11 +73,10 @@ mod tests {
     }
 
     #[test]
-    fn mse_and_mae_values() {
+    fn mse_values() {
         let y = [0.0, 0.0];
         let p = [1.0, -3.0];
         assert_eq!(mse(&y, &p), 5.0);
-        assert_eq!(mae(&y, &p), 2.0);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Property-based tests for the regression substrate.
 
 use gnnav_ml::{
-    mse, r2_score, train_test_split, DecisionTreeRegressor, Regressor, RidgeRegressor, Table,
-    TreeParams,
+    mse, r2_score, DecisionTreeRegressor, Regressor, RidgeRegressor, Table, TreeParams,
 };
 use proptest::prelude::*;
 
@@ -59,17 +58,5 @@ proptest! {
         let p = m.predict(&[50.0]);
         let expected = slope * 50.0 + intercept;
         prop_assert!((p - expected).abs() < 1e-3 * (1.0 + expected.abs()), "{p} vs {expected}");
-    }
-
-    #[test]
-    fn split_partitions_rows(frac in 0.1f64..0.9, n in 10usize..80) {
-        let mut t = Table::with_dims(1);
-        for i in 0..n {
-            t.push_row(&[i as f64], i as f64).expect("ok");
-        }
-        let (train, test) = train_test_split(&t, frac, 3);
-        prop_assert_eq!(train.num_rows() + test.num_rows(), n);
-        prop_assert!(test.num_rows() >= 1);
-        prop_assert!(train.num_rows() >= 1);
     }
 }

@@ -238,7 +238,7 @@ fn agg_nodes_per_chunk(g: &Graph, d: usize) -> usize {
 
 /// The forward (out-degree) schedule of `g` clamped to output rows
 /// `0..rows`, as `(group count, groups)` for
-/// [`gnnav_par::par_for_weighted_tasks_lazy`]. At `rows ==
+/// [`gnnav_par::par_for_weighted_tasks`]. At `rows ==
 /// g.num_nodes()` these are the cached groups themselves.
 fn fwd_groups(g: &Graph, rows: usize) -> (usize, impl Iterator<Item = AggGroup> + '_) {
     let (whole, cut) = g.agg_schedule().fwd.prefix(rows, |v| g.degree(v as NodeId));
@@ -276,7 +276,7 @@ struct AggTask<'a> {
 /// Carves the row-major `n x d` output `out` into one [`AggTask`] per
 /// schedule group (heavy groups additionally split into [`FEAT_TILE`]
 /// column tiles when `d` is wide), streamed to `emit` weighted for
-/// [`gnnav_par::par_for_weighted_tasks_lazy`]. Group boundaries come
+/// [`gnnav_par::par_for_weighted_tasks`]. Group boundaries come
 /// from the graph's cached degree schedule, so tasks are a pure
 /// function of the graph and `d` — never of the thread count.
 fn schedule_tasks<'a>(
@@ -311,7 +311,7 @@ fn schedule_tasks<'a>(
 /// schedule's group boundaries, where node `i`'s data spans
 /// `a_off(i)..a_off(i+1)` in `a` (resp. `b_off` in `b`). Streams
 /// weighted `(v0, v1, a_window, b_window)` tasks to `emit` for
-/// [`gnnav_par::par_for_weighted_tasks_lazy`].
+/// [`gnnav_par::par_for_weighted_tasks`].
 #[allow(clippy::type_complexity)]
 fn split_two_by_groups<'a>(
     groups: impl Iterator<Item = AggGroup>,
@@ -371,7 +371,7 @@ pub fn gcn_aggregate_into(g: &Graph, x: MatrixView<'_>, out: &mut Matrix) {
     }
     let (len, groups) = fwd_groups(g, out_rows);
     let out = out.as_mut_slice();
-    gnnav_par::par_for_weighted_tasks_lazy(
+    gnnav_par::par_for_weighted_tasks(
         len,
         |emit| schedule_tasks(groups, d, out, emit),
         AGG_GRAIN_WORK,
@@ -432,7 +432,7 @@ pub fn mean_aggregate_into(g: &Graph, x: MatrixView<'_>, out: &mut Matrix) {
     }
     let (len, groups) = fwd_groups(g, out_rows);
     let out = out.as_mut_slice();
-    gnnav_par::par_for_weighted_tasks_lazy(
+    gnnav_par::par_for_weighted_tasks(
         len,
         |emit| schedule_tasks(groups, d, out, emit),
         AGG_GRAIN_WORK,
@@ -498,7 +498,7 @@ pub fn mean_aggregate_backward_into(g: &Graph, grad_out: &Matrix, out: &mut Matr
     // Backward gathers walk in-edges, so grouping follows in-degrees.
     let (len, groups) = bwd_groups(g);
     let out = out.as_mut_slice();
-    gnnav_par::par_for_weighted_tasks_lazy(
+    gnnav_par::par_for_weighted_tasks(
         len,
         |emit| schedule_tasks(groups, d, out, emit),
         AGG_GRAIN_WORK,
@@ -908,7 +908,7 @@ impl Layer for GatLayer {
             let alpha_off = &alpha_off;
             let (len, groups) = fwd_groups(g, out_rows);
             let alpha_out = alpha.as_mut_slice();
-            gnnav_par::par_for_weighted_tasks_lazy(
+            gnnav_par::par_for_weighted_tasks(
                 len,
                 |emit| {
                     let mut rest = alpha_out;
@@ -946,7 +946,7 @@ impl Layer for GatLayer {
             let alpha_off = &alpha_off;
             let (len, groups) = fwd_groups(g, out_rows);
             let out = out.as_mut_slice();
-            gnnav_par::par_for_weighted_tasks_lazy(
+            gnnav_par::par_for_weighted_tasks(
                 len,
                 |emit| schedule_tasks(groups, d, out, emit),
                 AGG_GRAIN_WORK,
@@ -1014,7 +1014,7 @@ impl Layer for GatLayer {
             let (len, groups) = fwd_groups(g, out_rows);
             let dpre_out = dpre.as_mut_slice();
             let dsr_out = &mut ds_r[..out_rows];
-            gnnav_par::par_for_weighted_tasks_lazy(
+            gnnav_par::par_for_weighted_tasks(
                 len,
                 |emit| {
                     split_two_by_groups(groups, dpre_out, |i| alpha_off[i], dsr_out, |i| i, emit)
@@ -1065,7 +1065,7 @@ impl Layer for GatLayer {
             let (len, groups) = bwd_groups(g);
             let dz_out = dz.as_mut_slice();
             let dsl_out = ds_l.as_mut_slice();
-            gnnav_par::par_for_weighted_tasks_lazy(
+            gnnav_par::par_for_weighted_tasks(
                 len,
                 |emit| split_two_by_groups(groups, dz_out, |i| i * d, dsl_out, |i| i, emit),
                 AGG_GRAIN_SPAN,

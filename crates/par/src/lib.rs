@@ -277,12 +277,20 @@ where
     .expect("pool worker panicked");
 }
 
-/// Runs `f` over every `(weight, task)` pair, in contiguous ascending
-/// runs of roughly equal *total weight* distributed across the worker
-/// budget. Weighted scheduling is what the degree-bucketed aggregation
-/// schedules need: groups carry wildly uneven work (a hub row vs. a
-/// batch of leaves), so splitting by task *count* would leave one
-/// worker holding all the heavy groups.
+/// Runs `f` over every `(weight, task)` pair `build` emits, in
+/// contiguous ascending runs of roughly equal *total weight* distributed
+/// across the worker budget. Weighted scheduling is what the
+/// degree-bucketed aggregation schedules need: groups carry wildly
+/// uneven work (a hub row vs. a batch of leaves), so splitting by task
+/// *count* would leave one worker holding all the heavy groups.
+///
+/// `build` streams the pairs in schedule order into the sink it is
+/// handed. When the pool cannot go parallel at all (single-thread
+/// budget or a nested region), each task runs inline as it is emitted
+/// and nothing is collected — a serial weighted region performs zero
+/// heap allocation, which the runtime's allocation-telemetry gate
+/// measures. Otherwise the pairs are collected with `len_hint` capacity
+/// and carved into runs.
 ///
 /// Each task executes exactly once, serially, inside one worker — only
 /// the run boundaries (never the task contents or any per-task
@@ -292,11 +300,30 @@ where
 /// `grain_weight` is the minimum total weight per worker before an
 /// extra worker is worth spawning. Zero-weight tasks are legal and run
 /// with whichever run they land in.
-pub fn par_for_weighted_tasks<T, F>(tasks: Vec<(u64, T)>, grain_weight: u64, f: F)
-where
+pub fn par_for_weighted_tasks<T, F>(
+    len_hint: usize,
+    build: impl FnOnce(&mut dyn FnMut(u64, T)),
+    grain_weight: u64,
+    f: F,
+) where
     T: Send,
     F: Fn(T) + Sync,
 {
+    if plan_width(usize::MAX, 1) <= 1 {
+        let mut any = false;
+        build(&mut |_w, task| {
+            any = true;
+            f(task);
+        });
+        // Same counter footprint as a collected region at width 1.
+        if any {
+            REGIONS.fetch_add(1, Ordering::Relaxed);
+            TASKS.fetch_add(1, Ordering::Relaxed);
+        }
+        return;
+    }
+    let mut tasks = Vec::with_capacity(len_hint);
+    build(&mut |w, task| tasks.push((w, task)));
     if tasks.is_empty() {
         return;
     }
@@ -339,7 +366,6 @@ where
     let width = runs.len();
     TASKS.fetch_add(width as u64, Ordering::Relaxed);
     if width <= 1 {
-        let _worker = ();
         for task in runs.remove(0) {
             f(task);
         }
@@ -365,41 +391,6 @@ where
         }
     })
     .expect("pool worker panicked");
-}
-
-/// Lazily built form of [`par_for_weighted_tasks`]: `build` streams
-/// `(weight, task)` pairs in schedule order into the sink it is
-/// handed. When the pool cannot go parallel at all (single-thread
-/// budget or a nested region), each task runs inline as it is emitted
-/// and nothing is collected — a serial weighted region performs zero
-/// heap allocation, which the runtime's allocation-telemetry gate
-/// measures. Otherwise the tasks are collected with `len_hint`
-/// capacity and scheduled exactly as [`par_for_weighted_tasks`].
-pub fn par_for_weighted_tasks_lazy<T, F>(
-    len_hint: usize,
-    build: impl FnOnce(&mut dyn FnMut(u64, T)),
-    grain_weight: u64,
-    f: F,
-) where
-    T: Send,
-    F: Fn(T) + Sync,
-{
-    if plan_width(usize::MAX, 1) <= 1 {
-        let mut any = false;
-        build(&mut |_w, task| {
-            any = true;
-            f(task);
-        });
-        // Same counter footprint as the collected path at width 1.
-        if any {
-            REGIONS.fetch_add(1, Ordering::Relaxed);
-            TASKS.fetch_add(1, Ordering::Relaxed);
-        }
-        return;
-    }
-    let mut tasks = Vec::with_capacity(len_hint);
-    build(&mut |w, task| tasks.push((w, task)));
-    par_for_weighted_tasks(tasks, grain_weight, f);
 }
 
 /// Maps `f(index, &item)` over `items` in parallel, returning results
@@ -523,6 +514,17 @@ mod tests {
         assert_eq!(after.tasks - before.tasks, 1);
     }
 
+    /// [`par_for_weighted_tasks`] over an already collected task list.
+    fn run_weighted<T: Send>(tasks: Vec<(u64, T)>, grain_weight: u64, f: impl Fn(T) + Sync) {
+        let len = tasks.len();
+        par_for_weighted_tasks(
+            len,
+            |emit| tasks.into_iter().for_each(|(w, t)| emit(w, t)),
+            grain_weight,
+            f,
+        );
+    }
+
     #[test]
     fn weighted_tasks_run_each_exactly_once() {
         let _guard = serialize();
@@ -531,7 +533,7 @@ mod tests {
         let tasks: Vec<(u64, usize)> =
             (0..53).map(|i| (if i == 0 { 10_000 } else { 3 }, i)).collect();
         with_thread_limit(4, || {
-            par_for_weighted_tasks(tasks, 1, |t| tx.send(t).expect("send"));
+            run_weighted(tasks, 1, |t| tx.send(t).expect("send"));
         });
         drop(tx);
         let mut seen: Vec<usize> = rx.into_iter().collect();
@@ -545,11 +547,11 @@ mod tests {
         // Empty task list, zero weights, fewer tasks than workers:
         // none of these may panic or drop a task.
         with_thread_limit(8, || {
-            par_for_weighted_tasks(Vec::<(u64, usize)>::new(), 1, |_| unreachable!());
+            run_weighted(Vec::<(u64, usize)>::new(), 1, |_| unreachable!());
         });
         let (tx, rx) = std::sync::mpsc::channel();
         with_thread_limit(8, || {
-            par_for_weighted_tasks(vec![(0u64, 1usize), (0, 2)], 1, |t| {
+            run_weighted(vec![(0u64, 1usize), (0, 2)], 1, |t| {
                 tx.send(t).expect("send");
             });
         });
@@ -559,7 +561,7 @@ mod tests {
         assert_eq!(seen, vec![1, 2]);
         let hit = std::sync::atomic::AtomicUsize::new(0);
         with_thread_limit(8, || {
-            par_for_weighted_tasks(vec![(7u64, ())], 1, |()| {
+            run_weighted(vec![(7u64, ())], 1, |()| {
                 hit.fetch_add(1, Ordering::SeqCst);
             });
         });
@@ -571,7 +573,7 @@ mod tests {
         let _guard = serialize();
         let before = stats();
         with_thread_limit(8, || {
-            par_for_weighted_tasks(vec![(1u64, 0usize), (1, 1), (1, 2)], 1_000, |_| {});
+            run_weighted(vec![(1u64, 0usize), (1, 1), (1, 2)], 1_000, |_| {});
         });
         let after = stats();
         assert_eq!(after.helpers_spawned, before.helpers_spawned);

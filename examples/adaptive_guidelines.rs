@@ -19,7 +19,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Scenario group 1: priorities on a datacenter GPU. ---
     let mut nav = Navigator::new(dataset.clone(), Platform::default_rtx4090(), ModelKind::Sage);
-    nav.prepare()?;
     println!("## Priorities on RTX 4090 (ogbn-products stand-in)\n");
     println!("{:<6} {:>12} {:>10} {:>9}  config", "prio", "time/epoch", "memory", "accuracy");
     // One walk of the design space, one decision per priority.
@@ -39,7 +38,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Scenario group 2: hard memory budget on an M90 edge box. ---
     println!("\n## Memory-constrained scenario on M90\n");
     let mut edge_nav = Navigator::new(dataset, Platform::default_m90(), ModelKind::Sage);
-    edge_nav.prepare()?;
     let unconstrained =
         edge_nav.generate_guideline(Priority::ExTimeAccuracy, &RuntimeConstraints::none())?;
     let baseline = edge_nav.apply(&unconstrained.guideline)?;

@@ -43,7 +43,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for platform in platforms {
         let name = platform.device.name.clone();
         let mut nav = Navigator::new(dataset.clone(), platform, ModelKind::Sage);
-        nav.prepare()?;
         let result = nav.generate_guideline(Priority::ExTimeMemory, &RuntimeConstraints::none())?;
         let report = nav.apply(&result.guideline)?;
         println!(

@@ -26,6 +26,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut nav = Navigator::new(dataset, Platform::default_rtx4090(), ModelKind::Sage);
 
     // 2. Profile the backend and fit the gray-box estimator (Step 2).
+    // Optional: `generate_guideline` fits on demand. Fitting here first
+    // lets us report the sweep.
     println!("profiling the design space and fitting the estimator...");
     nav.prepare()?;
     println!("profiled {} configurations", nav.profile_db().len());
