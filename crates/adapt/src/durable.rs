@@ -16,7 +16,7 @@ use gnnav_explorer::cache::{get_audit, get_estimate, put_audit, put_estimate};
 use gnnav_explorer::{AuditRecord, ExplorationResult};
 use gnnav_graph::Dataset;
 use gnnav_obs::names as metric;
-use gnnav_runtime::checkpoint::{get_config, put_config};
+use gnnav_runtime::checkpoint::{get_config, put_config, MIN_CONFIG_BYTES};
 use gnnav_runtime::{
     ExecutionOptions, ExecutionSession, RuntimeError, SessionCheckpoint, TrainingConfig,
 };
@@ -25,6 +25,15 @@ use gnnav_store::{ByteReader, ByteWriter, StoreError};
 /// Leading payload byte of an adaptive checkpoint — distinct from the
 /// runtime session tag so neither layer resumes from the other's file.
 pub const ADAPT_PAYLOAD_TAG: u8 = 2;
+
+/// Fewest bytes one encoded observed epoch takes: its config and
+/// eleven `f64` measurements.
+const MIN_OBSERVED_BYTES: usize = MIN_CONFIG_BYTES + 11 * 8;
+
+/// Fewest bytes one encoded switch takes: its epoch, two configs, the
+/// migration time, an estimate (five `f64`), the drift EWMA and the
+/// re-exploration time.
+const MIN_SWITCH_BYTES: usize = 8 + 2 * MIN_CONFIG_BYTES + 8 + 5 * 8 + 8 + 8;
 
 /// One observed epoch, stored as its config plus measurements; the
 /// [`Context`] is rebuilt from the dataset and platform at resume.
@@ -175,16 +184,16 @@ impl AdaptiveCheckpoint {
         let session_len = r.get_usize()?;
         let session = SessionCheckpoint::decode(r.get_raw(session_len)?)?;
         let predicted = get_estimate(&mut r)?;
-        let n = r.get_usize()?;
-        let mut seeds = Vec::with_capacity(n.min(1024));
+        let n = r.get_len(MIN_CONFIG_BYTES)?;
+        let mut seeds = Vec::with_capacity(n);
         for _ in 0..n {
             seeds.push(get_config(&mut r)?);
         }
         let ewma = if r.get_bool()? { Some(r.get_f64()?) } else { None };
         let streak = r.get_u32()?;
         let observed_epochs = r.get_u64()?;
-        let n = r.get_usize()?;
-        let mut observed = Vec::with_capacity(n.min(1024));
+        let n = r.get_len(MIN_OBSERVED_BYTES)?;
+        let mut observed = Vec::with_capacity(n);
         for _ in 0..n {
             observed.push(ObservedEpoch {
                 config: get_config(&mut r)?,
@@ -198,8 +207,8 @@ impl AdaptiveCheckpoint {
                 n_iter: r.get_f64()?,
             });
         }
-        let n = r.get_usize()?;
-        let mut switches = Vec::with_capacity(n.min(1024));
+        let n = r.get_len(MIN_SWITCH_BYTES)?;
+        let mut switches = Vec::with_capacity(n);
         for _ in 0..n {
             switches.push(crate::SwitchPlan {
                 epoch: r.get_usize()?,
@@ -211,8 +220,8 @@ impl AdaptiveCheckpoint {
                 reexplore_wall_ms: r.get_f64()?,
             });
         }
-        let n = r.get_usize()?;
-        let mut drift_scores = Vec::with_capacity(n.min(4096));
+        let n = r.get_len(8)?;
+        let mut drift_scores = Vec::with_capacity(n);
         for _ in 0..n {
             drift_scores.push(r.get_f64()?);
         }
@@ -428,6 +437,22 @@ mod tests {
         bad_action[at] = 99;
         let err = AdaptiveCheckpoint::decode(&bad_action).expect_err("bad action");
         assert!(err.to_string().contains("audit-action"));
+    }
+
+    #[test]
+    fn an_impossible_list_prefix_is_refused_where_it_is_read() {
+        // The seed count follows the tag, the session's length and
+        // bytes, and the predicted estimate (five `f64`).
+        let ckpt = sample_checkpoint();
+        let mut bytes = ckpt.encode();
+        let at = 1 + 8 + ckpt.session.encode().len() + 5 * 8;
+        assert_eq!(bytes[at..at + 8], 2u64.to_le_bytes(), "the seed count");
+        bytes[at..at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        let err = AdaptiveCheckpoint::decode(&bytes).expect_err("impossible prefix");
+        assert!(
+            matches!(&err, StoreError::Decode { detail } if detail.contains("length prefix 1099511627776")),
+            "{err}"
+        );
     }
 
     #[test]

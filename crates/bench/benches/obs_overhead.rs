@@ -10,9 +10,8 @@
 //! The `enabled` primitive group pins the cost ceiling of the hot
 //! recording paths: `observe` through the thread-local histogram-cell
 //! cache (one global-lock acquisition per name per thread, amortized
-//! to a TLS hash lookup), `observe` through a pre-registered
-//! [`gnnav_obs::Histogram`] handle (no lookup at all), and the
-//! name-keyed counter/span paths for comparison.
+//! to a TLS hash lookup) and the name-keyed counter/span paths for
+//! comparison.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use gnnav_graph::{Dataset, DatasetId};
@@ -65,14 +64,6 @@ fn bench_registry_enabled_paths(c: &mut Criterion) {
         // First call populates the thread-local cell cache; steady
         // state is a TLS HashMap hit plus one cell-mutex lock.
         b.iter(|| registry.observe(black_box("bench.hist"), black_box(1.5e-3)));
-    });
-    group.bench_function("enabled_observe_preregistered", |b| {
-        let hist = registry.histogram("bench.hist.handle");
-        b.iter(|| hist.observe(black_box(1.5e-3)));
-    });
-    group.bench_function("enabled_counter_preregistered", |b| {
-        let counter = registry.counter("bench.counter.handle");
-        b.iter(|| counter.add(black_box(1)));
     });
     group.bench_function("enabled_span", |b| {
         b.iter(|| drop(registry.span(black_box("bench.span"))));

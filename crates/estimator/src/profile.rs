@@ -16,8 +16,6 @@ use gnnav_runtime::{
     ExecutionOptions, ExecutionReport, ExecutionTrace, Perf, RuntimeBackend, RuntimeError,
     TrainingConfig,
 };
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Upper bound on how long an injected straggler may actually sleep,
@@ -190,6 +188,17 @@ impl SweepReport {
 /// platform-free trace.
 type Swept = (usize, ProfileRecord, Option<ExecutionTrace>);
 
+/// What one configuration of a sweep came to: its record and, when the
+/// execution was clean, its trace, or the failure that quarantined it;
+/// plus the retries and timeouts it took and how long its worker was
+/// busy with it.
+struct ConfigOutcome {
+    result: Result<(ProfileRecord, Option<ExecutionTrace>), ConfigFailure>,
+    retries: u64,
+    timeouts: u64,
+    busy: Duration,
+}
+
 /// Retries granted to a configuration that failed to execute, before
 /// it is quarantined.
 const CONFIG_RETRIES: u32 = 1;
@@ -199,7 +208,8 @@ const CONFIG_RETRIES: u32 = 1;
 pub struct Profiler {
     backend: RuntimeBackend,
     opts: ExecutionOptions,
-    /// Number of worker threads for the sweep.
+    /// Most workers the sweep may use; the calling thread's `gnnav-par`
+    /// budget bounds it too.
     threads: usize,
     /// Post-hoc per-config wall-time limit: an execution that comes
     /// back slower than this is treated as failed and retried.
@@ -213,7 +223,9 @@ impl Profiler {
         Profiler { backend, opts, threads, config_timeout: None }
     }
 
-    /// Overrides the worker-thread count.
+    /// Caps the sweep at `threads` workers. The calling thread's budget
+    /// ([`gnnav_par::effective_threads`]: `GNNAV_THREADS` or a
+    /// [`gnnav_par::with_thread_limit`] override) caps it too.
     ///
     /// # Panics
     ///
@@ -377,157 +389,117 @@ impl Profiler {
         // Spans opened on worker threads would otherwise record at the
         // top level — their thread-local span stacks are empty — so
         // the sweep's dotted path is captured here and re-anchored per
-        // worker with `span_under` (a plain span when the one worker
-        // is this thread).
+        // config with `span_under` (a plain span on this thread).
         let sweep_path = sweep_span.path().to_string();
         let journal = metrics.journal();
-        // Records carry the config index they came from so the final
-        // database order is independent of thread completion order —
-        // downstream fits must be deterministic for a given seed.
-        let results: Mutex<Vec<Swept>> = Mutex::new(Vec::with_capacity(configs.len()));
-        let failed: Mutex<Vec<(usize, ConfigFailure)>> = Mutex::new(Vec::new());
-        let busy: Mutex<Vec<Duration>> = Mutex::new(Vec::new());
-        let retries_total = AtomicU64::new(0);
-        let timeouts_total = AtomicU64::new(0);
-        let next = AtomicUsize::new(0);
-        let workers = self.threads.min(configs.len().max(1));
-        // Register the sweep's workers with the kernel thread pool:
-        // while the claim is alive, nested gnnav-par regions (inside
-        // the backend's training kernels) see a budget divided by the
-        // worker count, so outer x inner never oversubscribes the
-        // machine.
-        let _pool_claim = gnnav_par::PoolClaim::register(workers);
-        // One worker's share of the sweep: configs claimed off `next`
-        // until none are left.
-        let run_worker = |worker: usize| {
-            let started = Instant::now();
-            loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= configs.len() {
-                    break;
-                }
-                // One attempt: injected worker faults first,
-                // then the real execution, then post-hoc
-                // timeout classification. Err carries the
-                // rendered cause and whether it was a timeout.
-                type Executed = (ExecutionReport, Option<ExecutionTrace>);
-                let attempt_once = |attempt: u32| -> Result<Executed, (String, bool)> {
-                    if injector.as_ref().is_some_and(|inj| {
-                        inj.inject(FaultKind::WorkerCrash, i as u64, attempt, None).is_some()
-                    }) {
-                        return Err(("injected worker crash".into(), false));
-                    }
-                    if let Some(secs) = injector
-                        .as_ref()
-                        .and_then(|inj| inj.inject(FaultKind::Straggler, i as u64, attempt, None))
-                    {
-                        std::thread::sleep(
-                            Duration::from_secs_f64(secs.max(0.0)).min(STRAGGLER_SLEEP_CAP),
-                        );
-                    }
-                    let t0 = Instant::now();
-                    let executed = self
-                        .backend
-                        .execute_traced(dataset, &configs[i], &self.opts)
-                        .map_err(|e| (e.to_string(), false))?;
-                    if let Some(limit) = self.config_timeout {
-                        let elapsed = t0.elapsed();
-                        if elapsed > limit {
-                            return Err((
-                                format!(
-                                    "exceeded per-config timeout \
-                                                 ({elapsed:?} > {limit:?})"
-                                ),
-                                true,
-                            ));
-                        }
-                    }
-                    Ok(executed)
-                };
-
-                let config_span = metrics.span_under(&sweep_path, "config");
-                let config_wall_us = journal.is_enabled().then(|| journal.now_us());
-                let mut attempt = 0u32;
-                let outcome = loop {
-                    match attempt_once(attempt) {
-                        Ok(executed) => break Ok(executed),
-                        Err((error, timed_out)) => {
-                            if timed_out {
-                                timeouts_total.fetch_add(1, Ordering::Relaxed);
-                            }
-                            if attempt >= CONFIG_RETRIES {
-                                break Err(ConfigFailure {
-                                    config_index: i,
-                                    config: configs[i].summary(),
-                                    error,
-                                    attempts: attempt + 1,
-                                    timed_out,
-                                });
-                            }
-                            retries_total.fetch_add(1, Ordering::Relaxed);
-                            attempt += 1;
-                        }
-                    }
-                };
-                if let Some(wall0) = config_wall_us {
-                    journal.span_complete(
-                        metric::EVENT_PROFILE_CONFIG,
-                        format!("{}{worker}", metric::TRACK_PROFILER_WORKER_PREFIX),
-                        wall0,
-                        Some(journal.now_us() - wall0),
-                        None,
-                        None,
-                        vec![
-                            ("config_index".into(), i.into()),
-                            ("config".into(), configs[i].summary().into()),
-                            ("ok".into(), outcome.is_ok().into()),
-                            ("attempts".into(), (attempt as u64 + 1).into()),
-                        ],
-                    );
-                }
-                drop(config_span);
-                match outcome {
-                    Ok((report, trace)) => {
-                        let ctx =
-                            Context::new(dataset, self.backend.platform(), configs[i].clone());
-                        let record = ProfileRecord::measured(dataset.id(), ctx, report.perf);
-                        results.lock().push((i, record, trace));
-                    }
-                    Err(failure) => failed.lock().push((i, failure)),
+        // The sweep is as wide as `threads`, this thread's budget and
+        // the configs allow, and each config's kernels get that budget
+        // divided by the width: all of it in a sweep of one, which runs
+        // here, on this thread.
+        let budget = gnnav_par::effective_threads();
+        let workers = self.threads.min(budget).min(configs.len()).max(1);
+        let kernel_budget = (budget / workers).max(1);
+        // One attempt: injected worker faults first, then the real
+        // execution, then post-hoc timeout classification. Err carries
+        // the rendered cause and whether it was a timeout.
+        type Executed = (ExecutionReport, Option<ExecutionTrace>);
+        let attempt_once = |i: usize, attempt: u32| -> Result<Executed, (String, bool)> {
+            if injector.as_ref().is_some_and(|inj| {
+                inj.inject(FaultKind::WorkerCrash, i as u64, attempt, None).is_some()
+            }) {
+                return Err(("injected worker crash".into(), false));
+            }
+            if let Some(secs) = injector
+                .as_ref()
+                .and_then(|inj| inj.inject(FaultKind::Straggler, i as u64, attempt, None))
+            {
+                std::thread::sleep(Duration::from_secs_f64(secs.max(0.0)).min(STRAGGLER_SLEEP_CAP));
+            }
+            let t0 = Instant::now();
+            let executed = self
+                .backend
+                .execute_traced(dataset, &configs[i], &self.opts)
+                .map_err(|e| (e.to_string(), false))?;
+            if let Some(limit) = self.config_timeout {
+                let elapsed = t0.elapsed();
+                if elapsed > limit {
+                    return Err((
+                        format!("exceeded per-config timeout ({elapsed:?} > {limit:?})"),
+                        true,
+                    ));
                 }
             }
-            busy.lock().push(started.elapsed());
+            Ok(executed)
         };
-        if workers == 1 {
-            // A lone worker overlaps with nothing, so it runs here: a
-            // thread of its own would only move every execution's
-            // buffers into a second allocator arena, which costs
-            // ~10 MiB of peak RSS on a cold navigation and makes the
-            // figure depend on how arena and main heap interleave
-            // from run to run.
-            run_worker(0);
-        } else {
-            crossbeam::thread::scope(|scope| {
-                let run_worker = &run_worker;
-                let handles: Vec<_> =
-                    (0..workers).map(|worker| scope.spawn(move |_| run_worker(worker))).collect();
-                // The scope alone waits for the closures to return, not
-                // for the threads to exit. A worker still on its way
-                // out holds its allocator arena, so the next sweep's
-                // workers (the augmentation graph follows at once)
-                // would sometimes be given fresh ones. A real join lets
-                // each sweep inherit the arenas the last one warmed.
-                for handle in handles {
-                    handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        // One config, retries included, on whichever worker claimed it.
+        let profile_one = |i: usize| {
+            let started = Instant::now();
+            let config_span = metrics.span_under(&sweep_path, "config");
+            let config_wall_us = journal.is_enabled().then(|| journal.now_us());
+            let (mut retries, mut timeouts, mut attempt) = (0, 0, 0u32);
+            let result = loop {
+                match attempt_once(i, attempt) {
+                    Ok(executed) => break Ok(executed),
+                    Err((error, timed_out)) => {
+                        timeouts += u64::from(timed_out);
+                        if attempt >= CONFIG_RETRIES {
+                            break Err(ConfigFailure {
+                                config_index: i,
+                                config: configs[i].summary(),
+                                error,
+                                attempts: attempt + 1,
+                                timed_out,
+                            });
+                        }
+                        retries += 1;
+                        attempt += 1;
+                    }
                 }
+            };
+            if let Some(wall0) = config_wall_us {
+                journal.span_complete(
+                    metric::EVENT_PROFILE_CONFIG,
+                    format!(
+                        "{}{}",
+                        metric::TRACK_PROFILER_WORKER_PREFIX,
+                        gnnav_par::worker_index()
+                    ),
+                    wall0,
+                    Some(journal.now_us() - wall0),
+                    None,
+                    None,
+                    vec![
+                        ("config_index".into(), i.into()),
+                        ("config".into(), configs[i].summary().into()),
+                        ("ok".into(), result.is_ok().into()),
+                        ("attempts".into(), (attempt as u64 + 1).into()),
+                    ],
+                );
+            }
+            drop(config_span);
+            let result = result.map(|(report, trace)| {
+                let ctx = Context::new(dataset, self.backend.platform(), configs[i].clone());
+                (ProfileRecord::measured(dataset.id(), ctx, report.perf), trace)
+            });
+            ConfigOutcome { result, retries, timeouts, busy: started.elapsed() }
+        };
+        let outcomes = gnnav_par::with_thread_limit(workers, || {
+            gnnav_par::par_map_indexed(configs, 1, |i, _| {
+                gnnav_par::with_thread_limit(kernel_budget, || profile_one(i))
             })
-            .expect("profiling threads do not panic");
+        });
+        let mut swept = Vec::with_capacity(configs.len());
+        let mut failures = Vec::new();
+        let (mut retries, mut timeouts, mut busy) = (0, 0, Duration::ZERO);
+        for (i, outcome) in outcomes.into_iter().enumerate() {
+            retries += outcome.retries;
+            timeouts += outcome.timeouts;
+            busy += outcome.busy;
+            match outcome.result {
+                Ok((record, trace)) => swept.push((i, record, trace)),
+                Err(failure) => failures.push(failure),
+            }
         }
-        let mut swept = results.into_inner();
-        swept.sort_by_key(|(i, ..)| *i);
-        let mut failures = failed.into_inner();
-        failures.sort_by_key(|(i, _)| *i);
-        let failures: Vec<ConfigFailure> = failures.into_iter().map(|(_, f)| f).collect();
 
         if metrics.is_enabled() {
             let wall = sweep_span.elapsed().as_secs_f64();
@@ -535,16 +507,15 @@ impl Profiler {
             metrics.add(metric::PROFILER_FAILED, failures.len() as u64);
             // Zero-valued adds still register the series, pinning the
             // perf-gate baselines at zero on the no-fault path.
-            metrics.add(metric::PROFILER_RETRIES, retries_total.load(Ordering::Relaxed));
+            metrics.add(metric::PROFILER_RETRIES, retries);
             metrics.add(metric::PROFILER_QUARANTINED, failures.len() as u64);
-            metrics.add(metric::PROFILER_TIMEOUTS, timeouts_total.load(Ordering::Relaxed));
+            metrics.add(metric::PROFILER_TIMEOUTS, timeouts);
             metrics.gauge_set(metric::PROFILER_THREADS, workers as f64);
             if wall > 0.0 {
                 metrics.gauge_set(metric::PROFILER_RECORDS_PER_S, swept.len() as f64 / wall);
-                let busy_total: f64 = busy.lock().iter().map(|d| d.as_secs_f64()).sum();
                 metrics.gauge_set(
                     metric::PROFILER_UTILIZATION,
-                    (busy_total / (workers as f64 * wall)).clamp(0.0, 1.0),
+                    (busy.as_secs_f64() / (workers as f64 * wall)).clamp(0.0, 1.0),
                 );
             }
         }
@@ -859,50 +830,6 @@ mod tests {
     }
 
     #[test]
-    fn wide_sweep_claims_pool_and_bounds_oversubscription() {
-        // Regression: a 16-worker sweep must register a PoolClaim so
-        // the kernels' nested parallelism divides down — otherwise 16
-        // workers x a full per-region budget explodes the thread
-        // count. Stragglers (capped at 250ms) keep the sweep alive
-        // long enough for the observer to catch the claim.
-        let plan =
-            FaultPlan::new(77).with_fault(FaultSpec::new(FaultKind::Straggler).with_magnitude(1e9));
-        let dataset = Dataset::load_scaled(DatasetId::Reddit2, 0.01).expect("load");
-        let cfgs = small_configs(16);
-        let opts = ExecutionOptions {
-            epochs: 1,
-            train: true,
-            train_batches_cap: Some(1),
-            fault_plan: Some(plan),
-            ..Default::default()
-        };
-        let profiler =
-            Profiler::new(RuntimeBackend::new(Platform::default_rtx4090()), opts).with_threads(16);
-        let sweep = std::thread::spawn(move || profiler.profile_with_report(&dataset, &cfgs));
-        let mut peak_claim = 0usize;
-        let t0 = Instant::now();
-        while t0.elapsed() < Duration::from_secs(30) {
-            peak_claim = peak_claim.max(gnnav_par::claimed_workers());
-            if peak_claim >= 16 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let report = sweep.join().expect("sweep thread");
-        assert!(report.is_complete());
-        assert!(peak_claim >= 16, "sweep never registered its 16 workers (peak {peak_claim})");
-        // Under a 16-worker claim each nested region's budget is
-        // hardware/16 (min 1), so outer x inner stays within 2x the
-        // larger of core count and worker count.
-        let hw = gnnav_par::hardware_threads();
-        let inner = (hw / 16).max(1);
-        assert!(16 * inner <= 2 * hw.max(16), "outer x inner budget {} too large", 16 * inner);
-        // (Claim release on drop is covered by gnnav-par's own tests;
-        // asserting a zero global count here would race with other
-        // tests' concurrent sweeps.)
-    }
-
-    #[test]
     fn straggler_sleep_is_capped_and_run_completes() {
         let plan =
             FaultPlan::new(41).with_fault(FaultSpec::new(FaultKind::Straggler).with_magnitude(1e9));
@@ -932,20 +859,31 @@ mod tests {
 
     #[test]
     fn faulted_sweeps_are_deterministic() {
-        let mk = || {
-            FaultPlan::new(99)
-                .with_fault(FaultSpec::new(FaultKind::WorkerCrash).with_probability(0.5))
-                .with_fault(FaultSpec::new(FaultKind::Straggler).with_probability(0.3))
-        };
+        // Configs 1 and 2 crash on every attempt; stragglers delay
+        // about a third of all attempts. Whichever worker claims a
+        // config, the report — records, quarantine list, attempts — is
+        // the same at every width.
+        let plan = FaultPlan::new(99)
+            .with_fault(FaultSpec::new(FaultKind::WorkerCrash).with_window(1, 3))
+            .with_fault(
+                FaultSpec::new(FaultKind::Straggler).with_probability(0.3).with_magnitude(0.02),
+            );
         let dataset = Dataset::load_scaled(DatasetId::Reddit2, 0.01).expect("load");
-        let cfgs = small_configs(5);
-        let a = profiler_with_plan(mk()).profile_with_report(&dataset, &cfgs);
-        let b = profiler_with_plan(mk()).profile_with_report(&dataset, &cfgs);
-        assert_eq!(a.quarantined(), b.quarantined());
-        assert_eq!(a.db.len(), b.db.len());
-        for (ra, rb) in a.db.records().iter().zip(b.db.records()) {
-            assert_eq!(ra.epoch_time_s, rb.epoch_time_s);
-            assert_eq!(ra.mem_bytes, rb.mem_bytes);
+        let cfgs = small_configs(6);
+        let sweep = |threads| {
+            gnnav_par::with_thread_limit(8, || {
+                profiler_with_plan(plan.clone())
+                    .with_threads(threads)
+                    .profile_with_report(&dataset, &cfgs)
+            })
+        };
+        let serial = sweep(1);
+        assert_eq!(serial.quarantined(), vec![1, 2]);
+        assert!(serial.failures.iter().all(|f| f.attempts == 2));
+        assert_eq!(serial.db.len(), 4);
+        for threads in [2, 4, 8] {
+            let wide = sweep(threads);
+            assert_eq!(format!("{wide:?}"), format!("{serial:?}"), "with_threads({threads})");
         }
     }
 }

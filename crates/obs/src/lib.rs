@@ -33,9 +33,9 @@
 //! starts with one relaxed atomic load, so instrumentation compiled
 //! into hot paths costs near zero until someone opts in (the
 //! `obs_overhead` bench in `gnnav-bench` pins this). On the enabled
-//! path, histogram cells are memoized per thread (and available as
-//! pre-registered [`Histogram`] handles), so repeated observations of
-//! one series do not take the global registry lock. Snapshots export
+//! path, histogram cells are memoized per thread, so repeated
+//! observations of one series do not take the global registry lock.
+//! Snapshots export
 //! as deterministic, sorted-key JSON via [`Snapshot::to_json`], parse
 //! back with [`Snapshot::from_json`], and diff against a baseline with
 //! [`diff::diff_snapshots`] — the machinery behind the
@@ -333,21 +333,6 @@ impl Registry {
         self.observe(name, d.as_secs_f64());
     }
 
-    /// Pre-registers a histogram handle for `name`: the hot-path
-    /// alternative to [`Registry::observe`] when the call site can
-    /// hold state. The handle bypasses every name lookup; it keeps
-    /// recording into the detached series if the registry is
-    /// [`reset`](Registry::reset) after registration.
-    pub fn histogram(&self, name: &str) -> Histogram<'_> {
-        Histogram { registry: self, cell: self.histogram_cell(name) }
-    }
-
-    /// Pre-registers a counter handle for `name` (same contract as
-    /// [`Registry::histogram`]).
-    pub fn counter(&self, name: &str) -> Counter<'_> {
-        Counter { registry: self, cell: self.counter_cell(name) }
-    }
-
     /// Starts a hierarchical wall-clock span. The elapsed time lands
     /// in a histogram named after the dotted path of enclosing spans
     /// when the guard drops. Inert (no clock read) while disabled.
@@ -464,55 +449,12 @@ impl Registry {
     }
 
     /// Drops every metric series and journal event (the enabled flags
-    /// are untouched). Thread-local cell caches and outstanding
-    /// pre-registered handles are invalidated.
+    /// are untouched). Thread-local cell caches are invalidated.
     pub fn reset(&self) {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         *inner = Inner::default();
         self.generation.store(fresh_generation(), Ordering::Relaxed);
         self.journal.reset();
-    }
-}
-
-/// Pre-registered histogram handle (see [`Registry::histogram`]).
-#[derive(Debug, Clone)]
-pub struct Histogram<'r> {
-    registry: &'r Registry,
-    cell: Arc<Mutex<HistogramData>>,
-}
-
-impl Histogram<'_> {
-    /// Records `value` without any name lookup.
-    #[inline]
-    pub fn observe(&self, value: f64) {
-        if !self.registry.is_enabled() {
-            return;
-        }
-        self.cell.lock().unwrap_or_else(|e| e.into_inner()).observe(value);
-    }
-
-    /// Records `d` in seconds.
-    #[inline]
-    pub fn observe_duration(&self, d: Duration) {
-        self.observe(d.as_secs_f64());
-    }
-}
-
-/// Pre-registered counter handle (see [`Registry::counter`]).
-#[derive(Debug, Clone)]
-pub struct Counter<'r> {
-    registry: &'r Registry,
-    cell: Arc<AtomicU64>,
-}
-
-impl Counter<'_> {
-    /// Adds `delta` without any name lookup.
-    #[inline]
-    pub fn add(&self, delta: u64) {
-        if !self.registry.is_enabled() {
-            return;
-        }
-        self.cell.fetch_add(delta, Ordering::Relaxed);
     }
 }
 
@@ -865,11 +807,11 @@ mod tests {
 
     #[test]
     fn quantiles_on_empty_histogram_are_zero() {
-        // A pre-registered but never-observed histogram must not
-        // divide by its zero count.
+        // A registered but never-observed histogram must not divide by
+        // its zero count.
         let r = Registry::new();
         r.enable(true);
-        let _handle = r.histogram("empty");
+        r.histogram_cell("empty");
         let h = r.snapshot().histograms["empty"];
         assert_eq!(h.count, 0);
         assert_eq!((h.p50, h.p95, h.p99), (0.0, 0.0, 0.0));
@@ -913,7 +855,7 @@ mod tests {
     fn edge_case_histograms_round_trip_v2_and_v1() {
         let r = Registry::new();
         r.enable(true);
-        let _empty = r.histogram("edge.empty");
+        r.histogram_cell("edge.empty");
         r.observe("edge.one", 0.125);
         for _ in 0..100 {
             r.observe("edge.flat", 2e-3);
@@ -1018,23 +960,6 @@ mod tests {
             let _s = r.span_under("", "solo");
         }
         assert!(r.snapshot().histograms.contains_key("solo"));
-    }
-
-    #[test]
-    fn preregistered_handles_record_and_respect_enable() {
-        let r = Registry::new();
-        let h = r.histogram("hand.hist");
-        let c = r.counter("hand.count");
-        h.observe(1.0); // disabled: dropped
-        c.add(7);
-        assert_eq!(r.counter_value("hand.count"), 0);
-        r.enable(true);
-        h.observe(2.0);
-        h.observe_duration(Duration::from_millis(500));
-        c.add(7);
-        let snap = r.snapshot();
-        assert_eq!(snap.histograms["hand.hist"].count, 2);
-        assert_eq!(snap.counters["hand.count"], 7);
     }
 
     #[test]

@@ -1,53 +1,60 @@
-//! Deterministic fork-join parallelism for the compute kernels.
+//! Deterministic fork-join parallelism for the compute kernels and the
+//! profile sweep.
 //!
-//! Every helper in this crate partitions work into **fixed, static
-//! chunks** whose boundaries do not depend on the number of worker
-//! threads, and every chunk is processed by exactly one serial call of
-//! the user closure. A kernel written on top of [`par_chunks`] or
-//! [`par_map_indexed`] therefore produces *bitwise identical* results
-//! whether it runs on 1 thread or 8 — the only thing the thread count
-//! changes is which OS thread executes which chunk. This is the
-//! property the determinism suite and the `(seed, plan)` fault
-//! reproducibility contract rely on.
+//! Every unit of work is processed by exactly one serial call of the
+//! user closure. [`par_chunks`] and [`par_for_weighted_tasks`] cut their
+//! input into **fixed, static chunks** whose boundaries do not depend on
+//! the number of worker threads; [`par_map_indexed`] lets its workers
+//! claim items one at a time and puts each result back at its item's
+//! position. A kernel written on top of these helpers therefore
+//! produces *bitwise identical* results whether it runs on 1 thread or
+//! 8 — the only thing the thread count changes is which OS thread
+//! executes which chunk or item. This is the property the determinism
+//! suite and the `(seed, plan)` fault reproducibility contract rely on.
 //!
 //! # Pool sizing
 //!
-//! The worker budget is resolved per parallel region, in order:
+//! The worker budget of a parallel region is resolved, in order, from:
 //!
-//! 1. `1` if the calling thread is itself a pool worker (nested
-//!    regions degrade to serial instead of exploding thread counts);
-//! 2. an explicit [`with_thread_limit`] override on the calling
-//!    thread (used by tests and the perf baseline);
-//! 3. the `GNNAV_THREADS` environment variable, read once, clamped to
+//! 1. the calling thread's own budget: an explicit [`with_thread_limit`]
+//!    override (used by tests and the perf baseline), or the share an
+//!    enclosing region handed the thread as one of its workers;
+//! 2. the `GNNAV_THREADS` environment variable, read once, clamped to
 //!    `1..=`[`MAX_POOL_THREADS`];
-//! 4. `std::thread::available_parallelism()` otherwise.
+//! 3. `std::thread::available_parallelism()` otherwise.
 //!
-//! Independently, an active [`PoolClaim`] (registered by e.g. the
-//! profiler before it fans out its own worker threads) divides the
-//! budget so that `outer workers x inner kernel threads` never exceeds
-//! the hardware parallelism.
+//! A region of width `w` splits its budget: each of its workers, the
+//! caller included, runs with a budget of `max(budget / w, 1)` while it
+//! works. A region as wide as its budget leaves its workers one thread
+//! each, so their nested regions run inline; a narrower one (the
+//! profiler's sweep over fewer configs than cores) leaves its workers'
+//! kernels the rest. Outer × inner never exceeds the budget.
 //!
-//! Threads are scoped (forked and joined per region) rather than kept
-//! in a persistent pool: regions below the work threshold run inline
-//! on the caller with zero scheduling overhead, and there is no global
-//! mutable executor state to poison.
+//! One private function, `fork_join`, spawns every thread. It forks per
+//! region and joins every helper — whose OS thread has then exited —
+//! before the region returns, and re-raises a worker's panic on the
+//! caller. Regions below the work threshold run inline on the caller
+//! with zero scheduling overhead. A worker's budget and slot live in
+//! thread-locals that the region restores, so there is no global
+//! mutable executor state to poison: the only globals are the
+//! statistics counters of [`stats`].
 
 use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
+use std::thread::LocalKey;
 
 /// Hard upper bound on the per-region worker budget, whatever
 /// `GNNAV_THREADS` says.
 pub const MAX_POOL_THREADS: usize = 64;
 
 thread_local! {
+    /// This thread's worker budget; 0 defers to `GNNAV_THREADS`.
     static THREAD_LIMIT: Cell<usize> = const { Cell::new(0) };
-    static IN_POOL_WORKER: Cell<bool> = const { Cell::new(false) };
+    /// The slot this thread runs as in the innermost forked region.
+    static WORKER_INDEX: Cell<usize> = const { Cell::new(0) };
 }
-
-/// Outer worker threads registered through [`PoolClaim`].
-static OUTER_CLAIM: AtomicUsize = AtomicUsize::new(0);
 
 static REGIONS: AtomicU64 = AtomicU64::new(0);
 static TASKS: AtomicU64 = AtomicU64::new(0);
@@ -69,6 +76,27 @@ fn env_threads() -> usize {
     })
 }
 
+/// Holds a thread-local cell at a value until dropped, then restores
+/// the previous one — also when the holder unwinds.
+struct Scoped {
+    key: &'static LocalKey<Cell<usize>>,
+    prev: usize,
+}
+
+impl Scoped {
+    fn set(key: &'static LocalKey<Cell<usize>>, value: usize) -> Self {
+        Scoped { key, prev: key.with(|cell| cell.replace(value)) }
+    }
+}
+
+impl Drop for Scoped {
+    fn drop(&mut self) {
+        // `try_with`: a drop must not panic, even during thread
+        // teardown, when the slot is already gone.
+        let _ = self.key.try_with(|cell| cell.set(self.prev));
+    }
+}
+
 /// Runs `f` with the calling thread's worker budget overridden to `n`
 /// (clamped to `1..=`[`MAX_POOL_THREADS`]), restoring the previous
 /// override afterwards — also when `f` unwinds, so a caught panic does
@@ -76,75 +104,24 @@ fn env_threads() -> usize {
 /// hardware thread count — the determinism proptests use that to sweep
 /// 1/2/4/8 workers on any machine.
 pub fn with_thread_limit<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    struct Restore(usize);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            // `try_with`: a drop must not panic, even during thread
-            // teardown, when the slot is already gone.
-            let _ = THREAD_LIMIT.try_with(|limit| limit.set(self.0));
-        }
-    }
-    let _restore = Restore(THREAD_LIMIT.with(|limit| limit.replace(n.clamp(1, MAX_POOL_THREADS))));
+    let _limit = Scoped::set(&THREAD_LIMIT, n.clamp(1, MAX_POOL_THREADS));
     f()
-}
-
-/// A registration of `workers` externally managed threads (e.g. the
-/// profiler sweep) that will each call into the kernels. While any
-/// claim is alive, per-region budgets are divided by the total claimed
-/// worker count so the process never oversubscribes the hardware.
-#[derive(Debug)]
-pub struct PoolClaim {
-    workers: usize,
-}
-
-impl PoolClaim {
-    /// Registers `workers` outer threads; the claim is released on
-    /// drop.
-    pub fn register(workers: usize) -> Self {
-        let workers = workers.max(1);
-        OUTER_CLAIM.fetch_add(workers, Ordering::SeqCst);
-        PoolClaim { workers }
-    }
-
-    /// Number of outer workers this claim registered.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-}
-
-impl Drop for PoolClaim {
-    fn drop(&mut self) {
-        OUTER_CLAIM.fetch_sub(self.workers, Ordering::SeqCst);
-    }
-}
-
-/// Total outer workers currently claimed (0 when no sweep is active).
-pub fn claimed_workers() -> usize {
-    OUTER_CLAIM.load(Ordering::SeqCst)
 }
 
 /// The worker budget a parallel region started on this thread would
 /// get right now.
 pub fn effective_threads() -> usize {
-    if IN_POOL_WORKER.with(Cell::get) {
-        return 1;
+    match THREAD_LIMIT.with(Cell::get) {
+        0 => env_threads(),
+        budget => budget,
     }
-    let base = {
-        let explicit = THREAD_LIMIT.with(Cell::get);
-        if explicit > 0 {
-            explicit
-        } else {
-            env_threads()
-        }
-    };
-    let claimed = claimed_workers();
-    if claimed > 1 {
-        // Keep outer x inner <= max(hardware, outer): each of the
-        // `claimed` outer workers gets an equal share of the machine.
-        base.min((hardware_threads() / claimed).max(1))
-    } else {
-        base
-    }
+}
+
+/// The slot (`0..width`) of the worker running the calling code in the
+/// innermost region that forked threads; 0 outside every such region.
+/// A region that runs inline leaves its caller's slot as it is.
+pub fn worker_index() -> usize {
+    WORKER_INDEX.with(Cell::get)
 }
 
 /// Cumulative counters for observability; see [`stats`].
@@ -164,26 +141,6 @@ pub fn stats() -> Stats {
         regions: REGIONS.load(Ordering::Relaxed),
         tasks: TASKS.load(Ordering::Relaxed),
         helpers_spawned: HELPERS_SPAWNED.load(Ordering::Relaxed),
-    }
-}
-
-/// Marks the current thread as a pool worker until dropped, so nested
-/// regions (including on the caller's own thread while it chews its
-/// chunk) run inline.
-struct WorkerFlagGuard {
-    prev: bool,
-}
-
-impl WorkerFlagGuard {
-    fn set() -> Self {
-        WorkerFlagGuard { prev: IN_POOL_WORKER.with(|w| w.replace(true)) }
-    }
-}
-
-impl Drop for WorkerFlagGuard {
-    fn drop(&mut self) {
-        let prev = self.prev;
-        IN_POOL_WORKER.with(|w| w.set(prev));
     }
 }
 
@@ -210,6 +167,44 @@ fn split_range(len: usize, parts: usize, t: usize) -> Range<usize> {
     start..start + base + extra
 }
 
+/// Runs `work` once per share, as a region as wide as `shares`: share
+/// 0 on the calling thread, every other share on a helper thread of its
+/// own. Worker `t` runs as slot `t` with a budget of
+/// `max(budget / width, 1)`. Returns the workers' outputs in share
+/// order once every helper has been joined, re-raising a worker's
+/// panic here. A region of one runs inline, on the caller's budget and
+/// slot.
+fn fork_join<S: Send, O: Send>(shares: Vec<S>, work: impl Fn(S) -> O + Sync) -> Vec<O> {
+    let width = shares.len();
+    let mut shares = shares.into_iter();
+    if width <= 1 {
+        return shares.map(work).collect();
+    }
+    HELPERS_SPAWNED.fetch_add(width as u64 - 1, Ordering::Relaxed);
+    let budget = (effective_threads() / width).max(1);
+    let run = |t: usize, share: S| {
+        let _limit = Scoped::set(&THREAD_LIMIT, budget);
+        let _slot = Scoped::set(&WORKER_INDEX, t);
+        work(share)
+    };
+    let run = &run;
+    std::thread::scope(|scope| {
+        let first = shares.next().expect("width > 1");
+        // A scope waits for its closures to return, not for their
+        // threads to exit; the explicit joins do. A helper still on its
+        // way out holds its allocator arena, so the next region's
+        // helpers would sometimes be handed fresh ones.
+        let helpers: Vec<_> =
+            shares.enumerate().map(|(t, share)| scope.spawn(move || run(t + 1, share))).collect();
+        let mut outputs = Vec::with_capacity(width);
+        outputs.push(run(0, first));
+        for helper in helpers {
+            outputs.push(helper.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
+        }
+        outputs
+    })
+}
+
 /// Processes `data` in contiguous `chunk_len`-sized pieces (the final
 /// piece may be shorter), calling `f(item_offset, chunk)` once per
 /// piece. Chunk boundaries depend only on `chunk_len`, never on the
@@ -234,15 +229,13 @@ where
     let nchunks = data.len().div_ceil(chunk_len);
     REGIONS.fetch_add(1, Ordering::Relaxed);
     let width = plan_width(nchunks, grain);
+    TASKS.fetch_add(width as u64, Ordering::Relaxed);
     if width <= 1 {
-        TASKS.fetch_add(1, Ordering::Relaxed);
         for (ci, chunk) in data.chunks_mut(chunk_len).enumerate() {
             f(ci * chunk_len, chunk);
         }
         return;
     }
-    TASKS.fetch_add(width as u64, Ordering::Relaxed);
-    HELPERS_SPAWNED.fetch_add(width as u64 - 1, Ordering::Relaxed);
 
     // Carve the slice into `width` runs aligned to chunk boundaries.
     let mut runs: Vec<(usize, &mut [T])> = Vec::with_capacity(width);
@@ -256,25 +249,11 @@ where
         offset += run_len;
         rest = tail;
     }
-
-    let f = &f;
-    crossbeam::thread::scope(|s| {
-        let mut runs = runs.into_iter();
-        let (first_off, first_run) = runs.next().expect("width >= 1");
-        for (off, run) in runs {
-            s.spawn(move |_| {
-                let _worker = WorkerFlagGuard::set();
-                for (ci, chunk) in run.chunks_mut(chunk_len).enumerate() {
-                    f(off + ci * chunk_len, chunk);
-                }
-            });
+    fork_join(runs, |(off, run)| {
+        for (ci, chunk) in run.chunks_mut(chunk_len).enumerate() {
+            f(off + ci * chunk_len, chunk);
         }
-        let _worker = WorkerFlagGuard::set();
-        for (ci, chunk) in first_run.chunks_mut(chunk_len).enumerate() {
-            f(first_off + ci * chunk_len, chunk);
-        }
-    })
-    .expect("pool worker panicked");
+    });
 }
 
 /// Runs `f` over every `(weight, task)` pair `build` emits, in
@@ -285,12 +264,12 @@ where
 /// *count* would leave one worker holding all the heavy groups.
 ///
 /// `build` streams the pairs in schedule order into the sink it is
-/// handed. When the pool cannot go parallel at all (single-thread
-/// budget or a nested region), each task runs inline as it is emitted
-/// and nothing is collected — a serial weighted region performs zero
-/// heap allocation, which the runtime's allocation-telemetry gate
-/// measures. Otherwise the pairs are collected with `len_hint` capacity
-/// and carved into runs.
+/// handed. When the pool cannot go parallel at all (a single-thread
+/// budget, as inside the workers of a region as wide as its budget),
+/// each task runs inline as it is emitted and nothing is collected — a
+/// serial weighted region performs zero heap allocation, which the
+/// runtime's allocation-telemetry gate measures. Otherwise the pairs
+/// are collected with `len_hint` capacity and carved into runs.
 ///
 /// Each task executes exactly once, serially, inside one worker — only
 /// the run boundaries (never the task contents or any per-task
@@ -334,17 +313,10 @@ pub fn par_for_weighted_tasks<T, F>(
         let by_weight = usize::try_from(by_weight).unwrap_or(usize::MAX);
         plan_width(tasks.len(), 1).min(by_weight)
     };
-    if budget <= 1 {
-        TASKS.fetch_add(1, Ordering::Relaxed);
-        for (_, task) in tasks {
-            f(task);
-        }
-        return;
-    }
 
     // Greedy contiguous carve: each run takes tasks until it reaches
     // its share of the remaining weight, so a single oversized task
-    // simply becomes a run of its own.
+    // simply becomes a run of its own. A budget of one is one run.
     let mut runs: Vec<Vec<T>> = Vec::with_capacity(budget);
     let mut run: Vec<T> = Vec::new();
     let mut run_weight = 0u64;
@@ -360,62 +332,57 @@ pub fn par_for_weighted_tasks<T, F>(
         run_weight += w;
         run.push(task);
     }
-    if !run.is_empty() {
-        runs.push(run);
-    }
-    let width = runs.len();
-    TASKS.fetch_add(width as u64, Ordering::Relaxed);
-    if width <= 1 {
-        for task in runs.remove(0) {
-            f(task);
-        }
-        return;
-    }
-    HELPERS_SPAWNED.fetch_add(width as u64 - 1, Ordering::Relaxed);
-
-    let f = &f;
-    crossbeam::thread::scope(|s| {
-        let mut runs = runs.into_iter();
-        let first = runs.next().expect("width >= 1");
-        for run in runs {
-            s.spawn(move |_| {
-                let _worker = WorkerFlagGuard::set();
-                for task in run {
-                    f(task);
-                }
-            });
-        }
-        let _worker = WorkerFlagGuard::set();
-        for task in first {
-            f(task);
-        }
-    })
-    .expect("pool worker panicked");
+    runs.push(run);
+    TASKS.fetch_add(runs.len() as u64, Ordering::Relaxed);
+    fork_join(runs, |run| run.into_iter().for_each(&f));
 }
 
 /// Maps `f(index, &item)` over `items` in parallel, returning results
-/// in input order. Like every helper here, the output is independent
-/// of the worker count.
+/// in input order. Each worker claims the next unclaimed item whenever
+/// it finishes one, so a slow item holds up one worker rather than a
+/// fixed share of the input; every item is still mapped exactly once,
+/// and the output is independent of the worker count. `grain` is the
+/// minimum number of items per worker before an extra worker is worth
+/// spawning.
 pub fn par_map_indexed<T, R, F>(items: &[T], grain: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    par_chunks(&mut out, 1, grain, |idx, slot| {
-        slot[0] = Some(f(idx, &items[idx]));
+    if items.is_empty() {
+        return Vec::new();
+    }
+    REGIONS.fetch_add(1, Ordering::Relaxed);
+    let width = plan_width(items.len(), grain);
+    TASKS.fetch_add(width as u64, Ordering::Relaxed);
+    if width <= 1 {
+        return items.iter().enumerate().map(|(i, item)| f(i, item)).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let claimed = fork_join(vec![(); width], |()| {
+        let mut mapped = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else { break mapped };
+            mapped.push((i, f(i, item)));
+        }
     });
-    out.into_iter().map(|r| r.expect("every slot filled")).collect()
+    let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
+    for (i, r) in claimed.into_iter().flatten() {
+        out[i] = Some(r);
+    }
+    out.into_iter().map(|r| r.expect("every item claimed once")).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex, MutexGuard, PoisonError};
+    use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
+    use std::time::{Duration, Instant};
 
-    /// The claim registry and stats counters are process-global, so
-    /// tests that assert on them must not interleave.
+    /// The stats counters are process-global, so tests that assert on
+    /// them must not interleave.
     fn serialize() -> MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock().unwrap_or_else(PoisonError::into_inner)
@@ -473,31 +440,52 @@ mod tests {
     }
 
     #[test]
-    fn claim_divides_budget() {
+    fn a_region_splits_its_budget_among_its_workers() {
         let _guard = serialize();
-        let hw = hardware_threads();
-        let claim = PoolClaim::register(16);
-        assert_eq!(claim.workers(), 16);
-        let eff = effective_threads();
-        assert_eq!(eff, (hw / 16).max(1).min(env_threads_for_test()));
-        // outer x inner never exceeds max(hardware, outer).
-        assert!(claim.workers() * eff <= 16.max(hw));
-        drop(claim);
-        assert_eq!(claimed_workers(), 0);
-    }
-
-    fn env_threads_for_test() -> usize {
-        super::env_threads()
+        for (budget, width) in [(8, 2), (8, 8), (4, 3), (3, 2)] {
+            with_thread_limit(budget, || {
+                // The barrier holds every worker on its first item until
+                // all `width` items are claimed, so each runs on its own.
+                let all_claimed = Barrier::new(width);
+                let seen = par_map_indexed(&vec![(); width], 1, |_, _| {
+                    all_claimed.wait();
+                    (worker_index(), effective_threads())
+                });
+                let mut slots: Vec<usize> = seen.iter().map(|&(slot, _)| slot).collect();
+                slots.sort_unstable();
+                assert_eq!(slots, (0..width).collect::<Vec<_>>(), "{budget}/{width}");
+                let share = (budget / width).max(1);
+                assert!(seen.iter().all(|&(_, threads)| threads == share), "{budget}/{width}");
+                assert_eq!((worker_index(), effective_threads()), (0, budget), "restored");
+            });
+        }
     }
 
     #[test]
-    fn claim_beats_explicit_limit() {
+    fn workers_claim_items_as_they_free_up() {
         let _guard = serialize();
-        let claim = PoolClaim::register(MAX_POOL_THREADS * 2);
-        with_thread_limit(8, || {
-            assert_eq!(effective_threads(), 1);
+        // Item 0 waits for every other item. A static split would queue
+        // items 1..4 behind it on its own worker; claiming lets the
+        // second worker take all eight.
+        let items: Vec<usize> = (0..9).collect();
+        let finished = AtomicUsize::new(0);
+        let others_done_first = with_thread_limit(2, || {
+            par_map_indexed(&items, 1, |i, _| {
+                if i > 0 {
+                    finished.fetch_add(1, Ordering::SeqCst);
+                    return true;
+                }
+                let waited = Instant::now();
+                while finished.load(Ordering::SeqCst) < items.len() - 1 {
+                    if waited.elapsed() > Duration::from_secs(5) {
+                        return false;
+                    }
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                true
+            })
         });
-        drop(claim);
+        assert!(others_done_first[0], "item 0 timed out waiting for items 1..9");
     }
 
     #[test]

@@ -153,6 +153,17 @@ fn get_policy(r: &mut ByteReader) -> Result<CachePolicy, StoreError> {
     }
 }
 
+/// Fewest bytes one [`put_config`] record takes: a config without
+/// fanouts.
+pub const MIN_CONFIG_BYTES: usize = 1 + 8 + 8 + 8 + 8 + 1 + 1 + 1 + 1 + 1 + 8 + 8;
+
+/// Fewest bytes one encoded degradation step takes: its tag and one
+/// `usize` or slice prefix.
+const MIN_DEGRADATION_BYTES: usize = 1 + 8;
+
+/// Bytes of one encoded cache-heap entry: frequency, sequence, node.
+const HEAP_ENTRY_BYTES: usize = 4 + 8 + 4;
+
 /// Appends a [`TrainingConfig`] to a checkpoint payload in the stable
 /// field order (shared with the adaptive layer's checkpoint format).
 pub fn put_config(w: &mut ByteWriter, c: &TrainingConfig) {
@@ -277,8 +288,8 @@ fn put_recovery(w: &mut ByteWriter, log: &RecoveryLog) {
 fn get_recovery(r: &mut ByteReader) -> Result<RecoveryLog, StoreError> {
     let faults_injected = r.get_u64()?;
     let retries = r.get_u32()?;
-    let n = r.get_usize()?;
-    let mut degradations = Vec::with_capacity(n.min(1024));
+    let n = r.get_len(MIN_DEGRADATION_BYTES)?;
+    let mut degradations = Vec::with_capacity(n);
     for _ in 0..n {
         degradations.push(match r.get_u8()? {
             0 => DegradationStep::ShrinkCache {
@@ -319,8 +330,8 @@ fn get_cache_snapshot(r: &mut ByteReader) -> Result<CacheSnapshot, StoreError> {
     let capacity = r.get_usize()?;
     let resident = r.get_u32_vec()?;
     let freq = r.get_u32_vec()?;
-    let n = r.get_usize()?;
-    let mut heap = Vec::with_capacity(n.min(r.remaining() / 16 + 1));
+    let n = r.get_len(HEAP_ENTRY_BYTES)?;
+    let mut heap = Vec::with_capacity(n);
     for _ in 0..n {
         heap.push((r.get_u32()?, r.get_u64()?, r.get_u32()?));
     }
@@ -404,13 +415,14 @@ impl SessionCheckpoint {
         let dropout_rng = get_rng(&mut r)?;
         let lr = r.get_f32()?;
         let t = r.get_u64()?;
-        let n_m = r.get_usize()?;
-        let mut m = Vec::with_capacity(n_m.min(1024));
+        // A moment slot takes at least its 8-byte length prefix.
+        let n_m = r.get_len(8)?;
+        let mut m = Vec::with_capacity(n_m);
         for _ in 0..n_m {
             m.push(r.get_f32_vec()?);
         }
-        let n_v = r.get_usize()?;
-        let mut v = Vec::with_capacity(n_v.min(1024));
+        let n_v = r.get_len(8)?;
+        let mut v = Vec::with_capacity(n_v);
         for _ in 0..n_v {
             v.push(r.get_f32_vec()?);
         }
@@ -563,6 +575,25 @@ mod tests {
         // this pins every byte of the tag-1 layout.
         let bytes = sample_checkpoint().encode();
         assert_eq!((bytes.len(), gnnav_store::crc32(&bytes)), (657, 0xbf2a_ad72));
+    }
+
+    #[test]
+    fn an_impossible_list_prefix_is_refused_where_it_is_read() {
+        // The degradation count sits before the three steps (17 + 9 +
+        // 25 bytes) and the 48 bytes of counters that end the payload.
+        let mut bytes = sample_checkpoint().encode();
+        let at = bytes.len() - 48 - 51 - 8;
+        assert_eq!(bytes[at..at + 8], 3u64.to_le_bytes(), "the degradation count");
+        bytes[at..at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        let err = SessionCheckpoint::decode(&bytes).expect_err("impossible prefix");
+        assert!(
+            matches!(&err, StoreError::Decode { detail } if detail.contains("length prefix 1099511627776")),
+            "{err}"
+        );
+        // The bound the adaptive layer uses per config is exact.
+        let mut w = ByteWriter::new();
+        put_config(&mut w, &TrainingConfig { fanouts: Vec::new(), ..TrainingConfig::default() });
+        assert_eq!(w.len(), MIN_CONFIG_BYTES);
     }
 
     #[test]

@@ -209,8 +209,8 @@ impl<'a> ByteReader<'a> {
 
     /// Reads a length-prefixed `f32` vector.
     pub fn get_f32_vec(&mut self) -> Result<Vec<f32>, StoreError> {
-        let n = self.get_usize()?;
-        let mut v = Vec::with_capacity(n.min(self.remaining() / 4 + 1));
+        let n = self.get_len(4)?;
+        let mut v = Vec::with_capacity(n);
         for _ in 0..n {
             v.push(self.get_f32()?);
         }
@@ -219,8 +219,8 @@ impl<'a> ByteReader<'a> {
 
     /// Reads a length-prefixed `u32` vector.
     pub fn get_u32_vec(&mut self) -> Result<Vec<u32>, StoreError> {
-        let n = self.get_usize()?;
-        let mut v = Vec::with_capacity(n.min(self.remaining() / 4 + 1));
+        let n = self.get_len(4)?;
+        let mut v = Vec::with_capacity(n);
         for _ in 0..n {
             v.push(self.get_u32()?);
         }
@@ -235,8 +235,8 @@ impl<'a> ByteReader<'a> {
 
     /// Reads a length-prefixed `usize` vector.
     pub fn get_usize_vec(&mut self) -> Result<Vec<usize>, StoreError> {
-        let n = self.get_usize()?;
-        let mut v = Vec::with_capacity(n.min(self.remaining() / 8 + 1));
+        let n = self.get_len(8)?;
+        let mut v = Vec::with_capacity(n);
         for _ in 0..n {
             v.push(self.get_usize()?);
         }
