@@ -1,6 +1,6 @@
-//! Criterion benches for the gray-box estimator: fit cost,
-//! per-candidate prediction latency (the paper claims "negligible
-//! latency") alone, per forest and through the batch path,
+//! Criterion benches for the gray-box estimator: fit cost, whole and
+//! per forest, per-candidate prediction latency (the paper claims
+//! "negligible latency") alone, per forest and through the batch path,
 //! and gray-box vs. black-box fitting cost.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -50,9 +50,10 @@ fn bench_fit_and_predict(c: &mut Criterion) {
     group.finish();
 }
 
-/// The two forests a prediction walks, each over 256 sampled
-/// candidates per iteration (one candidate walked again and again
-/// would be all predicted branches), and the batch path over 2000.
+/// The two forests a prediction walks: fitted on the profile, then
+/// each walked over 256 sampled candidates per iteration (one
+/// candidate walked again and again would be all predicted branches),
+/// and the batch path over 2000.
 fn bench_forests_and_batch(c: &mut Criterion) {
     let (dataset, db) = profiled_db();
     let platform = Platform::default_rtx4090();
@@ -66,6 +67,24 @@ fn bench_forests_and_batch(c: &mut Criterion) {
     hit.fit(&db).expect("fit");
     let mut accuracy = AccuracyEstimator::new();
     accuracy.fit(&db).expect("fit");
+    let mut group = c.benchmark_group("forest_fit");
+    group.sample_size(20);
+    group.bench_function("hit_20x7", |b| {
+        b.iter(|| {
+            let mut m = HitRatePredictor::new();
+            m.fit(&db).expect("fit");
+            m
+        });
+    });
+    group.bench_function("accuracy_40x9", |b| {
+        b.iter(|| {
+            let mut m = AccuracyEstimator::new();
+            m.fit(&db).expect("fit");
+            m
+        });
+    });
+    group.finish();
+
     let mut group = c.benchmark_group("forest_predict");
     group.sample_size(20);
     group.bench_function("hit_20x7", |b| {

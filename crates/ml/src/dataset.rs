@@ -92,38 +92,6 @@ impl Table {
         &self.y
     }
 
-    /// A new table containing only the rows at `indices` (duplicates
-    /// allowed: used for bootstrap resampling).
-    ///
-    /// # Panics
-    ///
-    /// Panics if an index is out of range.
-    pub fn select_rows(&self, indices: &[usize]) -> Table {
-        let mut out = Table::with_dims(self.num_features);
-        for &i in indices {
-            out.x.extend_from_slice(self.row(i));
-            out.y.push(self.y[i]);
-        }
-        out
-    }
-
-    /// A new table containing only the feature columns at `cols` (in
-    /// the given order), keeping all rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a column index is out of range.
-    pub fn select_columns(&self, cols: &[usize]) -> Table {
-        assert!(cols.iter().all(|&c| c < self.num_features), "column out of range");
-        let mut out = Table::with_dims(cols.len());
-        for i in 0..self.num_rows() {
-            let row = self.row(i);
-            out.x.extend(cols.iter().map(|&c| row[c]));
-            out.y.push(self.y[i]);
-        }
-        out
-    }
-
     /// Mean of the targets (0 for an empty table).
     pub fn target_mean(&self) -> f64 {
         if self.y.is_empty() {
@@ -179,23 +147,6 @@ mod tests {
         let mut t = Table::with_dims(1);
         assert!(matches!(t.push_row(&[f64::NAN], 0.0), Err(MlError::NonFinite)));
         assert!(matches!(t.push_row(&[0.0], f64::INFINITY), Err(MlError::NonFinite)));
-    }
-
-    #[test]
-    fn select_rows_with_duplicates() {
-        let t = table();
-        let s = t.select_rows(&[2, 2, 0]);
-        assert_eq!(s.num_rows(), 3);
-        assert_eq!(s.target(0), 300.0);
-        assert_eq!(s.target(2), 100.0);
-    }
-
-    #[test]
-    fn select_columns_projects() {
-        let t = table();
-        let s = t.select_columns(&[1]);
-        assert_eq!(s.num_features(), 1);
-        assert_eq!(s.row(0), &[10.0]);
     }
 
     #[test]

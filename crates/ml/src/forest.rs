@@ -2,10 +2,10 @@
 //! subsampling.
 //!
 //! Each tree is fitted on its own bootstrap of the rows and its own
-//! subset of the columns, and then *widened* once
-//! (`DecisionTreeRegressor::widen`): its feature indices are
-//! rewritten from positions in the subset to columns of the full table.
-//! A prediction therefore walks every tree over the caller's slice as
+//! subset of the columns, read straight from the caller's table
+//! (`DecisionTreeRegressor::fit_bag`): no per-tree copy of the bag,
+//! and the fitted tree's splits name columns of the full table. A
+//! prediction therefore walks every tree over the caller's slice as
 //! it is — no per-tree copy of the selected features, no allocation.
 //! The walk reads the same values the projected copy held, the trees
 //! are summed in the same order and the sum divided once, so every bit
@@ -44,7 +44,7 @@ impl Default for ForestParams {
 #[derive(Debug, Clone)]
 pub struct RandomForestRegressor {
     params: ForestParams,
-    /// The fitted trees, widened to read full-width rows.
+    /// The fitted trees, reading full-width rows.
     trees: Vec<DecisionTreeRegressor>,
     num_features: usize,
 }
@@ -54,10 +54,11 @@ impl RandomForestRegressor {
     ///
     /// # Panics
     ///
-    /// Panics if `num_trees == 0` or `feature_fraction` is not in
-    /// `(0, 1]`.
+    /// Panics if `num_trees == 0`, `feature_fraction` is not in
+    /// `(0, 1]`, or `tree.max_thresholds == 0`.
     pub fn new(params: ForestParams) -> Self {
         assert!(params.num_trees > 0, "at least one tree required");
+        params.tree.check();
         assert!(
             params.feature_fraction > 0.0 && params.feature_fraction <= 1.0,
             "feature_fraction must be in (0, 1]"
@@ -102,10 +103,8 @@ impl Regressor for RandomForestRegressor {
         self.num_features = d;
         for _ in 0..self.params.num_trees {
             let (rows, cols) = draw_bag(&mut rng, n, d, k);
-            let sub = table.select_rows(&rows).select_columns(&cols);
             let mut tree = DecisionTreeRegressor::new(self.params.tree);
-            tree.fit(&sub)?;
-            tree.widen(&cols, d);
+            tree.fit_bag(table, &rows, &cols);
             self.trees.push(tree);
         }
         Ok(())
@@ -139,7 +138,7 @@ fn draw_bag(rng: &mut StdRng, n: usize, d: usize, k: usize) -> (Vec<usize>, Vec<
 mod tests {
     use super::*;
     use crate::metrics::r2_score;
-    use crate::tree::reference::{random_table, BoxedNode};
+    use crate::tree::reference::{random_table, tie_table, BoxedNode};
 
     fn noisy_table(seed: u64) -> Table {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -166,9 +165,9 @@ mod tests {
         assert!(r2 > 0.8, "forest generalization r2 = {r2}");
     }
 
-    /// The forest as it predicted before its trees were widened: each
-    /// tree boxed, fitted on its bag, and fed a projected copy of the
-    /// features.
+    /// The forest as it fitted and predicted before its trees read the
+    /// caller's table: each tree boxed, fitted by the reference on a
+    /// copy of its bag, and fed a projected copy of the features.
     fn projecting_reference(params: ForestParams, table: &Table) -> Vec<(Vec<usize>, BoxedNode)> {
         let (n, d) = (table.num_rows(), table.num_features());
         let k = ((d as f64 * params.feature_fraction).ceil() as usize).clamp(1, d);
@@ -176,11 +175,47 @@ mod tests {
         (0..params.num_trees)
             .map(|_| {
                 let (rows, cols) = draw_bag(&mut rng, n, d, k);
-                let sub = table.select_rows(&rows).select_columns(&cols);
-                let boxed = BoxedNode::fit(&DecisionTreeRegressor::new(params.tree), &sub);
+                let mut bag = Table::with_dims(k);
+                for &r in &rows {
+                    let projected: Vec<f64> = cols.iter().map(|&c| table.row(r)[c]).collect();
+                    bag.push_row(&projected, table.target(r)).expect("finite");
+                }
+                let boxed = BoxedNode::fit(&DecisionTreeRegressor::new(params.tree), &bag);
                 (cols, boxed)
             })
             .collect()
+    }
+
+    /// Fits `table` both ways and asserts the same leaves and depth per
+    /// tree, and the same mean and spread bits at the training rows and
+    /// at fresh draws.
+    fn assert_matches_projecting_reference(rng: &mut StdRng, params: ForestParams, table: &Table) {
+        let (rows, dims) = (table.num_rows(), table.num_features());
+        let mut forest = RandomForestRegressor::new(params);
+        forest.fit(table).expect("fit");
+        let reference = projecting_reference(params, table);
+        for (tree, (_, boxed)) in forest.trees.iter().zip(&reference) {
+            assert_eq!(tree.num_leaves(), boxed.num_leaves(), "{params:?}");
+            assert_eq!(tree.depth(), boxed.depth(), "{params:?}");
+        }
+        let probes = (0..rows)
+            .map(|i| table.row(i).to_vec())
+            .chain((0..32).map(|_| (0..dims).map(|_| rng.gen_range(-5.0..5.0)).collect()));
+        for probe in probes {
+            let preds: Vec<f64> = reference
+                .iter()
+                .map(|(cols, boxed)| {
+                    let proj: Vec<f64> = cols.iter().map(|&c| probe[c]).collect();
+                    boxed.predict(&proj)
+                })
+                .collect();
+            let mean = preds.iter().sum::<f64>() / preds.len() as f64;
+            let var = preds.iter().map(|p| (p - mean).powi(2)).sum::<f64>() / preds.len() as f64;
+            assert_eq!(forest.predict(&probe).to_bits(), mean.to_bits(), "{params:?}");
+            let (got_mean, got_std) = forest.predict_with_std(&probe);
+            assert_eq!(got_mean.to_bits(), mean.to_bits());
+            assert_eq!(got_std.to_bits(), var.sqrt().to_bits());
+        }
     }
 
     #[test]
@@ -195,32 +230,25 @@ mod tests {
                 seed: case as u64,
                 ..ForestParams::default()
             };
-            let mut forest = RandomForestRegressor::new(params);
-            forest.fit(&table).expect("fit");
-            let reference = projecting_reference(params, &table);
-            for (tree, (_, boxed)) in forest.trees.iter().zip(&reference) {
-                assert_eq!(tree.num_leaves(), boxed.num_leaves());
-                assert_eq!(tree.depth(), boxed.depth());
-            }
-            let probes = (0..rows)
-                .map(|i| table.row(i).to_vec())
-                .chain((0..32).map(|_| (0..dims).map(|_| rng.gen_range(-5.0..5.0)).collect()));
-            for probe in probes {
-                let preds: Vec<f64> = reference
-                    .iter()
-                    .map(|(cols, boxed)| {
-                        let proj: Vec<f64> = cols.iter().map(|&c| probe[c]).collect();
-                        boxed.predict(&proj)
-                    })
-                    .collect();
-                let mean = preds.iter().sum::<f64>() / preds.len() as f64;
-                let var =
-                    preds.iter().map(|p| (p - mean).powi(2)).sum::<f64>() / preds.len() as f64;
-                assert_eq!(forest.predict(&probe).to_bits(), mean.to_bits(), "fraction {fraction}");
-                let (got_mean, got_std) = forest.predict_with_std(&probe);
-                assert_eq!(got_mean.to_bits(), mean.to_bits());
-                assert_eq!(got_std.to_bits(), var.sqrt().to_bits());
-            }
+            assert_matches_projecting_reference(&mut rng, params, &table);
+        }
+    }
+
+    /// Bootstrap repeats, signed zeros, long tie runs and bags of more
+    /// than 64 rows (`stride > 1`).
+    #[test]
+    fn forest_matches_the_projecting_reference_on_ties_and_signed_zeros() {
+        let mut rng = StdRng::seed_from_u64(0x2E05);
+        for (case, fraction) in [1.0, 0.7, 0.4, 1.0, 0.8, 0.6].into_iter().enumerate() {
+            let (rows, dims) = (rng.gen_range(65..240), rng.gen_range(2..8));
+            let table = tie_table(&mut rng, rows, dims);
+            let params = ForestParams {
+                num_trees: 12,
+                tree: TreeParams { max_depth: 9, ..TreeParams::default() },
+                feature_fraction: fraction,
+                seed: case as u64,
+            };
+            assert_matches_projecting_reference(&mut rng, params, &table);
         }
     }
 
@@ -247,6 +275,13 @@ mod tests {
     #[should_panic(expected = "at least one tree")]
     fn zero_trees_rejected() {
         let _ = RandomForestRegressor::new(ForestParams { num_trees: 0, ..Default::default() });
+    }
+
+    #[test]
+    #[should_panic(expected = "max_thresholds must be at least 1")]
+    fn zero_max_thresholds_rejected() {
+        let tree = TreeParams { max_thresholds: 0, ..TreeParams::default() };
+        let _ = RandomForestRegressor::new(ForestParams { tree, ..Default::default() });
     }
 
     #[test]

@@ -16,6 +16,21 @@
 //! the same `<=` at every step, so it reaches the same leaf and
 //! returns the same bits as the boxed tree it replaced (which the
 //! tests keep as their reference).
+//!
+//! # Fit layout
+//!
+//! A fit sorts each feature column once per tree, as packed
+//! `(value, row)` keys with `-0.0` read as `+0.0`: the two compare
+//! equal, so they tie and the row decides, exactly as in a stable
+//! sort of ascending rows by `partial_cmp`. Beside the sorted columns
+//! sits one ascending row list. A node is one range `[lo, hi)` of all
+//! of them, and a split moves its left rows to the front of every
+//! range with a stable partition, which keeps each column sorted and
+//! the row list ascending. So every node scans its features in the
+//! order a per-node sort gave and sums its targets in ascending row
+//! order, and the tree is bit for bit the one the per-node-sorting fit
+//! built (the tests keep that fit as their reference), with no sort
+//! and no allocation per node.
 
 use crate::dataset::Table;
 use crate::regressor::Regressor;
@@ -31,13 +46,21 @@ pub struct TreeParams {
     /// Minimum samples in each leaf.
     pub min_samples_leaf: usize,
     /// Maximum candidate thresholds evaluated per feature (quantile
-    /// subsampling keeps fitting fast on large profile databases).
+    /// subsampling keeps fitting fast on large profile databases); at
+    /// least 1.
     pub max_thresholds: usize,
 }
 
 impl Default for TreeParams {
     fn default() -> Self {
         TreeParams { max_depth: 8, min_samples_split: 4, min_samples_leaf: 2, max_thresholds: 32 }
+    }
+}
+
+impl TreeParams {
+    /// Panics unless a tree can be fitted with these parameters.
+    pub(crate) fn check(&self) {
+        assert!(self.max_thresholds > 0, "max_thresholds must be at least 1");
     }
 }
 
@@ -92,7 +115,12 @@ pub struct DecisionTreeRegressor {
 
 impl DecisionTreeRegressor {
     /// Creates an unfitted tree.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params.max_thresholds == 0`.
     pub fn new(params: TreeParams) -> Self {
+        params.check();
         DecisionTreeRegressor { params, nodes: Vec::new(), num_features: 0 }
     }
 
@@ -135,70 +163,93 @@ impl DecisionTreeRegressor {
         }
     }
 
-    /// Rewrites a tree fitted on the columns `cols` of a wider table
-    /// to read rows of the full `width` directly, so its forest
-    /// predicts from the caller's slice without projecting it first.
-    pub(crate) fn widen(&mut self, cols: &[usize], width: usize) {
-        for node in self.nodes.iter_mut().filter(|node| !node.is_leaf()) {
+    /// Fits on the rows `rows` (repeats allowed) and the columns `cols`
+    /// of `table`: the tree a copy of just those rows and columns would
+    /// give, but with its splits naming columns of `table`, so it reads
+    /// rows of the full width (a forest predicts from the caller's
+    /// slice without projecting it first) and nothing is copied but
+    /// the sorted columns. `rows` must not be empty.
+    pub(crate) fn fit_bag(&mut self, table: &Table, rows: &[usize], cols: &[usize]) {
+        let mut columns = Columns::new(table, rows, cols);
+        let mut nodes = Vec::new();
+        self.build(&mut columns, 0, rows.len(), 0, &mut nodes);
+        for node in nodes.iter_mut().filter(|node| !node.is_leaf()) {
             node.feature = index_u32(cols[node.feature as usize]);
         }
-        self.num_features = width;
+        self.nodes = nodes;
+        self.num_features = table.num_features();
     }
 
-    /// Appends the subtree over `indices` to `nodes`, in preorder.
-    fn build(&self, table: &Table, indices: &[usize], depth: usize, nodes: &mut Vec<Node>) {
-        let mean = indices.iter().map(|&i| table.target(i)).sum::<f64>() / indices.len() as f64;
+    /// Appends the subtree over the rows `columns` holds at `lo..hi`
+    /// to `nodes`, in preorder.
+    fn build(
+        &self,
+        columns: &mut Columns,
+        lo: usize,
+        hi: usize,
+        depth: usize,
+        nodes: &mut Vec<Node>,
+    ) {
+        let rows = &columns.ascending[lo..hi];
+        let sum = rows.iter().map(|&r| columns.targets[r as usize]).sum::<f64>();
+        let mean = sum / rows.len() as f64;
         if depth >= self.params.max_depth
-            || indices.len() < self.params.min_samples_split
-            || variance(table, indices) < 1e-12
+            || rows.len() < self.params.min_samples_split
+            || variance(&columns.targets, rows, mean) < 1e-12
         {
             return nodes.push(Node::leaf(mean));
         }
-        let Some((feature, threshold)) = self.best_split(table, indices) else {
+        let Some((feature, threshold)) = self.best_split(columns, lo, hi, sum) else {
             return nodes.push(Node::leaf(mean));
         };
-        let (left_idx, right_idx): (Vec<usize>, Vec<usize>) =
-            indices.iter().partition(|&&i| table.row(i)[feature] <= threshold);
-        if left_idx.len() < self.params.min_samples_leaf
-            || right_idx.len() < self.params.min_samples_leaf
+        // The split column is sorted: its rows `<= threshold` lead it.
+        let split_column = &columns.entries[feature * columns.n..][lo..hi];
+        let n_left = split_column.partition_point(|e| e.value <= threshold);
+        if n_left < self.params.min_samples_leaf || hi - lo - n_left < self.params.min_samples_leaf
         {
             return nodes.push(Node::leaf(mean));
         }
+        columns.split(feature, lo, hi, n_left);
         let split = nodes.len();
         nodes.push(Node { threshold, feature: index_u32(feature), right: 0 });
-        self.build(table, &left_idx, depth + 1, nodes);
+        self.build(columns, lo, lo + n_left, depth + 1, nodes);
         nodes[split].right = index_u32(nodes.len());
-        self.build(table, &right_idx, depth + 1, nodes);
+        self.build(columns, lo + n_left, hi, depth + 1, nodes);
     }
 
-    fn best_split(&self, table: &Table, indices: &[usize]) -> Option<(usize, f64)> {
-        let n = indices.len() as f64;
-        let total_sum: f64 = indices.iter().map(|&i| table.target(i)).sum();
+    /// The split of the rows at `lo..hi`, whose targets sum to
+    /// `total_sum`, that maximizes the between-group sum of squares
+    /// (== minimizes within-node variance), trying every `stride`-th
+    /// position of each sorted column.
+    fn best_split(
+        &self,
+        columns: &Columns,
+        lo: usize,
+        hi: usize,
+        total_sum: f64,
+    ) -> Option<(usize, f64)> {
+        let len = hi - lo;
+        let n = len as f64;
+        let stride = (len / self.params.max_thresholds).max(1);
         let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, score)
-        for f in 0..table.num_features() {
-            // Sort indices by this feature.
-            let mut order: Vec<usize> = indices.to_vec();
-            order.sort_by(|&a, &b| {
-                table.row(a)[f].partial_cmp(&table.row(b)[f]).expect("finite features")
-            });
-            let stride = (order.len() / self.params.max_thresholds).max(1);
+        for (f, column) in columns.entries.chunks_exact(columns.n).enumerate() {
             let mut left_sum = 0.0f64;
-            let mut left_n = 0usize;
-            for (pos, &i) in order.iter().enumerate().take(order.len() - 1) {
-                left_sum += table.target(i);
-                left_n += 1;
-                if pos % stride != 0 {
+            // Positions to pass over before the next candidate.
+            let mut skip = 0;
+            for (pos, pair) in column[lo..hi].windows(2).enumerate() {
+                left_sum += columns.targets[pair[0].row as usize];
+                if skip > 0 {
+                    skip -= 1;
                     continue;
                 }
-                let v = table.row(i)[f];
-                let v_next = table.row(order[pos + 1])[f];
+                skip = stride - 1;
+                let (v, v_next) = (pair[0].value, pair[1].value);
                 if v == v_next {
                     continue; // cannot split between equal values
                 }
+                let left_n = pos + 1;
                 let right_sum = total_sum - left_sum;
-                let right_n = indices.len() - left_n;
-                // Maximizing between-group sum of squares ==
-                // minimizing within-node variance.
+                let right_n = len - left_n;
                 let score = left_sum * left_sum / left_n as f64
                     + right_sum * right_sum / right_n as f64
                     - total_sum * total_sum / n;
@@ -219,10 +270,114 @@ fn index_u32(index: usize) -> u32 {
     u32::try_from(index).expect("tree index fits in u32")
 }
 
-fn variance(table: &Table, indices: &[usize]) -> f64 {
-    let n = indices.len() as f64;
-    let mean = indices.iter().map(|&i| table.target(i)).sum::<f64>() / n;
-    indices.iter().map(|&i| (table.target(i) - mean).powi(2)).sum::<f64>() / n
+/// Mean squared deviation of the targets of `rows` from `mean`.
+fn variance(targets: &[f64], rows: &[u32], mean: f64) -> f64 {
+    rows.iter().map(|&r| (targets[r as usize] - mean).powi(2)).sum::<f64>() / rows.len() as f64
+}
+
+/// One entry of a sorted column: a feature value (`+0.0` for either
+/// zero) and the row it belongs to.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    value: f64,
+    row: u32,
+}
+
+/// One tree's training rows as its fit reads them (see "Fit layout"
+/// in the module docs).
+struct Columns {
+    /// Rows per column: column `f` is `entries[f * n..(f + 1) * n]`.
+    n: usize,
+    /// Every column, each in `(value, row)` order within every node.
+    entries: Vec<Entry>,
+    /// Every row, ascending within every node.
+    ascending: Vec<u32>,
+    /// The target of each row.
+    targets: Vec<f64>,
+    /// Per row: whether the split being applied sends it left.
+    goes_left: Vec<bool>,
+    /// The right sides of partitions, while their left sides move.
+    scratch: Vec<Entry>,
+    row_scratch: Vec<u32>,
+}
+
+impl Columns {
+    /// The rows `rows` and columns `cols` of `table`; row `r` here is
+    /// `rows[r]` there.
+    fn new(table: &Table, rows: &[usize], cols: &[usize]) -> Self {
+        let n = rows.len();
+        let mut entries = Vec::with_capacity(n * cols.len());
+        let mut keys: Vec<u128> = Vec::with_capacity(n);
+        for &col in cols {
+            keys.clear();
+            keys.extend(
+                rows.iter()
+                    .enumerate()
+                    .map(|(r, &row)| u128::from(sort_key(table.row(row)[col])) << 64 | r as u128),
+            );
+            keys.sort_unstable();
+            entries.extend(
+                keys.iter()
+                    .map(|&key| Entry { value: key_value((key >> 64) as u64), row: key as u32 }),
+            );
+        }
+        Columns {
+            n,
+            entries,
+            ascending: (0..index_u32(n)).collect(),
+            targets: rows.iter().map(|&row| table.target(row)).collect(),
+            goes_left: vec![false; n],
+            scratch: vec![Entry { value: 0.0, row: 0 }; n],
+            row_scratch: vec![0; n],
+        }
+    }
+
+    /// Moves the rows of the first `n_left` entries of `feature` in
+    /// `lo..hi` to the front of that range in every other column and
+    /// in the row list, keeping the order on both sides.
+    fn split(&mut self, feature: usize, lo: usize, hi: usize, n_left: usize) {
+        let Columns { n, entries, ascending, goes_left, scratch, row_scratch, .. } = self;
+        for (i, e) in entries[feature * *n..][lo..hi].iter().enumerate() {
+            goes_left[e.row as usize] = i < n_left;
+        }
+        for (f, column) in entries.chunks_exact_mut(*n).enumerate() {
+            if f != feature {
+                stable_partition(&mut column[lo..hi], scratch, |e| goes_left[e.row as usize]);
+            }
+        }
+        stable_partition(&mut ascending[lo..hi], row_scratch, |r| goes_left[r as usize]);
+    }
+}
+
+/// `value`'s place in `partial_cmp` order as an unsigned key, with
+/// `-0.0` and `+0.0`, which compare equal, as one key.
+fn sort_key(value: f64) -> u64 {
+    let bits = if value == 0.0 { 0 } else { value.to_bits() };
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
+    }
+}
+
+/// The value [`sort_key`] made `key` from.
+fn key_value(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 { key & !(1 << 63) } else { !key })
+}
+
+/// Moves the items `goes_left` accepts to the front of `items`, keeping
+/// the order on both sides, with no branch on the answer.
+fn stable_partition<T: Copy>(items: &mut [T], scratch: &mut [T], goes_left: impl Fn(T) -> bool) {
+    let (mut left, mut right) = (0, 0);
+    for i in 0..items.len() {
+        let item = items[i];
+        let goes = goes_left(item);
+        items[left] = item;
+        scratch[right] = item;
+        left += usize::from(goes);
+        right += usize::from(!goes);
+    }
+    items[left..].copy_from_slice(&scratch[..right]);
 }
 
 impl Regressor for DecisionTreeRegressor {
@@ -230,11 +385,9 @@ impl Regressor for DecisionTreeRegressor {
         if table.is_empty() {
             return Err(MlError::EmptyTable);
         }
-        let indices: Vec<usize> = (0..table.num_rows()).collect();
-        self.num_features = table.num_features();
-        let mut nodes = Vec::new();
-        self.build(table, &indices, 0, &mut nodes);
-        self.nodes = nodes;
+        let rows: Vec<usize> = (0..table.num_rows()).collect();
+        let cols: Vec<usize> = (0..table.num_features()).collect();
+        self.fit_bag(table, &rows, &cols);
         Ok(())
     }
 
@@ -245,10 +398,11 @@ impl Regressor for DecisionTreeRegressor {
     }
 }
 
-/// The tree as it was before the flat layout — one heap box per node,
-/// built by the same recursion and walked by pointer — kept as the
-/// reference the flat form is tested against, here and in
-/// [`crate::forest`], beside the random tables both suites fit.
+/// The tree as it was before the fit layout and the flat layout: each
+/// node sorting its rows per feature into a fresh `Vec`, one heap box
+/// per node, walked by pointer. It is kept as the reference the fit
+/// and the flat walk are tested against, here and in
+/// [`crate::forest`], beside the tables both suites fit.
 #[cfg(test)]
 pub(crate) mod reference {
     use super::*;
@@ -262,19 +416,13 @@ pub(crate) mod reference {
     }
 
     impl BoxedNode {
-        /// Fits with `tree`'s parameters (and its `best_split`).
+        /// Fits with `tree`'s parameters.
         pub(crate) fn fit(tree: &DecisionTreeRegressor, table: &Table) -> BoxedNode {
             let indices: Vec<usize> = (0..table.num_rows()).collect();
-            Self::build(tree, table, &indices, 0)
+            Self::build(&tree.params, table, &indices, 0)
         }
 
-        fn build(
-            tree: &DecisionTreeRegressor,
-            table: &Table,
-            indices: &[usize],
-            depth: usize,
-        ) -> BoxedNode {
-            let params = &tree.params;
+        fn build(params: &TreeParams, table: &Table, indices: &[usize], depth: usize) -> BoxedNode {
             let mean = indices.iter().map(|&i| table.target(i)).sum::<f64>() / indices.len() as f64;
             if depth >= params.max_depth
                 || indices.len() < params.min_samples_split
@@ -282,7 +430,7 @@ pub(crate) mod reference {
             {
                 return BoxedNode::Leaf { value: mean };
             }
-            let Some((feature, threshold)) = tree.best_split(table, indices) else {
+            let Some((feature, threshold)) = best_split(params, table, indices) else {
                 return BoxedNode::Leaf { value: mean };
             };
             let (left_idx, right_idx): (Vec<usize>, Vec<usize>) =
@@ -294,8 +442,8 @@ pub(crate) mod reference {
             BoxedNode::Split {
                 feature,
                 threshold,
-                left: Box::new(Self::build(tree, table, &left_idx, depth + 1)),
-                right: Box::new(Self::build(tree, table, &right_idx, depth + 1)),
+                left: Box::new(Self::build(params, table, &left_idx, depth + 1)),
+                right: Box::new(Self::build(params, table, &right_idx, depth + 1)),
             }
         }
 
@@ -335,6 +483,55 @@ pub(crate) mod reference {
         }
     }
 
+    /// The best split of `indices` (ascending), each feature's rows
+    /// sorted afresh by `partial_cmp` — a stable sort, so equal values
+    /// keep ascending row order.
+    fn best_split(params: &TreeParams, table: &Table, indices: &[usize]) -> Option<(usize, f64)> {
+        let n = indices.len() as f64;
+        let total_sum: f64 = indices.iter().map(|&i| table.target(i)).sum();
+        let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, score)
+        for f in 0..table.num_features() {
+            // Sort indices by this feature.
+            let mut order: Vec<usize> = indices.to_vec();
+            order.sort_by(|&a, &b| {
+                table.row(a)[f].partial_cmp(&table.row(b)[f]).expect("finite features")
+            });
+            let stride = (order.len() / params.max_thresholds).max(1);
+            let mut left_sum = 0.0f64;
+            let mut left_n = 0usize;
+            for (pos, &i) in order.iter().enumerate().take(order.len() - 1) {
+                left_sum += table.target(i);
+                left_n += 1;
+                if pos % stride != 0 {
+                    continue;
+                }
+                let v = table.row(i)[f];
+                let v_next = table.row(order[pos + 1])[f];
+                if v == v_next {
+                    continue; // cannot split between equal values
+                }
+                let right_sum = total_sum - left_sum;
+                let right_n = indices.len() - left_n;
+                // Maximizing between-group sum of squares ==
+                // minimizing within-node variance.
+                let score = left_sum * left_sum / left_n as f64
+                    + right_sum * right_sum / right_n as f64
+                    - total_sum * total_sum / n;
+                let threshold = 0.5 * (v + v_next);
+                if best.is_none_or(|(_, _, s)| score > s) {
+                    best = Some((f, threshold, score));
+                }
+            }
+        }
+        best.filter(|&(_, _, s)| s > 1e-12).map(|(f, t, _)| (f, t))
+    }
+
+    fn variance(table: &Table, indices: &[usize]) -> f64 {
+        let n = indices.len() as f64;
+        let mean = indices.iter().map(|&i| table.target(i)).sum::<f64>() / n;
+        indices.iter().map(|&i| (table.target(i) - mean).powi(2)).sum::<f64>() / n
+    }
+
     /// A table of `rows` × `dims` whose target mixes steps and slopes,
     /// so trees come out uneven; a third of the cells sit on a coarse
     /// grid, which makes equal feature values (no split between them)
@@ -357,20 +554,71 @@ pub(crate) mod reference {
         }
         t
     }
+
+    /// A table that only a fit ordering equal values by row gets
+    /// right. Every cell is one of five values, `-0.0` and `+0.0`
+    /// among them, so each column is a few long tie runs, and the
+    /// targets mix ±1e16 with small odd numbers, so the order a run
+    /// is summed in moves the score of every split after it.
+    pub(crate) fn tie_table(rng: &mut StdRng, rows: usize, dims: usize) -> Table {
+        const VALUES: [f64; 5] = [-0.0, 0.0, -1.5, 1.0, 2.5];
+        const TARGETS: [f64; 5] = [1e16, -1e16, 1.0, 3.0, -7.0];
+        let mut t = Table::with_dims(dims);
+        for _ in 0..rows {
+            let row: Vec<f64> = (0..dims).map(|_| VALUES[rng.gen_range(0..VALUES.len())]).collect();
+            t.push_row(&row, TARGETS[rng.gen_range(0..TARGETS.len())]).expect("finite");
+        }
+        t
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::reference::{random_table, BoxedNode};
+    use super::reference::{random_table, tie_table, BoxedNode};
     use super::*;
     use crate::metrics::r2_score;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    #[test]
-    fn flat_walk_matches_the_boxed_reference_bitwise() {
-        let mut rng = StdRng::seed_from_u64(0xF1A7);
-        let shapes = [
+    /// Fits `table` both ways under `params` and asserts the same
+    /// leaves, depth and prediction bits at the training rows, at fresh
+    /// draws, and at a row moved onto every threshold of the feature
+    /// it splits — the `<=` side of the comparison. Returns the leaves.
+    fn assert_matches_reference(
+        rng: &mut StdRng,
+        params: TreeParams,
+        table: &Table,
+        case: usize,
+    ) -> usize {
+        let (rows, dims) = (table.num_rows(), table.num_features());
+        let mut tree = DecisionTreeRegressor::new(params);
+        tree.fit(table).expect("fit");
+        let boxed = BoxedNode::fit(&tree, table);
+        assert_eq!(tree.num_leaves(), boxed.num_leaves(), "case {case}");
+        assert_eq!(tree.depth(), boxed.depth(), "case {case}");
+        assert_eq!(tree.nodes.len(), 2 * boxed.num_leaves() - 1, "case {case}");
+
+        let mut probes: Vec<Vec<f64>> = (0..rows).map(|i| table.row(i).to_vec()).collect();
+        probes.extend((0..32).map(|_| (0..dims).map(|_| rng.gen_range(-5.0..5.0)).collect()));
+        let mut thresholds = Vec::new();
+        boxed.thresholds(&mut thresholds);
+        for &(feature, threshold) in &thresholds {
+            let mut on = table.row(rng.gen_range(0..rows)).to_vec();
+            on[feature] = threshold;
+            probes.push(on);
+        }
+        for probe in &probes {
+            assert_eq!(
+                tree.predict(probe).to_bits(),
+                boxed.predict(probe).to_bits(),
+                "case {case} at {probe:?}"
+            );
+        }
+        tree.num_leaves()
+    }
+
+    fn shapes() -> [TreeParams; 4] {
+        [
             TreeParams::default(),
             TreeParams { max_depth: 2, ..TreeParams::default() }, // depth-capped
             TreeParams {
@@ -380,40 +628,56 @@ mod tests {
                 ..TreeParams::default()
             },
             TreeParams { min_samples_leaf: 1000, ..TreeParams::default() }, // a single leaf
-        ];
+        ]
+    }
+
+    #[test]
+    fn flat_walk_matches_the_boxed_reference_bitwise() {
+        let mut rng = StdRng::seed_from_u64(0xF1A7);
         let mut single_leaf = 0;
         for case in 0..40 {
             let (rows, dims) = (rng.gen_range(1..160), rng.gen_range(1..7));
             let table = random_table(&mut rng, rows, dims);
-            let mut tree = DecisionTreeRegressor::new(shapes[case % shapes.len()]);
-            tree.fit(&table).expect("fit");
-            let boxed = BoxedNode::fit(&tree, &table);
-            assert_eq!(tree.num_leaves(), boxed.num_leaves(), "case {case}");
-            assert_eq!(tree.depth(), boxed.depth(), "case {case}");
-            assert_eq!(tree.nodes.len(), 2 * boxed.num_leaves() - 1, "case {case}");
-            single_leaf += usize::from(tree.num_leaves() == 1);
-
-            // Probes: the training rows, fresh draws, and every row
-            // moved onto every threshold of the feature it splits —
-            // the `<=` side of the comparison.
-            let mut probes: Vec<Vec<f64>> = (0..rows).map(|i| table.row(i).to_vec()).collect();
-            probes.extend((0..32).map(|_| (0..dims).map(|_| rng.gen_range(-5.0..5.0)).collect()));
-            let mut thresholds = Vec::new();
-            boxed.thresholds(&mut thresholds);
-            for &(feature, threshold) in &thresholds {
-                let mut on = table.row(rng.gen_range(0..rows)).to_vec();
-                on[feature] = threshold;
-                probes.push(on);
-            }
-            for probe in &probes {
-                assert_eq!(
-                    tree.predict(probe).to_bits(),
-                    boxed.predict(probe).to_bits(),
-                    "case {case} at {probe:?}"
-                );
-            }
+            let leaves = assert_matches_reference(&mut rng, shapes()[case % 4], &table, case);
+            single_leaf += usize::from(leaves == 1);
         }
         assert!(single_leaf >= 10, "the single-leaf shape was exercised ({single_leaf})");
+    }
+
+    /// Signed zeros in one column, long tie runs, and nodes of more
+    /// than 64 rows, where `stride > 1` skips candidates.
+    #[test]
+    fn fit_matches_the_reference_on_ties_signed_zeros_and_strided_nodes() {
+        let mut rng = StdRng::seed_from_u64(0x71E5);
+        let mut strided = 0;
+        for case in 0..48 {
+            let (rows, dims) = (rng.gen_range(2..300), rng.gen_range(1..6));
+            let table = tie_table(&mut rng, rows, dims);
+            let params = shapes()[case % 3];
+            strided += usize::from(rows / params.max_thresholds > 1);
+            assert_matches_reference(&mut rng, params, &table, case);
+            let narrow = TreeParams { max_thresholds: 5, ..params };
+            assert_matches_reference(&mut rng, narrow, &table, case);
+        }
+        assert!(strided >= 20, "strided nodes were exercised ({strided})");
+    }
+
+    #[test]
+    fn sort_keys_follow_partial_cmp_and_merge_the_zeros() {
+        let values = [f64::MIN, -3.5, -1e-300, -0.0, 0.0, 1e-300, 2.0, f64::MAX];
+        for a in values {
+            for b in values {
+                assert_eq!(sort_key(a).cmp(&sort_key(b)), a.partial_cmp(&b).expect("finite"));
+            }
+            let back = key_value(sort_key(a));
+            assert_eq!(back.to_bits(), if a == 0.0 { 0 } else { a.to_bits() });
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "max_thresholds must be at least 1")]
+    fn zero_max_thresholds_rejected() {
+        let _ = DecisionTreeRegressor::new(TreeParams { max_thresholds: 0, ..Default::default() });
     }
 
     #[test]
