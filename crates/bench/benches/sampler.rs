@@ -5,9 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gnnav_graph::generators::barabasi_albert;
-use gnnav_sampler::{
-    LayerWiseSampler, LocalityBias, NodeWiseSampler, Sampler, SubgraphWiseSampler,
-};
+use gnnav_sampler::{LocalityBias, Sampler};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -22,28 +20,28 @@ fn bench_sampler_families(c: &mut Criterion) {
     let mut group = c.benchmark_group("sampler_families");
     group.sample_size(20);
     group.bench_function("node_wise_25_10", |b| {
-        let s = NodeWiseSampler::new(vec![25, 10], none());
+        let s = Sampler::node_wise(vec![25, 10], none());
         let mut rng = StdRng::seed_from_u64(2);
         b.iter(|| s.sample(&g, &targets, &mut rng).expect("sample"));
     });
     group.bench_function("node_wise_25_10_eta075", |b| {
-        let s = NodeWiseSampler::new(vec![25, 10], biased(0.75));
+        let s = Sampler::node_wise(vec![25, 10], biased(0.75));
         let mut rng = StdRng::seed_from_u64(2);
         b.iter(|| s.sample(&g, &targets, &mut rng).expect("sample"));
     });
     group.bench_function("layer_wise_1600x2", |b| {
-        let s = LayerWiseSampler::new(vec![1600, 1600], none());
+        let s = Sampler::layer_wise(vec![1600, 1600], none());
         let mut rng = StdRng::seed_from_u64(3);
         b.iter(|| s.sample(&g, &targets, &mut rng).expect("sample"));
     });
     group.bench_function("subgraph_wise_walk35", |b| {
-        let s = SubgraphWiseSampler::new(35, none());
+        let s = Sampler::subgraph_wise(35, none());
         let mut rng = StdRng::seed_from_u64(4);
         b.iter(|| s.sample(&g, &targets, &mut rng).expect("sample"));
     });
     // Biased walks key every neighbour of every hub they pass through.
     group.bench_function("subgraph_wise_walk35_eta1", |b| {
-        let s = SubgraphWiseSampler::new(35, biased(1.0));
+        let s = Sampler::subgraph_wise(35, biased(1.0));
         let mut rng = StdRng::seed_from_u64(4);
         b.iter(|| s.sample(&g, &targets, &mut rng).expect("sample"));
     });
@@ -77,7 +75,7 @@ fn bench_fanout_ablation(c: &mut Criterion) {
     group.sample_size(20);
     for k in [5usize, 10, 15, 25] {
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, &k| {
-            let s = NodeWiseSampler::new(vec![k, k], LocalityBias::none(g.num_nodes()));
+            let s = Sampler::node_wise(vec![k, k], LocalityBias::none(g.num_nodes()));
             let mut rng = StdRng::seed_from_u64(6);
             b.iter(|| s.sample(&g, &targets, &mut rng).expect("sample"));
         });
@@ -92,12 +90,12 @@ fn bench_locality_bias_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("locality_bias_overhead");
     group.sample_size(20);
     group.bench_function("unbiased", |b| {
-        let s = NodeWiseSampler::new(vec![10, 10], LocalityBias::none(g.num_nodes()));
+        let s = Sampler::node_wise(vec![10, 10], LocalityBias::none(g.num_nodes()));
         let mut rng = StdRng::seed_from_u64(8);
         b.iter(|| s.sample(&g, &targets, &mut rng).expect("sample"));
     });
     group.bench_function("biased_eta_075", |b| {
-        let s = NodeWiseSampler::new(vec![10, 10], LocalityBias::new(g.num_nodes(), &hot, 0.75));
+        let s = Sampler::node_wise(vec![10, 10], LocalityBias::new(g.num_nodes(), &hot, 0.75));
         let mut rng = StdRng::seed_from_u64(9);
         b.iter(|| s.sample(&g, &targets, &mut rng).expect("sample"));
     });

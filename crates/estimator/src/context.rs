@@ -56,7 +56,7 @@ impl Context {
     /// `|V|(1 − e^(−s/|V|))`, which needs the raw growth.
     pub fn batch_skeleton(&self) -> f64 {
         let b = self.config.batch_size as f64;
-        let raw = match self.config.sampler {
+        match self.config.sampler {
             SamplerKind::NodeWise => {
                 // Each hop fans out at most min(k, avg_degree).
                 let mut total = b;
@@ -68,20 +68,12 @@ impl Context {
                 total
             }
             SamplerKind::LayerWise => {
-                let budget: f64 = self
-                    .config
-                    .fanouts
-                    .iter()
-                    .map(|&k| (k * self.config.batch_size / 4).max(16) as f64)
-                    .sum();
+                let budget: f64 =
+                    self.config.fanouts.iter().map(|&k| self.config.layer_budget(k) as f64).sum();
                 b + budget
             }
-            SamplerKind::SubgraphWise | _ => {
-                let hops: usize = self.config.fanouts.iter().sum();
-                b * (1.0 + hops as f64)
-            }
-        };
-        raw
+            SamplerKind::SubgraphWise | _ => b * (1.0 + self.config.walk_hops() as f64),
+        }
     }
 
     /// Scalar parameter count `|Φ|` of the configured model on this

@@ -20,7 +20,7 @@ use crate::context::Context;
 use crate::profile::ProfileRecord;
 use gnnav_graph::{Dataset, DatasetId};
 use gnnav_hwsim::Platform;
-use gnnav_runtime::checkpoint::{get_config, put_config, put_platform};
+use gnnav_runtime::checkpoint::{get_config, get_platform, put_config, put_platform};
 use gnnav_runtime::TrainingConfig;
 use gnnav_store::{fnv1a64, ByteReader, ByteWriter, StoreError, Wal};
 use std::collections::HashMap;
@@ -82,7 +82,6 @@ pub(crate) fn put_workload_key(w: &mut ByteWriter, id: DatasetId, ctx: &Context)
 }
 
 fn get_key(r: &mut ByteReader) -> Result<(DatasetId, Context), StoreError> {
-    use gnnav_hwsim::{DeviceProfile, HostProfile, LinkProfile};
     let id = dataset_from_tag(r.get_u8()?)?;
     let config = get_config(r)?;
     let num_nodes = r.get_f64()?;
@@ -93,22 +92,7 @@ fn get_key(r: &mut ByteReader) -> Result<(DatasetId, Context), StoreError> {
     let feat_dim = r.get_f64()?;
     let num_classes = r.get_f64()?;
     let num_train = r.get_f64()?;
-    let host = HostProfile {
-        name: r.get_str()?,
-        sample_mvps: r.get_f64()?,
-        mem_bandwidth_gbs: r.get_f64()?,
-        iteration_overhead_us: r.get_f64()?,
-    };
-    let device = DeviceProfile {
-        name: r.get_str()?,
-        compute_tflops: r.get_f64()?,
-        mem_bandwidth_gbs: r.get_f64()?,
-        mem_capacity_bytes: r.get_usize()?,
-        launch_overhead_us: r.get_f64()?,
-        fp16_speedup: r.get_f64()?,
-    };
-    let link =
-        LinkProfile { name: r.get_str()?, bandwidth_gbs: r.get_f64()?, latency_us: r.get_f64()? };
+    let platform = Arc::new(get_platform(r)?);
     Ok((
         id,
         Context {
@@ -121,7 +105,7 @@ fn get_key(r: &mut ByteReader) -> Result<(DatasetId, Context), StoreError> {
             feat_dim,
             num_classes,
             num_train,
-            platform: Arc::new(Platform { host, device, link }),
+            platform,
         },
     ))
 }

@@ -8,8 +8,8 @@ use crate::MlError;
 /// Implemented by [`RidgeRegressor`](crate::RidgeRegressor),
 /// [`DecisionTreeRegressor`](crate::DecisionTreeRegressor), and
 /// [`RandomForestRegressor`](crate::RandomForestRegressor).
-/// Object-safe so the gray-box
-/// estimator can mix learners behind `Box<dyn Regressor>`.
+/// The gray-box estimator holds each learner as its concrete type;
+/// the trait is their shared interface, and it stays object-safe.
 pub trait Regressor: std::fmt::Debug + Send {
     /// Fits the model on `table`.
     ///

@@ -21,7 +21,7 @@ use crate::backend::{DegradationStep, RecoveryLog};
 use crate::config::TrainingConfig;
 use crate::perf::PhaseBreakdown;
 use gnnav_cache::{CachePolicy, CacheSnapshot, CacheStats};
-use gnnav_hwsim::{Platform, Precision, SimTime};
+use gnnav_hwsim::{DeviceProfile, HostProfile, LinkProfile, Platform, Precision, SimTime};
 use gnnav_nn::{AdamState, ModelKind};
 use gnnav_store::{ByteReader, ByteWriter, StoreError};
 use std::path::PathBuf;
@@ -235,6 +235,28 @@ pub fn put_platform(w: &mut ByteWriter, p: &Platform) {
     w.put_str(&p.link.name);
     w.put_f64(p.link.bandwidth_gbs);
     w.put_f64(p.link.latency_us);
+}
+
+/// Reads back a [`Platform`] written by [`put_platform`], with a typed
+/// decode error on truncated bytes or a name that is not UTF-8.
+pub fn get_platform(r: &mut ByteReader) -> Result<Platform, StoreError> {
+    let host = HostProfile {
+        name: r.get_str()?,
+        sample_mvps: r.get_f64()?,
+        mem_bandwidth_gbs: r.get_f64()?,
+        iteration_overhead_us: r.get_f64()?,
+    };
+    let device = DeviceProfile {
+        name: r.get_str()?,
+        compute_tflops: r.get_f64()?,
+        mem_bandwidth_gbs: r.get_f64()?,
+        mem_capacity_bytes: r.get_usize()?,
+        launch_overhead_us: r.get_f64()?,
+        fp16_speedup: r.get_f64()?,
+    };
+    let link =
+        LinkProfile { name: r.get_str()?, bandwidth_gbs: r.get_f64()?, latency_us: r.get_f64()? };
+    Ok(Platform { host, device, link })
 }
 
 fn put_sim_time(w: &mut ByteWriter, t: SimTime) {

@@ -9,9 +9,7 @@ use gnnav_cache::CachePolicy;
 use gnnav_graph::{stats::nodes_by_degree_desc, Graph, NodeId};
 use gnnav_hwsim::Precision;
 use gnnav_nn::ModelKind;
-use gnnav_sampler::{
-    LayerWiseSampler, LocalityBias, NodeWiseSampler, Sampler, SubgraphWiseSampler,
-};
+use gnnav_sampler::{LocalityBias, Sampler};
 
 use crate::RuntimeError;
 
@@ -177,16 +175,28 @@ impl TrainingConfig {
         nodes_by_degree_desc(graph).into_iter().take(count).collect()
     }
 
+    /// The layer-wise budget `Δ^l` of a layer with fanout `k`:
+    /// `k · |B^0| / 4` (Eq. 3's shared-neighbor discount), at least 16.
+    pub fn layer_budget(&self, k: usize) -> usize {
+        (k * self.batch_size / 4).max(16)
+    }
+
+    /// Hops of a subgraph-wise walk: `Σ k^l`.
+    pub fn walk_hops(&self) -> usize {
+        self.fanouts.iter().sum()
+    }
+
     /// Instantiates the configured sampler for `graph`.
     ///
     /// Fanouts parameterize every family: layer-wise budgets are
-    /// `Δ^l = k^l · |B^0| / 4` (Eq. 3's shared-neighbor discount) and
-    /// subgraph-wise walks take `Σ k^l` hops.
+    /// [`layer_budget`](Self::layer_budget)s and subgraph-wise walks
+    /// take [`walk_hops`](Self::walk_hops) hops. At `η > 0` the
+    /// sampler's bias holds the [`hot_set`](Self::hot_set).
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::InvalidConfig`] if validation fails.
-    pub fn build_sampler(&self, graph: &Graph) -> Result<Box<dyn Sampler>, RuntimeError> {
+    pub fn build_sampler(&self, graph: &Graph) -> Result<Sampler, RuntimeError> {
         self.validate()?;
         let bias = if self.locality_eta > 0.0 {
             LocalityBias::new(graph.num_nodes(), &self.hot_set(graph), self.locality_eta)
@@ -194,16 +204,12 @@ impl TrainingConfig {
             LocalityBias::none(graph.num_nodes())
         };
         Ok(match self.sampler {
-            SamplerKind::NodeWise => Box::new(NodeWiseSampler::new(self.fanouts.clone(), bias)),
-            SamplerKind::LayerWise => {
-                let sizes: Vec<usize> =
-                    self.fanouts.iter().map(|&k| (k * self.batch_size / 4).max(16)).collect();
-                Box::new(LayerWiseSampler::new(sizes, bias))
-            }
-            SamplerKind::SubgraphWise => {
-                let hops: usize = self.fanouts.iter().sum();
-                Box::new(SubgraphWiseSampler::new(hops.max(1), bias))
-            }
+            SamplerKind::NodeWise => Sampler::node_wise(self.fanouts.clone(), bias),
+            SamplerKind::LayerWise => Sampler::layer_wise(
+                self.fanouts.iter().map(|&k| self.layer_budget(k)).collect(),
+                bias,
+            ),
+            SamplerKind::SubgraphWise => Sampler::subgraph_wise(self.walk_hops(), bias),
         })
     }
 
@@ -305,6 +311,7 @@ pub mod summary_piece {
 mod tests {
     use super::*;
     use gnnav_graph::generators::barabasi_albert;
+    use rand::{rngs::StdRng, SeedableRng};
 
     #[test]
     fn default_validates() {
@@ -354,8 +361,18 @@ mod tests {
         for kind in SamplerKind::ALL {
             let c = TrainingConfig { sampler: kind, ..TrainingConfig::default() };
             let s = c.build_sampler(&g).expect("build");
-            assert!(s.num_layers() >= 1, "{kind}");
+            let mb = s.sample(&g, &[0, 1, 2], &mut StdRng::seed_from_u64(1)).expect("sample");
+            assert_eq!(mb.targets_len, 3, "{kind}");
         }
+    }
+
+    #[test]
+    fn family_parameters_follow_fanouts() {
+        let c =
+            TrainingConfig { fanouts: vec![10, 5], batch_size: 32, ..TrainingConfig::default() };
+        assert_eq!(c.layer_budget(10), 80);
+        assert_eq!(c.layer_budget(1), 16, "the floor");
+        assert_eq!(c.walk_hops(), 15);
     }
 
     #[test]

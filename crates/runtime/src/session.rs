@@ -41,7 +41,7 @@ use crate::backend::{
 use crate::config::TrainingConfig;
 use crate::perf::{Perf, PhaseBreakdown};
 use crate::RuntimeError;
-use gnnav_cache::{build_cache, CacheStats, FeatureCache};
+use gnnav_cache::{build_cache, CachePolicy, CacheStats, FeatureCache};
 use gnnav_faults::{FaultInjector, FaultKind, FaultPlan};
 use gnnav_graph::Dataset;
 use gnnav_hwsim::{CostModel, MemoryLedger, Platform, Precision, SimTime};
@@ -214,19 +214,10 @@ struct OwnedInjector {
     injected: u64,
 }
 
-/// Locality-aware hot sets for a config (empty when `η = 0`).
-fn hot_sets(config: &TrainingConfig, dataset: &Dataset) -> (Vec<bool>, Vec<u32>) {
-    let graph = dataset.graph();
-    if config.locality_eta <= 0.0 {
-        return (Vec::new(), Vec::new());
-    }
-    let mut mask = vec![false; graph.num_nodes()];
-    for v in config.hot_set(graph) {
-        mask[v as usize] = true;
-    }
-    let hot_train: Vec<u32> =
-        dataset.split().train.iter().copied().filter(|&v| mask[v as usize]).collect();
-    (mask, hot_train)
+/// The training targets in `sampler`'s hot set, which the per-epoch
+/// target swap draws from (empty when `η = 0`).
+fn hot_train(sampler: &Sampler, dataset: &Dataset) -> Vec<u32> {
+    dataset.split().train.iter().copied().filter(|&v| sampler.bias().is_hot(v)).collect()
 }
 
 /// A paused-between-epochs backend execution.
@@ -248,7 +239,7 @@ pub struct ExecutionSession<'d> {
     opt: Adam,
     rng: StdRng,
     cache: FeatureCache,
-    sampler: Box<dyn Sampler>,
+    sampler: Sampler,
     /// The currently requested config (becomes the report's config).
     config: TrainingConfig,
     /// The config in effect after degradation-ladder steps.
@@ -259,7 +250,6 @@ pub struct ExecutionSession<'d> {
     micro_batch: usize,
     fanout_reduced: bool,
     stats_carry: CacheStats,
-    hot_mask: Vec<bool>,
     hot_train: Vec<u32>,
     x_buf: Vec<f32>,
     label_buf: Vec<u16>,
@@ -359,7 +349,7 @@ impl<'d> ExecutionSession<'d> {
         let cache = build_cache(config.cache_policy, entries, graph);
 
         let sampler = config.build_sampler(graph)?;
-        let (hot_mask, hot_train) = hot_sets(config, dataset);
+        let hot_train = hot_train(&sampler, dataset);
 
         Ok(ExecutionSession {
             cost,
@@ -377,7 +367,6 @@ impl<'d> ExecutionSession<'d> {
             micro_batch: 1,
             fanout_reduced: false,
             stats_carry: CacheStats::default(),
-            hot_mask,
             hot_train,
             x_buf: Vec::new(),
             label_buf: Vec::new(),
@@ -472,6 +461,26 @@ impl<'d> ExecutionSession<'d> {
         }
     }
 
+    /// Replaces the device cache with an empty `policy` cache of
+    /// `entries` rows and returns the simulated cost of populating it.
+    /// The ledger is claimed first: when the new cache does not fit,
+    /// the error leaves the old cache, its statistics and the ledger as
+    /// they were. Otherwise the old cache's hit statistics are carried
+    /// over before it is dropped.
+    fn replace_cache(
+        &mut self,
+        policy: CachePolicy,
+        entries: usize,
+    ) -> Result<SimTime, RuntimeError> {
+        self.ledger.set_cache_bytes(entries * self.row_bytes)?;
+        let old = self.cache.stats();
+        self.stats_carry.lookups += old.lookups;
+        self.stats_carry.hits += old.hits;
+        self.cache = build_cache(policy, entries, self.dataset.graph());
+        self.cache_entries = entries;
+        Ok(self.cost.t_replace(entries * self.row_bytes, entries.max(1)))
+    }
+
     /// True when `new` can be switched to without re-initializing the
     /// model: the architecture-shaping fields (model kind, hidden
     /// width, layer count, precision) must match so the trained
@@ -488,8 +497,8 @@ impl<'d> ExecutionSession<'d> {
     ///
     /// The old cache's hit statistics are carried over, the new cache
     /// is rebuilt (its population charged to simulated time as a
-    /// replace-phase migration), the sampler and locality hot sets are
-    /// rebuilt, and the degradation ladder is reset. Returns the
+    /// replace-phase migration), the sampler — and with it the hot set
+    /// — is rebuilt, and the degradation ladder is reset. Returns the
     /// simulated migration cost, which has already been added to the
     /// session's total.
     ///
@@ -497,7 +506,8 @@ impl<'d> ExecutionSession<'d> {
     ///
     /// Returns [`RuntimeError::InvalidConfig`] when `new` is invalid
     /// or not [`compatible`](Self::compatible), and
-    /// [`RuntimeError::Hw`] if the new cache does not fit.
+    /// [`RuntimeError::Hw`] if the new cache does not fit. Either way
+    /// the session is left as it was.
     pub fn switch_config(&mut self, new: &TrainingConfig) -> Result<SimTime, RuntimeError> {
         new.validate()?;
         if !self.compatible(new) {
@@ -508,17 +518,9 @@ impl<'d> ExecutionSession<'d> {
                 new.summary()
             )));
         }
-        let dataset = self.dataset;
-        let graph = dataset.graph();
-
-        // Carry hit accounting across the cache swap, then rebuild.
-        let old = self.cache.stats();
-        self.stats_carry.lookups += old.lookups;
-        self.stats_carry.hits += old.hits;
+        let graph = self.dataset.graph();
         let entries = new.cache_entries(graph.num_nodes());
-        self.ledger.set_cache_bytes(entries * self.row_bytes)?;
-        self.cache = build_cache(new.cache_policy, entries, graph);
-        let migration = self.cost.t_replace(entries * self.row_bytes, entries.max(1));
+        let migration = self.replace_cache(new.cache_policy, entries)?;
         if self.journaling {
             // The migration charge as a sim span on its own phase
             // track, so trace analytics can attribute switch cost.
@@ -535,9 +537,7 @@ impl<'d> ExecutionSession<'d> {
         self.epoch_time_total += migration;
 
         self.sampler = new.build_sampler(graph)?;
-        let (hot_mask, hot_train) = hot_sets(new, dataset);
-        self.hot_mask = hot_mask;
-        self.hot_train = hot_train;
+        self.hot_train = hot_train(&self.sampler, self.dataset);
         self.model.set_dropout(new.dropout as f32);
 
         // A switch resets the degradation ladder: the new guideline is
@@ -545,7 +545,6 @@ impl<'d> ExecutionSession<'d> {
         // again from the top.
         self.config = new.clone();
         self.eff_config = new.clone();
-        self.cache_entries = entries;
         self.micro_batch = 1;
         self.fanout_reduced = false;
         self.trace = None;
@@ -614,9 +613,7 @@ impl<'d> ExecutionSession<'d> {
         // Ladder state: the cache may have been shrunk below the
         // config's nominal size, and fanouts may have been reduced.
         if ckpt.cache_entries != s.cache_entries {
-            s.ledger.set_cache_bytes(ckpt.cache_entries * s.row_bytes)?;
-            s.cache = build_cache(s.config.cache_policy, ckpt.cache_entries, graph);
-            s.cache_entries = ckpt.cache_entries;
+            s.replace_cache(s.config.cache_policy, ckpt.cache_entries)?;
         }
         s.cache.restore(&ckpt.cache).map_err(RuntimeError::InvalidConfig)?;
         if ckpt.fanout_reduced {
@@ -679,7 +676,7 @@ impl<'d> ExecutionSession<'d> {
             use rand::Rng;
             let swap_p = TARGET_SWAP_AT_FULL_ETA * self.config.locality_eta;
             for t in epoch_targets.iter_mut() {
-                if !self.hot_mask[*t as usize] && self.rng.gen::<f64>() < swap_p {
+                if !self.sampler.bias().is_hot(*t) && self.rng.gen::<f64>() < swap_p {
                     *t = self.hot_train[self.rng.gen_range(0..self.hot_train.len())];
                 }
             }
@@ -823,22 +820,12 @@ impl<'d> ExecutionSession<'d> {
                 // is capped, fanout reduction fires once), so this
                 // loop terminates.
                 let step = if self.cache_entries > 0 {
-                    let to_entries = self.cache_entries / 2;
-                    let old = self.cache.stats();
-                    self.stats_carry.lookups += old.lookups;
-                    self.stats_carry.hits += old.hits;
-                    self.cache = build_cache(self.config.cache_policy, to_entries, graph);
-                    self.ledger.set_cache_bytes(to_entries * self.row_bytes)?;
-                    let rebuild =
-                        self.cost.t_replace(to_entries * self.row_bytes, to_entries.max(1));
+                    let from_entries = self.cache_entries;
+                    let to_entries = from_entries / 2;
+                    let rebuild = self.replace_cache(self.config.cache_policy, to_entries)?;
                     self.epoch_time_total += rebuild;
                     self.recovery.recovery_sim += rebuild;
-                    let step = DegradationStep::ShrinkCache {
-                        from_entries: self.cache_entries,
-                        to_entries,
-                    };
-                    self.cache_entries = to_entries;
-                    step
+                    DegradationStep::ShrinkCache { from_entries, to_entries }
                 } else if self.micro_batch < MAX_MICRO_BATCH {
                     self.micro_batch *= 2;
                     let pause = SimTime::from_micros(self.platform.device.launch_overhead_us);
@@ -1214,5 +1201,50 @@ impl<'d> ExecutionSession<'d> {
             },
         });
         Ok((report, trace))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::RuntimeBackend;
+    use gnnav_graph::DatasetId;
+    use gnnav_hwsim::DeviceProfile;
+
+    /// A switch whose cache does not fit is refused and leaves the
+    /// session as it was: the run reports what a twin never asked to
+    /// switch reports, each cache hit counted once.
+    #[test]
+    fn a_rejected_switch_leaves_the_session_untouched() {
+        let dataset = Dataset::load_scaled(DatasetId::Reddit2, 0.01).expect("load");
+        // Small batches: a batch's transient claim is far below a
+        // whole-graph cache.
+        let config = TrainingConfig {
+            batch_size: 8,
+            fanouts: vec![1, 1],
+            hidden_dim: 16,
+            ..TrainingConfig::default()
+        };
+        let opts = ExecutionOptions { epochs: 2, ..Default::default() };
+        let clean = RuntimeBackend::new(Platform::default_rtx4090())
+            .execute(&dataset, &config, &opts)
+            .expect("run");
+        // Exactly the room the run needs: a whole-graph cache cannot fit.
+        let mut platform = Platform::default_rtx4090();
+        platform.device =
+            DeviceProfile { mem_capacity_bytes: clean.perf.peak_mem_bytes, ..platform.device };
+        let run = |switch: bool| {
+            let mut session =
+                ExecutionSession::new(platform.clone(), &dataset, &config, &opts).expect("open");
+            session.run_epoch().expect("epoch 0");
+            if switch {
+                let whole = TrainingConfig { cache_ratio: 1.0, ..config.clone() };
+                let refused = session.switch_config(&whole);
+                assert!(matches!(refused, Err(RuntimeError::Hw(_))), "{refused:?}");
+            }
+            session.run_epoch().expect("epoch 1");
+            session.finish().expect("finish")
+        };
+        assert_eq!(format!("{:?}", run(true)), format!("{:?}", run(false)));
     }
 }

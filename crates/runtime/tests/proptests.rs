@@ -6,6 +6,8 @@ use gnnav_hwsim::Precision;
 use gnnav_nn::ModelKind;
 use gnnav_runtime::{DesignSpace, SamplerKind, TrainingConfig};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn config_strategy() -> impl Strategy<Value = TrainingConfig> {
     (
@@ -46,8 +48,9 @@ proptest! {
         prop_assert!(config.validate().is_ok(), "{}", config.summary());
         let g = barabasi_albert(200, 3, 1).expect("gen");
         let sampler = config.build_sampler(&g).expect("build sampler");
-        prop_assert!(sampler.num_layers() >= 1);
-        prop_assert!(sampler.expansion_skeleton() >= 1.0);
+        let targets: Vec<u32> = (0..8).collect();
+        let mb = sampler.sample(&g, &targets, &mut StdRng::seed_from_u64(3)).expect("sample");
+        prop_assert_eq!(&mb.nodes[..mb.targets_len], &targets[..]);
     }
 
     #[test]

@@ -1,26 +1,28 @@
 //! Unified mini-batch sampling for the GNNavigator reproduction.
 //!
 //! The paper abstracts every sampling strategy (Eq. 2) as iterative
-//! neighbor fanout at a configurable probability `p(η)`:
+//! neighbor fanout at a configurable probability `p(η)`. [`Sampler`]
+//! is that one rule; its constructors pick the family:
 //!
-//! - [`NodeWiseSampler`] — GraphSAGE-style fanout sampling.
-//! - [`LayerWiseSampler`] — FastGCN-style fixed per-layer budgets
+//! - [`Sampler::node_wise`] — GraphSAGE-style fanout sampling.
+//! - [`Sampler::layer_wise`] — FastGCN-style fixed per-layer budgets
 //!   (Eq. 3 maps budgets back to expected fanouts).
-//! - [`SubgraphWiseSampler`] — GraphSAINT-style random walks ("many
+//! - [`Sampler::subgraph_wise`] — GraphSAINT-style random walks ("many
 //!   hops, fanout 1").
-//! - [`LocalityBias`] — the biased `p(η)` of cache-aware samplers
-//!   (2PGraph).
+//!
+//! Each takes a [`LocalityBias`], the biased `p(η)` of cache-aware
+//! samplers (2PGraph).
 //!
 //! # Example
 //!
 //! ```
-//! use gnnav_sampler::{LocalityBias, NodeWiseSampler, Sampler};
+//! use gnnav_sampler::{LocalityBias, Sampler};
 //! use gnnav_graph::generators::barabasi_albert;
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! # fn main() -> Result<(), gnnav_graph::GraphError> {
 //! let g = barabasi_albert(200, 3, 1)?;
-//! let sampler = NodeWiseSampler::new(vec![5, 5], LocalityBias::none(g.num_nodes()));
+//! let sampler = Sampler::node_wise(vec![5, 5], LocalityBias::none(g.num_nodes()));
 //! let mut rng = StdRng::seed_from_u64(7);
 //! let batch = sampler.sample(&g, &[0, 1, 2, 3], &mut rng)?;
 //! assert!(batch.num_nodes() >= 4);
@@ -34,4 +36,4 @@ pub mod samplers;
 
 pub use locality::{LocalityBias, HOT_WEIGHT_MAX};
 pub use minibatch::{batch_targets, MiniBatch};
-pub use samplers::{LayerWiseSampler, NodeWiseSampler, Sampler, SubgraphWiseSampler};
+pub use samplers::Sampler;

@@ -1,18 +1,16 @@
 //! Property-based tests for the sampling substrate.
 
 use gnnav_graph::generators::barabasi_albert;
-use gnnav_sampler::{
-    LayerWiseSampler, LocalityBias, NodeWiseSampler, Sampler, SubgraphWiseSampler,
-};
+use gnnav_sampler::{LocalityBias, Sampler};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn samplers(num_nodes: usize) -> Vec<Box<dyn Sampler>> {
-    vec![
-        Box::new(NodeWiseSampler::new(vec![4, 4], LocalityBias::none(num_nodes))),
-        Box::new(LayerWiseSampler::new(vec![30, 30], LocalityBias::none(num_nodes))),
-        Box::new(SubgraphWiseSampler::new(6, LocalityBias::none(num_nodes))),
+fn samplers(num_nodes: usize) -> [Sampler; 3] {
+    [
+        Sampler::node_wise(vec![4, 4], LocalityBias::none(num_nodes)),
+        Sampler::layer_wise(vec![30, 30], LocalityBias::none(num_nodes)),
+        Sampler::subgraph_wise(6, LocalityBias::none(num_nodes)),
     ]
 }
 
@@ -70,7 +68,7 @@ proptest! {
     ) {
         let g = barabasi_albert(400, 3, 13).expect("gen");
         let targets: Vec<u32> = (0..t as u32).collect();
-        let s = NodeWiseSampler::new(vec![k, k], LocalityBias::none(g.num_nodes()));
+        let s = Sampler::node_wise(vec![k, k], LocalityBias::none(g.num_nodes()));
         let mut rng = StdRng::seed_from_u64(seed);
         let mb = s.sample(&g, &targets, &mut rng).expect("sample");
         // Layer l+1 has at most |layer l| * k fresh nodes.

@@ -17,9 +17,7 @@
 
 use gnnav_graph::generators::barabasi_albert;
 use gnnav_graph::{Graph, GraphBuilder, NodeId};
-use gnnav_sampler::{
-    LayerWiseSampler, LocalityBias, MiniBatch, NodeWiseSampler, Sampler, SubgraphWiseSampler,
-};
+use gnnav_sampler::{LocalityBias, MiniBatch, Sampler};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -107,14 +105,14 @@ fn directed() -> Graph {
     b.build().expect("edges in range")
 }
 
-fn sampler(kind: &str, fanouts: [usize; 2], bias: LocalityBias) -> Box<dyn Sampler> {
+fn sampler(kind: &str, fanouts: [usize; 2], bias: LocalityBias) -> Sampler {
     match kind {
-        "node" => Box::new(NodeWiseSampler::new(fanouts.to_vec(), bias)),
+        "node" => Sampler::node_wise(fanouts.to_vec(), bias),
         // Budgets that reach all three shapes of the layer-wise pick:
         // a lone pick ([8, 1]), a true top-k, and a budget that
         // covers every candidate (200 on the directed graph).
-        "layer" => Box::new(LayerWiseSampler::new(vec![fanouts[0] * 8, fanouts[1]], bias)),
-        _ => Box::new(SubgraphWiseSampler::new(fanouts.iter().sum(), bias)),
+        "layer" => Sampler::layer_wise(vec![fanouts[0] * 8, fanouts[1]], bias),
+        _ => Sampler::subgraph_wise(fanouts.iter().sum(), bias),
     }
 }
 
