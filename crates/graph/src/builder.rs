@@ -1,4 +1,14 @@
 //! Edge-list accumulator that freezes into a validated [`Graph`].
+//!
+//! [`GraphBuilder::build`] is a counting sort by source: one pass
+//! counts each row's length (duplicates included) and checks every
+//! endpoint, a prefix sum turns the counts into offsets, a second pass
+//! scatters the targets into one `Vec`, and each row's short slice is
+//! then sorted, deduplicated in place and moved down over the gaps the
+//! removed duplicates left. Sorting one `(u, v)` pair per raw edge and
+//! deduplicating the whole vector gives the same rows, so the CSR is
+//! the same byte for byte; the builder's tests keep that algorithm as
+//! the reference.
 
 use crate::csr::{Graph, NodeId};
 use crate::GraphError;
@@ -89,35 +99,65 @@ impl GraphBuilder {
     /// `>= num_nodes`.
     pub fn build(&self) -> Result<Graph, GraphError> {
         let n = self.num_nodes;
+        let kept = |u: NodeId, v: NodeId| u != v || self.keep_self_loops;
+        // Count each row's length, duplicates included, into
+        // `offsets[u + 1]`; the first out-of-range endpoint in
+        // insertion order, `u` before `v`, is the error.
+        let mut offsets = vec![0usize; n + 1];
         for &(u, v) in &self.edges {
             for id in [u, v] {
                 if (id as usize) >= n {
                     return Err(GraphError::NodeOutOfRange { node: id, num_nodes: n });
                 }
             }
-        }
-        let mut edges: Vec<(NodeId, NodeId)> =
-            Vec::with_capacity(self.edges.len() * if self.symmetrize { 2 } else { 1 });
-        for &(u, v) in &self.edges {
-            if u == v && !self.keep_self_loops {
+            if !kept(u, v) {
                 continue;
             }
-            edges.push((u, v));
-            if self.symmetrize && u != v {
-                edges.push((v, u));
-            }
-        }
-        edges.sort_unstable();
-        edges.dedup();
-
-        let mut offsets = vec![0usize; n + 1];
-        for &(u, _) in &edges {
             offsets[u as usize + 1] += 1;
+            if self.symmetrize && u != v {
+                offsets[v as usize + 1] += 1;
+            }
         }
         for i in 0..n {
             offsets[i + 1] += offsets[i];
         }
-        let targets: Vec<NodeId> = edges.iter().map(|&(_, v)| v).collect();
+
+        // Scatter every target into its row.
+        let mut cursor = offsets[..n].to_vec();
+        let mut targets: Vec<NodeId> = vec![0; offsets[n]];
+        let mut place = |u: NodeId, v: NodeId| {
+            let c = &mut cursor[u as usize];
+            targets[*c] = v;
+            *c += 1;
+        };
+        for &(u, v) in &self.edges {
+            if !kept(u, v) {
+                continue;
+            }
+            place(u, v);
+            if self.symmetrize && u != v {
+                place(v, u);
+            }
+        }
+
+        // Sort and deduplicate each row, moving it down to `kept_len`.
+        // A row never starts before the end of the rows kept ahead of
+        // it, so copying forward overwrites nothing still to be read.
+        let mut kept_len = 0;
+        for i in 0..n {
+            let (start, end) = (offsets[i], offsets[i + 1]);
+            offsets[i] = kept_len;
+            targets[start..end].sort_unstable();
+            for k in start..end {
+                let t = targets[k];
+                if kept_len == offsets[i] || targets[kept_len - 1] != t {
+                    targets[kept_len] = t;
+                    kept_len += 1;
+                }
+            }
+        }
+        offsets[n] = kept_len;
+        targets.truncate(kept_len);
         Graph::from_csr(n, offsets, targets)
     }
 }

@@ -32,10 +32,13 @@ pub fn barabasi_albert(
     let mut rng = StdRng::seed_from_u64(seed);
     let m = edges_per_node;
     let seed_nodes = (m + 1).min(num_nodes);
-    let mut b = GraphBuilder::with_capacity(num_nodes, num_nodes * m * 2);
+    // The seed clique, then `m` edges per later node; `build` makes the
+    // reverse copies itself.
+    let raw_edges = seed_nodes * (seed_nodes - 1) / 2 + (num_nodes - seed_nodes) * m;
+    let mut b = GraphBuilder::with_capacity(num_nodes, raw_edges);
     // Repeated-endpoints list: sampling uniformly from it is sampling
     // proportional to degree (the classic BA trick).
-    let mut endpoints: Vec<NodeId> = Vec::with_capacity(num_nodes * m * 2);
+    let mut endpoints: Vec<NodeId> = Vec::with_capacity((raw_edges * 2).max(1));
     for u in 0..seed_nodes {
         for v in 0..u {
             b.add_edge(u as NodeId, v as NodeId);
@@ -92,10 +95,13 @@ pub fn community_preferential(
     }
     let mut rng = StdRng::seed_from_u64(seed);
     let community: Vec<u32> = (0..num_nodes).map(|v| (v % num_communities) as u32).collect();
-    let mut b = GraphBuilder::with_capacity(num_nodes, num_nodes * edges_per_node * 2);
-    // Per-community and global degree-proportional endpoint pools.
+    // At most `edges_per_node` edges per node; `build` makes the
+    // reverse copies itself.
+    let mut b = GraphBuilder::with_capacity(num_nodes, num_nodes * edges_per_node);
+    // Per-community and global degree-proportional endpoint pools. The
+    // global pool takes both endpoints of every edge and each node once.
     let mut pools: Vec<Vec<NodeId>> = vec![Vec::new(); num_communities];
-    let mut global: Vec<NodeId> = Vec::new();
+    let mut global: Vec<NodeId> = Vec::with_capacity(num_nodes * (2 * edges_per_node + 1));
     for v in 0..num_nodes {
         let cid = community[v] as usize;
         for _ in 0..edges_per_node {

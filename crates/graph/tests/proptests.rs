@@ -1,6 +1,6 @@
 //! Property-based tests for the graph substrate.
 
-use gnnav_graph::{Graph, GraphBuilder, NodeId};
+use gnnav_graph::{Graph, GraphBuilder, GraphError, NodeId};
 use proptest::prelude::*;
 
 /// Strategy: a random edge list over up to `n` nodes.
@@ -9,6 +9,103 @@ fn edges(max_nodes: usize, max_edges: usize) -> impl Strategy<Value = (usize, Ve
         let edge = (0..n as u32, 0..n as u32);
         (Just(n), proptest::collection::vec(edge, 0..max_edges))
     })
+}
+
+/// Strategy: `(n, edges)` over 0–48 nodes, shaped to stress
+/// deduplication. Endpoints come from the first `hot` ids only, so the
+/// rest stay isolated; every edge is a pick from a pool of at most 11
+/// pairs, so most of them repeat; and about one pick in six becomes a
+/// self-loop on its source.
+fn dup_edges() -> impl Strategy<Value = (usize, Vec<(NodeId, NodeId)>)> {
+    let pool = proptest::collection::vec((any::<u32>(), any::<u32>()), 1..12);
+    let picks = proptest::collection::vec((any::<u32>(), 0u32..6), 0..96);
+    (0usize..=48, 1usize..=100, pool, picks).prop_map(|(n, hot_share, pool, picks)| {
+        if n == 0 {
+            return (0, Vec::new());
+        }
+        let hot = (n * hot_share).div_ceil(100) as u32;
+        let pool: Vec<(NodeId, NodeId)> = pool.iter().map(|&(u, v)| (u % hot, v % hot)).collect();
+        let edges = picks
+            .iter()
+            .map(|&(k, kind)| {
+                let (u, v) = pool[k as usize % pool.len()];
+                if kind == 0 {
+                    (u, u)
+                } else {
+                    (u, v)
+                }
+            })
+            .collect();
+        (n, edges)
+    })
+}
+
+/// `GraphBuilder::build` before the counting sort: check every
+/// endpoint, expand each kept raw edge into a `(u, v)` pair (and its
+/// reverse when symmetrising), sort and deduplicate the whole vector,
+/// then count the offsets. The builder must match it byte for byte.
+fn build_by_sorting_pairs(
+    n: usize,
+    raw: &[(NodeId, NodeId)],
+    symmetrize: bool,
+    keep_self_loops: bool,
+) -> Result<Graph, GraphError> {
+    for &(u, v) in raw {
+        for id in [u, v] {
+            if (id as usize) >= n {
+                return Err(GraphError::NodeOutOfRange { node: id, num_nodes: n });
+            }
+        }
+    }
+    let mut edges = Vec::new();
+    for &(u, v) in raw {
+        if u == v && !keep_self_loops {
+            continue;
+        }
+        edges.push((u, v));
+        if symmetrize && u != v {
+            edges.push((v, u));
+        }
+    }
+    edges.sort_unstable();
+    edges.dedup();
+    let mut offsets = vec![0usize; n + 1];
+    for &(u, _) in &edges {
+        offsets[u as usize + 1] += 1;
+    }
+    for i in 0..n {
+        offsets[i + 1] += offsets[i];
+    }
+    Graph::from_csr(n, offsets, edges.iter().map(|&(_, v)| v).collect())
+}
+
+/// Builds `raw` over `n` nodes both ways, under all four
+/// `symmetrize` × `keep_self_loops` settings.
+fn assert_builds_like_sorting_pairs(
+    n: usize,
+    raw: &[(NodeId, NodeId)],
+) -> Result<(), TestCaseError> {
+    for symmetrize in [false, true] {
+        for keep_self_loops in [false, true] {
+            let mut b = GraphBuilder::new(n);
+            b.add_edges(raw.iter().copied());
+            if symmetrize {
+                b.symmetrize();
+            }
+            if keep_self_loops {
+                b.keep_self_loops();
+            }
+            let want = build_by_sorting_pairs(n, raw, symmetrize, keep_self_loops);
+            prop_assert_eq!(
+                b.build(),
+                want,
+                "symmetrize {} keep_self_loops {}",
+                symmetrize,
+                keep_self_loops
+            );
+        }
+    }
+    Ok(())
 }
 
 /// The induction `Graph::induced_subgraph` replaced: scan each node's
@@ -132,5 +229,35 @@ proptest! {
         prop_assert_eq!(f.num_nodes(), n);
         prop_assert_eq!(f.matrix().len(), n * dim);
         prop_assert!(f.labels().iter().all(|&l| (l as usize) < 5));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn build_matches_sorting_pairs((n, raw) in dup_edges()) {
+        assert_builds_like_sorting_pairs(n, &raw)?;
+    }
+
+    /// Out-of-range endpoints spliced in anywhere, as a source, a
+    /// target or a self-loop: both report the first one in insertion
+    /// order, `u` before `v`, whether or not the edge would be kept.
+    #[test]
+    fn out_of_range_endpoints_fail_alike(
+        (n, mut raw) in dup_edges(),
+        bad in proptest::collection::vec((any::<usize>(), 0u8..3, 0u32..4), 1..4),
+    ) {
+        for &(at, side, past_end) in &bad {
+            let at = at % (raw.len() + 1);
+            let id = n as NodeId + past_end;
+            let good = raw.get(at).map_or(0, |&(u, _)| u);
+            raw.insert(at, match side {
+                0 => (id, good),
+                1 => (good, id),
+                _ => (id, id),
+            });
+        }
+        assert_builds_like_sorting_pairs(n, &raw)?;
     }
 }
