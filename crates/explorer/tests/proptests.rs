@@ -583,3 +583,164 @@ proptest! {
         }
     }
 }
+
+/// What an unconstrained budget-300 walk over the fixture predicted:
+/// epoch times, peak memories and accuracies, each sorted ascending.
+/// Constraint bounds are cut from this spread so that they bite.
+fn predicted_spread() -> &'static [Vec<f64>; 3] {
+    static SPREAD: OnceLock<[Vec<f64>; 3]> = OnceLock::new();
+    SPREAD.get_or_init(|| {
+        let (dataset, estimator) = fixture();
+        let result = Explorer::new(estimator, 300)
+            .explore(
+                dataset,
+                &Platform::default_rtx4090(),
+                ModelKind::Sage,
+                Priority::Balance,
+                &RuntimeConstraints::none(),
+            )
+            .expect("explore");
+        let column = |f: fn(&PerfEstimate) -> f64| {
+            let mut xs: Vec<f64> = result.evaluated.iter().map(|c| f(&c.estimate)).collect();
+            xs.sort_by(f64::total_cmp);
+            xs
+        };
+        [column(|e| e.time_s), column(|e| e.mem_bytes), column(|e| e.accuracy)]
+    })
+}
+
+/// One bound: absent (0), at quantile `q` of the spread (1), or past
+/// its far end so that it rejects every prediction in it (2).
+fn bounds() -> impl Strategy<Value = [(u8, f64); 3]> {
+    ((0u8..3, 0.0f64..1.0), (0u8..3, 0.0f64..1.0), (0u8..3, 0.0f64..1.0))
+        .prop_map(|(t, m, a)| [t, m, a])
+}
+
+/// Upper bounds on time and memory, a lower bound on accuracy.
+fn constraints_at(bounds: [(u8, f64); 3]) -> RuntimeConstraints {
+    let spread = predicted_spread();
+    let bound = |d: usize, upper: bool| {
+        let xs = &spread[d];
+        let (kind, q) = bounds[d];
+        match kind {
+            0 => None,
+            1 => Some(xs[(q * (xs.len() - 1) as f64) as usize]),
+            _ if upper => Some(xs[0] * 0.5),
+            _ => Some(xs[xs.len() - 1] + 0.01),
+        }
+    };
+    RuntimeConstraints {
+        max_time_s: bound(0, true),
+        max_mem_bytes: bound(1, true),
+        min_accuracy: bound(2, false),
+    }
+}
+
+/// `est` under `priority`'s weights, each objective min–max normalised
+/// over `candidates` (0 where they do not spread), in the decision
+/// maker's order of operations.
+fn score(candidates: &[EvaluatedCandidate], est: &PerfEstimate, priority: Priority) -> f64 {
+    let mut lo = [f64::INFINITY; 3];
+    let mut hi = [f64::NEG_INFINITY; 3];
+    for c in candidates {
+        let p = objectives(&c.estimate);
+        for d in 0..3 {
+            lo[d] = lo[d].min(p[d]);
+            hi[d] = hi[d].max(p[d]);
+        }
+    }
+    let norm = |v: f64, d: usize| if hi[d] > lo[d] { (v - lo[d]) / (hi[d] - lo[d]) } else { 0.0 };
+    let p = objectives(est);
+    let t = priority.targets();
+    t.w_time * norm(p[0], 0) + t.w_memory * norm(p[1], 1) + t.w_accuracy * norm(p[2], 2)
+}
+
+fn explore_all_under(
+    budget: usize,
+    seed: u64,
+    constraints: &RuntimeConstraints,
+) -> Vec<ExplorationResult> {
+    let (dataset, estimator) = fixture();
+    Explorer::new(estimator, budget)
+        .with_seed(seed)
+        .explore_all(dataset, &Platform::default_rtx4090(), ModelKind::Sage, constraints)
+        .expect("the template seeds are always evaluated")
+}
+
+/// The bounds the properties below draw from do reject: a time bound
+/// at the median leaves a walk with rejected and accepted candidates,
+/// and a bound past the spread leaves only a fallback.
+#[test]
+fn drawn_constraints_reject_candidates() {
+    let median_time = constraints_at([(1, 0.5), (0, 0.0), (0, 0.0)]);
+    let results = explore_all_under(80, 3, &median_time);
+    assert!(results[0].stats.rejected > 0 && !results[0].evaluated.is_empty());
+    assert!(results.iter().all(|r| r.fallback.is_none()));
+    for beyond in [[(2, 0.0), (0, 0.0), (0, 0.0)], [(0, 0.0), (0, 0.0), (2, 0.0)]] {
+        let results = explore_all_under(80, 3, &constraints_at(beyond));
+        assert!(results.iter().all(|r| r.fallback.is_some() && r.evaluated.is_empty()));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// One walk, four decisions: scored under its own priority's
+    /// weights, normalised over the walk's candidates, each priority's
+    /// guideline from one `explore_all` is at least as good as the
+    /// other three priorities' guidelines from the same walk.
+    #[test]
+    fn each_priority_guideline_scores_best_under_its_own_weights(
+        budget in 1usize..121,
+        seed in any::<u64>(),
+        bounds in bounds(),
+    ) {
+        let results = explore_all_under(budget, seed, &constraints_at(bounds));
+        prop_assert_eq!(results.len(), Priority::ALL.len());
+        for (own, priority) in results.iter().zip(Priority::ALL) {
+            prop_assert_eq!(own.guideline.priority, priority);
+            let candidates = &own.evaluated;
+            let own_score = score(candidates, &own.guideline.estimate, priority);
+            for other in &results {
+                prop_assert!(Arc::ptr_eq(&other.evaluated, candidates), "one walk");
+                let other_score = score(candidates, &other.guideline.estimate, priority);
+                prop_assert!(
+                    own_score <= other_score,
+                    "{} guideline scores {} under its own weights, the {} guideline {}",
+                    priority, own_score, other.guideline.priority, other_score
+                );
+            }
+        }
+    }
+
+    /// Constraint soundness: a guideline without `fallback` meets every
+    /// constraint on its predicted `Perf`; with `fallback`, no
+    /// candidate the walk evaluated met them, the guideline included.
+    #[test]
+    fn guidelines_meet_constraints_unless_none_could(
+        budget in 1usize..121,
+        seed in any::<u64>(),
+        bounds in bounds(),
+    ) {
+        let constraints = constraints_at(bounds);
+        for result in explore_all_under(budget, seed, &constraints) {
+            let evaluated = result.audit.walk().iter().filter_map(|r| r.estimate);
+            match &result.fallback {
+                None => prop_assert!(
+                    constraints.satisfied_by(&result.guideline.estimate),
+                    "{:?} breaks {:?}", result.guideline.estimate, constraints
+                ),
+                Some(_) => {
+                    prop_assert!(result.evaluated.is_empty());
+                    prop_assert!(!constraints.satisfied_by(&result.guideline.estimate));
+                    for estimate in evaluated {
+                        prop_assert!(
+                            !constraints.satisfied_by(&estimate),
+                            "{:?} meets {:?}, yet the guideline fell back", estimate, constraints
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
