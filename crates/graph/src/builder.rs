@@ -7,8 +7,8 @@
 //! then sorted, deduplicated in place and moved down over the gaps the
 //! removed duplicates left. Sorting one `(u, v)` pair per raw edge and
 //! deduplicating the whole vector gives the same rows, so the CSR is
-//! the same byte for byte; the builder's tests keep that algorithm as
-//! the reference.
+//! the same byte for byte; the crate's property tests keep that
+//! algorithm as the reference.
 
 use crate::csr::{Graph, NodeId};
 use crate::GraphError;
