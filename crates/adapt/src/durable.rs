@@ -10,30 +10,22 @@
 //! switches at the same epochs.
 
 use crate::runner::AdaptState;
+use crate::SwitchPlan;
 use crate::{AdaptiveRunner, DriftDetector};
 use gnnav_estimator::{Context, PerfEstimate, ProfileRecord};
-use gnnav_explorer::cache::{get_audit, get_estimate, put_audit, put_estimate};
 use gnnav_explorer::{AuditRecord, ExplorationResult};
 use gnnav_graph::Dataset;
 use gnnav_obs::names as metric;
-use gnnav_runtime::checkpoint::{get_config, put_config, MIN_CONFIG_BYTES};
 use gnnav_runtime::{
     ExecutionOptions, ExecutionSession, RuntimeError, SessionCheckpoint, TrainingConfig,
 };
-use gnnav_store::{ByteReader, ByteWriter, StoreError};
+use gnnav_store::{
+    decode_tagged, encode_tagged, wire_struct, ByteReader, ByteWriter, StoreError, Wire,
+};
 
 /// Leading payload byte of an adaptive checkpoint — distinct from the
 /// runtime session tag so neither layer resumes from the other's file.
 pub const ADAPT_PAYLOAD_TAG: u8 = 2;
-
-/// Fewest bytes one encoded observed epoch takes: its config and
-/// eleven `f64` measurements.
-const MIN_OBSERVED_BYTES: usize = MIN_CONFIG_BYTES + 11 * 8;
-
-/// Fewest bytes one encoded switch takes: its epoch, two configs, the
-/// migration time, an estimate (five `f64`), the drift EWMA and the
-/// re-exploration time.
-const MIN_SWITCH_BYTES: usize = 8 + 2 * MIN_CONFIG_BYTES + 8 + 5 * 8 + 8 + 8;
 
 /// One observed epoch, stored as its config plus measurements; the
 /// [`Context`] is rebuilt from the dataset and platform at resume.
@@ -66,7 +58,7 @@ pub struct AdaptiveCheckpoint {
     seeds: Vec<TrainingConfig>,
     detector: (Option<f64>, u32, u64),
     observed: Vec<ObservedEpoch>,
-    switches: Vec<crate::SwitchPlan>,
+    switches: Vec<SwitchPlan>,
     drift_scores: Vec<f64>,
     audit: Vec<AuditRecord>,
     reexplorations: u32,
@@ -113,58 +105,7 @@ impl AdaptiveCheckpoint {
     /// Serializes to the versioned binary payload (tag
     /// [`ADAPT_PAYLOAD_TAG`]).
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.put_u8(ADAPT_PAYLOAD_TAG);
-        let session = self.session.encode();
-        w.put_usize(session.len());
-        w.put_raw(&session);
-        put_estimate(&mut w, &self.predicted);
-        w.put_usize(self.seeds.len());
-        for c in &self.seeds {
-            put_config(&mut w, c);
-        }
-        let (ewma, streak, observed_epochs) = self.detector;
-        match ewma {
-            Some(v) => {
-                w.put_bool(true);
-                w.put_f64(v);
-            }
-            None => w.put_bool(false),
-        }
-        w.put_u32(streak);
-        w.put_u64(observed_epochs);
-        w.put_usize(self.observed.len());
-        for o in &self.observed {
-            put_config(&mut w, &o.config);
-            w.put_f64(o.epoch_time_s);
-            w.put_f64(o.mem_bytes);
-            w.put_f64(o.accuracy);
-            w.put_f64(o.hit_rate);
-            w.put_f64(o.avg_batch_nodes);
-            w.put_f64(o.avg_batch_edges);
-            for p in o.phase_s {
-                w.put_f64(p);
-            }
-            w.put_f64(o.n_iter);
-        }
-        w.put_usize(self.switches.len());
-        for s in &self.switches {
-            w.put_usize(s.epoch);
-            put_config(&mut w, &s.from);
-            put_config(&mut w, &s.to);
-            w.put_f64(s.migration_sim_s);
-            put_estimate(&mut w, &s.predicted);
-            w.put_f64(s.drift_ewma);
-            w.put_f64(s.reexplore_wall_ms);
-        }
-        w.put_usize(self.drift_scores.len());
-        for &d in &self.drift_scores {
-            w.put_f64(d);
-        }
-        put_audit(&mut w, &self.audit);
-        w.put_u32(self.reexplorations);
-        w.put_usize(self.seen_degradations);
-        w.finish()
+        encode_tagged(ADAPT_PAYLOAD_TAG, self)
     }
 
     /// Decodes a payload produced by [`encode`](Self::encode).
@@ -174,80 +115,62 @@ impl AdaptiveCheckpoint {
     /// [`StoreError::Decode`] on a foreign tag, truncation, trailing
     /// bytes, or any unknown enum tag.
     pub fn decode(payload: &[u8]) -> Result<AdaptiveCheckpoint, StoreError> {
-        let mut r = ByteReader::new(payload);
-        let tag = r.get_u8()?;
-        if tag != ADAPT_PAYLOAD_TAG {
-            return Err(StoreError::decode(format!(
-                "payload tag {tag} is not an adaptive checkpoint (want {ADAPT_PAYLOAD_TAG})"
-            )));
-        }
-        let session_len = r.get_usize()?;
-        let session = SessionCheckpoint::decode(r.get_raw(session_len)?)?;
-        let predicted = get_estimate(&mut r)?;
-        let n = r.get_len(MIN_CONFIG_BYTES)?;
-        let mut seeds = Vec::with_capacity(n);
-        for _ in 0..n {
-            seeds.push(get_config(&mut r)?);
-        }
-        let ewma = if r.get_bool()? { Some(r.get_f64()?) } else { None };
-        let streak = r.get_u32()?;
-        let observed_epochs = r.get_u64()?;
-        let n = r.get_len(MIN_OBSERVED_BYTES)?;
-        let mut observed = Vec::with_capacity(n);
-        for _ in 0..n {
-            observed.push(ObservedEpoch {
-                config: get_config(&mut r)?,
-                epoch_time_s: r.get_f64()?,
-                mem_bytes: r.get_f64()?,
-                accuracy: r.get_f64()?,
-                hit_rate: r.get_f64()?,
-                avg_batch_nodes: r.get_f64()?,
-                avg_batch_edges: r.get_f64()?,
-                phase_s: [r.get_f64()?, r.get_f64()?, r.get_f64()?, r.get_f64()?],
-                n_iter: r.get_f64()?,
-            });
-        }
-        let n = r.get_len(MIN_SWITCH_BYTES)?;
-        let mut switches = Vec::with_capacity(n);
-        for _ in 0..n {
-            switches.push(crate::SwitchPlan {
-                epoch: r.get_usize()?,
-                from: get_config(&mut r)?,
-                to: get_config(&mut r)?,
-                migration_sim_s: r.get_f64()?,
-                predicted: get_estimate(&mut r)?,
-                drift_ewma: r.get_f64()?,
-                reexplore_wall_ms: r.get_f64()?,
-            });
-        }
-        let n = r.get_len(8)?;
-        let mut drift_scores = Vec::with_capacity(n);
-        for _ in 0..n {
-            drift_scores.push(r.get_f64()?);
-        }
-        let audit = get_audit(&mut r)?;
-        let reexplorations = r.get_u32()?;
-        let seen_degradations = r.get_usize()?;
-        if !r.is_exhausted() {
-            return Err(StoreError::decode(format!(
-                "{} trailing bytes after adaptive checkpoint",
-                r.remaining()
-            )));
-        }
-        Ok(AdaptiveCheckpoint {
-            session,
-            predicted,
-            seeds,
-            detector: (ewma, streak, observed_epochs),
-            observed,
-            switches,
-            drift_scores,
-            audit,
-            reexplorations,
-            seen_degradations,
-        })
+        decode_tagged(payload, ADAPT_PAYLOAD_TAG, "an adaptive checkpoint")
     }
 }
+
+wire_struct!(ObservedEpoch, TrainingConfig::MIN_BYTES + 11 * 8, {
+    config,
+    epoch_time_s,
+    mem_bytes,
+    accuracy,
+    hit_rate,
+    avg_batch_nodes,
+    avg_batch_edges,
+    phase_s,
+    n_iter,
+});
+
+wire_struct!(SwitchPlan, 8 + 2 * TrainingConfig::MIN_BYTES + 8 + PerfEstimate::MIN_BYTES + 8 + 8, {
+    epoch,
+    from,
+    to,
+    migration_sim_s,
+    predicted,
+    drift_ewma,
+    reexplore_wall_ms,
+});
+
+fn put_session(w: &mut ByteWriter, session: &SessionCheckpoint) {
+    session.encode().put(w);
+}
+
+fn get_session(r: &mut ByteReader) -> Result<SessionCheckpoint, StoreError> {
+    SessionCheckpoint::decode(&Vec::<u8>::get(r)?)
+}
+
+// The body of an adaptive checkpoint payload: the session's own
+// payload as a byte list, then the adaptive layer's state.
+wire_struct!(AdaptiveCheckpoint,
+    8 + 1 + SessionCheckpoint::MIN_BYTES // the session payload
+        + PerfEstimate::MIN_BYTES
+        + 8 // seeds
+        + 1 + 4 + 8 // detector
+        + 8 + 8 + 8 + 8 // observed, switches, drift scores, audit
+        + 4 + 8, // re-explorations, degradations seen
+    {
+        session with put_session, get_session,
+        predicted,
+        seeds,
+        detector,
+        observed,
+        switches,
+        drift_scores,
+        audit,
+        reexplorations,
+        seen_degradations,
+    }
+);
 
 impl AdaptiveRunner {
     /// Rebuilds the adaptive loop from a checkpoint taken on this
@@ -303,7 +226,6 @@ impl AdaptiveRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SwitchPlan;
     use gnnav_explorer::AuditAction;
     use gnnav_hwsim::SimTime;
     use gnnav_nn::AdamState;
@@ -410,6 +332,31 @@ mod tests {
         let decoded = AdaptiveCheckpoint::decode(&ckpt.encode()).expect("decode");
         assert_eq!(format!("{decoded:?}"), format!("{ckpt:?}"));
         assert_eq!(decoded.initial_config().batch_size, 64, "the first switch's `from`");
+    }
+
+    #[test]
+    fn the_checkpoint_holds_the_codec_laws() {
+        gnnav_store::laws::assert_laws(&sample_checkpoint());
+        let no_fanouts = TrainingConfig { fanouts: Vec::new(), ..TrainingConfig::default() };
+        let mut session = sample_checkpoint().session;
+        session.config = no_fanouts.clone();
+        session.eff_config = no_fanouts;
+        session.params.clear();
+        session.opt = AdamState { lr: 0.0, t: 0, m: Vec::new(), v: Vec::new() };
+        session.cache = Default::default();
+        session.loss_history.clear();
+        gnnav_store::laws::assert_smallest(&AdaptiveCheckpoint {
+            session,
+            predicted: estimate(1.5),
+            seeds: Vec::new(),
+            detector: (None, 0, 0),
+            observed: Vec::new(),
+            switches: Vec::new(),
+            drift_scores: Vec::new(),
+            audit: Vec::new(),
+            reexplorations: 0,
+            seen_degradations: 0,
+        });
     }
 
     #[test]

@@ -17,12 +17,16 @@
 //! whatever was lost.
 
 use crate::context::Context;
+use crate::estimator::PerfEstimate;
 use crate::profile::ProfileRecord;
 use gnnav_graph::{Dataset, DatasetId};
 use gnnav_hwsim::Platform;
-use gnnav_runtime::checkpoint::{get_config, get_platform, put_config, put_platform};
+use gnnav_runtime::checkpoint::{get_platform, put_platform};
 use gnnav_runtime::TrainingConfig;
-use gnnav_store::{fnv1a64, ByteReader, ByteWriter, StoreError, Wal};
+use gnnav_store::{
+    decode_tagged, encode_tagged, fnv1a64, wire_enum, wire_struct, ByteReader, ByteWriter,
+    StoreError, Wal, Wire,
+};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -32,35 +36,44 @@ use std::sync::Arc;
 /// misread.
 pub const PROFILE_RECORD_TAG: u8 = 1;
 
-fn dataset_tag(id: DatasetId) -> u8 {
-    match id {
-        DatasetId::Synthetic => 0,
-        DatasetId::OgbnArxiv => 1,
-        DatasetId::OgbnProducts => 2,
-        DatasetId::Reddit => 3,
-        DatasetId::Reddit2 => 4,
-        _ => unreachable!("dataset {id:?} needs a profile-store tag"),
-    }
+wire_enum!(fn put_dataset, get_dataset for DatasetId as "dataset" {
+    Synthetic = 0, OgbnArxiv = 1, OgbnProducts = 2, Reddit = 3, Reddit2 = 4,
+});
+
+// The stable field order the exploration cache and the adaptive
+// checkpoint share.
+wire_struct!(PerfEstimate, 5 * 8, { time_s, mem_bytes, accuracy, batch_nodes, hit_rate });
+
+fn put_shared_platform(w: &mut ByteWriter, platform: &Arc<Platform>) {
+    put_platform(w, platform);
 }
 
-fn dataset_from_tag(t: u8) -> Result<DatasetId, StoreError> {
-    Ok(match t {
-        0 => DatasetId::Synthetic,
-        1 => DatasetId::OgbnArxiv,
-        2 => DatasetId::OgbnProducts,
-        3 => DatasetId::Reddit,
-        4 => DatasetId::Reddit2,
-        t => return Err(StoreError::decode(format!("unknown dataset tag {t}"))),
-    })
+fn get_shared_platform(r: &mut ByteReader) -> Result<Arc<Platform>, StoreError> {
+    get_platform(r).map(Arc::new)
 }
+
+// The fingerprint key, after the dataset's tag: everything a prediction
+// conditions on (config, dataset statistics, platform), so a store is
+// only reused when all of them match. Fewest bytes: a platform with
+// empty names is three prefixes and ten numbers.
+wire_struct!(Context, TrainingConfig::MIN_BYTES + 8 * 8 + (3 + 10) * 8, {
+    config,
+    num_nodes,
+    num_edges,
+    avg_degree,
+    skew,
+    intra_fraction,
+    feat_dim,
+    num_classes,
+    num_train,
+    platform with put_shared_platform, get_shared_platform,
+});
 
 /// Appends the canonical encoding of `(dataset_id, context)` — the
-/// fingerprint key. Everything a prediction conditions on is included
-/// (config, dataset statistics, platform), so a store is only reused
-/// when all of them match.
+/// fingerprint key.
 fn put_key(w: &mut ByteWriter, id: DatasetId, ctx: &Context) {
-    put_workload_key(w, id, ctx);
-    put_platform(w, &ctx.platform);
+    put_dataset(w, &id);
+    ctx.put(w);
 }
 
 /// The platform-free part of [`put_key`]: the dataset's identity and
@@ -69,45 +82,19 @@ fn put_key(w: &mut ByteWriter, id: DatasetId, ctx: &Context) {
 ///
 /// [`ExecutionTrace`]: gnnav_runtime::ExecutionTrace
 pub(crate) fn put_workload_key(w: &mut ByteWriter, id: DatasetId, ctx: &Context) {
-    w.put_u8(dataset_tag(id));
-    put_config(w, &ctx.config);
-    w.put_f64(ctx.num_nodes);
-    w.put_f64(ctx.num_edges);
-    w.put_f64(ctx.avg_degree);
-    w.put_f64(ctx.skew);
-    w.put_f64(ctx.intra_fraction);
-    w.put_f64(ctx.feat_dim);
-    w.put_f64(ctx.num_classes);
-    w.put_f64(ctx.num_train);
-}
-
-fn get_key(r: &mut ByteReader) -> Result<(DatasetId, Context), StoreError> {
-    let id = dataset_from_tag(r.get_u8()?)?;
-    let config = get_config(r)?;
-    let num_nodes = r.get_f64()?;
-    let num_edges = r.get_f64()?;
-    let avg_degree = r.get_f64()?;
-    let skew = r.get_f64()?;
-    let intra_fraction = r.get_f64()?;
-    let feat_dim = r.get_f64()?;
-    let num_classes = r.get_f64()?;
-    let num_train = r.get_f64()?;
-    let platform = Arc::new(get_platform(r)?);
-    Ok((
-        id,
-        Context {
-            config,
-            num_nodes,
-            num_edges,
-            avg_degree,
-            skew,
-            intra_fraction,
-            feat_dim,
-            num_classes,
-            num_train,
-            platform,
-        },
-    ))
+    put_dataset(w, &id);
+    ctx.config.put(w);
+    [
+        ctx.num_nodes,
+        ctx.num_edges,
+        ctx.avg_degree,
+        ctx.skew,
+        ctx.intra_fraction,
+        ctx.feat_dim,
+        ctx.num_classes,
+        ctx.num_train,
+    ]
+    .put(w);
 }
 
 /// The canonical fingerprint of profiling `config` on `dataset` over
@@ -124,51 +111,22 @@ pub fn fingerprint_of(id: DatasetId, ctx: &Context) -> u64 {
     fnv1a64(&w.finish())
 }
 
-fn encode_record(record: &ProfileRecord) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u8(PROFILE_RECORD_TAG);
-    put_key(&mut w, record.dataset_id, &record.context);
-    w.put_f64(record.epoch_time_s);
-    w.put_f64(record.mem_bytes);
-    w.put_f64(record.accuracy);
-    w.put_f64(record.hit_rate);
-    w.put_f64(record.avg_batch_nodes);
-    w.put_f64(record.avg_batch_edges);
-    for p in record.phase_s {
-        w.put_f64(p);
-    }
-    w.put_f64(record.n_iter);
-    w.finish()
-}
+// A profile-record frame's body: the key, then the measurements.
+wire_struct!(ProfileRecord, 1 + Context::MIN_BYTES + 11 * 8, {
+    dataset_id with put_dataset, get_dataset,
+    context,
+    epoch_time_s,
+    mem_bytes,
+    accuracy,
+    hit_rate,
+    avg_batch_nodes,
+    avg_batch_edges,
+    phase_s,
+    n_iter,
+});
 
 fn decode_record(payload: &[u8]) -> Result<ProfileRecord, StoreError> {
-    let mut r = ByteReader::new(payload);
-    let tag = r.get_u8()?;
-    if tag != PROFILE_RECORD_TAG {
-        return Err(StoreError::decode(format!(
-            "frame tag {tag} is not a profile record (want {PROFILE_RECORD_TAG})"
-        )));
-    }
-    let (dataset_id, context) = get_key(&mut r)?;
-    let record = ProfileRecord {
-        dataset_id,
-        context,
-        epoch_time_s: r.get_f64()?,
-        mem_bytes: r.get_f64()?,
-        accuracy: r.get_f64()?,
-        hit_rate: r.get_f64()?,
-        avg_batch_nodes: r.get_f64()?,
-        avg_batch_edges: r.get_f64()?,
-        phase_s: [r.get_f64()?, r.get_f64()?, r.get_f64()?, r.get_f64()?],
-        n_iter: r.get_f64()?,
-    };
-    if !r.is_exhausted() {
-        return Err(StoreError::decode(format!(
-            "{} trailing bytes after profile record",
-            r.remaining()
-        )));
-    }
-    Ok(record)
+    decode_tagged(payload, PROFILE_RECORD_TAG, "a profile record")
 }
 
 /// A WAL-backed, fingerprint-indexed store of profile records.
@@ -268,7 +226,7 @@ impl ProfileStore {
         if self.index.contains_key(&fp) {
             return Ok(false);
         }
-        self.wal.append(&encode_record(record))?;
+        self.wal.append(&encode_tagged(PROFILE_RECORD_TAG, record))?;
         self.index.insert(fp, self.records.len());
         self.records.push((fp, record.clone()));
         Ok(true)
@@ -343,6 +301,23 @@ mod tests {
             assert_eq!(format!("{got:?}"), format!("{r:?}"));
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn profile_records_hold_the_codec_laws() {
+        for record in records(3) {
+            gnnav_store::laws::assert_laws(&record);
+        }
+        let mut platform = Platform::default_m90();
+        platform.host.name.clear();
+        platform.device.name.clear();
+        platform.link.name.clear();
+        let config = TrainingConfig { fanouts: Vec::new(), ..TrainingConfig::default() };
+        let record = &records(1)[0];
+        gnnav_store::laws::assert_smallest(&ProfileRecord {
+            context: Context { config, platform: Arc::new(platform), ..record.context.clone() },
+            ..record.clone()
+        });
     }
 
     #[test]

@@ -75,9 +75,13 @@ use gnnav_graph::Dataset;
 use gnnav_hwsim::Platform;
 use gnnav_nn::ModelKind;
 use gnnav_obs::names as metric;
-use gnnav_runtime::checkpoint::{get_config, put_config, put_platform};
-use gnnav_runtime::DesignSpace;
-use gnnav_store::{fnv1a64, ByteReader, ByteWriter, StoreError, Wal};
+use gnnav_runtime::checkpoint::put_platform;
+use gnnav_runtime::{DesignSpace, TrainingConfig};
+use gnnav_store::{
+    decode_tagged, encode_tagged, fnv1a64, wire_enum, wire_struct, ByteReader, ByteWriter,
+    StoreError, Wal, Wire,
+};
+use std::borrow::Cow;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
@@ -93,114 +97,65 @@ pub const EXPLORE_RESULT_TAG: u8 = 1;
 /// a base frame earlier in the log.
 pub const EXPLORE_DECISION_TAG: u8 = 2;
 
-fn priority_tag(p: Priority) -> u8 {
-    match p {
-        Priority::Balance => 0,
-        Priority::ExTimeMemory => 1,
-        Priority::ExMemoryAccuracy => 2,
-        Priority::ExTimeAccuracy => 3,
+wire_enum!(impl Wire for Priority as "priority" {
+    Balance = 0, ExTimeMemory = 1, ExMemoryAccuracy = 2, ExTimeAccuracy = 3,
+});
+wire_enum!(impl Wire for AuditAction as "audit-action" {
+    Accepted = 0, Rejected = 1, PrunedSubtree = 2, Selected = 3, Fallback = 4, Switched = 5,
+});
+
+fn put_reason(w: &mut ByteWriter, reason: &str) {
+    w.put_str(reason);
+}
+
+fn get_reason(r: &mut ByteReader) -> Result<Cow<'static, str>, StoreError> {
+    r.get_str().map(Cow::Owned)
+}
+
+// Fewest bytes: two empty strings, no estimate, the action and the flag.
+wire_struct!(AuditRecord, 8 + 1 + 1 + 8 + 1, {
+    config,
+    estimate,
+    action,
+    reason with put_reason, get_reason,
+    seed_candidate,
+});
+
+/// The records as one list: the walk's, then the decision's.
+impl Wire for AuditTrail {
+    const MIN_BYTES: usize = 8;
+
+    fn put(&self, w: &mut ByteWriter) {
+        self.len().put(w);
+        self.iter().for_each(|record| record.put(w));
+    }
+
+    fn get(r: &mut ByteReader) -> Result<Self, StoreError> {
+        Vec::<AuditRecord>::get(r).map(AuditTrail::from)
     }
 }
 
-fn priority_from_tag(t: u8) -> Result<Priority, StoreError> {
-    Ok(match t {
-        0 => Priority::Balance,
-        1 => Priority::ExTimeMemory,
-        2 => Priority::ExMemoryAccuracy,
-        3 => Priority::ExTimeAccuracy,
-        t => return Err(StoreError::decode(format!("unknown priority tag {t}"))),
-    })
-}
+wire_struct!(Guideline, TrainingConfig::MIN_BYTES + PerfEstimate::MIN_BYTES + 1, {
+    config,
+    estimate,
+    priority,
+});
+wire_struct!(EvaluatedCandidate, TrainingConfig::MIN_BYTES + PerfEstimate::MIN_BYTES, {
+    config,
+    estimate,
+});
+wire_struct!(DfsStats, 3 * 8, { evaluated, rejected, pruned_subtrees });
 
-fn action_tag(a: AuditAction) -> u8 {
-    match a {
-        AuditAction::Accepted => 0,
-        AuditAction::Rejected => 1,
-        AuditAction::PrunedSubtree => 2,
-        AuditAction::Selected => 3,
-        AuditAction::Fallback => 4,
-        AuditAction::Switched => 5,
-    }
-}
-
-fn action_from_tag(t: u8) -> Result<AuditAction, StoreError> {
-    Ok(match t {
-        0 => AuditAction::Accepted,
-        1 => AuditAction::Rejected,
-        2 => AuditAction::PrunedSubtree,
-        3 => AuditAction::Selected,
-        4 => AuditAction::Fallback,
-        5 => AuditAction::Switched,
-        t => return Err(StoreError::decode(format!("unknown audit-action tag {t}"))),
-    })
-}
-
-/// Appends a [`PerfEstimate`] in the stable field order (shared with
-/// the adaptive layer's checkpoint format).
-pub fn put_estimate(w: &mut ByteWriter, e: &PerfEstimate) {
-    w.put_f64(e.time_s);
-    w.put_f64(e.mem_bytes);
-    w.put_f64(e.accuracy);
-    w.put_f64(e.batch_nodes);
-    w.put_f64(e.hit_rate);
-}
-
-/// Reads back a [`PerfEstimate`] written by [`put_estimate`].
-pub fn get_estimate(r: &mut ByteReader) -> Result<PerfEstimate, StoreError> {
-    Ok(PerfEstimate {
-        time_s: r.get_f64()?,
-        mem_bytes: r.get_f64()?,
-        accuracy: r.get_f64()?,
-        batch_nodes: r.get_f64()?,
-        hit_rate: r.get_f64()?,
-    })
-}
-
-/// Fewest bytes one encoded audit record takes: two empty strings,
-/// no estimate.
-const MIN_RECORD_BYTES: usize = 8 + 1 + 1 + 8 + 1;
-
-/// Fewest bytes one encoded candidate takes: its estimate (the
-/// configuration before it is longer, and owned by `gnnav-runtime`).
-const MIN_CANDIDATE_BYTES: usize = 5 * 8;
-
-fn put_record(w: &mut ByteWriter, r: &AuditRecord) {
-    w.put_str(&r.config);
-    w.put_bool(r.estimate.is_some());
-    if let Some(e) = &r.estimate {
-        put_estimate(w, e);
-    }
-    w.put_u8(action_tag(r.action));
-    w.put_str(&r.reason);
-    w.put_bool(r.seed_candidate);
-}
-
-fn get_record(r: &mut ByteReader) -> Result<AuditRecord, StoreError> {
-    let config = r.get_str()?;
-    let estimate = if r.get_bool()? { Some(get_estimate(r)?) } else { None };
-    let action = action_from_tag(r.get_u8()?)?;
-    let reason = r.get_str()?.into();
-    let seed_candidate = r.get_bool()?;
-    Ok(AuditRecord { config, estimate, action, reason, seed_candidate })
-}
-
-/// Appends a length-prefixed audit trail (shared with the adaptive
-/// layer's checkpoint format).
-pub fn put_audit(w: &mut ByteWriter, audit: &[AuditRecord]) {
-    w.put_usize(audit.len());
-    audit.iter().for_each(|r| put_record(w, r));
-}
-
-/// Reads back an audit trail written by [`put_audit`], rejecting
-/// unknown action tags with a typed decode error.
-pub fn get_audit(r: &mut ByteReader) -> Result<Vec<AuditRecord>, StoreError> {
-    let n = r.get_len(MIN_RECORD_BYTES)?;
-    let mut audit = Vec::with_capacity(n);
-    for _ in 0..n {
-        audit.push(get_record(r)?);
-    }
-    Ok(audit)
-}
+// A base frame's body: the whole result, in the layout every build so
+// far has written under `EXPLORE_RESULT_TAG`.
+wire_struct!(ExplorationResult, Guideline::MIN_BYTES + 8 + 8 + DfsStats::MIN_BYTES + 8 + 1, {
+    guideline,
+    evaluated,
+    front,
+    stats,
+    audit,
+    fallback,
+});
 
 /// The canonical fingerprint of one exploration: everything the search
 /// conditions on must be covered, or two different explorations would
@@ -243,65 +198,11 @@ pub fn explore_fingerprint(
     // list exactly (floats print exhaustively via `{:?}`).
     w.put_str(&format!("{space:?}"));
     w.put_str(&format!("{constraints:?}"));
-    w.put_u8(priority_tag(priority));
+    priority.put(&mut w);
     w.put_u64(budget as u64);
     w.put_u64(seed);
     w.put_str(estimator_salt);
     fnv1a64(&w.finish())
-}
-
-fn put_guideline(w: &mut ByteWriter, g: &Guideline) {
-    put_config(w, &g.config);
-    put_estimate(w, &g.estimate);
-    w.put_u8(priority_tag(g.priority));
-}
-
-fn get_guideline(r: &mut ByteReader) -> Result<Guideline, StoreError> {
-    let config = get_config(r)?;
-    let estimate = get_estimate(r)?;
-    let priority = priority_from_tag(r.get_u8()?)?;
-    Ok(Guideline { config, estimate, priority })
-}
-
-fn put_fallback(w: &mut ByteWriter, fallback: &Option<String>) {
-    w.put_bool(fallback.is_some());
-    if let Some(f) = fallback {
-        w.put_str(f);
-    }
-}
-
-/// The fallback closes both frame kinds: anything after it is an error.
-fn get_fallback(r: &mut ByteReader) -> Result<Option<String>, StoreError> {
-    let fallback = if r.get_bool()? { Some(r.get_str()?) } else { None };
-    if !r.is_exhausted() {
-        return Err(StoreError::decode(format!(
-            "{} trailing bytes after exploration result",
-            r.remaining()
-        )));
-    }
-    Ok(fallback)
-}
-
-/// A base frame: the whole of `result`, in the layout every build so
-/// far has written under [`EXPLORE_RESULT_TAG`].
-fn encode_base(fingerprint: u64, result: &ExplorationResult) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u8(EXPLORE_RESULT_TAG);
-    w.put_u64(fingerprint);
-    put_guideline(&mut w, &result.guideline);
-    w.put_usize(result.evaluated.len());
-    for c in result.evaluated.iter() {
-        put_config(&mut w, &c.config);
-        put_estimate(&mut w, &c.estimate);
-    }
-    w.put_usize_slice(&result.front);
-    w.put_usize(result.stats.evaluated);
-    w.put_usize(result.stats.rejected);
-    w.put_usize(result.stats.pruned_subtrees);
-    w.put_usize(result.audit.len());
-    result.audit.iter().for_each(|r| put_record(&mut w, r));
-    put_fallback(&mut w, &result.fallback);
-    w.finish()
 }
 
 /// The priority's share of a result: everything a decision frame holds
@@ -327,16 +228,19 @@ impl Decision {
     }
 }
 
-/// A decision frame: `decision`, over the walk of the base frame cached
-/// under `base`.
-fn encode_decision(fingerprint: u64, base: u64, decision: &Decision) -> Vec<u8> {
+// A decision frame's body.
+wire_struct!(Decision, Guideline::MIN_BYTES + AuditRecord::MIN_BYTES + 1, {
+    guideline,
+    record,
+    fallback,
+});
+
+/// A base frame: `result`, under `fingerprint`.
+fn encode_base(fingerprint: u64, result: &ExplorationResult) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    w.put_u8(EXPLORE_DECISION_TAG);
-    w.put_u64(fingerprint);
-    w.put_u64(base);
-    put_guideline(&mut w, &decision.guideline);
-    put_record(&mut w, &decision.record);
-    put_fallback(&mut w, &decision.fallback);
+    w.put_u8(EXPLORE_RESULT_TAG);
+    fingerprint.put(&mut w);
+    result.put(&mut w);
     w.finish()
 }
 
@@ -347,47 +251,16 @@ enum Frame {
 }
 
 fn decode_frame(payload: &[u8]) -> Result<Frame, StoreError> {
-    let mut r = ByteReader::new(payload);
-    match r.get_u8()? {
+    match ByteReader::new(payload).get_u8()? {
         EXPLORE_RESULT_TAG => {
-            let fingerprint = r.get_u64()?;
-            let guideline = get_guideline(&mut r)?;
-            let n = r.get_len(MIN_CANDIDATE_BYTES)?;
-            let mut evaluated = Vec::with_capacity(n);
-            for _ in 0..n {
-                let config = get_config(&mut r)?;
-                let estimate = get_estimate(&mut r)?;
-                evaluated.push(EvaluatedCandidate { config, estimate });
-            }
-            let front = r.get_usize_vec()?;
-            let stats = DfsStats {
-                evaluated: r.get_usize()?,
-                rejected: r.get_usize()?,
-                pruned_subtrees: r.get_usize()?,
-            };
-            let audit = get_audit(&mut r)?.into();
-            let fallback = get_fallback(&mut r)?;
-            let result = ExplorationResult {
-                guideline,
-                evaluated: Arc::new(evaluated),
-                front: Arc::new(front),
-                stats,
-                audit,
-                fallback,
-            };
+            let (fingerprint, result) =
+                decode_tagged(payload, EXPLORE_RESULT_TAG, "an exploration result")?;
             Ok(Frame::Base(fingerprint, result))
         }
         EXPLORE_DECISION_TAG => {
-            let fingerprint = r.get_u64()?;
-            let base = r.get_u64()?;
-            let guideline = get_guideline(&mut r)?;
-            let record = get_record(&mut r)?;
-            let fallback = get_fallback(&mut r)?;
-            Ok(Frame::Decision {
-                fingerprint,
-                base,
-                decision: Decision { guideline, record, fallback },
-            })
+            let (fingerprint, base, decision) =
+                decode_tagged(payload, EXPLORE_DECISION_TAG, "a decision frame")?;
+            Ok(Frame::Decision { fingerprint, base, decision })
         }
         tag => Err(StoreError::decode(format!(
             "frame tag {tag} is neither an exploration result ({EXPLORE_RESULT_TAG}) nor a \
@@ -420,7 +293,7 @@ fn estimate_bits(e: &PerfEstimate) -> [u64; 5] {
 /// what a frame stores and `Debug` renders.
 fn same_walk(a: &ExplorationResult, b: &ExplorationResult) -> bool {
     fn same_candidate(a: &EvaluatedCandidate, b: &EvaluatedCandidate) -> bool {
-        let floats = |c: &gnnav_runtime::TrainingConfig| {
+        let floats = |c: &TrainingConfig| {
             [c.locality_eta, c.cache_ratio, c.dropout].map(f64::to_bits)
         };
         estimate_bits(&a.estimate) == estimate_bits(&b.estimate)
@@ -620,8 +493,9 @@ impl ExploreCache {
                     record: record.clone(),
                     fallback: result.fallback.clone(),
                 };
-                self.wal.append(&encode_decision(fingerprint, *base_fingerprint, &decision))?;
-                decision.over(base)
+                let frame = (fingerprint, *base_fingerprint, decision);
+                self.wal.append(&encode_tagged(EXPLORE_DECISION_TAG, &frame))?;
+                frame.2.over(base)
             }
             None => {
                 self.wal.append(&encode_base(fingerprint, result))?;

@@ -1,7 +1,8 @@
 //! Property-based tests for Pareto dominance, the incremental front,
 //! the decision maker (alone and at the end of an exploration), and
 //! the exploration-cache codec: round trips of base and decision
-//! frames, and both decoders against bytes they did not write.
+//! frames, both decoders against bytes they did not write, and the
+//! codec laws over audit records and guidelines.
 
 use gnnav_estimator::{GrayBoxEstimator, PerfEstimate, Profiler};
 use gnnav_explorer::cache::{EXPLORE_DECISION_TAG, EXPLORE_RESULT_TAG};
@@ -14,7 +15,8 @@ use gnnav_graph::{Dataset, DatasetId};
 use gnnav_hwsim::Platform;
 use gnnav_nn::ModelKind;
 use gnnav_runtime::{DesignSpace, ExecutionOptions, RuntimeBackend, TrainingConfig};
-use gnnav_store::Wal;
+use gnnav_store::laws::{assert_laws, assert_smallest};
+use gnnav_store::{Wal, Wire};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -492,6 +494,44 @@ proptest! {
     }
 }
 
+#[test]
+fn the_smallest_record_and_guideline_take_min_bytes() {
+    assert_smallest(&AuditRecord {
+        config: String::new(),
+        estimate: None,
+        action: AuditAction::Accepted,
+        reason: "".into(),
+        seed_candidate: false,
+    });
+    assert_smallest(&Guideline {
+        config: TrainingConfig { fanouts: Vec::new(), ..TrainingConfig::default() },
+        estimate: PerfEstimate {
+            time_s: 0.0,
+            mem_bytes: 0.0,
+            accuracy: 0.0,
+            batch_nodes: 0.0,
+            hit_rate: 0.0,
+        },
+        priority: Priority::Balance,
+    });
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn audit_records_hold_the_codec_laws(record in audit_records()) {
+        assert_laws(&record);
+    }
+
+    #[test]
+    fn guidelines_hold_the_codec_laws(
+        (config, estimate, priority) in (configs(), estimates(), priorities()),
+    ) {
+        assert_laws(&Guideline { config, estimate, priority });
+    }
+}
+
 /// A length prefix is refused where it is read when the payload behind
 /// it could not hold that many elements, so a decoder never reserves on
 /// a corrupt prefix's say-so: opening a log whose base frame claims
@@ -514,7 +554,7 @@ fn an_impossible_length_prefix_reserves_nothing() {
         .expect("explore")
         .guideline;
     let mut config = gnnav_store::ByteWriter::new();
-    gnnav_runtime::checkpoint::put_config(&mut config, &guideline.config);
+    guideline.config.put(&mut config);
     let count_at = 1 + 8 + config.len() + 5 * 8 + 1;
     let count = u64::from_le_bytes(frame[count_at..count_at + 8].try_into().expect("8 bytes"));
     assert_eq!(count, 40 + 4, "the candidate count sits where the layout says");

@@ -18,12 +18,14 @@
 //! at every epoch boundary.
 
 use crate::backend::{DegradationStep, RecoveryLog};
-use crate::config::TrainingConfig;
+use crate::config::{SamplerKind, TrainingConfig};
 use crate::perf::PhaseBreakdown;
 use gnnav_cache::{CachePolicy, CacheSnapshot, CacheStats};
 use gnnav_hwsim::{DeviceProfile, HostProfile, LinkProfile, Platform, Precision, SimTime};
 use gnnav_nn::{AdamState, ModelKind};
-use gnnav_store::{ByteReader, ByteWriter, StoreError};
+use gnnav_store::{
+    decode_tagged, encode_tagged, wire_enum, wire_struct, ByteReader, ByteWriter, StoreError, Wire,
+};
 use std::path::PathBuf;
 
 /// Leading payload byte of a static-session checkpoint, so a resume
@@ -114,152 +116,51 @@ pub struct SessionCheckpoint {
     pub faults_injected: u64,
 }
 
-fn put_sampler(w: &mut ByteWriter, s: crate::SamplerKind) {
-    w.put_u8(match s {
-        crate::SamplerKind::NodeWise => 0,
-        crate::SamplerKind::LayerWise => 1,
-        crate::SamplerKind::SubgraphWise => 2,
-    });
-}
+wire_enum!(impl Wire for SamplerKind as "sampler" { NodeWise = 0, LayerWise = 1, SubgraphWise = 2 });
+wire_enum!(fn put_policy, get_policy for CachePolicy as "cache-policy" {
+    None = 0, StaticDegree = 1, Fifo = 2, Lru = 3, Lfu = 4,
+});
+wire_enum!(fn put_precision, get_precision for Precision as "precision" { Fp32 = 0, Fp16 = 1 });
+wire_enum!(fn put_model, get_model for ModelKind as "model" { Gcn = 0, Sage = 1, Gat = 2 });
 
-fn get_sampler(r: &mut ByteReader) -> Result<crate::SamplerKind, StoreError> {
-    match r.get_u8()? {
-        0 => Ok(crate::SamplerKind::NodeWise),
-        1 => Ok(crate::SamplerKind::LayerWise),
-        2 => Ok(crate::SamplerKind::SubgraphWise),
-        t => Err(StoreError::decode(format!("unknown sampler tag {t}"))),
+// The stable field order every store shares: the checkpoints, the
+// profile-store key and the exploration cache's frames. Fewest bytes:
+// no fanouts.
+wire_struct!(TrainingConfig, 1 + 8 + 8 + 8 + 8 + 1 + 1 + 1 + 1 + 1 + 8 + 8, {
+    sampler,
+    fanouts,
+    locality_eta,
+    batch_size,
+    cache_ratio,
+    cache_policy with put_policy, get_policy,
+    cache_update,
+    pipelined,
+    precision with put_precision, get_precision,
+    model with put_model, get_model,
+    hidden_dim,
+    dropout,
+});
+
+wire_struct!(fn put_host, get_host for HostProfile {
+    name, sample_mvps, mem_bandwidth_gbs, iteration_overhead_us,
+});
+wire_struct!(fn put_device, get_device for DeviceProfile {
+    name, compute_tflops, mem_bandwidth_gbs, mem_capacity_bytes, launch_overhead_us, fp16_speedup,
+});
+wire_struct!(fn put_link, get_link for LinkProfile { name, bandwidth_gbs, latency_us });
+wire_struct!(
+    /// Every field of a [`Platform`], in the stable order the
+    /// profile-store key, the exploration fingerprint and the serve
+    /// pool's platform fingerprint share: two platforms encode alike
+    /// only when they are equal.
+    pub fn put_platform, get_platform for Platform {
+        host with put_host, get_host,
+        device with put_device, get_device,
+        link with put_link, get_link,
     }
-}
+);
 
-fn put_policy(w: &mut ByteWriter, p: CachePolicy) {
-    w.put_u8(match p {
-        CachePolicy::None => 0,
-        CachePolicy::StaticDegree => 1,
-        CachePolicy::Fifo => 2,
-        CachePolicy::Lru => 3,
-        CachePolicy::Lfu => 4,
-        _ => unreachable!("cache policy {p:?} needs a checkpoint tag"),
-    });
-}
-
-fn get_policy(r: &mut ByteReader) -> Result<CachePolicy, StoreError> {
-    match r.get_u8()? {
-        0 => Ok(CachePolicy::None),
-        1 => Ok(CachePolicy::StaticDegree),
-        2 => Ok(CachePolicy::Fifo),
-        3 => Ok(CachePolicy::Lru),
-        4 => Ok(CachePolicy::Lfu),
-        t => Err(StoreError::decode(format!("unknown cache-policy tag {t}"))),
-    }
-}
-
-/// Fewest bytes one [`put_config`] record takes: a config without
-/// fanouts.
-pub const MIN_CONFIG_BYTES: usize = 1 + 8 + 8 + 8 + 8 + 1 + 1 + 1 + 1 + 1 + 8 + 8;
-
-/// Fewest bytes one encoded degradation step takes: its tag and one
-/// `usize` or slice prefix.
-const MIN_DEGRADATION_BYTES: usize = 1 + 8;
-
-/// Bytes of one encoded cache-heap entry: frequency, sequence, node.
-const HEAP_ENTRY_BYTES: usize = 4 + 8 + 4;
-
-/// Appends a [`TrainingConfig`] to a checkpoint payload in the stable
-/// field order (shared with the adaptive layer's checkpoint format).
-pub fn put_config(w: &mut ByteWriter, c: &TrainingConfig) {
-    put_sampler(w, c.sampler);
-    w.put_usize_slice(&c.fanouts);
-    w.put_f64(c.locality_eta);
-    w.put_usize(c.batch_size);
-    w.put_f64(c.cache_ratio);
-    put_policy(w, c.cache_policy);
-    w.put_bool(c.cache_update);
-    w.put_bool(c.pipelined);
-    w.put_u8(match c.precision {
-        Precision::Fp32 => 0,
-        Precision::Fp16 => 1,
-    });
-    w.put_u8(match c.model {
-        ModelKind::Gcn => 0,
-        ModelKind::Sage => 1,
-        ModelKind::Gat => 2,
-        _ => unreachable!("model kind {:?} needs a checkpoint tag", c.model),
-    });
-    w.put_usize(c.hidden_dim);
-    w.put_f64(c.dropout);
-}
-
-/// Reads back a [`TrainingConfig`] written by [`put_config`],
-/// rejecting unknown enum tags with a typed decode error.
-pub fn get_config(r: &mut ByteReader) -> Result<TrainingConfig, StoreError> {
-    Ok(TrainingConfig {
-        sampler: get_sampler(r)?,
-        fanouts: r.get_usize_vec()?,
-        locality_eta: r.get_f64()?,
-        batch_size: r.get_usize()?,
-        cache_ratio: r.get_f64()?,
-        cache_policy: get_policy(r)?,
-        cache_update: r.get_bool()?,
-        pipelined: r.get_bool()?,
-        precision: match r.get_u8()? {
-            0 => Precision::Fp32,
-            1 => Precision::Fp16,
-            t => return Err(StoreError::decode(format!("unknown precision tag {t}"))),
-        },
-        model: match r.get_u8()? {
-            0 => ModelKind::Gcn,
-            1 => ModelKind::Sage,
-            2 => ModelKind::Gat,
-            t => return Err(StoreError::decode(format!("unknown model tag {t}"))),
-        },
-        hidden_dim: r.get_usize()?,
-        dropout: r.get_f64()?,
-    })
-}
-
-/// Appends every field of a [`Platform`] in the stable order the
-/// profile-store key, the exploration fingerprint and the serve pool's
-/// platform fingerprint share: two platforms encode alike only when
-/// they are equal.
-pub fn put_platform(w: &mut ByteWriter, p: &Platform) {
-    w.put_str(&p.host.name);
-    w.put_f64(p.host.sample_mvps);
-    w.put_f64(p.host.mem_bandwidth_gbs);
-    w.put_f64(p.host.iteration_overhead_us);
-    w.put_str(&p.device.name);
-    w.put_f64(p.device.compute_tflops);
-    w.put_f64(p.device.mem_bandwidth_gbs);
-    w.put_usize(p.device.mem_capacity_bytes);
-    w.put_f64(p.device.launch_overhead_us);
-    w.put_f64(p.device.fp16_speedup);
-    w.put_str(&p.link.name);
-    w.put_f64(p.link.bandwidth_gbs);
-    w.put_f64(p.link.latency_us);
-}
-
-/// Reads back a [`Platform`] written by [`put_platform`], with a typed
-/// decode error on truncated bytes or a name that is not UTF-8.
-pub fn get_platform(r: &mut ByteReader) -> Result<Platform, StoreError> {
-    let host = HostProfile {
-        name: r.get_str()?,
-        sample_mvps: r.get_f64()?,
-        mem_bandwidth_gbs: r.get_f64()?,
-        iteration_overhead_us: r.get_f64()?,
-    };
-    let device = DeviceProfile {
-        name: r.get_str()?,
-        compute_tflops: r.get_f64()?,
-        mem_bandwidth_gbs: r.get_f64()?,
-        mem_capacity_bytes: r.get_usize()?,
-        launch_overhead_us: r.get_f64()?,
-        fp16_speedup: r.get_f64()?,
-    };
-    let link =
-        LinkProfile { name: r.get_str()?, bandwidth_gbs: r.get_f64()?, latency_us: r.get_f64()? };
-    Ok(Platform { host, device, link })
-}
-
-fn put_sim_time(w: &mut ByteWriter, t: SimTime) {
+fn put_sim_time(w: &mut ByteWriter, t: &SimTime) {
     w.put_f64(t.as_secs());
 }
 
@@ -271,146 +172,109 @@ fn get_sim_time(r: &mut ByteReader) -> Result<SimTime, StoreError> {
     Ok(SimTime::from_secs(secs))
 }
 
-fn put_rng(w: &mut ByteWriter, s: [u64; 4]) {
-    for x in s {
-        w.put_u64(x);
-    }
-}
+wire_struct!(PhaseBreakdown, 4 * 8, {
+    sample with put_sim_time, get_sim_time,
+    transfer with put_sim_time, get_sim_time,
+    replace with put_sim_time, get_sim_time,
+    compute with put_sim_time, get_sim_time,
+});
 
-fn get_rng(r: &mut ByteReader) -> Result<[u64; 4], StoreError> {
-    Ok([r.get_u64()?, r.get_u64()?, r.get_u64()?, r.get_u64()?])
-}
+/// A tag, then the step's fields.
+impl Wire for DegradationStep {
+    // The tag and one `usize` or list prefix.
+    const MIN_BYTES: usize = 1 + 8;
 
-fn put_recovery(w: &mut ByteWriter, log: &RecoveryLog) {
-    w.put_u64(log.faults_injected);
-    w.put_u32(log.retries);
-    w.put_usize(log.degradations.len());
-    for step in &log.degradations {
-        match step {
+    fn put(&self, w: &mut ByteWriter) {
+        match self {
             DegradationStep::ShrinkCache { from_entries, to_entries } => {
                 w.put_u8(0);
-                w.put_usize(*from_entries);
-                w.put_usize(*to_entries);
+                from_entries.put(w);
+                to_entries.put(w);
             }
             DegradationStep::MicroBatch { factor } => {
                 w.put_u8(1);
-                w.put_usize(*factor);
+                factor.put(w);
             }
             DegradationStep::ReduceFanout { fanouts } => {
                 w.put_u8(2);
-                w.put_usize_slice(fanouts);
+                fanouts.put(w);
             }
         }
     }
-    w.put_u32(log.nan_steps_skipped);
-    w.put_u32(log.lr_halvings);
-    put_sim_time(w, log.recovery_sim);
-}
 
-fn get_recovery(r: &mut ByteReader) -> Result<RecoveryLog, StoreError> {
-    let faults_injected = r.get_u64()?;
-    let retries = r.get_u32()?;
-    let n = r.get_len(MIN_DEGRADATION_BYTES)?;
-    let mut degradations = Vec::with_capacity(n);
-    for _ in 0..n {
-        degradations.push(match r.get_u8()? {
+    fn get(r: &mut ByteReader) -> Result<Self, StoreError> {
+        Ok(match r.get_u8()? {
             0 => DegradationStep::ShrinkCache {
-                from_entries: r.get_usize()?,
-                to_entries: r.get_usize()?,
+                from_entries: Wire::get(r)?,
+                to_entries: Wire::get(r)?,
             },
-            1 => DegradationStep::MicroBatch { factor: r.get_usize()? },
-            2 => DegradationStep::ReduceFanout { fanouts: r.get_usize_vec()? },
+            1 => DegradationStep::MicroBatch { factor: Wire::get(r)? },
+            2 => DegradationStep::ReduceFanout { fanouts: Wire::get(r)? },
             t => return Err(StoreError::decode(format!("unknown degradation tag {t}"))),
-        });
+        })
     }
-    Ok(RecoveryLog {
+}
+
+wire_struct!(RecoveryLog, 8 + 4 + 8 + 4 + 4 + 8, {
+    faults_injected,
+    retries,
+    degradations,
+    nan_steps_skipped,
+    lr_halvings,
+    recovery_sim with put_sim_time, get_sim_time,
+});
+
+wire_struct!(fn put_stats, get_stats for CacheStats { lookups, hits });
+wire_struct!(fn put_cache, get_cache for CacheSnapshot {
+    capacity, resident, freq, heap, seq, stats with put_stats, get_stats,
+});
+wire_struct!(fn put_adam, get_adam for AdamState { lr, t, m, v });
+
+// The body of a session checkpoint payload (tag `SESSION_PAYLOAD_TAG`).
+wire_struct!(SessionCheckpoint,
+    2 * TrainingConfig::MIN_BYTES
+        + 8 + 8 + 1 // cache entries, micro-batch, fanout flag
+        + 8 + 4 * 8 // params, dropout RNG
+        + 4 + 8 + 8 + 8 // optimizer: lr, step, two slot lists
+        + 4 * 8 // batching RNG
+        + 8 + 8 + 8 + 8 + 8 + 2 * 8 // cache snapshot
+        + 2 * 8 + 8 // carried stats, peak memory
+        + PhaseBreakdown::MIN_BYTES
+        + 8 + 4 * 8 + 8 // epoch time, four totals, loss history
+        + RecoveryLog::MIN_BYTES
+        + 2 * 8 + 2 * 8, // evictions, epochs, steps, faults
+    {
+        config,
+        eff_config,
+        cache_entries,
+        micro_batch,
+        fanout_reduced,
+        params,
+        dropout_rng,
+        opt with put_adam, get_adam,
+        rng,
+        cache with put_cache, get_cache,
+        stats_carry with put_stats, get_stats,
+        peak_mem_bytes,
+        phases,
+        epoch_time_total with put_sim_time, get_sim_time,
+        total_nodes,
+        total_edges,
+        total_batches,
+        n_iter,
+        loss_history,
+        recovery,
+        evictions,
+        epochs_run,
+        train_steps,
         faults_injected,
-        retries,
-        degradations,
-        nan_steps_skipped: r.get_u32()?,
-        lr_halvings: r.get_u32()?,
-        recovery_sim: get_sim_time(r)?,
-    })
-}
-
-fn put_cache_snapshot(w: &mut ByteWriter, s: &CacheSnapshot) {
-    w.put_usize(s.capacity);
-    w.put_u32_slice(&s.resident);
-    w.put_u32_slice(&s.freq);
-    w.put_usize(s.heap.len());
-    for &(freq, seq, node) in &s.heap {
-        w.put_u32(freq);
-        w.put_u64(seq);
-        w.put_u32(node);
     }
-    w.put_u64(s.seq);
-    w.put_usize(s.stats.lookups);
-    w.put_usize(s.stats.hits);
-}
-
-fn get_cache_snapshot(r: &mut ByteReader) -> Result<CacheSnapshot, StoreError> {
-    let capacity = r.get_usize()?;
-    let resident = r.get_u32_vec()?;
-    let freq = r.get_u32_vec()?;
-    let n = r.get_len(HEAP_ENTRY_BYTES)?;
-    let mut heap = Vec::with_capacity(n);
-    for _ in 0..n {
-        heap.push((r.get_u32()?, r.get_u64()?, r.get_u32()?));
-    }
-    Ok(CacheSnapshot {
-        capacity,
-        resident,
-        freq,
-        heap,
-        seq: r.get_u64()?,
-        stats: CacheStats { lookups: r.get_usize()?, hits: r.get_usize()? },
-    })
-}
+);
 
 impl SessionCheckpoint {
     /// Encodes the checkpoint into its durable payload form.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.put_u8(SESSION_PAYLOAD_TAG);
-        put_config(&mut w, &self.config);
-        put_config(&mut w, &self.eff_config);
-        w.put_usize(self.cache_entries);
-        w.put_usize(self.micro_batch);
-        w.put_bool(self.fanout_reduced);
-        w.put_f32_slice(&self.params);
-        put_rng(&mut w, self.dropout_rng);
-        w.put_f32(self.opt.lr);
-        w.put_u64(self.opt.t);
-        w.put_usize(self.opt.m.len());
-        for m in &self.opt.m {
-            w.put_f32_slice(m);
-        }
-        w.put_usize(self.opt.v.len());
-        for v in &self.opt.v {
-            w.put_f32_slice(v);
-        }
-        put_rng(&mut w, self.rng);
-        put_cache_snapshot(&mut w, &self.cache);
-        w.put_usize(self.stats_carry.lookups);
-        w.put_usize(self.stats_carry.hits);
-        w.put_usize(self.peak_mem_bytes);
-        for t in
-            [self.phases.sample, self.phases.transfer, self.phases.replace, self.phases.compute]
-        {
-            put_sim_time(&mut w, t);
-        }
-        put_sim_time(&mut w, self.epoch_time_total);
-        w.put_usize(self.total_nodes);
-        w.put_usize(self.total_edges);
-        w.put_usize(self.total_batches);
-        w.put_usize(self.n_iter);
-        w.put_f32_slice(&self.loss_history);
-        put_recovery(&mut w, &self.recovery);
-        w.put_usize(self.evictions);
-        w.put_usize(self.epochs_run);
-        w.put_u64(self.train_steps);
-        w.put_u64(self.faults_injected);
-        w.finish()
+        encode_tagged(SESSION_PAYLOAD_TAG, self)
     }
 
     /// Decodes a payload previously produced by
@@ -421,76 +285,7 @@ impl SessionCheckpoint {
     /// Typed [`StoreError::Decode`] on a foreign payload tag,
     /// truncation, unknown enum tags, or trailing garbage.
     pub fn decode(payload: &[u8]) -> Result<SessionCheckpoint, StoreError> {
-        let mut r = ByteReader::new(payload);
-        let tag = r.get_u8()?;
-        if tag != SESSION_PAYLOAD_TAG {
-            return Err(StoreError::decode(format!(
-                "payload tag {tag} is not a session checkpoint (expected {SESSION_PAYLOAD_TAG})"
-            )));
-        }
-        let config = get_config(&mut r)?;
-        let eff_config = get_config(&mut r)?;
-        let cache_entries = r.get_usize()?;
-        let micro_batch = r.get_usize()?;
-        let fanout_reduced = r.get_bool()?;
-        let params = r.get_f32_vec()?;
-        let dropout_rng = get_rng(&mut r)?;
-        let lr = r.get_f32()?;
-        let t = r.get_u64()?;
-        // A moment slot takes at least its 8-byte length prefix.
-        let n_m = r.get_len(8)?;
-        let mut m = Vec::with_capacity(n_m);
-        for _ in 0..n_m {
-            m.push(r.get_f32_vec()?);
-        }
-        let n_v = r.get_len(8)?;
-        let mut v = Vec::with_capacity(n_v);
-        for _ in 0..n_v {
-            v.push(r.get_f32_vec()?);
-        }
-        let rng = get_rng(&mut r)?;
-        let cache = get_cache_snapshot(&mut r)?;
-        let stats_carry = CacheStats { lookups: r.get_usize()?, hits: r.get_usize()? };
-        let peak_mem_bytes = r.get_usize()?;
-        let phases = PhaseBreakdown {
-            sample: get_sim_time(&mut r)?,
-            transfer: get_sim_time(&mut r)?,
-            replace: get_sim_time(&mut r)?,
-            compute: get_sim_time(&mut r)?,
-        };
-        let ckpt = SessionCheckpoint {
-            config,
-            eff_config,
-            cache_entries,
-            micro_batch,
-            fanout_reduced,
-            params,
-            dropout_rng,
-            opt: AdamState { lr, t, m, v },
-            rng,
-            cache,
-            stats_carry,
-            peak_mem_bytes,
-            phases,
-            epoch_time_total: get_sim_time(&mut r)?,
-            total_nodes: r.get_usize()?,
-            total_edges: r.get_usize()?,
-            total_batches: r.get_usize()?,
-            n_iter: r.get_usize()?,
-            loss_history: r.get_f32_vec()?,
-            recovery: get_recovery(&mut r)?,
-            evictions: r.get_usize()?,
-            epochs_run: r.get_usize()?,
-            train_steps: r.get_u64()?,
-            faults_injected: r.get_u64()?,
-        };
-        if !r.is_exhausted() {
-            return Err(StoreError::decode(format!(
-                "{} trailing bytes after session checkpoint",
-                r.remaining()
-            )));
-        }
-        Ok(ckpt)
+        decode_tagged(payload, SESSION_PAYLOAD_TAG, "a session checkpoint")
     }
 }
 
@@ -564,6 +359,22 @@ mod tests {
     }
 
     #[test]
+    fn the_checkpoint_holds_the_codec_laws() {
+        gnnav_store::laws::assert_laws(&sample_checkpoint());
+        let config = TrainingConfig { fanouts: Vec::new(), ..TrainingConfig::default() };
+        gnnav_store::laws::assert_smallest(&SessionCheckpoint {
+            config: config.clone(),
+            eff_config: config,
+            params: Vec::new(),
+            opt: AdamState { lr: 0.0, t: 0, m: Vec::new(), v: Vec::new() },
+            cache: CacheSnapshot::default(),
+            loss_history: Vec::new(),
+            recovery: RecoveryLog::default(),
+            ..sample_checkpoint()
+        });
+    }
+
+    #[test]
     fn decode_rejects_foreign_tag_truncation_and_trailing() {
         let bytes = sample_checkpoint().encode();
 
@@ -614,8 +425,8 @@ mod tests {
         );
         // The bound the adaptive layer uses per config is exact.
         let mut w = ByteWriter::new();
-        put_config(&mut w, &TrainingConfig { fanouts: Vec::new(), ..TrainingConfig::default() });
-        assert_eq!(w.len(), MIN_CONFIG_BYTES);
+        TrainingConfig { fanouts: Vec::new(), ..TrainingConfig::default() }.put(&mut w);
+        assert_eq!(w.len(), TrainingConfig::MIN_BYTES);
     }
 
     #[test]

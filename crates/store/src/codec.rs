@@ -5,6 +5,7 @@
 //! the checkpoint/resume determinism guarantee depends on it.
 
 use crate::StoreError;
+use std::sync::Arc;
 
 /// Appends primitive values to a growing byte buffer.
 #[derive(Debug, Default)]
@@ -72,30 +73,6 @@ impl ByteWriter {
     pub fn put_str(&mut self, v: &str) {
         self.put_usize(v.len());
         self.buf.extend_from_slice(v.as_bytes());
-    }
-
-    /// Writes a length-prefixed `f32` slice.
-    pub fn put_f32_slice(&mut self, v: &[f32]) {
-        self.put_usize(v.len());
-        for &x in v {
-            self.put_f32(x);
-        }
-    }
-
-    /// Writes a length-prefixed `u32` slice.
-    pub fn put_u32_slice(&mut self, v: &[u32]) {
-        self.put_usize(v.len());
-        for &x in v {
-            self.put_u32(x);
-        }
-    }
-
-    /// Writes a length-prefixed `usize` slice.
-    pub fn put_usize_slice(&mut self, v: &[usize]) {
-        self.put_usize(v.len());
-        for &x in v {
-            self.put_usize(x);
-        }
     }
 
     /// Writes raw bytes without a length prefix.
@@ -173,22 +150,6 @@ impl<'a> ByteReader<'a> {
         usize::try_from(v).map_err(|_| StoreError::decode(format!("usize overflow: {v}")))
     }
 
-    /// Reads the length prefix of a list whose elements take at least
-    /// `min_element_bytes` (> 0) each, refusing one the rest of the
-    /// payload could not hold — so a corrupt prefix is a typed error
-    /// where it is read, and a caller that reserves for the length it
-    /// gets back never reserves on such a prefix's say-so.
-    pub fn get_len(&mut self, min_element_bytes: usize) -> Result<usize, StoreError> {
-        let n = self.get_usize()?;
-        if n > self.remaining() / min_element_bytes {
-            return Err(StoreError::decode(format!(
-                "length prefix {n} exceeds what the remaining {} bytes could hold",
-                self.remaining()
-            )));
-        }
-        Ok(n)
-    }
-
     /// Reads an `f32` from raw bits.
     pub fn get_f32(&mut self) -> Result<f32, StoreError> {
         Ok(f32::from_bits(self.get_u32()?))
@@ -207,41 +168,298 @@ impl<'a> ByteReader<'a> {
             .map_err(|e| StoreError::decode(format!("invalid utf-8 string: {e}")))
     }
 
-    /// Reads a length-prefixed `f32` vector.
-    pub fn get_f32_vec(&mut self) -> Result<Vec<f32>, StoreError> {
-        let n = self.get_len(4)?;
+    /// Reads the length prefix of a list whose elements take at least
+    /// `min_element_bytes` (> 0) each, refusing one the rest of the
+    /// payload could not hold — so a corrupt prefix is a typed error
+    /// where it is read, and `Vec<T>::get`, the one caller, never
+    /// reserves on such a prefix's say-so.
+    fn get_len(&mut self, min_element_bytes: usize) -> Result<usize, StoreError> {
+        let n = self.get_usize()?;
+        if n > self.remaining() / min_element_bytes {
+            return Err(StoreError::decode(format!(
+                "length prefix {n} exceeds what the remaining {} bytes could hold",
+                self.remaining()
+            )));
+        }
+        Ok(n)
+    }
+}
+
+/// A value with one durable encoding. `put` appends it, `get` reads it
+/// back bit for bit, and `MIN_BYTES` is the fewest bytes any value's
+/// encoding takes — what bounds a list of them: `Vec<T>::get` refuses a
+/// length prefix the rest of the payload could not hold at
+/// `T::MIN_BYTES` each, so no decoder reserves on a corrupt prefix.
+///
+/// Every record a store persists is a `Wire` impl composed field by
+/// field from the impls below; [`crate::laws`] holds one to its laws.
+/// A list of a type that takes no bytes does not compile:
+///
+/// ```compile_fail
+/// # use gnnav_store::{ByteReader, Wire};
+/// let _ = Vec::<[u8; 0]>::get(&mut ByteReader::new(&[0; 8]));
+/// ```
+pub trait Wire: Sized {
+    /// Fewest bytes an encoded value takes (> 0 for a list element).
+    const MIN_BYTES: usize;
+
+    /// Appends the encoding of `self`.
+    fn put(&self, w: &mut ByteWriter);
+
+    /// Reads a value back, with a typed [`StoreError::Decode`] on
+    /// truncated or invalid bytes.
+    fn get(r: &mut ByteReader) -> Result<Self, StoreError>;
+}
+
+macro_rules! primitive_wire {
+    ($($ty:ty: $bytes:expr, $put:ident, $get:ident;)+) => {$(
+        impl Wire for $ty {
+            const MIN_BYTES: usize = $bytes;
+            fn put(&self, w: &mut ByteWriter) {
+                w.$put(*self);
+            }
+            fn get(r: &mut ByteReader) -> Result<Self, StoreError> {
+                r.$get()
+            }
+        }
+    )+};
+}
+
+primitive_wire! {
+    u8: 1, put_u8, get_u8;
+    bool: 1, put_bool, get_bool;
+    u32: 4, put_u32, get_u32;
+    u64: 8, put_u64, get_u64;
+    usize: 8, put_usize, get_usize;
+    f32: 4, put_f32, get_f32;
+    f64: 8, put_f64, get_f64;
+}
+
+/// A length-prefixed UTF-8 string.
+impl Wire for String {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, w: &mut ByteWriter) {
+        w.put_str(self);
+    }
+    fn get(r: &mut ByteReader) -> Result<Self, StoreError> {
+        r.get_str()
+    }
+}
+
+/// A flag byte, then the value when there is one.
+impl<T: Wire> Wire for Option<T> {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, w: &mut ByteWriter) {
+        self.is_some().put(w);
+        if let Some(v) = self {
+            v.put(w);
+        }
+    }
+    fn get(r: &mut ByteReader) -> Result<Self, StoreError> {
+        Ok(if bool::get(r)? { Some(T::get(r)?) } else { None })
+    }
+}
+
+/// A `usize` length prefix, then each element.
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, w: &mut ByteWriter) {
+        self.len().put(w);
+        self.iter().for_each(|x| x.put(w));
+    }
+    fn get(r: &mut ByteReader) -> Result<Self, StoreError> {
+        const { assert!(T::MIN_BYTES > 0, "a list element must take at least one byte") };
+        let n = r.get_len(T::MIN_BYTES)?;
         let mut v = Vec::with_capacity(n);
         for _ in 0..n {
-            v.push(self.get_f32()?);
+            v.push(T::get(r)?);
         }
         Ok(v)
     }
+}
 
-    /// Reads a length-prefixed `u32` vector.
-    pub fn get_u32_vec(&mut self) -> Result<Vec<u32>, StoreError> {
-        let n = self.get_len(4)?;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.get_u32()?);
+/// Each element, no prefix.
+impl<T: Wire, const N: usize> Wire for [T; N] {
+    const MIN_BYTES: usize = N * T::MIN_BYTES;
+    fn put(&self, w: &mut ByteWriter) {
+        self.iter().for_each(|x| x.put(w));
+    }
+    fn get(r: &mut ByteReader) -> Result<Self, StoreError> {
+        let v = (0..N).map(|_| T::get(r)).collect::<Result<Vec<T>, _>>()?;
+        Ok(v.try_into().unwrap_or_else(|_| unreachable!("{N} elements were read")))
+    }
+}
+
+/// The value itself: sharing is not persisted.
+impl<T: Wire> Wire for Arc<T> {
+    const MIN_BYTES: usize = T::MIN_BYTES;
+    fn put(&self, w: &mut ByteWriter) {
+        (**self).put(w);
+    }
+    fn get(r: &mut ByteReader) -> Result<Self, StoreError> {
+        T::get(r).map(Arc::new)
+    }
+}
+
+macro_rules! tuple_wire {
+    ($($name:ident)+) => {
+        /// Each field in order.
+        impl<$($name: Wire),+> Wire for ($($name,)+) {
+            const MIN_BYTES: usize = 0 $(+ $name::MIN_BYTES)+;
+            #[allow(non_snake_case)]
+            fn put(&self, w: &mut ByteWriter) {
+                let ($($name,)+) = self;
+                $($name.put(w);)+
+            }
+            fn get(r: &mut ByteReader) -> Result<Self, StoreError> {
+                Ok(($($name::get(r)?,)+))
+            }
         }
-        Ok(v)
-    }
+    };
+}
 
-    /// Reads `n` raw bytes (no length prefix) — the counterpart of
-    /// [`ByteWriter::put_raw`] for embedding nested payloads.
-    pub fn get_raw(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
-        self.take(n)
-    }
+tuple_wire!(A B);
+tuple_wire!(A B C);
+tuple_wire!(A B C D);
 
-    /// Reads a length-prefixed `usize` vector.
-    pub fn get_usize_vec(&mut self) -> Result<Vec<usize>, StoreError> {
-        let n = self.get_len(8)?;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.get_usize()?);
+/// A whole payload: the leading byte `tag`, then `value`.
+pub fn encode_tagged<T: Wire>(tag: u8, value: &T) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.put_u8(tag);
+    value.put(&mut w);
+    w.finish()
+}
+
+/// Reads a payload [`encode_tagged`] wrote under `tag`, refusing another
+/// leading byte and any byte left after the value; `what` names the
+/// record in the error.
+pub fn decode_tagged<T: Wire>(payload: &[u8], tag: u8, what: &str) -> Result<T, StoreError> {
+    let mut r = ByteReader::new(payload);
+    let found = r.get_u8()?;
+    if found != tag {
+        return Err(StoreError::decode(format!("payload tag {found} is not {what} (want {tag})")));
+    }
+    let value = T::get(&mut r)?;
+    if !r.is_exhausted() {
+        return Err(StoreError::decode(format!("{} trailing bytes after {what}", r.remaining())));
+    }
+    Ok(value)
+}
+
+/// Writes a struct's layout once, for both directions: its fields in
+/// the order listed. For a struct of the calling crate it implements
+/// [`Wire`] with the `MIN_BYTES` given (which [`crate::laws`] checks);
+/// for a foreign struct, which the orphan rule keeps from implementing
+/// it, it defines a `put(w, &value)` / `get(r)` pair of functions of
+/// the visibility given. A field whose type cannot implement `Wire`
+/// names the pair that encodes it after `with`.
+///
+/// ```
+/// # use gnnav_store::{wire_struct, ByteReader, ByteWriter, StoreError, Wire};
+/// #[derive(Debug, PartialEq)]
+/// struct Range { start: u32, len: u32 }
+/// #[derive(Debug, PartialEq)]
+/// struct Span { range: Range, label: String }
+///
+/// wire_struct!(fn put_range, get_range for Range { start, len });
+/// wire_struct!(Span, 4 + 4 + 8, { range with put_range, get_range, label });
+///
+/// let span = Span { range: Range { start: 3, len: 5 }, label: "a".into() };
+/// let mut w = ByteWriter::new();
+/// span.put(&mut w);
+/// let bytes = w.finish();
+/// assert_eq!(bytes.len(), 4 + 4 + 8 + 1);
+/// assert_eq!(Span::get(&mut ByteReader::new(&bytes)).unwrap(), span);
+/// ```
+#[macro_export]
+macro_rules! wire_struct {
+    ($(#[$attr:meta])* $vis:vis fn $put:ident, $get:ident for $ty:ident {
+        $($field:ident $(with $fput:ident, $fget:ident)?),+ $(,)?
+    }) => {
+        $(#[$attr])*
+        $vis fn $put(w: &mut $crate::ByteWriter, v: &$ty) {
+            $($crate::wire_struct!(@put w, &v.$field $(, $fput)?);)+
         }
-        Ok(v)
-    }
+        $(#[$attr])*
+        $vis fn $get(r: &mut $crate::ByteReader) -> Result<$ty, $crate::StoreError> {
+            Ok($ty { $($field: $crate::wire_struct!(@get r $(, $fget)?),)+ })
+        }
+    };
+    ($ty:ident, $min:expr, { $($field:ident $(with $fput:ident, $fget:ident)?),+ $(,)? }) => {
+        impl $crate::Wire for $ty {
+            const MIN_BYTES: usize = $min;
+            fn put(&self, w: &mut $crate::ByteWriter) {
+                $($crate::wire_struct!(@put w, &self.$field $(, $fput)?);)+
+            }
+            fn get(r: &mut $crate::ByteReader) -> Result<Self, $crate::StoreError> {
+                Ok($ty { $($field: $crate::wire_struct!(@get r $(, $fget)?),)+ })
+            }
+        }
+    };
+    (@put $w:ident, $v:expr) => { $crate::Wire::put($v, $w) };
+    (@put $w:ident, $v:expr, $put:ident) => { $put($w, $v) };
+    (@get $r:ident) => { $crate::Wire::get($r)? };
+    (@get $r:ident, $get:ident) => { $get($r)? };
+}
+
+/// Writes an enum's tag table once. For an enum of the calling crate it
+/// implements [`Wire`] (one byte); for a foreign enum, which the orphan
+/// rule keeps from implementing it, it defines a private
+/// `put(w, &value)` / `get(r)` pair of functions. An unknown tag is a
+/// typed error naming the table: `unknown sampler tag 99`.
+///
+/// ```
+/// # use gnnav_store::{wire_enum, ByteReader, ByteWriter, Wire};
+/// #[derive(Debug, Clone, Copy, PartialEq)]
+/// enum Dir { Up, Down }
+/// wire_enum!(impl Wire for Dir as "direction" { Up = 0, Down = 1 });
+///
+/// let mut w = ByteWriter::new();
+/// Dir::Down.put(&mut w);
+/// let bytes = w.finish();
+/// assert_eq!(bytes, [1]);
+/// assert_eq!(Dir::get(&mut ByteReader::new(&bytes)).unwrap(), Dir::Down);
+/// let err = Dir::get(&mut ByteReader::new(&[7])).unwrap_err();
+/// assert!(err.to_string().contains("unknown direction tag 7"));
+/// ```
+#[macro_export]
+macro_rules! wire_enum {
+    (impl Wire for $ty:ident as $what:literal { $($variant:ident = $tag:literal),+ $(,)? }) => {
+        impl $crate::Wire for $ty {
+            const MIN_BYTES: usize = 1;
+            fn put(&self, w: &mut $crate::ByteWriter) {
+                $crate::wire_enum!(@put w, *self, $ty, $what, $($variant = $tag),+);
+            }
+            fn get(r: &mut $crate::ByteReader) -> Result<Self, $crate::StoreError> {
+                $crate::wire_enum!(@get r, $ty, $what, $($variant = $tag),+)
+            }
+        }
+    };
+    (fn $put:ident, $get:ident for $ty:ident as $what:literal {
+        $($variant:ident = $tag:literal),+ $(,)?
+    }) => {
+        fn $put(w: &mut $crate::ByteWriter, v: &$ty) {
+            $crate::wire_enum!(@put w, *v, $ty, $what, $($variant = $tag),+);
+        }
+        fn $get(r: &mut $crate::ByteReader) -> Result<$ty, $crate::StoreError> {
+            $crate::wire_enum!(@get r, $ty, $what, $($variant = $tag),+)
+        }
+    };
+    (@put $w:ident, $v:expr, $ty:ident, $what:literal, $($variant:ident = $tag:literal),+) => {{
+        let v = $v;
+        #[allow(unreachable_patterns)] // a non-exhaustive enum from another crate
+        let tag = match v {
+            $($ty::$variant => $tag,)+
+            _ => unreachable!("{v:?} needs a {} tag", $what),
+        };
+        $w.put_u8(tag)
+    }};
+    (@get $r:ident, $ty:ident, $what:literal, $($variant:ident = $tag:literal),+) => {
+        match $r.get_u8()? {
+            $($tag => Ok($ty::$variant),)+
+            t => Err($crate::StoreError::decode(format!(concat!("unknown ", $what, " tag {}"), t))),
+        }
+    };
 }
 
 #[cfg(test)]
@@ -258,8 +476,8 @@ mod tests {
         w.put_f32(-0.0);
         w.put_f64(f64::MIN_POSITIVE);
         w.put_str("hëllo");
-        w.put_f32_slice(&[1.5, -2.25]);
-        w.put_usize_slice(&[10, 10]);
+        vec![1.5f32, -2.25].put(&mut w);
+        vec![10usize, 10].put(&mut w);
         let bytes = w.finish();
         let mut r = ByteReader::new(&bytes);
         assert_eq!(r.get_u8().unwrap(), 7);
@@ -269,8 +487,8 @@ mod tests {
         assert_eq!(r.get_f32().unwrap().to_bits(), (-0.0f32).to_bits());
         assert_eq!(r.get_f64().unwrap(), f64::MIN_POSITIVE);
         assert_eq!(r.get_str().unwrap(), "hëllo");
-        assert_eq!(r.get_f32_vec().unwrap(), vec![1.5, -2.25]);
-        assert_eq!(r.get_usize_vec().unwrap(), vec![10, 10]);
+        assert_eq!(Vec::<f32>::get(&mut r).unwrap(), vec![1.5, -2.25]);
+        assert_eq!(Vec::<usize>::get(&mut r).unwrap(), vec![10, 10]);
         assert!(r.is_exhausted());
     }
 

@@ -12,7 +12,10 @@
 //!   atomic whole-state checkpoint files for the training and
 //!   adaptive-navigation resume paths.
 //! - [`ByteWriter`] / [`ByteReader`] — the raw-bits binary codec both
-//!   formats share (floats as IEEE-754 bits, so resume is byte-exact).
+//!   formats share (floats as IEEE-754 bits, so resume is byte-exact),
+//!   and [`Wire`], the one trait every persisted record implements;
+//!   [`laws`] holds any impl to its round-trip, bound, truncation and
+//!   mutation laws.
 //! - [`fnv1a64`] — the fingerprint hash every content key shares.
 //! - [`corrupt`] — deterministic storage-corruption applicators
 //!   backing the `TornWrite`/`BitFlip` fault kinds.
@@ -27,13 +30,14 @@ pub mod corrupt;
 mod crc;
 mod error;
 mod fnv;
+pub mod laws;
 mod wal;
 
 pub use checkpoint::{
     read_checkpoint, write_checkpoint, CheckpointDir, CHECKPOINT_FORMAT_VERSION,
     CHECKPOINT_HEADER_LEN, CHECKPOINT_MAGIC,
 };
-pub use codec::{ByteReader, ByteWriter};
+pub use codec::{decode_tagged, encode_tagged, ByteReader, ByteWriter, Wire};
 pub use crc::crc32;
 pub use error::StoreError;
 pub use fnv::fnv1a64;
