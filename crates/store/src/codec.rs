@@ -1,4 +1,6 @@
-//! Minimal binary codec for durable payloads.
+//! Minimal binary codec for durable payloads: [`ByteWriter`] and
+//! [`ByteReader`] for primitives, and [`Wire`], the one trait every
+//! persisted record implements on top of them.
 //!
 //! All integers are little-endian. Floats are stored as raw IEEE-754
 //! bits (`to_bits`/`from_bits`), so round-tripping is byte-exact —
@@ -35,36 +37,43 @@ impl ByteWriter {
     }
 
     /// Writes one byte.
+    #[inline]
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Writes a bool as one byte (0/1).
+    #[inline]
     pub fn put_bool(&mut self, v: bool) {
         self.buf.push(v as u8);
     }
 
     /// Writes a `u32`, little-endian.
+    #[inline]
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Writes a `u64`, little-endian.
+    #[inline]
     pub fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Writes a `usize` as a `u64`.
+    #[inline]
     pub fn put_usize(&mut self, v: usize) {
         self.put_u64(v as u64);
     }
 
     /// Writes an `f32` as raw bits.
+    #[inline]
     pub fn put_f32(&mut self, v: f32) {
         self.put_u32(v.to_bits());
     }
 
     /// Writes an `f64` as raw bits.
+    #[inline]
     pub fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
     }
@@ -96,6 +105,7 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Bytes remaining.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
@@ -105,6 +115,7 @@ impl<'a> ByteReader<'a> {
         self.remaining() == 0
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
         if self.remaining() < n {
             return Err(StoreError::decode(format!(
@@ -119,11 +130,13 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Reads one byte.
+    #[inline]
     pub fn get_u8(&mut self) -> Result<u8, StoreError> {
         Ok(self.take(1)?[0])
     }
 
     /// Reads a bool, rejecting anything but 0/1.
+    #[inline]
     pub fn get_bool(&mut self) -> Result<bool, StoreError> {
         match self.get_u8()? {
             0 => Ok(false),
@@ -133,29 +146,34 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Reads a `u32`.
+    #[inline]
     pub fn get_u32(&mut self) -> Result<u32, StoreError> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
     /// Reads a `u64`.
+    #[inline]
     pub fn get_u64(&mut self) -> Result<u64, StoreError> {
         let b = self.take(8)?;
         Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
     }
 
     /// Reads a `usize` stored as `u64`.
+    #[inline]
     pub fn get_usize(&mut self) -> Result<usize, StoreError> {
         let v = self.get_u64()?;
         usize::try_from(v).map_err(|_| StoreError::decode(format!("usize overflow: {v}")))
     }
 
     /// Reads an `f32` from raw bits.
+    #[inline]
     pub fn get_f32(&mut self) -> Result<f32, StoreError> {
         Ok(f32::from_bits(self.get_u32()?))
     }
 
     /// Reads an `f64` from raw bits.
+    #[inline]
     pub fn get_f64(&mut self) -> Result<f64, StoreError> {
         Ok(f64::from_bits(self.get_u64()?))
     }
@@ -215,9 +233,11 @@ macro_rules! primitive_wire {
     ($($ty:ty: $bytes:expr, $put:ident, $get:ident;)+) => {$(
         impl Wire for $ty {
             const MIN_BYTES: usize = $bytes;
+            #[inline]
             fn put(&self, w: &mut ByteWriter) {
                 w.$put(*self);
             }
+            #[inline]
             fn get(r: &mut ByteReader) -> Result<Self, StoreError> {
                 r.$get()
             }
@@ -320,7 +340,6 @@ macro_rules! tuple_wire {
 
 tuple_wire!(A B);
 tuple_wire!(A B C);
-tuple_wire!(A B C D);
 
 /// A whole payload: the leading byte `tag`, then `value`.
 pub fn encode_tagged<T: Wire>(tag: u8, value: &T) -> Vec<u8> {
