@@ -10,8 +10,7 @@
 //! switches at the same epochs.
 
 use crate::runner::AdaptState;
-use crate::SwitchPlan;
-use crate::{AdaptiveRunner, DriftDetector};
+use crate::{AdaptiveRunner, DriftDetector, SwitchPlan};
 use gnnav_estimator::{Context, PerfEstimate, ProfileRecord};
 use gnnav_explorer::{AuditRecord, ExplorationResult};
 use gnnav_graph::Dataset;
@@ -19,9 +18,7 @@ use gnnav_obs::names as metric;
 use gnnav_runtime::{
     ExecutionOptions, ExecutionSession, RuntimeError, SessionCheckpoint, TrainingConfig,
 };
-use gnnav_store::{
-    decode_tagged, encode_tagged, wire_struct, ByteReader, ByteWriter, StoreError, Wire,
-};
+use gnnav_store::{decode_tagged, encode_tagged, wire_struct, ByteReader, ByteWriter, StoreError};
 
 /// Leading payload byte of an adaptive checkpoint — distinct from the
 /// runtime session tag so neither layer resumes from the other's file.
@@ -141,16 +138,20 @@ wire_struct!(SwitchPlan, 8 + 2 * TrainingConfig::MIN_BYTES + 8 + PerfEstimate::M
     reexplore_wall_ms,
 });
 
+/// The session's own payload, length-prefixed.
 fn put_session(w: &mut ByteWriter, session: &SessionCheckpoint) {
-    session.encode().put(w);
+    let payload = session.encode();
+    w.put_usize(payload.len());
+    w.put_raw(&payload);
 }
 
 fn get_session(r: &mut ByteReader) -> Result<SessionCheckpoint, StoreError> {
-    SessionCheckpoint::decode(&Vec::<u8>::get(r)?)
+    let len = r.get_usize()?;
+    SessionCheckpoint::decode(r.get_raw(len)?)
 }
 
 // The body of an adaptive checkpoint payload: the session's own
-// payload as a byte list, then the adaptive layer's state.
+// payload, then the adaptive layer's state.
 wire_struct!(AdaptiveCheckpoint,
     8 + 1 + SessionCheckpoint::MIN_BYTES // the session payload
         + PerfEstimate::MIN_BYTES

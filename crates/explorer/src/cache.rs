@@ -293,9 +293,8 @@ fn estimate_bits(e: &PerfEstimate) -> [u64; 5] {
 /// what a frame stores and `Debug` renders.
 fn same_walk(a: &ExplorationResult, b: &ExplorationResult) -> bool {
     fn same_candidate(a: &EvaluatedCandidate, b: &EvaluatedCandidate) -> bool {
-        let floats = |c: &TrainingConfig| {
-            [c.locality_eta, c.cache_ratio, c.dropout].map(f64::to_bits)
-        };
+        let floats =
+            |c: &TrainingConfig| [c.locality_eta, c.cache_ratio, c.dropout].map(f64::to_bits);
         estimate_bits(&a.estimate) == estimate_bits(&b.estimate)
             && a.config == b.config
             && floats(&a.config) == floats(&b.config)

@@ -186,6 +186,12 @@ impl<'a> ByteReader<'a> {
             .map_err(|e| StoreError::decode(format!("invalid utf-8 string: {e}")))
     }
 
+    /// Reads `n` raw bytes (no length prefix) — the counterpart of
+    /// [`ByteWriter::put_raw`] for embedding nested payloads.
+    pub fn get_raw(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
+        self.take(n)
+    }
+
     /// Reads the length prefix of a list whose elements take at least
     /// `min_element_bytes` (> 0) each, refusing one the rest of the
     /// payload could not hold — so a corrupt prefix is a typed error
