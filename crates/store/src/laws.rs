@@ -8,16 +8,16 @@
 //!   the type's smallest value ([`assert_smallest`]);
 //! - every truncation of the encoding is an `Err`;
 //! - every single-byte mutation decodes or is a typed
-//!   [`StoreError::Decode`], never a panic: at every position for an
-//!   encoding of up to [`EVERY_POSITION_UP_TO`] bytes, at evenly spaced
-//!   positions beyond that.
+//!   [`StoreError::Decode`], never a panic: at every position of an
+//!   encoding of up to 4 096 bytes, at 4 096 evenly spaced positions of
+//!   a longer one.
 
 use crate::{ByteReader, ByteWriter, StoreError, Wire};
 use std::fmt::Debug;
 
 /// Longest encoding whose every byte position is mutated; a longer one
 /// is mutated at this many evenly spaced positions.
-pub const EVERY_POSITION_UP_TO: usize = 4096;
+const EVERY_POSITION_UP_TO: usize = 4096;
 
 /// The values each mutated byte is XORed with: its low bit, its high
 /// bit, and all of it.
