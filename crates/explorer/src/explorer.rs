@@ -140,8 +140,10 @@ impl<'a> Explorer<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`ExplorerError::NoFeasibleCandidate`] only when there
-    /// is nothing to fall back to — no candidate was evaluated with a
+    /// Returns [`ExplorerError::ZeroBudget`] before any work when the
+    /// explorer was built with a budget of 0, and
+    /// [`ExplorerError::NoFeasibleCandidate`] only when there is
+    /// nothing to fall back to — no candidate was evaluated with a
     /// finite prediction at all.
     pub fn explore(
         &self,
@@ -212,6 +214,9 @@ impl<'a> Explorer<'a> {
         constraints: &RuntimeConstraints,
         seeds: &[TrainingConfig],
     ) -> Result<Vec<ExplorationResult>, ExplorerError> {
+        if self.budget == 0 {
+            return Err(ExplorerError::ZeroBudget);
+        }
         let metrics = gnnav_obs::global();
         let journal = metrics.journal();
         let _explore_span = metrics.span(metric::EXPLORER_EXPLORE_WALL);
@@ -398,6 +403,25 @@ mod tests {
         // The guideline must be on the estimated front.
         let g = &result.guideline;
         assert!(result.front.iter().any(|&i| result.evaluated[i].config == g.config));
+    }
+
+    #[test]
+    fn a_zero_budget_is_a_typed_error_at_every_entry_point() {
+        // Refused before the walk, so not even a fitted estimator is
+        // needed.
+        let dataset = Dataset::load_scaled(DatasetId::Reddit2, 0.01).expect("load");
+        let platform = Platform::default_rtx4090();
+        let est = GrayBoxEstimator::new();
+        let explorer = Explorer::new(&est, 0);
+        let none = RuntimeConstraints::none();
+        let (model, priority) = (ModelKind::Sage, Priority::Balance);
+        let zero = |e: ExplorerError| matches!(e, ExplorerError::ZeroBudget);
+        assert!(explorer.explore(&dataset, &platform, model, priority, &none).is_err_and(zero));
+        assert!(explorer.explore_all(&dataset, &platform, model, &none).is_err_and(zero));
+        let seeds = template_seeds(model);
+        assert!(explorer
+            .explore_from(&dataset, &platform, model, priority, &none, &seeds)
+            .is_err_and(zero));
     }
 
     #[test]

@@ -41,6 +41,8 @@ use std::fmt;
 pub enum ExplorerError {
     /// No evaluated candidate satisfied the runtime constraints.
     NoFeasibleCandidate,
+    /// The explorer was built with a leaf-evaluation budget of 0.
+    ZeroBudget,
     /// The estimator failed.
     Estimator(gnnav_estimator::EstimatorError),
 }
@@ -51,6 +53,7 @@ impl fmt::Display for ExplorerError {
             ExplorerError::NoFeasibleCandidate => {
                 write!(f, "no candidate satisfies the runtime constraints")
             }
+            ExplorerError::ZeroBudget => write!(f, "the exploration budget must be >= 1"),
             ExplorerError::Estimator(e) => write!(f, "estimator error: {e}"),
         }
     }
@@ -60,7 +63,7 @@ impl Error for ExplorerError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             ExplorerError::Estimator(e) => Some(e),
-            ExplorerError::NoFeasibleCandidate => None,
+            ExplorerError::NoFeasibleCandidate | ExplorerError::ZeroBudget => None,
         }
     }
 }
@@ -80,5 +83,6 @@ mod tests {
         fn assert_err<T: Error + Send>() {}
         assert_err::<ExplorerError>();
         assert!(ExplorerError::NoFeasibleCandidate.to_string().contains("no candidate"));
+        assert!(ExplorerError::ZeroBudget.to_string().contains("budget must be >= 1"));
     }
 }

@@ -1,26 +1,29 @@
 //! Property-based tests for Pareto dominance, the incremental front,
-//! the decision maker (alone and at the end of an exploration), and
-//! the exploration-cache codec: round trips of base and decision
-//! frames, both decoders against bytes they did not write, and the
-//! codec laws over audit records and guidelines.
+//! the decision maker (alone and at the end of an exploration), the
+//! exploration-cache codec (round trips of base and decision frames,
+//! both decoders against bytes they did not write, the codec laws over
+//! audit records and guidelines), and three properties of whole
+//! explorations: a cache is transparent, a larger budget over an
+//! extended walk decides no worse, and more device memory rejects and
+//! prunes no more.
 
 use gnnav_estimator::{GrayBoxEstimator, PerfEstimate, Profiler};
 use gnnav_explorer::cache::{EXPLORE_DECISION_TAG, EXPLORE_RESULT_TAG};
 use gnnav_explorer::{
-    decide, decide_on_front, dominates, objectives, pareto_front_indices, AuditAction, AuditRecord,
-    AuditTrail, DfsStats, EvaluatedCandidate, ExplorationResult, ExploreCache, Explorer, Guideline,
-    ParetoFront, Priority, RuntimeConstraints,
+    decide, decide_on_front, dominates, explore_fingerprint, objectives, pareto_front_indices,
+    AuditAction, AuditRecord, AuditTrail, DfsStats, EvaluatedCandidate, ExplorationResult,
+    ExploreCache, Explorer, Guideline, ParetoFront, Priority, RuntimeConstraints,
 };
 use gnnav_graph::{Dataset, DatasetId};
 use gnnav_hwsim::Platform;
 use gnnav_nn::ModelKind;
 use gnnav_runtime::{DesignSpace, ExecutionOptions, RuntimeBackend, TrainingConfig};
 use gnnav_store::laws::{assert_laws, assert_smallest};
-use gnnav_store::{Wal, Wire};
+use gnnav_store::{Wal, Wire, WAL_FRAME_LEN, WAL_HEADER_LEN};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -783,4 +786,146 @@ proptest! {
             }
         }
     }
+}
+
+/// Every frame boundary of the log at `path`: the header's end, then
+/// the end of each frame.
+fn frame_ends(path: &PathBuf) -> Vec<u64> {
+    let mut ends = vec![WAL_HEADER_LEN as u64];
+    for frame in frames_of(path) {
+        ends.push(ends[ends.len() - 1] + (WAL_FRAME_LEN + frame.len()) as u64);
+    }
+    ends
+}
+
+/// Whether `prefix`'s records open `walk`, `Debug` for `Debug`.
+fn opens(prefix: &[AuditRecord], walk: &[AuditRecord]) -> bool {
+    prefix.len() <= walk.len() && format!("{prefix:?}") == format!("{:?}", &walk[..prefix.len()])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Cache transparency: requests (priorities repeat) served through
+    /// an `ExploreCache` — explore and insert on a miss — with the log
+    /// cut back to a random frame boundary and reopened between
+    /// requests, each get what `Explorer::explore` without a cache
+    /// returns. A cut can drop a decision frame and keep its base, or
+    /// drop both, so later misses write either kind of frame again.
+    #[test]
+    fn a_cut_and_reopened_cache_serves_what_explore_returns(
+        requests in proptest::collection::vec((priorities(), any::<u64>()), 1..10),
+        budget in 1usize..81,
+        seed in any::<u64>(),
+        bounds in bounds(),
+    ) {
+        let (dataset, estimator) = fixture();
+        let platform = Platform::default_rtx4090();
+        let space = DesignSpace::standard();
+        let constraints = constraints_at(bounds);
+        let explorer = Explorer::new(estimator, budget).with_seed(seed);
+        let explore = |priority| {
+            explorer
+                .explore(dataset, &platform, ModelKind::Sage, priority, &constraints)
+                .expect("the template seeds are always evaluated")
+        };
+        let (dir, path) = temp_log();
+        for (priority, cut) in requests {
+            let mut cache = ExploreCache::open(&path).expect("open");
+            prop_assert!(cache.recovery().is_clean());
+            prop_assert_eq!(cache.undecodable(), 0);
+            let fingerprint = explore_fingerprint(
+                dataset, &platform, ModelKind::Sage, &space, priority, &constraints, budget, seed,
+                "proptest",
+            );
+            let served = match cache.lookup(fingerprint) {
+                Some(hit) => hit.clone(),
+                None => {
+                    let fresh = explore(priority);
+                    prop_assert!(cache.insert(fingerprint, &fresh).expect("insert"));
+                    fresh
+                }
+            };
+            prop_assert_eq!(format!("{served:?}"), format!("{:?}", explore(priority)));
+            drop(cache);
+            let ends = frame_ends(&path);
+            let end = ends[(cut % ends.len() as u64) as usize];
+            let log = std::fs::OpenOptions::new().write(true).open(&path).expect("reopen");
+            log.set_len(end).expect("cut");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Capacity: a platform that differs only by more device memory
+    /// rejects and prunes no more. (Device capacity enters no
+    /// prediction today, so the two walks are equal; the property fixes
+    /// the direction for an estimator that reads it.)
+    #[test]
+    fn more_device_memory_rejects_and_prunes_no_more(
+        budget in 1usize..121,
+        seed in any::<u64>(),
+        bounds in bounds(),
+        smaller in 0.05f64..1.0,
+        growth in 0.0f64..1.0,
+    ) {
+        let (dataset, estimator) = fixture();
+        let constraints = constraints_at(bounds);
+        let stats_at = |fraction: f64| {
+            let mut platform = Platform::default_rtx4090();
+            platform.device = platform.device.with_memory_fraction(fraction);
+            let results = Explorer::new(estimator, budget)
+                .with_seed(seed)
+                .explore_all(dataset, &platform, ModelKind::Sage, &constraints)
+                .expect("the template seeds are always evaluated");
+            results[0].stats
+        };
+        let larger = smaller + growth * (1.0 - smaller);
+        let (small, large) = (stats_at(smaller), stats_at(larger));
+        prop_assert!(large.rejected <= small.rejected, "{large:?} vs {small:?}");
+        prop_assert!(large.pruned_subtrees <= small.pruned_subtrees, "{large:?} vs {small:?}");
+    }
+}
+
+/// Budget: when the budget-`b` walk's audit records open the
+/// budget-`b'` walk's (`b < b'`, same seed and constraints), every
+/// priority's `b'` guideline scores no worse than its `b` guideline,
+/// both normalised over the `b'` candidates. The prefix is checked,
+/// not assumed: the DFS splits a budget over 16 restarts of
+/// `ceil(b / 16)` leaves each, and it held in exactly the 47 of the
+/// 160 pairs drawn here whose budgets round to the same share.
+#[test]
+fn a_larger_budget_over_an_extended_walk_decides_no_worse() {
+    let mut rng = StdRng::seed_from_u64(0xB0D6E7);
+    let (pairs, mut extended) = (160, 0);
+    for _ in 0..pairs {
+        let b = rng.gen_range(1..121usize);
+        let larger = b + rng.gen_range(1..25usize);
+        let seed: u64 = rng.gen();
+        let mut bound = || (rng.gen_range(0..3u8), rng.gen_range(0.0..1.0));
+        let constraints = constraints_at([bound(), bound(), bound()]);
+        let (small, large) = (
+            explore_all_under(b, seed, &constraints),
+            explore_all_under(larger, seed, &constraints),
+        );
+        if !opens(small[0].audit.walk(), large[0].audit.walk()) {
+            continue;
+        }
+        extended += 1;
+        for ((small, large), priority) in small.iter().zip(&large).zip(Priority::ALL) {
+            // A fallback guideline is no candidate of either walk:
+            // there is nothing to score it against.
+            if small.fallback.is_some() {
+                continue;
+            }
+            assert!(large.fallback.is_none(), "b={b}: a candidate was accepted, b'={larger}: none");
+            let candidates = &large.evaluated;
+            let (kept, grown) = (
+                score(candidates, &small.guideline.estimate, priority),
+                score(candidates, &large.guideline.estimate, priority),
+            );
+            assert!(grown <= kept, "{priority}: b={b} scores {kept}, b'={larger} {grown}");
+        }
+    }
+    eprintln!("the budget-b walk opened the budget-b' walk in {extended} of {pairs} pairs");
+    assert!(extended > 0, "the property was never exercised");
 }

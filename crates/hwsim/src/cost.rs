@@ -17,19 +17,7 @@ use crate::clock::SimTime;
 use crate::profiles::Platform;
 
 /// Numeric precision of device compute and feature transfers.
-#[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    Hash,
-    PartialOrd,
-    Ord,
-    Default,
-    serde::Serialize,
-    serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub enum Precision {
     /// 32-bit floats (4 bytes/scalar).
     #[default]

@@ -118,9 +118,11 @@ impl std::error::Error for ParseError {}
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] describing the first syntax error.
+/// Returns a [`ParseError`] describing the first syntax error, or
+/// naming the first array or object nested more than 128 deep (the
+/// parser recurses once per level; the exporters nest at most 4).
 pub fn parse(input: &str) -> Result<Value, ParseError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -133,9 +135,15 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
+    /// The deepest nesting [`parse`] accepts: a bound on its recursion,
+    /// so a hostile document gets a [`ParseError`], not a stack overflow.
+    const MAX_DEPTH: usize = 128;
+
     fn err(&self, message: &str) -> ParseError {
         ParseError { message: message.to_string(), offset: self.pos }
     }
@@ -174,11 +182,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Runs `container` one nesting level down, refusing to go below
+    /// [`Self::MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == Self::MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {}", Self::MAX_DEPTH)));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, ParseError> {
@@ -332,6 +355,22 @@ mod tests {
         assert!(parse("[1, 2,,]").is_err());
         assert!(parse("\"unterminated").is_err());
         assert!(parse("01a").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_refused_at_the_first_level_too_deep() {
+        let limit = Parser::MAX_DEPTH;
+        for open in ["[", "{\"a\":"] {
+            let mut doc = open.repeat((1 << 20) / open.len());
+            let err = parse(&doc).expect_err("a 1 MB nest is refused");
+            assert_eq!(err.offset, limit * open.len(), "{open}: {err}");
+            assert_eq!(err.message, format!("nesting deeper than {limit}"));
+
+            doc = open.repeat(limit);
+            doc.push('0');
+            doc.push_str(&(if open == "[" { "]" } else { "}" }).repeat(limit));
+            assert!(parse(&doc).is_ok(), "{open}: {limit} levels parse");
+        }
     }
 
     #[test]

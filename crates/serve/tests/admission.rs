@@ -3,8 +3,11 @@
 
 use std::sync::Mutex;
 
+use gnnav_explorer::ExplorerError;
 use gnnav_obs::names as metric;
-use gnnav_serve::{tenant_request, AdmitError, DegradeLevel, NavService, ServeOptions, TenantId};
+use gnnav_serve::{
+    tenant_request, AdmitError, DegradeLevel, NavService, ServeError, ServeOptions, TenantId,
+};
 
 /// Serializes the tests that toggle the global journal.
 static JOURNAL_LOCK: Mutex<()> = Mutex::new(());
@@ -50,6 +53,26 @@ fn tenant_budget_exhaustion_returns_typed_error() {
     assert_eq!(err, AdmitError::BudgetExhausted { tenant: TenantId(7) });
     // Other tenants are unaffected.
     service.submit(tenant_request(12, 8)).expect("different tenant");
+}
+
+#[test]
+fn a_zero_budget_fails_the_wave_with_a_typed_error() {
+    // Once at the full budget, once at the reduced one every admission
+    // gets when the degrade rung starts at depth 0.
+    for (explore_budget, reduced_budget, degrade_depth) in [(0, 40, 12), (120, 0, 0)] {
+        let mut service = NavService::new(ServeOptions {
+            explore_budget,
+            reduced_budget,
+            degrade_depth,
+            ..fast_options(14)
+        });
+        service.submit(tenant_request(14, 0)).expect("admitted");
+        let err = service.drain().expect_err("no exploration runs on a zero budget");
+        assert!(
+            matches!(err, ServeError::Explorer(ExplorerError::ZeroBudget)),
+            "{explore_budget}/{reduced_budget}: {err}"
+        );
+    }
 }
 
 #[test]
