@@ -63,25 +63,16 @@ fn bench_forests_and_batch(c: &mut Criterion) {
     // Cached candidates only: the hit-rate predictor answers 0 for a
     // cacheless one without consulting its forest.
     let cached: Vec<&Context> = contexts.iter().filter(|c| c.config.cache_ratio > 0.0).collect();
-    let mut hit = HitRatePredictor::new();
-    hit.fit(&db).expect("fit");
-    let mut accuracy = AccuracyEstimator::new();
-    accuracy.fit(&db).expect("fit");
+    let vi: Vec<f64> = db.records().iter().map(|r| r.avg_batch_nodes).collect();
+    let hit = HitRatePredictor::fit(&db, &vi).expect("fit");
+    let accuracy = AccuracyEstimator::fit(&db).expect("fit");
     let mut group = c.benchmark_group("forest_fit");
     group.sample_size(20);
     group.bench_function("hit_20x7", |b| {
-        b.iter(|| {
-            let mut m = HitRatePredictor::new();
-            m.fit(&db).expect("fit");
-            m
-        });
+        b.iter(|| HitRatePredictor::fit(&db, &vi).expect("fit"));
     });
     group.bench_function("accuracy_40x9", |b| {
-        b.iter(|| {
-            let mut m = AccuracyEstimator::new();
-            m.fit(&db).expect("fit");
-            m
-        });
+        b.iter(|| AccuracyEstimator::fit(&db).expect("fit"));
     });
     group.finish();
 
@@ -112,18 +103,10 @@ fn bench_gray_vs_black_fit(c: &mut Criterion) {
     let mut group = c.benchmark_group("batch_size_model_fit");
     group.sample_size(10);
     group.bench_function("gray_box_ridge", |b| {
-        b.iter(|| {
-            let mut m = BatchSizePredictor::new();
-            m.fit(&db).expect("fit");
-            m
-        });
+        b.iter(|| BatchSizePredictor::fit(&db).expect("fit"));
     });
     group.bench_function("black_box_tree", |b| {
-        b.iter(|| {
-            let mut m = BlackBoxBatchSize::new();
-            m.fit(&db).expect("fit");
-            m
-        });
+        b.iter(|| BlackBoxBatchSize::fit(&db).expect("fit"));
     });
     group.finish();
 }

@@ -60,10 +60,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let test_configs: Vec<_> = DesignSpace::standard().sample(25, ModelKind::Sage, 4242);
     let test = profiler.profile(&held_out, &test_configs)?;
 
-    let mut gray = BatchSizePredictor::new();
-    gray.fit(&train)?;
-    let mut tree = BlackBoxBatchSize::new();
-    tree.fit(&train)?;
+    let gray = BatchSizePredictor::fit(&train)?;
+    let tree = BlackBoxBatchSize::fit(&train)?;
 
     println!("# Figure 5: batch-size estimator comparison");
     println!(

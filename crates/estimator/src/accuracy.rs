@@ -8,34 +8,16 @@
 use crate::context::Context;
 use crate::features::accuracy_features;
 use crate::profile::ProfileDb;
-use crate::EstimatorError;
+use crate::{fitted, EstimatorError};
 use gnnav_ml::{ForestParams, RandomForestRegressor, Regressor, Table, TreeParams};
 
 /// Black-box-leaning accuracy estimator.
 #[derive(Debug, Clone)]
 pub struct AccuracyEstimator {
     model: RandomForestRegressor,
-    fitted: bool,
-}
-
-impl Default for AccuracyEstimator {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl AccuracyEstimator {
-    /// Creates an unfitted estimator.
-    pub fn new() -> Self {
-        let params = ForestParams {
-            num_trees: 40,
-            tree: TreeParams { max_depth: 9, min_samples_leaf: 2, ..TreeParams::default() },
-            feature_fraction: 0.7,
-            seed: 23,
-        };
-        AccuracyEstimator { model: RandomForestRegressor::new(params), fitted: false }
-    }
-
     /// Fits on profiled accuracies (records where training was skipped
     /// — accuracy 0 — are excluded).
     ///
@@ -43,7 +25,7 @@ impl AccuracyEstimator {
     ///
     /// Returns [`EstimatorError::EmptyProfile`] if no trained records
     /// are present.
-    pub fn fit(&mut self, db: &ProfileDb) -> Result<(), EstimatorError> {
+    pub fn fit(db: &ProfileDb) -> Result<Self, EstimatorError> {
         let mut table = Table::with_dims(17);
         for r in db.records().iter().filter(|r| r.accuracy > 0.0) {
             table.push_row(&accuracy_features(&r.context, r.avg_batch_nodes), r.accuracy)?;
@@ -51,19 +33,18 @@ impl AccuracyEstimator {
         if table.is_empty() {
             return Err(EstimatorError::EmptyProfile);
         }
-        self.model.fit(&table)?;
-        self.fitted = true;
-        Ok(())
+        let params = ForestParams {
+            num_trees: 40,
+            tree: TreeParams { max_depth: 9, min_samples_leaf: 2, ..TreeParams::default() },
+            feature_fraction: 0.7,
+            seed: 23,
+        };
+        Ok(AccuracyEstimator { model: fitted(RandomForestRegressor::new(params), &table)? })
     }
 
     /// Predicts test accuracy in `[0, 1]` from the predicted batch
     /// size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if unfitted.
     pub fn predict(&self, ctx: &Context, vi_pred: f64) -> f64 {
-        assert!(self.fitted, "estimator not fitted");
         self.model.predict(&accuracy_features(ctx, vi_pred)).clamp(0.0, 1.0)
     }
 }
@@ -104,8 +85,7 @@ mod tests {
     fn accuracy_mse_is_low() {
         let train = trained_profiles(1, 16);
         let test = trained_profiles(91, 6);
-        let mut acc = AccuracyEstimator::new();
-        acc.fit(&train).expect("fit");
+        let acc = AccuracyEstimator::fit(&train).expect("fit");
         let truth: Vec<f64> = test.records().iter().map(|r| r.accuracy).collect();
         let pred: Vec<f64> =
             test.records().iter().map(|r| acc.predict(&r.context, r.avg_batch_nodes)).collect();
@@ -124,6 +104,6 @@ mod tests {
         .with_threads(2);
         let cfgs = DesignSpace::standard().sample(3, ModelKind::Sage, 4);
         let db = profiler.profile(&dataset, &cfgs).expect("profile");
-        assert!(matches!(AccuracyEstimator::new().fit(&db), Err(EstimatorError::EmptyProfile)));
+        assert!(matches!(AccuracyEstimator::fit(&db), Err(EstimatorError::EmptyProfile)));
     }
 }

@@ -9,7 +9,7 @@
 use crate::context::Context;
 use crate::features::{batch_size_features, batch_size_raw_features};
 use crate::profile::ProfileDb;
-use crate::EstimatorError;
+use crate::{fitted, EstimatorError};
 use gnnav_ml::{DecisionTreeRegressor, Regressor, RidgeRegressor, Table, TreeParams};
 use gnnav_runtime::SamplerKind;
 
@@ -33,32 +33,16 @@ fn family_index(kind: SamplerKind) -> usize {
 pub struct BatchSizePredictor {
     global: RidgeRegressor,
     per_family: [Option<RidgeRegressor>; 3],
-    fitted: bool,
-}
-
-impl Default for BatchSizePredictor {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl BatchSizePredictor {
-    /// Creates an unfitted predictor.
-    pub fn new() -> Self {
-        BatchSizePredictor {
-            global: RidgeRegressor::new(1e-4),
-            per_family: [None, None, None],
-            fitted: false,
-        }
-    }
-
     /// Fits the overlap penalty on profiled ground truth.
     ///
     /// # Errors
     ///
     /// Returns [`EstimatorError::EmptyProfile`] when `db` is empty, or
     /// a fitting error.
-    pub fn fit(&mut self, db: &ProfileDb) -> Result<(), EstimatorError> {
+    pub fn fit(db: &ProfileDb) -> Result<Self, EstimatorError> {
         if db.is_empty() {
             return Err(EstimatorError::EmptyProfile);
         }
@@ -70,28 +54,19 @@ impl BatchSizePredictor {
             global.push_row(&features, target)?;
             family_tables[family_index(r.context.config.sampler)].push_row(&features, target)?;
         }
-        self.global.fit(&global)?;
-        for (slot, table) in self.per_family.iter_mut().zip(&family_tables) {
+        let global = fitted(RidgeRegressor::new(1e-4), &global)?;
+        let mut per_family = [None, None, None];
+        for (slot, table) in per_family.iter_mut().zip(&family_tables) {
             // A family model needs enough rows to beat the global fit.
-            *slot = if table.num_rows() >= 8 {
-                let mut m = RidgeRegressor::new(1e-4);
-                m.fit(table)?;
-                Some(m)
-            } else {
-                None
-            };
+            if table.num_rows() >= 8 {
+                *slot = Some(fitted(RidgeRegressor::new(1e-4), table)?);
+            }
         }
-        self.fitted = true;
-        Ok(())
+        Ok(BatchSizePredictor { global, per_family })
     }
 
     /// Predicts `E(|V_i|)`, clamped to `[|B^0|, |V|]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the predictor is unfitted.
     pub fn predict(&self, ctx: &Context) -> f64 {
-        assert!(self.fitted, "predictor not fitted");
         let features = batch_size_features(ctx);
         let model =
             self.per_family[family_index(ctx.config.sampler)].as_ref().unwrap_or(&self.global);
@@ -108,31 +83,16 @@ impl BatchSizePredictor {
 #[derive(Debug, Clone)]
 pub struct BlackBoxBatchSize {
     model: DecisionTreeRegressor,
-    fitted: bool,
-}
-
-impl Default for BlackBoxBatchSize {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl BlackBoxBatchSize {
-    /// Creates an unfitted baseline.
-    pub fn new() -> Self {
-        BlackBoxBatchSize {
-            model: DecisionTreeRegressor::new(TreeParams::default()),
-            fitted: false,
-        }
-    }
-
     /// Fits the tree on profiled ground truth.
     ///
     /// # Errors
     ///
     /// Returns [`EstimatorError::EmptyProfile`] when `db` is empty, or
     /// a fitting error.
-    pub fn fit(&mut self, db: &ProfileDb) -> Result<(), EstimatorError> {
+    pub fn fit(db: &ProfileDb) -> Result<Self, EstimatorError> {
         if db.is_empty() {
             return Err(EstimatorError::EmptyProfile);
         }
@@ -140,18 +100,13 @@ impl BlackBoxBatchSize {
         for r in db.records() {
             table.push_row(&batch_size_raw_features(&r.context), r.avg_batch_nodes)?;
         }
-        self.model.fit(&table)?;
-        self.fitted = true;
-        Ok(())
+        Ok(BlackBoxBatchSize {
+            model: fitted(DecisionTreeRegressor::new(TreeParams::default()), &table)?,
+        })
     }
 
     /// Predicts `E(|V_i|)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the baseline is unfitted.
     pub fn predict(&self, ctx: &Context) -> f64 {
-        assert!(self.fitted, "predictor not fitted");
         self.model.predict(&batch_size_raw_features(ctx)).max(0.0)
     }
 }
@@ -189,8 +144,7 @@ mod tests {
     #[test]
     fn gray_box_beats_naive_and_tracks_truth() {
         let (train, test) = profiled();
-        let mut gray = BatchSizePredictor::new();
-        gray.fit(&train).expect("fit");
+        let gray = BatchSizePredictor::fit(&train).expect("fit");
         let truth: Vec<f64> = test.records().iter().map(|r| r.avg_batch_nodes).collect();
         let pred: Vec<f64> = test.records().iter().map(|r| gray.predict(&r.context)).collect();
         let r2 = r2_score(&truth, &pred);
@@ -200,8 +154,7 @@ mod tests {
     #[test]
     fn black_box_fits_in_sample() {
         let (train, _) = profiled();
-        let mut bb = BlackBoxBatchSize::new();
-        bb.fit(&train).expect("fit");
+        let bb = BlackBoxBatchSize::fit(&train).expect("fit");
         let truth: Vec<f64> = train.records().iter().map(|r| r.avg_batch_nodes).collect();
         let pred: Vec<f64> = train.records().iter().map(|r| bb.predict(&r.context)).collect();
         assert!(r2_score(&truth, &pred) > 0.5);
@@ -210,20 +163,12 @@ mod tests {
     #[test]
     fn empty_profile_rejected() {
         assert!(matches!(
-            BatchSizePredictor::new().fit(&ProfileDb::new()),
+            BatchSizePredictor::fit(&ProfileDb::new()),
             Err(EstimatorError::EmptyProfile)
         ));
         assert!(matches!(
-            BlackBoxBatchSize::new().fit(&ProfileDb::new()),
+            BlackBoxBatchSize::fit(&ProfileDb::new()),
             Err(EstimatorError::EmptyProfile)
         ));
-    }
-
-    #[test]
-    #[should_panic(expected = "predictor not fitted")]
-    fn unfitted_predict_panics() {
-        let (_, test) = profiled();
-        let p = BatchSizePredictor::new();
-        let _ = p.predict(&test.records()[0].context);
     }
 }

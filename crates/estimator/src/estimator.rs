@@ -71,6 +71,12 @@ pub struct ValidationReport {
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct GrayBoxEstimator {
+    components: Option<Components>,
+}
+
+/// Every fitted component; the estimator holds all of them or none.
+#[derive(Debug, Clone)]
+struct Components {
     batch: BatchSizePredictor,
     hit: HitRatePredictor,
     time: TimeEstimator,
@@ -78,51 +84,50 @@ pub struct GrayBoxEstimator {
     accuracy: Option<AccuracyEstimator>,
 }
 
+impl Components {
+    /// Stacked fitting: downstream components are fitted against the
+    /// *upstream predictors' own outputs* (not the measured values) so
+    /// training matches the prediction pipeline exactly — the batch
+    /// predictor's bias is absorbed by the coefficients of the time
+    /// and memory models instead of surfacing as error.
+    fn fit(db: &ProfileDb) -> Result<Self, EstimatorError> {
+        let batch = BatchSizePredictor::fit(db)?;
+        let vi_hat: Vec<f64> = db.records().iter().map(|r| batch.predict(&r.context)).collect();
+        let hit = HitRatePredictor::fit(db, &vi_hat)?;
+        let hit_hat: Vec<f64> =
+            db.records().iter().zip(&vi_hat).map(|(r, &v)| hit.predict(&r.context, v)).collect();
+        let time = TimeEstimator::fit(db, &vi_hat, &hit_hat)?;
+        let memory = MemoryEstimator::fit(db, &vi_hat)?;
+        let accuracy = match AccuracyEstimator::fit(db) {
+            Ok(acc) => Some(acc),
+            Err(EstimatorError::EmptyProfile) => None,
+            Err(e) => return Err(e),
+        };
+        Ok(Components { batch, hit, time, memory, accuracy })
+    }
+}
+
 impl GrayBoxEstimator {
     /// Creates an unfitted estimator.
     pub fn new() -> Self {
-        GrayBoxEstimator {
-            batch: BatchSizePredictor::new(),
-            hit: HitRatePredictor::new(),
-            time: TimeEstimator::new(),
-            memory: MemoryEstimator::new(),
-            accuracy: None,
-        }
+        GrayBoxEstimator { components: None }
     }
 
     /// Fits every component on `db`. The accuracy component is fitted
     /// only when the database contains trained records; otherwise
     /// accuracy predictions fall back to 0 (timing-only mode).
     ///
+    /// A refit replaces all components or none: when `db` is refused,
+    /// the estimator keeps its previous fit.
+    ///
     /// # Errors
     ///
-    /// Returns [`EstimatorError::EmptyProfile`] when `db` is empty.
+    /// Returns [`EstimatorError::EmptyProfile`] when `db` is empty, or
+    /// a fitting error.
     pub fn fit(&mut self, db: &ProfileDb) -> Result<(), EstimatorError> {
         let metrics = gnnav_obs::global();
         let fit_started = metrics.is_enabled().then(Instant::now);
-        // Stacked fitting: downstream components are fitted against the
-        // *upstream predictors' own outputs* (not the measured values)
-        // so training matches the prediction pipeline exactly — the
-        // batch predictor's bias is absorbed by the coefficients of
-        // the time and memory models instead of surfacing as error.
-        self.batch.fit(db)?;
-        let vi_hat: Vec<f64> =
-            db.records().iter().map(|r| self.batch.predict(&r.context)).collect();
-        self.hit.fit_with_vi(db, &vi_hat)?;
-        let hit_hat: Vec<f64> = db
-            .records()
-            .iter()
-            .zip(&vi_hat)
-            .map(|(r, &v)| self.hit.predict(&r.context, v))
-            .collect();
-        self.time.fit_with_inputs(db, &vi_hat, &hit_hat)?;
-        self.memory.fit_with_vi(db, &vi_hat)?;
-        let mut acc = AccuracyEstimator::new();
-        match acc.fit(db) {
-            Ok(()) => self.accuracy = Some(acc),
-            Err(EstimatorError::EmptyProfile) => self.accuracy = None,
-            Err(e) => return Err(e),
-        }
+        self.components = Some(Components::fit(db)?);
         if let Some(started) = fit_started {
             metrics.add(metric::ESTIMATOR_FITS, 1);
             metrics.gauge_set(metric::ESTIMATOR_FIT_WALL, started.elapsed().as_secs_f64());
@@ -167,7 +172,7 @@ impl GrayBoxEstimator {
 
     /// Whether the accuracy component was fitted.
     pub fn predicts_accuracy(&self) -> bool {
-        self.accuracy.is_some()
+        self.components.as_ref().is_some_and(|c| c.accuracy.is_some())
     }
 
     /// Predicts the full performance triple for a candidate.
@@ -184,11 +189,12 @@ impl GrayBoxEstimator {
     /// bump: a batch or a search adds its count once, not per
     /// candidate.
     fn predict_uncounted(&self, ctx: &Context) -> PerfEstimate {
-        let vi = self.batch.predict(ctx);
-        let hit = self.hit.predict(ctx, vi);
-        let time_s = self.time.predict(ctx, vi, hit);
-        let mem_bytes = self.memory.predict(ctx, vi);
-        let accuracy = self.accuracy.as_ref().map_or(0.0, |a| a.predict(ctx, vi));
+        let c = self.components.as_ref().expect("estimator not fitted");
+        let vi = c.batch.predict(ctx);
+        let hit = c.hit.predict(ctx, vi);
+        let time_s = c.time.predict(ctx, vi, hit);
+        let mem_bytes = c.memory.predict(ctx, vi);
+        let accuracy = c.accuracy.as_ref().map_or(0.0, |a| a.predict(ctx, vi));
         PerfEstimate { time_s, mem_bytes, accuracy, batch_nodes: vi, hit_rate: hit }
     }
 
@@ -292,7 +298,7 @@ impl GrayBoxEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::Profiler;
+    use crate::profile::{ProfileRecord, Profiler};
     use gnnav_graph::Dataset;
     use gnnav_hwsim::Platform;
     use gnnav_nn::ModelKind;
@@ -380,5 +386,34 @@ mod tests {
     fn empty_db_rejected() {
         let mut est = GrayBoxEstimator::new();
         assert!(matches!(est.fit(&ProfileDb::new()), Err(EstimatorError::EmptyProfile)));
+    }
+
+    #[test]
+    #[should_panic(expected = "estimator not fitted")]
+    fn unfitted_predict_panics() {
+        let db = db_for(DatasetId::Reddit2, 3, 2);
+        let _ = GrayBoxEstimator::new().predict(&db.records()[0].context);
+    }
+
+    #[test]
+    fn refused_refit_keeps_the_previous_fit() {
+        let db = db_for(DatasetId::Reddit2, 3, 18);
+        let mut est = GrayBoxEstimator::new();
+        est.fit(&db).expect("fit");
+        let predictions = |est: &GrayBoxEstimator| {
+            let all: Vec<PerfEstimate> =
+                db.records().iter().map(|r| est.predict(&r.context)).collect();
+            format!("{all:?} {}", est.predicts_accuracy())
+        };
+        let before = predictions(&est);
+        // Another sweep, which the batch-size component fits; the
+        // hit-rate component, fitted after it, refuses the NaN target.
+        let mut poisoned = ProfileDb::new();
+        for (i, r) in db_for(DatasetId::Reddit2, 4, 18).records().iter().enumerate() {
+            let hit_rate = if i == 5 { f64::NAN } else { r.hit_rate };
+            poisoned.push(ProfileRecord { hit_rate, ..r.clone() });
+        }
+        assert!(matches!(est.fit(&poisoned), Err(EstimatorError::Ml(_))));
+        assert_eq!(predictions(&est), before);
     }
 }

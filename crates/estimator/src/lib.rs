@@ -85,6 +85,15 @@ impl From<gnnav_ml::MlError> for EstimatorError {
     }
 }
 
+/// `model` fitted on `table`: how every component builds its learners.
+fn fitted<R: gnnav_ml::Regressor>(
+    mut model: R,
+    table: &gnnav_ml::Table,
+) -> Result<R, EstimatorError> {
+    model.fit(table)?;
+    Ok(model)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

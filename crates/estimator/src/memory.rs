@@ -7,7 +7,7 @@
 
 use crate::context::Context;
 use crate::profile::ProfileDb;
-use crate::EstimatorError;
+use crate::{fitted, EstimatorError};
 use gnnav_ml::{Regressor, RidgeRegressor, Table};
 
 fn memory_features(ctx: &Context, vi: f64) -> [f64; 3] {
@@ -22,36 +22,14 @@ fn memory_features(ctx: &Context, vi: f64) -> [f64; 3] {
 #[derive(Debug, Clone)]
 pub struct MemoryEstimator {
     model: RidgeRegressor,
-    fitted: bool,
-}
-
-impl Default for MemoryEstimator {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl MemoryEstimator {
-    /// Creates an unfitted estimator.
-    pub fn new() -> Self {
-        MemoryEstimator { model: RidgeRegressor::new(1e-6), fitted: false }
-    }
-
-    /// Fits the component coefficients on profiled peak memory, using
-    /// the *measured* batch sizes as the activation input.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EstimatorError::EmptyProfile`] when `db` is empty.
-    pub fn fit(&mut self, db: &ProfileDb) -> Result<(), EstimatorError> {
-        let vi: Vec<f64> = db.records().iter().map(|r| r.avg_batch_nodes).collect();
-        self.fit_with_vi(db, &vi)
-    }
-
-    /// Fits against externally supplied batch sizes — pass the batch
-    /// predictor's *own* estimates so training matches the prediction
-    /// pipeline (stacking), which is how [`crate::GrayBoxEstimator`]
-    /// wires it.
+    /// Fits the component coefficients on profiled peak memory with
+    /// `vi` as each record's activation input: the batch predictor's
+    /// own estimates when stacking, which is how
+    /// [`crate::GrayBoxEstimator`] wires it, the measured ones
+    /// otherwise.
     ///
     /// # Errors
     ///
@@ -60,7 +38,7 @@ impl MemoryEstimator {
     /// # Panics
     ///
     /// Panics if `vi.len() != db.len()`.
-    pub fn fit_with_vi(&mut self, db: &ProfileDb, vi: &[f64]) -> Result<(), EstimatorError> {
+    pub fn fit(db: &ProfileDb, vi: &[f64]) -> Result<Self, EstimatorError> {
         if db.is_empty() {
             return Err(EstimatorError::EmptyProfile);
         }
@@ -69,19 +47,12 @@ impl MemoryEstimator {
         for (r, &v) in db.records().iter().zip(vi) {
             table.push_row(&memory_features(&r.context, v), r.mem_bytes)?;
         }
-        self.model.fit(&table)?;
-        self.fitted = true;
-        Ok(())
+        Ok(MemoryEstimator { model: fitted(RidgeRegressor::new(1e-6), &table)? })
     }
 
     /// Predicts peak device memory in bytes from the predicted batch
     /// size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if unfitted.
     pub fn predict(&self, ctx: &Context, vi_pred: f64) -> f64 {
-        assert!(self.fitted, "estimator not fitted");
         self.model.predict(&memory_features(ctx, vi_pred)).max(0.0)
     }
 }
@@ -107,12 +78,15 @@ mod tests {
         profiler.profile(&dataset, &cfgs).expect("profile")
     }
 
+    fn measured_vi(db: &ProfileDb) -> Vec<f64> {
+        db.records().iter().map(|r| r.avg_batch_nodes).collect()
+    }
+
     #[test]
     fn memory_estimation_is_nearly_exact() {
         let train = profiled(5, 30);
         let test = profiled(55, 10);
-        let mut mem = MemoryEstimator::new();
-        mem.fit(&train).expect("fit");
+        let mem = MemoryEstimator::fit(&train, &measured_vi(&train)).expect("fit");
         let truth: Vec<f64> = test.records().iter().map(|r| r.mem_bytes).collect();
         let pred: Vec<f64> =
             test.records().iter().map(|r| mem.predict(&r.context, r.avg_batch_nodes)).collect();
@@ -123,8 +97,7 @@ mod tests {
     #[test]
     fn cache_heavy_config_predicts_more_memory() {
         let train = profiled(6, 30);
-        let mut mem = MemoryEstimator::new();
-        mem.fit(&train).expect("fit");
+        let mem = MemoryEstimator::fit(&train, &measured_vi(&train)).expect("fit");
         let mut small = train.records()[0].context.clone();
         small.config.cache_policy = gnnav_cache::CachePolicy::StaticDegree;
         small.config.cache_ratio = 0.05;
@@ -137,7 +110,7 @@ mod tests {
     #[test]
     fn empty_profile_rejected() {
         assert!(matches!(
-            MemoryEstimator::new().fit(&ProfileDb::new()),
+            MemoryEstimator::fit(&ProfileDb::new(), &[]),
             Err(EstimatorError::EmptyProfile)
         ));
     }

@@ -16,48 +16,19 @@
 use crate::context::Context;
 use crate::features::hit_rate_features;
 use crate::profile::ProfileDb;
-use crate::EstimatorError;
+use crate::{fitted, EstimatorError};
 use gnnav_ml::{ForestParams, RandomForestRegressor, Regressor, RidgeRegressor, Table, TreeParams};
 
 /// Predicts the cumulative cache hit rate for a candidate.
 #[derive(Debug, Clone)]
 pub struct HitRatePredictor {
     model: RandomForestRegressor,
-    fitted: bool,
-}
-
-impl Default for HitRatePredictor {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl HitRatePredictor {
-    /// Creates an unfitted predictor.
-    pub fn new() -> Self {
-        let params = ForestParams {
-            num_trees: 20,
-            tree: TreeParams { max_depth: 7, ..TreeParams::default() },
-            feature_fraction: 0.8,
-            seed: 11,
-        };
-        HitRatePredictor { model: RandomForestRegressor::new(params), fitted: false }
-    }
-
-    /// Fits on profiled hit rates, using the *measured* batch size as
-    /// the coverage feature.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EstimatorError::EmptyProfile`] when `db` is empty.
-    pub fn fit(&mut self, db: &ProfileDb) -> Result<(), EstimatorError> {
-        let vi: Vec<f64> = db.records().iter().map(|r| r.avg_batch_nodes).collect();
-        self.fit_with_vi(db, &vi)
-    }
-
-    /// Fits against externally supplied batch sizes (the batch
-    /// predictor's own estimates — stacking; see
-    /// [`crate::GrayBoxEstimator`]).
+    /// Fits on profiled hit rates with `vi` as each record's batch
+    /// size: the batch predictor's own estimates when stacking (see
+    /// [`crate::GrayBoxEstimator`]), the measured ones otherwise.
     ///
     /// # Errors
     ///
@@ -66,7 +37,7 @@ impl HitRatePredictor {
     /// # Panics
     ///
     /// Panics if `vi.len() != db.len()`.
-    pub fn fit_with_vi(&mut self, db: &ProfileDb, vi: &[f64]) -> Result<(), EstimatorError> {
+    pub fn fit(db: &ProfileDb, vi: &[f64]) -> Result<Self, EstimatorError> {
         if db.is_empty() {
             return Err(EstimatorError::EmptyProfile);
         }
@@ -75,18 +46,17 @@ impl HitRatePredictor {
         for (r, &v) in db.records().iter().zip(vi) {
             table.push_row(&hit_rate_features(&r.context, v), r.hit_rate)?;
         }
-        self.model.fit(&table)?;
-        self.fitted = true;
-        Ok(())
+        let params = ForestParams {
+            num_trees: 20,
+            tree: TreeParams { max_depth: 7, ..TreeParams::default() },
+            feature_fraction: 0.8,
+            seed: 11,
+        };
+        Ok(HitRatePredictor { model: fitted(RandomForestRegressor::new(params), &table)? })
     }
 
     /// Predicts the hit rate in `[0, 1]` given the predicted `|V_i|`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if unfitted.
     pub fn predict(&self, ctx: &Context, vi_pred: f64) -> f64 {
-        assert!(self.fitted, "predictor not fitted");
         if ctx.config.cache_ratio == 0.0 {
             return 0.0;
         }
@@ -101,17 +71,10 @@ pub struct TimeEstimator {
     transfer: RidgeRegressor,
     replace: RidgeRegressor,
     compute: RidgeRegressor,
-    fitted: bool,
-}
-
-impl Default for TimeEstimator {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 /// Analytic per-iteration feature for each phase, shared between fit
-/// (with measured `vi`/`hit`) and predict (with estimated ones).
+/// and predict.
 fn sample_features(ctx: &Context, vi: f64) -> [f64; 2] {
     let mvps = ctx.platform.host.sample_mvps * 1e6;
     let expansion = (vi - ctx.config.batch_size as f64).max(0.0);
@@ -146,32 +109,10 @@ fn compute_features(ctx: &Context, vi: f64) -> [f64; 1] {
 }
 
 impl TimeEstimator {
-    /// Creates an unfitted time estimator.
-    pub fn new() -> Self {
-        TimeEstimator {
-            sample: RidgeRegressor::new(1e-6),
-            transfer: RidgeRegressor::new(1e-6),
-            replace: RidgeRegressor::new(1e-6),
-            compute: RidgeRegressor::new(1e-6),
-            fitted: false,
-        }
-    }
-
     /// Fits the four phase coefficient models on profiled phase times,
-    /// using the *measured* batch sizes and hit rates as inputs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EstimatorError::EmptyProfile`] when `db` is empty.
-    pub fn fit(&mut self, db: &ProfileDb) -> Result<(), EstimatorError> {
-        let vi: Vec<f64> = db.records().iter().map(|r| r.avg_batch_nodes).collect();
-        let hit: Vec<f64> = db.records().iter().map(|r| r.hit_rate).collect();
-        self.fit_with_inputs(db, &vi, &hit)
-    }
-
-    /// Fits against externally supplied batch sizes and hit rates (the
-    /// upstream predictors' own estimates — stacking; see
-    /// [`crate::GrayBoxEstimator`]).
+    /// with `vi` and `hit` as each record's batch size and hit rate:
+    /// the upstream predictors' own estimates when stacking (see
+    /// [`crate::GrayBoxEstimator`]), the measured ones otherwise.
     ///
     /// # Errors
     ///
@@ -180,12 +121,7 @@ impl TimeEstimator {
     /// # Panics
     ///
     /// Panics if the input lengths disagree with `db.len()`.
-    pub fn fit_with_inputs(
-        &mut self,
-        db: &ProfileDb,
-        vi: &[f64],
-        hit: &[f64],
-    ) -> Result<(), EstimatorError> {
+    pub fn fit(db: &ProfileDb, vi: &[f64], hit: &[f64]) -> Result<Self, EstimatorError> {
         if db.is_empty() {
             return Err(EstimatorError::EmptyProfile);
         }
@@ -201,22 +137,18 @@ impl TimeEstimator {
             t_replace.push_row(&replace_features(&r.context, v, h), r.phase_s[2])?;
             t_compute.push_row(&compute_features(&r.context, v), r.phase_s[3])?;
         }
-        self.sample.fit(&t_sample)?;
-        self.transfer.fit(&t_transfer)?;
-        self.replace.fit(&t_replace)?;
-        self.compute.fit(&t_compute)?;
-        self.fitted = true;
-        Ok(())
+        let ridge = |table: &Table| fitted(RidgeRegressor::new(1e-6), table);
+        Ok(TimeEstimator {
+            sample: ridge(&t_sample)?,
+            transfer: ridge(&t_transfer)?,
+            replace: ridge(&t_replace)?,
+            compute: ridge(&t_compute)?,
+        })
     }
 
     /// Predicts the epoch time in seconds from the predicted batch
     /// size and hit rate, composing Eq. 4.
-    ///
-    /// # Panics
-    ///
-    /// Panics if unfitted.
     pub fn predict(&self, ctx: &Context, vi_pred: f64, hit_pred: f64) -> f64 {
-        assert!(self.fitted, "estimator not fitted");
         let ts = self.sample.predict(&sample_features(ctx, vi_pred)).max(0.0);
         let tt = self.transfer.predict(&transfer_features(ctx, vi_pred, hit_pred)).max(0.0);
         let tr = self.replace.predict(&replace_features(ctx, vi_pred, hit_pred)).max(0.0);
@@ -248,16 +180,19 @@ mod tests {
         profiler.profile(&dataset, &cfgs).expect("profile")
     }
 
+    /// The measured batch sizes and hit rates, one per record.
+    fn measured(db: &ProfileDb) -> (Vec<f64>, Vec<f64>) {
+        db.records().iter().map(|r| (r.avg_batch_nodes, r.hit_rate)).unzip()
+    }
+
     #[test]
     fn time_estimator_generalizes() {
         let train = profiled(1, 40);
         let test = profiled(77, 12);
-        let mut bsz = BatchSizePredictor::new();
-        bsz.fit(&train).expect("fit vi");
-        let mut hit = HitRatePredictor::new();
-        hit.fit(&train).expect("fit hit");
-        let mut time = TimeEstimator::new();
-        time.fit(&train).expect("fit time");
+        let bsz = BatchSizePredictor::fit(&train).expect("fit vi");
+        let (vi, h) = measured(&train);
+        let hit = HitRatePredictor::fit(&train, &vi).expect("fit hit");
+        let time = TimeEstimator::fit(&train, &vi, &h).expect("fit time");
 
         let truth: Vec<f64> = test.records().iter().map(|r| r.epoch_time_s).collect();
         let pred: Vec<f64> = test
@@ -276,8 +211,7 @@ mod tests {
     #[test]
     fn hit_rate_zero_without_cache() {
         let train = profiled(2, 25);
-        let mut hit = HitRatePredictor::new();
-        hit.fit(&train).expect("fit");
+        let hit = HitRatePredictor::fit(&train, &measured(&train).0).expect("fit");
         // Build the cacheless context explicitly instead of relying on
         // the random design-space sample to contain one.
         let mut ctx = train.records()[0].context.clone();
@@ -289,8 +223,7 @@ mod tests {
     #[test]
     fn hit_rate_in_unit_interval() {
         let train = profiled(3, 25);
-        let mut hit = HitRatePredictor::new();
-        hit.fit(&train).expect("fit");
+        let hit = HitRatePredictor::fit(&train, &measured(&train).0).expect("fit");
         for r in train.records() {
             let h = hit.predict(&r.context, r.avg_batch_nodes);
             assert!((0.0..=1.0).contains(&h));
@@ -300,11 +233,11 @@ mod tests {
     #[test]
     fn empty_profile_rejected() {
         assert!(matches!(
-            TimeEstimator::new().fit(&ProfileDb::new()),
+            TimeEstimator::fit(&ProfileDb::new(), &[], &[]),
             Err(EstimatorError::EmptyProfile)
         ));
         assert!(matches!(
-            HitRatePredictor::new().fit(&ProfileDb::new()),
+            HitRatePredictor::fit(&ProfileDb::new(), &[]),
             Err(EstimatorError::EmptyProfile)
         ));
     }

@@ -275,13 +275,8 @@ impl FaultPlan {
             )));
         }
         let seed = match root.get("seed") {
-            Some(Value::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => *n as u64,
-            // Seeds above 2^53 lose precision as JSON numbers, so the
-            // writer emits them as decimal strings.
-            Some(Value::Str(s)) => s
-                .parse::<u64>()
-                .map_err(|_| FaultError::Parse(format!("seed '{s}' is not a u64")))?,
-            _ => return Err(FaultError::Parse("missing or invalid 'seed'".into())),
+            Some(v) => read_u64(v).map_err(|e| FaultError::Parse(format!("seed {e}")))?,
+            None => return Err(FaultError::Parse("missing or invalid 'seed'".into())),
         };
         let faults = root
             .get("faults")
@@ -322,13 +317,19 @@ impl FaultPlan {
             let site = |key: &str| -> Result<Option<u64>, FaultError> {
                 match f.get(key) {
                     None | Some(Value::Null) => Ok(None),
-                    Some(v) => match v.as_f64() {
-                        Some(n) if n >= 0.0 && n.fract() == 0.0 => Ok(Some(n as u64)),
-                        _ => Err(FaultError::Parse(format!(
-                            "fault {i}: '{key}' is not a non-negative integer"
-                        ))),
-                    },
+                    Some(v) => read_u64(v)
+                        .map(Some)
+                        .map_err(|e| FaultError::Parse(format!("fault {i}: '{key}' {e}"))),
                 }
+            };
+            let duration_attempts = match site("duration_attempts")? {
+                Some(d) => Some(u32::try_from(d).map_err(|_| {
+                    FaultError::Parse(format!(
+                        "fault {i}: 'duration_attempts' {d} exceeds {}",
+                        u32::MAX
+                    ))
+                })?),
+                None => None,
             };
             specs.push(FaultSpec {
                 kind,
@@ -336,7 +337,7 @@ impl FaultPlan {
                 magnitude: num("magnitude", 1.0)?,
                 from: site("from")?,
                 until: site("until")?,
-                duration_attempts: site("duration_attempts")?.map(|d| d as u32),
+                duration_attempts,
             });
         }
         let plan = FaultPlan { seed, specs };
@@ -362,12 +363,7 @@ impl FaultPlan {
         out.push_str("{\"version\": ");
         json::push_f64(&mut out, FAULT_PLAN_SCHEMA_VERSION as f64);
         out.push_str(", \"seed\": ");
-        const MAX_EXACT: u64 = 1 << 53;
-        if self.seed <= MAX_EXACT {
-            json::push_f64(&mut out, self.seed as f64);
-        } else {
-            json::push_string(&mut out, &self.seed.to_string());
-        }
+        push_u64(&mut out, self.seed);
         out.push_str(", \"faults\": [");
         for (i, s) in self.specs.iter().enumerate() {
             if i > 0 {
@@ -384,7 +380,7 @@ impl FaultPlan {
                     out.push_str(", \"");
                     out.push_str(key);
                     out.push_str("\": ");
-                    json::push_f64(&mut out, v as f64);
+                    push_u64(&mut out, v);
                 }
             }
             if let Some(d) = s.duration_attempts {
@@ -395,6 +391,29 @@ impl FaultPlan {
         }
         out.push_str("]}");
         out
+    }
+}
+
+/// Integers above 2^53 lose precision as JSON numbers.
+const MAX_EXACT: u64 = 1 << 53;
+
+/// Writes `v` as a JSON number up to [`MAX_EXACT`] and as a decimal
+/// string above it; [`read_u64`] takes either form.
+fn push_u64(out: &mut String, v: u64) {
+    if v <= MAX_EXACT {
+        json::push_f64(out, v as f64);
+    } else {
+        json::push_string(out, &v.to_string());
+    }
+}
+
+/// A `u64` written by [`push_u64`]; the error completes "`<field>` …".
+/// A number above [`MAX_EXACT`] is refused: it may already be rounded.
+fn read_u64(v: &Value) -> Result<u64, String> {
+    match v {
+        Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= MAX_EXACT as f64 => Ok(*n as u64),
+        Value::Str(s) => s.parse::<u64>().map_err(|_| format!("'{s}' is not a u64")),
+        _ => Err("is not a non-negative integer up to 2^53 (write larger ones as strings)".into()),
     }
 }
 
@@ -631,6 +650,45 @@ mod tests {
     }
 
     #[test]
+    fn json_round_trips_arbitrary_u64_windows() {
+        // Both sides of 2^53, where a JSON number stops being exact,
+        // then splitmix64 draws spread over the whole range.
+        let edges = [0, 1, (1 << 53) - 1, 1 << 53, (1 << 53) + 1, u64::MAX - 1, u64::MAX];
+        let mut bounds: Vec<u64> = edges.to_vec();
+        bounds.extend((0..64).map(splitmix64));
+        bounds.extend((0..64).map(|i| splitmix64(i) >> (i % 64)));
+        for (i, &a) in bounds.iter().enumerate() {
+            let b = bounds[(i * 7 + 3) % bounds.len()];
+            let mut spec = FaultSpec::new(FaultKind::ALL[i % FaultKind::ALL.len()]);
+            (spec.from, spec.until) = match a.cmp(&b) {
+                std::cmp::Ordering::Less => (Some(a), Some(b)),
+                std::cmp::Ordering::Greater => (Some(b), Some(a)),
+                std::cmp::Ordering::Equal => (Some(a), None),
+            };
+            let plan = FaultPlan::new(b).with_fault(spec);
+            let parsed = FaultPlan::from_json(&plan.to_json()).expect("round trip");
+            assert_eq!(parsed, plan, "{}", plan.to_json());
+        }
+    }
+
+    #[test]
+    fn json_duration_attempts_above_u32_is_refused_not_wrapped() {
+        let doc = |d: u64| {
+            format!(
+                r#"{{"version": 1, "seed": 5, "faults": [{{"kind": "nan_loss", "duration_attempts": {d}}}]}}"#
+            )
+        };
+        let max = FaultPlan::from_json(&doc(u32::MAX.into())).expect("u32::MAX fits");
+        assert_eq!(max.specs[0].duration_attempts, Some(u32::MAX));
+        for d in [u64::from(u32::MAX) + 1, 1 << 33, 1 << 40] {
+            match FaultPlan::from_json(&doc(d)) {
+                Err(FaultError::Parse(m)) => assert!(m.contains("duration_attempts"), "{m}"),
+                other => panic!("duration_attempts {d} gave {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn json_defaults_and_errors() {
         let minimal = r#"{"version": 1, "seed": 5, "faults": [{"kind": "nan_loss"}]}"#;
         let plan = FaultPlan::from_json(minimal).expect("minimal plan");
@@ -645,6 +703,8 @@ mod tests {
             r#"{"version": 1, "faults": []}"#,
             r#"{"version": 1, "seed": 5, "faults": [{"kind": "meteor"}]}"#,
             r#"{"version": 1, "seed": 5, "faults": [{"kind": "nan_loss", "probability": 2.0}]}"#,
+            r#"{"version": 1, "seed": 5, "faults": [{"kind": "nan_loss", "until": 1e30}]}"#,
+            r#"{"version": 1, "seed": 1e30, "faults": []}"#,
         ] {
             assert!(FaultPlan::from_json(bad).is_err(), "accepted: {bad}");
         }
