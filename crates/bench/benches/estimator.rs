@@ -91,8 +91,8 @@ fn bench_forests_and_batch(c: &mut Criterion) {
     group.sample_size(20);
     group.bench_function("2000", |b| {
         b.iter(|| {
-            let pctx = PredictionContext::new(&dataset, &platform);
-            est.predict_batch(&pctx, &configs)
+            let mut pctx = PredictionContext::new(&dataset, &platform);
+            est.predict_batch(&mut pctx, &configs)
         });
     });
     group.finish();

@@ -6,7 +6,7 @@
 //! itself is a random forest. Validation uses MSE, matching Tab. 2.
 
 use crate::context::Context;
-use crate::features::accuracy_features;
+use crate::features::{AccuracyInput, DatasetTerms};
 use crate::profile::ProfileDb;
 use crate::{fitted, EstimatorError};
 use gnnav_ml::{ForestParams, RandomForestRegressor, Regressor, Table, TreeParams};
@@ -28,7 +28,8 @@ impl AccuracyEstimator {
     pub fn fit(db: &ProfileDb) -> Result<Self, EstimatorError> {
         let mut table = Table::with_dims(17);
         for r in db.records().iter().filter(|r| r.accuracy > 0.0) {
-            table.push_row(&accuracy_features(&r.context, r.avg_batch_nodes), r.accuracy)?;
+            let input = AccuracyInput::of(&r.context, r.avg_batch_nodes);
+            table.push_row(&input.features(&DatasetTerms::of(&r.context)), r.accuracy)?;
         }
         if table.is_empty() {
             return Err(EstimatorError::EmptyProfile);
@@ -45,7 +46,12 @@ impl AccuracyEstimator {
     /// Predicts test accuracy in `[0, 1]` from the predicted batch
     /// size.
     pub fn predict(&self, ctx: &Context, vi_pred: f64) -> f64 {
-        self.model.predict(&accuracy_features(ctx, vi_pred)).clamp(0.0, 1.0)
+        self.predict_input(&AccuracyInput::of(ctx, vi_pred), &DatasetTerms::of(ctx))
+    }
+
+    /// [`predict`](Self::predict) from the candidate's input alone.
+    pub(crate) fn predict_input(&self, input: &AccuracyInput, dataset: &DatasetTerms) -> f64 {
+        self.model.predict(&input.features(dataset)).clamp(0.0, 1.0)
     }
 }
 

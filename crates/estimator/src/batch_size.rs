@@ -7,7 +7,7 @@
 //! tree on raw features — both live here.
 
 use crate::context::Context;
-use crate::features::{batch_size_features, batch_size_raw_features};
+use crate::features::{batch_size_raw_features, BatchSizeInput, DatasetTerms};
 use crate::profile::ProfileDb;
 use crate::{fitted, EstimatorError};
 use gnnav_ml::{DecisionTreeRegressor, Regressor, RidgeRegressor, Table, TreeParams};
@@ -49,7 +49,7 @@ impl BatchSizePredictor {
         let mut global = Table::with_dims(4);
         let mut family_tables = [Table::with_dims(4), Table::with_dims(4), Table::with_dims(4)];
         for r in db.records() {
-            let features = batch_size_features(&r.context);
+            let features = BatchSizeInput::of(&r.context).features(&DatasetTerms::of(&r.context));
             let target = r.avg_batch_nodes.max(1.0).ln();
             global.push_row(&features, target)?;
             family_tables[family_index(r.context.config.sampler)].push_row(&features, target)?;
@@ -67,14 +67,17 @@ impl BatchSizePredictor {
 
     /// Predicts `E(|V_i|)`, clamped to `[|B^0|, |V|]`.
     pub fn predict(&self, ctx: &Context) -> f64 {
-        let features = batch_size_features(ctx);
-        let model =
-            self.per_family[family_index(ctx.config.sampler)].as_ref().unwrap_or(&self.global);
-        let ln_vi = model.predict(&features);
+        self.predict_input(&BatchSizeInput::of(ctx), &DatasetTerms::of(ctx))
+    }
+
+    /// [`predict`](Self::predict) from the candidate's input alone.
+    pub(crate) fn predict_input(&self, input: &BatchSizeInput, dataset: &DatasetTerms) -> f64 {
+        let model = self.per_family[family_index(input.sampler)].as_ref().unwrap_or(&self.global);
+        let ln_vi = model.predict(&input.features(dataset));
         // On small graphs |B^0| may exceed |V| (the backend dedups), so
         // the lower clamp is min(|B^0|, |V|).
-        let lo = (ctx.config.batch_size as f64).min(ctx.num_nodes);
-        ln_vi.exp().clamp(lo, ctx.num_nodes)
+        let lo = (input.batch_size as f64).min(dataset.num_nodes);
+        ln_vi.exp().clamp(lo, dataset.num_nodes)
     }
 }
 

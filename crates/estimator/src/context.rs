@@ -4,6 +4,8 @@
 //! and (2) "pre-determined settings in runtime" — dataset statistics
 //! and the hardware platform. [`Context`] bundles exactly that.
 
+use crate::estimator::Components;
+use crate::reuse::Reuse;
 use gnnav_graph::Dataset;
 use gnnav_hwsim::Platform;
 use gnnav_runtime::{SamplerKind, TrainingConfig};
@@ -51,9 +53,9 @@ impl Context {
     /// The analytic expansion skeleton `|B^0| · Π_l (1 + k^l)^τ` of
     /// Eq. 12 (τ = 1 for node-wise sampling; the other families use
     /// their own closed forms), before the learned overlap penalty.
-    /// Deliberately *uncapped*: the saturating feature transform in
-    /// [`crate::features::batch_size_features`] folds it through
-    /// `|V|(1 − e^(−s/|V|))`, which needs the raw growth.
+    /// Deliberately *uncapped*: the batch-size model's saturating
+    /// feature transform folds it through `|V|(1 − e^(−s/|V|))`, which
+    /// needs the raw growth.
     pub fn batch_skeleton(&self) -> f64 {
         let b = self.config.batch_size as f64;
         match self.config.sampler {
@@ -154,6 +156,11 @@ impl Context {
 /// against one dataset. A `PredictionContext` hoists that work: build
 /// it once, then [`context`](Self::context) assembles a candidate
 /// [`Context`] in O(1) with the platform shared.
+///
+/// It also holds the reuse tables of
+/// [`GrayBoxEstimator::predict_owned`](crate::GrayBoxEstimator::predict_owned)
+/// (see [`crate::reuse`]): build one per exploration, and drop it when
+/// the exploration ends.
 #[derive(Debug, Clone)]
 pub struct PredictionContext {
     num_nodes: f64,
@@ -165,6 +172,7 @@ pub struct PredictionContext {
     num_classes: f64,
     num_train: f64,
     platform: Arc<Platform>,
+    pub(crate) reuse: Reuse<Components>,
 }
 
 impl PredictionContext {
@@ -181,6 +189,7 @@ impl PredictionContext {
             num_classes: dataset.num_classes() as f64,
             num_train: dataset.split().train.len() as f64,
             platform: Arc::new(platform.clone()),
+            reuse: Reuse::default(),
         }
     }
 

@@ -3,14 +3,17 @@
 use crate::accuracy::AccuracyEstimator;
 use crate::batch_size::BatchSizePredictor;
 use crate::context::{Context, PredictionContext};
+use crate::features::{AccuracyInput, BatchSizeInput, DatasetTerms, HitRateInput};
 use crate::memory::MemoryEstimator;
 use crate::profile::ProfileDb;
+use crate::reuse::Reuse;
 use crate::time::{HitRatePredictor, TimeEstimator};
 use crate::EstimatorError;
 use gnnav_graph::DatasetId;
 use gnnav_ml::{mse, r2_score};
 use gnnav_obs::names as metric;
 use gnnav_runtime::TrainingConfig;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// A predicted performance triple plus intermediate quantities.
@@ -71,12 +74,14 @@ pub struct ValidationReport {
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct GrayBoxEstimator {
-    components: Option<Components>,
+    components: Option<Arc<Components>>,
 }
 
 /// Every fitted component; the estimator holds all of them or none.
+/// Shared, never mutated: a refit builds a new one, and the reuse
+/// tables of a [`PredictionContext`] tell fits apart by address.
 #[derive(Debug, Clone)]
-struct Components {
+pub(crate) struct Components {
     batch: BatchSizePredictor,
     hit: HitRatePredictor,
     time: TimeEstimator,
@@ -127,7 +132,7 @@ impl GrayBoxEstimator {
     pub fn fit(&mut self, db: &ProfileDb) -> Result<(), EstimatorError> {
         let metrics = gnnav_obs::global();
         let fit_started = metrics.is_enabled().then(Instant::now);
-        self.components = Some(Components::fit(db)?);
+        self.components = Some(Arc::new(Components::fit(db)?));
         if let Some(started) = fit_started {
             metrics.add(metric::ESTIMATOR_FITS, 1);
             metrics.gauge_set(metric::ESTIMATOR_FIT_WALL, started.elapsed().as_secs_f64());
@@ -182,25 +187,38 @@ impl GrayBoxEstimator {
     /// Panics if the estimator is unfitted.
     pub fn predict(&self, ctx: &Context) -> PerfEstimate {
         gnnav_obs::global().add(metric::ESTIMATOR_PREDICTIONS, 1);
-        self.predict_uncounted(ctx)
+        self.compose(ctx, &mut Reuse::default())
     }
 
-    /// [`predict`](Self::predict) without the `estimator.predictions`
-    /// bump: a batch or a search adds its count once, not per
-    /// candidate.
-    fn predict_uncounted(&self, ctx: &Context) -> PerfEstimate {
+    /// The one composition of the components for a candidate, reading
+    /// `|V_i|`, the hit rate and the accuracy through `reuse`: an input
+    /// already predicted by this fit is read back, a new one predicted
+    /// and stored. With empty tables this is a plain prediction. Does
+    /// not bump `estimator.predictions`: a batch or a search adds its
+    /// count once, not per candidate.
+    fn compose(&self, ctx: &Context, reuse: &mut Reuse<Components>) -> PerfEstimate {
         let c = self.components.as_ref().expect("estimator not fitted");
-        let vi = c.batch.predict(ctx);
-        let hit = c.hit.predict(ctx, vi);
+        let mut tables = reuse.for_fit(c);
+        let dataset = DatasetTerms::of(ctx);
+        let input = BatchSizeInput::of(ctx);
+        let vi = tables.batch(input, || c.batch.predict_input(&input, &dataset));
+        let input = HitRateInput::of(ctx, vi);
+        let hit = tables.hit(input, || c.hit.predict_input(&input, &dataset));
         let time_s = c.time.predict(ctx, vi, hit);
         let mem_bytes = c.memory.predict(ctx, vi);
-        let accuracy = c.accuracy.as_ref().map_or(0.0, |a| a.predict(ctx, vi));
+        let accuracy = c.accuracy.as_ref().map_or(0.0, |a| {
+            let input = AccuracyInput::of(ctx, vi);
+            tables.accuracy(input, || a.predict_input(&input, &dataset))
+        });
         PerfEstimate { time_s, mem_bytes, accuracy, batch_nodes: vi, hit_rate: hit }
     }
 
     /// Predicts one candidate the caller owns against a precomputed
     /// [`PredictionContext`]: the configuration moves into its
     /// [`Context`] and back out beside its estimate, never copied.
+    /// `|V_i|`, the hit rate and the accuracy go through the context's
+    /// reuse tables, so an input an earlier candidate shared is read
+    /// back instead of predicted again — the same bits either way.
     ///
     /// Unlike [`predict`](Self::predict) this does not advance
     /// `estimator.predictions`: a caller that asks once per candidate
@@ -211,16 +229,17 @@ impl GrayBoxEstimator {
     /// Panics if the estimator is unfitted.
     pub fn predict_owned(
         &self,
-        pctx: &PredictionContext,
+        pctx: &mut PredictionContext,
         config: TrainingConfig,
     ) -> (TrainingConfig, PerfEstimate) {
         let ctx = pctx.context(config);
-        let estimate = self.predict_uncounted(&ctx);
+        let estimate = self.compose(&ctx, &mut pctx.reuse);
         (ctx.config, estimate)
     }
 
     /// Predicts a batch of candidates against one precomputed
-    /// [`PredictionContext`], one after the other: building each
+    /// [`PredictionContext`], one after the other through
+    /// [`predict_owned`](Self::predict_owned): building each
     /// candidate's [`Context`] is O(1), and `estimator.predictions`
     /// advances once, by the batch's length.
     ///
@@ -231,7 +250,7 @@ impl GrayBoxEstimator {
     /// Panics if the estimator is unfitted and `configs` is not empty.
     pub fn predict_batch(
         &self,
-        pctx: &PredictionContext,
+        pctx: &mut PredictionContext,
         configs: &[TrainingConfig],
     ) -> Vec<PerfEstimate> {
         if !configs.is_empty() {
@@ -371,12 +390,13 @@ mod tests {
             .iter()
             .map(|c| est.predict(&Context::new(&dataset, &platform, c.clone())))
             .collect();
-        let pctx = PredictionContext::new(&dataset, &platform);
-        let batch = est.predict_batch(&pctx, &configs);
+        let mut pctx = PredictionContext::new(&dataset, &platform);
+        let batch = est.predict_batch(&mut pctx, &configs);
         assert_eq!(format!("{batch:?}"), format!("{serial:?}"), "bit-exact vs serial");
-        // So is a candidate handed over by value, which comes back.
+        // So is a candidate handed over by value, which comes back,
+        // now read from the tables the batch filled.
         for (config, want) in configs.iter().zip(&serial) {
-            let (back, got) = est.predict_owned(&pctx, config.clone());
+            let (back, got) = est.predict_owned(&mut pctx, config.clone());
             assert_eq!(format!("{got:?}"), format!("{want:?}"));
             assert_eq!(back, *config);
         }

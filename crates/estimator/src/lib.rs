@@ -11,7 +11,12 @@
 //!   platform once for a caller with many candidates — a search
 //!   asking one at a time ([`GrayBoxEstimator::predict_owned`]) or a
 //!   list in hand ([`GrayBoxEstimator::predict_batch`]); both are
-//!   plain serial calls.
+//!   plain serial calls, and both read `|V_i|`, the hit rate and the
+//!   accuracy through the context's [`reuse`] tables, which predict
+//!   each distinct component input once. Each of those three
+//!   components reads one `Copy + Eq + Hash` input type (in
+//!   [`features`]), the key of its table and the only thing its
+//!   features are built from.
 //! - [`Profiler`]/[`ProfileDb`] — ground-truth collection over the
 //!   design space, with power-law data enhancement (§4.1);
 //!   [`ProfileStore`] keeps records across processes and
@@ -34,6 +39,7 @@ pub mod estimator;
 pub mod features;
 pub mod memory;
 pub mod profile;
+pub mod reuse;
 pub mod store;
 pub mod time;
 pub mod traces;

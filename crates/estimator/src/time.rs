@@ -14,7 +14,7 @@
 //! resist clean closed forms).
 
 use crate::context::Context;
-use crate::features::hit_rate_features;
+use crate::features::{DatasetTerms, HitRateInput};
 use crate::profile::ProfileDb;
 use crate::{fitted, EstimatorError};
 use gnnav_ml::{ForestParams, RandomForestRegressor, Regressor, RidgeRegressor, Table, TreeParams};
@@ -44,7 +44,8 @@ impl HitRatePredictor {
         assert_eq!(vi.len(), db.len(), "one batch size per record");
         let mut table = Table::with_dims(10);
         for (r, &v) in db.records().iter().zip(vi) {
-            table.push_row(&hit_rate_features(&r.context, v), r.hit_rate)?;
+            let input = HitRateInput::of(&r.context, v);
+            table.push_row(&input.features(&DatasetTerms::of(&r.context)), r.hit_rate)?;
         }
         let params = ForestParams {
             num_trees: 20,
@@ -57,10 +58,15 @@ impl HitRatePredictor {
 
     /// Predicts the hit rate in `[0, 1]` given the predicted `|V_i|`.
     pub fn predict(&self, ctx: &Context, vi_pred: f64) -> f64 {
-        if ctx.config.cache_ratio == 0.0 {
+        self.predict_input(&HitRateInput::of(ctx, vi_pred), &DatasetTerms::of(ctx))
+    }
+
+    /// [`predict`](Self::predict) from the candidate's input alone.
+    pub(crate) fn predict_input(&self, input: &HitRateInput, dataset: &DatasetTerms) -> f64 {
+        if input.cache_ratio.get() == 0.0 {
             return 0.0;
         }
-        self.model.predict(&hit_rate_features(ctx, vi_pred)).clamp(0.0, 1.0)
+        self.model.predict(&input.features(dataset)).clamp(0.0, 1.0)
     }
 }
 

@@ -12,7 +12,12 @@
 //! and the production sink (`Evaluator`) predicts that one candidate
 //! against a [`PredictionContext`] built once per exploration and books
 //! it on the spot: journal instant, audit record, accept / reject, the
-//! incremental Pareto front. One prediction is well under a
+//! incremental Pareto front. Neighbouring leaves differ in an axis or
+//! two, so most of a leaf's `|V_i|`, hit-rate and accuracy inputs were
+//! seen at an earlier leaf: the context's reuse tables
+//! ([`gnnav_estimator::reuse`]) predict each distinct input once and
+//! read it back, bit for bit, and are dropped with the exploration.
+//! One prediction is well under a
 //! microsecond, far below what forking a thread for it costs, so
 //! nothing inside an exploration looks at the `gnnav-par` budget;
 //! explorations run in parallel *across* requests (`gnnav-serve`
@@ -28,6 +33,7 @@
 use crate::audit::{AuditAction, AuditRecord};
 use crate::pareto::{objectives, ParetoFront};
 use crate::targets::RuntimeConstraints;
+use gnnav_estimator::reuse::WordSet;
 use gnnav_estimator::{GrayBoxEstimator, PerfEstimate, PredictionContext};
 use gnnav_graph::Dataset;
 use gnnav_hwsim::Platform;
@@ -39,7 +45,6 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::borrow::Cow;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// A candidate evaluated by the estimator during exploration.
@@ -239,7 +244,7 @@ struct Evaluator<'a> {
 
 impl Sink for Evaluator<'_> {
     fn leaf(&mut self, config: TrainingConfig, summary: String) {
-        let (config, estimate) = self.estimator.predict_owned(&self.pctx, config);
+        let (config, estimate) = self.estimator.predict_owned(&mut self.pctx, config);
         let metrics = gnnav_obs::global();
         let journal = metrics.journal();
         self.stats.evaluated += 1;
@@ -353,8 +358,9 @@ pub(crate) struct Traversal<'a> {
     /// Place value of each axis in a packed leaf key: the mixed-radix
     /// number whose digits are the per-axis indices.
     strides: [u64; axis::COUNT],
-    /// Packed keys of the leaves handed over so far.
-    visited: HashSet<u64>,
+    /// Packed keys of the leaves handed over so far (read for
+    /// membership only, so the hasher moves no byte).
+    visited: WordSet<u64>,
 }
 
 impl<'a> Traversal<'a> {
@@ -382,7 +388,7 @@ impl<'a> Traversal<'a> {
             max_mem_bytes: constraints.max_mem_bytes,
             summaries: space.summary_table(),
             strides,
-            visited: HashSet::new(),
+            visited: WordSet::default(),
         }
     }
 

@@ -13,6 +13,7 @@ use gnnav_graph::DatasetId;
 use gnnav_runtime::{ExecutionOptions, RuntimeBackend};
 use proptest::prelude::*;
 use rand::Rng;
+use std::collections::HashSet;
 use std::sync::OnceLock;
 
 const MODEL: ModelKind = ModelKind::Sage;
