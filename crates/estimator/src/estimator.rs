@@ -6,7 +6,7 @@ use crate::context::{Context, PredictionContext};
 use crate::features::{AccuracyInput, BatchSizeInput, DatasetTerms, HitRateInput};
 use crate::memory::MemoryEstimator;
 use crate::profile::ProfileDb;
-use crate::reuse::Reuse;
+use crate::reuse::{Reuse, Tables};
 use crate::time::{HitRatePredictor, TimeEstimator};
 use crate::EstimatorError;
 use gnnav_graph::DatasetId;
@@ -187,18 +187,18 @@ impl GrayBoxEstimator {
     /// Panics if the estimator is unfitted.
     pub fn predict(&self, ctx: &Context) -> PerfEstimate {
         gnnav_obs::global().add(metric::ESTIMATOR_PREDICTIONS, 1);
-        self.compose(ctx, &mut Reuse::default())
+        self.compose(ctx, None)
     }
 
     /// The one composition of the components for a candidate, reading
-    /// `|V_i|`, the hit rate and the accuracy through `reuse`: an input
-    /// already predicted by this fit is read back, a new one predicted
-    /// and stored. With empty tables this is a plain prediction. Does
-    /// not bump `estimator.predictions`: a batch or a search adds its
-    /// count once, not per candidate.
-    fn compose(&self, ctx: &Context, reuse: &mut Reuse<Components>) -> PerfEstimate {
+    /// `|V_i|`, the hit rate and the accuracy through `reuse`'s tables:
+    /// an input already predicted by this fit is read back, a new one
+    /// predicted and stored. With no tables every input is predicted.
+    /// Does not bump `estimator.predictions`: a batch or a search adds
+    /// its count once, not per candidate.
+    fn compose(&self, ctx: &Context, reuse: Option<&mut Reuse<Components>>) -> PerfEstimate {
         let c = self.components.as_ref().expect("estimator not fitted");
-        let mut tables = reuse.for_fit(c);
+        let mut tables = reuse.map_or_else(Tables::none, |r| r.for_fit(c));
         let dataset = DatasetTerms::of(ctx);
         let input = BatchSizeInput::of(ctx);
         let vi = tables.batch(input, || c.batch.predict_input(&input, &dataset));
@@ -233,7 +233,7 @@ impl GrayBoxEstimator {
         config: TrainingConfig,
     ) -> (TrainingConfig, PerfEstimate) {
         let ctx = pctx.context(config);
-        let estimate = self.compose(&ctx, &mut pctx.reuse);
+        let estimate = self.compose(&ctx, Some(&mut pctx.reuse));
         (ctx.config, estimate)
     }
 

@@ -13,7 +13,9 @@
 //! The tables live in a [`crate::PredictionContext`], one per
 //! exploration, and are dropped with it. They are filled by one fit:
 //! asked by another (a refit, another estimator), they empty
-//! themselves first.
+//! themselves first. A prediction without a context
+//! (`GrayBoxEstimator::predict`) runs the same composition with no
+//! tables.
 //!
 //! [`WordHasher`] is the tables' hasher, and the DFS's visited set's:
 //! both hash a few machine words per key, where SipHash's per-key
@@ -77,6 +79,12 @@ type Table<K> = HashMap<K, f64, BuildWordHasher>;
 #[derive(Debug, Clone)]
 pub(crate) struct Reuse<O> {
     filled_by: Option<Arc<O>>,
+    stored: Stored,
+}
+
+/// One table per reused component.
+#[derive(Debug, Clone, Default)]
+struct Stored {
     batch: Table<BatchSizeInput>,
     hit: Table<HitRateInput>,
     accuracy: Table<AccuracyInput>,
@@ -84,12 +92,7 @@ pub(crate) struct Reuse<O> {
 
 impl<O> Default for Reuse<O> {
     fn default() -> Self {
-        Reuse {
-            filled_by: None,
-            batch: Table::default(),
-            hit: Table::default(),
-            accuracy: Table::default(),
-        }
+        Reuse { filled_by: None, stored: Stored::default() }
     }
 }
 
@@ -98,41 +101,44 @@ impl<O> Reuse<O> {
     /// another fit filled them.
     pub(crate) fn for_fit(&mut self, fit: &Arc<O>) -> Tables<'_> {
         if !self.filled_by.as_ref().is_some_and(|o| Arc::ptr_eq(o, fit)) {
-            self.batch.clear();
-            self.hit.clear();
-            self.accuracy.clear();
+            self.stored = Stored::default();
             self.filled_by = Some(Arc::clone(fit));
         }
-        Tables { batch: &mut self.batch, hit: &mut self.hit, accuracy: &mut self.accuracy }
+        Tables(Some(&mut self.stored))
     }
 }
 
-/// One fit's view of the tables.
-pub(crate) struct Tables<'a> {
-    batch: &'a mut Table<BatchSizeInput>,
-    hit: &'a mut Table<HitRateInput>,
-    accuracy: &'a mut Table<AccuracyInput>,
-}
+/// One fit's view of the tables, or [`none`](Tables::none).
+pub(crate) struct Tables<'a>(Option<&'a mut Stored>);
 
 impl Tables<'_> {
+    /// No tables: every input is predicted and none is stored (a
+    /// single prediction would only pay for allocating them).
+    pub(crate) fn none() -> Self {
+        Tables(None)
+    }
+
     /// The `|V_i|` of `input`, predicted by `predict` on first sight.
     pub(crate) fn batch(&mut self, input: BatchSizeInput, predict: impl FnOnce() -> f64) -> f64 {
-        reuse(self.batch, input, predict)
+        reuse(self.0.as_deref_mut().map(|s| &mut s.batch), input, predict)
     }
 
     /// The hit rate of `input`, predicted by `predict` on first sight.
     pub(crate) fn hit(&mut self, input: HitRateInput, predict: impl FnOnce() -> f64) -> f64 {
-        reuse(self.hit, input, predict)
+        reuse(self.0.as_deref_mut().map(|s| &mut s.hit), input, predict)
     }
 
     /// The accuracy of `input`, predicted by `predict` on first sight.
     pub(crate) fn accuracy(&mut self, input: AccuracyInput, predict: impl FnOnce() -> f64) -> f64 {
-        reuse(self.accuracy, input, predict)
+        reuse(self.0.as_deref_mut().map(|s| &mut s.accuracy), input, predict)
     }
 }
 
-fn reuse<K: Hash + Eq>(table: &mut Table<K>, key: K, predict: impl FnOnce() -> f64) -> f64 {
-    *table.entry(key).or_insert_with(predict)
+fn reuse<K: Hash + Eq>(table: Option<&mut Table<K>>, key: K, predict: impl FnOnce() -> f64) -> f64 {
+    match table {
+        Some(table) => *table.entry(key).or_insert_with(predict),
+        None => predict(),
+    }
 }
 
 #[cfg(test)]
