@@ -403,6 +403,30 @@ mod tests {
     }
 
     #[test]
+    fn a_context_asked_by_another_fit_predicts_with_that_fit() {
+        let dataset = Dataset::load_scaled(DatasetId::Reddit2, 0.05).expect("load");
+        let platform = Platform::default_rtx4090();
+        let configs = DesignSpace::standard().sample(12, ModelKind::Sage, 7);
+        let fitted = |seed| {
+            let mut est = GrayBoxEstimator::new();
+            est.fit(&db_for(DatasetId::Reddit2, seed, 18)).expect("fit");
+            est
+        };
+        let (first, second) = (fitted(3), fitted(4));
+        let alone: Vec<PerfEstimate> = configs
+            .iter()
+            .map(|c| second.predict(&Context::new(&dataset, &platform, c.clone())))
+            .collect();
+        // One context, its tables filled by the first fit, then asked
+        // by the second: every estimate is the second fit's own.
+        let mut pctx = PredictionContext::new(&dataset, &platform);
+        let stale = first.predict_batch(&mut pctx, &configs);
+        assert_ne!(format!("{stale:?}"), format!("{alone:?}"), "the fits differ");
+        let got = second.predict_batch(&mut pctx, &configs);
+        assert_eq!(format!("{got:?}"), format!("{alone:?}"));
+    }
+
+    #[test]
     fn empty_db_rejected() {
         let mut est = GrayBoxEstimator::new();
         assert!(matches!(est.fit(&ProfileDb::new()), Err(EstimatorError::EmptyProfile)));

@@ -17,9 +17,9 @@
 //! seen at an earlier leaf: the context's reuse tables
 //! ([`gnnav_estimator::reuse`]) predict each distinct input once and
 //! read it back, bit for bit, and are dropped with the exploration.
-//! One prediction is well under a
-//! microsecond, far below what forking a thread for it costs, so
-//! nothing inside an exploration looks at the `gnnav-par` budget;
+//! One prediction is well under a microsecond, far below what forking
+//! a thread for it costs, so nothing inside an exploration looks at
+//! the `gnnav-par` budget;
 //! explorations run in parallel *across* requests (`gnnav-serve`
 //! Phase B), and `tests/serial_within.rs` holds the first half of that
 //! sentence.
