@@ -15,8 +15,7 @@ use crate::NavigatorError;
 use gnnav_adapt::{AdaptOptions, AdaptiveReport, AdaptiveRunner};
 use gnnav_estimator::{GrayBoxEstimator, ProfileDb, ProfileStore, Profiler};
 use gnnav_explorer::{
-    explore_fingerprint, ExplorationResult, ExploreCache, Explorer, Guideline, Priority,
-    RuntimeConstraints,
+    ExplorationResult, ExploreCache, Explorer, Guideline, Plan, Priority, RuntimeConstraints,
 };
 use gnnav_graph::Dataset;
 use gnnav_hwsim::Platform;
@@ -25,6 +24,7 @@ use gnnav_runtime::{
     DesignSpace, DurabilityOptions, ExecutionOptions, ExecutionReport, RuntimeBackend, Template,
     TrainingConfig,
 };
+use std::sync::Arc;
 
 /// Tunables of the navigator pipeline.
 #[derive(Debug, Clone)]
@@ -75,6 +75,24 @@ impl Default for NavigatorOptions {
     }
 }
 
+impl NavigatorOptions {
+    /// Everything the fitted estimator depends on beyond the dataset
+    /// and platform (already fingerprinted directly): sweep size,
+    /// augmentation shape, sampling seed, and profiling mode. Folded
+    /// into the exploration-cache fingerprint so differently-fitted
+    /// estimators never share cache entries.
+    fn estimator_salt(&self) -> String {
+        format!(
+            "samples={} aug={}x{} seed={:#x} profile_exec={:?}",
+            self.profile_samples,
+            self.augmentation_graphs,
+            self.augmentation_nodes,
+            self.seed,
+            self.profile_exec,
+        )
+    }
+}
+
 /// The adaptive GNN-training navigator.
 ///
 /// # Example
@@ -102,7 +120,7 @@ impl Default for NavigatorOptions {
 /// ```
 #[derive(Debug)]
 pub struct Navigator {
-    dataset: Dataset,
+    dataset: Arc<Dataset>,
     platform: Platform,
     model: ModelKind,
     backend: RuntimeBackend,
@@ -120,7 +138,7 @@ impl Navigator {
     pub fn new(dataset: Dataset, platform: Platform, model: ModelKind) -> Self {
         let backend = RuntimeBackend::new(platform.clone());
         Navigator {
-            dataset,
+            dataset: Arc::new(dataset),
             platform,
             model,
             backend,
@@ -248,71 +266,6 @@ impl Navigator {
         Ok(self.estimator.as_ref().expect("fitted above"))
     }
 
-    /// Everything the fitted estimator depends on beyond the dataset
-    /// and platform (already fingerprinted directly): sweep size,
-    /// augmentation shape, sampling seed, and profiling mode. Folded
-    /// into the exploration-cache fingerprint so differently-fitted
-    /// estimators never share cache entries.
-    fn estimator_salt(&self) -> String {
-        format!(
-            "samples={} aug={}x{} seed={:#x} profile_exec={:?}",
-            self.options.profile_samples,
-            self.options.augmentation_graphs,
-            self.options.augmentation_nodes,
-            self.options.seed,
-            self.options.profile_exec,
-        )
-    }
-
-    /// The explorer over the estimator [`Navigator::prepare`] fitted.
-    fn explorer(&self) -> Explorer<'_> {
-        let estimator = self.estimator.as_ref().expect("prepare() runs before every exploration");
-        Explorer::new(estimator, self.options.explore_budget).with_space(self.options.space.clone())
-    }
-
-    /// The exploration-cache key of the result for `priority`: a
-    /// function of the inputs and options alone, so it is known before
-    /// anything is fitted.
-    fn fingerprint(&self, priority: Priority, constraints: &RuntimeConstraints) -> u64 {
-        explore_fingerprint(
-            &self.dataset,
-            &self.platform,
-            self.model,
-            &self.options.space,
-            priority,
-            constraints,
-            self.options.explore_budget,
-            Explorer::DEFAULT_SEED,
-            &self.estimator_salt(),
-        )
-    }
-
-    /// The cached results for `fingerprints`, in order, if the attached
-    /// cache holds every one. Each fingerprint is looked up, so each is
-    /// metered as a hit or a miss.
-    fn lookup(&mut self, fingerprints: &[u64]) -> Option<Vec<ExplorationResult>> {
-        let cache = self.explore_cache.as_mut()?;
-        let hits: Vec<_> =
-            fingerprints.iter().filter_map(|&fp| cache.lookup(fp).cloned()).collect();
-        (hits.len() == fingerprints.len()).then_some(hits)
-    }
-
-    /// Appends fresh results to the attached cache, if any; a
-    /// fingerprint that hit is skipped by the insert itself.
-    fn append(
-        &mut self,
-        fingerprints: &[u64],
-        results: &[ExplorationResult],
-    ) -> Result<(), NavigatorError> {
-        let Some(cache) = self.explore_cache.as_mut() else { return Ok(()) };
-        for (&fingerprint, result) in fingerprints.iter().zip(results) {
-            cache
-                .insert(fingerprint, result)
-                .map_err(|e| NavigatorError::Pipeline(e.to_string()))?;
-        }
-        Ok(())
-    }
-
     /// Generates the guideline for one priority.
     ///
     /// With an attached [`ExploreCache`], a fingerprint hit returns the
@@ -329,16 +282,7 @@ impl Navigator {
         priority: Priority,
         constraints: &RuntimeConstraints,
     ) -> Result<ExplorationResult, NavigatorError> {
-        let fingerprint = self.fingerprint(priority, constraints);
-        if let Some(hit) = self.lookup(&[fingerprint]).and_then(|mut hits| hits.pop()) {
-            return Ok(hit);
-        }
-        self.prepare()?;
-        let (dataset, platform) = (&self.dataset, &self.platform);
-        let result =
-            self.explorer().explore(dataset, platform, self.model, priority, constraints)?;
-        self.append(&[fingerprint], std::slice::from_ref(&result))?;
-        Ok(result)
+        Ok(self.navigate(&[priority], constraints)?.remove(0))
     }
 
     /// Generates guidelines for every priority preset (the Bal /
@@ -359,14 +303,35 @@ impl Navigator {
         &mut self,
         constraints: &RuntimeConstraints,
     ) -> Result<Vec<ExplorationResult>, NavigatorError> {
-        let fingerprints = Priority::ALL.map(|p| self.fingerprint(p, constraints));
-        if let Some(hits) = self.lookup(&fingerprints) {
+        self.navigate(&Priority::ALL, constraints)
+    }
+
+    /// The navigator's [`Plan`] for `priorities`: its keys probed
+    /// first, and only on a miss the task-profiled estimator
+    /// [prepared](Navigator::prepare), the space walked once and the
+    /// results committed.
+    fn navigate(
+        &mut self,
+        priorities: &[Priority],
+        constraints: &RuntimeConstraints,
+    ) -> Result<Vec<ExplorationResult>, NavigatorError> {
+        let plan = Plan {
+            dataset: Arc::clone(&self.dataset),
+            platform: self.platform.clone(),
+            model: self.model,
+            space: Arc::new(self.options.space.clone()),
+            constraints: *constraints,
+            budget: self.options.explore_budget,
+            seed: Explorer::DEFAULT_SEED,
+            salt: self.options.estimator_salt(),
+        };
+        let keys: Vec<u64> = priorities.iter().map(|&p| plan.fingerprint(p)).collect();
+        if let Some(hits) = Plan::probe(self.explore_cache.as_mut(), &keys) {
             return Ok(hits);
         }
-        self.prepare()?;
-        let results =
-            self.explorer().explore_all(&self.dataset, &self.platform, self.model, constraints)?;
-        self.append(&fingerprints, &results)?;
+        let results = plan.walk(self.prepare()?, priorities)?;
+        Plan::commit(self.explore_cache.as_mut(), &keys, &results)
+            .map_err(|e| NavigatorError::Pipeline(e.to_string()))?;
         Ok(results)
     }
 

@@ -205,7 +205,7 @@ impl<'a> Explorer<'a> {
     }
 
     /// One walk, then one decision over it per entry of `priorities`.
-    fn walk_and_decide(
+    pub(crate) fn walk_and_decide(
         &self,
         dataset: &Dataset,
         platform: &Platform,
@@ -354,7 +354,7 @@ impl<'a> Explorer<'a> {
 
 /// The baseline templates every exploration is seeded with, so a
 /// guideline never loses to the systems the explorer knows about.
-fn template_seeds(model: ModelKind) -> Vec<TrainingConfig> {
+pub(crate) fn template_seeds(model: ModelKind) -> Vec<TrainingConfig> {
     Template::ALL.iter().map(|t| t.config(model)).collect()
 }
 

@@ -22,6 +22,7 @@ pub mod decision;
 pub mod dfs;
 pub mod explorer;
 pub mod pareto;
+pub mod plan;
 pub mod targets;
 
 pub use audit::{audit_to_json, AuditAction, AuditRecord, AuditTrail};
@@ -30,6 +31,7 @@ pub use decision::{decide, decide_on_front, Guideline};
 pub use dfs::{DfsExplorer, DfsOutcome, DfsStats, EvaluatedCandidate};
 pub use explorer::{ExplorationResult, Explorer};
 pub use pareto::{dominates, objectives, pareto_front_indices, ParetoFront};
+pub use plan::Plan;
 pub use targets::{ExploreTargets, Priority, RuntimeConstraints};
 
 use std::error::Error;

@@ -32,13 +32,12 @@
 //! from the queue depth — so the request/response sequence is a pure
 //! function of the submission sequence.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use gnnav_estimator::{ExecutionTraces, GrayBoxEstimator, ProfileDb, ProfileStore, Profiler};
-use gnnav_explorer::{explore_fingerprint, ExplorationResult, ExploreCache, Explorer, Guideline};
+use gnnav_explorer::{ExploreCache, Guideline, Plan, Priority};
 use gnnav_graph::Dataset;
-use gnnav_hwsim::Platform;
 use gnnav_nn::ModelKind;
 use gnnav_obs::names as metric;
 use gnnav_runtime::{DesignSpace, ExecutionOptions, RuntimeBackend};
@@ -155,6 +154,35 @@ impl Default for ServeOptions {
     }
 }
 
+impl ServeOptions {
+    /// The execution options of every calibration run.
+    fn calibration_exec(&self) -> ExecutionOptions {
+        ExecutionOptions {
+            epochs: 1,
+            train: true,
+            train_batches_cap: Some(2),
+            seed: self.seed,
+            journal: false,
+            ..ExecutionOptions::default()
+        }
+    }
+
+    /// Everything a pooled fit depends on beyond the platform itself:
+    /// the calibration sweep shape and seed. Folded into the
+    /// exploration-cache fingerprint so differently-calibrated
+    /// services never share cache entries.
+    fn estimator_salt(&self, platform_fp: u64) -> String {
+        format!(
+            "serve cal={}x{} samples={} seed={:#x} platform={:016x}",
+            self.calibration_graphs,
+            self.calibration_nodes,
+            self.calibration_samples,
+            self.seed,
+            platform_fp,
+        )
+    }
+}
+
 /// A request admitted into the queue, stamped with everything the
 /// submit-time decision fixed.
 #[derive(Debug)]
@@ -163,28 +191,6 @@ struct Pending {
     request: NavRequest,
     degrade: DegradeLevel,
     submitted_at_us: f64,
-}
-
-/// One unique exploration scheduled by the plan phase. The dataset
-/// and the fit are shared with the service's maps and the platform
-/// borrowed from the pending request, none copied.
-struct ExploreJob<'a> {
-    fingerprint: u64,
-    dataset: Arc<Dataset>,
-    platform: &'a Platform,
-    model: ModelKind,
-    priority: gnnav_explorer::Priority,
-    constraints: gnnav_explorer::RuntimeConstraints,
-    budget: usize,
-    estimator: Arc<GrayBoxEstimator>,
-}
-
-/// How the plan phase decided to serve one pending request.
-enum Resolution {
-    /// Take the result of the wave job at this index.
-    Job { job: usize, tier: ServeTier },
-    /// Serve a result already in the in-memory map.
-    Ready { fingerprint: u64, tier: ServeTier },
 }
 
 /// What every calibration of one service shares: the sweep's synthetic
@@ -364,22 +370,8 @@ impl NavService {
         Ok(seq)
     }
 
-    /// Everything a pooled fit depends on beyond the platform itself:
-    /// the calibration sweep shape and seed. Folded into the
-    /// exploration-cache fingerprint so differently-calibrated
-    /// services never share cache entries.
-    fn estimator_salt(&self, platform_fp: u64) -> String {
-        format!(
-            "serve cal={}x{} samples={} seed={:#x} platform={:016x}",
-            self.options.calibration_graphs,
-            self.options.calibration_nodes,
-            self.options.calibration_samples,
-            self.options.seed,
-            platform_fp,
-        )
-    }
-
-    /// Calibrates a fresh gray-box fit for `platform`: a fixed,
+    /// Calibrates a fresh gray-box fit for the plan's platform over
+    /// its design space: a fixed,
     /// seeded synthetic sweep (the same graphs, configs and execution
     /// seed for every platform and tenant), profiled through the
     /// shared store when one is attached and through the service's
@@ -389,22 +381,14 @@ impl NavService {
     /// request on the platform.
     fn calibrate(
         options: &ServeOptions,
-        space: &DesignSpace,
-        store: Option<&mut ProfileStore>,
+        mut store: Option<&mut ProfileStore>,
         calibration: &mut Calibration,
-        platform: &Platform,
+        plan: &Plan,
     ) -> Result<GrayBoxEstimator, ServeError> {
-        let exec = ExecutionOptions {
-            epochs: 1,
-            train: true,
-            train_batches_cap: Some(2),
-            seed: options.seed,
-            journal: false,
-            ..ExecutionOptions::default()
-        };
-        let profiler = Profiler::new(RuntimeBackend::new(platform.clone()), exec).with_threads(1);
+        let exec = options.calibration_exec();
+        let backend = RuntimeBackend::new(plan.platform.clone());
+        let profiler = Profiler::new(backend, exec).with_threads(1);
         let mut db = ProfileDb::new();
-        let mut store = store;
         let Calibration { graphs, traces } = calibration;
         if graphs.is_empty() {
             *graphs = (0..options.calibration_graphs.max(1))
@@ -422,8 +406,8 @@ impl NavService {
         for (g, dataset) in graphs.iter().enumerate() {
             let per_model = options.calibration_samples.max(3).div_ceil(3);
             for (m, model) in ModelKind::ALL.iter().enumerate() {
-                let configs =
-                    space.sample(per_model, *model, options.seed ^ ((g as u64) << 8) ^ m as u64);
+                let seed = options.seed ^ ((g as u64) << 8) ^ m as u64;
+                let configs = plan.space.sample(per_model, *model, seed);
                 db.merge(profiler.profile_through(
                     store.as_deref_mut(),
                     Some(&mut *traces),
@@ -437,33 +421,25 @@ impl NavService {
         Ok(est)
     }
 
-    /// Shape vector for the nearest-neighbor index: log-scaled size
+    /// A plan's entry in the nearest-neighbor index: its context key
+    /// — requests may only borrow results computed for the same
+    /// platform, model, priority, and constraints; only the dataset
+    /// shape may differ — and its shape vector, of log-scaled size
     /// terms so distance is relative, not absolute.
-    fn shape_vector(dataset: &Dataset) -> Vec<f64> {
-        let stats = dataset.stats();
-        vec![
+    fn neighbor(plan: &Plan, priority: Priority) -> (u64, Vec<f64>) {
+        let mut w = ByteWriter::new();
+        w.put_u64(platform_fingerprint(&plan.platform));
+        w.put_str(&format!("{:?}", plan.model));
+        w.put_str(priority.label());
+        w.put_str(&format!("{:?}", plan.constraints));
+        let stats = plan.dataset.stats();
+        let shape = vec![
             (stats.num_nodes as f64).ln(),
             (stats.num_edges.max(1) as f64).ln(),
             stats.degrees.mean,
             stats.degrees.skew,
-        ]
-    }
-
-    /// Nearest-neighbor context key: requests may only borrow results
-    /// computed for the same platform, model, priority, and
-    /// constraints — only the dataset shape may differ.
-    fn neighbor_key(
-        platform_fp: u64,
-        model: ModelKind,
-        priority: gnnav_explorer::Priority,
-        constraints: &gnnav_explorer::RuntimeConstraints,
-    ) -> u64 {
-        let mut w = ByteWriter::new();
-        w.put_u64(platform_fp);
-        w.put_str(&format!("{model:?}"));
-        w.put_str(priority.label());
-        w.put_str(&format!("{constraints:?}"));
-        fnv1a64(&w.finish())
+        ];
+        (fnv1a64(&w.finish()), shape)
     }
 
     /// Squared Euclidean distance between shape vectors.
@@ -481,152 +457,95 @@ impl NavService {
         let wave_t0 = journal.now_us();
         let pending = std::mem::take(&mut self.queue);
 
-        // --- Phase A: serial plan ---------------------------------
-        let mut jobs: Vec<ExploreJob> = Vec::new();
-        let mut job_by_fp: HashMap<u64, usize> = HashMap::new();
-        let mut resolutions: Vec<Resolution> = Vec::with_capacity(pending.len());
+        // --- Phase A: serial probe, coalesce and provision --------
+        let mut walks: Vec<(Plan, Priority, u64, Arc<GrayBoxEstimator>)> = Vec::new();
+        let mut scheduled: HashSet<u64> = HashSet::new();
+        let mut served: Vec<(u64, ServeTier)> = Vec::with_capacity(pending.len());
         for p in &pending {
-            let req = &p.request;
+            let (req, priority) = (&p.request, p.request.workload.priority);
             let shape = req.workload.shape_key();
             if let std::collections::hash_map::Entry::Vacant(slot) = self.datasets.entry(shape) {
                 slot.insert(Arc::new(req.workload.materialize()?));
             }
             let platform_fp = platform_fingerprint(&req.platform);
-            let salt = self.estimator_salt(platform_fp);
-            let budget = match p.degrade {
-                DegradeLevel::Full => self.options.explore_budget,
-                DegradeLevel::ReducedBudget | DegradeLevel::CacheOnly => {
+            let plan = Plan {
+                dataset: Arc::clone(&self.datasets[&shape]),
+                platform: req.platform.clone(),
+                model: req.workload.model,
+                space: Arc::clone(&self.space),
+                constraints: req.workload.constraints,
+                budget: if p.degrade == DegradeLevel::Full {
+                    self.options.explore_budget
+                } else {
                     self.options.reduced_budget
-                }
+                },
+                seed: self.options.seed,
+                salt: self.options.estimator_salt(platform_fp),
             };
-            let dataset = &self.datasets[&shape];
-            let fp = explore_fingerprint(
-                dataset,
-                &req.platform,
-                req.workload.model,
-                &self.space,
-                req.workload.priority,
-                &req.workload.constraints,
-                budget,
-                self.options.seed,
-                &salt,
-            );
+            let fp = plan.fingerprint(priority);
             // Tier ladder: memory → durable cache → (cache-only:
             // neighbor) → in-wave coalesce → fresh exploration.
-            if self.results.contains_key(&fp) {
-                metrics.add(metric::SERVE_CACHE_HITS, 1);
-                resolutions
-                    .push(Resolution::Ready { fingerprint: fp, tier: ServeTier::ExploreCache });
-                continue;
-            }
-            if let Some(cache) = self.explore_cache.as_mut() {
-                if let Some(result) = cache.lookup(fp) {
-                    let guideline = result.guideline.clone();
-                    self.results.insert(fp, guideline);
-                    metrics.add(metric::SERVE_CACHE_HITS, 1);
-                    resolutions
-                        .push(Resolution::Ready { fingerprint: fp, tier: ServeTier::ExploreCache });
-                    continue;
+            if !self.results.contains_key(&fp) {
+                if let Some(mut hit) = Plan::probe(self.explore_cache.as_mut(), &[fp]) {
+                    self.results.insert(fp, hit.remove(0).guideline);
                 }
             }
+            if self.results.contains_key(&fp) {
+                metrics.add(metric::SERVE_CACHE_HITS, 1);
+                served.push((fp, ServeTier::ExploreCache));
+                continue;
+            }
             if p.degrade == DegradeLevel::CacheOnly {
-                let key = Self::neighbor_key(
-                    platform_fp,
-                    req.workload.model,
-                    req.workload.priority,
-                    &req.workload.constraints,
-                );
-                let shape_vec = Self::shape_vector(dataset);
+                let (key, shape) = Self::neighbor(&plan, priority);
                 // First-inserted wins ties (strict `<`), so the pick
                 // is independent of map iteration order.
                 let nearest = self.neighbors.get(&key).and_then(|entries| {
-                    let mut best: Option<(f64, u64)> = None;
-                    for (vec, rfp) in entries {
-                        let d = Self::shape_distance(&shape_vec, vec);
-                        if best.is_none_or(|(bd, _)| d < bd) {
-                            best = Some((d, *rfp));
-                        }
-                    }
-                    best.map(|(_, rfp)| rfp)
+                    entries
+                        .iter()
+                        .map(|(vec, rfp)| (Self::shape_distance(&shape, vec), *rfp))
+                        .reduce(|best, next| if next.0 < best.0 { next } else { best })
                 });
-                if let Some(rfp) = nearest {
+                if let Some((_, rfp)) = nearest {
                     metrics.add(metric::SERVE_NEIGHBOR_SERVED, 1);
-                    resolutions.push(Resolution::Ready {
-                        fingerprint: rfp,
-                        tier: ServeTier::NearestNeighbor,
-                    });
+                    served.push((rfp, ServeTier::NearestNeighbor));
                     continue;
                 }
                 // Nothing to borrow: fall through to a reduced DSE so
                 // the tenant still gets a guideline.
             }
-            if let Some(&job) = job_by_fp.get(&fp) {
+            if !scheduled.insert(fp) {
                 metrics.add(metric::SERVE_REQUESTS_COALESCED, 1);
-                resolutions.push(Resolution::Job { job, tier: ServeTier::Coalesced });
+                served.push((fp, ServeTier::Coalesced));
                 continue;
             }
             // Only a fresh exploration needs an estimator: warm
             // requests resolve above without ever touching the pool
             // (the cache fingerprint depends on the calibration
             // recipe, not the fitted coefficients).
-            let (options, space) = (&self.options, &self.space);
-            let store = self.profile_store.as_mut();
-            let calibration = &mut self.calibration;
             let (estimator, pool_hit) = self.pool.get_or_insert_with(platform_fp, || {
-                Self::calibrate(options, space, store, calibration, &req.platform)
+                let store = self.profile_store.as_mut();
+                Self::calibrate(&self.options, store, &mut self.calibration, &plan)
             })?;
-            let tier = if pool_hit { ServeTier::WarmEstimator } else { ServeTier::Cold };
-            let job = jobs.len();
-            job_by_fp.insert(fp, job);
-            jobs.push(ExploreJob {
-                fingerprint: fp,
-                dataset: Arc::clone(dataset),
-                platform: &req.platform,
-                model: req.workload.model,
-                priority: req.workload.priority,
-                constraints: req.workload.constraints,
-                budget,
-                estimator,
-            });
-            resolutions.push(Resolution::Job { job, tier });
+            served.push((fp, if pool_hit { ServeTier::WarmEstimator } else { ServeTier::Cold }));
+            walks.push((plan, priority, fp, estimator));
         }
 
-        // --- Phase B: parallel pure explorations ------------------
-        let seed = self.options.seed;
-        let space = &self.space;
-        let outputs: Vec<Result<ExplorationResult, gnnav_explorer::ExplorerError>> =
-            gnnav_par::par_map_indexed(&jobs, 1, |_, job| {
-                Explorer::new(&job.estimator, job.budget)
-                    .with_space(Arc::clone(space))
-                    .with_seed(seed)
-                    .explore(&job.dataset, job.platform, job.model, job.priority, &job.constraints)
-            });
+        // --- Phase B: the plans' walks, in parallel ---------------
+        let outputs = gnnav_par::par_map_indexed(&walks, 1, |_, (plan, priority, _, estimator)| {
+            plan.walk(estimator, &[*priority])
+        });
 
         // --- Phase C: serial commit in admission order ------------
-        for (job, output) in jobs.iter().zip(outputs) {
-            let result = output?;
+        for ((plan, priority, fp, _), output) in walks.iter().zip(outputs) {
+            let decided = output?;
             metrics.add(metric::SERVE_EXPLORATIONS, 1);
-            if let Some(cache) = self.explore_cache.as_mut() {
-                cache.insert(job.fingerprint, &result)?;
-            }
-            let key = Self::neighbor_key(
-                platform_fingerprint(job.platform),
-                job.model,
-                job.priority,
-                &job.constraints,
-            );
-            self.neighbors
-                .entry(key)
-                .or_default()
-                .push((Self::shape_vector(&job.dataset), job.fingerprint));
-            self.results.insert(job.fingerprint, result.guideline);
+            Plan::commit(self.explore_cache.as_mut(), &[*fp], &decided)?;
+            let (key, shape) = Self::neighbor(plan, *priority);
+            self.neighbors.entry(key).or_default().push((shape, *fp));
+            self.results.insert(*fp, decided[0].guideline.clone());
         }
         let mut responses = Vec::with_capacity(pending.len());
-        for (p, resolution) in pending.iter().zip(&resolutions) {
-            let (fp, tier) = match resolution {
-                Resolution::Job { job, tier } => (jobs[*job].fingerprint, *tier),
-                Resolution::Ready { fingerprint, tier } => (*fingerprint, *tier),
-            };
+        for (p, &(fp, tier)) in pending.iter().zip(&served) {
             let guideline = self.results.get(&fp).expect("committed before responses");
             metrics.add(metric::SERVE_RESPONSES, 1);
             metrics.observe(
@@ -657,7 +576,7 @@ impl NavService {
                 None,
                 vec![
                     ("requests".into(), (responses.len() as f64).into()),
-                    ("explorations".into(), (jobs.len() as f64).into()),
+                    ("explorations".into(), (walks.len() as f64).into()),
                 ],
             );
         }
