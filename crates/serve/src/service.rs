@@ -456,6 +456,8 @@ impl NavService {
         let journal = metrics.journal();
         let wave_t0 = journal.now_us();
         let pending = std::mem::take(&mut self.queue);
+        // Reset here: a wave that fails below has taken the queue too.
+        metrics.gauge_set(metric::SERVE_QUEUE_DEPTH, 0.0);
 
         // --- Phase A: serial probe, coalesce and provision --------
         let mut walks: Vec<(Plan, Priority, u64, Arc<GrayBoxEstimator>)> = Vec::new();
@@ -565,7 +567,6 @@ impl NavService {
             *bucket = (*bucket + self.options.tenant_refill).min(self.options.tenant_budget);
         }
         metrics.add(metric::SERVE_WAVES, 1);
-        metrics.gauge_set(metric::SERVE_QUEUE_DEPTH, 0.0);
         if journal.is_enabled() {
             journal.span_complete(
                 metric::EVENT_SERVE_WAVE,
