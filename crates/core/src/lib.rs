@@ -11,8 +11,8 @@
 //!    space ([`gnnav_runtime::DesignSpace`]),
 //! 2. fit a gray-box performance estimator
 //!    ([`gnnav_estimator::GrayBoxEstimator`]),
-//! 3. explore with DFS + Pareto-front decision making
-//!    ([`gnnav_explorer::Explorer`]),
+//! 3. explore with DFS + Pareto-front decision making, as one
+//!    [`gnnav_explorer::Plan`]: key → cache probe → walk → commit,
 //! 4. apply the resulting [`Guideline`] on the backend and verify.
 //!
 //! The [`Navigator`] type drives all four steps; the sub-crates are

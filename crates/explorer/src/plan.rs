@@ -14,19 +14,13 @@ use gnnav_runtime::DesignSpace;
 use gnnav_store::StoreError;
 use std::sync::Arc;
 
-/// An exploration's inputs except the priority, and its four stages:
-///
-/// 1. [`fingerprint`](Plan::fingerprint): the cache key of the result
-///    for one priority, known before any estimator is fitted;
-/// 2. [`probe`](Plan::probe): all or nothing, every key looked up and
-///    metered as a hit or a miss;
-/// 3. [`walk`](Plan::walk): one walk, one decision per priority;
-/// 4. [`commit`](Plan::commit): each result inserted under its key.
-///
-/// Between the probe and the walk the caller provisions the estimator
-/// (a task-profiled sweep, or a pooled calibration per platform): the
-/// one policy its callers do not share. The key and the walk read the
-/// same space, budget and seed because both read this one plan.
+/// An exploration's inputs except the priority. Its four stages run
+/// in order: [`fingerprint`](Plan::fingerprint) → [`probe`](Plan::probe)
+/// → [`walk`](Plan::walk) → [`commit`](Plan::commit). Between the probe
+/// and the walk the caller provisions the estimator (a task-profiled
+/// sweep, or a pooled calibration per platform): the one policy its
+/// callers do not share. The key and the walk read the same space,
+/// budget and seed because both read this one plan.
 #[derive(Debug, Clone)]
 pub struct Plan {
     /// The dataset to train on.
@@ -49,7 +43,8 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// The cache key of the result for `priority`.
+    /// The cache key of the result for `priority`: known before any
+    /// estimator is fitted.
     pub fn fingerprint(&self, priority: Priority) -> u64 {
         explore_fingerprint(
             &self.dataset,
@@ -64,8 +59,9 @@ impl Plan {
         )
     }
 
-    /// The cached results for `keys`, in order, if `cache` holds every
-    /// one; `None` without a cache.
+    /// All or nothing: the cached results for `keys`, in order, if
+    /// `cache` holds every one (`None` without a cache). Every key is
+    /// looked up, so every key is metered as a hit or a miss.
     pub fn probe(cache: Option<&mut ExploreCache>, keys: &[u64]) -> Option<Vec<ExplorationResult>> {
         let cache = cache?;
         let hits: Vec<_> = keys.iter().filter_map(|&key| cache.lookup(key).cloned()).collect();

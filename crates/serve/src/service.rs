@@ -3,29 +3,31 @@
 //! [`NavService`] turns the one-shot `Navigator` pipeline into a
 //! request/response loop: tenants [`submit`](NavService::submit)
 //! navigation requests into a bounded admission queue and a
-//! [`drain`](NavService::drain) wave resolves them together. A wave
-//! runs in three phases, and only the middle one forks:
+//! [`drain`](NavService::drain) wave resolves them together. Each
+//! request is one `gnnav_explorer::Plan`, whose stages (fingerprint,
+//! probe, walk, commit) are the path `Navigator` takes too; a wave
+//! schedules its plans in three phases, and only the middle one forks:
 //!
-//! 1. **Plan (serial).** Every pending request resolves its dataset,
-//!    warm estimator (pool hit or calibration), exploration
-//!    fingerprint, and serve tier in admission order. All cache
-//!    lookups, pool mutations, and coalescing decisions happen here,
-//!    so they are identical at every worker width. Calibration is one
-//!    fixed sweep — the same graphs, configs and execution seed for
-//!    every platform — so all of it but the cost model's charge is
-//!    platform-free: the first pool miss of a service trains the
-//!    sweep and keeps each execution's trace, every later miss
-//!    (another platform, or one the pool evicted) re-charges those
-//!    traces and trains nothing. The fit is the same either way, bit
-//!    for bit (`gnnav_runtime::session`).
-//! 2. **Explore (parallel).** The unique explorations the plan
-//!    scheduled run as pure `(estimator, dataset) → result` jobs
-//!    under `gnnav_par::par_map_indexed`, which returns results in
-//!    input order regardless of width.
-//! 3. **Commit (serial).** Responses are committed in admission
-//!    order: each result enters the durable `ExploreCache` whole,
-//!    its guideline the in-memory map, its fingerprint the
-//!    nearest-neighbor index, and metering is flushed.
+//! 1. **Probe, coalesce, provision (serial).** In admission order each
+//!    plan's key is probed in the in-memory map, then the durable
+//!    `ExploreCache`; on a miss the plan borrows a neighbor's result
+//!    (cache-only rung), rides on an identical plan of the wave, or is
+//!    scheduled with a warm estimator from the pool or a calibrated
+//!    one. Calibration is one fixed sweep — the same graphs, configs
+//!    and execution seed for every platform — so all of it but the
+//!    cost model's charge is platform-free: the first pool miss of a
+//!    service trains the sweep and keeps each execution's trace, every
+//!    later miss (another platform, or one the pool evicted) re-charges
+//!    those traces and trains nothing. The fit is the same either way,
+//!    bit for bit (`gnnav_runtime::session`).
+//! 2. **Walk (parallel).** The scheduled plans' walks run as pure
+//!    `(plan, estimator) → result` jobs under
+//!    `gnnav_par::par_map_indexed`, which returns results in input
+//!    order regardless of width.
+//! 3. **Commit (serial).** In admission order each result enters the
+//!    durable `ExploreCache` whole, its guideline the in-memory map,
+//!    its key the nearest-neighbor index; responses and metering
+//!    follow.
 //!
 //! Admission control is decided entirely at submit time — queue
 //! bound, per-tenant token bucket, and the degradation rung derived
@@ -385,9 +387,8 @@ impl NavService {
         calibration: &mut Calibration,
         plan: &Plan,
     ) -> Result<GrayBoxEstimator, ServeError> {
-        let exec = options.calibration_exec();
         let backend = RuntimeBackend::new(plan.platform.clone());
-        let profiler = Profiler::new(backend, exec).with_threads(1);
+        let profiler = Profiler::new(backend, options.calibration_exec()).with_threads(1);
         let mut db = ProfileDb::new();
         let Calibration { graphs, traces } = calibration;
         if graphs.is_empty() {
