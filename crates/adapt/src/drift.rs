@@ -59,86 +59,68 @@ pub struct EpochSignal {
 /// skipped rather than poisoning the average, so NaN inputs can never
 /// trigger (or suppress) a re-exploration on their own.
 ///
+/// The detector is its state alone (the band, the streak, the epochs
+/// seen), which an adaptive checkpoint persists as it is; the
+/// [`DriftConfig`] is passed to each [`observe`](Self::observe).
+///
 /// # Example
 ///
 /// ```
 /// use gnnav_adapt::{DriftConfig, DriftDetector};
 /// use gnnav_adapt::drift::EpochSignal;
 ///
-/// let mut det = DriftDetector::new(DriftConfig {
-///     threshold: 0.5, alpha: 1.0, sustain: 2, warmup: 0,
-/// });
+/// let config = DriftConfig { threshold: 0.5, alpha: 1.0, sustain: 2, warmup: 0 };
+/// let mut det = DriftDetector::default();
 /// let pred = EpochSignal { time_s: 1.0, hit_rate: 0.5, mem_bytes: 1e9 };
 /// let ok = EpochSignal { time_s: 1.1, hit_rate: 0.5, mem_bytes: 1e9 };
 /// let slow = EpochSignal { time_s: 3.0, hit_rate: 0.5, mem_bytes: 1e9 };
 ///
-/// assert!(!det.observe(&pred, &ok).drifting);      // within band
-/// assert!(!det.observe(&pred, &slow).triggered);   // drifting, not sustained
-/// assert!(det.observe(&pred, &slow).triggered);    // second in a row: act
+/// assert!(!det.observe(&config, &pred, &ok).drifting);      // within band
+/// assert!(!det.observe(&config, &pred, &slow).triggered);   // drifting, not sustained
+/// assert!(det.observe(&config, &pred, &slow).triggered);    // second in a row: act
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DriftDetector {
-    config: DriftConfig,
-    ewma: Option<f64>,
-    streak: u32,
-    observed: u64,
+    pub(crate) ewma: Option<f64>,
+    pub(crate) streak: u32,
+    pub(crate) observed: u64,
 }
 
 impl DriftDetector {
-    /// Creates a detector with the given configuration.
-    pub fn new(config: DriftConfig) -> Self {
-        DriftDetector { config, ewma: None, streak: 0, observed: 0 }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &DriftConfig {
-        &self.config
-    }
-
     /// Epochs observed since creation or the last [`reset`](Self::reset).
     pub fn epochs_observed(&self) -> u64 {
         self.observed
     }
 
-    /// The detector's mutable state `(ewma, streak, observed)`, for
-    /// checkpointing.
-    pub fn state(&self) -> (Option<f64>, u32, u64) {
-        (self.ewma, self.streak, self.observed)
-    }
-
-    /// Restores state captured by [`DriftDetector::state`].
-    pub fn restore(&mut self, ewma: Option<f64>, streak: u32, observed: u64) {
-        self.ewma = ewma;
-        self.streak = streak;
-        self.observed = observed;
-    }
-
     /// Clears the EWMA, streak, and warmup state — called after a
     /// guideline switch, when the prediction baseline changes.
     pub fn reset(&mut self) {
-        self.ewma = None;
-        self.streak = 0;
-        self.observed = 0;
+        *self = DriftDetector::default();
     }
 
-    /// Scores one epoch. Returns the verdict; `triggered` stays false
-    /// during warmup and until `sustain` consecutive drifting epochs
-    /// accumulate.
-    pub fn observe(&mut self, predicted: &EpochSignal, observed: &EpochSignal) -> DriftVerdict {
+    /// Scores one epoch under `config`. Returns the verdict;
+    /// `triggered` stays false during warmup and until `sustain`
+    /// consecutive drifting epochs accumulate.
+    pub fn observe(
+        &mut self,
+        config: &DriftConfig,
+        predicted: &EpochSignal,
+        observed: &EpochSignal,
+    ) -> DriftVerdict {
         let score = epoch_score(predicted, observed);
         self.observed += 1;
-        if self.observed <= self.config.warmup as u64 {
+        if self.observed <= config.warmup as u64 {
             return DriftVerdict { score, ewma: 0.0, drifting: false, triggered: false };
         }
-        let alpha = self.config.alpha.clamp(0.0, 1.0);
+        let alpha = config.alpha.clamp(0.0, 1.0);
         let ewma = match self.ewma {
             None => score,
             Some(prev) => alpha * score + (1.0 - alpha) * prev,
         };
         self.ewma = Some(ewma);
-        let drifting = ewma > self.config.threshold;
+        let drifting = ewma > config.threshold;
         self.streak = if drifting { self.streak + 1 } else { 0 };
-        DriftVerdict { score, ewma, drifting, triggered: self.streak >= self.config.sustain.max(1) }
+        DriftVerdict { score, ewma, drifting, triggered: self.streak >= config.sustain.max(1) }
     }
 }
 
@@ -179,7 +161,7 @@ mod tests {
 
     #[test]
     fn zero_epochs_never_triggered() {
-        let det = DriftDetector::new(DriftConfig::default());
+        let det = DriftDetector::default();
         assert_eq!(det.epochs_observed(), 0);
         // A detector that never observed anything has no verdict to
         // act on; the runner only consults verdicts from observe().
@@ -187,10 +169,11 @@ mod tests {
 
     #[test]
     fn matching_series_stays_quiet() {
-        let mut det = DriftDetector::new(fast_config());
+        let c = fast_config();
+        let mut det = DriftDetector::default();
         let p = sig(1.0, 0.5, 1e9);
         for _ in 0..10 {
-            let v = det.observe(&p, &p);
+            let v = det.observe(&c, &p, &p);
             assert_eq!(v.score, 0.0);
             assert!(!v.drifting && !v.triggered);
         }
@@ -200,11 +183,12 @@ mod tests {
     fn constant_series_exactly_at_threshold_is_not_drift() {
         // threshold comparison is strict: a deviation pinned exactly
         // at the boundary must never fire.
-        let mut det = DriftDetector::new(fast_config());
+        let c = fast_config();
+        let mut det = DriftDetector::default();
         let pred = sig(1.0, 0.0, 1e9);
         let obs = sig(1.5, 0.0, 1e9); // relative deviation exactly 0.5
         for _ in 0..20 {
-            let v = det.observe(&pred, &obs);
+            let v = det.observe(&c, &pred, &obs);
             assert_eq!(v.ewma, 0.5);
             assert!(!v.drifting, "boundary value fired");
             assert!(!v.triggered);
@@ -213,76 +197,81 @@ mod tests {
 
     #[test]
     fn just_above_threshold_fires() {
-        let mut det = DriftDetector::new(fast_config());
-        let v = det.observe(&sig(1.0, 0.0, 1e9), &sig(1.5001, 0.0, 1e9));
+        let c = fast_config();
+        let mut det = DriftDetector::default();
+        let v = det.observe(&c, &sig(1.0, 0.0, 1e9), &sig(1.5001, 0.0, 1e9));
         assert!(v.drifting && v.triggered);
     }
 
     #[test]
     fn sustain_requires_consecutive_epochs() {
-        let mut det = DriftDetector::new(DriftConfig { sustain: 3, ..fast_config() });
+        let c = DriftConfig { sustain: 3, ..fast_config() };
+        let mut det = DriftDetector::default();
         let pred = sig(1.0, 0.0, 1e9);
         let bad = sig(9.0, 0.0, 1e9);
-        assert!(!det.observe(&pred, &bad).triggered);
-        assert!(!det.observe(&pred, &bad).triggered);
+        assert!(!det.observe(&c, &pred, &bad).triggered);
+        assert!(!det.observe(&c, &pred, &bad).triggered);
         // An in-band epoch breaks the streak.
-        assert!(!det.observe(&pred, &pred).triggered);
-        assert!(!det.observe(&pred, &bad).triggered);
-        assert!(!det.observe(&pred, &bad).triggered);
-        assert!(det.observe(&pred, &bad).triggered);
+        assert!(!det.observe(&c, &pred, &pred).triggered);
+        assert!(!det.observe(&c, &pred, &bad).triggered);
+        assert!(!det.observe(&c, &pred, &bad).triggered);
+        assert!(det.observe(&c, &pred, &bad).triggered);
     }
 
     #[test]
     fn nan_components_are_skipped_not_propagated() {
-        let mut det = DriftDetector::new(fast_config());
+        let c = fast_config();
+        let mut det = DriftDetector::default();
         // NaN observed time, matching hit/mem: unusable component is
         // dropped, score is finite zero.
-        let v = det.observe(&sig(1.0, 0.5, 1e9), &sig(f64::NAN, 0.5, 1e9));
+        let v = det.observe(&c, &sig(1.0, 0.5, 1e9), &sig(f64::NAN, 0.5, 1e9));
         assert_eq!(v.score, 0.0);
         assert!(v.ewma.is_finite());
         assert!(!v.triggered);
         // All-NaN pair: still finite, still quiet.
         let nan = sig(f64::NAN, f64::NAN, f64::NAN);
-        let v = det.observe(&nan, &nan);
+        let v = det.observe(&c, &nan, &nan);
         assert_eq!(v.score, 0.0);
         assert!(!v.triggered);
         // Zero/negative predictions are as unusable as NaN.
-        let v = det.observe(&sig(0.0, f64::INFINITY, -5.0), &sig(3.0, 0.2, 1e9));
+        let v = det.observe(&c, &sig(0.0, f64::INFINITY, -5.0), &sig(3.0, 0.2, 1e9));
         assert_eq!(v.score, 0.0);
     }
 
     #[test]
     fn warmup_epochs_are_ignored() {
-        let mut det = DriftDetector::new(DriftConfig { warmup: 2, ..fast_config() });
+        let c = DriftConfig { warmup: 2, ..fast_config() };
+        let mut det = DriftDetector::default();
         let pred = sig(1.0, 0.0, 1e9);
         let bad = sig(9.0, 0.0, 1e9);
-        assert!(!det.observe(&pred, &bad).drifting, "warmup epoch 1");
-        assert!(!det.observe(&pred, &bad).drifting, "warmup epoch 2");
-        assert!(det.observe(&pred, &bad).triggered, "post-warmup");
+        assert!(!det.observe(&c, &pred, &bad).drifting, "warmup epoch 1");
+        assert!(!det.observe(&c, &pred, &bad).drifting, "warmup epoch 2");
+        assert!(det.observe(&c, &pred, &bad).triggered, "post-warmup");
     }
 
     #[test]
     fn reset_clears_streak_and_warmup() {
-        let mut det = DriftDetector::new(DriftConfig { sustain: 2, ..fast_config() });
+        let c = DriftConfig { sustain: 2, ..fast_config() };
+        let mut det = DriftDetector::default();
         let pred = sig(1.0, 0.0, 1e9);
         let bad = sig(9.0, 0.0, 1e9);
-        det.observe(&pred, &bad);
+        det.observe(&c, &pred, &bad);
         det.reset();
         assert_eq!(det.epochs_observed(), 0);
-        assert!(!det.observe(&pred, &bad).triggered, "streak must restart");
-        assert!(det.observe(&pred, &bad).triggered);
+        assert!(!det.observe(&c, &pred, &bad).triggered, "streak must restart");
+        assert!(det.observe(&c, &pred, &bad).triggered);
     }
 
     #[test]
     fn ewma_smooths_single_spikes() {
-        let mut det =
-            DriftDetector::new(DriftConfig { threshold: 0.5, alpha: 0.2, sustain: 1, warmup: 0 });
+        let c = DriftConfig { threshold: 0.5, alpha: 0.2, sustain: 1, warmup: 0 };
+        let mut det = DriftDetector::default();
         let pred = sig(1.0, 0.0, 1e9);
-        det.observe(&pred, &pred);
+        det.observe(&c, &pred, &pred);
         // One 4x spike against a calm history: EWMA 0.2*3.0 = 0.6...
         // wait, prior ewma is 0, so 0.2*3.0 = 0.6 > 0.5. Use a milder
         // spike that smoothing absorbs.
-        let v = det.observe(&pred, &sig(3.0, 0.0, 1e9));
+        let v = det.observe(&c, &pred, &sig(3.0, 0.0, 1e9));
         assert_eq!(v.score, 2.0);
         assert!(v.ewma < v.score, "EWMA must damp the spike");
     }

@@ -1,43 +1,23 @@
 //! The adaptive loop's checkpoint payload.
 //!
-//! [`AdaptiveRunner::run_durable`] persists through the runtime's one
-//! epoch driver; what it persists is defined here: the *entire*
-//! adaptive state (the wrapped [`SessionCheckpoint`] plus the drift
-//! detector, the observed warm-start records, the re-exploration
-//! seeds, and every switch already taken). A killed adaptive run
-//! re-invoked with the same arguments finishes with a report
-//! byte-identical to the uninterrupted run — including the same
-//! switches at the same epochs.
+//! [`AdaptiveRunner::run_durable`](crate::AdaptiveRunner::run_durable)
+//! persists through the runtime's one epoch driver; what it persists is
+//! defined here: the wrapped [`SessionCheckpoint`], then the loop's own
+//! state as it is (the prediction baseline, the re-exploration seeds,
+//! the drift band, the observed epochs, and every switch already
+//! taken). A killed adaptive run re-invoked with the same arguments
+//! finishes with a report byte-identical to the uninterrupted run —
+//! including the same switches at the same epochs.
 
-use crate::runner::AdaptState;
-use crate::{AdaptiveRunner, DriftDetector, SwitchPlan};
-use gnnav_estimator::{Context, PerfEstimate, ProfileRecord};
-use gnnav_explorer::{AuditRecord, ExplorationResult};
-use gnnav_graph::Dataset;
-use gnnav_obs::names as metric;
-use gnnav_runtime::{
-    ExecutionOptions, ExecutionSession, RuntimeError, SessionCheckpoint, TrainingConfig,
-};
+use crate::runner::{AdaptState, ObservedEpoch};
+use crate::{DriftDetector, SwitchPlan};
+use gnnav_estimator::PerfEstimate;
+use gnnav_runtime::{SessionCheckpoint, TrainingConfig};
 use gnnav_store::{decode_tagged, encode_tagged, wire_struct, ByteReader, ByteWriter, StoreError};
 
 /// Leading payload byte of an adaptive checkpoint — distinct from the
 /// runtime session tag so neither layer resumes from the other's file.
 pub const ADAPT_PAYLOAD_TAG: u8 = 2;
-
-/// One observed epoch, stored as its config plus measurements; the
-/// [`Context`] is rebuilt from the dataset and platform at resume.
-#[derive(Debug, Clone)]
-struct ObservedEpoch {
-    config: TrainingConfig,
-    epoch_time_s: f64,
-    mem_bytes: f64,
-    accuracy: f64,
-    hit_rate: f64,
-    avg_batch_nodes: f64,
-    avg_batch_edges: f64,
-    phase_s: [f64; 4],
-    n_iter: f64,
-}
 
 /// Everything the adaptive loop needs to continue after a crash.
 ///
@@ -50,53 +30,15 @@ struct ObservedEpoch {
 /// [`AdaptiveReport`](crate::AdaptiveReport) reproduces verbatim.
 #[derive(Debug, Clone)]
 pub struct AdaptiveCheckpoint {
-    session: SessionCheckpoint,
-    predicted: PerfEstimate,
-    seeds: Vec<TrainingConfig>,
-    detector: (Option<f64>, u32, u64),
-    observed: Vec<ObservedEpoch>,
-    switches: Vec<SwitchPlan>,
-    drift_scores: Vec<f64>,
-    audit: Vec<AuditRecord>,
-    reexplorations: u32,
-    seen_degradations: usize,
+    pub(crate) session: SessionCheckpoint,
+    pub(crate) state: AdaptState,
 }
 
 impl AdaptiveCheckpoint {
     /// The config the checkpointed run started from — what identifies
     /// the run, since a switch replaces the session's own config.
     pub(crate) fn initial_config(&self) -> &TrainingConfig {
-        self.switches.first().map_or(&self.session.config, |s| &s.from)
-    }
-
-    /// Captures the adaptive loop's full state.
-    pub(crate) fn capture(state: &mut AdaptState<'_>) -> AdaptiveCheckpoint {
-        AdaptiveCheckpoint {
-            session: state.session.checkpoint(),
-            predicted: state.predicted,
-            seeds: state.seeds.clone(),
-            detector: state.detector.state(),
-            observed: state
-                .observed
-                .iter()
-                .map(|r| ObservedEpoch {
-                    config: r.context.config.clone(),
-                    epoch_time_s: r.epoch_time_s,
-                    mem_bytes: r.mem_bytes,
-                    accuracy: r.accuracy,
-                    hit_rate: r.hit_rate,
-                    avg_batch_nodes: r.avg_batch_nodes,
-                    avg_batch_edges: r.avg_batch_edges,
-                    phase_s: r.phase_s,
-                    n_iter: r.n_iter,
-                })
-                .collect(),
-            switches: state.switches.clone(),
-            drift_scores: state.drift_scores.clone(),
-            audit: state.audit.clone(),
-            reexplorations: state.reexplorations,
-            seen_degradations: state.seen_degradations,
-        }
+        self.state.switches.first().map_or(&self.session.config, |s| &s.from)
     }
 
     /// Serializes to the versioned binary payload (tag
@@ -138,6 +80,27 @@ wire_struct!(SwitchPlan, 8 + 2 * TrainingConfig::MIN_BYTES + 8 + PerfEstimate::M
     reexplore_wall_ms,
 });
 
+wire_struct!(DriftDetector, 1 + 4 + 8, { ewma, streak, observed });
+
+wire_struct!(AdaptState,
+    PerfEstimate::MIN_BYTES
+        + 8 // seeds
+        + DriftDetector::MIN_BYTES
+        + 8 + 8 + 8 + 8 // observed, switches, drift scores, audit
+        + 4 + 8, // re-explorations, degradations seen
+    {
+        predicted,
+        seeds,
+        drift,
+        observed,
+        switches,
+        drift_scores,
+        audit,
+        reexplorations,
+        seen_degradations,
+    }
+);
+
 /// The session's own payload, length-prefixed.
 fn put_session(w: &mut ByteWriter, session: &SessionCheckpoint) {
     let payload = session.encode();
@@ -153,81 +116,14 @@ fn get_session(r: &mut ByteReader) -> Result<SessionCheckpoint, StoreError> {
 // The body of an adaptive checkpoint payload: the session's own
 // payload, then the adaptive layer's state.
 wire_struct!(AdaptiveCheckpoint,
-    8 + 1 + SessionCheckpoint::MIN_BYTES // the session payload
-        + PerfEstimate::MIN_BYTES
-        + 8 // seeds
-        + 1 + 4 + 8 // detector
-        + 8 + 8 + 8 + 8 // observed, switches, drift scores, audit
-        + 4 + 8, // re-explorations, degradations seen
-    {
-        session with put_session, get_session,
-        predicted,
-        seeds,
-        detector,
-        observed,
-        switches,
-        drift_scores,
-        audit,
-        reexplorations,
-        seen_degradations,
-    }
+    8 + 1 + SessionCheckpoint::MIN_BYTES + AdaptState::MIN_BYTES,
+    { session with put_session, get_session, state }
 );
-
-impl AdaptiveRunner {
-    /// Rebuilds the adaptive loop from a checkpoint taken on this
-    /// platform.
-    pub(crate) fn restore_state<'d>(
-        &self,
-        dataset: &'d Dataset,
-        exploration: &ExplorationResult,
-        exec_opts: &ExecutionOptions,
-        ckpt: AdaptiveCheckpoint,
-    ) -> Result<AdaptState<'d>, RuntimeError> {
-        let metrics = gnnav_obs::global();
-        if metrics.is_enabled() {
-            metrics.add(metric::ADAPT_SWITCHES, 0);
-        }
-        let session =
-            ExecutionSession::resume(self.platform.clone(), dataset, exec_opts, &ckpt.session)?;
-        let mut detector = DriftDetector::new(self.opts.drift.clone());
-        let (ewma, streak, observed_epochs) = ckpt.detector;
-        detector.restore(ewma, streak, observed_epochs);
-        let observed = ckpt
-            .observed
-            .into_iter()
-            .map(|o| ProfileRecord {
-                dataset_id: dataset.id(),
-                context: Context::new(dataset, &self.platform, o.config),
-                epoch_time_s: o.epoch_time_s,
-                mem_bytes: o.mem_bytes,
-                accuracy: o.accuracy,
-                hit_rate: o.hit_rate,
-                avg_batch_nodes: o.avg_batch_nodes,
-                avg_batch_edges: o.avg_batch_edges,
-                phase_s: o.phase_s,
-                n_iter: o.n_iter,
-            })
-            .collect();
-        Ok(AdaptState {
-            session,
-            priority: exploration.guideline.priority,
-            predicted: ckpt.predicted,
-            seeds: ckpt.seeds,
-            detector,
-            observed,
-            switches: ckpt.switches,
-            drift_scores: ckpt.drift_scores,
-            audit: ckpt.audit,
-            reexplorations: ckpt.reexplorations,
-            seen_degradations: ckpt.seen_degradations,
-        })
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gnnav_explorer::AuditAction;
+    use gnnav_explorer::{AuditAction, AuditRecord};
     use gnnav_hwsim::SimTime;
     use gnnav_nn::AdamState;
     use gnnav_runtime::{PhaseBreakdown, RecoveryLog};
@@ -280,11 +176,10 @@ mod tests {
         session.cache.resident = vec![3, 1, 4];
         session.stats_carry.lookups = 100;
         session.stats_carry.hits = 40;
-        AdaptiveCheckpoint {
-            session,
+        let state = AdaptState {
             predicted: estimate(1.5),
             seeds: vec![config(128), config(256)],
-            detector: (Some(0.625), 2, 3),
+            drift: DriftDetector { ewma: Some(0.625), streak: 2, observed: 3 },
             observed: vec![ObservedEpoch {
                 config: config(64),
                 epoch_time_s: 2.0,
@@ -324,7 +219,8 @@ mod tests {
             ],
             reexplorations: 1,
             seen_degradations: 0,
-        }
+        };
+        AdaptiveCheckpoint { session, state }
     }
 
     #[test]
@@ -346,18 +242,18 @@ mod tests {
         session.opt = AdamState { lr: 0.0, t: 0, m: Vec::new(), v: Vec::new() };
         session.cache = Default::default();
         session.loss_history.clear();
-        gnnav_store::laws::assert_smallest(&AdaptiveCheckpoint {
-            session,
+        let state = AdaptState {
             predicted: estimate(1.5),
             seeds: Vec::new(),
-            detector: (None, 0, 0),
+            drift: DriftDetector::default(),
             observed: Vec::new(),
             switches: Vec::new(),
             drift_scores: Vec::new(),
             audit: Vec::new(),
             reexplorations: 0,
             seen_degradations: 0,
-        });
+        };
+        gnnav_store::laws::assert_smallest(&AdaptiveCheckpoint { session, state });
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::durable::AdaptiveCheckpoint;
 use crate::AdaptError;
 use gnnav_estimator::{Context, GrayBoxEstimator, PerfEstimate, ProfileDb, ProfileRecord};
 use gnnav_explorer::{
-    decide, AuditAction, AuditRecord, EvaluatedCandidate, ExplorationResult, Explorer, Priority,
+    decide, AuditAction, AuditRecord, EvaluatedCandidate, ExplorationResult, Explorer,
     RuntimeConstraints,
 };
 use gnnav_graph::Dataset;
@@ -154,8 +154,8 @@ pub struct AdaptiveReport {
 /// ```
 #[derive(Debug, Clone)]
 pub struct AdaptiveRunner {
-    pub(crate) platform: Platform,
-    pub(crate) opts: AdaptOptions,
+    platform: Platform,
+    opts: AdaptOptions,
 }
 
 impl AdaptiveRunner {
@@ -233,70 +233,183 @@ impl AdaptiveRunner {
         dur: Option<&DurabilityOptions>,
     ) -> Result<AdaptiveReport, AdaptError> {
         self.opts.validate()?;
-        let adapt_loop =
-            AdaptLoop { runner: self, dataset, exploration, profile_db, exec_opts, constraints };
-        drive(&adapt_loop, exec_opts, dur)?.into_report()
-    }
-
-    /// Opens a fresh adaptive loop on the explored guideline.
-    pub(crate) fn cold_state<'d>(
-        &self,
-        dataset: &'d Dataset,
-        exploration: &ExplorationResult,
-        exec_opts: &ExecutionOptions,
-    ) -> Result<AdaptState<'d>, RuntimeError> {
         let metrics = gnnav_obs::global();
         if metrics.is_enabled() {
             // Register the switch counter at zero so clean adaptive
             // runs still expose the series.
             metrics.add(metric::ADAPT_SWITCHES, 0);
         }
+        let adapt_loop =
+            AdaptLoop { runner: self, dataset, exploration, profile_db, exec_opts, constraints };
+        drive(&adapt_loop, exec_opts, dur)?.into_report()
+    }
+}
+
+/// What the adaptive loop keeps beside its training session: all of
+/// it, in this order, follows the session payload in an adaptive
+/// checkpoint.
+#[derive(Debug, Clone)]
+pub(crate) struct AdaptState {
+    /// Prediction for the running guideline (the drift baseline).
+    pub(crate) predicted: PerfEstimate,
+    /// Seed configs of the next re-exploration.
+    pub(crate) seeds: Vec<TrainingConfig>,
+    /// The EWMA drift band.
+    pub(crate) drift: DriftDetector,
+    /// Observed epochs, the warm-start refit's extra records.
+    pub(crate) observed: Vec<ObservedEpoch>,
+    /// Switches performed so far.
+    pub(crate) switches: Vec<SwitchPlan>,
+    /// Per-epoch drift EWMAs.
+    pub(crate) drift_scores: Vec<f64>,
+    /// Audit records appended by the adaptive layer.
+    pub(crate) audit: Vec<AuditRecord>,
+    /// Re-explorations performed.
+    pub(crate) reexplorations: u32,
+    /// Degradation count already accounted for.
+    pub(crate) seen_degradations: usize,
+}
+
+/// One observed epoch in the profiler's units (phase times per
+/// iteration; accuracy 0 so the accuracy fit, which filters on
+/// `accuracy > 0`, ignores it). It names no dataset or platform: each
+/// refit rebuilds its [`ProfileRecord`].
+#[derive(Debug, Clone)]
+pub(crate) struct ObservedEpoch {
+    pub(crate) config: TrainingConfig,
+    pub(crate) epoch_time_s: f64,
+    pub(crate) mem_bytes: f64,
+    pub(crate) accuracy: f64,
+    pub(crate) hit_rate: f64,
+    pub(crate) avg_batch_nodes: f64,
+    pub(crate) avg_batch_edges: f64,
+    pub(crate) phase_s: [f64; 4],
+    pub(crate) n_iter: f64,
+}
+
+impl ObservedEpoch {
+    /// The epoch `stats` measured while running `config`.
+    fn of(config: &TrainingConfig, stats: &EpochStats) -> Self {
+        let n_iter = stats.n_iter.max(1) as f64;
+        let batches = stats.batches.max(1) as f64;
+        ObservedEpoch {
+            config: config.clone(),
+            epoch_time_s: stats.sim_s,
+            mem_bytes: stats.peak_mem_bytes as f64,
+            accuracy: 0.0,
+            hit_rate: stats.hit_rate,
+            avg_batch_nodes: stats.nodes as f64 / batches,
+            avg_batch_edges: stats.edges as f64 / batches,
+            phase_s: stats.phase_s.map(|s| s / n_iter),
+            n_iter,
+        }
+    }
+
+    /// This epoch as a profile record of `dataset` on `platform`.
+    fn record(&self, dataset: &Dataset, platform: &Platform) -> ProfileRecord {
+        ProfileRecord {
+            dataset_id: dataset.id(),
+            context: Context::new(dataset, platform, self.config.clone()),
+            epoch_time_s: self.epoch_time_s,
+            mem_bytes: self.mem_bytes,
+            accuracy: self.accuracy,
+            hit_rate: self.hit_rate,
+            avg_batch_nodes: self.avg_batch_nodes,
+            avg_batch_edges: self.avg_batch_edges,
+            phase_s: self.phase_s,
+            n_iter: self.n_iter,
+        }
+    }
+}
+
+/// A running adaptive loop: the (possibly switched or degraded)
+/// training session and the state kept beside it.
+struct AdaptRun<'d> {
+    session: ExecutionSession<'d>,
+    state: AdaptState,
+}
+
+impl AdaptRun<'_> {
+    /// Finishes the session and assembles the adaptive report.
+    fn into_report(self) -> Result<AdaptiveReport, AdaptError> {
+        let AdaptState { switches, drift_scores, reexplorations, audit, .. } = self.state;
+        let report = self.session.finish()?;
+        Ok(AdaptiveReport { report, switches, drift_scores, reexplorations, audit })
+    }
+}
+
+/// The adaptive run as an [`EpochLoop`]: everything fixed for the run.
+/// The priority of every re-exploration is the exploration's own.
+struct AdaptLoop<'a, 'd> {
+    runner: &'a AdaptiveRunner,
+    dataset: &'d Dataset,
+    exploration: &'a ExplorationResult,
+    profile_db: &'a ProfileDb,
+    exec_opts: &'a ExecutionOptions,
+    constraints: &'a RuntimeConstraints,
+}
+
+impl<'d> EpochLoop for AdaptLoop<'_, 'd> {
+    type Run = AdaptRun<'d>;
+    type Error = AdaptError;
+    const LABEL: &'static str = "adapt";
+
+    /// Opens a fresh adaptive loop on the explored guideline.
+    fn open(&self) -> Result<Self::Run, RuntimeError> {
+        let guideline = &self.exploration.guideline;
         let session = ExecutionSession::new(
-            self.platform.clone(),
-            dataset,
-            &exploration.guideline.config,
-            exec_opts,
+            self.runner.platform.clone(),
+            self.dataset,
+            &guideline.config,
+            self.exec_opts,
         )?;
-        let seeds = front_configs(exploration, session.config());
-        Ok(AdaptState {
-            session,
-            priority: exploration.guideline.priority,
-            predicted: exploration.guideline.estimate,
-            seeds,
-            detector: DriftDetector::new(self.opts.drift.clone()),
-            observed: Vec::with_capacity(exec_opts.epochs),
+        let state = AdaptState {
+            predicted: guideline.estimate,
+            seeds: front_configs(self.exploration, session.config()),
+            drift: DriftDetector::default(),
+            observed: Vec::with_capacity(self.exec_opts.epochs),
             switches: Vec::new(),
-            drift_scores: Vec::with_capacity(exec_opts.epochs),
+            drift_scores: Vec::with_capacity(self.exec_opts.epochs),
             audit: Vec::new(),
             reexplorations: 0,
             seen_degradations: 0,
-        })
+        };
+        Ok(AdaptRun { session, state })
     }
 
-    /// Runs one epoch of the adaptive loop: execute, score drift,
-    /// re-explore and possibly switch. The epoch index is taken from
-    /// the session itself so a resumed loop continues where the
-    /// checkpoint left off.
-    pub(crate) fn step_epoch(
-        &self,
-        state: &mut AdaptState<'_>,
-        dataset: &Dataset,
-        profile_db: &ProfileDb,
-        constraints: &RuntimeConstraints,
-        total_epochs: usize,
-    ) -> Result<(), AdaptError> {
+    /// Resumes the session of a checkpoint taken by this run; the
+    /// state is the checkpoint's own.
+    fn restore(&self, payload: &[u8]) -> Result<Option<Self::Run>, RuntimeError> {
+        let ckpt = match AdaptiveCheckpoint::decode(payload) {
+            Ok(ckpt) if *ckpt.initial_config() == self.exploration.guideline.config => ckpt,
+            _ => return Ok(None),
+        };
+        let session = ExecutionSession::resume(
+            self.runner.platform.clone(),
+            self.dataset,
+            self.exec_opts,
+            &ckpt.session,
+        )?;
+        Ok(Some(AdaptRun { session, state: ckpt.state }))
+    }
+
+    fn epochs_run(run: &Self::Run) -> usize {
+        run.session.epochs_run()
+    }
+
+    /// Runs one epoch: execute, score drift, re-explore and possibly
+    /// switch. The epoch index is taken from the session itself so a
+    /// resumed loop continues where the checkpoint left off.
+    fn step(&self, run: &mut Self::Run) -> Result<(), AdaptError> {
+        let AdaptRun { session, state } = run;
         let metrics = gnnav_obs::global();
         let journal = metrics.journal();
-        let epoch = state.session.epochs_run();
-        let stats = state.session.run_epoch()?;
-        state.observed.push(observed_record(
-            dataset,
-            &self.platform,
-            state.session.config(),
-            &stats,
-        ));
+        let epoch = session.epochs_run();
+        let stats = session.run_epoch()?;
+        state.observed.push(ObservedEpoch::of(session.config(), &stats));
 
-        let verdict = state.detector.observe(
+        let verdict = state.drift.observe(
+            &self.runner.opts.drift,
             &EpochSignal {
                 time_s: state.predicted.time_s,
                 hit_rate: state.predicted.hit_rate,
@@ -316,7 +429,7 @@ impl AdaptiveRunner {
             journal.instant(
                 metric::EVENT_DRIFT,
                 metric::TRACK_ADAPT,
-                Some(state.session.sim_time_total().as_secs() * 1e6),
+                Some(session.sim_time_total().as_secs() * 1e6),
                 vec![
                     ("epoch".into(), (epoch as u64).into()),
                     ("score".into(), verdict.score.into()),
@@ -329,93 +442,78 @@ impl AdaptiveRunner {
         // A recovery-ladder degradation means the config we are
         // executing is no longer the config we planned — re-explore
         // even if the drift band has not caught up yet.
-        let degradations = state.session.recovery().degradations.len();
+        let degradations = session.recovery().degradations.len();
         let degraded = degradations > state.seen_degradations;
         state.seen_degradations = degradations;
 
-        let remaining = total_epochs - (epoch + 1);
+        let remaining = self.exec_opts.epochs - (epoch + 1);
         if (verdict.triggered || degraded)
             && remaining > 0
-            && (state.switches.len() as u32) < self.opts.max_switches
+            && (state.switches.len() as u32) < self.runner.opts.max_switches
         {
             state.reexplorations += 1;
-            let switched = self.reexplore(
-                dataset,
-                &mut state.session,
-                profile_db,
-                &state.observed,
-                &mut state.seeds,
-                state.priority,
-                constraints,
-                total_epochs,
-                remaining,
-                epoch,
-                verdict.ewma,
-                &mut state.audit,
-            )?;
-            if let Some(plan) = switched {
-                state.predicted = plan.predicted;
-                state.switches.push(plan);
-            }
+            self.reexplore(session, state, epoch, verdict.ewma)?;
             // Whether we switched (new baseline) or stayed (the
             // refreshed search endorsed the current config), the
             // drift band restarts: a cooldown against thrashing.
-            state.detector.reset();
+            state.drift.reset();
         }
         Ok(())
     }
 
-    /// One incremental re-exploration: warm-start refit on observed
-    /// epochs, seeded DFS under the remaining budget, compatibility
-    /// filter, switch if the decision differs from the running config.
-    #[allow(clippy::too_many_arguments)]
+    fn encode(run: &mut Self::Run) -> Vec<u8> {
+        AdaptiveCheckpoint { session: run.session.checkpoint(), state: run.state.clone() }.encode()
+    }
+}
+
+impl AdaptLoop<'_, '_> {
+    /// One incremental re-exploration after `epoch`: warm-start refit
+    /// on observed epochs, seeded DFS under the remaining budget,
+    /// compatibility filter, switch if the decision differs from the
+    /// running config.
     fn reexplore(
         &self,
-        dataset: &Dataset,
         session: &mut ExecutionSession<'_>,
-        profile_db: &ProfileDb,
-        observed: &[ProfileRecord],
-        seeds: &mut Vec<TrainingConfig>,
-        priority: Priority,
-        constraints: &RuntimeConstraints,
-        total_epochs: usize,
-        remaining_epochs: usize,
+        state: &mut AdaptState,
         epoch: usize,
         drift_ewma: f64,
-        audit: &mut Vec<AuditRecord>,
-    ) -> Result<Option<SwitchPlan>, AdaptError> {
+    ) -> Result<(), AdaptError> {
         let metrics = gnnav_obs::global();
         let journal = metrics.journal();
         let started = Instant::now();
+        let AdaptiveRunner { platform, opts } = self.runner;
+        let priority = self.exploration.guideline.priority;
 
         // Warm-start refit: replicate the observed epochs until they
         // carry ~observed_weight:1 mass against the original sweep, so
         // the ridge coefficients are pulled toward what the hardware is
         // actually doing without discarding the sweep's coverage.
-        let mut db = profile_db.clone();
-        let weight = (self.opts.observed_weight * db.len().div_ceil(observed.len().max(1))).max(1);
-        db.merge_weighted(observed, weight);
+        let observed: Vec<ProfileRecord> =
+            state.observed.iter().map(|o| o.record(self.dataset, platform)).collect();
+        let mut db = self.profile_db.clone();
+        let weight = (opts.observed_weight * db.len().div_ceil(observed.len().max(1))).max(1);
+        db.merge_weighted(&observed, weight);
         let mut estimator = GrayBoxEstimator::new();
         estimator.fit(&db)?;
 
         // The time constraint applies to the epochs still ahead: spend
         // of the epochs already run shrinks the per-epoch allowance.
+        let total_epochs = self.exec_opts.epochs;
         let tightened = remaining_budget(
-            constraints,
+            self.constraints,
             total_epochs,
-            remaining_epochs,
+            total_epochs - (epoch + 1),
             session.sim_time_total().as_secs(),
         );
 
-        let explorer =
-            Explorer::new(&estimator, self.opts.explore_budget).with_seed(self.opts.explore_seed);
+        let explorer = Explorer::new(&estimator, opts.explore_budget).with_seed(opts.explore_seed);
         let result = explorer.explore_from(
-            dataset,
-            &self.platform,
+            self.dataset,
+            platform,
             session.config().model,
             priority,
             &tightened,
-            seeds,
+            &state.seeds,
         )?;
 
         // Mid-training we can only adopt configs that preserve the
@@ -431,14 +529,14 @@ impl AdaptiveRunner {
         let pick = match decide(&compatible, priority) {
             Some(g) if g.config != *session.config() => g,
             _ => {
-                *seeds = front_configs(&result, session.config());
-                return Ok(None);
+                state.seeds = front_configs(&result, session.config());
+                return Ok(());
             }
         };
 
         let from = session.config().clone();
         let migration = session.switch_config(&pick.config)?;
-        *seeds = front_configs(&result, session.config());
+        state.seeds = front_configs(&result, session.config());
 
         let reason = format!(
             "drift EWMA {drift_ewma:.3} after epoch {epoch}; re-explored {} candidates \
@@ -446,7 +544,7 @@ impl AdaptiveRunner {
             result.evaluated.len(),
             compatible.len(),
         );
-        audit.push(AuditRecord {
+        state.audit.push(AuditRecord {
             config: pick.config.summary(),
             estimate: Some(pick.estimate),
             action: AuditAction::Switched,
@@ -470,7 +568,8 @@ impl AdaptiveRunner {
             );
         }
 
-        Ok(Some(SwitchPlan {
+        state.predicted = pick.estimate;
+        state.switches.push(SwitchPlan {
             epoch,
             from,
             to: pick.config,
@@ -478,97 +577,8 @@ impl AdaptiveRunner {
             predicted: pick.estimate,
             drift_ewma,
             reexplore_wall_ms,
-        }))
-    }
-}
-
-/// The adaptive run as an [`EpochLoop`]: an [`AdaptState`] stepped by
-/// [`AdaptiveRunner::step_epoch`].
-struct AdaptLoop<'a, 'd> {
-    runner: &'a AdaptiveRunner,
-    dataset: &'d Dataset,
-    exploration: &'a ExplorationResult,
-    profile_db: &'a ProfileDb,
-    exec_opts: &'a ExecutionOptions,
-    constraints: &'a RuntimeConstraints,
-}
-
-impl<'d> EpochLoop for AdaptLoop<'_, 'd> {
-    type Run = AdaptState<'d>;
-    type Error = AdaptError;
-    const LABEL: &'static str = "adapt";
-
-    fn open(&self) -> Result<Self::Run, RuntimeError> {
-        self.runner.cold_state(self.dataset, self.exploration, self.exec_opts)
-    }
-
-    fn restore(&self, payload: &[u8]) -> Result<Option<Self::Run>, RuntimeError> {
-        match AdaptiveCheckpoint::decode(payload) {
-            Ok(ckpt) if *ckpt.initial_config() == self.exploration.guideline.config => self
-                .runner
-                .restore_state(self.dataset, self.exploration, self.exec_opts, ckpt)
-                .map(Some),
-            _ => Ok(None),
-        }
-    }
-
-    fn epochs_run(run: &Self::Run) -> usize {
-        run.session.epochs_run()
-    }
-
-    fn step(&self, run: &mut Self::Run) -> Result<(), AdaptError> {
-        self.runner.step_epoch(
-            run,
-            self.dataset,
-            self.profile_db,
-            self.constraints,
-            self.exec_opts.epochs,
-        )
-    }
-
-    fn encode(run: &mut Self::Run) -> Vec<u8> {
-        AdaptiveCheckpoint::capture(run).encode()
-    }
-}
-
-/// The adaptive loop's full mutable state. Everything here (minus the
-/// borrowed session's dataset) is captured by an adaptive checkpoint.
-pub(crate) struct AdaptState<'d> {
-    /// The running (possibly switched/degraded) training session.
-    pub session: ExecutionSession<'d>,
-    /// The exploration priority, fixed for the run.
-    pub priority: Priority,
-    /// Prediction for the currently running guideline (drift baseline).
-    pub predicted: PerfEstimate,
-    /// Seed configs of the next re-exploration.
-    pub seeds: Vec<TrainingConfig>,
-    /// The EWMA drift detector.
-    pub detector: DriftDetector,
-    /// Observed epochs, as warm-start profile records.
-    pub observed: Vec<ProfileRecord>,
-    /// Switches performed so far.
-    pub switches: Vec<SwitchPlan>,
-    /// Per-epoch drift EWMAs.
-    pub drift_scores: Vec<f64>,
-    /// Audit records appended by the adaptive layer.
-    pub audit: Vec<AuditRecord>,
-    /// Re-explorations performed.
-    pub reexplorations: u32,
-    /// Degradation count already accounted for.
-    pub seen_degradations: usize,
-}
-
-impl AdaptState<'_> {
-    /// Finishes the session and assembles the adaptive report.
-    pub(crate) fn into_report(self) -> Result<AdaptiveReport, AdaptError> {
-        let report = self.session.finish()?;
-        Ok(AdaptiveReport {
-            report,
-            switches: self.switches,
-            drift_scores: self.drift_scores,
-            reexplorations: self.reexplorations,
-            audit: self.audit,
-        })
+        });
+        Ok(())
     }
 }
 
@@ -583,36 +593,6 @@ fn front_configs(result: &ExplorationResult, current: &TrainingConfig) -> Vec<Tr
         }
     }
     seeds
-}
-
-/// Converts one observed epoch into a profile record in the profiler's
-/// units (phase times per iteration; accuracy 0 so the accuracy fit,
-/// which filters on `accuracy > 0`, ignores it).
-fn observed_record(
-    dataset: &Dataset,
-    platform: &Platform,
-    config: &TrainingConfig,
-    stats: &EpochStats,
-) -> ProfileRecord {
-    let n_iter = stats.n_iter.max(1) as f64;
-    let batches = stats.batches.max(1) as f64;
-    ProfileRecord {
-        dataset_id: dataset.id(),
-        context: Context::new(dataset, platform, config.clone()),
-        epoch_time_s: stats.sim_s,
-        mem_bytes: stats.peak_mem_bytes as f64,
-        accuracy: 0.0,
-        hit_rate: stats.hit_rate,
-        avg_batch_nodes: stats.nodes as f64 / batches,
-        avg_batch_edges: stats.edges as f64 / batches,
-        phase_s: [
-            stats.phase_s[0] / n_iter,
-            stats.phase_s[1] / n_iter,
-            stats.phase_s[2] / n_iter,
-            stats.phase_s[3] / n_iter,
-        ],
-        n_iter,
-    }
 }
 
 /// Splits the remaining time budget evenly over the remaining epochs:
@@ -676,9 +656,7 @@ mod tests {
     }
 
     #[test]
-    fn observed_record_uses_per_iteration_phases() {
-        let dataset =
-            gnnav_graph::Dataset::load_scaled(gnnav_graph::DatasetId::Reddit2, 0.01).expect("load");
+    fn observed_epochs_use_per_iteration_phases() {
         let stats = EpochStats {
             epoch: 0,
             sim_s: 4.0,
@@ -690,15 +668,16 @@ mod tests {
             phase_s: [1.0, 1.0, 1.0, 1.0],
             n_iter: 4,
         };
-        let r = observed_record(
-            &dataset,
-            &Platform::default_rtx4090(),
-            &TrainingConfig::default(),
-            &stats,
-        );
-        assert_eq!(r.phase_s, [0.25, 0.25, 0.25, 0.25]);
-        assert_eq!(r.n_iter, 4.0);
-        assert_eq!(r.avg_batch_nodes, 100.0);
-        assert_eq!(r.accuracy, 0.0, "observed records must not pollute the accuracy fit");
+        let o = ObservedEpoch::of(&TrainingConfig::default(), &stats);
+        assert_eq!(o.phase_s, [0.25, 0.25, 0.25, 0.25]);
+        assert_eq!(o.n_iter, 4.0);
+        assert_eq!(o.avg_batch_nodes, 100.0);
+        assert_eq!(o.accuracy, 0.0, "observed records must not pollute the accuracy fit");
+
+        let dataset =
+            gnnav_graph::Dataset::load_scaled(gnnav_graph::DatasetId::Reddit2, 0.01).expect("load");
+        let r = o.record(&dataset, &Platform::default_rtx4090());
+        assert_eq!((r.dataset_id, &r.context.config), (dataset.id(), &o.config));
+        assert_eq!((r.phase_s, r.n_iter, r.accuracy), (o.phase_s, o.n_iter, o.accuracy));
     }
 }
