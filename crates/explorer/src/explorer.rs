@@ -281,10 +281,11 @@ impl<'a> Explorer<'a> {
                     let best = rejected
                         .iter()
                         .min_by(|a, b| {
+                            // A NaN limit makes every excess NaN; a
+                            // total order still picks one.
                             constraints
                                 .excess(&a.estimate)
-                                .partial_cmp(&constraints.excess(&b.estimate))
-                                .expect("excess is never NaN")
+                                .total_cmp(&constraints.excess(&b.estimate))
                         })
                         .ok_or(ExplorerError::NoFeasibleCandidate)?;
                     let excess = constraints.excess(&best.estimate);
@@ -480,6 +481,30 @@ mod tests {
             .collect();
         let min_time = audit_times.iter().copied().fold(f64::INFINITY, f64::min);
         assert_eq!(result.guideline.estimate.time_s, min_time);
+    }
+
+    #[test]
+    fn a_nan_limit_still_falls_back() {
+        // The NaN time limit makes every candidate's excess NaN, and
+        // the memory limit rejects every candidate.
+        let (dataset, est) = setup();
+        let nan = RuntimeConstraints {
+            max_time_s: Some(f64::NAN),
+            max_mem_bytes: Some(1.0),
+            ..RuntimeConstraints::none()
+        };
+        let result = Explorer::new(&est, 100)
+            .explore(
+                &dataset,
+                &Platform::default_rtx4090(),
+                ModelKind::Sage,
+                Priority::Balance,
+                &nan,
+            )
+            .expect("a NaN limit degrades, it does not panic");
+        assert!(result.evaluated.is_empty());
+        assert!(result.fallback.is_some());
+        assert_eq!(result.audit.last().map(|r| r.action), Some(AuditAction::Fallback));
     }
 
     #[test]
