@@ -8,6 +8,7 @@
 
 use crate::config::TrainingConfig;
 use crate::perf::Perf;
+use gnnav_obs::json::push_string;
 use std::io::Write;
 
 /// The CSV header matching [`write_perf_csv`]'s rows.
@@ -58,35 +59,28 @@ pub fn write_perf_jsonl<W: Write>(
     mut writer: W,
     rows: &[(String, TrainingConfig, Perf)],
 ) -> std::io::Result<()> {
+    let quoted = |s: &str| {
+        let mut out = String::new();
+        push_string(&mut out, s);
+        out
+    };
     for (label, config, perf) in rows {
         writeln!(
             writer,
-            "{{\"label\":\"{}\",\"epoch_time_s\":{:.9},\"peak_mem_bytes\":{},\
+            "{{\"label\":{},\"epoch_time_s\":{:.9},\"peak_mem_bytes\":{},\
              \"accuracy\":{:.6},\"hit_rate\":{:.6},\"avg_batch_nodes\":{:.2},\
-             \"n_iter\":{},\"config\":\"{}\"}}",
-            json_escape(label),
+             \"n_iter\":{},\"config\":{}}}",
+            quoted(label),
             perf.epoch_time.as_secs(),
             perf.peak_mem_bytes,
             perf.accuracy,
             perf.hit_rate,
             perf.avg_batch_nodes,
             perf.n_iter,
-            json_escape(&config.summary()),
+            quoted(&config.summary()),
         )?;
     }
     Ok(())
-}
-
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -145,9 +139,19 @@ mod tests {
     }
 
     #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
+    fn jsonl_labels_with_specials_read_back() {
+        let label = "a\"b\\c\nd\u{1}e";
+        let mut rows = sample_rows();
+        rows[0].0 = label.to_string();
+        let mut buf = Vec::new();
+        write_perf_jsonl(&mut buf, &rows).expect("write");
+        let text = String::from_utf8(buf).expect("utf8");
+        assert_eq!(text.lines().count(), 1, "{text}");
+        let row = gnnav_obs::json::parse(&text).expect("valid JSON");
+        assert_eq!(row.get("label").and_then(|v| v.as_str()), Some(label));
+        let summary = rows[0].1.summary();
+        assert_eq!(row.get("config").and_then(|v| v.as_str()), Some(summary.as_str()));
+        assert_eq!(row.get("n_iter").and_then(|v| v.as_f64()), Some(42.0));
     }
 
     #[test]
