@@ -79,7 +79,7 @@ pub struct EpochSignal {
 /// assert!(!det.observe(&config, &pred, &slow).triggered);   // drifting, not sustained
 /// assert!(det.observe(&config, &pred, &slow).triggered);    // second in a row: act
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct DriftDetector {
     pub(crate) ewma: Option<f64>,
     pub(crate) streak: u32,
