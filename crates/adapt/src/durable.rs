@@ -38,7 +38,7 @@ impl AdaptiveCheckpoint {
     /// The config the checkpointed run started from — what identifies
     /// the run, since a switch replaces the session's own config.
     pub(crate) fn initial_config(&self) -> &TrainingConfig {
-        self.state.switches.first().map_or(&self.session.config, |s| &s.from)
+        self.state.switches.first().map_or(&self.session.ladder.config, |s| &s.from)
     }
 
     /// Serializes to the versioned binary payload (tag
@@ -126,7 +126,7 @@ mod tests {
     use gnnav_explorer::{AuditAction, AuditRecord};
     use gnnav_hwsim::SimTime;
     use gnnav_nn::AdamState;
-    use gnnav_runtime::{PhaseBreakdown, RecoveryLog};
+    use gnnav_runtime::{PhaseBreakdown, RecoveryLog, SessionLadder, SessionTotals};
 
     fn config(batch_size: usize) -> TrainingConfig {
         TrainingConfig { batch_size, ..TrainingConfig::default() }
@@ -147,11 +147,13 @@ mod tests {
     /// audit records with and without an estimate.
     fn sample_checkpoint() -> AdaptiveCheckpoint {
         let mut session = SessionCheckpoint {
-            config: config(128),
-            eff_config: config(128),
-            cache_entries: 32,
-            micro_batch: 1,
-            fanout_reduced: false,
+            ladder: SessionLadder {
+                config: config(128),
+                eff_config: config(128),
+                cache_entries: 32,
+                micro_batch: 1,
+                fanout_reduced: false,
+            },
             params: vec![0.5, -1.25],
             dropout_rng: [1, 2, 3, 4],
             opt: AdamState { lr: 0.01, t: 7, m: vec![vec![0.1]], v: vec![vec![0.2]] },
@@ -159,17 +161,19 @@ mod tests {
             cache: Default::default(),
             stats_carry: Default::default(),
             peak_mem_bytes: 123_456,
-            phases: PhaseBreakdown::default(),
-            epoch_time_total: SimTime::from_secs(6.75),
-            total_nodes: 1000,
-            total_edges: 5000,
-            total_batches: 12,
-            n_iter: 6,
-            loss_history: vec![1.5, 1.2],
-            recovery: RecoveryLog::default(),
-            evictions: 17,
-            epochs_run: 2,
-            train_steps: 12,
+            totals: SessionTotals {
+                phases: PhaseBreakdown::default(),
+                epoch_time_total: SimTime::from_secs(6.75),
+                total_nodes: 1000,
+                total_edges: 5000,
+                total_batches: 12,
+                n_iter: 6,
+                loss_history: vec![1.5, 1.2],
+                recovery: RecoveryLog::default(),
+                evictions: 17,
+                epochs_run: 2,
+                train_steps: 12,
+            },
             faults_injected: 0,
         };
         session.cache.capacity = 32;
@@ -236,12 +240,12 @@ mod tests {
         gnnav_store::laws::assert_laws(&sample_checkpoint());
         let no_fanouts = TrainingConfig { fanouts: Vec::new(), ..TrainingConfig::default() };
         let mut session = sample_checkpoint().session;
-        session.config = no_fanouts.clone();
-        session.eff_config = no_fanouts;
+        session.ladder.config = no_fanouts.clone();
+        session.ladder.eff_config = no_fanouts;
         session.params.clear();
         session.opt = AdamState { lr: 0.0, t: 0, m: Vec::new(), v: Vec::new() };
         session.cache = Default::default();
-        session.loss_history.clear();
+        session.totals.loss_history.clear();
         let state = AdaptState {
             predicted: estimate(1.5),
             seeds: Vec::new(),

@@ -20,7 +20,7 @@ use gnnav_hwsim::{Platform, Precision, SimTime};
 use gnnav_nn::{AdamState, ModelKind};
 use gnnav_runtime::{
     DegradationStep, DesignSpace, PhaseBreakdown, RecoveryLog, SamplerKind, SessionCheckpoint,
-    TrainingConfig,
+    SessionLadder, SessionTotals, TrainingConfig,
 };
 use gnnav_store::{crc32, Wal};
 use std::path::{Path, PathBuf};
@@ -187,11 +187,13 @@ fn profile_store_frames_are_pinned() {
 #[test]
 fn a_session_checkpoint_with_every_degradation_is_pinned() {
     let mut ckpt = SessionCheckpoint {
-        config: config(4),
-        eff_config: config(5),
-        cache_entries: 48,
-        micro_batch: 4,
-        fanout_reduced: true,
+        ladder: SessionLadder {
+            config: config(4),
+            eff_config: config(5),
+            cache_entries: 48,
+            micro_batch: 4,
+            fanout_reduced: true,
+        },
         params: vec![0.5, -1.25, f32::from_bits(0x7FC0_0123), -0.0],
         dropout_rng: [11, 12, 13, u64::MAX],
         opt: AdamState {
@@ -204,33 +206,35 @@ fn a_session_checkpoint_with_every_degradation_is_pinned() {
         cache: Default::default(),
         stats_carry: Default::default(),
         peak_mem_bytes: 987_654,
-        phases: PhaseBreakdown {
-            sample: SimTime::from_secs(1.5),
-            transfer: SimTime::from_secs(0.25),
-            replace: SimTime::from_secs(0.0),
-            compute: SimTime::from_secs(4.125),
+        totals: SessionTotals {
+            phases: PhaseBreakdown {
+                sample: SimTime::from_secs(1.5),
+                transfer: SimTime::from_secs(0.25),
+                replace: SimTime::from_secs(0.0),
+                compute: SimTime::from_secs(4.125),
+            },
+            epoch_time_total: SimTime::from_secs(5.875),
+            total_nodes: 4321,
+            total_edges: 87_654,
+            total_batches: 18,
+            n_iter: 9,
+            loss_history: vec![2.5, 1.75, f32::NAN],
+            recovery: RecoveryLog {
+                faults_injected: 5,
+                retries: 3,
+                degradations: vec![
+                    DegradationStep::ShrinkCache { from_entries: 96, to_entries: 48 },
+                    DegradationStep::MicroBatch { factor: 4 },
+                    DegradationStep::ReduceFanout { fanouts: vec![6, 4, 2] },
+                ],
+                nan_steps_skipped: 2,
+                lr_halvings: 1,
+                recovery_sim: SimTime::from_secs(0.75),
+            },
+            evictions: 31,
+            epochs_run: 3,
+            train_steps: 27,
         },
-        epoch_time_total: SimTime::from_secs(5.875),
-        total_nodes: 4321,
-        total_edges: 87_654,
-        total_batches: 18,
-        n_iter: 9,
-        loss_history: vec![2.5, 1.75, f32::NAN],
-        recovery: RecoveryLog {
-            faults_injected: 5,
-            retries: 3,
-            degradations: vec![
-                DegradationStep::ShrinkCache { from_entries: 96, to_entries: 48 },
-                DegradationStep::MicroBatch { factor: 4 },
-                DegradationStep::ReduceFanout { fanouts: vec![6, 4, 2] },
-            ],
-            nan_steps_skipped: 2,
-            lr_halvings: 1,
-            recovery_sim: SimTime::from_secs(0.75),
-        },
-        evictions: 31,
-        epochs_run: 3,
-        train_steps: 27,
         faults_injected: 5,
     };
     ckpt.cache.capacity = 48;
@@ -244,10 +248,13 @@ fn a_session_checkpoint_with_every_degradation_is_pinned() {
     ckpt.stats_carry.hits = 120;
     let default = TrainingConfig::default();
     assert_ne!(
-        (ckpt.config.sampler, ckpt.config.cache_policy),
+        (ckpt.ladder.config.sampler, ckpt.ladder.config.cache_policy),
         (default.sampler, default.cache_policy)
     );
-    assert_ne!((ckpt.eff_config.sampler, ckpt.eff_config.model), (default.sampler, default.model));
+    assert_ne!(
+        (ckpt.ladder.eff_config.sampler, ckpt.ladder.eff_config.model),
+        (default.sampler, default.model)
+    );
     let bytes = ckpt.encode();
     assert_eq!(pin(&bytes), (705, 0x51ef_d655));
     // The pinned bytes still decode to the checkpoint they came from.

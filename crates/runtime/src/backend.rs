@@ -300,7 +300,7 @@ impl<'d> EpochLoop for SessionLoop<'_, 'd> {
 
     fn restore(&self, payload: &[u8]) -> Result<Option<Self::Run>, RuntimeError> {
         match SessionCheckpoint::decode(payload) {
-            Ok(ckpt) if ckpt.config == *self.config => {
+            Ok(ckpt) if ckpt.ladder.config == *self.config => {
                 ExecutionSession::resume(self.platform.clone(), self.dataset, self.opts, &ckpt)
                     .map(Some)
             }

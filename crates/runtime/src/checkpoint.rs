@@ -58,38 +58,40 @@ impl DurabilityOptions {
     }
 }
 
-/// The complete mutable state of an execution session at an epoch
-/// boundary. Everything that feeds the final report or any later
-/// epoch's behavior is here; purely diagnostic wall-clock and
-/// allocator counters are deliberately excluded (they restart from
-/// zero and never enter the report's deterministic fields).
+/// Where a session stands on the degradation ladder, under the config
+/// it was asked to run.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SessionCheckpoint {
+pub struct SessionLadder {
     /// The requested config (becomes the report's config).
     pub config: TrainingConfig,
     /// The config in effect after degradation-ladder steps.
     pub eff_config: TrainingConfig,
     /// Cache entries currently allocated (post any ladder shrinks).
     pub cache_entries: usize,
-    /// Degradation ladder: current micro-batch division factor.
+    /// Current micro-batch division factor.
     pub micro_batch: usize,
-    /// Degradation ladder: whether fanout reduction already fired.
+    /// Whether fanout reduction already fired.
     pub fanout_reduced: bool,
-    /// Flattened model parameters, in `for_each_param_mut` order.
-    pub params: Vec<f32>,
-    /// Dropout RNG stream position.
-    pub dropout_rng: [u64; 4],
-    /// Adam optimizer state (lr, step count, moment slots).
-    pub opt: AdamState,
-    /// Batching/sampling RNG stream position.
-    pub rng: [u64; 4],
-    /// The device cache's observable state.
-    pub cache: CacheSnapshot,
-    /// Hit statistics carried from caches replaced by ladder shrinks
-    /// or config switches.
-    pub stats_carry: CacheStats,
-    /// Memory ledger high-water mark in bytes.
-    pub peak_mem_bytes: usize,
+}
+
+impl SessionLadder {
+    /// The top of the ladder for `config` with a cache of
+    /// `cache_entries` rows: nothing degraded yet.
+    pub fn new(config: &TrainingConfig, cache_entries: usize) -> Self {
+        SessionLadder {
+            config: config.clone(),
+            eff_config: config.clone(),
+            cache_entries,
+            micro_batch: 1,
+            fanout_reduced: false,
+        }
+    }
+}
+
+/// What a session has accumulated towards its report; all zero at a
+/// cold start.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct SessionTotals {
     /// Accumulated per-phase simulated time.
     pub phases: PhaseBreakdown,
     /// Total simulated time so far.
@@ -112,6 +114,34 @@ pub struct SessionCheckpoint {
     pub epochs_run: usize,
     /// Training steps taken (the NaN-loss fault site).
     pub train_steps: u64,
+}
+
+/// The complete mutable state of an execution session at an epoch
+/// boundary. Everything that feeds the final report or any later
+/// epoch's behavior is here; purely diagnostic wall-clock and
+/// allocator counters are deliberately excluded (they restart from
+/// zero and never enter the report's deterministic fields).
+#[derive(Debug, Clone, PartialEq)]
+pub struct SessionCheckpoint {
+    /// The config and the degradation ladder's position.
+    pub ladder: SessionLadder,
+    /// Flattened model parameters, in `for_each_param_mut` order.
+    pub params: Vec<f32>,
+    /// Dropout RNG stream position.
+    pub dropout_rng: [u64; 4],
+    /// Adam optimizer state (lr, step count, moment slots).
+    pub opt: AdamState,
+    /// Batching/sampling RNG stream position.
+    pub rng: [u64; 4],
+    /// The device cache's observable state.
+    pub cache: CacheSnapshot,
+    /// Hit statistics carried from caches replaced by ladder shrinks
+    /// or config switches.
+    pub stats_carry: CacheStats,
+    /// Memory ledger high-water mark in bytes.
+    pub peak_mem_bytes: usize,
+    /// The report state accumulated so far.
+    pub totals: SessionTotals,
     /// Faults injected by the session's plan so far.
     pub faults_injected: u64,
 }
@@ -230,32 +260,17 @@ wire_struct!(fn put_cache, get_cache for CacheSnapshot {
 });
 wire_struct!(fn put_adam, get_adam for AdamState { lr, t, m, v });
 
-// The body of a session checkpoint payload (tag `SESSION_PAYLOAD_TAG`).
-wire_struct!(SessionCheckpoint,
-    2 * TrainingConfig::MIN_BYTES
-        + 8 + 8 + 1 // cache entries, micro-batch, fanout flag
-        + 8 + 4 * 8 // params, dropout RNG
-        + 4 + 8 + 8 + 8 // optimizer: lr, step, two slot lists
-        + 4 * 8 // batching RNG
-        + 8 + 8 + 8 + 8 + 8 + 2 * 8 // cache snapshot
-        + 2 * 8 + 8 // carried stats, peak memory
-        + PhaseBreakdown::MIN_BYTES
+wire_struct!(SessionLadder,
+    2 * TrainingConfig::MIN_BYTES + 8 + 8 + 1,
+    { config, eff_config, cache_entries, micro_batch, fanout_reduced }
+);
+
+wire_struct!(SessionTotals,
+    PhaseBreakdown::MIN_BYTES
         + 8 + 4 * 8 + 8 // epoch time, four totals, loss history
         + RecoveryLog::MIN_BYTES
-        + 2 * 8 + 2 * 8, // evictions, epochs, steps, faults
+        + 3 * 8, // evictions, epochs, steps
     {
-        config,
-        eff_config,
-        cache_entries,
-        micro_batch,
-        fanout_reduced,
-        params,
-        dropout_rng,
-        opt with put_adam, get_adam,
-        rng,
-        cache with put_cache, get_cache,
-        stats_carry with put_stats, get_stats,
-        peak_mem_bytes,
         phases,
         epoch_time_total with put_sim_time, get_sim_time,
         total_nodes,
@@ -267,6 +282,30 @@ wire_struct!(SessionCheckpoint,
         evictions,
         epochs_run,
         train_steps,
+    }
+);
+
+// The body of a session checkpoint payload (tag `SESSION_PAYLOAD_TAG`).
+// A record encodes as its fields in order, so nesting moves no byte.
+wire_struct!(SessionCheckpoint,
+    SessionLadder::MIN_BYTES
+        + 8 + 4 * 8 // params, dropout RNG
+        + 4 + 8 + 8 + 8 // optimizer: lr, step, two slot lists
+        + 4 * 8 // batching RNG
+        + 8 + 8 + 8 + 8 + 8 + 2 * 8 // cache snapshot
+        + 2 * 8 + 8 // carried stats, peak memory
+        + SessionTotals::MIN_BYTES
+        + 8, // faults
+    {
+        ladder,
+        params,
+        dropout_rng,
+        opt with put_adam, get_adam,
+        rng,
+        cache with put_cache, get_cache,
+        stats_carry with put_stats, get_stats,
+        peak_mem_bytes,
+        totals,
         faults_injected,
     }
 );
@@ -296,11 +335,13 @@ mod tests {
 
     fn sample_checkpoint() -> SessionCheckpoint {
         SessionCheckpoint {
-            config: TrainingConfig::default(),
-            eff_config: TrainingConfig { fanouts: vec![5, 5], ..TrainingConfig::default() },
-            cache_entries: 32,
-            micro_batch: 2,
-            fanout_reduced: true,
+            ladder: SessionLadder {
+                config: TrainingConfig::default(),
+                eff_config: TrainingConfig { fanouts: vec![5, 5], ..TrainingConfig::default() },
+                cache_entries: 32,
+                micro_batch: 2,
+                fanout_reduced: true,
+            },
             params: vec![0.5, -1.25, f32::NAN],
             dropout_rng: [1, 2, 3, 4],
             opt: AdamState { lr: 0.01, t: 7, m: vec![vec![0.1], vec![]], v: vec![vec![0.2]] },
@@ -315,33 +356,35 @@ mod tests {
             },
             stats_carry: CacheStats { lookups: 100, hits: 40 },
             peak_mem_bytes: 123_456,
-            phases: PhaseBreakdown {
-                sample: SimTime::from_secs(1.0),
-                transfer: SimTime::from_secs(2.0),
-                replace: SimTime::from_secs(0.5),
-                compute: SimTime::from_secs(3.25),
+            totals: SessionTotals {
+                phases: PhaseBreakdown {
+                    sample: SimTime::from_secs(1.0),
+                    transfer: SimTime::from_secs(2.0),
+                    replace: SimTime::from_secs(0.5),
+                    compute: SimTime::from_secs(3.25),
+                },
+                epoch_time_total: SimTime::from_secs(6.75),
+                total_nodes: 1000,
+                total_edges: 5000,
+                total_batches: 12,
+                n_iter: 6,
+                loss_history: vec![1.5, 1.2, 1.1],
+                recovery: RecoveryLog {
+                    faults_injected: 3,
+                    retries: 2,
+                    degradations: vec![
+                        DegradationStep::ShrinkCache { from_entries: 64, to_entries: 32 },
+                        DegradationStep::MicroBatch { factor: 2 },
+                        DegradationStep::ReduceFanout { fanouts: vec![5, 5] },
+                    ],
+                    nan_steps_skipped: 1,
+                    lr_halvings: 1,
+                    recovery_sim: SimTime::from_secs(0.25),
+                },
+                evictions: 17,
+                epochs_run: 2,
+                train_steps: 12,
             },
-            epoch_time_total: SimTime::from_secs(6.75),
-            total_nodes: 1000,
-            total_edges: 5000,
-            total_batches: 12,
-            n_iter: 6,
-            loss_history: vec![1.5, 1.2, 1.1],
-            recovery: RecoveryLog {
-                faults_injected: 3,
-                retries: 2,
-                degradations: vec![
-                    DegradationStep::ShrinkCache { from_entries: 64, to_entries: 32 },
-                    DegradationStep::MicroBatch { factor: 2 },
-                    DegradationStep::ReduceFanout { fanouts: vec![5, 5] },
-                ],
-                nan_steps_skipped: 1,
-                lr_halvings: 1,
-                recovery_sim: SimTime::from_secs(0.25),
-            },
-            evictions: 17,
-            epochs_run: 2,
-            train_steps: 12,
             faults_injected: 3,
         }
     }
@@ -363,15 +406,15 @@ mod tests {
         gnnav_store::laws::assert_laws(&sample_checkpoint());
         let config = TrainingConfig { fanouts: Vec::new(), ..TrainingConfig::default() };
         gnnav_store::laws::assert_smallest(&SessionCheckpoint {
-            config: config.clone(),
-            eff_config: config,
+            ladder: SessionLadder::new(&config, 0),
             params: Vec::new(),
             opt: AdamState { lr: 0.0, t: 0, m: Vec::new(), v: Vec::new() },
             cache: CacheSnapshot::default(),
-            loss_history: Vec::new(),
-            recovery: RecoveryLog::default(),
+            totals: SessionTotals::default(),
             ..sample_checkpoint()
         });
+        gnnav_store::laws::assert_smallest(&SessionLadder::new(&config, 0));
+        gnnav_store::laws::assert_smallest(&SessionTotals::default());
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod templates;
 pub use backend::{
     DegradationStep, ExecutionOptions, ExecutionReport, RecoveryLog, RecoveryPolicy, RuntimeBackend,
 };
-pub use checkpoint::{DurabilityOptions, SessionCheckpoint};
+pub use checkpoint::{DurabilityOptions, SessionCheckpoint, SessionLadder, SessionTotals};
 pub use config::{SamplerKind, TrainingConfig};
 pub use driver::{drive, EpochLoop};
 pub use perf::{Perf, PhaseBreakdown};

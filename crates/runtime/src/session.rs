@@ -38,6 +38,7 @@ use crate::backend::{
     DegradationStep, ExecutionOptions, ExecutionReport, RecoveryLog, LINK_STALL_FACTOR,
     MAX_MICRO_BATCH, TARGET_SWAP_AT_FULL_ETA,
 };
+use crate::checkpoint::{SessionLadder, SessionTotals};
 use crate::config::TrainingConfig;
 use crate::perf::{Perf, PhaseBreakdown};
 use crate::RuntimeError;
@@ -240,15 +241,9 @@ pub struct ExecutionSession<'d> {
     rng: StdRng,
     cache: FeatureCache,
     sampler: Sampler,
-    /// The currently requested config (becomes the report's config).
-    config: TrainingConfig,
-    /// The config in effect after degradation-ladder steps.
-    eff_config: TrainingConfig,
+    ladder: SessionLadder,
     row_bytes: usize,
     bytes_per_scalar: usize,
-    cache_entries: usize,
-    micro_batch: usize,
-    fanout_reduced: bool,
     stats_carry: CacheStats,
     hot_train: Vec<u32>,
     x_buf: Vec<f32>,
@@ -259,24 +254,14 @@ pub struct ExecutionSession<'d> {
     alloc_steady_allocs: u64,
     kernel_stats_start: gnnav_nn::tensor::KernelStats,
     par_stats_start: gnnav_par::Stats,
-    phases: PhaseBreakdown,
-    epoch_time_total: SimTime,
-    total_nodes: usize,
-    total_edges: usize,
-    total_batches: usize,
-    n_iter: usize,
-    loss_history: Vec<f32>,
+    totals: SessionTotals,
     /// The mini-batches charged so far, while the run can still end
     /// clean: `None` under a fault plan, after a config switch (its
     /// migration is not a batch) and after a resume (the earlier
     /// batches are gone).
     trace: Option<Vec<BatchCounts>>,
-    recovery: RecoveryLog,
-    evictions: usize,
     wall_sample: Duration,
     wall_train: Duration,
-    epochs_run: usize,
-    train_steps: u64,
     metrics: &'static Registry,
     journal: &'static Journal,
     observing: bool,
@@ -359,13 +344,9 @@ impl<'d> ExecutionSession<'d> {
             rng: StdRng::seed_from_u64(opts.seed),
             cache,
             sampler,
-            config: config.clone(),
-            eff_config: config.clone(),
+            ladder: SessionLadder::new(config, entries),
             row_bytes,
             bytes_per_scalar,
-            cache_entries: entries,
-            micro_batch: 1,
-            fanout_reduced: false,
             stats_carry: CacheStats::default(),
             hot_train,
             x_buf: Vec::new(),
@@ -376,20 +357,10 @@ impl<'d> ExecutionSession<'d> {
             alloc_steady_allocs: 0,
             kernel_stats_start: gnnav_nn::kernel_stats(),
             par_stats_start: gnnav_par::stats(),
-            phases: PhaseBreakdown::default(),
-            epoch_time_total: SimTime::ZERO,
-            total_nodes: 0,
-            total_edges: 0,
-            total_batches: 0,
-            n_iter: 0,
-            loss_history: Vec::new(),
+            totals: SessionTotals::default(),
             trace: injector.is_none().then(Vec::new),
-            recovery: RecoveryLog::default(),
-            evictions: 0,
             wall_sample: Duration::ZERO,
             wall_train: Duration::ZERO,
-            epochs_run: 0,
-            train_steps: 0,
             metrics,
             journal,
             observing,
@@ -404,23 +375,23 @@ impl<'d> ExecutionSession<'d> {
 
     /// Epochs completed so far.
     pub fn epochs_run(&self) -> usize {
-        self.epochs_run
+        self.totals.epochs_run
     }
 
     /// The config currently in effect (post any
     /// [`switch_config`](Self::switch_config)).
     pub fn config(&self) -> &TrainingConfig {
-        &self.config
+        &self.ladder.config
     }
 
     /// Total simulated time accumulated so far.
     pub fn sim_time_total(&self) -> SimTime {
-        self.epoch_time_total
+        self.totals.epoch_time_total
     }
 
     /// Recovery actions absorbed so far.
     pub fn recovery(&self) -> &RecoveryLog {
-        &self.recovery
+        &self.totals.recovery
     }
 
     /// Exponential backoff, charged to simulated time (the shift is
@@ -429,21 +400,37 @@ impl<'d> ExecutionSession<'d> {
         SimTime::from_millis(self.opts.recovery.backoff_base_ms * (1u64 << attempt.min(20)) as f64)
     }
 
-    /// Charges one bounded retry — the backoff pause for `attempt`
-    /// goes on the simulated clock and into the recovery log — and
-    /// returns the next attempt number.
-    fn charge_retry(&mut self, attempt: u32) -> u32 {
-        let pause = self.backoff(attempt);
-        self.epoch_time_total += pause;
-        self.recovery.recovery_sim += pause;
-        self.recovery.retries += 1;
-        attempt + 1
+    /// Bounded retry with backoff: calls `attempt_once` for attempts
+    /// 0, 1, … until it succeeds or the policy's retries are spent.
+    /// Each retry's backoff pause goes on the simulated clock and into
+    /// the recovery log. Once retries run out, returns the number of
+    /// attempts made and the last failure.
+    fn with_retries<T, E>(
+        &mut self,
+        mut attempt_once: impl FnMut(&mut Self, u32) -> Result<T, E>,
+    ) -> Result<T, (u32, E)> {
+        let mut attempt = 0;
+        loop {
+            match attempt_once(self, attempt) {
+                Ok(done) => return Ok(done),
+                Err(e) if attempt >= self.opts.recovery.max_retries => {
+                    return Err((attempt + 1, e))
+                }
+                Err(_) => {
+                    let pause = self.backoff(attempt);
+                    self.totals.epoch_time_total += pause;
+                    self.totals.recovery.recovery_sim += pause;
+                    self.totals.recovery.retries += 1;
+                    attempt += 1;
+                }
+            }
+        }
     }
 
     /// Queries (and records) the fault schedule at the current
     /// simulated time.
     fn inject_fault(&mut self, kind: FaultKind, site: u64, attempt: u32) -> Option<f64> {
-        let sim_us = self.epoch_time_total.as_micros();
+        let sim_us = self.totals.epoch_time_total.as_micros();
         let inj = self.injector.as_mut()?;
         let magnitude = FaultInjector::new(&inj.plan).inject(kind, site, attempt, Some(sim_us));
         if magnitude.is_some() {
@@ -477,7 +464,7 @@ impl<'d> ExecutionSession<'d> {
         self.stats_carry.lookups += old.lookups;
         self.stats_carry.hits += old.hits;
         self.cache = build_cache(policy, entries, self.dataset.graph());
-        self.cache_entries = entries;
+        self.ladder.cache_entries = entries;
         Ok(self.cost.t_replace(entries * self.row_bytes, entries.max(1)))
     }
 
@@ -486,10 +473,11 @@ impl<'d> ExecutionSession<'d> {
     /// width, layer count, precision) must match so the trained
     /// weights remain valid.
     pub fn compatible(&self, new: &TrainingConfig) -> bool {
-        new.model == self.config.model
-            && new.hidden_dim == self.config.hidden_dim
-            && new.num_layers() == self.config.num_layers()
-            && new.precision == self.config.precision
+        let have = &self.ladder.config;
+        new.model == have.model
+            && new.hidden_dim == have.hidden_dim
+            && new.num_layers() == have.num_layers()
+            && new.precision == have.precision
     }
 
     /// Switches the session to `new` between epochs, preserving the
@@ -514,7 +502,7 @@ impl<'d> ExecutionSession<'d> {
             return Err(RuntimeError::InvalidConfig(format!(
                 "switch_config requires an architecture-compatible config \
                  (model/hidden_dim/layers/precision); have {}, got {}",
-                self.config.summary(),
+                self.ladder.config.summary(),
                 new.summary()
             )));
         }
@@ -529,12 +517,12 @@ impl<'d> ExecutionSession<'d> {
                 format!("{}migration", metric::TRACK_PHASE_PREFIX),
                 self.journal.now_us(),
                 None,
-                Some(self.epoch_time_total.as_micros()),
+                Some(self.totals.epoch_time_total.as_micros()),
                 Some(migration.as_micros()),
                 vec![("to".into(), new.summary().into()), ("cache_entries".into(), entries.into())],
             );
         }
-        self.epoch_time_total += migration;
+        self.totals.epoch_time_total += migration;
 
         self.sampler = new.build_sampler(graph)?;
         self.hot_train = hot_train(&self.sampler, self.dataset);
@@ -543,10 +531,7 @@ impl<'d> ExecutionSession<'d> {
         // A switch resets the degradation ladder: the new guideline is
         // expected to fit, and if it does not, the ladder will walk
         // again from the top.
-        self.config = new.clone();
-        self.eff_config = new.clone();
-        self.micro_batch = 1;
-        self.fanout_reduced = false;
+        self.ladder = SessionLadder::new(new, entries);
         self.trace = None;
         Ok(migration)
     }
@@ -558,11 +543,7 @@ impl<'d> ExecutionSession<'d> {
     /// observable state is unchanged.
     pub fn checkpoint(&mut self) -> crate::SessionCheckpoint {
         crate::SessionCheckpoint {
-            config: self.config.clone(),
-            eff_config: self.eff_config.clone(),
-            cache_entries: self.cache_entries,
-            micro_batch: self.micro_batch,
-            fanout_reduced: self.fanout_reduced,
+            ladder: self.ladder.clone(),
             params: self.model.param_vector(),
             dropout_rng: self.model.dropout_rng_state(),
             opt: self.opt.state(),
@@ -570,17 +551,7 @@ impl<'d> ExecutionSession<'d> {
             cache: self.cache.snapshot(),
             stats_carry: self.stats_carry,
             peak_mem_bytes: self.ledger.peak_bytes(),
-            phases: self.phases,
-            epoch_time_total: self.epoch_time_total,
-            total_nodes: self.total_nodes,
-            total_edges: self.total_edges,
-            total_batches: self.total_batches,
-            n_iter: self.n_iter,
-            loss_history: self.loss_history.clone(),
-            recovery: self.recovery.clone(),
-            evictions: self.evictions,
-            epochs_run: self.epochs_run,
-            train_steps: self.train_steps,
+            totals: self.totals.clone(),
             faults_injected: self.injector.as_ref().map_or(0, |inj| inj.injected),
         }
     }
@@ -603,38 +574,26 @@ impl<'d> ExecutionSession<'d> {
         opts: &ExecutionOptions,
         ckpt: &crate::SessionCheckpoint,
     ) -> Result<Self, RuntimeError> {
-        let mut s = ExecutionSession::new(platform, dataset, &ckpt.config, opts)?;
-        let graph = dataset.graph();
+        let ladder = &ckpt.ladder;
+        let mut s = ExecutionSession::new(platform, dataset, &ladder.config, opts)?;
         s.model.load_param_vector(&ckpt.params).map_err(RuntimeError::InvalidConfig)?;
         s.model.set_dropout_rng_state(ckpt.dropout_rng);
         s.opt.restore(ckpt.opt.clone());
         s.rng = StdRng::from_state(ckpt.rng);
-        s.eff_config = ckpt.eff_config.clone();
         // Ladder state: the cache may have been shrunk below the
         // config's nominal size, and fanouts may have been reduced.
-        if ckpt.cache_entries != s.cache_entries {
-            s.replace_cache(s.config.cache_policy, ckpt.cache_entries)?;
+        if ladder.cache_entries != s.ladder.cache_entries {
+            s.replace_cache(ladder.config.cache_policy, ladder.cache_entries)?;
         }
         s.cache.restore(&ckpt.cache).map_err(RuntimeError::InvalidConfig)?;
-        if ckpt.fanout_reduced {
-            s.sampler = s.eff_config.build_sampler(graph)?;
+        if ladder.fanout_reduced {
+            s.sampler = ladder.eff_config.build_sampler(dataset.graph())?;
         }
-        s.micro_batch = ckpt.micro_batch;
-        s.fanout_reduced = ckpt.fanout_reduced;
+        s.ladder = ladder.clone();
         s.stats_carry = ckpt.stats_carry;
         s.ledger.restore_peak(ckpt.peak_mem_bytes);
-        s.phases = ckpt.phases;
-        s.epoch_time_total = ckpt.epoch_time_total;
-        s.total_nodes = ckpt.total_nodes;
-        s.total_edges = ckpt.total_edges;
-        s.total_batches = ckpt.total_batches;
-        s.n_iter = ckpt.n_iter;
-        s.loss_history = ckpt.loss_history.clone();
+        s.totals = ckpt.totals.clone();
         s.trace = None;
-        s.recovery = ckpt.recovery.clone();
-        s.evictions = ckpt.evictions;
-        s.epochs_run = ckpt.epochs_run;
-        s.train_steps = ckpt.train_steps;
         if let Some(inj) = s.injector.as_mut() {
             inj.injected = ckpt.faults_injected;
         }
@@ -650,7 +609,7 @@ impl<'d> ExecutionSession<'d> {
     /// its retry/recovery budget and [`RuntimeError::Graph`] on
     /// sampling failures.
     pub fn run_epoch(&mut self) -> Result<EpochStats, RuntimeError> {
-        let epoch = self.epochs_run;
+        let epoch = self.totals.epochs_run;
         let dataset = self.dataset;
         let graph = dataset.graph();
         let feats = dataset.features();
@@ -663,36 +622,36 @@ impl<'d> ExecutionSession<'d> {
         // loop itself stays untouched.
         let epoch_span = observing.then(|| self.metrics.span(metric::EVENT_EPOCH));
         let epoch_wall_us = journaling.then(|| self.journal.now_us());
-        let epoch_recovery_us_start = self.recovery.recovery_sim.as_micros();
-        let epoch_sim_start = self.epoch_time_total;
-        let epoch_phases_start = self.phases;
+        let epoch_recovery_us_start = self.totals.recovery.recovery_sim.as_micros();
+        let epoch_sim_start = self.totals.epoch_time_total;
+        let epoch_phases_start = self.totals.phases;
         let epoch_stats_start = self.cache_stats_total();
-        let epoch_batches_start = self.total_batches;
-        let epoch_nodes_start = self.total_nodes;
-        let epoch_edges_start = self.total_edges;
+        let epoch_batches_start = self.totals.total_batches;
+        let epoch_nodes_start = self.totals.total_nodes;
+        let epoch_edges_start = self.totals.total_edges;
 
         let mut epoch_targets = dataset.split().train.clone();
-        if self.config.locality_eta > 0.0 && !self.hot_train.is_empty() {
+        if self.ladder.config.locality_eta > 0.0 && !self.hot_train.is_empty() {
             use rand::Rng;
-            let swap_p = TARGET_SWAP_AT_FULL_ETA * self.config.locality_eta;
+            let swap_p = TARGET_SWAP_AT_FULL_ETA * self.ladder.config.locality_eta;
             for t in epoch_targets.iter_mut() {
                 if !self.sampler.bias().is_hot(*t) && self.rng.gen::<f64>() < swap_p {
                     *t = self.hot_train[self.rng.gen_range(0..self.hot_train.len())];
                 }
             }
         }
-        let batches = batch_targets(&epoch_targets, self.config.batch_size, &mut self.rng);
-        self.n_iter = batches.len();
+        let batches = batch_targets(&epoch_targets, self.ladder.config.batch_size, &mut self.rng);
+        self.totals.n_iter = batches.len();
         // Grow the loss history outside the metered hot window so a
         // steady-state epoch never reallocates it mid-batch.
         if self.opts.train {
-            self.loss_history.reserve(batches.len());
+            self.totals.loss_history.reserve(batches.len());
         }
         if let Some(trace) = &mut self.trace {
             trace.reserve(batches.len());
         }
         for (bi, targets) in batches.iter().enumerate() {
-            let batch_site = self.total_batches as u64;
+            let batch_site = self.totals.total_batches as u64;
 
             // The whole batch attempt — sampling through the
             // transient memory claim — can be aborted and
@@ -701,27 +660,22 @@ impl<'d> ExecutionSession<'d> {
             let (mb, counts, times) = 'batch: loop {
                 // Host: sampling, with bounded retry of injected
                 // sampler failures.
-                let mut attempt = 0u32;
-                let mb = loop {
-                    let failed =
-                        self.inject_fault(FaultKind::SamplerFailure, batch_site, attempt).is_some();
-                    if !failed {
-                        let sample_started = observing.then(Instant::now);
-                        let mb = self.sampler.sample(graph, targets, &mut self.rng)?;
-                        if let Some(t0) = sample_started {
-                            self.wall_sample += t0.elapsed();
-                        }
-                        break mb;
+                self.with_retries(|s, attempt| {
+                    match s.inject_fault(FaultKind::SamplerFailure, batch_site, attempt) {
+                        Some(_) => Err(()),
+                        None => Ok(()),
                     }
-                    if attempt >= self.opts.recovery.max_retries {
-                        return Err(RuntimeError::RetriesExhausted {
-                            what: "mini-batch sampling".into(),
-                            attempts: attempt + 1,
-                            last_error: "injected sampler failure".into(),
-                        });
-                    }
-                    attempt = self.charge_retry(attempt);
-                };
+                })
+                .map_err(|(attempts, ())| RuntimeError::RetriesExhausted {
+                    what: "mini-batch sampling".into(),
+                    attempts,
+                    last_error: "injected sampler failure".into(),
+                })?;
+                let sample_started = observing.then(Instant::now);
+                let mb = self.sampler.sample(graph, targets, &mut self.rng)?;
+                if let Some(t0) = sample_started {
+                    self.wall_sample += t0.elapsed();
+                }
 
                 // Device cache: split hits/misses, transfer the
                 // misses — through a possibly degraded link. A
@@ -729,36 +683,25 @@ impl<'d> ExecutionSession<'d> {
                 // retried with backoff; a slow one just stretches
                 // the transfer.
                 let outcome = self.cache.lookup(&mb.nodes);
-                let mut link_stretch = None;
-                let mut attempt = 0u32;
-                loop {
-                    match self.inject_fault(FaultKind::LinkDegrade, batch_site, attempt) {
-                        Some(factor) if factor >= LINK_STALL_FACTOR => {
-                            if attempt >= self.opts.recovery.max_retries {
-                                return Err(RuntimeError::RetriesExhausted {
-                                    what: "miss transfer (stalled link)".into(),
-                                    attempts: attempt + 1,
-                                    last_error: format!(
-                                        "link stalled (degradation factor {factor})"
-                                    ),
-                                });
-                            }
-                            attempt = self.charge_retry(attempt);
+                let link_stretch = self
+                    .with_retries(|s, attempt| {
+                        match s.inject_fault(FaultKind::LinkDegrade, batch_site, attempt) {
+                            Some(factor) if factor >= LINK_STALL_FACTOR => Err(factor),
+                            slow => Ok(slow.map(|factor| factor.max(1.0))),
                         }
-                        Some(factor) => {
-                            link_stretch = Some(factor.max(1.0));
-                            break;
-                        }
-                        None => break,
-                    }
-                }
+                    })
+                    .map_err(|(attempts, factor)| RuntimeError::RetriesExhausted {
+                        what: "miss transfer (stalled link)".into(),
+                        attempts,
+                        last_error: format!("link stalled (degradation factor {factor})"),
+                    })?;
 
                 // Cache update per policy (frozen dynamic caches
                 // stop replacing once full).
                 let may_update =
-                    self.config.cache_update || self.cache.len() < self.cache.capacity();
+                    self.ladder.config.cache_update || self.cache.len() < self.cache.capacity();
                 let replaced = if may_update { self.cache.update(&outcome.misses) } else { 0 };
-                self.evictions += replaced;
+                self.totals.evictions += replaced;
 
                 // The four phase times of the batch. A degraded link
                 // stretches the transfer; micro-batching pays one
@@ -772,13 +715,15 @@ impl<'d> ExecutionSession<'d> {
                     cache_len: self.cache.len(),
                     flops: self.model.flops_per_batch(mb.num_nodes(), mb.num_edges()),
                 };
-                let mut times = charge(&self.cost, &counts, self.row_bytes, self.config.precision);
+                let mut times =
+                    charge(&self.cost, &counts, self.row_bytes, self.ladder.config.precision);
                 if let Some(factor) = link_stretch {
                     times[1] = times[1] * factor;
                 }
-                if self.micro_batch > 1 {
+                if self.ladder.micro_batch > 1 {
                     times[3] += SimTime::from_micros(
-                        self.platform.device.launch_overhead_us * (self.micro_batch - 1) as f64,
+                        self.platform.device.launch_overhead_us
+                            * (self.ladder.micro_batch - 1) as f64,
                     );
                 }
 
@@ -786,31 +731,24 @@ impl<'d> ExecutionSession<'d> {
                 // backoff, then the degradation ladder.
                 let base_claim = self.model.activation_bytes(mb.num_nodes(), self.bytes_per_scalar)
                     + mb.num_nodes() * self.row_bytes;
-                let mut attempt = 0u32;
-                let claim_err = loop {
-                    let claim = base_claim.div_ceil(self.micro_batch);
+                let claimed = self.with_retries(|s, attempt| {
+                    let claim = base_claim.div_ceil(s.ladder.micro_batch);
                     let requested =
-                        match self.inject_fault(FaultKind::TransientOom, batch_site, attempt) {
+                        match s.inject_fault(FaultKind::TransientOom, batch_site, attempt) {
                             // A spike multiplies the claim; the cast
                             // saturates at usize::MAX for extreme
                             // magnitudes.
                             Some(spike) => (claim as f64 * spike.max(1.0)).ceil() as usize,
                             None => claim,
                         };
-                    match self.ledger.begin_batch(requested) {
-                        Ok(()) => break None,
-                        Err(_) if attempt < self.opts.recovery.max_retries => {
-                            attempt = self.charge_retry(attempt);
-                        }
-                        Err(e) => break Some(e),
-                    }
-                };
-                let oom = match claim_err {
-                    None => {
+                    s.ledger.begin_batch(requested)
+                });
+                let (attempts, oom) = match claimed {
+                    Ok(()) => {
                         self.ledger.end_batch();
                         break 'batch (mb, counts, times);
                     }
-                    Some(e) => e,
+                    Err(exhausted) => exhausted,
                 };
 
                 // Retries exhausted: walk the ladder one rung and
@@ -819,30 +757,33 @@ impl<'d> ExecutionSession<'d> {
                 // consume (cache halvings are finite, micro-batch
                 // is capped, fanout reduction fires once), so this
                 // loop terminates.
-                let step = if self.cache_entries > 0 {
-                    let from_entries = self.cache_entries;
+                let step = if self.ladder.cache_entries > 0 {
+                    let from_entries = self.ladder.cache_entries;
                     let to_entries = from_entries / 2;
-                    let rebuild = self.replace_cache(self.config.cache_policy, to_entries)?;
-                    self.epoch_time_total += rebuild;
-                    self.recovery.recovery_sim += rebuild;
+                    let rebuild =
+                        self.replace_cache(self.ladder.config.cache_policy, to_entries)?;
+                    self.totals.epoch_time_total += rebuild;
+                    self.totals.recovery.recovery_sim += rebuild;
                     DegradationStep::ShrinkCache { from_entries, to_entries }
-                } else if self.micro_batch < MAX_MICRO_BATCH {
-                    self.micro_batch *= 2;
+                } else if self.ladder.micro_batch < MAX_MICRO_BATCH {
+                    self.ladder.micro_batch *= 2;
                     let pause = SimTime::from_micros(self.platform.device.launch_overhead_us);
-                    self.epoch_time_total += pause;
-                    self.recovery.recovery_sim += pause;
-                    DegradationStep::MicroBatch { factor: self.micro_batch }
-                } else if !self.fanout_reduced {
-                    self.fanout_reduced = true;
-                    for f in self.eff_config.fanouts.iter_mut() {
+                    self.totals.epoch_time_total += pause;
+                    self.totals.recovery.recovery_sim += pause;
+                    DegradationStep::MicroBatch { factor: self.ladder.micro_batch }
+                } else if !self.ladder.fanout_reduced {
+                    self.ladder.fanout_reduced = true;
+                    for f in self.ladder.eff_config.fanouts.iter_mut() {
                         *f = (*f / 2).max(1);
                     }
-                    self.sampler = self.eff_config.build_sampler(graph)?;
-                    DegradationStep::ReduceFanout { fanouts: self.eff_config.fanouts.clone() }
+                    self.sampler = self.ladder.eff_config.build_sampler(graph)?;
+                    DegradationStep::ReduceFanout {
+                        fanouts: self.ladder.eff_config.fanouts.clone(),
+                    }
                 } else {
                     return Err(RuntimeError::RetriesExhausted {
                         what: "transient memory claim (degradation ladder exhausted)".into(),
-                        attempts: attempt + 1,
+                        attempts,
                         last_error: oom.to_string(),
                     });
                 };
@@ -850,7 +791,7 @@ impl<'d> ExecutionSession<'d> {
                     self.journal.instant(
                         metric::EVENT_RECOVERY,
                         metric::TRACK_BACKEND,
-                        Some(self.epoch_time_total.as_micros()),
+                        Some(self.totals.epoch_time_total.as_micros()),
                         vec![
                             ("action".into(), step.label().into()),
                             ("batch".into(), batch_site.into()),
@@ -858,23 +799,23 @@ impl<'d> ExecutionSession<'d> {
                         ],
                     );
                 }
-                self.recovery.degradations.push(step);
+                self.totals.recovery.degradations.push(step);
             };
 
             accumulate(
                 &self.cost,
                 times,
-                self.config.pipelined,
-                &mut self.phases,
-                &mut self.epoch_time_total,
+                self.ladder.config.pipelined,
+                &mut self.totals.phases,
+                &mut self.totals.epoch_time_total,
             );
             if let Some(trace) = &mut self.trace {
                 trace.push(counts);
             }
 
-            self.total_nodes += mb.num_nodes();
-            self.total_edges += mb.num_edges();
-            self.total_batches += 1;
+            self.totals.total_nodes += mb.num_nodes();
+            self.totals.total_edges += mb.num_edges();
+            self.totals.total_batches += 1;
 
             // The actual training step (Algorithm 1 lines 4–8).
             let train_this =
@@ -887,7 +828,7 @@ impl<'d> ExecutionSession<'d> {
                 // metered hot path below. GCN additionally reads the
                 // cached degree norms.
                 mb.subgraph.agg_schedule();
-                if self.config.model == gnnav_nn::ModelKind::Gcn {
+                if self.ladder.config.model == gnnav_nn::ModelKind::Gcn {
                     mb.subgraph.gcn_inv_sqrt();
                 }
                 // Allocator window around the per-batch hot path:
@@ -900,8 +841,8 @@ impl<'d> ExecutionSession<'d> {
                 feats.gather_labels_into(&mb.nodes, &mut self.label_buf);
                 self.target_locals_buf.clear();
                 self.target_locals_buf.extend(0..mb.targets_len as u32);
-                let step_site = self.train_steps;
-                self.train_steps += 1;
+                let step_site = self.totals.train_steps;
+                self.totals.train_steps += 1;
                 let mut loss = train::train_step_view(
                     &mut self.model,
                     &mut self.opt,
@@ -918,21 +859,21 @@ impl<'d> ExecutionSession<'d> {
                     // history and anneal the LR; a bounded number
                     // of halvings separates a recoverable blip
                     // from a divergent run.
-                    self.recovery.nan_steps_skipped += 1;
-                    if self.recovery.lr_halvings >= self.opts.recovery.max_lr_halvings {
+                    self.totals.recovery.nan_steps_skipped += 1;
+                    if self.totals.recovery.lr_halvings >= self.opts.recovery.max_lr_halvings {
                         return Err(RuntimeError::RetriesExhausted {
                             what: "NaN-loss recovery (learning-rate floor reached)".into(),
-                            attempts: self.recovery.nan_steps_skipped,
+                            attempts: self.totals.recovery.nan_steps_skipped,
                             last_error: format!("non-finite loss at training step {step_site}"),
                         });
                     }
                     self.opt.set_lr(self.opt.lr() * 0.5);
-                    self.recovery.lr_halvings += 1;
+                    self.totals.recovery.lr_halvings += 1;
                     if journaling {
                         self.journal.instant(
                             metric::EVENT_RECOVERY,
                             metric::TRACK_BACKEND,
-                            Some(self.epoch_time_total.as_micros()),
+                            Some(self.totals.epoch_time_total.as_micros()),
                             vec![
                                 ("action".into(), "nan_guard".into()),
                                 ("step".into(), step_site.into()),
@@ -941,7 +882,7 @@ impl<'d> ExecutionSession<'d> {
                         );
                     }
                 } else {
-                    self.loss_history.push(loss);
+                    self.totals.loss_history.push(loss);
                 }
                 if let Some(t0) = alloc_t0 {
                     let d = gnnav_obs::alloc::stats().delta_since(&t0);
@@ -960,17 +901,17 @@ impl<'d> ExecutionSession<'d> {
         // The epoch's observed slice, computed unconditionally (a few
         // subtractions) so the adaptive layer can watch even when the
         // metrics registry is off.
-        let epoch_sim_s = self.epoch_time_total.as_secs() - epoch_sim_start.as_secs();
+        let epoch_sim_s = self.totals.epoch_time_total.as_secs() - epoch_sim_start.as_secs();
         let stats = self.cache_stats_total();
         let epoch_lookups = stats.lookups - epoch_stats_start.lookups;
         let epoch_hits = stats.hits - epoch_stats_start.hits;
         let epoch_hit_rate =
             if epoch_lookups > 0 { epoch_hits as f64 / epoch_lookups as f64 } else { 0.0 };
         let phase_s = [
-            self.phases.sample.as_secs() - epoch_phases_start.sample.as_secs(),
-            self.phases.transfer.as_secs() - epoch_phases_start.transfer.as_secs(),
-            self.phases.replace.as_secs() - epoch_phases_start.replace.as_secs(),
-            self.phases.compute.as_secs() - epoch_phases_start.compute.as_secs(),
+            self.totals.phases.sample.as_secs() - epoch_phases_start.sample.as_secs(),
+            self.totals.phases.transfer.as_secs() - epoch_phases_start.transfer.as_secs(),
+            self.totals.phases.replace.as_secs() - epoch_phases_start.replace.as_secs(),
+            self.totals.phases.compute.as_secs() - epoch_phases_start.compute.as_secs(),
         ];
 
         if observing {
@@ -990,7 +931,10 @@ impl<'d> ExecutionSession<'d> {
                     Some(sim_dur),
                     vec![
                         ("epoch".into(), epoch.into()),
-                        ("batches".into(), (self.total_batches - epoch_batches_start).into()),
+                        (
+                            "batches".into(),
+                            (self.totals.total_batches - epoch_batches_start).into(),
+                        ),
                         ("hit_rate".into(), epoch_hit_rate.into()),
                     ],
                 );
@@ -1017,7 +961,8 @@ impl<'d> ExecutionSession<'d> {
                 }
                 // Backoff pauses and ladder work get their own phase
                 // track so recovery time is attributed, not residual.
-                let recovery_us = self.recovery.recovery_sim.as_micros() - epoch_recovery_us_start;
+                let recovery_us =
+                    self.totals.recovery.recovery_sim.as_micros() - epoch_recovery_us_start;
                 if recovery_us > 0.0 {
                     self.journal.span_complete(
                         metric::EVENT_RECOVERY,
@@ -1039,17 +984,17 @@ impl<'d> ExecutionSession<'d> {
         }
         drop(epoch_span);
 
-        self.epochs_run += 1;
+        self.totals.epochs_run += 1;
         Ok(EpochStats {
             epoch,
             sim_s: epoch_sim_s,
             hit_rate: epoch_hit_rate,
             peak_mem_bytes: self.ledger.peak_bytes(),
-            batches: self.total_batches - epoch_batches_start,
-            nodes: self.total_nodes - epoch_nodes_start,
-            edges: self.total_edges - epoch_edges_start,
+            batches: self.totals.total_batches - epoch_batches_start,
+            nodes: self.totals.total_nodes - epoch_nodes_start,
+            edges: self.totals.total_edges - epoch_edges_start,
             phase_s,
-            n_iter: self.n_iter,
+            n_iter: self.totals.n_iter,
         })
     }
 
@@ -1077,16 +1022,19 @@ impl<'d> ExecutionSession<'d> {
         };
 
         let total_stats = self.cache_stats_total();
-        self.recovery.faults_injected = self.injector.as_ref().map_or(0, |inj| inj.injected);
-        let (epoch_time, phases) = per_epoch(self.epoch_time_total, self.phases, self.epochs_run);
+        self.totals.recovery.faults_injected = self.injector.as_ref().map_or(0, |inj| inj.injected);
+        let (epoch_time, phases) =
+            per_epoch(self.totals.epoch_time_total, self.totals.phases, self.totals.epochs_run);
         let perf = Perf {
             epoch_time,
             peak_mem_bytes: self.ledger.peak_bytes(),
             accuracy,
             hit_rate: total_stats.hit_rate(),
-            avg_batch_nodes: self.total_nodes as f64 / self.total_batches.max(1) as f64,
-            avg_batch_edges: self.total_edges as f64 / self.total_batches.max(1) as f64,
-            n_iter: self.n_iter,
+            avg_batch_nodes: self.totals.total_nodes as f64
+                / self.totals.total_batches.max(1) as f64,
+            avg_batch_edges: self.totals.total_edges as f64
+                / self.totals.total_batches.max(1) as f64,
+            n_iter: self.totals.n_iter,
             phases,
         };
 
@@ -1094,16 +1042,17 @@ impl<'d> ExecutionSession<'d> {
             let metrics = self.metrics;
             let stats = total_stats;
             metrics.add(metric::BACKEND_RUNS, 1);
-            metrics.add(metric::BACKEND_BATCHES, self.total_batches as u64);
+            metrics.add(metric::BACKEND_BATCHES, self.totals.total_batches as u64);
             metrics.add(metric::CACHE_HITS, stats.hits as u64);
             metrics.add(metric::CACHE_MISSES, (stats.lookups - stats.hits) as u64);
-            metrics.add(metric::CACHE_EVICTIONS, self.evictions as u64);
+            metrics.add(metric::CACHE_EVICTIONS, self.totals.evictions as u64);
             // Recovery counters are added even when zero so the
             // perf-gate baselines pin them at zero on the clean path.
             metrics.add(metric::FAULTS_INJECTED, 0);
-            metrics.add(metric::BACKEND_RETRIES, self.recovery.retries as u64);
-            metrics.add(metric::BACKEND_DEGRADATIONS, self.recovery.degradations.len() as u64);
-            metrics.add(metric::BACKEND_NAN_SKIPS, self.recovery.nan_steps_skipped as u64);
+            metrics.add(metric::BACKEND_RETRIES, self.totals.recovery.retries as u64);
+            metrics
+                .add(metric::BACKEND_DEGRADATIONS, self.totals.recovery.degradations.len() as u64);
+            metrics.add(metric::BACKEND_NAN_SKIPS, self.totals.recovery.nan_steps_skipped as u64);
             metrics.gauge_set(metric::PHASE_SAMPLE, perf.phases.sample.as_secs());
             metrics.gauge_set(metric::PHASE_TRANSFER, perf.phases.transfer.as_secs());
             metrics.gauge_set(metric::PHASE_REPLACE, perf.phases.replace.as_secs());
@@ -1112,8 +1061,9 @@ impl<'d> ExecutionSession<'d> {
             metrics.gauge_set(metric::PEAK_MEM_BYTES, perf.peak_mem_bytes as f64);
             metrics.gauge_set(metric::WALL_SAMPLE, self.wall_sample.as_secs_f64());
             metrics.gauge_set(metric::WALL_TRAIN, self.wall_train.as_secs_f64());
-            if let Some(&last) = self.loss_history.last() {
-                let mean = self.loss_history.iter().sum::<f32>() / self.loss_history.len() as f32;
+            if let Some(&last) = self.totals.loss_history.last() {
+                let mean = self.totals.loss_history.iter().sum::<f32>()
+                    / self.totals.loss_history.len() as f32;
                 metrics.gauge_set(metric::LOSS_LAST, last as f64);
                 metrics.gauge_set(metric::LOSS_MEAN, mean as f64);
             }
@@ -1140,7 +1090,7 @@ impl<'d> ExecutionSession<'d> {
                 self.journal.instant(
                     metric::EVENT_KERNELS,
                     metric::TRACK_BACKEND,
-                    Some(self.epoch_time_total.as_micros()),
+                    Some(self.totals.epoch_time_total.as_micros()),
                     vec![
                         ("matmul_calls".into(), matmul_calls.into()),
                         ("matmul_flops".into(), matmul_flops.into()),
@@ -1157,7 +1107,7 @@ impl<'d> ExecutionSession<'d> {
                 metrics.gauge_set(metric::ALLOC_PEAK_BYTES, d.peak_bytes as f64);
                 // Ceiling division so even a single steady-state
                 // allocation trips the zero-pinned perf gate.
-                let steady_epochs = self.epochs_run.saturating_sub(1).max(1) as u64;
+                let steady_epochs = self.totals.epochs_run.saturating_sub(1).max(1) as u64;
                 metrics.add(
                     metric::ALLOC_STEADY_PER_EPOCH,
                     self.alloc_steady_allocs.div_ceil(steady_epochs),
@@ -1166,7 +1116,7 @@ impl<'d> ExecutionSession<'d> {
                     self.journal.instant(
                         metric::EVENT_ALLOC,
                         metric::TRACK_BACKEND,
-                        Some(self.epoch_time_total.as_micros()),
+                        Some(self.totals.epoch_time_total.as_micros()),
                         vec![
                             ("allocs".into(), d.allocs.into()),
                             ("frees".into(), d.frees.into()),
@@ -1179,18 +1129,19 @@ impl<'d> ExecutionSession<'d> {
                 }
             }
         }
-        let clean = self.recovery.retries == 0 && self.recovery.degradations.is_empty();
+        let clean =
+            self.totals.recovery.retries == 0 && self.totals.recovery.degradations.is_empty();
         let batches = self.trace.take().filter(|_| clean);
         let report = ExecutionReport {
             perf,
-            loss_history: self.loss_history,
-            config: self.config,
-            recovery: self.recovery,
+            loss_history: self.totals.loss_history,
+            config: self.ladder.config,
+            recovery: self.totals.recovery,
         };
         let trace = batches.map(|batches| ExecutionTrace {
             batches,
             row_bytes: self.row_bytes,
-            epochs_run: self.epochs_run,
+            epochs_run: self.totals.epochs_run,
             report: ExecutionReport {
                 perf: Perf {
                     epoch_time: SimTime::ZERO,
