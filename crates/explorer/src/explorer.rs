@@ -141,7 +141,9 @@ impl<'a> Explorer<'a> {
     /// # Errors
     ///
     /// Returns [`ExplorerError::ZeroBudget`] before any work when the
-    /// explorer was built with a budget of 0, and
+    /// explorer was built with a budget of 0,
+    /// [`ExplorerError::NonFiniteLimit`] before any work when a
+    /// constraint's limit is NaN or infinite, and
     /// [`ExplorerError::NoFeasibleCandidate`] only when there is
     /// nothing to fall back to — no candidate was evaluated with a
     /// finite prediction at all.
@@ -216,6 +218,15 @@ impl<'a> Explorer<'a> {
     ) -> Result<Vec<ExplorationResult>, ExplorerError> {
         if self.budget == 0 {
             return Err(ExplorerError::ZeroBudget);
+        }
+        for (limit, value) in [
+            ("max_time_s", constraints.max_time_s),
+            ("max_mem_bytes", constraints.max_mem_bytes),
+            ("min_accuracy", constraints.min_accuracy),
+        ] {
+            if let Some(value) = value.filter(|v| !v.is_finite()) {
+                return Err(ExplorerError::NonFiniteLimit { limit, value });
+            }
         }
         let metrics = gnnav_obs::global();
         let journal = metrics.journal();
@@ -362,6 +373,7 @@ pub(crate) fn template_seeds(model: ModelKind) -> Vec<TrainingConfig> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Plan;
     use gnnav_estimator::{ProfileDb, Profiler};
     use gnnav_graph::DatasetId;
     use gnnav_runtime::{ExecutionOptions, RuntimeBackend};
@@ -484,27 +496,40 @@ mod tests {
     }
 
     #[test]
-    fn a_nan_limit_still_falls_back() {
-        // The NaN time limit makes every candidate's excess NaN, and
-        // the memory limit rejects every candidate.
-        let (dataset, est) = setup();
-        let nan = RuntimeConstraints {
-            max_time_s: Some(f64::NAN),
-            max_mem_bytes: Some(1.0),
-            ..RuntimeConstraints::none()
-        };
-        let result = Explorer::new(&est, 100)
-            .explore(
-                &dataset,
-                &Platform::default_rtx4090(),
-                ModelKind::Sage,
-                Priority::Balance,
-                &nan,
-            )
-            .expect("a NaN limit degrades, it does not panic");
-        assert!(result.evaluated.is_empty());
-        assert!(result.fallback.is_some());
-        assert_eq!(result.audit.last().map(|r| r.action), Some(AuditAction::Fallback));
+    fn a_non_finite_limit_is_a_typed_error_at_every_entry_point() {
+        // Refused before the walk, so not even a fitted estimator is
+        // needed.
+        let dataset = Arc::new(Dataset::load_scaled(DatasetId::Reddit2, 0.01).expect("load"));
+        let platform = Platform::default_rtx4090();
+        let est = GrayBoxEstimator::new();
+        let explorer = Explorer::new(&est, 100);
+        let (model, priority) = (ModelKind::Sage, Priority::Balance);
+        let seeds = template_seeds(model);
+        let none = RuntimeConstraints::none();
+        for (constraints, name) in [
+            (RuntimeConstraints { max_time_s: Some(f64::NAN), ..none }, "max_time_s"),
+            (RuntimeConstraints { max_mem_bytes: Some(f64::INFINITY), ..none }, "max_mem_bytes"),
+            (RuntimeConstraints { min_accuracy: Some(f64::NEG_INFINITY), ..none }, "min_accuracy"),
+        ] {
+            let refused = |e: ExplorerError| matches!(e, ExplorerError::NonFiniteLimit { limit, .. } if limit == name);
+            let c = &constraints;
+            assert!(explorer.explore(&dataset, &platform, model, priority, c).is_err_and(refused));
+            assert!(explorer.explore_all(&dataset, &platform, model, c).is_err_and(refused));
+            assert!(explorer
+                .explore_from(&dataset, &platform, model, priority, c, &seeds)
+                .is_err_and(refused));
+            let plan = Plan {
+                dataset: Arc::clone(&dataset),
+                platform: platform.clone(),
+                model,
+                space: Arc::new(DesignSpace::standard()),
+                constraints,
+                budget: 100,
+                seed: 0,
+                salt: String::new(),
+            };
+            assert!(plan.walk(&est, &[priority]).is_err_and(refused));
+        }
     }
 
     #[test]

@@ -45,6 +45,13 @@ pub enum ExplorerError {
     NoFeasibleCandidate,
     /// The explorer was built with a leaf-evaluation budget of 0.
     ZeroBudget,
+    /// A runtime constraint's limit is NaN or infinite.
+    NonFiniteLimit {
+        /// The constraint's field name.
+        limit: &'static str,
+        /// The value it was given.
+        value: f64,
+    },
     /// The estimator failed.
     Estimator(gnnav_estimator::EstimatorError),
 }
@@ -56,6 +63,9 @@ impl fmt::Display for ExplorerError {
                 write!(f, "no candidate satisfies the runtime constraints")
             }
             ExplorerError::ZeroBudget => write!(f, "the exploration budget must be >= 1"),
+            ExplorerError::NonFiniteLimit { limit, value } => {
+                write!(f, "the {limit} limit must be finite, got {value}")
+            }
             ExplorerError::Estimator(e) => write!(f, "estimator error: {e}"),
         }
     }
@@ -65,7 +75,9 @@ impl Error for ExplorerError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             ExplorerError::Estimator(e) => Some(e),
-            ExplorerError::NoFeasibleCandidate | ExplorerError::ZeroBudget => None,
+            ExplorerError::NoFeasibleCandidate
+            | ExplorerError::ZeroBudget
+            | ExplorerError::NonFiniteLimit { .. } => None,
         }
     }
 }
