@@ -473,11 +473,10 @@ impl<'d> ExecutionSession<'d> {
     /// width, layer count, precision) must match so the trained
     /// weights remain valid.
     pub fn compatible(&self, new: &TrainingConfig) -> bool {
-        let have = &self.ladder.config;
-        new.model == have.model
-            && new.hidden_dim == have.hidden_dim
-            && new.num_layers() == have.num_layers()
-            && new.precision == have.precision
+        new.model == self.ladder.config.model
+            && new.hidden_dim == self.ladder.config.hidden_dim
+            && new.num_layers() == self.ladder.config.num_layers()
+            && new.precision == self.ladder.config.precision
     }
 
     /// Switches the session to `new` between epochs, preserving the
