@@ -77,7 +77,7 @@ pub struct SessionLadder {
 impl SessionLadder {
     /// The top of the ladder for `config` with a cache of
     /// `cache_entries` rows: nothing degraded yet.
-    pub fn new(config: &TrainingConfig, cache_entries: usize) -> Self {
+    pub(crate) fn new(config: &TrainingConfig, cache_entries: usize) -> Self {
         SessionLadder {
             config: config.clone(),
             eff_config: config.clone(),
@@ -286,7 +286,7 @@ wire_struct!(SessionTotals,
 );
 
 // The body of a session checkpoint payload (tag `SESSION_PAYLOAD_TAG`).
-// A record encodes as its fields in order, so nesting moves no byte.
+// Records encode as their fields in order: nesting changes no byte.
 wire_struct!(SessionCheckpoint,
     SessionLadder::MIN_BYTES
         + 8 + 4 * 8 // params, dropout RNG
