@@ -1,26 +1,11 @@
 //! EWMA drift detection over observed-vs-predicted epoch metrics.
 
-/// Tuning knobs of the [`DriftDetector`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct DriftConfig {
-    /// EWMA level above which an epoch counts as drifting (strict
-    /// `>`: a series sitting exactly at the threshold never fires).
-    pub threshold: f64,
-    /// EWMA smoothing factor in `(0, 1]`; higher reacts faster.
-    pub alpha: f64,
-    /// Consecutive drifting epochs required before the detector
-    /// triggers a re-exploration.
-    pub sustain: u32,
-    /// Initial epochs ignored entirely (cold caches make the first
-    /// epoch systematically unrepresentative).
-    pub warmup: u32,
-}
+/// EWMA smoothing factor: the weight of each new epoch's score.
+const ALPHA: f64 = 0.4;
 
-impl Default for DriftConfig {
-    fn default() -> Self {
-        DriftConfig { threshold: 0.75, alpha: 0.4, sustain: 2, warmup: 0 }
-    }
-}
+/// Consecutive drifting epochs required before the detector triggers
+/// a re-exploration.
+const SUSTAIN: u32 = 2;
 
 /// What [`DriftDetector::observe`] concluded about one epoch.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,25 +44,27 @@ pub struct EpochSignal {
 /// skipped rather than poisoning the average, so NaN inputs can never
 /// trigger (or suppress) a re-exploration on their own.
 ///
-/// The detector is its state alone (the band, the streak, the epochs
-/// seen), which an adaptive checkpoint persists as it is; the
-/// [`DriftConfig`] is passed to each [`observe`](Self::observe).
+/// The band is an EWMA with smoothing factor 0.4 (the first epoch
+/// seeds it with its own score), and drift triggers once it has stayed
+/// above the threshold for 2 consecutive epochs. Only the threshold is
+/// a parameter, passed to each [`observe`](Self::observe); the
+/// detector is its state alone (the band, the streak, the epochs
+/// seen), which an adaptive checkpoint persists as it is.
 ///
 /// # Example
 ///
 /// ```
-/// use gnnav_adapt::{DriftConfig, DriftDetector};
+/// use gnnav_adapt::DriftDetector;
 /// use gnnav_adapt::drift::EpochSignal;
 ///
-/// let config = DriftConfig { threshold: 0.5, alpha: 1.0, sustain: 2, warmup: 0 };
 /// let mut det = DriftDetector::default();
 /// let pred = EpochSignal { time_s: 1.0, hit_rate: 0.5, mem_bytes: 1e9 };
 /// let ok = EpochSignal { time_s: 1.1, hit_rate: 0.5, mem_bytes: 1e9 };
 /// let slow = EpochSignal { time_s: 3.0, hit_rate: 0.5, mem_bytes: 1e9 };
 ///
-/// assert!(!det.observe(&config, &pred, &ok).drifting);      // within band
-/// assert!(!det.observe(&config, &pred, &slow).triggered);   // drifting, not sustained
-/// assert!(det.observe(&config, &pred, &slow).triggered);    // second in a row: act
+/// assert!(!det.observe(0.5, &pred, &ok).drifting);      // within band
+/// assert!(!det.observe(0.5, &pred, &slow).triggered);   // drifting, not sustained
+/// assert!(det.observe(0.5, &pred, &slow).triggered);    // second in a row: act
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct DriftDetector {
@@ -92,35 +79,33 @@ impl DriftDetector {
         self.observed
     }
 
-    /// Clears the EWMA, streak, and warmup state — called after a
+    /// Clears the EWMA, streak, and epoch count — called after a
     /// guideline switch, when the prediction baseline changes.
     pub fn reset(&mut self) {
         *self = DriftDetector::default();
     }
 
-    /// Scores one epoch under `config`. Returns the verdict;
-    /// `triggered` stays false during warmup and until `sustain`
-    /// consecutive drifting epochs accumulate.
+    /// Scores one epoch against `threshold`, the EWMA level above
+    /// which an epoch counts as drifting (strict `>`: a series sitting
+    /// exactly at the threshold never fires). Returns the verdict;
+    /// `triggered` stays false until 2 consecutive drifting epochs
+    /// accumulate.
     pub fn observe(
         &mut self,
-        config: &DriftConfig,
+        threshold: f64,
         predicted: &EpochSignal,
         observed: &EpochSignal,
     ) -> DriftVerdict {
         let score = epoch_score(predicted, observed);
         self.observed += 1;
-        if self.observed <= config.warmup as u64 {
-            return DriftVerdict { score, ewma: 0.0, drifting: false, triggered: false };
-        }
-        let alpha = config.alpha.clamp(0.0, 1.0);
         let ewma = match self.ewma {
             None => score,
-            Some(prev) => alpha * score + (1.0 - alpha) * prev,
+            Some(prev) => ALPHA * score + (1.0 - ALPHA) * prev,
         };
         self.ewma = Some(ewma);
-        let drifting = ewma > config.threshold;
+        let drifting = ewma > threshold;
         self.streak = if drifting { self.streak + 1 } else { 0 };
-        DriftVerdict { score, ewma, drifting, triggered: self.streak >= config.sustain.max(1) }
+        DriftVerdict { score, ewma, drifting, triggered: self.streak >= SUSTAIN }
     }
 }
 
@@ -155,10 +140,6 @@ mod tests {
         EpochSignal { time_s, hit_rate, mem_bytes }
     }
 
-    fn fast_config() -> DriftConfig {
-        DriftConfig { threshold: 0.5, alpha: 1.0, sustain: 1, warmup: 0 }
-    }
-
     #[test]
     fn zero_epochs_never_triggered() {
         let det = DriftDetector::default();
@@ -169,11 +150,10 @@ mod tests {
 
     #[test]
     fn matching_series_stays_quiet() {
-        let c = fast_config();
         let mut det = DriftDetector::default();
         let p = sig(1.0, 0.5, 1e9);
         for _ in 0..10 {
-            let v = det.observe(&c, &p, &p);
+            let v = det.observe(0.5, &p, &p);
             assert_eq!(v.score, 0.0);
             assert!(!v.drifting && !v.triggered);
         }
@@ -183,12 +163,11 @@ mod tests {
     fn constant_series_exactly_at_threshold_is_not_drift() {
         // threshold comparison is strict: a deviation pinned exactly
         // at the boundary must never fire.
-        let c = fast_config();
         let mut det = DriftDetector::default();
         let pred = sig(1.0, 0.0, 1e9);
         let obs = sig(1.5, 0.0, 1e9); // relative deviation exactly 0.5
         for _ in 0..20 {
-            let v = det.observe(&c, &pred, &obs);
+            let v = det.observe(0.5, &pred, &obs);
             assert_eq!(v.ewma, 0.5);
             assert!(!v.drifting, "boundary value fired");
             assert!(!v.triggered);
@@ -196,83 +175,68 @@ mod tests {
     }
 
     #[test]
-    fn just_above_threshold_fires() {
-        let c = fast_config();
+    fn just_above_threshold_fires_on_the_second_epoch() {
         let mut det = DriftDetector::default();
-        let v = det.observe(&c, &sig(1.0, 0.0, 1e9), &sig(1.5001, 0.0, 1e9));
+        let (pred, obs) = (sig(1.0, 0.0, 1e9), sig(1.5001, 0.0, 1e9));
+        let v = det.observe(0.5, &pred, &obs);
+        assert!(v.drifting && !v.triggered);
+        let v = det.observe(0.5, &pred, &obs);
         assert!(v.drifting && v.triggered);
     }
 
     #[test]
     fn sustain_requires_consecutive_epochs() {
-        let c = DriftConfig { sustain: 3, ..fast_config() };
         let mut det = DriftDetector::default();
         let pred = sig(1.0, 0.0, 1e9);
-        let bad = sig(9.0, 0.0, 1e9);
-        assert!(!det.observe(&c, &pred, &bad).triggered);
-        assert!(!det.observe(&c, &pred, &bad).triggered);
-        // An in-band epoch breaks the streak.
-        assert!(!det.observe(&c, &pred, &pred).triggered);
-        assert!(!det.observe(&c, &pred, &bad).triggered);
-        assert!(!det.observe(&c, &pred, &bad).triggered);
-        assert!(det.observe(&c, &pred, &bad).triggered);
+        let bad = sig(2.5, 0.0, 1e9); // score 1.5
+        assert!(!det.observe(1.0, &pred, &bad).triggered); // EWMA 1.5
+                                                           // An in-band epoch breaks the streak: EWMA 0.9.
+        assert!(!det.observe(1.0, &pred, &pred).drifting);
+        let v = det.observe(1.0, &pred, &bad); // EWMA 1.14
+        assert!(v.drifting && !v.triggered, "the streak must restart");
+        assert!(det.observe(1.0, &pred, &bad).triggered); // EWMA 1.284
     }
 
     #[test]
     fn nan_components_are_skipped_not_propagated() {
-        let c = fast_config();
         let mut det = DriftDetector::default();
         // NaN observed time, matching hit/mem: unusable component is
         // dropped, score is finite zero.
-        let v = det.observe(&c, &sig(1.0, 0.5, 1e9), &sig(f64::NAN, 0.5, 1e9));
+        let v = det.observe(0.5, &sig(1.0, 0.5, 1e9), &sig(f64::NAN, 0.5, 1e9));
         assert_eq!(v.score, 0.0);
         assert!(v.ewma.is_finite());
         assert!(!v.triggered);
         // All-NaN pair: still finite, still quiet.
         let nan = sig(f64::NAN, f64::NAN, f64::NAN);
-        let v = det.observe(&c, &nan, &nan);
+        let v = det.observe(0.5, &nan, &nan);
         assert_eq!(v.score, 0.0);
         assert!(!v.triggered);
         // Zero/negative predictions are as unusable as NaN.
-        let v = det.observe(&c, &sig(0.0, f64::INFINITY, -5.0), &sig(3.0, 0.2, 1e9));
+        let v = det.observe(0.5, &sig(0.0, f64::INFINITY, -5.0), &sig(3.0, 0.2, 1e9));
         assert_eq!(v.score, 0.0);
     }
 
     #[test]
-    fn warmup_epochs_are_ignored() {
-        let c = DriftConfig { warmup: 2, ..fast_config() };
+    fn reset_clears_streak() {
         let mut det = DriftDetector::default();
         let pred = sig(1.0, 0.0, 1e9);
         let bad = sig(9.0, 0.0, 1e9);
-        assert!(!det.observe(&c, &pred, &bad).drifting, "warmup epoch 1");
-        assert!(!det.observe(&c, &pred, &bad).drifting, "warmup epoch 2");
-        assert!(det.observe(&c, &pred, &bad).triggered, "post-warmup");
-    }
-
-    #[test]
-    fn reset_clears_streak_and_warmup() {
-        let c = DriftConfig { sustain: 2, ..fast_config() };
-        let mut det = DriftDetector::default();
-        let pred = sig(1.0, 0.0, 1e9);
-        let bad = sig(9.0, 0.0, 1e9);
-        det.observe(&c, &pred, &bad);
+        det.observe(0.5, &pred, &bad);
         det.reset();
         assert_eq!(det.epochs_observed(), 0);
-        assert!(!det.observe(&c, &pred, &bad).triggered, "streak must restart");
-        assert!(det.observe(&c, &pred, &bad).triggered);
+        assert!(!det.observe(0.5, &pred, &bad).triggered, "streak must restart");
+        assert!(det.observe(0.5, &pred, &bad).triggered);
     }
 
     #[test]
     fn ewma_smooths_single_spikes() {
-        let c = DriftConfig { threshold: 0.5, alpha: 0.2, sustain: 1, warmup: 0 };
         let mut det = DriftDetector::default();
         let pred = sig(1.0, 0.0, 1e9);
-        det.observe(&c, &pred, &pred);
-        // One 4x spike against a calm history: EWMA 0.2*3.0 = 0.6...
-        // wait, prior ewma is 0, so 0.2*3.0 = 0.6 > 0.5. Use a milder
-        // spike that smoothing absorbs.
-        let v = det.observe(&c, &pred, &sig(3.0, 0.0, 1e9));
+        det.observe(0.5, &pred, &pred);
+        // One 3x spike against a calm history moves the band by ALPHA
+        // of its score.
+        let v = det.observe(0.5, &pred, &sig(3.0, 0.0, 1e9));
         assert_eq!(v.score, 2.0);
-        assert!(v.ewma < v.score, "EWMA must damp the spike");
+        assert_eq!(v.ewma, ALPHA * 2.0);
     }
 }

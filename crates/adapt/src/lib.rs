@@ -23,7 +23,7 @@ pub mod drift;
 pub mod durable;
 pub mod runner;
 
-pub use drift::{DriftConfig, DriftDetector, DriftVerdict};
+pub use drift::{DriftDetector, DriftVerdict};
 pub use durable::AdaptiveCheckpoint;
 pub use runner::{AdaptOptions, AdaptiveReport, AdaptiveRunner, SwitchPlan};
 

@@ -1,6 +1,6 @@
 //! The adaptive execution loop: run, watch, re-explore, switch.
 
-use crate::drift::{DriftConfig, DriftDetector, EpochSignal};
+use crate::drift::{DriftDetector, EpochSignal};
 use crate::durable::AdaptiveCheckpoint;
 use crate::AdaptError;
 use gnnav_estimator::{Context, GrayBoxEstimator, PerfEstimate, ProfileDb, ProfileRecord};
@@ -17,56 +17,45 @@ use gnnav_runtime::{
 };
 use std::time::Instant;
 
-/// Knobs of the adaptive loop (drift detection plus re-exploration).
+/// Hard cap on mid-training guideline switches.
+const MAX_SWITCHES: usize = 3;
+
+/// How strongly each observed epoch pulls the warm-start refit:
+/// observed records are replicated until they carry roughly
+/// `OBSERVED_WEIGHT : 1` mass against the original profile sweep.
+const OBSERVED_WEIGHT: usize = 4;
+
+/// Leaf-evaluation budget of each incremental re-exploration (small:
+/// the search is seeded from the previous Pareto front). Its traversal
+/// seed is [`Explorer::DEFAULT_SEED`].
+const REEXPLORE_BUDGET: usize = 120;
+
+/// Options of the adaptive loop. Everything else about it is fixed:
+/// the drift band smooths with factor 0.4 and triggers after 2
+/// consecutive drifting epochs, a run switches guidelines at most 3
+/// times, each refit weighs the observed epochs 4 : 1 against the
+/// profile sweep, and each re-exploration evaluates at most 120
+/// candidates from [`Explorer::DEFAULT_SEED`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdaptOptions {
-    /// Drift-detector configuration.
-    pub drift: DriftConfig,
-    /// Hard cap on mid-training guideline switches.
-    pub max_switches: u32,
-    /// How strongly each observed epoch pulls the warm-start refit:
-    /// observed records are replicated until they carry roughly
-    /// `observed_weight : 1` mass against the original profile sweep.
-    pub observed_weight: usize,
-    /// Leaf-evaluation budget of each incremental re-exploration
-    /// (small: the search is seeded from the previous Pareto front).
-    pub explore_budget: usize,
-    /// Traversal seed of the re-exploration DFS.
-    pub explore_seed: u64,
+    /// EWMA drift level above which an epoch counts as drifting
+    /// (strict `>`: a series sitting exactly at it never fires).
+    pub drift_threshold: f64,
 }
 
 impl Default for AdaptOptions {
     fn default() -> Self {
-        AdaptOptions {
-            drift: DriftConfig::default(),
-            max_switches: 3,
-            observed_weight: 4,
-            explore_budget: 120,
-            explore_seed: Explorer::DEFAULT_SEED,
-        }
+        AdaptOptions { drift_threshold: 0.75 }
     }
 }
 
 impl AdaptOptions {
     pub(crate) fn validate(&self) -> Result<(), AdaptError> {
-        let d = &self.drift;
-        if !(d.threshold.is_finite() && d.threshold > 0.0) {
+        let t = self.drift_threshold;
+        if !(t.is_finite() && t > 0.0) {
             return Err(AdaptError::InvalidOptions(format!(
-                "drift threshold {} must be finite and > 0",
-                d.threshold
+                "drift threshold {t} must be finite and > 0"
             )));
-        }
-        if !(d.alpha.is_finite() && d.alpha > 0.0 && d.alpha <= 1.0) {
-            return Err(AdaptError::InvalidOptions(format!(
-                "drift alpha {} must be in (0, 1]",
-                d.alpha
-            )));
-        }
-        if self.observed_weight == 0 {
-            return Err(AdaptError::InvalidOptions("observed_weight must be >= 1".into()));
-        }
-        if self.explore_budget == 0 {
-            return Err(AdaptError::InvalidOptions("explore_budget must be >= 1".into()));
         }
         Ok(())
     }
@@ -162,11 +151,6 @@ impl AdaptiveRunner {
     /// Creates a runner bound to one simulated platform.
     pub fn new(platform: Platform, opts: AdaptOptions) -> Self {
         AdaptiveRunner { platform, opts }
-    }
-
-    /// The adaptive options in force.
-    pub fn options(&self) -> &AdaptOptions {
-        &self.opts
     }
 
     /// Runs `exec_opts.epochs` epochs of the explored guideline,
@@ -409,7 +393,7 @@ impl<'d> EpochLoop for AdaptLoop<'_, 'd> {
         state.observed.push(ObservedEpoch::of(session.config(), &stats));
 
         let verdict = state.drift.observe(
-            &self.runner.opts.drift,
+            self.runner.opts.drift_threshold,
             &EpochSignal {
                 time_s: state.predicted.time_s,
                 hit_rate: state.predicted.hit_rate,
@@ -447,10 +431,7 @@ impl<'d> EpochLoop for AdaptLoop<'_, 'd> {
         state.seen_degradations = degradations;
 
         let remaining = self.exec_opts.epochs - (epoch + 1);
-        if (verdict.triggered || degraded)
-            && remaining > 0
-            && (state.switches.len() as u32) < self.runner.opts.max_switches
-        {
+        if (verdict.triggered || degraded) && remaining > 0 && state.switches.len() < MAX_SWITCHES {
             state.reexplorations += 1;
             self.reexplore(session, state, epoch, verdict.ewma)?;
             // Whether we switched (new baseline) or stayed (the
@@ -481,17 +462,17 @@ impl AdaptLoop<'_, '_> {
         let metrics = gnnav_obs::global();
         let journal = metrics.journal();
         let started = Instant::now();
-        let AdaptiveRunner { platform, opts } = self.runner;
+        let platform = &self.runner.platform;
         let priority = self.exploration.guideline.priority;
 
         // Warm-start refit: replicate the observed epochs until they
-        // carry ~observed_weight:1 mass against the original sweep, so
+        // carry ~OBSERVED_WEIGHT:1 mass against the original sweep, so
         // the ridge coefficients are pulled toward what the hardware is
         // actually doing without discarding the sweep's coverage.
         let observed: Vec<ProfileRecord> =
             state.observed.iter().map(|o| o.record(self.dataset, platform)).collect();
         let mut db = self.profile_db.clone();
-        let weight = (opts.observed_weight * db.len().div_ceil(observed.len().max(1))).max(1);
+        let weight = (OBSERVED_WEIGHT * db.len().div_ceil(observed.len().max(1))).max(1);
         db.merge_weighted(&observed, weight);
         let mut estimator = GrayBoxEstimator::new();
         estimator.fit(&db)?;
@@ -506,7 +487,7 @@ impl AdaptLoop<'_, '_> {
             session.sim_time_total().as_secs(),
         );
 
-        let explorer = Explorer::new(&estimator, opts.explore_budget).with_seed(opts.explore_seed);
+        let explorer = Explorer::new(&estimator, REEXPLORE_BUDGET);
         let result = explorer.explore_from(
             self.dataset,
             platform,
@@ -625,16 +606,13 @@ mod tests {
 
     #[test]
     fn bad_options_are_rejected() {
-        let mut o = AdaptOptions::default();
-        o.drift.threshold = f64::NAN;
-        assert!(matches!(o.validate(), Err(AdaptError::InvalidOptions(_))));
-        let mut o = AdaptOptions::default();
-        o.drift.alpha = 0.0;
-        assert!(o.validate().is_err());
-        let o = AdaptOptions { observed_weight: 0, ..Default::default() };
-        assert!(o.validate().is_err());
-        let o = AdaptOptions { explore_budget: 0, ..Default::default() };
-        assert!(o.validate().is_err());
+        for drift_threshold in [f64::NAN, 0.0, -1.0, f64::INFINITY] {
+            let o = AdaptOptions { drift_threshold };
+            assert!(
+                matches!(o.validate(), Err(AdaptError::InvalidOptions(_))),
+                "{drift_threshold}"
+            );
+        }
     }
 
     #[test]

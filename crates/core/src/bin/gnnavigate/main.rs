@@ -45,7 +45,10 @@ OPTIONS:
                                    (chaos testing; see EXPERIMENTS.md)
     --profile-db <PATH>            durable WAL-backed profile store: configs it
                                    already covers are not re-profiled; fresh
-                                   records are appended (see docs/DURABILITY.md)
+                                   records are appended. Its key ignores the
+                                   profiling options (--fault-plan included):
+                                   use one store per set of them
+                                   (see docs/DURABILITY.md)
     --explore-cache <DIR>          durable WAL-backed exploration-result cache:
                                    a repeat invocation with identical inputs
                                    skips the DSE and returns the byte-identical

@@ -110,9 +110,9 @@ pub fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--max-time-ms" => args.constraints.max_time_s = Some(flags.finite(flag)? * 1e-3),
             "--max-mem-mb" => args.constraints.max_mem_bytes = Some(flags.finite(flag)? * 1e6),
             "--min-acc" => args.constraints.min_accuracy = Some(flags.finite(flag)? / 100.0),
-            "--profile-samples" => args.profile_samples = Some(flags.parsed(flag)?),
+            "--profile-samples" => args.profile_samples = Some(flags.at_least_one(flag)?),
             "--explore-budget" => args.explore_budget = Some(flags.at_least_one(flag)?),
-            "--epochs" => args.epochs = Some(flags.parsed(flag)?),
+            "--epochs" => args.epochs = Some(flags.at_least_one(flag)?),
             "--seed" => args.seed = Some(flags.parsed(flag)?),
             "--fault-plan" => args.fault_plan = Some(flags.value(flag)?.into()),
             "--profile-db" => args.profile_db = Some(flags.value(flag)?.into()),
@@ -310,7 +310,7 @@ pub fn run(args: Args) -> Result<(), Box<dyn std::error::Error>> {
     let guided = if args.adapt {
         let mut adapt = gnnavigator::adapt::AdaptOptions::default();
         if let Some(t) = args.drift_threshold {
-            adapt.drift.threshold = t;
+            adapt.drift_threshold = t;
         }
         let fitted = !nav.profile_db().is_empty();
         let outcome = nav.apply_adaptive(&result, &args.constraints, adapt)?;

@@ -30,11 +30,7 @@ pub fn run(argv: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
                 serve.seed = seed;
             }
             "--queue-capacity" => serve.queue_capacity = flags.parsed(flag)?,
-            "--tenant-budget" => {
-                let budget: u32 = flags.parsed(flag)?;
-                serve.tenant_budget = budget;
-                serve.tenant_refill = budget;
-            }
+            "--tenant-budget" => serve.tenant_budget = flags.parsed(flag)?,
             "--transcript-out" => transcript_out = Some(flags.value(flag)?.into()),
             "--metrics-out" => metrics_out = Some(flags.value(flag)?.into()),
             "--baseline-out" => baseline_out = Some(flags.value(flag)?.into()),

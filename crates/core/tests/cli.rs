@@ -27,8 +27,10 @@ fn unknown_flag_fails_with_message() {
 fn out_of_range_numbers_are_rejected_before_any_work() {
     // A zero budget used to panic after the profiling sweep; a NaN
     // bound used to be accepted and constrain nothing.
-    let cases: [&[&str]; 6] = [
+    let cases: [&[&str]; 8] = [
         &["--explore-budget", "0"],
+        &["--epochs", "0"],
+        &["--profile-samples", "0"],
         &["--max-time-ms", "nan"],
         &["--max-mem-mb", "NaN"],
         &["--min-acc", "nan"],
@@ -632,6 +634,30 @@ fn bad_drift_threshold_is_rejected() {
         let out = gnnavigate().args(["--drift-threshold", bad]).output().expect("spawn");
         assert!(!out.status.success(), "--drift-threshold {bad} must be rejected");
     }
+}
+
+#[test]
+fn drift_threshold_reaches_the_drift_detector() {
+    let run = |threshold: &str| {
+        let out = gnnavigate()
+            .args(["--dataset", "RD2", "--scale", "0.01", "--epochs", "3"])
+            .args(["--profile-samples", "8", "--explore-budget", "50"])
+            .args(["--adapt", "--drift-threshold", threshold])
+            .output()
+            .expect("spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "--drift-threshold {threshold}: {stderr}");
+        format!("{}{stderr}", String::from_utf8_lossy(&out.stdout))
+    };
+    // Any deviation at all is drift past a near-zero threshold ...
+    let text = run("1e-9");
+    assert!(
+        text.contains("adaptive switch after epoch") || text.contains("drift triggered"),
+        "{text}"
+    );
+    // ... and none reaches a huge one.
+    let text = run("1e9");
+    assert!(text.contains("no drift past the threshold"), "{text}");
 }
 
 #[test]

@@ -2,12 +2,18 @@
 //!
 //! A profiling sweep is the most expensive step of the navigator
 //! pipeline, and it is pure: the backend is deterministic, so a
-//! `(dataset, platform, config)` triple always measures the same
-//! record. [`ProfileStore`] persists each [`ProfileRecord`] to an
-//! append-only write-ahead log keyed by a canonical *fingerprint* of
-//! that triple, so a repeated invocation skips every configuration it
-//! has already profiled and still assembles a byte-identical database
-//! (f64 measurements round-trip as raw IEEE-754 bits).
+//! `(dataset, platform, config)` triple measured under the same
+//! profiling `ExecutionOptions` always measures the same record.
+//! [`ProfileStore`] persists each [`ProfileRecord`] to an append-only
+//! write-ahead log keyed by a canonical *fingerprint* of that triple,
+//! so a repeated invocation skips every configuration it has already
+//! profiled and still assembles a byte-identical database (f64
+//! measurements round-trip as raw IEEE-754 bits).
+//!
+//! The key does not cover the `ExecutionOptions`: a store filled under
+//! one set of them (a fault plan, other epochs or seed) answers a sweep
+//! under another with its records. Use one store per set of profiling
+//! options.
 //!
 //! Durability semantics are the WAL's: torn tails are truncated and
 //! checksum-failed frames dropped at open (metered under

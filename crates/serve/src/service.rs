@@ -111,11 +111,9 @@ pub struct ServeOptions {
     /// Admission queue bound; submissions beyond it are rejected.
     pub queue_capacity: usize,
     /// Token-bucket capacity per tenant (tokens are exploration
-    /// requests; one token per admitted request).
+    /// requests; one token per admitted request). Every bucket is
+    /// refilled to the full budget at each wave drain.
     pub tenant_budget: u32,
-    /// Tokens refilled per tenant at each wave drain, capped at
-    /// `tenant_budget`.
-    pub tenant_refill: u32,
     /// Queue depth at which admissions degrade to a reduced budget.
     pub degrade_depth: usize,
     /// Queue depth at which admissions degrade to cache-only.
@@ -142,7 +140,6 @@ impl Default for ServeOptions {
         ServeOptions {
             queue_capacity: 64,
             tenant_budget: 8,
-            tenant_refill: 8,
             degrade_depth: 32,
             cache_only_depth: 48,
             explore_budget: 400,
@@ -216,7 +213,8 @@ pub struct NavService {
     profile_store: Option<ProfileStore>,
     explore_cache: Option<ExploreCache>,
     queue: Vec<Pending>,
-    /// Remaining tokens per tenant id.
+    /// Remaining tokens per tenant id, for tenants that submitted since
+    /// the last drain; any other tenant has the full budget.
     buckets: HashMap<u64, u32>,
     /// The guideline of every completed exploration, by exploration
     /// fingerprint — all a response reads of one. The candidates and
@@ -273,11 +271,6 @@ impl NavService {
     pub fn with_explore_cache(mut self, cache: ExploreCache) -> Self {
         self.explore_cache = Some(cache);
         self
-    }
-
-    /// The service options.
-    pub fn options(&self) -> &ServeOptions {
-        &self.options
     }
 
     /// The warm estimator pool.
@@ -563,10 +556,8 @@ impl NavService {
                 guideline: guideline.clone(),
             });
         }
-        // Refill every known tenant bucket, capped at capacity.
-        for bucket in self.buckets.values_mut() {
-            *bucket = (*bucket + self.options.tenant_refill).min(self.options.tenant_budget);
-        }
+        // Refill every tenant bucket: the next submit starts a full one.
+        self.buckets.clear();
         metrics.add(metric::SERVE_WAVES, 1);
         if journal.is_enabled() {
             journal.span_complete(

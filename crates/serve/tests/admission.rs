@@ -16,7 +16,6 @@ fn fast_options(seed: u64) -> ServeOptions {
     ServeOptions {
         queue_capacity: 24,
         tenant_budget: 4,
-        tenant_refill: 4,
         degrade_depth: 12,
         cache_only_depth: 18,
         explore_budget: 120,
@@ -45,14 +44,28 @@ fn queue_full_returns_typed_error_without_panicking() {
 
 #[test]
 fn tenant_budget_exhaustion_returns_typed_error() {
-    let mut service =
-        NavService::new(ServeOptions { tenant_budget: 2, tenant_refill: 2, ..fast_options(12) });
+    let mut service = NavService::new(ServeOptions { tenant_budget: 2, ..fast_options(12) });
     service.submit(tenant_request(12, 7)).expect("first token");
     service.submit(tenant_request(12, 7)).expect("second token");
     let err = service.submit(tenant_request(12, 7)).expect_err("bucket empty");
     assert_eq!(err, AdmitError::BudgetExhausted { tenant: TenantId(7) });
     // Other tenants are unaffected.
     service.submit(tenant_request(12, 8)).expect("different tenant");
+}
+
+#[test]
+fn a_drain_refills_the_bucket_to_the_full_budget() {
+    let mut service = NavService::new(ServeOptions { tenant_budget: 2, ..fast_options(15) });
+    for _ in 0..2 {
+        service.submit(tenant_request(15, 7)).expect("initial token");
+    }
+    service.submit(tenant_request(15, 7)).expect_err("bucket empty");
+    service.drain().expect("wave resolves");
+    for round in 0..2 {
+        service.submit(tenant_request(15, 7)).unwrap_or_else(|e| panic!("refill {round}: {e}"));
+    }
+    let err = service.submit(tenant_request(15, 7)).expect_err("refilled bucket empty");
+    assert_eq!(err, AdmitError::BudgetExhausted { tenant: TenantId(7) });
 }
 
 #[test]
@@ -108,12 +121,8 @@ fn rejected_requests_leave_no_partial_journal_spans() {
     journal.enable(true);
     journal.reset();
 
-    let mut service = NavService::new(ServeOptions {
-        queue_capacity: 2,
-        tenant_budget: 1,
-        tenant_refill: 1,
-        ..fast_options(14)
-    });
+    let mut service =
+        NavService::new(ServeOptions { queue_capacity: 2, tenant_budget: 1, ..fast_options(14) });
     service.submit(tenant_request(14, 1)).expect("admitted");
     // Queue-full and budget-exhausted rejections.
     service.submit(tenant_request(14, 1)).expect_err("budget");

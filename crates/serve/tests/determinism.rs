@@ -7,7 +7,6 @@ fn fast_options(seed: u64) -> ServeOptions {
     ServeOptions {
         queue_capacity: 24,
         tenant_budget: 4,
-        tenant_refill: 4,
         degrade_depth: 12,
         cache_only_depth: 18,
         explore_budget: 120,

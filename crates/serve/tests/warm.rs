@@ -19,7 +19,6 @@ fn fast_options(seed: u64) -> ServeOptions {
     ServeOptions {
         queue_capacity: 24,
         tenant_budget: 8,
-        tenant_refill: 8,
         degrade_depth: 12,
         cache_only_depth: 18,
         explore_budget: 120,

@@ -10,7 +10,7 @@
 //! field is `SwitchPlan::reexplore_wall_ms`, which is wall-clock and
 //! advisory by contract.
 
-use gnnavigator::adapt::{AdaptError, AdaptOptions, AdaptiveReport, AdaptiveRunner, DriftConfig};
+use gnnavigator::adapt::{AdaptError, AdaptOptions, AdaptiveReport, AdaptiveRunner};
 use gnnavigator::estimator::{Context, GrayBoxEstimator, ProfileDb, ProfileStore, Profiler};
 use gnnavigator::explorer::{DfsStats, ExplorationResult};
 use gnnavigator::faults::{FaultKind, FaultPlan, FaultSpec};
@@ -338,9 +338,7 @@ fn four_instantiations_of_the_one_loop_agree() {
     let (db, estimator) = profile_and_fit(&ds, &cfg);
     let exploration = exploration_for(&ds, &estimator, cfg.clone());
     let backend = RuntimeBackend::new(platform());
-    let never = DriftConfig { threshold: f64::MAX, ..DriftConfig::default() };
-    let runner =
-        AdaptiveRunner::new(platform(), AdaptOptions { drift: never, ..Default::default() });
+    let runner = AdaptiveRunner::new(platform(), AdaptOptions { drift_threshold: f64::MAX });
     let none = RuntimeConstraints::none();
     let dir = tmp_dir("four-ways");
     let dur = DurabilityOptions::new(&dir, 1);
