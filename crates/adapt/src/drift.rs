@@ -74,14 +74,9 @@ pub struct DriftDetector {
 }
 
 impl DriftDetector {
-    /// Epochs observed since creation or the last [`reset`](Self::reset).
-    pub fn epochs_observed(&self) -> u64 {
-        self.observed
-    }
-
     /// Clears the EWMA, streak, and epoch count — called after a
     /// guideline switch, when the prediction baseline changes.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         *self = DriftDetector::default();
     }
 
@@ -138,14 +133,6 @@ mod tests {
 
     fn sig(time_s: f64, hit_rate: f64, mem_bytes: f64) -> EpochSignal {
         EpochSignal { time_s, hit_rate, mem_bytes }
-    }
-
-    #[test]
-    fn zero_epochs_never_triggered() {
-        let det = DriftDetector::default();
-        assert_eq!(det.epochs_observed(), 0);
-        // A detector that never observed anything has no verdict to
-        // act on; the runner only consults verdicts from observe().
     }
 
     #[test]
@@ -223,7 +210,7 @@ mod tests {
         let bad = sig(9.0, 0.0, 1e9);
         det.observe(0.5, &pred, &bad);
         det.reset();
-        assert_eq!(det.epochs_observed(), 0);
+        assert_eq!(det.observed, 0);
         assert!(!det.observe(0.5, &pred, &bad).triggered, "streak must restart");
         assert!(det.observe(0.5, &pred, &bad).triggered);
     }

@@ -17,7 +17,7 @@ use gnnav_store::{decode_tagged, encode_tagged, wire_struct, ByteReader, ByteWri
 
 /// Leading payload byte of an adaptive checkpoint — distinct from the
 /// runtime session tag so neither layer resumes from the other's file.
-pub const ADAPT_PAYLOAD_TAG: u8 = 2;
+pub(crate) const ADAPT_PAYLOAD_TAG: u8 = 2;
 
 /// Everything the adaptive loop needs to continue after a crash.
 ///
@@ -29,7 +29,7 @@ pub const ADAPT_PAYLOAD_TAG: u8 = 2;
 /// switches/audit/drift history that the final
 /// [`AdaptiveReport`](crate::AdaptiveReport) reproduces verbatim.
 #[derive(Debug, Clone)]
-pub struct AdaptiveCheckpoint {
+pub(crate) struct AdaptiveCheckpoint {
     pub(crate) session: SessionCheckpoint,
     pub(crate) state: AdaptState,
 }
@@ -43,7 +43,7 @@ impl AdaptiveCheckpoint {
 
     /// Serializes to the versioned binary payload (tag
     /// [`ADAPT_PAYLOAD_TAG`]).
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         encode_tagged(ADAPT_PAYLOAD_TAG, self)
     }
 
@@ -53,7 +53,7 @@ impl AdaptiveCheckpoint {
     ///
     /// [`StoreError::Decode`] on a foreign tag, truncation, trailing
     /// bytes, or any unknown enum tag.
-    pub fn decode(payload: &[u8]) -> Result<AdaptiveCheckpoint, StoreError> {
+    pub(crate) fn decode(payload: &[u8]) -> Result<AdaptiveCheckpoint, StoreError> {
         decode_tagged(payload, ADAPT_PAYLOAD_TAG, "an adaptive checkpoint")
     }
 }

@@ -24,7 +24,6 @@ pub mod durable;
 pub mod runner;
 
 pub use drift::{DriftDetector, DriftVerdict};
-pub use durable::AdaptiveCheckpoint;
 pub use runner::{AdaptOptions, AdaptiveReport, AdaptiveRunner, SwitchPlan};
 
 use std::error::Error;

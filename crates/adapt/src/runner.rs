@@ -182,7 +182,7 @@ impl AdaptiveRunner {
 
     /// [`run`](Self::run) with crash-safe durability: the same
     /// [`drive`] loop, persisting into `dur.dir`. Each checkpoint holds
-    /// the *entire* adaptive state (see [`AdaptiveCheckpoint`]), and
+    /// the *entire* adaptive state (see `AdaptiveCheckpoint`), and
     /// one is resumed only if its run started from this
     /// `exploration`'s guideline. A run killed at any boundary and
     /// re-invoked with the same arguments produces an

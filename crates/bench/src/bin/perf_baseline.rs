@@ -19,7 +19,9 @@
 //! stable enough to gate.
 
 use gnnav_estimator::{GrayBoxEstimator, Profiler};
-use gnnav_explorer::{explore_fingerprint, ExploreCache, Explorer, Priority, RuntimeConstraints};
+use gnnav_explorer::{
+    explore_fingerprint, ExplorationResult, ExploreCache, Explorer, Priority, RuntimeConstraints,
+};
 use gnnav_graph::{Dataset, DatasetId, FeatureSpec, Features, GraphBuilder};
 use gnnav_hwsim::Platform;
 use gnnav_nn::{Adam, GnnModel, Matrix, ModelKind};
@@ -39,14 +41,13 @@ const SEED: u64 = 0x7A51;
 /// baseline. `alloc.steady_state_allocs_per_epoch` rides along: the
 /// training hot path's zero-allocation steady state is a gated
 /// invariant, not just a claim.
-const PINNED_ZERO: [&str; 17] = [
+const PINNED_ZERO: [&str; 16] = [
     metric::FAULTS_INJECTED,
     metric::BACKEND_RETRIES,
     metric::BACKEND_DEGRADATIONS,
     metric::BACKEND_NAN_SKIPS,
     metric::PROFILER_RETRIES,
     metric::PROFILER_QUARANTINED,
-    metric::PROFILER_TIMEOUTS,
     metric::EXPLORER_FALLBACKS,
     metric::EXPLORER_NONFINITE,
     metric::ALLOC_STEADY_PER_EPOCH,
@@ -218,7 +219,7 @@ fn explorer_baseline(dataset: &Dataset) -> Snapshot {
     let mut estimator = GrayBoxEstimator::new();
     estimator.fit(&db).expect("fit");
     let explorer = Explorer::new(&estimator, 300).with_seed(SEED);
-    explorer
+    let open = explorer
         .explore(
             dataset,
             &Platform::default_rtx4090(),
@@ -228,13 +229,70 @@ fn explorer_baseline(dataset: &Dataset) -> Snapshot {
         )
         .expect("explore");
     let mut snapshot = deterministic(metrics.snapshot());
-    // The repeat-navigation probe runs in its own metrics window (the
-    // baseline snapshot above is already taken); only its gated
-    // counters are folded in.
-    for (name, value) in navigation_probe(dataset, &estimator) {
+    // The repeat-navigation and constrained probes run in their own
+    // metrics windows (the baseline snapshot above is already taken);
+    // only their gated counters are folded in.
+    for (name, value) in navigation_probe(dataset, &estimator)
+        .into_iter()
+        .chain(constrained_probe(dataset, &explorer, &open))
+    {
         snapshot.counters.insert(name.to_string(), value);
     }
     snapshot
+}
+
+/// Linear-interpolated lower quartile of a non-empty sample.
+fn lower_quartile(values: impl Iterator<Item = f64>) -> f64 {
+    let mut v: Vec<f64> = values.collect();
+    v.sort_by(f64::total_cmp);
+    let pos = 0.25 * (v.len() - 1) as f64;
+    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+    v[lo] + (v[hi] - v[lo]) * (pos - lo as f64)
+}
+
+/// Re-runs the exploration under the two caps `benchmark`'s
+/// `explore_sweep` sets, in an isolated metrics window, and returns its
+/// pruned, rejected and fallback counts: time at the lower quartile of
+/// what the unconstrained run `open` evaluated (candidates get
+/// rejected), memory at 0.9 × the largest cache's Eq. 10 lower bound
+/// (that subtree gets pruned; the lower quartile of memory sits above
+/// every cache's bound here and prunes nothing). The unconstrained
+/// baseline prunes and rejects nothing, so without this probe no
+/// committed series would move if constraint handling broke.
+fn constrained_probe(
+    dataset: &Dataset,
+    explorer: &Explorer<'_>,
+    open: &ExplorationResult,
+) -> [(&'static str, u64); 3] {
+    let metrics = gnnav_obs::global();
+    metrics.reset();
+    let largest_ratio = DesignSpace::standard().cache_ratios.into_iter().fold(0.0, f64::max);
+    let largest_cache =
+        largest_ratio * dataset.num_nodes() as f64 * dataset.feat_dim() as f64 * 2.0;
+    let constraints = RuntimeConstraints {
+        max_time_s: Some(lower_quartile(open.evaluated.iter().map(|c| c.estimate.time_s))),
+        max_mem_bytes: Some(0.9 * largest_cache),
+        min_accuracy: None,
+    };
+    explorer
+        .explore(
+            dataset,
+            &Platform::default_rtx4090(),
+            ModelKind::Sage,
+            Priority::Balance,
+            &constraints,
+        )
+        .expect("constrained explore");
+    let counters = metrics.snapshot().counters;
+    let counter = |name: &str| counters.get(name).copied().unwrap_or(0);
+    let pruned = counter(metric::EXPLORER_PRUNED);
+    let rejected = counter(metric::EXPLORER_REJECTED);
+    assert!(pruned > 0 && rejected > 0, "constrained probe pruned {pruned}, rejected {rejected}");
+    [
+        (metric::BENCH_CONSTRAINED_PRUNED, pruned),
+        (metric::BENCH_CONSTRAINED_REJECTED, rejected),
+        (metric::BENCH_CONSTRAINED_FALLBACKS, counter(metric::EXPLORER_FALLBACKS)),
+    ]
 }
 
 /// A fixed training workload over all three model kinds, recording the

@@ -86,12 +86,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ]);
         }
 
-        println!(
-            "## {} + {}  ({} nodes, wall {:.0}s)",
+        eprintln!(
+            "{} + {}: wall {:.0}s",
             dataset_id.short_name(),
             model.short_name(),
-            nav.dataset().num_nodes(),
             started.elapsed().as_secs_f64()
+        );
+        println!(
+            "## {} + {}  ({} nodes)",
+            dataset_id.short_name(),
+            model.short_name(),
+            nav.dataset().num_nodes()
         );
         print_table(
             &["Method", "Time (T)", "vs PyG", "Memory (G)", "vs PyG", "Accuracy", "hit"],

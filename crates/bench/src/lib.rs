@@ -97,7 +97,7 @@ pub const MATMUL_GFLOPS_FLOOR: f64 = 16.0;
 /// problem at the given pool width, timing `reps` back-to-back calls
 /// (after one untimed warmup) against the classical `2n^3` FLOP
 /// count.
-pub fn measure_matmul_gflops(n: usize, threads: usize, reps: usize) -> f64 {
+pub(crate) fn measure_matmul_gflops(n: usize, threads: usize, reps: usize) -> f64 {
     use gnnav_nn::init::glorot_uniform;
     let a = glorot_uniform(n, n, 1);
     let b = glorot_uniform(n, n, 2);

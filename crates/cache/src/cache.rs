@@ -22,18 +22,6 @@ pub struct LookupOutcome {
     pub misses: Vec<NodeId>,
 }
 
-impl LookupOutcome {
-    /// Hit fraction of this lookup (0 when the batch was empty).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits.len() + self.misses.len();
-        if total == 0 {
-            0.0
-        } else {
-            self.hits.len() as f64 / total as f64
-        }
-    }
-}
-
 /// Cumulative hit/miss statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
@@ -125,12 +113,6 @@ pub fn build_cache(policy: CachePolicy, capacity: usize, graph: &Graph) -> Featu
     FeatureCache { policy, capacity, resident, len, order, stats: CacheStats::default() }
 }
 
-/// Number of cache entries affordable within `budget_bytes` when each
-/// row costs `row_bytes`.
-pub fn entries_for_budget(budget_bytes: usize, row_bytes: usize) -> usize {
-    budget_bytes.checked_div(row_bytes).unwrap_or(0)
-}
-
 impl FeatureCache {
     /// Splits `nodes` into hits and misses, updating recency/frequency
     /// metadata and cumulative stats.
@@ -192,11 +174,6 @@ impl FeatureCache {
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// This cache's policy.
-    pub fn policy(&self) -> CachePolicy {
-        self.policy
     }
 
     /// Whether `v` is resident.
@@ -462,8 +439,6 @@ mod tests {
     fn hit_rate_zero_lookups_is_zero() {
         // Fresh stats must report 0.0, not NaN, before any lookup.
         assert_eq!(CacheStats::default().hit_rate(), 0.0);
-        let empty = LookupOutcome { hits: Vec::new(), misses: Vec::new() };
-        assert_eq!(empty.hit_rate(), 0.0);
     }
 
     #[test]
@@ -611,21 +586,6 @@ mod tests {
             assert_eq!(c.len(), 2);
             assert!(c.contains(4) && c.contains(2) && !c.contains(0), "{policy}");
         }
-    }
-
-    #[test]
-    fn entries_for_budget_division() {
-        assert_eq!(entries_for_budget(1000, 100), 10);
-        assert_eq!(entries_for_budget(1000, 0), 0);
-        assert_eq!(entries_for_budget(99, 100), 0);
-    }
-
-    #[test]
-    fn lookup_outcome_hit_rate() {
-        let o = LookupOutcome { hits: vec![1], misses: vec![2, 3, 4] };
-        assert!((o.hit_rate() - 0.25).abs() < 1e-12);
-        let empty = LookupOutcome { hits: vec![], misses: vec![] };
-        assert_eq!(empty.hit_rate(), 0.0);
     }
 
     #[test]

@@ -28,7 +28,5 @@
 pub mod cache;
 pub mod policy;
 
-pub use cache::{
-    build_cache, entries_for_budget, CacheSnapshot, CacheStats, FeatureCache, LookupOutcome,
-};
+pub use cache::{build_cache, CacheSnapshot, CacheStats, FeatureCache, LookupOutcome};
 pub use policy::{CachePolicy, ParsePolicyError};

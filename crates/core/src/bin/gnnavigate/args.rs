@@ -52,6 +52,27 @@ impl<'a> Flags<'a> {
             Err(format!("{name} {value} must be finite"))
         }
     }
+
+    /// [`finite`](Self::finite) and above zero: a time or memory limit
+    /// at or below zero admits no configuration at all.
+    pub fn positive(&mut self, name: &str) -> Result<f64, String> {
+        let value = self.finite(name)?;
+        if value > 0.0 {
+            Ok(value)
+        } else {
+            Err(format!("{name} {value} must be > 0"))
+        }
+    }
+
+    /// [`finite`](Self::finite) and a percentage, in `[0, 100]`.
+    pub fn percent(&mut self, name: &str) -> Result<f64, String> {
+        let value = self.finite(name)?;
+        if (0.0..=100.0).contains(&value) {
+            Ok(value)
+        } else {
+            Err(format!("{name} {value} must be within [0, 100]"))
+        }
+    }
 }
 
 /// Writes `contents` to `path`, naming the path in any error.

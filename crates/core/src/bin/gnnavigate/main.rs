@@ -34,9 +34,9 @@ OPTIONS:
     --priority <bal|ex-tm|ex-ma|ex-ta>  explore priority   [default: bal]
     --platform <rtx4090|a100|m90>  hardware platform       [default: rtx4090]
     --scale <FLOAT>                dataset scale factor    [default: 0.2]
-    --max-time-ms <FLOAT>          epoch-time constraint
-    --max-mem-mb <FLOAT>           device-memory constraint
-    --min-acc <PERCENT>            accuracy constraint
+    --max-time-ms <FLOAT>          epoch-time constraint (> 0)
+    --max-mem-mb <FLOAT>           device-memory constraint (> 0)
+    --min-acc <PERCENT>            accuracy constraint (0-100)
     --profile-samples <N>          configs profiled for the estimator
     --explore-budget <N>           DFS leaf-evaluation budget
     --epochs <N>                   training epochs when applying guidelines

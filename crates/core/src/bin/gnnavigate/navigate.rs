@@ -107,9 +107,9 @@ pub fn parse_args(argv: &[String]) -> Result<Args, String> {
                 };
             }
             "--scale" => args.scale = flags.parsed(flag)?,
-            "--max-time-ms" => args.constraints.max_time_s = Some(flags.finite(flag)? * 1e-3),
-            "--max-mem-mb" => args.constraints.max_mem_bytes = Some(flags.finite(flag)? * 1e6),
-            "--min-acc" => args.constraints.min_accuracy = Some(flags.finite(flag)? / 100.0),
+            "--max-time-ms" => args.constraints.max_time_s = Some(flags.positive(flag)? * 1e-3),
+            "--max-mem-mb" => args.constraints.max_mem_bytes = Some(flags.positive(flag)? * 1e6),
+            "--min-acc" => args.constraints.min_accuracy = Some(flags.percent(flag)? / 100.0),
             "--profile-samples" => args.profile_samples = Some(flags.at_least_one(flag)?),
             "--explore-budget" => args.explore_budget = Some(flags.at_least_one(flag)?),
             "--epochs" => args.epochs = Some(flags.at_least_one(flag)?),

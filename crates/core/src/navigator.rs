@@ -214,7 +214,8 @@ impl Navigator {
     }
 
     /// The bound platform.
-    pub fn platform(&self) -> &Platform {
+    #[cfg(test)]
+    pub(crate) fn platform(&self) -> &Platform {
         &self.platform
     }
 

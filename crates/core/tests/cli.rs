@@ -26,8 +26,10 @@ fn unknown_flag_fails_with_message() {
 #[test]
 fn out_of_range_numbers_are_rejected_before_any_work() {
     // A zero budget used to panic after the profiling sweep; a NaN
-    // bound used to be accepted and constrain nothing.
-    let cases: [&[&str]; 8] = [
+    // bound used to be accepted and constrain nothing; a limit at or
+    // below zero, or an accuracy outside [0, 100] %, used to run a
+    // whole sweep before falling back to the nearest-feasible guideline.
+    let cases: [&[&str]; 14] = [
         &["--explore-budget", "0"],
         &["--epochs", "0"],
         &["--profile-samples", "0"],
@@ -35,6 +37,12 @@ fn out_of_range_numbers_are_rejected_before_any_work() {
         &["--max-mem-mb", "NaN"],
         &["--min-acc", "nan"],
         &["--max-mem-mb", "inf"],
+        &["--max-mem-mb", "-5"],
+        &["--max-mem-mb", "0"],
+        &["--max-time-ms", "-1"],
+        &["--max-time-ms", "0"],
+        &["--min-acc", "150"],
+        &["--min-acc", "-0.5"],
         &["serve-bench", "--zipf", "nan"],
     ];
     for args in cases {

@@ -265,7 +265,7 @@ impl GrayBoxEstimator {
     /// # Panics
     ///
     /// Panics if the estimator is unfitted or `held_out` is empty.
-    pub fn validate(&self, held_out: &ProfileDb) -> ValidationReport {
+    pub(crate) fn validate(&self, held_out: &ProfileDb) -> ValidationReport {
         assert!(!held_out.is_empty(), "validation requires records");
         let mut t_truth = Vec::new();
         let mut t_pred = Vec::new();

@@ -18,7 +18,7 @@ use gnnav_nn::ModelKind;
 use gnnav_runtime::SamplerKind;
 
 /// One-hot encoding of the sampler kind (3 entries).
-pub fn sampler_onehot(kind: SamplerKind) -> [f64; 3] {
+pub(crate) fn sampler_onehot(kind: SamplerKind) -> [f64; 3] {
     match kind {
         SamplerKind::NodeWise => [1.0, 0.0, 0.0],
         SamplerKind::LayerWise => [0.0, 1.0, 0.0],
@@ -28,7 +28,7 @@ pub fn sampler_onehot(kind: SamplerKind) -> [f64; 3] {
 }
 
 /// One-hot encoding of the cache policy (5 entries).
-pub fn policy_onehot(policy: CachePolicy) -> [f64; 5] {
+pub(crate) fn policy_onehot(policy: CachePolicy) -> [f64; 5] {
     let mut v = [0.0; 5];
     let idx = match policy {
         CachePolicy::None => 0,
@@ -43,7 +43,7 @@ pub fn policy_onehot(policy: CachePolicy) -> [f64; 5] {
 }
 
 /// One-hot encoding of the model kind (3 entries).
-pub fn model_onehot(kind: ModelKind) -> [f64; 3] {
+pub(crate) fn model_onehot(kind: ModelKind) -> [f64; 3] {
     match kind {
         ModelKind::Gcn => [1.0, 0.0, 0.0],
         ModelKind::Sage => [0.0, 1.0, 0.0],
@@ -150,7 +150,7 @@ impl BatchSizeInput {
 
 /// Raw features for the pure black-box (decision-tree) batch-size
 /// baseline of Fig. 5.
-pub fn batch_size_raw_features(ctx: &Context) -> [f64; 9] {
+pub(crate) fn batch_size_raw_features(ctx: &Context) -> [f64; 9] {
     let s = sampler_onehot(ctx.config.sampler);
     [
         ctx.config.batch_size as f64,

@@ -24,8 +24,8 @@
 //! - [`BatchSizePredictor`] — Eq. 12's analytic skeleton with a
 //!   learned `f_overlapping` penalty, vs. the pure decision-tree
 //!   baseline [`BlackBoxBatchSize`] (Fig. 5).
-//! - [`HitRatePredictor`] + [`TimeEstimator`] — Eq. 4–8.
-//! - [`MemoryEstimator`] — Eq. 9–10.
+//! - [`HitRatePredictor`] + `TimeEstimator` — Eq. 4–8.
+//! - `MemoryEstimator` — Eq. 9–10.
 //! - [`AccuracyEstimator`] — Eq. 11.
 //! - [`GrayBoxEstimator`] — the assembled model with
 //!   leave-one-dataset-out validation (Tab. 2).
@@ -48,10 +48,9 @@ pub use accuracy::AccuracyEstimator;
 pub use batch_size::{BatchSizePredictor, BlackBoxBatchSize};
 pub use context::{Context, PredictionContext};
 pub use estimator::{GrayBoxEstimator, PerfEstimate, ValidationReport};
-pub use memory::MemoryEstimator;
 pub use profile::{ProfileDb, ProfileRecord, Profiler};
-pub use store::{fingerprint_of, profile_fingerprint, ProfileStore};
-pub use time::{HitRatePredictor, TimeEstimator};
+pub use store::{profile_fingerprint, ProfileStore};
+pub use time::HitRatePredictor;
 pub use traces::ExecutionTraces;
 
 use std::error::Error;

@@ -20,7 +20,7 @@ fn memory_features(ctx: &Context, vi: f64) -> [f64; 3] {
 
 /// Gray-box peak-memory estimator.
 #[derive(Debug, Clone)]
-pub struct MemoryEstimator {
+pub(crate) struct MemoryEstimator {
     model: RidgeRegressor,
 }
 
@@ -38,7 +38,7 @@ impl MemoryEstimator {
     /// # Panics
     ///
     /// Panics if `vi.len() != db.len()`.
-    pub fn fit(db: &ProfileDb, vi: &[f64]) -> Result<Self, EstimatorError> {
+    pub(crate) fn fit(db: &ProfileDb, vi: &[f64]) -> Result<Self, EstimatorError> {
         if db.is_empty() {
             return Err(EstimatorError::EmptyProfile);
         }
@@ -52,7 +52,7 @@ impl MemoryEstimator {
 
     /// Predicts peak device memory in bytes from the predicted batch
     /// size.
-    pub fn predict(&self, ctx: &Context, vi_pred: f64) -> f64 {
+    pub(crate) fn predict(&self, ctx: &Context, vi_pred: f64) -> f64 {
         self.model.predict(&memory_features(ctx, vi_pred)).max(0.0)
     }
 }

@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 
 /// Upper bound on how long an injected straggler may actually sleep,
 /// so chaos sweeps stay fast regardless of the plan's magnitude.
-pub const STRAGGLER_SLEEP_CAP: Duration = Duration::from_millis(250);
+pub(crate) const STRAGGLER_SLEEP_CAP: Duration = Duration::from_millis(250);
 
 /// One profiled run: context plus every measured quantity.
 #[derive(Debug, Clone)]
@@ -108,7 +108,7 @@ impl ProfileDb {
     /// `held_out`) — the paper's leave-one-dataset-out protocol
     /// ("established upon the performance across all the datasets
     /// available, except the one waiting for estimation").
-    pub fn leave_one_out(&self, held_out: DatasetId) -> (ProfileDb, ProfileDb) {
+    pub(crate) fn leave_one_out(&self, held_out: DatasetId) -> (ProfileDb, ProfileDb) {
         let (hold, keep): (Vec<ProfileRecord>, Vec<ProfileRecord>) =
             self.records.iter().cloned().partition(|r| r.dataset_id == held_out);
         (ProfileDb { records: keep }, ProfileDb { records: hold })
@@ -157,8 +157,6 @@ pub struct ConfigFailure {
     pub error: String,
     /// Attempts made (1 + retries).
     pub attempts: u32,
-    /// Whether the final attempt was classified as a timeout.
-    pub timed_out: bool,
 }
 
 /// Partial-sweep result: everything that profiled successfully plus
@@ -190,12 +188,10 @@ type Swept = (usize, ProfileRecord, Option<ExecutionTrace>);
 
 /// What one configuration of a sweep came to: its record and, when the
 /// execution was clean, its trace, or the failure that quarantined it;
-/// plus the retries and timeouts it took and how long its worker was
-/// busy with it.
+/// plus the retries it took and how long its worker was busy with it.
 struct ConfigOutcome {
     result: Result<(ProfileRecord, Option<ExecutionTrace>), ConfigFailure>,
     retries: u64,
-    timeouts: u64,
     busy: Duration,
 }
 
@@ -211,16 +207,13 @@ pub struct Profiler {
     /// Most workers the sweep may use; the calling thread's `gnnav-par`
     /// budget bounds it too.
     threads: usize,
-    /// Post-hoc per-config wall-time limit: an execution that comes
-    /// back slower than this is treated as failed and retried.
-    config_timeout: Option<Duration>,
 }
 
 impl Profiler {
     /// Creates a profiler running each configuration under `opts`.
     pub fn new(backend: RuntimeBackend, opts: ExecutionOptions) -> Self {
         let threads = std::thread::available_parallelism().map_or(4, |n| n.get()).min(16);
-        Profiler { backend, opts, threads, config_timeout: None }
+        Profiler { backend, opts, threads }
     }
 
     /// Caps the sweep at `threads` workers. The calling thread's budget
@@ -233,14 +226,6 @@ impl Profiler {
     pub fn with_threads(mut self, threads: usize) -> Self {
         assert!(threads > 0, "at least one thread required");
         self.threads = threads;
-        self
-    }
-
-    /// Sets a per-config wall-time limit. Execution is synchronous,
-    /// so the limit is enforced post-hoc: a config whose run exceeds
-    /// it is discarded, retried, and eventually quarantined.
-    pub fn with_config_timeout(mut self, timeout: Duration) -> Self {
-        self.config_timeout = Some(timeout);
         self
     }
 
@@ -400,14 +385,13 @@ impl Profiler {
         let workers = self.threads.min(budget).min(configs.len()).max(1);
         let kernel_budget = (budget / workers).max(1);
         // One attempt: injected worker faults first, then the real
-        // execution, then post-hoc timeout classification. Err carries
-        // the rendered cause and whether it was a timeout.
+        // execution. Err carries the rendered cause.
         type Executed = (ExecutionReport, Option<ExecutionTrace>);
-        let attempt_once = |i: usize, attempt: u32| -> Result<Executed, (String, bool)> {
+        let attempt_once = |i: usize, attempt: u32| -> Result<Executed, String> {
             if injector.as_ref().is_some_and(|inj| {
                 inj.inject(FaultKind::WorkerCrash, i as u64, attempt, None).is_some()
             }) {
-                return Err(("injected worker crash".into(), false));
+                return Err("injected worker crash".into());
             }
             if let Some(secs) = injector
                 .as_ref()
@@ -415,40 +399,24 @@ impl Profiler {
             {
                 std::thread::sleep(Duration::from_secs_f64(secs.max(0.0)).min(STRAGGLER_SLEEP_CAP));
             }
-            let t0 = Instant::now();
-            let executed = self
-                .backend
-                .execute_traced(dataset, &configs[i], &self.opts)
-                .map_err(|e| (e.to_string(), false))?;
-            if let Some(limit) = self.config_timeout {
-                let elapsed = t0.elapsed();
-                if elapsed > limit {
-                    return Err((
-                        format!("exceeded per-config timeout ({elapsed:?} > {limit:?})"),
-                        true,
-                    ));
-                }
-            }
-            Ok(executed)
+            self.backend.execute_traced(dataset, &configs[i], &self.opts).map_err(|e| e.to_string())
         };
         // One config, retries included, on whichever worker claimed it.
         let profile_one = |i: usize| {
             let started = Instant::now();
             let config_span = metrics.span_under(&sweep_path, "config");
             let config_wall_us = journal.is_enabled().then(|| journal.now_us());
-            let (mut retries, mut timeouts, mut attempt) = (0, 0, 0u32);
+            let (mut retries, mut attempt) = (0, 0u32);
             let result = loop {
                 match attempt_once(i, attempt) {
                     Ok(executed) => break Ok(executed),
-                    Err((error, timed_out)) => {
-                        timeouts += u64::from(timed_out);
+                    Err(error) => {
                         if attempt >= CONFIG_RETRIES {
                             break Err(ConfigFailure {
                                 config_index: i,
                                 config: configs[i].summary(),
                                 error,
                                 attempts: attempt + 1,
-                                timed_out,
                             });
                         }
                         retries += 1;
@@ -481,7 +449,7 @@ impl Profiler {
                 let ctx = Context::new(dataset, self.backend.platform(), configs[i].clone());
                 (ProfileRecord::measured(dataset.id(), ctx, report.perf), trace)
             });
-            ConfigOutcome { result, retries, timeouts, busy: started.elapsed() }
+            ConfigOutcome { result, retries, busy: started.elapsed() }
         };
         let outcomes = gnnav_par::with_thread_limit(workers, || {
             gnnav_par::par_map_indexed(configs, 1, |i, _| {
@@ -490,10 +458,9 @@ impl Profiler {
         });
         let mut swept = Vec::with_capacity(configs.len());
         let mut failures = Vec::new();
-        let (mut retries, mut timeouts, mut busy) = (0, 0, Duration::ZERO);
+        let (mut retries, mut busy) = (0, Duration::ZERO);
         for (i, outcome) in outcomes.into_iter().enumerate() {
             retries += outcome.retries;
-            timeouts += outcome.timeouts;
             busy += outcome.busy;
             match outcome.result {
                 Ok((record, trace)) => swept.push((i, record, trace)),
@@ -509,7 +476,6 @@ impl Profiler {
             // perf-gate baselines at zero on the no-fault path.
             metrics.add(metric::PROFILER_RETRIES, retries);
             metrics.add(metric::PROFILER_QUARANTINED, failures.len() as u64);
-            metrics.add(metric::PROFILER_TIMEOUTS, timeouts);
             metrics.gauge_set(metric::PROFILER_THREADS, workers as f64);
             if wall > 0.0 {
                 metrics.gauge_set(metric::PROFILER_RECORDS_PER_S, swept.len() as f64 / wall);
@@ -705,24 +671,22 @@ mod tests {
         assert!(p.profile_through(Some(&mut store), None, &dataset, &bad).is_err());
 
         // The platform-free tier: traces another platform's sweep left
-        // re-charge into the same database, and into the same log. A
-        // zero timeout fails every execution, so a complete database
-        // under it executed nothing.
+        // re-charge into the same database, and into the same log
+        // (`tests/replay_executes_nothing.rs` holds that nothing
+        // executes).
         let mut traces = ExecutionTraces::new();
         let a100 = Profiler::new(RuntimeBackend::new(Platform::default_a100()), p.opts.clone());
         a100.profile_through(None, Some(&mut traces), &dataset, &cfgs).expect("record");
         assert_eq!(traces.len(), 3, "one trace per distinct executable config");
-        let no_exec = p.clone().with_config_timeout(Duration::ZERO);
         let replay_path = dir.join("replayed.wal");
         let mut replay_store = ProfileStore::open(&replay_path).expect("open");
-        let replayed = no_exec
+        let replayed = p
             .profile_through(Some(&mut replay_store), Some(&mut traces), &dataset, &cfgs)
             .expect("replayed");
         assert_eq!(format!("{replayed:?}"), format!("{plain:?}"));
         assert_eq!(traces.len(), 3, "a replayed sweep records nothing");
         drop((store, replay_store));
         assert_eq!(std::fs::read(&replay_path).expect("read"), std::fs::read(&path).expect("read"));
-        assert!(no_exec.profile(&dataset, &cfgs).is_err(), "the timeout does fail executions");
 
         // A sweep under a fault plan is never answered from a clean
         // one's traces: its worker faults still fire.
@@ -802,7 +766,6 @@ mod tests {
         for f in &report.failures {
             assert_eq!(f.attempts, 2, "1 retry => 2 attempts");
             assert!(f.error.contains("injected worker crash"));
-            assert!(!f.timed_out);
         }
         let err = p.profile(&dataset, &cfgs).expect_err("all failed");
         assert!(err.to_string().contains("every profiled configuration failed"));
@@ -841,20 +804,6 @@ mod tests {
         // 2 configs x 250ms cap, plus real work; well under an
         // uncapped 1e9-second sleep.
         assert!(t0.elapsed() < Duration::from_secs(30));
-    }
-
-    #[test]
-    fn zero_timeout_quarantines_everything_as_timed_out() {
-        let dataset = Dataset::load_scaled(DatasetId::Reddit2, 0.01).expect("load");
-        let cfgs = small_configs(2);
-        let report =
-            profiler().with_config_timeout(Duration::ZERO).profile_with_report(&dataset, &cfgs);
-        assert!(report.db.is_empty());
-        assert_eq!(report.failures.len(), cfgs.len());
-        for f in &report.failures {
-            assert!(f.timed_out);
-            assert!(f.error.contains("timeout"));
-        }
     }
 
     #[test]

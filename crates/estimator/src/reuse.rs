@@ -65,7 +65,7 @@ impl Hasher for WordHasher {
 }
 
 /// Builds [`WordHasher`]s.
-pub type BuildWordHasher = BuildHasherDefault<WordHasher>;
+pub(crate) type BuildWordHasher = BuildHasherDefault<WordHasher>;
 
 /// A `HashSet` hashed by [`WordHasher`].
 pub type WordSet<T> = HashSet<T, BuildWordHasher>;

@@ -34,13 +34,13 @@ use gnnav_store::{
     StoreError, Wal, Wire,
 };
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Leading byte of every profile-record frame; bumped on layout
 /// changes so old stores are skipped (and re-profiled) rather than
 /// misread.
-pub const PROFILE_RECORD_TAG: u8 = 1;
+pub(crate) const PROFILE_RECORD_TAG: u8 = 1;
 
 wire_enum!(fn put_dataset, get_dataset for DatasetId as "dataset" {
     Synthetic = 0, OgbnArxiv = 1, OgbnProducts = 2, Reddit = 3, Reddit2 = 4,
@@ -111,7 +111,7 @@ pub fn profile_fingerprint(dataset: &Dataset, platform: &Platform, config: &Trai
 }
 
 /// Fingerprint of an already-built context.
-pub fn fingerprint_of(id: DatasetId, ctx: &Context) -> u64 {
+pub(crate) fn fingerprint_of(id: DatasetId, ctx: &Context) -> u64 {
     let mut w = ByteWriter::new();
     put_key(&mut w, id, ctx);
     fnv1a64(&w.finish())
@@ -182,11 +182,6 @@ impl ProfileStore {
         Ok(ProfileStore { wal, index, records, undecodable })
     }
 
-    /// The backing log's path.
-    pub fn path(&self) -> &Path {
-        self.wal.path()
-    }
-
     /// Number of live records.
     pub fn len(&self) -> usize {
         self.records.len()
@@ -236,19 +231,6 @@ impl ProfileStore {
         self.index.insert(fp, self.records.len());
         self.records.push((fp, record.clone()));
         Ok(true)
-    }
-
-    /// Rewrites the log with only the frames that decode as profile
-    /// records, purging dead bytes and undecodable frames. Returns the
-    /// number of frames dropped.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] when the rewrite fails.
-    pub fn compact(&mut self) -> Result<usize, StoreError> {
-        let dropped = self.wal.compact(|_, frame| decode_record(frame).is_ok())?;
-        self.undecodable = 0;
-        Ok(dropped)
     }
 }
 

@@ -72,7 +72,7 @@ impl HitRatePredictor {
 
 /// The four phase-time coefficient models plus Eq. 4 composition.
 #[derive(Debug, Clone)]
-pub struct TimeEstimator {
+pub(crate) struct TimeEstimator {
     sample: RidgeRegressor,
     transfer: RidgeRegressor,
     replace: RidgeRegressor,
@@ -127,7 +127,7 @@ impl TimeEstimator {
     /// # Panics
     ///
     /// Panics if the input lengths disagree with `db.len()`.
-    pub fn fit(db: &ProfileDb, vi: &[f64], hit: &[f64]) -> Result<Self, EstimatorError> {
+    pub(crate) fn fit(db: &ProfileDb, vi: &[f64], hit: &[f64]) -> Result<Self, EstimatorError> {
         if db.is_empty() {
             return Err(EstimatorError::EmptyProfile);
         }
@@ -154,7 +154,7 @@ impl TimeEstimator {
 
     /// Predicts the epoch time in seconds from the predicted batch
     /// size and hit rate, composing Eq. 4.
-    pub fn predict(&self, ctx: &Context, vi_pred: f64, hit_pred: f64) -> f64 {
+    pub(crate) fn predict(&self, ctx: &Context, vi_pred: f64, hit_pred: f64) -> f64 {
         let ts = self.sample.predict(&sample_features(ctx, vi_pred)).max(0.0);
         let tt = self.transfer.predict(&transfer_features(ctx, vi_pred, hit_pred)).max(0.0);
         let tr = self.replace.predict(&replace_features(ctx, vi_pred, hit_pred)).max(0.0);

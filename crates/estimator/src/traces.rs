@@ -38,13 +38,9 @@ impl ExecutionTraces {
     }
 
     /// Number of traces held.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.by_key.len()
-    }
-
-    /// Whether no trace is held.
-    pub fn is_empty(&self) -> bool {
-        self.by_key.is_empty()
     }
 
     /// Everything an execution reads except the platform: the

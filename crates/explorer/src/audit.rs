@@ -35,7 +35,7 @@ pub enum AuditAction {
 
 impl AuditAction {
     /// Stable lowercase label used in the JSON dump.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             AuditAction::Accepted => "accepted",
             AuditAction::Rejected => "rejected",
@@ -93,7 +93,7 @@ impl AuditTrail {
     }
 
     /// Number of records.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.walk.len() + usize::from(self.decision.is_some())
     }
 
@@ -109,7 +109,7 @@ impl AuditTrail {
 
     /// The last record: the decision's — `Selected` or `Fallback` for
     /// an exploration; `None` in an empty trail.
-    pub fn last(&self) -> Option<&AuditRecord> {
+    pub(crate) fn last(&self) -> Option<&AuditRecord> {
         self.decision.as_ref()
     }
 

@@ -85,7 +85,7 @@ use std::borrow::Cow;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Leading byte of a base frame — a whole result, walk included;
@@ -377,11 +377,6 @@ impl ExploreCache {
             results.push((fingerprint, result));
         })?;
         Ok(ExploreCache { wal, index, results, bases, undecodable, hits: 0, misses: 0, inserts: 0 })
-    }
-
-    /// The backing log's path.
-    pub fn path(&self) -> &Path {
-        self.wal.path()
     }
 
     /// Number of cached explorations.

@@ -106,11 +106,6 @@ impl DfsExplorer {
         DfsExplorer { space: space.into(), budget, seed }
     }
 
-    /// The design space being searched.
-    pub fn space(&self) -> &DesignSpace {
-        &self.space
-    }
-
     /// Runs DFS from `seeds` (evaluated first, outside the budget) and
     /// then across the space. Returns the constraint-satisfying
     /// candidates, the rejected (but finitely predicted) ones, the

@@ -113,11 +113,6 @@ impl<'a> Explorer<'a> {
         self
     }
 
-    /// Read access to the fitted estimator.
-    pub fn estimator(&self) -> &GrayBoxEstimator {
-        self.estimator
-    }
-
     /// The traversal seed (part of the exploration-cache fingerprint).
     pub fn seed(&self) -> u64 {
         self.seed

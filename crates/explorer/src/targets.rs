@@ -19,7 +19,7 @@ pub struct ExploreTargets {
 
 impl ExploreTargets {
     /// Equal weights.
-    pub fn balanced() -> Self {
+    pub(crate) fn balanced() -> Self {
         ExploreTargets { w_time: 1.0, w_memory: 1.0, w_accuracy: 1.0 }
     }
 }
@@ -111,7 +111,7 @@ impl RuntimeConstraints {
     /// The first constraint `est` violates, described with the
     /// predicted value and the limit — `None` when all are satisfied.
     /// Feeds the explorer's decision audit trail.
-    pub fn violation(&self, est: &PerfEstimate) -> Option<String> {
+    pub(crate) fn violation(&self, est: &PerfEstimate) -> Option<String> {
         if let Some(t) = self.max_time_s {
             if est.time_s > t {
                 return Some(format!("predicted epoch time {:.4}s > max {t:.4}s", est.time_s));
@@ -139,7 +139,7 @@ impl RuntimeConstraints {
     /// relative overshoot. Non-finite predictions score infinity.
     /// Ranks infeasible candidates for the explorer's nearest-feasible
     /// fallback — smaller is closer to feasible.
-    pub fn excess(&self, est: &PerfEstimate) -> f64 {
+    pub(crate) fn excess(&self, est: &PerfEstimate) -> f64 {
         if !(est.time_s.is_finite() && est.mem_bytes.is_finite() && est.accuracy.is_finite()) {
             return f64::INFINITY;
         }

@@ -24,10 +24,9 @@
 use gnnav_obs::json::{self, Value};
 use gnnav_obs::names as metric;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Schema version of the fault-plan JSON format.
-pub const FAULT_PLAN_SCHEMA_VERSION: u64 = 1;
+pub(crate) const FAULT_PLAN_SCHEMA_VERSION: u64 = 1;
 
 /// The fault classes the simulator can express.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -84,7 +83,7 @@ impl FaultKind {
     ];
 
     /// Stable label used in JSON plans, metric names, and journal args.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             FaultKind::TransientOom => "transient_oom",
             FaultKind::LinkDegrade => "link_degrade",
@@ -99,7 +98,7 @@ impl FaultKind {
     }
 
     /// Parses a [`label`](FaultKind::label) back into a kind.
-    pub fn from_label(s: &str) -> Option<FaultKind> {
+    pub(crate) fn from_label(s: &str) -> Option<FaultKind> {
         FaultKind::ALL.into_iter().find(|k| k.label() == s)
     }
 
@@ -462,19 +461,18 @@ fn unit_draw(seed: u64, tag: u64, site: u64, spec_index: u64) -> f64 {
 #[derive(Debug)]
 pub struct FaultInjector<'p> {
     plan: &'p FaultPlan,
-    injected: AtomicU64,
 }
 
 impl<'p> FaultInjector<'p> {
     /// Binds an injector to a plan.
     pub fn new(plan: &'p FaultPlan) -> Self {
-        FaultInjector { plan, injected: AtomicU64::new(0) }
+        FaultInjector { plan }
     }
 
     /// Pure schedule query: the magnitude of the fault of `kind` at
     /// `(site, attempt)`, or `None` when the schedule is clean there.
     /// Identical inputs always yield identical answers.
-    pub fn would_inject(&self, kind: FaultKind, site: u64, attempt: u32) -> Option<f64> {
+    pub(crate) fn would_inject(&self, kind: FaultKind, site: u64, attempt: u32) -> Option<f64> {
         for (i, spec) in self.plan.specs.iter().enumerate() {
             if spec.kind != kind || !spec.applies(site, attempt) {
                 continue;
@@ -489,7 +487,7 @@ impl<'p> FaultInjector<'p> {
         None
     }
 
-    /// Like [`would_inject`](Self::would_inject), but records the
+    /// Like `would_inject`, but records the
     /// injection: bumps `faults.injected` (+ the per-kind counter) and
     /// emits a journal instant on the `faults` track. `sim_us` anchors
     /// the event on the simulated clock when the caller has one.
@@ -501,7 +499,6 @@ impl<'p> FaultInjector<'p> {
         sim_us: Option<f64>,
     ) -> Option<f64> {
         let magnitude = self.would_inject(kind, site, attempt)?;
-        self.injected.fetch_add(1, Ordering::Relaxed);
         let metrics = gnnav_obs::global();
         if metrics.is_enabled() {
             metrics.add(metric::FAULTS_INJECTED, 1);
@@ -522,11 +519,6 @@ impl<'p> FaultInjector<'p> {
             );
         }
         Some(magnitude)
-    }
-
-    /// Total injections recorded by [`inject`](Self::inject).
-    pub fn total_injected(&self) -> u64 {
-        self.injected.load(Ordering::Relaxed)
     }
 
     /// First-attempt schedule preview for `kind` over `sites`:
@@ -617,13 +609,12 @@ mod tests {
     }
 
     #[test]
-    fn inject_counts_injections() {
+    fn inject_fires_only_planned_kinds() {
         let plan = FaultPlan::new(2).with_fault(FaultSpec::new(FaultKind::WorkerCrash));
         let inj = FaultInjector::new(&plan);
         assert!(inj.inject(FaultKind::WorkerCrash, 0, 0, None).is_some());
         assert!(inj.inject(FaultKind::WorkerCrash, 1, 0, None).is_some());
         assert!(inj.inject(FaultKind::NanLoss, 0, 0, None).is_none());
-        assert_eq!(inj.total_injected(), 2);
     }
 
     #[test]

@@ -49,7 +49,7 @@ impl GraphBuilder {
     }
 
     /// Creates a builder with capacity for `edges` edges.
-    pub fn with_capacity(num_nodes: usize, edges: usize) -> Self {
+    pub(crate) fn with_capacity(num_nodes: usize, edges: usize) -> Self {
         let mut b = Self::new(num_nodes);
         b.edges.reserve(edges);
         b
@@ -79,16 +79,6 @@ impl GraphBuilder {
     pub fn keep_self_loops(&mut self) -> &mut Self {
         self.keep_self_loops = true;
         self
-    }
-
-    /// Number of raw (pre-dedup) edges added so far.
-    pub fn len(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Whether no edges have been added.
-    pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
     }
 
     /// Freezes the accumulated edges into a [`Graph`].
@@ -227,8 +217,7 @@ mod tests {
     fn extend_appends() {
         let mut b = GraphBuilder::new(3);
         b.extend(vec![(0, 1), (1, 2)]);
-        assert_eq!(b.len(), 2);
-        assert!(!b.is_empty());
+        assert_eq!(b.build().expect("build").num_edges(), 2);
     }
 
     #[test]

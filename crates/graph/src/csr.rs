@@ -133,7 +133,7 @@ impl TransposeCsr {
 
     /// In-degree of `u`.
     #[inline]
-    pub fn in_degree(&self, u: NodeId) -> usize {
+    pub(crate) fn in_degree(&self, u: NodeId) -> usize {
         let u = u as usize;
         self.offsets[u + 1] - self.offsets[u]
     }
@@ -261,7 +261,8 @@ impl Graph {
     }
 
     /// Maximum out-degree over all nodes (0 for the empty graph).
-    pub fn max_degree(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn max_degree(&self) -> usize {
         (0..self.num_nodes).map(|v| self.offsets[v + 1] - self.offsets[v]).max().unwrap_or(0)
     }
 
@@ -378,12 +379,6 @@ impl Graph {
                 bwd: DegreeSchedule::build(self.num_nodes, |v| t.in_degree(v as NodeId)),
             })
         })
-    }
-
-    /// Total bytes of the CSR arrays; used by the memory cost model.
-    pub fn storage_bytes(&self) -> usize {
-        self.offsets.len() * std::mem::size_of::<usize>()
-            + self.targets.len() * std::mem::size_of::<NodeId>()
     }
 }
 
@@ -504,11 +499,6 @@ mod tests {
         // The loop survives alone; a one-way edge is kept one way.
         let (pair, _) = g.induced_subgraph(&[1, 0]).expect("induce");
         assert_eq!((pair.neighbors(0), pair.neighbors(1)), (&[][..], &[0, 1][..]));
-    }
-
-    #[test]
-    fn storage_bytes_positive() {
-        assert!(path3().storage_bytes() > 0);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! match the original's qualitative character at roughly 1:10 node
 //! scale. See DESIGN.md §1 for the substitution rationale.
 //!
-//! Every dataset is generated by [`generators::community_preferential`],
+//! Every dataset is generated by `generators::community_preferential`,
 //! which combines preferential attachment (cache-relevant degree skew)
 //! with community-correlated labels (so locality-biased sampling has a
 //! real accuracy cost, as Fig. 1b of the paper shows for 2PGraph).
@@ -160,7 +160,7 @@ pub struct Split {
 
 impl Split {
     /// Random 60/20/20 split of `num_nodes` ids, seeded.
-    pub fn random(num_nodes: usize, seed: u64) -> Self {
+    pub(crate) fn random(num_nodes: usize, seed: u64) -> Self {
         let mut ids: Vec<NodeId> = (0..num_nodes as NodeId).collect();
         let mut rng = StdRng::seed_from_u64(seed);
         ids.shuffle(&mut rng);
@@ -187,7 +187,6 @@ impl Split {
 #[derive(Debug, Clone)]
 pub struct Dataset {
     id: DatasetId,
-    scale: f64,
     graph: Graph,
     communities: Vec<u32>,
     feature_spec: FeatureSpec,
@@ -204,16 +203,6 @@ pub struct Dataset {
 }
 
 impl Dataset {
-    /// Loads (generates) the dataset at its reference scale.
-    ///
-    /// # Errors
-    ///
-    /// Propagates generator errors; these indicate a bug in the
-    /// built-in recipes rather than a user mistake.
-    pub fn load(id: DatasetId) -> Result<Self, GraphError> {
-        Self::load_scaled(id, 1.0)
-    }
-
     /// Loads the dataset with its node count multiplied by `scale`
     /// (clamped to at least 64 nodes). Smaller scales keep unit tests
     /// and exhaustive design-space sweeps fast while preserving degree
@@ -242,7 +231,7 @@ impl Dataset {
             .with_noise(r.noise)
             .with_label_noise(r.label_noise);
         let split = Split::random(nodes, r.seed ^ 0x5EED);
-        Ok(Dataset::new(id, scale, graph, communities, spec, r.seed ^ 0xFEED, split))
+        Ok(Dataset::new(id, graph, communities, spec, r.seed ^ 0xFEED, split))
     }
 
     /// Generates a random power-law dataset for estimator data
@@ -269,12 +258,11 @@ impl Dataset {
             generators::community_preferential(num_nodes, num_classes, edges_per_node, 0.3, seed)?;
         let spec = FeatureSpec::new(feat_dim, num_classes).with_noise(1.8).with_label_noise(0.12);
         let split = Split::random(num_nodes, seed ^ 0x5EED);
-        Ok(Dataset::new(DatasetId::Synthetic, 1.0, graph, communities, spec, seed ^ 0xFEED, split))
+        Ok(Dataset::new(DatasetId::Synthetic, graph, communities, spec, seed ^ 0xFEED, split))
     }
 
     fn new(
         id: DatasetId,
-        scale: f64,
         graph: Graph,
         communities: Vec<u32>,
         feature_spec: FeatureSpec,
@@ -283,7 +271,6 @@ impl Dataset {
     ) -> Self {
         Dataset {
             id,
-            scale,
             graph,
             communities,
             feature_spec,
@@ -297,11 +284,6 @@ impl Dataset {
     /// Dataset identifier.
     pub fn id(&self) -> DatasetId {
         self.id
-    }
-
-    /// The scale factor this instance was generated at.
-    pub fn scale(&self) -> f64 {
-        self.scale
     }
 
     /// The graph topology.

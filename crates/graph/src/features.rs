@@ -38,7 +38,7 @@ impl FeatureSpec {
     }
 
     /// Sets the label-flip fraction.
-    pub fn with_label_noise(mut self, label_noise: f32) -> Self {
+    pub(crate) fn with_label_noise(mut self, label_noise: f32) -> Self {
         self.label_noise = label_noise;
         self
     }
@@ -120,7 +120,7 @@ impl Features {
     ///
     /// Panics if `v` is out of range.
     #[inline]
-    pub fn row(&self, v: u32) -> &[f32] {
+    pub(crate) fn row(&self, v: u32) -> &[f32] {
         let v = v as usize;
         &self.data[v * self.dim..(v + 1) * self.dim]
     }
@@ -135,13 +135,6 @@ impl Features {
     #[inline]
     pub fn labels(&self) -> &[u16] {
         &self.labels
-    }
-
-    /// Bytes of one node's feature row at 4 bytes per attribute; the
-    /// transmission cost model multiplies this by miss counts.
-    #[inline]
-    pub fn row_bytes(&self) -> usize {
-        self.dim * std::mem::size_of::<f32>()
     }
 
     /// Gathers the feature rows of `nodes` into a dense row-major
@@ -249,12 +242,5 @@ mod tests {
         let a = Features::synthesize(&comm, &spec(), 9);
         let b = Features::synthesize(&comm, &spec(), 9);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn row_bytes_counts_f32() {
-        let comm = vec![0u32; 4];
-        let f = Features::synthesize(&comm, &spec(), 6);
-        assert_eq!(f.row_bytes(), 32);
     }
 }

@@ -78,7 +78,7 @@ pub fn barabasi_albert(
 ///
 /// Returns [`GraphError::InvalidParameter`] for zero nodes/communities/
 /// edges or `mixing` outside `[0, 1]`.
-pub fn community_preferential(
+pub(crate) fn community_preferential(
     num_nodes: usize,
     num_communities: usize,
     edges_per_node: usize,

@@ -36,7 +36,7 @@
 //! ```
 
 pub mod builder;
-pub mod csr;
+pub(crate) mod csr;
 pub mod datasets;
 pub mod features;
 pub mod generators;
@@ -48,7 +48,7 @@ pub use csr::{Graph, NodeId};
 pub use datasets::{Dataset, DatasetId, Split};
 pub use features::{FeatureSpec, Features};
 pub use schedule::{AggGroup, AggSchedule, DegreeSchedule};
-pub use stats::{DegreeBuckets, DegreeStats, GraphStats};
+pub use stats::{DegreeStats, GraphStats};
 
 use std::error::Error;
 use std::fmt;

@@ -7,10 +7,10 @@
 //! contiguous rows by degree instead:
 //!
 //! - a node whose work (`degree + 1`, counting the self term) reaches
-//!   [`HEAVY_DEGREE`] becomes a **heavy** single-node group, which the
+//!   `HEAVY_DEGREE` becomes a **heavy** single-node group, which the
 //!   kernels may additionally split across the feature dimension;
 //! - lighter nodes are batched into groups of roughly
-//!   [`LIGHT_GROUP_WORK`] work units, so tiny rows amortize their
+//!   `LIGHT_GROUP_WORK` work units, so tiny rows amortize their
 //!   scheduling overhead.
 //!
 //! Groups are contiguous, ascending, and a pure function of the degree
@@ -31,10 +31,10 @@ use crate::csr::NodeId;
 /// Work threshold (in `degree + 1` units) above which a node gets its
 /// own schedule group. 64 matches GNNAdvisor's neighbor-group sizing:
 /// a row this wide saturates a worker's inner loop on its own.
-pub const HEAVY_DEGREE: usize = 64;
+pub(crate) const HEAVY_DEGREE: usize = 64;
 
 /// Target total work units per light (batched) group.
-pub const LIGHT_GROUP_WORK: usize = 256;
+pub(crate) const LIGHT_GROUP_WORK: usize = 256;
 
 /// A contiguous run of rows `start..end` scheduled as one unit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,7 +58,7 @@ impl AggGroup {
     }
 
     /// Whether the group covers no rows (never produced by
-    /// [`DegreeSchedule::build`]).
+    /// `DegreeSchedule::build`).
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.start == self.end
@@ -81,7 +81,7 @@ impl DegreeSchedule {
     /// Builds the grouping for `n` rows where row `v` has
     /// `degree(v)` neighbors to gather (the `+ 1` self/bookkeeping
     /// unit is added here).
-    pub fn build(n: usize, degree: impl Fn(usize) -> usize) -> Self {
+    pub(crate) fn build(n: usize, degree: impl Fn(usize) -> usize) -> Self {
         let mut groups = Vec::new();
         let mut total_work = 0u64;
         let mut heavy_groups = 0usize;

@@ -26,16 +26,8 @@ pub struct DegreeStats {
 
 impl DegreeStats {
     /// Computes degree statistics over all nodes of `g`.
-    pub fn of_graph(g: &Graph) -> Self {
+    pub(crate) fn of_graph(g: &Graph) -> Self {
         let degrees: Vec<usize> = (0..g.num_nodes() as NodeId).map(|v| g.degree(v)).collect();
-        Self::of_degrees(degrees)
-    }
-
-    /// Computes degree statistics of `nodes` *within* `g` (their degree
-    /// in the full graph — the quantity Eq. 11 uses to compare a
-    /// mini-batch against the whole graph).
-    pub fn of_nodes(g: &Graph, nodes: &[NodeId]) -> Self {
-        let degrees: Vec<usize> = nodes.iter().map(|&v| g.degree(v)).collect();
         Self::of_degrees(degrees)
     }
 
@@ -75,23 +67,13 @@ pub struct GraphStats {
 }
 
 impl GraphStats {
-    /// Computes stats for `g` without community information.
-    pub fn of_graph(g: &Graph) -> Self {
-        GraphStats {
-            num_nodes: g.num_nodes(),
-            num_edges: g.num_edges(),
-            degrees: DegreeStats::of_graph(g),
-            intra_community_fraction: None,
-        }
-    }
-
     /// Computes stats for `g` including the intra-community edge
     /// fraction under `communities` (one id per node).
     ///
     /// # Panics
     ///
     /// Panics if `communities.len() != g.num_nodes()`.
-    pub fn with_communities(g: &Graph, communities: &[u32]) -> Self {
+    pub(crate) fn with_communities(g: &Graph, communities: &[u32]) -> Self {
         assert_eq!(communities.len(), g.num_nodes(), "one community id per node required");
         let mut intra = 0usize;
         let total = g.num_edges();
@@ -107,48 +89,6 @@ impl GraphStats {
             degrees: DegreeStats::of_graph(g),
             intra_community_fraction: frac,
         }
-    }
-}
-
-/// Power-of-two degree histogram: bucket 0 counts isolated nodes,
-/// bucket `i >= 1` counts nodes with degree in `[2^(i-1), 2^i)`.
-///
-/// This is the summary the degree-aware aggregation schedule
-/// ([`crate::schedule`]) is keyed on: the split between buckets below
-/// and above the heavy-row threshold tells how much of a graph's work
-/// sits in hub rows that need splitting versus leaf rows that need
-/// batching.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct DegreeBuckets {
-    /// `counts[0]` = isolated nodes; `counts[i]` = nodes with degree
-    /// in `[2^(i-1), 2^i)`.
-    pub counts: Vec<usize>,
-}
-
-impl DegreeBuckets {
-    /// Buckets the out-degrees of every node of `g`.
-    pub fn of_graph(g: &Graph) -> Self {
-        let mut counts = Vec::new();
-        for v in 0..g.num_nodes() as NodeId {
-            let d = g.degree(v);
-            let bucket = if d == 0 { 0 } else { d.ilog2() as usize + 1 };
-            if counts.len() <= bucket {
-                counts.resize(bucket + 1, 0);
-            }
-            counts[bucket] += 1;
-        }
-        DegreeBuckets { counts }
-    }
-
-    /// Number of nodes with degree `>= threshold` (the heavy-row
-    /// population for a schedule keyed at `threshold`). Exact, not
-    /// bucket-rounded, when `threshold` is a power of two.
-    pub fn nodes_at_or_above(&self, threshold: usize) -> usize {
-        if threshold == 0 {
-            return self.counts.iter().sum();
-        }
-        let first_full = threshold.next_power_of_two().ilog2() as usize + 1;
-        self.counts.iter().skip(first_full).sum()
     }
 }
 
@@ -185,18 +125,9 @@ mod tests {
     }
 
     #[test]
-    fn degree_stats_of_nodes_subset() {
-        let g = star(11);
-        let hub = DegreeStats::of_nodes(&g, &[0]);
-        assert_eq!(hub.mean, 10.0);
-        let leaves = DegreeStats::of_nodes(&g, &[1, 2, 3]);
-        assert_eq!(leaves.mean, 1.0);
-    }
-
-    #[test]
     fn degree_stats_empty_input() {
-        let g = star(3);
-        assert_eq!(DegreeStats::of_nodes(&g, &[]), DegreeStats::default());
+        let g = Graph::from_csr(0, vec![0], vec![]).expect("empty ok");
+        assert_eq!(DegreeStats::of_graph(&g), DegreeStats::default());
     }
 
     #[test]
@@ -215,24 +146,6 @@ mod tests {
         let stats = GraphStats::with_communities(&g, &[0, 0, 1, 1]);
         let f = stats.intra_community_fraction.expect("has edges");
         assert!((f - 2.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn degree_buckets_histogram() {
-        // Star with 10 leaves: hub degree 10 (bucket 4), leaves
-        // degree 1 (bucket 1).
-        let g = star(11);
-        let b = DegreeBuckets::of_graph(&g);
-        assert_eq!(b.counts[1], 10);
-        assert_eq!(b.counts[4], 1);
-        assert_eq!(b.counts.iter().sum::<usize>(), 11);
-        assert_eq!(b.nodes_at_or_above(8), 1);
-        assert_eq!(b.nodes_at_or_above(1), 11);
-        assert_eq!(b.nodes_at_or_above(0), 11);
-        // Isolated nodes land in bucket 0.
-        let iso = GraphBuilder::new(3).build().expect("build");
-        assert_eq!(DegreeBuckets::of_graph(&iso).counts, vec![3]);
-        assert_eq!(DegreeBuckets::of_graph(&iso).nodes_at_or_above(1), 0);
     }
 
     #[test]

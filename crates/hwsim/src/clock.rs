@@ -57,11 +57,6 @@ impl SimTime {
         self.0
     }
 
-    /// The duration in milliseconds.
-    pub fn as_millis(self) -> f64 {
-        self.0 * 1e3
-    }
-
     /// The duration in microseconds (the unit Chrome trace-event
     /// timestamps use, see `gnnav_obs::journal`).
     pub fn as_micros(self) -> f64 {
@@ -120,7 +115,7 @@ mod tests {
     #[test]
     fn conversions_roundtrip() {
         assert!((SimTime::from_millis(2.0).as_secs() - 0.002).abs() < 1e-15);
-        assert!((SimTime::from_micros(5.0).as_millis() - 0.005).abs() < 1e-12);
+        assert!((SimTime::from_micros(5.0).as_secs() - 5e-6).abs() < 1e-15);
         assert!((SimTime::from_millis(2.0).as_micros() - 2000.0).abs() < 1e-9);
     }
 
@@ -136,7 +131,7 @@ mod tests {
     #[test]
     fn sum_over_iterator() {
         let total: SimTime = (0..4).map(|_| SimTime::from_millis(1.0)).sum();
-        assert!((total.as_millis() - 4.0).abs() < 1e-12);
+        assert!((total.as_secs() - 0.004).abs() < 1e-15);
     }
 
     #[test]

@@ -57,11 +57,6 @@ impl CostModel {
         CostModel { platform }
     }
 
-    /// The underlying platform.
-    pub fn platform(&self) -> &Platform {
-        &self.platform
-    }
-
     /// Host-side sampling time for a batch that expanded by
     /// `expansion_nodes` (`|V_i| - |B^0|`, Eq. 7) and touched
     /// `edges_touched` adjacency entries.
@@ -209,8 +204,8 @@ mod tests {
         let c = SimTime::from_millis(2.0);
         let pipe = m.iteration_time(s, t, r, c, true);
         let seq = m.iteration_time(s, t, r, c, false);
-        assert!((pipe.as_millis() - 4.0).abs() < 1e-9);
-        assert!((seq.as_millis() - 6.5).abs() < 1e-9);
+        assert!((pipe.as_secs() - 0.004).abs() < 1e-12);
+        assert!((seq.as_secs() - 0.0065).abs() < 1e-12);
     }
 
     #[test]
@@ -236,10 +231,10 @@ mod overhead_tests {
 
     #[test]
     fn sample_time_has_per_iteration_floor() {
-        let m = CostModel::new(Platform::default_rtx4090());
-        let floor = m.t_sample(0, 0).as_secs();
+        let platform = Platform::default_rtx4090();
+        let overhead_us = platform.host.iteration_overhead_us;
+        let floor = CostModel::new(platform).t_sample(0, 0).as_secs();
         assert!(floor > 0.0, "per-iteration overhead must be charged");
-        let overhead_us = m.platform().host.iteration_overhead_us;
         assert!((floor - overhead_us * 1e-6).abs() < 1e-12);
     }
 

@@ -93,14 +93,10 @@ impl MemoryLedger {
         Ok(())
     }
 
-    /// Device capacity in bytes.
-    pub fn capacity_bytes(&self) -> usize {
-        self.capacity
-    }
-
     /// Bytes currently free (capacity minus model, cache, runtime) —
     /// what a transmission strategy may claim for caching.
-    pub fn free_bytes(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn free_bytes(&self) -> usize {
         self.capacity.saturating_sub(self.model + self.cache + self.runtime)
     }
 

@@ -28,7 +28,7 @@ pub struct DeviceProfile {
 
 impl DeviceProfile {
     /// NVIDIA RTX 4090 (Ada): 82.6 TFLOP/s FP32, 1008 GB/s, 24 GB.
-    pub fn rtx4090() -> Self {
+    pub(crate) fn rtx4090() -> Self {
         DeviceProfile {
             name: "RTX 4090".into(),
             compute_tflops: 82.6,
@@ -40,7 +40,7 @@ impl DeviceProfile {
     }
 
     /// NVIDIA A100 (Ampere): 19.5 TFLOP/s FP32, 1555 GB/s, 40 GB.
-    pub fn a100() -> Self {
+    pub(crate) fn a100() -> Self {
         DeviceProfile {
             name: "A100".into(),
             compute_tflops: 19.5,
@@ -53,7 +53,7 @@ impl DeviceProfile {
 
     /// "M90": the paper's mid-range accelerator; modeled as a
     /// 10 TFLOP/s, 400 GB/s, 12 GB part.
-    pub fn m90() -> Self {
+    pub(crate) fn m90() -> Self {
         DeviceProfile {
             name: "M90".into(),
             compute_tflops: 10.0,
@@ -99,7 +99,7 @@ pub struct HostProfile {
 
 impl HostProfile {
     /// A contemporary server CPU (Xeon-class).
-    pub fn xeon() -> Self {
+    pub(crate) fn xeon() -> Self {
         HostProfile {
             name: "Xeon".into(),
             sample_mvps: 150.0,
@@ -109,7 +109,7 @@ impl HostProfile {
     }
 
     /// A slower desktop-class host.
-    pub fn desktop() -> Self {
+    pub(crate) fn desktop() -> Self {
         HostProfile {
             name: "Desktop".into(),
             sample_mvps: 60.0,
@@ -132,18 +132,13 @@ pub struct LinkProfile {
 
 impl LinkProfile {
     /// PCIe 3.0 x16 at a realistic ~8 GB/s effective.
-    pub fn pcie3() -> Self {
+    pub(crate) fn pcie3() -> Self {
         LinkProfile { name: "PCIe 3.0 x16".into(), bandwidth_gbs: 8.0, latency_us: 20.0 }
     }
 
     /// PCIe 4.0 x16 at ~16 GB/s effective.
-    pub fn pcie4() -> Self {
+    pub(crate) fn pcie4() -> Self {
         LinkProfile { name: "PCIe 4.0 x16".into(), bandwidth_gbs: 16.0, latency_us: 15.0 }
-    }
-
-    /// PCIe 5.0 x16 at ~32 GB/s effective.
-    pub fn pcie5() -> Self {
-        LinkProfile { name: "PCIe 5.0 x16".into(), bandwidth_gbs: 32.0, latency_us: 12.0 }
     }
 }
 
@@ -221,7 +216,6 @@ mod tests {
     #[test]
     fn link_presets_ordered() {
         assert!(LinkProfile::pcie3().bandwidth_gbs < LinkProfile::pcie4().bandwidth_gbs);
-        assert!(LinkProfile::pcie4().bandwidth_gbs < LinkProfile::pcie5().bandwidth_gbs);
     }
 
     #[test]

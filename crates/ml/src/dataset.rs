@@ -59,7 +59,7 @@ impl Table {
     }
 
     /// Number of feature columns.
-    pub fn num_features(&self) -> usize {
+    pub(crate) fn num_features(&self) -> usize {
         self.num_features
     }
 
@@ -73,7 +73,7 @@ impl Table {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn row(&self, i: usize) -> &[f64] {
+    pub(crate) fn row(&self, i: usize) -> &[f64] {
         let w = self.num_features();
         &self.x[i * w..(i + 1) * w]
     }
@@ -83,7 +83,7 @@ impl Table {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn target(&self, i: usize) -> f64 {
+    pub(crate) fn target(&self, i: usize) -> f64 {
         self.y[i]
     }
 
@@ -93,7 +93,7 @@ impl Table {
     }
 
     /// Mean of the targets (0 for an empty table).
-    pub fn target_mean(&self) -> f64 {
+    pub(crate) fn target_mean(&self) -> f64 {
         if self.y.is_empty() {
             0.0
         } else {

@@ -67,7 +67,8 @@ impl RandomForestRegressor {
     }
 
     /// Number of fitted trees.
-    pub fn num_trees(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn num_trees(&self) -> usize {
         self.trees.len()
     }
 

@@ -61,7 +61,8 @@ impl RidgeRegressor {
     /// # Panics
     ///
     /// Panics if the model has not been fitted.
-    pub fn weights(&self) -> &[f64] {
+    #[cfg(test)]
+    pub(crate) fn weights(&self) -> &[f64] {
         assert!(self.fitted, "model not fitted");
         &self.weights
     }

@@ -125,7 +125,8 @@ impl DecisionTreeRegressor {
     }
 
     /// Number of leaves (0 before fitting).
-    pub fn num_leaves(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn num_leaves(&self) -> usize {
         self.nodes.iter().filter(|node| node.is_leaf()).count()
     }
 

@@ -16,7 +16,7 @@ pub fn glorot_uniform(rows: usize, cols: usize, seed: u64) -> Matrix {
 }
 
 /// Uniform vector in `±limit`, used for attention parameter vectors.
-pub fn uniform_vec(len: usize, limit: f32, seed: u64) -> Vec<f32> {
+pub(crate) fn uniform_vec(len: usize, limit: f32, seed: u64) -> Vec<f32> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..len).map(|_| rng.gen_range(-limit..limit)).collect()
 }

@@ -5,8 +5,8 @@
 //! subgraph followed by a dense linear combine. Three layer families
 //! are provided, matching the models the paper evaluates:
 //!
-//! - [`GcnLayer`]: symmetric-normalized aggregation (Kipf & Welling).
-//! - [`SageLayer`]: mean aggregation with a separate self transform
+//! - `GcnLayer`: symmetric-normalized aggregation (Kipf & Welling).
+//! - `SageLayer`: mean aggregation with a separate self transform
 //!   (GraphSAGE).
 //! - [`GatLayer`]: single-head additive attention (GAT).
 //!
@@ -98,7 +98,7 @@ pub struct LinearParam {
 
 impl LinearParam {
     /// Glorot-initialized parameter with bias.
-    pub fn new(in_dim: usize, out_dim: usize, seed: u64) -> Self {
+    pub(crate) fn new(in_dim: usize, out_dim: usize, seed: u64) -> Self {
         LinearParam {
             w: glorot_uniform(in_dim, out_dim, seed),
             b: vec![0.0; out_dim],
@@ -118,12 +118,12 @@ impl LinearParam {
     }
 
     /// Number of scalar parameters.
-    pub fn count(&self) -> usize {
+    pub(crate) fn count(&self) -> usize {
         self.w.rows() * self.w.cols() + self.b.len()
     }
 
     /// Clears accumulated gradients.
-    pub fn zero_grad(&mut self) {
+    pub(crate) fn zero_grad(&mut self) {
         self.gw.as_mut_slice().fill(0.0);
         self.gb.fill(0.0);
     }
@@ -140,12 +140,12 @@ pub struct VecParam {
 
 impl VecParam {
     /// Uniform-initialized vector parameter.
-    pub fn new(len: usize, seed: u64) -> Self {
+    pub(crate) fn new(len: usize, seed: u64) -> Self {
         VecParam { v: uniform_vec(len, 0.3, seed), g: vec![0.0; len] }
     }
 
     /// Clears the accumulated gradient.
-    pub fn zero_grad(&mut self) {
+    pub(crate) fn zero_grad(&mut self) {
         self.g.fill(0.0);
     }
 }
@@ -539,14 +539,14 @@ fn accumulate_bias_grad(gb: &mut [f32], grad_out: &Matrix) {
 
 /// GCN layer: `out = GcnAgg(g, x) · W + b`.
 #[derive(Debug)]
-pub struct GcnLayer {
+pub(crate) struct GcnLayer {
     lin: LinearParam,
     cache_ax: Option<Matrix>,
 }
 
 impl GcnLayer {
     /// Creates a GCN layer with Glorot-initialized weights.
-    pub fn new(in_dim: usize, out_dim: usize, seed: u64) -> Self {
+    pub(crate) fn new(in_dim: usize, out_dim: usize, seed: u64) -> Self {
         GcnLayer { lin: LinearParam::new(in_dim, out_dim, seed), cache_ax: None }
     }
 }
@@ -623,7 +623,7 @@ impl Layer for GcnLayer {
 /// GraphSAGE layer with mean aggregator:
 /// `out = x · W_self + MeanAgg(g, x) · W_neigh + b`.
 #[derive(Debug)]
-pub struct SageLayer {
+pub(crate) struct SageLayer {
     lin_self: LinearParam,
     lin_neigh: LinearParam,
     cache_x: Option<Matrix>,
@@ -632,7 +632,7 @@ pub struct SageLayer {
 
 impl SageLayer {
     /// Creates a SAGE layer with Glorot-initialized weights.
-    pub fn new(in_dim: usize, out_dim: usize, seed: u64) -> Self {
+    pub(crate) fn new(in_dim: usize, out_dim: usize, seed: u64) -> Self {
         SageLayer {
             lin_self: LinearParam::new(in_dim, out_dim, seed),
             lin_neigh: LinearParam::new_no_bias(in_dim, out_dim, seed.wrapping_add(1)),

@@ -2,7 +2,7 @@
 //!
 //! A compact, dependency-free (beyond `rand`) GNN training stack:
 //! dense [`tensor::Matrix`] math, three GNN layer families
-//! ([`layers::GcnLayer`], [`layers::SageLayer`], [`layers::GatLayer`])
+//! (`layers::GcnLayer`, `layers::SageLayer`, [`layers::GatLayer`])
 //! with hand-written backward passes verified by finite-difference
 //! tests, an [`Adam`] optimizer, softmax cross-entropy, and mini-batch
 //! [`train`] helpers.
@@ -22,7 +22,7 @@
 //! let mut b = GraphBuilder::new(3);
 //! b.add_edge(0, 1).add_edge(1, 2);
 //! let g = b.symmetrize().build()?;
-//! let x = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[1.0, 1.0]]);
+//! let x = Matrix::from_vec(3, 2, vec![1.0, 0.0, 0.0, 1.0, 1.0, 1.0]);
 //! let labels = vec![0u16, 1, 1];
 //!
 //! let mut model = GnnModel::new(ModelKind::Sage, 2, 8, 2, 2, 42);
@@ -39,7 +39,7 @@ pub mod layers;
 pub mod loss;
 pub mod metrics;
 pub mod model;
-pub mod optim;
+pub(crate) mod optim;
 pub mod scratch;
 pub mod tensor;
 pub mod train;

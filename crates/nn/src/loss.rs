@@ -30,7 +30,7 @@ pub fn softmax_cross_entropy(
 ///
 /// Panics on the same conditions as [`softmax_cross_entropy`], or if
 /// `grad` does not match the logits' shape.
-pub fn softmax_cross_entropy_into(
+pub(crate) fn softmax_cross_entropy_into(
     logits: &Matrix,
     labels: &[u16],
     target_rows: &[u32],

@@ -5,7 +5,7 @@ use crate::tensor::Matrix;
 /// Fraction of `rows` whose argmax logit equals the label.
 ///
 /// Returns 0.0 when `rows` is empty.
-pub fn accuracy(logits: &Matrix, labels: &[u16], rows: &[u32]) -> f64 {
+pub(crate) fn accuracy(logits: &Matrix, labels: &[u16], rows: &[u32]) -> f64 {
     if rows.is_empty() {
         return 0.0;
     }

@@ -62,8 +62,6 @@ pub struct GnnModel {
     dropout_rng: StdRng,
     scratch: ScratchArena,
     in_dim: usize,
-    hidden_dim: usize,
-    out_dim: usize,
 }
 
 impl GnnModel {
@@ -104,8 +102,6 @@ impl GnnModel {
             dropout_rng: StdRng::seed_from_u64(seed ^ 0xD0D0),
             scratch: ScratchArena::new(),
             in_dim,
-            hidden_dim,
-            out_dim,
         }
     }
 
@@ -127,29 +123,9 @@ impl GnnModel {
         self.train_mode = train;
     }
 
-    /// The architecture family.
-    pub fn kind(&self) -> ModelKind {
-        self.kind
-    }
-
     /// Number of graph layers `L`.
     pub fn num_layers(&self) -> usize {
         self.layers.len()
-    }
-
-    /// Input feature dimensionality.
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
-    }
-
-    /// Hidden width.
-    pub fn hidden_dim(&self) -> usize {
-        self.hidden_dim
-    }
-
-    /// Output (class) dimensionality.
-    pub fn out_dim(&self) -> usize {
-        self.out_dim
     }
 
     /// Total scalar parameter count `|Φ|`.
@@ -180,7 +156,7 @@ impl GnnModel {
     ///
     /// Panics if `x` has the wrong shape or `out_rows` exceeds
     /// `g.num_nodes()`.
-    pub fn forward_rows(&mut self, g: &Graph, x: MatrixView<'_>, out_rows: usize) -> Matrix {
+    pub(crate) fn forward_rows(&mut self, g: &Graph, x: MatrixView<'_>, out_rows: usize) -> Matrix {
         assert_eq!(x.cols(), self.in_dim, "feature dim mismatch");
         let n = g.num_nodes();
         let last = self.layers.len() - 1;
@@ -238,7 +214,7 @@ impl GnnModel {
     /// returns — the gradient with respect to the input features
     /// (`g.num_nodes() x in_dim`). Parameter gradients are identical
     /// to [`GnnModel::backward`]'s; hand the matrix back through
-    /// [`GnnModel::recycle`].
+    /// `GnnModel::recycle`.
     ///
     /// # Panics
     ///
@@ -360,12 +336,12 @@ impl GnnModel {
     /// [`GnnModel::forward`] borrow pooled storage; hand them (and any
     /// loss-gradient buffers) back here when done so the next batch
     /// reuses them.
-    pub fn scratch_mut(&mut self) -> &mut ScratchArena {
+    pub(crate) fn scratch_mut(&mut self) -> &mut ScratchArena {
         &mut self.scratch
     }
 
     /// Returns a matrix to the model's scratch pool.
-    pub fn recycle(&mut self, m: Matrix) {
+    pub(crate) fn recycle(&mut self, m: Matrix) {
         self.scratch.recycle(m);
     }
 

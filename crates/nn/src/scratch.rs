@@ -5,7 +5,7 @@
 //! [`ScratchArena`] instead of the global allocator. After a warm-up
 //! batch at the largest shapes, `take`/`recycle` round-trips reuse
 //! pooled capacity and steady-state training performs zero heap
-//! allocation per batch (tracked by [`ScratchArena::fresh_allocs`]).
+//! allocation per batch (tracked by `ScratchArena::fresh_allocs`).
 //!
 //! The arena is deliberately dumb: a flat pool of `Vec<f32>` buffers
 //! with best-fit reuse. Kernel outputs are written fully or
@@ -20,7 +20,6 @@ const MAX_POOLED: usize = 64;
 #[derive(Debug, Default)]
 pub struct ScratchArena {
     pool: Vec<Vec<f32>>,
-    takes: u64,
     fresh_allocs: u64,
 }
 
@@ -32,13 +31,12 @@ impl ScratchArena {
 
     /// A zero-filled `rows x cols` matrix, reusing pooled capacity
     /// when possible.
-    pub fn take(&mut self, rows: usize, cols: usize) -> Matrix {
+    pub(crate) fn take(&mut self, rows: usize, cols: usize) -> Matrix {
         Matrix::from_vec(rows, cols, self.take_raw(rows * cols))
     }
 
     /// A zero-filled buffer of `len` floats.
-    pub fn take_raw(&mut self, len: usize) -> Vec<f32> {
-        self.takes += 1;
+    pub(crate) fn take_raw(&mut self, len: usize) -> Vec<f32> {
         let mut best: Option<(usize, usize)> = None;
         let mut largest: Option<(usize, usize)> = None;
         for (i, buf) in self.pool.iter().enumerate() {
@@ -63,12 +61,12 @@ impl ScratchArena {
     }
 
     /// Returns a matrix to the pool.
-    pub fn recycle(&mut self, m: Matrix) {
+    pub(crate) fn recycle(&mut self, m: Matrix) {
         self.recycle_raw(m.into_vec());
     }
 
     /// Returns a raw buffer to the pool.
-    pub fn recycle_raw(&mut self, mut buf: Vec<f32>) {
+    pub(crate) fn recycle_raw(&mut self, mut buf: Vec<f32>) {
         if buf.capacity() == 0 || self.pool.len() >= MAX_POOLED {
             return;
         }
@@ -77,7 +75,7 @@ impl ScratchArena {
     }
 
     /// Reuses `m`'s storage as a zero-filled `rows x cols` matrix.
-    pub fn reshape_zeroed(&mut self, m: Matrix, rows: usize, cols: usize) -> Matrix {
+    pub(crate) fn reshape_zeroed(&mut self, m: Matrix, rows: usize, cols: usize) -> Matrix {
         let mut buf = m.into_vec();
         let len = rows * cols;
         if buf.capacity() < len {
@@ -91,11 +89,10 @@ impl ScratchArena {
     /// Copies `src` into `slot`, reusing `slot`'s previous storage (or
     /// a pooled buffer) instead of cloning. `src` is a view so a layer
     /// can keep just the row prefix its backward pass will read.
-    pub fn cache_copy(&mut self, slot: &mut Option<Matrix>, src: MatrixView<'_>) {
+    pub(crate) fn cache_copy(&mut self, slot: &mut Option<Matrix>, src: MatrixView<'_>) {
         let mut buf = match slot.take() {
             Some(m) => m.into_vec(),
             None => {
-                self.takes += 1;
                 let len = src.as_slice().len();
                 let mut best: Option<(usize, usize)> = None;
                 for (i, b) in self.pool.iter().enumerate() {
@@ -118,19 +115,10 @@ impl ScratchArena {
         *slot = Some(Matrix::from_vec(src.rows(), src.cols(), buf));
     }
 
-    /// Buffers currently pooled.
-    pub fn pooled(&self) -> usize {
-        self.pool.len()
-    }
-
-    /// Total `take` calls served.
-    pub fn takes(&self) -> u64 {
-        self.takes
-    }
-
     /// Takes that had to grow or allocate backing storage. Flat across
     /// two identical batches == zero allocation in steady state.
-    pub fn fresh_allocs(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn fresh_allocs(&self) -> u64 {
         self.fresh_allocs
     }
 }

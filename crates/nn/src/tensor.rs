@@ -19,7 +19,7 @@
 //! and `matmul_at_b` start at `+0.0` and add one reduction term at a
 //! time with the reduction index ascending, each product and each sum
 //! rounded separately (no FMA) — bit for bit the naive i-k-j loop —
-//! and `matmul_a_bt` reduces a fixed [`LANE`]-way partial-sum split
+//! and `matmul_a_bt` reduces a fixed `LANE`-way partial-sum split
 //! whose layout depends only on the reduction length. An accumulator
 //! never depends on which other elements share its tile or its vector
 //! instruction, so tile shape, vector width and worker count are all
@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// narrowest register tile of every kernel: one AVX2 register or two
 /// SSE2/NEON registers. Part of the numerics — changing it changes
 /// `matmul_a_bt`'s bits — unlike the tile shapes in `kernel.rs`.
-pub const LANE: usize = 8;
+pub(crate) const LANE: usize = 8;
 
 /// Output rows per parallel chunk unit of the matmuls. Chunk
 /// boundaries are static (every `ROW_BLOCK` rows, final block short),
@@ -113,7 +113,7 @@ fn grain_rows(flops_per_row: u64) -> usize {
 /// ```
 /// use gnnav_nn::tensor::Matrix;
 ///
-/// let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
+/// let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
 /// let b = Matrix::eye(2);
 /// let c = a.matmul(&b);
 /// assert_eq!(c.get(1, 0), 3.0);
@@ -134,7 +134,7 @@ impl fmt::Debug for Matrix {
 /// A borrowed row-major `rows x cols` matrix: the read-only operand
 /// form of [`Matrix`]. It lets a kernel read rows it does not own — a
 /// feature buffer the caller keeps, or the leading rows of a taller
-/// activation ([`MatrixView::prefix_rows`]) — without copying them
+/// activation (`MatrixView::prefix_rows`) — without copying them
 /// into an owned `Matrix` first. `Copy`, two words plus a slice.
 #[derive(Clone, Copy)]
 pub struct MatrixView<'a> {
@@ -162,25 +162,25 @@ impl<'a> MatrixView<'a> {
 
     /// Number of rows.
     #[inline]
-    pub fn rows(self) -> usize {
+    pub(crate) fn rows(self) -> usize {
         self.rows
     }
 
     /// Number of columns.
     #[inline]
-    pub fn cols(self) -> usize {
+    pub(crate) fn cols(self) -> usize {
         self.cols
     }
 
     /// Row `r` as a slice.
     #[inline]
-    pub fn row(self, r: usize) -> &'a [f32] {
+    pub(crate) fn row(self, r: usize) -> &'a [f32] {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// The raw row-major buffer.
     #[inline]
-    pub fn as_slice(self) -> &'a [f32] {
+    pub(crate) fn as_slice(self) -> &'a [f32] {
         self.data
     }
 
@@ -190,7 +190,7 @@ impl<'a> MatrixView<'a> {
     /// # Panics
     ///
     /// Panics if `rows > self.rows()`.
-    pub fn prefix_rows(self, rows: usize) -> MatrixView<'a> {
+    pub(crate) fn prefix_rows(self, rows: usize) -> MatrixView<'a> {
         assert!(rows <= self.rows, "row prefix {rows} exceeds {} rows", self.rows);
         MatrixView { rows, cols: self.cols, data: &self.data[..rows * self.cols] }
     }
@@ -205,7 +205,7 @@ impl<'a> MatrixView<'a> {
     ///
     /// Panics if `self.cols != other.rows` or `out` has the wrong
     /// shape.
-    pub fn matmul_into(self, other: &Matrix, out: &mut Matrix) {
+    pub(crate) fn matmul_into(self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.rows, "matmul dim mismatch");
         assert_eq!((out.rows, out.cols), (self.rows, other.cols), "matmul out shape mismatch");
         record_matmul(self.rows, self.cols, other.cols);
@@ -239,7 +239,7 @@ impl<'a> MatrixView<'a> {
     ///
     /// Panics if `self.rows != other.rows` or `out` has the wrong
     /// shape.
-    pub fn matmul_at_b_into(self, other: &Matrix, out: &mut Matrix) {
+    pub(crate) fn matmul_at_b_into(self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, other.rows, "matmul_at_b dim mismatch");
         assert_eq!((out.rows, out.cols), (self.cols, other.cols), "matmul_at_b out shape mismatch");
         record_matmul(self.cols, self.rows, other.cols);
@@ -276,12 +276,13 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
-    /// Creates a matrix from row slices (for tests and examples).
+    /// Creates a matrix from row slices.
     ///
     /// # Panics
     ///
     /// Panics if the rows have unequal lengths.
-    pub fn from_rows(rows: &[&[f32]]) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_rows(rows: &[&[f32]]) -> Self {
         let r = rows.len();
         let c = rows.first().map_or(0, |row| row.len());
         let mut data = Vec::with_capacity(r * c);
@@ -341,7 +342,7 @@ impl Matrix {
 
     /// Row `r` as a mutable slice.
     #[inline]
-    pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
+    pub(crate) fn row_mut(&mut self, r: usize) -> &mut [f32] {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
@@ -358,7 +359,7 @@ impl Matrix {
     }
 
     /// Consumes the matrix and returns its buffer.
-    pub fn into_vec(self) -> Vec<f32> {
+    pub(crate) fn into_vec(self) -> Vec<f32> {
         self.data
     }
 
@@ -381,7 +382,7 @@ impl Matrix {
 
     /// `self * other`, written into `out` (fully overwritten): the
     /// allocation-free form of [`Matrix::matmul`], run by
-    /// [`MatrixView::matmul_into`].
+    /// `MatrixView::matmul_into`.
     ///
     /// # Panics
     ///
@@ -409,7 +410,7 @@ impl Matrix {
     ///
     /// Panics if `self.rows != other.rows` or `out` has the wrong
     /// shape.
-    pub fn matmul_at_b_into(&self, other: &Matrix, out: &mut Matrix) {
+    pub(crate) fn matmul_at_b_into(&self, other: &Matrix, out: &mut Matrix) {
         self.view().matmul_at_b_into(other, out);
     }
 
@@ -438,7 +439,7 @@ impl Matrix {
     ///
     /// Panics if `self.cols != other.cols` or `out` has the wrong
     /// shape.
-    pub fn matmul_a_bt_into(&self, other: &Matrix, out: &mut Matrix) {
+    pub(crate) fn matmul_a_bt_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.cols, "matmul_a_bt dim mismatch");
         assert_eq!((out.rows, out.cols), (self.rows, other.rows), "matmul_a_bt out shape mismatch");
         record_matmul(self.rows, self.cols, other.rows);
@@ -486,7 +487,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `bias.len() != cols`.
-    pub fn add_row_broadcast(&mut self, bias: &[f32]) {
+    pub(crate) fn add_row_broadcast(&mut self, bias: &[f32]) {
         assert_eq!(bias.len(), self.cols, "bias length mismatch");
         for r in 0..self.rows {
             for (x, &b) in self.row_mut(r).iter_mut().zip(bias) {

@@ -17,9 +17,6 @@ use crate::names;
 use crate::tree::{Clock, SpanForest, SpanNode};
 use std::collections::BTreeMap;
 
-/// Default number of rows in the top-paths table.
-pub const DEFAULT_TOP_K: usize = 20;
-
 /// Phase columns in their pipeline order; phases outside this list
 /// append alphabetically.
 const PHASE_ORDER: [&str; 6] =
@@ -108,7 +105,7 @@ pub fn render_summary(snapshot: &JournalSnapshot, top_k: usize) -> String {
 /// largest inclusive time across every track, then repeatedly descend
 /// into the heaviest child. Ties break on path order so the chain is
 /// deterministic.
-pub fn critical_path(forest: &SpanForest) -> Option<Vec<&SpanNode>> {
+pub(crate) fn critical_path(forest: &SpanForest) -> Option<Vec<&SpanNode>> {
     let heaviest = |nodes: &[SpanNode]| -> Option<usize> {
         nodes
             .iter()
@@ -139,7 +136,7 @@ pub fn critical_path(forest: &SpanForest) -> Option<Vec<&SpanNode>> {
 /// it). `residual` is the epoch time not covered by its phases — it
 /// goes negative when a pipelined configuration overlaps phases,
 /// which is signal, not an error.
-pub fn phase_table(forest: &SpanForest) -> String {
+pub(crate) fn phase_table(forest: &SpanForest) -> String {
     let epochs: Vec<&SpanNode> = forest
         .tracks
         .get(names::TRACK_BACKEND)
@@ -233,8 +230,8 @@ mod tests {
 
     #[test]
     fn summary_is_deterministic_and_mentions_sections() {
-        let a = render_summary(&demo().snapshot(), DEFAULT_TOP_K);
-        let b = render_summary(&demo().snapshot(), DEFAULT_TOP_K);
+        let a = render_summary(&demo().snapshot(), 20);
+        let b = render_summary(&demo().snapshot(), 20);
         assert_eq!(a, b, "summary must not depend on wall timings");
         assert!(a.contains("tracks (spans / roots / total sim s):"));
         assert!(a.contains("top "));
@@ -246,9 +243,9 @@ mod tests {
 
     #[test]
     fn truncated_snapshot_warns() {
-        let j = demo();
-        j.set_capacity(3);
-        let out = render_summary(&j.snapshot(), DEFAULT_TOP_K);
+        let mut snap = demo().snapshot();
+        snap.dropped = 4;
+        let out = render_summary(&snap, 20);
         assert!(out.contains("WARNING: journal ring dropped 4 events"), "{out}");
     }
 

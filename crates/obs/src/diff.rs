@@ -92,7 +92,7 @@ pub struct DiffReport {
 
 impl DiffReport {
     /// Number of rows failing the gate.
-    pub fn breaches(&self) -> usize {
+    pub(crate) fn breaches(&self) -> usize {
         self.rows.iter().filter(|r| r.breach).count()
     }
 

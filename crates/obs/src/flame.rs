@@ -25,7 +25,7 @@ pub fn folded_stacks(snapshot: &JournalSnapshot, clock: Clock) -> String {
 
 /// Renders an already-built forest as folded stacks (see
 /// [`folded_stacks`]).
-pub fn render(forest: &SpanForest) -> String {
+pub(crate) fn render(forest: &SpanForest) -> String {
     let mut out = String::new();
     for (path, agg) in forest.aggregate_paths() {
         let weight = agg.exclusive_us.round() as u64;

@@ -19,12 +19,12 @@
 use crate::json;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-/// Default ring-buffer capacity (events).
-pub const DEFAULT_CAPACITY: usize = 65_536;
+/// Ring-buffer capacity (events).
+pub(crate) const DEFAULT_CAPACITY: usize = 65_536;
 
 /// A typed argument attached to an event (rendered into the Chrome
 /// trace `args` object).
@@ -124,7 +124,6 @@ struct JournalInner {
 #[derive(Debug)]
 pub struct Journal {
     enabled: AtomicBool,
-    capacity: AtomicUsize,
     epoch: OnceLock<Instant>,
     inner: Mutex<JournalInner>,
 }
@@ -136,11 +135,10 @@ impl Default for Journal {
 }
 
 impl Journal {
-    /// Creates a disabled journal with the default capacity.
+    /// Creates a disabled journal whose ring holds 65 536 events.
     pub fn new() -> Self {
         Journal {
             enabled: AtomicBool::new(false),
-            capacity: AtomicUsize::new(DEFAULT_CAPACITY),
             epoch: OnceLock::new(),
             inner: Mutex::new(JournalInner::default()),
         }
@@ -163,17 +161,6 @@ impl Journal {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Sets the ring capacity (existing overflow is trimmed).
-    pub fn set_capacity(&self, capacity: usize) {
-        let capacity = capacity.max(1);
-        self.capacity.store(capacity, Ordering::Relaxed);
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        while inner.events.len() > capacity {
-            inner.events.pop_front();
-            inner.dropped += 1;
-        }
-    }
-
     /// Microseconds of wall clock since the journal epoch (initializes
     /// the epoch on first use).
     pub fn now_us(&self) -> f64 {
@@ -181,13 +168,12 @@ impl Journal {
     }
 
     /// Appends `event`, evicting the oldest entry when full.
-    pub fn push(&self, event: Event) {
+    pub(crate) fn push(&self, event: Event) {
         if !self.is_enabled() {
             return;
         }
-        let capacity = self.capacity.load(Ordering::Relaxed);
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if inner.events.len() >= capacity {
+        if inner.events.len() >= DEFAULT_CAPACITY {
             inner.events.pop_front();
             inner.dropped += 1;
         }
@@ -279,12 +265,14 @@ impl Journal {
     }
 
     /// Number of buffered events.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.inner.lock().unwrap_or_else(|e| e.into_inner()).events.len()
     }
 
     /// Whether the journal holds no events.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 }
@@ -460,12 +448,11 @@ mod tests {
     fn ring_bounds_and_counts_drops() {
         let j = Journal::new();
         j.enable(true);
-        j.set_capacity(3);
-        for i in 0..5 {
+        for i in 0..DEFAULT_CAPACITY + 2 {
             j.span_complete("e", "t", i as f64, Some(1.0), None, None, Vec::new());
         }
         let snap = j.snapshot();
-        assert_eq!(snap.events.len(), 3);
+        assert_eq!(snap.events.len(), DEFAULT_CAPACITY);
         assert_eq!(snap.dropped, 2);
         // Oldest evicted: timestamps 2, 3, 4 remain.
         assert_eq!(snap.events[0].wall_us, 2.0);
@@ -613,17 +600,5 @@ mod tests {
         assert_eq!(imported.events.len(), 1);
         assert_eq!(imported.events[0].name, format!("s{hostile}"));
         assert_eq!(imported.events[0].track, format!("t{hostile}"));
-    }
-
-    #[test]
-    fn set_capacity_trims_existing_overflow() {
-        let j = Journal::new();
-        j.enable(true);
-        for i in 0..10 {
-            j.instant(format!("e{i}"), "t", None, Vec::new());
-        }
-        j.set_capacity(4);
-        assert_eq!(j.len(), 4);
-        assert_eq!(j.snapshot().dropped, 6);
     }
 }

@@ -137,7 +137,7 @@ pub struct HistogramSummary {
 
 impl HistogramSummary {
     /// Mean observation (0 when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -411,18 +411,6 @@ impl Registry {
             entry.1.insert(name.to_string(), Arc::clone(&cell));
             cell
         })
-    }
-
-    /// Reads the current value of counter `name` (0 if absent).
-    pub fn counter_value(&self, name: &str) -> u64 {
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.counters.get(name).map_or(0, |c| c.load(Ordering::Relaxed))
-    }
-
-    /// Reads the current value of gauge `name`.
-    pub fn gauge_value(&self, name: &str) -> Option<f64> {
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.gauges.get(name).map(|g| f64::from_bits(g.load(Ordering::Relaxed)))
     }
 
     /// Takes a consistent point-in-time copy of every metric.
@@ -737,9 +725,6 @@ mod tests {
         let snap = r.snapshot();
         assert_eq!(snap.counters["c"], 5);
         assert_eq!(snap.gauges["g"], -4.5);
-        assert_eq!(r.counter_value("c"), 5);
-        assert_eq!(r.gauge_value("g"), Some(-4.5));
-        assert_eq!(r.gauge_value("missing"), None);
     }
 
     #[test]
@@ -1085,7 +1070,7 @@ mod tests {
         r.journal().enable(true);
         r.journal().instant("e", "t", None, Vec::new());
         r.reset();
-        assert_eq!(r.counter_value("c"), 0);
+        assert_eq!(r.snapshot().counters.get("c"), None);
         assert!(r.is_enabled(), "reset must not flip the enabled bit");
         assert!(r.journal().is_empty(), "reset clears the journal");
     }
@@ -1106,7 +1091,7 @@ mod tests {
         for h in handles {
             h.join().expect("join");
         }
-        assert_eq!(r.counter_value("par"), 8000);
+        assert_eq!(r.snapshot().counters["par"], 8000);
     }
 
     #[test]

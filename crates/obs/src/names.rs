@@ -43,6 +43,7 @@
 //! | `explorer.candidates.evaluated` | counter | candidates | `Explorer::explore_from` (a bare `DfsExplorer` emits none) |
 //! | `explorer.candidates.rejected` | counter | candidates | `Explorer::explore_from` (a bare `DfsExplorer` emits none) |
 //! | `explorer.subtrees.pruned` | counter | subtrees | `Explorer::explore_from` (a bare `DfsExplorer` emits none) |
+//! | `bench.constrained.{subtrees_pruned,candidates_rejected,fallbacks}` | counter | subtrees / candidates / guidelines | `perf_baseline`: `explorer.{subtrees.pruned,candidates.rejected,fallbacks}` of one explore capped at the lower quartile of the unconstrained run's time and at 0.9 × the largest cache's Eq. 10 memory bound |
 //! | `explorer.front.size` | gauge | candidates | `Explorer::explore` |
 //! | `explorer.explore` | histogram | wall s | span in `Explorer::explore` |
 //! | `explorer.decide` | histogram | wall s | `Explorer::explore` decision step (flat, not span-nested) |
@@ -56,7 +57,6 @@
 //! | `backend.nan_loss_skips` | counter | steps | `RuntimeBackend::execute` |
 //! | `profiler.retries` | counter | retries | `Profiler::profile` |
 //! | `profiler.quarantined` | counter | configs | `Profiler::profile` |
-//! | `profiler.timeouts` | counter | configs | `Profiler::profile` |
 //! | `explorer.fallbacks` | counter | guidelines | `Explorer::explore` |
 //! | `explorer.predictions.nonfinite` | counter | candidates | `DfsExplorer::run_audited` |
 //! | `nn.matmul.calls` | counter | kernel calls | `RuntimeBackend::execute` |
@@ -193,8 +193,6 @@ pub const PROFILER_SWEEP_WALL: &str = "profiler.sweep";
 pub const PROFILER_RETRIES: &str = "profiler.retries";
 /// Configurations quarantined after exhausting their retry budget.
 pub const PROFILER_QUARANTINED: &str = "profiler.quarantined";
-/// Config executions classified as timed out.
-pub const PROFILER_TIMEOUTS: &str = "profiler.timeouts";
 
 // --- gray-box estimator ---------------------------------------------
 
@@ -239,6 +237,14 @@ pub const EXPLORER_CACHE_MISSES: &str = "explorer.cache.misses";
 pub const EXPLORER_CACHE_INSERTS: &str = "explorer.cache.inserts";
 /// Explorations that fell back to a nearest-feasible guideline.
 pub const EXPLORER_FALLBACKS: &str = "explorer.fallbacks";
+/// `explorer.subtrees.pruned` of `perf_baseline`'s constrained probe,
+/// measured in its own metrics window (the explorer series proper stay
+/// those of the unconstrained run).
+pub const BENCH_CONSTRAINED_PRUNED: &str = "bench.constrained.subtrees_pruned";
+/// `explorer.candidates.rejected` of `perf_baseline`'s constrained probe.
+pub const BENCH_CONSTRAINED_REJECTED: &str = "bench.constrained.candidates_rejected";
+/// `explorer.fallbacks` of `perf_baseline`'s constrained probe.
+pub const BENCH_CONSTRAINED_FALLBACKS: &str = "bench.constrained.fallbacks";
 /// Candidate predictions rejected for non-finite components.
 pub const EXPLORER_NONFINITE: &str = "explorer.predictions.nonfinite";
 

@@ -2,7 +2,7 @@
 //!
 //! Spans in the [`Journal`](crate::Journal) carry no parent ids: the
 //! runtime emits *completed* spans with timestamps and durations only.
-//! [`SpanForest::build`] recovers the hierarchy per track and per
+//! `SpanForest::build` recovers the hierarchy per track and per
 //! clock by interval containment — a span is a child of the innermost
 //! span on the same track whose interval contains it — which is exact
 //! for single-timeline tracks like the backend's epoch/phase spans and
@@ -68,14 +68,9 @@ pub struct SpanNode {
 }
 
 impl SpanNode {
-    /// End timestamp on the forest's clock, microseconds.
-    pub fn end_us(&self) -> f64 {
-        self.start_us + self.inclusive_us
-    }
-
     /// Looks up a numeric argument by key (`U64` and `F64` both
     /// answer; imported traces store integral numbers as `U64`).
-    pub fn arg_f64(&self, key: &str) -> Option<f64> {
+    pub(crate) fn arg_f64(&self, key: &str) -> Option<f64> {
         self.args.iter().find(|(k, _)| k == key).and_then(|(_, v)| match v {
             ArgValue::F64(f) => Some(*f),
             ArgValue::U64(u) => Some(*u as f64),
@@ -130,7 +125,7 @@ impl SpanForest {
     /// are re-sorted per track by `(start asc, end desc, name asc)`,
     /// so two snapshots of the same simulated timeline produce
     /// identical forests even though their wall timestamps differ.
-    pub fn build(snapshot: &JournalSnapshot, clock: Clock) -> SpanForest {
+    pub(crate) fn build(snapshot: &JournalSnapshot, clock: Clock) -> SpanForest {
         let mut per_track: BTreeMap<&str, Vec<(f64, f64, &Event)>> = BTreeMap::new();
         let mut skipped = 0u64;
         for e in &snapshot.events {
@@ -163,7 +158,7 @@ impl SpanForest {
     }
 
     /// Per-track aggregates, sorted by track name.
-    pub fn rollups(&self) -> Vec<TrackRollup> {
+    pub(crate) fn rollups(&self) -> Vec<TrackRollup> {
         fn count(nodes: &[SpanNode], spans: &mut u64) {
             for n in nodes {
                 *spans += 1;
@@ -187,13 +182,13 @@ impl SpanForest {
 
     /// Sum of root inclusive durations across every track,
     /// microseconds — "all the time the trace accounts for".
-    pub fn total_inclusive_us(&self) -> f64 {
+    pub(crate) fn total_inclusive_us(&self) -> f64 {
         self.tracks.values().flatten().map(|r| r.inclusive_us).sum()
     }
 
     /// Visits every span (tracks in name order, spans pre-order) with
     /// its depth.
-    pub fn visit<F: FnMut(&SpanNode, usize)>(&self, mut f: F) {
+    pub(crate) fn visit<F: FnMut(&SpanNode, usize)>(&self, mut f: F) {
         fn walk<F: FnMut(&SpanNode, usize)>(nodes: &[SpanNode], depth: usize, f: &mut F) {
             for n in nodes {
                 f(n, depth);
@@ -206,7 +201,7 @@ impl SpanForest {
     }
 
     /// Aggregates every span by folded path.
-    pub fn aggregate_paths(&self) -> BTreeMap<String, PathAgg> {
+    pub(crate) fn aggregate_paths(&self) -> BTreeMap<String, PathAgg> {
         let mut map: BTreeMap<String, PathAgg> = BTreeMap::new();
         self.visit(|node, _| {
             let agg = map.entry(node.path.clone()).or_default();
@@ -529,8 +524,6 @@ mod tests {
     fn chrome_trace_round_trip_preserves_forest_and_dropped() {
         let j = Journal::new();
         j.enable(true);
-        j.set_capacity(4);
-        j.instant("evicted", "backend", None, Vec::new());
         j.span_complete(
             "epoch",
             "backend",
@@ -543,8 +536,8 @@ mod tests {
         sim_span(&j, "sample", "phase.sample", 0.0, 40.0);
         j.instant("recovery", "backend", None, Vec::new());
         j.counter("hit_rate", "backend", 0.5, None);
-        let snap = j.snapshot();
-        assert_eq!(snap.dropped, 1);
+        let mut snap = j.snapshot();
+        snap.dropped = 1;
         let imported = import_chrome_trace(&snap.to_chrome_trace()).expect("import");
         assert_eq!(imported.dropped, 1);
         let orig = SpanForest::build(&snap, Clock::Sim);

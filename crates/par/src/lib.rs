@@ -20,7 +20,7 @@
 //!    override (used by tests and the perf baseline), or the share an
 //!    enclosing region handed the thread as one of its workers;
 //! 2. the `GNNAV_THREADS` environment variable, read once, clamped to
-//!    `1..=`[`MAX_POOL_THREADS`];
+//!    `1..=MAX_POOL_THREADS`;
 //! 3. `std::thread::available_parallelism()` otherwise.
 //!
 //! A region of width `w` splits its budget: each of its workers, the
@@ -47,7 +47,7 @@ use std::thread::LocalKey;
 
 /// Hard upper bound on the per-region worker budget, whatever
 /// `GNNAV_THREADS` says.
-pub const MAX_POOL_THREADS: usize = 64;
+pub(crate) const MAX_POOL_THREADS: usize = 64;
 
 thread_local! {
     /// This thread's worker budget; 0 defers to `GNNAV_THREADS`.
@@ -98,7 +98,7 @@ impl Drop for Scoped {
 }
 
 /// Runs `f` with the calling thread's worker budget overridden to `n`
-/// (clamped to `1..=`[`MAX_POOL_THREADS`]), restoring the previous
+/// (clamped to `1..=MAX_POOL_THREADS`), restoring the previous
 /// override afterwards — also when `f` unwinds, so a caught panic does
 /// not leave the thread on `f`'s budget. The override may exceed the
 /// hardware thread count — the determinism proptests use that to sweep

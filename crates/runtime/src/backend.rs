@@ -19,16 +19,16 @@ use gnnav_hwsim::{Platform, SimTime};
 
 /// Probability (at `η = 1`) that a cold training target is replaced
 /// by a hot one during locality-aware target scheduling.
-pub const TARGET_SWAP_AT_FULL_ETA: f64 = 0.65;
+pub(crate) const TARGET_SWAP_AT_FULL_ETA: f64 = 0.65;
 
 /// Largest micro-batch division the degradation ladder will try
 /// before falling through to fanout reduction.
-pub const MAX_MICRO_BATCH: usize = 16;
+pub(crate) const MAX_MICRO_BATCH: usize = 16;
 
 /// A `LinkDegrade` fault with magnitude at or above this factor is a
 /// *stall* (the transfer never completes) and is retried with
 /// backoff; below it, the magnitude just multiplies transfer time.
-pub const LINK_STALL_FACTOR: f64 = 1e6;
+pub(crate) const LINK_STALL_FACTOR: f64 = 1e6;
 
 /// Options controlling one backend execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -134,7 +134,7 @@ pub enum DegradationStep {
 
 impl DegradationStep {
     /// Stable action label for journal events.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             DegradationStep::ShrinkCache { .. } => "shrink_cache",
             DegradationStep::MicroBatch { .. } => "micro_batch",

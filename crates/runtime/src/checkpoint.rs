@@ -31,12 +31,12 @@ use std::path::PathBuf;
 /// Leading payload byte of a static-session checkpoint, so a resume
 /// path never mis-decodes a checkpoint written by a different driver
 /// (the adaptive runner uses its own tag).
-pub const SESSION_PAYLOAD_TAG: u8 = 1;
+pub(crate) const SESSION_PAYLOAD_TAG: u8 = 1;
 
 /// File name of the lineage log inside a checkpoint directory: one
 /// record per simulated process kill, so the kill count survives even
 /// when no checkpoint does.
-pub const LINEAGE_WAL: &str = "lineage.wal";
+pub(crate) const LINEAGE_WAL: &str = "lineage.wal";
 
 /// Where and how often a [driven](crate::driver::drive) run persists.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -214,7 +214,7 @@ impl TrainingConfig {
     }
 
     /// A short one-line summary for tables and logs: the
-    /// [`summary_piece`]s of the eleven printed fields.
+    /// `summary_piece`s of the eleven printed fields.
     pub fn summary(&self) -> String {
         let mut out = String::with_capacity(SUMMARY_CAPACITY);
         summary_piece::sampler(&mut out, self.sampler);
@@ -242,7 +242,7 @@ const SUMMARY_CAPACITY: usize = 96;
 /// [`SummaryTable`](crate::space::SummaryTable) renders each value of a
 /// design space through the same functions once, so a leaf's summary
 /// is eleven copies and no formatting.
-pub mod summary_piece {
+pub(crate) mod summary_piece {
     use super::*;
     use std::fmt::{Arguments, Write};
 
@@ -251,58 +251,58 @@ pub mod summary_piece {
     }
 
     /// `node-wise` — the sampler family, first and without separator.
-    pub fn sampler(out: &mut String, kind: SamplerKind) {
+    pub(crate) fn sampler(out: &mut String, kind: SamplerKind) {
         push(out, format_args!("{kind}"));
     }
 
     /// ` f[10, 10]` — the per-layer fanouts.
-    pub fn fanouts(out: &mut String, fanouts: &[usize]) {
+    pub(crate) fn fanouts(out: &mut String, fanouts: &[usize]) {
         push(out, format_args!(" f{fanouts:?}"));
     }
 
     /// ` eta0.25` — the locality bias, two decimals.
-    pub fn eta(out: &mut String, eta: f64) {
+    pub(crate) fn eta(out: &mut String, eta: f64) {
         push(out, format_args!(" eta{eta:.2}"));
     }
 
     /// ` b1024` — the mini-batch target count.
-    pub fn batch_size(out: &mut String, batch_size: usize) {
+    pub(crate) fn batch_size(out: &mut String, batch_size: usize) {
         push(out, format_args!(" b{batch_size}"));
     }
 
     /// ` lru` — the cache policy.
-    pub fn cache_policy(out: &mut String, policy: CachePolicy) {
+    pub(crate) fn cache_policy(out: &mut String, policy: CachePolicy) {
         push(out, format_args!(" {policy}"));
     }
 
     /// ` r0.10` — the cache ratio, two decimals.
-    pub fn cache_ratio(out: &mut String, ratio: f64) {
+    pub(crate) fn cache_ratio(out: &mut String, ratio: f64) {
         push(out, format_args!(" r{ratio:.2}"));
     }
 
     /// ` frozen` directly after the ratio when the cache does not
     /// update; nothing when it does.
-    pub fn cache_update(out: &mut String, update: bool) {
+    pub(crate) fn cache_update(out: &mut String, update: bool) {
         out.push_str(if update { "" } else { " frozen" });
     }
 
     /// ` pipelined` or ` serial`.
-    pub fn pipelined(out: &mut String, pipelined: bool) {
+    pub(crate) fn pipelined(out: &mut String, pipelined: bool) {
         out.push_str(if pipelined { " pipelined" } else { " serial" });
     }
 
     /// ` fp32` — the precision.
-    pub fn precision(out: &mut String, precision: Precision) {
+    pub(crate) fn precision(out: &mut String, precision: Precision) {
         push(out, format_args!(" {precision}"));
     }
 
     /// ` h64` — the hidden width.
-    pub fn hidden_dim(out: &mut String, hidden_dim: usize) {
+    pub(crate) fn hidden_dim(out: &mut String, hidden_dim: usize) {
         push(out, format_args!(" h{hidden_dim}"));
     }
 
     /// ` d0.5` — the dropout probability, one decimal.
-    pub fn dropout(out: &mut String, dropout: f64) {
+    pub(crate) fn dropout(out: &mut String, dropout: f64) {
         push(out, format_args!(" d{dropout:.1}"));
     }
 }

@@ -17,13 +17,13 @@ use rand::{Rng, SeedableRng};
 /// [`DesignSpace::config_at`] and walked by the explorer's DFS).
 pub mod axis {
     /// Sampler family.
-    pub const SAMPLER: usize = 0;
+    pub(crate) const SAMPLER: usize = 0;
     /// Per-layer fanouts.
     pub const FANOUTS: usize = 1;
     /// Locality-bias strength `η`.
-    pub const ETA: usize = 2;
+    pub(crate) const ETA: usize = 2;
     /// Mini-batch target count.
-    pub const BATCH_SIZE: usize = 3;
+    pub(crate) const BATCH_SIZE: usize = 3;
     /// Cache ratio `r`.
     pub const CACHE_RATIO: usize = 4;
     /// Cache policy.
@@ -31,13 +31,13 @@ pub mod axis {
     /// Cache-update flag.
     pub const CACHE_UPDATE: usize = 6;
     /// Pipelining flag.
-    pub const PIPELINED: usize = 7;
+    pub(crate) const PIPELINED: usize = 7;
     /// Precision.
-    pub const PRECISION: usize = 8;
+    pub(crate) const PRECISION: usize = 8;
     /// Hidden width.
-    pub const HIDDEN_DIM: usize = 9;
+    pub(crate) const HIDDEN_DIM: usize = 9;
     /// Dropout probability.
-    pub const DROPOUT: usize = 10;
+    pub(crate) const DROPOUT: usize = 10;
     /// Number of axes.
     pub const COUNT: usize = 11;
 }
@@ -253,7 +253,7 @@ impl DesignSpace {
         config.validate().ok().map(|()| config)
     }
 
-    /// Renders the [`summary_piece`] of every value on every axis,
+    /// Renders the `summary_piece` of every value on every axis,
     /// once: [`SummaryTable::summary_at`] then assembles the summary of
     /// any leaf of this space from its index vector alone.
     pub fn summary_table(&self) -> SummaryTable {

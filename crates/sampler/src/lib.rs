@@ -31,9 +31,9 @@
 //! ```
 
 pub mod locality;
-pub mod minibatch;
+pub(crate) mod minibatch;
 pub mod samplers;
 
-pub use locality::{LocalityBias, HOT_WEIGHT_MAX};
+pub use locality::LocalityBias;
 pub use minibatch::{batch_targets, MiniBatch};
 pub use samplers::Sampler;

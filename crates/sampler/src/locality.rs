@@ -53,7 +53,7 @@ use gnnav_graph::NodeId;
 
 /// Maximum selection-weight multiplier a hot node can receive
 /// (reached at `η = 1`).
-pub const HOT_WEIGHT_MAX: f64 = 19.0;
+pub(crate) const HOT_WEIGHT_MAX: f64 = 19.0;
 
 /// A locality bias: hot-node membership plus a strength `η`.
 #[derive(Debug, Clone)]
@@ -84,7 +84,7 @@ impl LocalityBias {
     }
 
     /// Bias strength `η`.
-    pub fn eta(&self) -> f64 {
+    pub(crate) fn eta(&self) -> f64 {
         self.eta
     }
 
@@ -248,11 +248,12 @@ impl LocalityBias {
     /// returns everything — but a cache-aware sampler (2PGraph) still
     /// prunes: hot candidates are always kept while each cold
     /// candidate is dropped with probability
-    /// [`COLD_DROP_AT_FULL_ETA`]` · η`, shrinking the mini-batch
+    /// `COLD_DROP_AT_FULL_ETA · η`, shrinking the mini-batch
     /// toward cache-resident vicinity (the accuracy/time trade of the
     /// paper's Fig. 1b). At least one candidate is always kept when
     /// the input is non-empty.
-    pub fn select(
+    #[cfg(test)]
+    pub(crate) fn select(
         &self,
         candidates: &[NodeId],
         extra_weight: Option<&dyn Fn(NodeId) -> f64>,
@@ -314,7 +315,7 @@ const PRUNE_MARGIN: f64 = 1.0 - 1e-9;
 
 /// Probability that a cold (non-resident) candidate is pruned when the
 /// fanout already covers the whole neighborhood, at `η = 1`.
-pub const COLD_DROP_AT_FULL_ETA: f64 = 0.6;
+pub(crate) const COLD_DROP_AT_FULL_ETA: f64 = 0.6;
 
 #[cfg(test)]
 mod tests {

@@ -45,7 +45,7 @@ impl MiniBatch {
     /// # Panics
     ///
     /// Panics if `layers` is empty or `layers[0]` is empty.
-    pub fn from_layers(g: &Graph, layers: Vec<Vec<NodeId>>) -> Result<Self, GraphError> {
+    pub(crate) fn from_layers(g: &Graph, layers: Vec<Vec<NodeId>>) -> Result<Self, GraphError> {
         assert!(!layers.is_empty(), "at least the target layer required");
         assert!(!layers[0].is_empty(), "target layer must be non-empty");
         let mut seen = vec![false; g.num_nodes()];

@@ -47,7 +47,7 @@ pub struct EstimatorPool {
 impl EstimatorPool {
     /// Creates an empty pool holding at most `capacity` fits
     /// (clamped to at least 1).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         EstimatorPool {
             capacity: capacity.max(1),
             entries: Vec::new(),
@@ -58,17 +58,13 @@ impl EstimatorPool {
     }
 
     /// Number of warm fits currently pooled.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// Whether the pool is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// The LRU bound.
-    pub fn capacity(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
@@ -88,7 +84,8 @@ impl EstimatorPool {
     }
 
     /// Whether a warm fit for `fp` is pooled (no LRU touch).
-    pub fn contains(&self, fp: u64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains(&self, fp: u64) -> bool {
         self.entries.iter().any(|(k, _)| *k == fp)
     }
 
@@ -101,7 +98,7 @@ impl EstimatorPool {
     /// miss. A hit moves the entry to most-recently-used; a miss may
     /// evict the least recently used entry. The flag is `true` on a
     /// hit.
-    pub fn get_or_insert_with<E>(
+    pub(crate) fn get_or_insert_with<E>(
         &mut self,
         fp: u64,
         fit: impl FnOnce() -> Result<GrayBoxEstimator, E>,

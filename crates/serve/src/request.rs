@@ -95,7 +95,7 @@ pub enum ServeTier {
 
 impl ServeTier {
     /// Stable lowercase label for transcripts and metering args.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             ServeTier::Cold => "cold",
             ServeTier::WarmEstimator => "warm-estimator",
@@ -121,7 +121,7 @@ pub enum DegradeLevel {
 
 impl DegradeLevel {
     /// Stable lowercase label for transcripts and metering args.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             DegradeLevel::Full => "full",
             DegradeLevel::ReducedBudget => "reduced",

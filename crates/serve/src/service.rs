@@ -293,11 +293,6 @@ impl NavService {
         self.profile_store.as_ref()
     }
 
-    /// Completed explorations whose guideline is held in memory.
-    pub fn cached_results(&self) -> usize {
-        self.results.len()
-    }
-
     /// Admits `request` into the queue or rejects it with a typed
     /// error. Never panics under overload. The degradation rung is
     /// fixed here from the queue depth, so it is independent of how

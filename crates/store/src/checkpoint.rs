@@ -23,11 +23,11 @@ use gnnav_obs::names as metric;
 use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every checkpoint file.
-pub const CHECKPOINT_MAGIC: [u8; 4] = *b"GNVC";
+pub(crate) const CHECKPOINT_MAGIC: [u8; 4] = *b"GNVC";
 /// Checkpoint format version this build reads and writes.
-pub const CHECKPOINT_FORMAT_VERSION: u32 = 1;
+pub(crate) const CHECKPOINT_FORMAT_VERSION: u32 = 1;
 /// Bytes of the checkpoint header (magic + version + CRC).
-pub const CHECKPOINT_HEADER_LEN: usize = 12;
+pub(crate) const CHECKPOINT_HEADER_LEN: usize = 12;
 
 /// Writes `payload` to `path` as a framed checkpoint, atomically.
 /// Metered as `store.checkpoint.writes`.
@@ -131,11 +131,6 @@ impl CheckpointDir {
         let dir = dir.into();
         std::fs::create_dir_all(&dir).map_err(|e| StoreError::io(&dir, e))?;
         Ok(CheckpointDir { dir, label: label.into() })
-    }
-
-    /// The bound directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Path of the checkpoint taken after `epoch` epochs completed.

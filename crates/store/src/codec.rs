@@ -106,12 +106,12 @@ impl<'a> ByteReader<'a> {
 
     /// Bytes remaining.
     #[inline]
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
     /// Whether every byte has been consumed.
-    pub fn is_exhausted(&self) -> bool {
+    pub(crate) fn is_exhausted(&self) -> bool {
         self.remaining() == 0
     }
 
@@ -137,7 +137,7 @@ impl<'a> ByteReader<'a> {
 
     /// Reads a bool, rejecting anything but 0/1.
     #[inline]
-    pub fn get_bool(&mut self) -> Result<bool, StoreError> {
+    pub(crate) fn get_bool(&mut self) -> Result<bool, StoreError> {
         match self.get_u8()? {
             0 => Ok(false),
             1 => Ok(true),
@@ -147,14 +147,14 @@ impl<'a> ByteReader<'a> {
 
     /// Reads a `u32`.
     #[inline]
-    pub fn get_u32(&mut self) -> Result<u32, StoreError> {
+    pub(crate) fn get_u32(&mut self) -> Result<u32, StoreError> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
     /// Reads a `u64`.
     #[inline]
-    pub fn get_u64(&mut self) -> Result<u64, StoreError> {
+    pub(crate) fn get_u64(&mut self) -> Result<u64, StoreError> {
         let b = self.take(8)?;
         Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
     }
@@ -168,7 +168,7 @@ impl<'a> ByteReader<'a> {
 
     /// Reads an `f32` from raw bits.
     #[inline]
-    pub fn get_f32(&mut self) -> Result<f32, StoreError> {
+    pub(crate) fn get_f32(&mut self) -> Result<f32, StoreError> {
         Ok(f32::from_bits(self.get_u32()?))
     }
 

@@ -48,7 +48,7 @@ pub enum StoreError {
 
 impl StoreError {
     /// Convenience constructor tagging an `io::Error` with its path.
-    pub fn io(path: impl Into<PathBuf>, source: std::io::Error) -> Self {
+    pub(crate) fn io(path: impl Into<PathBuf>, source: std::io::Error) -> Self {
         StoreError::Io { path: path.into(), source }
     }
 

@@ -33,14 +33,9 @@ mod fnv;
 pub mod laws;
 mod wal;
 
-pub use checkpoint::{
-    read_checkpoint, write_checkpoint, CheckpointDir, CHECKPOINT_FORMAT_VERSION,
-    CHECKPOINT_HEADER_LEN, CHECKPOINT_MAGIC,
-};
+pub use checkpoint::{read_checkpoint, write_checkpoint, CheckpointDir};
 pub use codec::{decode_tagged, encode_tagged, ByteReader, ByteWriter, Wire};
 pub use crc::crc32;
 pub use error::StoreError;
 pub use fnv::fnv1a64;
-pub use wal::{
-    atomic_write, RecoveryStats, Wal, WAL_FORMAT_VERSION, WAL_FRAME_LEN, WAL_HEADER_LEN, WAL_MAGIC,
-};
+pub use wal::{RecoveryStats, Wal, WAL_FORMAT_VERSION, WAL_FRAME_LEN, WAL_HEADER_LEN, WAL_MAGIC};

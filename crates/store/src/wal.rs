@@ -78,7 +78,7 @@ impl RecoveryStats {
 /// Writes `bytes` to `path` atomically: the content lands in a
 /// sibling `.tmp` file first and is renamed over the target, so
 /// readers only ever observe a complete file.
-pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
+pub(crate) fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
     let mut tmp = path.as_os_str().to_os_string();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
