@@ -27,9 +27,9 @@ use gnnav_graph::{Dataset, DatasetId};
 use gnnav_hwsim::{DeviceProfile, Platform};
 use gnnav_runtime::{
     DegradationStep, DurabilityOptions, ExecutionOptions, ExecutionReport, RuntimeBackend,
-    SamplerKind, TrainingConfig,
+    SamplerKind, SessionCheckpoint, TrainingConfig,
 };
-use gnnav_store::{crc32, fnv1a64, CheckpointDir};
+use gnnav_store::{crc32, fnv1a64, read_checkpoint, CheckpointDir};
 
 /// `(epoch, file length, CRC-32)` of every checkpoint, then the
 /// report digest.
@@ -59,37 +59,44 @@ fn with_capacity(mem_capacity_bytes: usize) -> Platform {
 }
 
 /// Runs durably into a fresh directory, checkpointing every epoch,
-/// and reads back what the run left there.
+/// and reads back what the run left there: the pins, the report and
+/// every checkpoint decoded.
 fn run_durable(
     tag: &str,
     dataset: &Dataset,
     platform: Platform,
     opts: &ExecutionOptions,
-) -> (Pins, ExecutionReport) {
+) -> (Pins, ExecutionReport, Vec<SessionCheckpoint>) {
     let dir = std::env::temp_dir().join(format!("gnnav-session-pins-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let report = RuntimeBackend::new(platform)
         .execute_durable(dataset, &config(), opts, &DurabilityOptions::new(&dir, 1))
         .expect("the run absorbs every fault");
     let ckpts = CheckpointDir::create(&dir, "session").expect("dir");
-    let files = ckpts
-        .epochs()
-        .expect("list")
-        .into_iter()
-        .map(|epoch| {
+    let epochs = ckpts.epochs().expect("list");
+    let files = epochs
+        .iter()
+        .map(|&epoch| {
             let bytes = std::fs::read(ckpts.path_for(epoch)).expect("read");
             (epoch, bytes.len(), crc32(&bytes))
         })
         .collect();
+    let decoded = epochs
+        .iter()
+        .map(|&epoch| {
+            let payload = read_checkpoint(&ckpts.path_for(epoch)).expect("verify");
+            SessionCheckpoint::decode(&payload).expect("decode")
+        })
+        .collect();
     let _ = std::fs::remove_dir_all(&dir);
-    ((files, fnv1a64(format!("{report:?}").as_bytes())), report)
+    ((files, fnv1a64(format!("{report:?}").as_bytes())), report, decoded)
 }
 
-fn ladder(dataset: &Dataset) -> (Pins, ExecutionReport) {
+fn ladder(dataset: &Dataset) -> (Pins, ExecutionReport, Vec<SessionCheckpoint>) {
     run_durable("ladder", dataset, with_capacity(40_000), &opts())
 }
 
-fn faulted(dataset: &Dataset) -> (Pins, ExecutionReport) {
+fn faulted(dataset: &Dataset) -> (Pins, ExecutionReport, Vec<SessionCheckpoint>) {
     let clean = RuntimeBackend::new(Platform::default_rtx4090())
         .execute(dataset, &config(), &opts())
         .expect("clean run");
@@ -123,7 +130,17 @@ fn faulted(dataset: &Dataset) -> (Pins, ExecutionReport) {
 fn durable_session_runs_write_the_pinned_bytes() {
     let dataset = Dataset::load_scaled(DatasetId::Reddit2, 0.01).expect("load");
 
-    let (pins, report) = ladder(&dataset);
+    let (pins, report, checkpoints) = ladder(&dataset);
+    // Only batches that ran are counted: every sampled node is looked
+    // up in the cache once, by the attempt whose memory claim held.
+    for ckpt in &checkpoints {
+        assert_eq!(
+            ckpt.stats_carry.lookups + ckpt.cache.stats.lookups,
+            ckpt.totals.total_nodes,
+            "cache lookups against sampled nodes after epoch {}",
+            ckpt.totals.epochs_run
+        );
+    }
     assert!(
         report
             .recovery
@@ -139,7 +156,7 @@ fn durable_session_runs_write_the_pinned_bytes() {
         "ladder"
     );
 
-    let (pins, report) = faulted(&dataset);
+    let (pins, report, _) = faulted(&dataset);
     let r = &report.recovery;
     assert!(
         r.faults_injected > 0
