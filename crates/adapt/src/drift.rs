@@ -48,8 +48,8 @@ pub struct EpochSignal {
 /// seeds it with its own score), and drift triggers once it has stayed
 /// above the threshold for 2 consecutive epochs. Only the threshold is
 /// a parameter, passed to each [`observe`](Self::observe); the
-/// detector is its state alone (the band, the streak, the epochs
-/// seen), which an adaptive checkpoint persists as it is.
+/// detector is its state alone (the band and the streak), which an
+/// adaptive checkpoint persists as it is.
 ///
 /// # Example
 ///
@@ -70,12 +70,11 @@ pub struct EpochSignal {
 pub struct DriftDetector {
     pub(crate) ewma: Option<f64>,
     pub(crate) streak: u32,
-    pub(crate) observed: u64,
 }
 
 impl DriftDetector {
-    /// Clears the EWMA, streak, and epoch count — called after a
-    /// guideline switch, when the prediction baseline changes.
+    /// Clears the EWMA and the streak — called after every
+    /// re-exploration, so the band restarts from the next epoch.
     pub(crate) fn reset(&mut self) {
         *self = DriftDetector::default();
     }
@@ -92,7 +91,6 @@ impl DriftDetector {
         observed: &EpochSignal,
     ) -> DriftVerdict {
         let score = epoch_score(predicted, observed);
-        self.observed += 1;
         let ewma = match self.ewma {
             None => score,
             Some(prev) => ALPHA * score + (1.0 - ALPHA) * prev,
@@ -210,7 +208,7 @@ mod tests {
         let bad = sig(9.0, 0.0, 1e9);
         det.observe(0.5, &pred, &bad);
         det.reset();
-        assert_eq!(det.observed, 0);
+        assert_eq!((det.ewma, det.streak), (None, 0));
         assert!(!det.observe(0.5, &pred, &bad).triggered, "streak must restart");
         assert!(det.observe(0.5, &pred, &bad).triggered);
     }

@@ -3,11 +3,12 @@
 //! [`AdaptiveRunner::run_durable`](crate::AdaptiveRunner::run_durable)
 //! persists through the runtime's one epoch driver; what it persists is
 //! defined here: the wrapped [`SessionCheckpoint`], then the loop's own
-//! state as it is (the prediction baseline, the re-exploration seeds,
-//! the drift band, the observed epochs, and every switch already
-//! taken). A killed adaptive run re-invoked with the same arguments
-//! finishes with a report byte-identical to the uninterrupted run —
-//! including the same switches at the same epochs.
+//! state as it is (the re-exploration seeds, the drift band, the
+//! observed epochs, and every switch already taken). Nothing in it is a
+//! clock reading, so two identical runs write identical bytes, and a
+//! killed adaptive run re-invoked with the same arguments finishes with
+//! a report byte-identical to the uninterrupted run — including the
+//! same switches at the same epochs.
 
 use crate::runner::{AdaptState, ObservedEpoch};
 use crate::{DriftDetector, SwitchPlan};
@@ -16,8 +17,12 @@ use gnnav_runtime::{SessionCheckpoint, TrainingConfig};
 use gnnav_store::{decode_tagged, encode_tagged, wire_struct, ByteReader, ByteWriter, StoreError};
 
 /// Leading payload byte of an adaptive checkpoint — distinct from the
-/// runtime session tag so neither layer resumes from the other's file.
-pub(crate) const ADAPT_PAYLOAD_TAG: u8 = 2;
+/// runtime session tag so neither layer resumes from the other's file,
+/// and from tag 2, the earlier layout that also held a wall-clock
+/// reading per switch, an epoch count, the drift baseline and a
+/// degradation count: such a checkpoint is refused, and the run starts
+/// cold.
+pub(crate) const ADAPT_PAYLOAD_TAG: u8 = 4;
 
 /// Everything the adaptive loop needs to continue after a crash.
 ///
@@ -25,9 +30,9 @@ pub(crate) const ADAPT_PAYLOAD_TAG: u8 = 2;
 /// and RNG state, cache contents, simulated clock) and adds the
 /// adaptive layer's own state: the drift detector's EWMA band, the
 /// observed epochs that feed the warm-start refit, the re-exploration
-/// seed set, the current prediction baseline, and the accumulated
-/// switches/audit/drift history that the final
-/// [`AdaptiveReport`](crate::AdaptiveReport) reproduces verbatim.
+/// seed set, and the accumulated switches/audit/drift history that the
+/// final [`AdaptiveReport`](crate::AdaptiveReport) reproduces verbatim
+/// (the last switch's prediction is the drift baseline).
 #[derive(Debug, Clone)]
 pub(crate) struct AdaptiveCheckpoint {
     pub(crate) session: SessionCheckpoint,
@@ -70,35 +75,23 @@ wire_struct!(ObservedEpoch, TrainingConfig::MIN_BYTES + 11 * 8, {
     n_iter,
 });
 
-wire_struct!(SwitchPlan, 8 + 2 * TrainingConfig::MIN_BYTES + 8 + PerfEstimate::MIN_BYTES + 8 + 8, {
+wire_struct!(SwitchPlan, 8 + 2 * TrainingConfig::MIN_BYTES + 8 + PerfEstimate::MIN_BYTES + 8, {
     epoch,
     from,
     to,
     migration_sim_s,
     predicted,
     drift_ewma,
-    reexplore_wall_ms,
 });
 
-wire_struct!(DriftDetector, 1 + 4 + 8, { ewma, streak, observed });
+wire_struct!(DriftDetector, 1 + 4, { ewma, streak });
 
 wire_struct!(AdaptState,
-    PerfEstimate::MIN_BYTES
-        + 8 // seeds
+    8 // seeds
         + DriftDetector::MIN_BYTES
         + 8 + 8 + 8 + 8 // observed, switches, drift scores, audit
-        + 4 + 8, // re-explorations, degradations seen
-    {
-        predicted,
-        seeds,
-        drift,
-        observed,
-        switches,
-        drift_scores,
-        audit,
-        reexplorations,
-        seen_degradations,
-    }
+        + 4, // re-explorations
+    { seeds, drift, observed, switches, drift_scores, audit, reexplorations }
 );
 
 /// The session's own payload, length-prefixed.
@@ -127,6 +120,7 @@ mod tests {
     use gnnav_hwsim::SimTime;
     use gnnav_nn::AdamState;
     use gnnav_runtime::{PhaseBreakdown, RecoveryLog, SessionLadder, SessionTotals};
+    use gnnav_store::Wire;
 
     fn config(batch_size: usize) -> TrainingConfig {
         TrainingConfig { batch_size, ..TrainingConfig::default() }
@@ -149,7 +143,6 @@ mod tests {
         let mut session = SessionCheckpoint {
             ladder: SessionLadder {
                 config: config(128),
-                eff_config: config(128),
                 cache_entries: 32,
                 micro_batch: 1,
                 fanout_reduced: false,
@@ -174,16 +167,14 @@ mod tests {
                 epochs_run: 2,
                 train_steps: 12,
             },
-            faults_injected: 0,
         };
         session.cache.capacity = 32;
         session.cache.resident = vec![3, 1, 4];
         session.stats_carry.lookups = 100;
         session.stats_carry.hits = 40;
         let state = AdaptState {
-            predicted: estimate(1.5),
             seeds: vec![config(128), config(256)],
-            drift: DriftDetector { ewma: Some(0.625), streak: 2, observed: 3 },
+            drift: DriftDetector { ewma: Some(0.625), streak: 2 },
             observed: vec![ObservedEpoch {
                 config: config(64),
                 epoch_time_s: 2.0,
@@ -202,7 +193,6 @@ mod tests {
                 migration_sim_s: 0.125,
                 predicted: estimate(1.5),
                 drift_ewma: 0.875,
-                reexplore_wall_ms: 3.5,
             }],
             drift_scores: vec![0.25, 0.875],
             audit: vec![
@@ -222,7 +212,6 @@ mod tests {
                 },
             ],
             reexplorations: 1,
-            seen_degradations: 0,
         };
         AdaptiveCheckpoint { session, state }
     }
@@ -240,14 +229,12 @@ mod tests {
         gnnav_store::laws::assert_laws(&sample_checkpoint());
         let no_fanouts = TrainingConfig { fanouts: Vec::new(), ..TrainingConfig::default() };
         let mut session = sample_checkpoint().session;
-        session.ladder.config = no_fanouts.clone();
-        session.ladder.eff_config = no_fanouts;
+        session.ladder.config = no_fanouts;
         session.params.clear();
         session.opt = AdamState { lr: 0.0, t: 0, m: Vec::new(), v: Vec::new() };
         session.cache = Default::default();
         session.totals.loss_history.clear();
         let state = AdaptState {
-            predicted: estimate(1.5),
             seeds: Vec::new(),
             drift: DriftDetector::default(),
             observed: Vec::new(),
@@ -255,7 +242,6 @@ mod tests {
             drift_scores: Vec::new(),
             audit: Vec::new(),
             reexplorations: 0,
-            seen_degradations: 0,
         };
         gnnav_store::laws::assert_smallest(&AdaptiveCheckpoint { session, state });
     }
@@ -277,10 +263,9 @@ mod tests {
         assert!(err.to_string().contains("trailing"));
 
         // After the last audit record's action tag come its reason
-        // (8 + 12 bytes), its seed flag, `reexplorations` (4) and
-        // `seen_degradations` (8).
+        // (8 + 12 bytes), its seed flag and `reexplorations` (4).
         let mut bad_action = bytes.clone();
-        let at = bytes.len() - 34;
+        let at = bytes.len() - 26;
         assert_eq!(bad_action[at], 2, "PrunedSubtree tag");
         bad_action[at] = 99;
         let err = AdaptiveCheckpoint::decode(&bad_action).expect_err("bad action");
@@ -288,12 +273,40 @@ mod tests {
     }
 
     #[test]
+    fn a_payload_in_the_tag_2_layout_is_refused_on_its_tag() {
+        // Tag 2 held the drift baseline before the seeds, an epoch
+        // count in the drift band, a wall-clock reading after each
+        // switch and a degradation count at the end.
+        let AdaptiveCheckpoint { session, state } = sample_checkpoint();
+        let mut w = ByteWriter::new();
+        w.put_u8(2);
+        put_session(&mut w, &session);
+        estimate(1.5).put(&mut w);
+        state.seeds.put(&mut w);
+        state.drift.ewma.put(&mut w);
+        state.drift.streak.put(&mut w);
+        w.put_u64(3);
+        state.observed.put(&mut w);
+        w.put_usize(state.switches.len());
+        for switch in &state.switches {
+            switch.put(&mut w);
+            w.put_f64(3.5);
+        }
+        state.drift_scores.put(&mut w);
+        state.audit.put(&mut w);
+        state.reexplorations.put(&mut w);
+        w.put_usize(0);
+        let err = AdaptiveCheckpoint::decode(&w.finish()).expect_err("an earlier layout");
+        assert!(err.to_string().contains("payload tag 2"), "{err}");
+    }
+
+    #[test]
     fn an_impossible_list_prefix_is_refused_where_it_is_read() {
-        // The seed count follows the tag, the session's length and
-        // bytes, and the predicted estimate (five `f64`).
+        // The seed count follows the tag and the session's length and
+        // bytes.
         let ckpt = sample_checkpoint();
         let mut bytes = ckpt.encode();
-        let at = 1 + 8 + ckpt.session.encode().len() + 5 * 8;
+        let at = 1 + 8 + ckpt.session.encode().len();
         assert_eq!(bytes[at..at + 8], 2u64.to_le_bytes(), "the seed count");
         bytes[at..at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
         let err = AdaptiveCheckpoint::decode(&bytes).expect_err("impossible prefix");
@@ -305,9 +318,9 @@ mod tests {
 
     #[test]
     fn payload_bytes_are_pinned() {
-        // Every byte of the tag-2 layout, including the parts encoded
+        // Every byte of the tag-4 layout, including the parts encoded
         // by `explorer::cache`'s estimate/audit codec.
         let bytes = sample_checkpoint().encode();
-        assert_eq!((bytes.len(), gnnav_store::crc32(&bytes)), (1353, 0xd8f2_b01e));
+        assert_eq!((bytes.len(), gnnav_store::crc32(&bytes)), (1211, 0xd0cf_418f));
     }
 }

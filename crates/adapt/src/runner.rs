@@ -76,9 +76,6 @@ pub struct SwitchPlan {
     pub predicted: PerfEstimate,
     /// The drift EWMA that triggered the re-exploration.
     pub drift_ewma: f64,
-    /// Wall-clock cost of the re-exploration (refit + search), in
-    /// milliseconds. Advisory only — never charged to simulated time.
-    pub reexplore_wall_ms: f64,
 }
 
 /// What one adaptive run produced.
@@ -185,10 +182,8 @@ impl AdaptiveRunner {
     /// the *entire* adaptive state (see `AdaptiveCheckpoint`), and
     /// one is resumed only if its run started from this
     /// `exploration`'s guideline. A run killed at any boundary and
-    /// re-invoked with the same arguments produces an
-    /// [`AdaptiveReport`] whose report, switches, and drift history
-    /// match the uninterrupted run (only the advisory
-    /// `reexplore_wall_ms` wall-clock field may differ).
+    /// re-invoked with the same arguments produces the
+    /// [`AdaptiveReport`] of the uninterrupted run, byte for byte.
     ///
     /// # Errors
     ///
@@ -231,11 +226,12 @@ impl AdaptiveRunner {
 
 /// What the adaptive loop keeps beside its training session: all of
 /// it, in this order, follows the session payload in an adaptive
-/// checkpoint.
+/// checkpoint. What can be read off the session or the switches is not
+/// kept: the drift baseline is the last switch's prediction (the
+/// exploration's before any), and an epoch's new degradations are
+/// counted across its `run_epoch`.
 #[derive(Debug, Clone)]
 pub(crate) struct AdaptState {
-    /// Prediction for the running guideline (the drift baseline).
-    pub(crate) predicted: PerfEstimate,
     /// Seed configs of the next re-exploration.
     pub(crate) seeds: Vec<TrainingConfig>,
     /// The EWMA drift band.
@@ -250,8 +246,6 @@ pub(crate) struct AdaptState {
     pub(crate) audit: Vec<AuditRecord>,
     /// Re-explorations performed.
     pub(crate) reexplorations: u32,
-    /// Degradation count already accounted for.
-    pub(crate) seen_degradations: usize,
 }
 
 /// One observed epoch in the profiler's units (phase times per
@@ -348,7 +342,6 @@ impl<'d> EpochLoop for AdaptLoop<'_, 'd> {
             self.exec_opts,
         )?;
         let state = AdaptState {
-            predicted: guideline.estimate,
             seeds: front_configs(self.exploration, session.config()),
             drift: DriftDetector::default(),
             observed: Vec::with_capacity(self.exec_opts.epochs),
@@ -356,7 +349,6 @@ impl<'d> EpochLoop for AdaptLoop<'_, 'd> {
             drift_scores: Vec::with_capacity(self.exec_opts.epochs),
             audit: Vec::new(),
             reexplorations: 0,
-            seen_degradations: 0,
         };
         Ok(AdaptRun { session, state })
     }
@@ -389,15 +381,22 @@ impl<'d> EpochLoop for AdaptLoop<'_, 'd> {
         let metrics = gnnav_obs::global();
         let journal = metrics.journal();
         let epoch = session.epochs_run();
+        let degradations = session.recovery().degradations.len();
         let stats = session.run_epoch()?;
+        // A recovery-ladder degradation means the config we are
+        // executing is no longer the config we planned — re-explore
+        // even if the drift band has not caught up yet.
+        let degraded = session.recovery().degradations.len() > degradations;
         state.observed.push(ObservedEpoch::of(session.config(), &stats));
 
+        let predicted =
+            state.switches.last().map_or(self.exploration.guideline.estimate, |s| s.predicted);
         let verdict = state.drift.observe(
             self.runner.opts.drift_threshold,
             &EpochSignal {
-                time_s: state.predicted.time_s,
-                hit_rate: state.predicted.hit_rate,
-                mem_bytes: state.predicted.mem_bytes,
+                time_s: predicted.time_s,
+                hit_rate: predicted.hit_rate,
+                mem_bytes: predicted.mem_bytes,
             },
             &EpochSignal {
                 time_s: stats.sim_s,
@@ -422,13 +421,6 @@ impl<'d> EpochLoop for AdaptLoop<'_, 'd> {
                 ],
             );
         }
-
-        // A recovery-ladder degradation means the config we are
-        // executing is no longer the config we planned — re-explore
-        // even if the drift band has not caught up yet.
-        let degradations = session.recovery().degradations.len();
-        let degraded = degradations > state.seen_degradations;
-        state.seen_degradations = degradations;
 
         let remaining = self.exec_opts.epochs - (epoch + 1);
         if (verdict.triggered || degraded) && remaining > 0 && state.switches.len() < MAX_SWITCHES {
@@ -461,7 +453,7 @@ impl AdaptLoop<'_, '_> {
     ) -> Result<(), AdaptError> {
         let metrics = gnnav_obs::global();
         let journal = metrics.journal();
-        let started = Instant::now();
+        let started = metrics.is_enabled().then(Instant::now);
         let platform = &self.runner.platform;
         let priority = self.exploration.guideline.priority;
 
@@ -502,9 +494,9 @@ impl AdaptLoop<'_, '_> {
         // the compatible survivors rather than trusting the global pick.
         let compatible: Vec<EvaluatedCandidate> =
             result.evaluated.iter().filter(|c| session.compatible(&c.config)).cloned().collect();
-        let reexplore_wall_ms = started.elapsed().as_secs_f64() * 1e3;
-        if metrics.is_enabled() {
-            metrics.gauge_set(metric::ADAPT_REEXPLORE_MS, reexplore_wall_ms);
+        if let Some(started) = started {
+            // Wall time is reported, never persisted.
+            metrics.gauge_set(metric::ADAPT_REEXPLORE_MS, started.elapsed().as_secs_f64() * 1e3);
         }
 
         let pick = match decide(&compatible, priority) {
@@ -549,7 +541,6 @@ impl AdaptLoop<'_, '_> {
             );
         }
 
-        state.predicted = pick.estimate;
         state.switches.push(SwitchPlan {
             epoch,
             from,
@@ -557,7 +548,6 @@ impl AdaptLoop<'_, '_> {
             migration_sim_s: migration.as_secs(),
             predicted: pick.estimate,
             drift_ewma,
-            reexplore_wall_ms,
         });
         Ok(())
     }

@@ -1,15 +1,15 @@
 //! What an adaptive run produces and persists, pinned as constants
 //! captured once and never regenerated:
 //!
-//! - the FNV-1a digest of a drift-triggering run's deterministic
-//!   rendering: the final report, every switch (its advisory
-//!   `reexplore_wall_ms` zeroed), the drift history, the
-//!   re-exploration count and the audit trail;
+//! - the FNV-1a digest of a drift-triggering run's whole
+//!   `AdaptiveReport` rendered with `{:?}`: the final report, every
+//!   switch, the drift history, the re-exploration count and the audit
+//!   trail. No field of it is a clock reading;
 //! - `(epoch, len, crc32)` of every `adapt-NNNNNN.ckpt` payload a
 //!   durable run of the same setup writes when it checkpoints after
-//!   every epoch, with each switch's wall-clock `reexplore_wall_ms`
-//!   zeroed in place. These hold the adaptive payload's layout: the
-//!   session payload, then the loop's state in its field order.
+//!   every epoch, as written. These hold the adaptive payload's layout
+//!   (tag 4): the session payload (tag 3), then the loop's state in its
+//!   field order.
 //!
 //! The setup is `tests/adaptive.rs`'s link-degradation recipe: a
 //! cache-less guideline on Reddit2 at 3 % scale under a persistent 50x
@@ -33,15 +33,15 @@ use gnnav_runtime::{
 use gnnav_store::{crc32, fnv1a64, read_checkpoint};
 
 /// [`rendering`] of the ephemeral run.
-const RENDERING_DIGEST: u64 = 0x7de2_df44_2cd3_7db9;
+const RENDERING_DIGEST: u64 = 0x2ec2_ad16_c470_f210;
 /// `(epoch, payload length, payload CRC-32)` of each checkpoint the
 /// durable run writes, in epoch order.
 const CHECKPOINTS: [(usize, usize, u32); 5] = [
-    (1, 148_528, 0x7f35_55e3),
-    (2, 150_490, 0xa674_1496),
-    (3, 150_808, 0x70d3_9be3),
-    (4, 150_978, 0xb83e_4e65),
-    (5, 151_148, 0x3613_6f83),
+    (1, 148_394, 0x8d64_87e7),
+    (2, 150_348, 0x07e9_1de2),
+    (3, 150_666, 0xf9b9_fb76),
+    (4, 150_836, 0x00fa_5f2e),
+    (5, 151_006, 0xfad9_d2c2),
 ];
 
 fn dataset() -> Dataset {
@@ -112,33 +112,9 @@ fn exec_opts() -> ExecutionOptions {
     }
 }
 
-/// Everything an [`AdaptiveReport`] guarantees deterministic.
+/// The whole report, as `{:?}` renders it.
 fn rendering(outcome: &AdaptiveReport) -> String {
-    let switches: Vec<_> = outcome
-        .switches
-        .iter()
-        .map(|s| {
-            let mut s = s.clone();
-            s.reexplore_wall_ms = 0.0;
-            s
-        })
-        .collect();
-    format!(
-        "{:?}\n{switches:?}\n{:?}\n{}\n{:?}",
-        outcome.report, outcome.drift_scores, outcome.reexplorations, outcome.audit
-    )
-}
-
-/// Zeroes the one occurrence of `field` in `payload`.
-fn zero_once(payload: &mut [u8], field: &[u8]) {
-    let at: Vec<usize> = payload
-        .windows(field.len())
-        .enumerate()
-        .filter(|(_, w)| *w == field)
-        .map(|(i, _)| i)
-        .collect();
-    assert_eq!(at.len(), 1, "the wall-clock field must occur exactly once");
-    payload[at[0]..at[0] + field.len()].fill(0);
+    format!("{outcome:?}")
 }
 
 fn scratch_dir(name: &str) -> std::path::PathBuf {
@@ -170,10 +146,7 @@ fn a_drifting_run_and_its_checkpoints_are_pinned() {
     let mut written: Vec<(usize, usize, u32)> = Vec::new();
     for epoch in 1..exec_opts().epochs {
         let path = dir.join(format!("adapt-{epoch:06}.ckpt"));
-        let mut payload = read_checkpoint(&path).expect("read");
-        for s in durable.switches.iter().filter(|s| s.epoch < epoch) {
-            zero_once(&mut payload, &s.reexplore_wall_ms.to_le_bytes());
-        }
+        let payload = read_checkpoint(&path).expect("read");
         written.push((epoch, payload.len(), crc32(&payload)));
     }
     let _ = std::fs::remove_dir_all(&dir);

@@ -30,8 +30,10 @@ use std::path::PathBuf;
 
 /// Leading payload byte of a static-session checkpoint, so a resume
 /// path never mis-decodes a checkpoint written by a different driver
-/// (the adaptive runner uses its own tag).
-pub(crate) const SESSION_PAYLOAD_TAG: u8 = 1;
+/// (the adaptive runner uses its own tag) or in an earlier layout
+/// (tag 1 also held the effective config and a second injection
+/// count; such a checkpoint is refused, and the run starts cold).
+pub(crate) const SESSION_PAYLOAD_TAG: u8 = 3;
 
 /// File name of the lineage log inside a checkpoint directory: one
 /// record per simulated process kill, so the kill count survives even
@@ -64,8 +66,6 @@ impl DurabilityOptions {
 pub struct SessionLadder {
     /// The requested config (becomes the report's config).
     pub config: TrainingConfig,
-    /// The config in effect after degradation-ladder steps.
-    pub eff_config: TrainingConfig,
     /// Cache entries currently allocated (post any ladder shrinks).
     pub cache_entries: usize,
     /// Current micro-batch division factor.
@@ -80,11 +80,22 @@ impl SessionLadder {
     pub(crate) fn new(config: &TrainingConfig, cache_entries: usize) -> Self {
         SessionLadder {
             config: config.clone(),
-            eff_config: config.clone(),
             cache_entries,
             micro_batch: 1,
             fanout_reduced: false,
         }
+    }
+
+    /// The config the sampler runs: `config`, with every fanout halved
+    /// (to at least 1) once the ladder has reduced them.
+    pub(crate) fn sampled_config(&self) -> TrainingConfig {
+        let mut config = self.config.clone();
+        if self.fanout_reduced {
+            for f in config.fanouts.iter_mut() {
+                *f = (*f / 2).max(1);
+            }
+        }
+        config
     }
 }
 
@@ -140,10 +151,9 @@ pub struct SessionCheckpoint {
     pub stats_carry: CacheStats,
     /// Memory ledger high-water mark in bytes.
     pub peak_mem_bytes: usize,
-    /// The report state accumulated so far.
+    /// The report state accumulated so far, the plan's injections
+    /// included.
     pub totals: SessionTotals,
-    /// Faults injected by the session's plan so far.
-    pub faults_injected: u64,
 }
 
 wire_enum!(impl Wire for SamplerKind as "sampler" { NodeWise = 0, LayerWise = 1, SubgraphWise = 2 });
@@ -261,8 +271,8 @@ wire_struct!(fn put_cache, get_cache for CacheSnapshot {
 wire_struct!(fn put_adam, get_adam for AdamState { lr, t, m, v });
 
 wire_struct!(SessionLadder,
-    2 * TrainingConfig::MIN_BYTES + 8 + 8 + 1,
-    { config, eff_config, cache_entries, micro_batch, fanout_reduced }
+    TrainingConfig::MIN_BYTES + 8 + 8 + 1,
+    { config, cache_entries, micro_batch, fanout_reduced }
 );
 
 wire_struct!(SessionTotals,
@@ -294,8 +304,7 @@ wire_struct!(SessionCheckpoint,
         + 4 * 8 // batching RNG
         + 8 + 8 + 8 + 8 + 8 + 2 * 8 // cache snapshot
         + 2 * 8 + 8 // carried stats, peak memory
-        + SessionTotals::MIN_BYTES
-        + 8, // faults
+        + SessionTotals::MIN_BYTES,
     {
         ladder,
         params,
@@ -306,7 +315,6 @@ wire_struct!(SessionCheckpoint,
         stats_carry with put_stats, get_stats,
         peak_mem_bytes,
         totals,
-        faults_injected,
     }
 );
 
@@ -337,7 +345,6 @@ mod tests {
         SessionCheckpoint {
             ladder: SessionLadder {
                 config: TrainingConfig::default(),
-                eff_config: TrainingConfig { fanouts: vec![5, 5], ..TrainingConfig::default() },
                 cache_entries: 32,
                 micro_batch: 2,
                 fanout_reduced: true,
@@ -385,7 +392,6 @@ mod tests {
                 epochs_run: 2,
                 train_steps: 12,
             },
-            faults_injected: 3,
         }
     }
 
@@ -448,17 +454,34 @@ mod tests {
     #[test]
     fn payload_bytes_are_pinned() {
         // The length alone is pinned by `bench.checkpoint.bytes_per_write`;
-        // this pins every byte of the tag-1 layout.
+        // this pins every byte of the tag-3 layout.
         let bytes = sample_checkpoint().encode();
-        assert_eq!((bytes.len(), gnnav_store::crc32(&bytes)), (657, 0xbf2a_ad72));
+        assert_eq!((bytes.len(), gnnav_store::crc32(&bytes)), (579, 0x6e76_be99));
+    }
+
+    #[test]
+    fn a_payload_in_the_tag_1_layout_is_refused_on_its_tag() {
+        // Tag 1 held the config a second time, as the effective config,
+        // right after the first, and the injection count at the end.
+        let ckpt = sample_checkpoint();
+        let bytes = ckpt.encode();
+        let mut w = ByteWriter::new();
+        ckpt.ladder.config.put(&mut w);
+        let config = w.finish();
+        let mut old = vec![1];
+        old.extend_from_slice(&config);
+        old.extend_from_slice(&bytes[1..]);
+        old.extend_from_slice(&ckpt.totals.recovery.faults_injected.to_le_bytes());
+        let err = SessionCheckpoint::decode(&old).expect_err("an earlier layout");
+        assert!(err.to_string().contains("payload tag 1"), "{err}");
     }
 
     #[test]
     fn an_impossible_list_prefix_is_refused_where_it_is_read() {
         // The degradation count sits before the three steps (17 + 9 +
-        // 25 bytes) and the 48 bytes of counters that end the payload.
+        // 25 bytes) and the 40 bytes of counters that end the payload.
         let mut bytes = sample_checkpoint().encode();
-        let at = bytes.len() - 48 - 51 - 8;
+        let at = bytes.len() - 40 - 51 - 8;
         assert_eq!(bytes[at..at + 8], 3u64.to_le_bytes(), "the degradation count");
         bytes[at..at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
         let err = SessionCheckpoint::decode(&bytes).expect_err("impossible prefix");

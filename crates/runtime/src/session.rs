@@ -206,15 +206,6 @@ impl ExecutionTrace {
     }
 }
 
-/// Owned fault state: the injector proper borrows its plan, so the
-/// session keeps the plan and a running injection count and rebinds
-/// the (stateless) injector per query.
-#[derive(Debug)]
-struct OwnedInjector {
-    plan: FaultPlan,
-    injected: u64,
-}
-
 /// The training targets in `sampler`'s hot set, which the per-epoch
 /// target swap draws from (empty when `η = 0`).
 fn hot_train(sampler: &Sampler, dataset: &Dataset) -> Vec<u32> {
@@ -233,7 +224,9 @@ pub struct ExecutionSession<'d> {
     platform: Platform,
     dataset: &'d Dataset,
     opts: ExecutionOptions,
-    injector: Option<OwnedInjector>,
+    /// The fault plan, when it schedules anything: the injector proper
+    /// borrows its plan and holds no state, so it is rebound per query.
+    fault_plan: Option<FaultPlan>,
     cost: CostModel,
     ledger: MemoryLedger,
     model: GnnModel,
@@ -299,11 +292,7 @@ impl<'d> ExecutionSession<'d> {
                 policy.backoff_base_ms
             )));
         }
-        let injector = opts
-            .fault_plan
-            .as_ref()
-            .filter(|p| !p.is_empty())
-            .map(|p| OwnedInjector { plan: p.clone(), injected: 0 });
+        let fault_plan = opts.fault_plan.clone().filter(|p| !p.is_empty());
         let metrics = gnnav_obs::global();
         let execute_span = metrics.span(metric::EXECUTE_WALL);
         let observing = metrics.is_enabled();
@@ -358,7 +347,7 @@ impl<'d> ExecutionSession<'d> {
             kernel_stats_start: gnnav_nn::kernel_stats(),
             par_stats_start: gnnav_par::stats(),
             totals: SessionTotals::default(),
-            trace: injector.is_none().then(Vec::new),
+            trace: fault_plan.is_none().then(Vec::new),
             wall_sample: Duration::ZERO,
             wall_train: Duration::ZERO,
             metrics,
@@ -369,7 +358,7 @@ impl<'d> ExecutionSession<'d> {
             platform,
             dataset,
             opts: opts.clone(),
-            injector,
+            fault_plan,
         })
     }
 
@@ -427,14 +416,14 @@ impl<'d> ExecutionSession<'d> {
         }
     }
 
-    /// Queries (and records) the fault schedule at the current
-    /// simulated time.
+    /// Queries the fault schedule at the current simulated time and
+    /// counts an injection into the recovery log.
     fn inject_fault(&mut self, kind: FaultKind, site: u64, attempt: u32) -> Option<f64> {
         let sim_us = self.totals.epoch_time_total.as_micros();
-        let inj = self.injector.as_mut()?;
-        let magnitude = FaultInjector::new(&inj.plan).inject(kind, site, attempt, Some(sim_us));
+        let plan = self.fault_plan.as_ref()?;
+        let magnitude = FaultInjector::new(plan).inject(kind, site, attempt, Some(sim_us));
         if magnitude.is_some() {
-            inj.injected += 1;
+            self.totals.recovery.faults_injected += 1;
         }
         magnitude
     }
@@ -551,7 +540,6 @@ impl<'d> ExecutionSession<'d> {
             stats_carry: self.stats_carry,
             peak_mem_bytes: self.ledger.peak_bytes(),
             totals: self.totals.clone(),
-            faults_injected: self.injector.as_ref().map_or(0, |inj| inj.injected),
         }
     }
 
@@ -586,16 +574,13 @@ impl<'d> ExecutionSession<'d> {
         }
         s.cache.restore(&ckpt.cache).map_err(RuntimeError::InvalidConfig)?;
         if ladder.fanout_reduced {
-            s.sampler = ladder.eff_config.build_sampler(dataset.graph())?;
+            s.sampler = ladder.sampled_config().build_sampler(dataset.graph())?;
         }
         s.ladder = ladder.clone();
         s.stats_carry = ckpt.stats_carry;
         s.ledger.restore_peak(ckpt.peak_mem_bytes);
         s.totals = ckpt.totals.clone();
         s.trace = None;
-        if let Some(inj) = s.injector.as_mut() {
-            inj.injected = ckpt.faults_injected;
-        }
         Ok(s)
     }
 
@@ -772,13 +757,9 @@ impl<'d> ExecutionSession<'d> {
                     DegradationStep::MicroBatch { factor: self.ladder.micro_batch }
                 } else if !self.ladder.fanout_reduced {
                     self.ladder.fanout_reduced = true;
-                    for f in self.ladder.eff_config.fanouts.iter_mut() {
-                        *f = (*f / 2).max(1);
-                    }
-                    self.sampler = self.ladder.eff_config.build_sampler(graph)?;
-                    DegradationStep::ReduceFanout {
-                        fanouts: self.ladder.eff_config.fanouts.clone(),
-                    }
+                    let reduced = self.ladder.sampled_config();
+                    self.sampler = reduced.build_sampler(graph)?;
+                    DegradationStep::ReduceFanout { fanouts: reduced.fanouts }
                 } else {
                     return Err(RuntimeError::RetriesExhausted {
                         what: "transient memory claim (degradation ladder exhausted)".into(),
@@ -1021,7 +1002,6 @@ impl<'d> ExecutionSession<'d> {
         };
 
         let total_stats = self.cache_stats_total();
-        self.totals.recovery.faults_injected = self.injector.as_ref().map_or(0, |inj| inj.injected);
         let (epoch_time, phases) =
             per_epoch(self.totals.epoch_time_total, self.totals.phases, self.totals.epochs_run);
         let perf = Perf {

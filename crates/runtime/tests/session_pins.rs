@@ -6,16 +6,20 @@
 //! `(epoch, file length, CRC-32 of the file)` of every
 //! `session-NNNNNN.ckpt` written, and an FNV-1a digest of the final
 //! report's `Debug` rendering (Rust prints floats shortest-round-trip,
-//! so equal text is equal bits):
+//! so equal text is equal bits). The files hold the tag-3 payload: the
+//! ladder record with the requested config only, and the injection
+//! count once, inside the recovery log. The runs:
 //!
 //! - the degradation ladder of `locality_pins.rs`: a 40 000-byte device
 //!   on which the ladder shrinks the cache, micro-batches and finally
-//!   rebuilds the sampler at reduced fanouts;
+//!   rebuilds the sampler at reduced fanouts. Each of its checkpoints,
+//!   decoded, must count one cache lookup per sampled node: a batch
+//!   attempt the ladder aborts looks nothing up;
 //! - a run under a fault plan whose sampler failure, link stretch, link
 //!   stall, transient memory spike and NaN loss are each absorbed, on a
 //!   device exactly as large as the clean run's peak, so that a
 //!   persistent mild spike also walks the ladder: every field of the
-//!   recovery log, and the injection count, is non-zero.
+//!   recovery log is non-zero.
 //!
 //! There is deliberately no regeneration switch: if a later change
 //! moves these bytes on purpose, print the `Pins` of each run from a scratch test,
@@ -152,7 +156,7 @@ fn durable_session_runs_write_the_pinned_bytes() {
     );
     assert_eq!(
         pins,
-        (vec![(1, 74_796, 0xaa10_e2fb), (2, 74_808, 0x3ee3_c5f8)], 0x74c7_ee61_8dbb_3cf3),
+        (vec![(1, 74_718, 0x087f_5eb1), (2, 74_730, 0x3ee5_efcb)], 0x74c7_ee61_8dbb_3cf3),
         "ladder"
     );
 
@@ -169,7 +173,7 @@ fn durable_session_runs_write_the_pinned_bytes() {
     );
     assert_eq!(
         pins,
-        (vec![(1, 74_744, 0x08cd_b354), (2, 74_752, 0x564c_916c)], 0xbd92_f458_7a95_1e65),
+        (vec![(1, 74_666, 0x396e_86ac), (2, 74_674, 0x4149_3eec)], 0xbd92_f458_7a95_1e65),
         "faulted"
     );
 }

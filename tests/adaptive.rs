@@ -192,19 +192,8 @@ fn adaptive_switches_are_deterministic() {
             .expect("adaptive")
     };
     let (a, b) = (run(), run());
-    // Everything sim-clocked is bit-identical; reexplore_wall_ms is
-    // wall-clock and advisory, so it is excluded from the comparison.
-    assert_eq!(a.switches.len(), b.switches.len());
-    for (x, y) in a.switches.iter().zip(&b.switches) {
-        assert_eq!(x.epoch, y.epoch);
-        assert_eq!(x.from, y.from);
-        assert_eq!(x.to, y.to);
-        assert_eq!(x.migration_sim_s, y.migration_sim_s);
-        assert_eq!(x.predicted, y.predicted);
-        assert_eq!(x.drift_ewma, y.drift_ewma);
-    }
-    assert_eq!(a.drift_scores, b.drift_scores);
-    assert_eq!(a.report, b.report);
+    // Every field is sim-clocked, so the whole reports are equal.
+    assert_eq!(format!("{a:?}"), format!("{b:?}"));
 }
 
 /// The adaptive chaos matrix: `--adapt` composed with every fault
