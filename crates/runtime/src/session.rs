@@ -637,11 +637,12 @@ impl<'d> ExecutionSession<'d> {
         for (bi, targets) in batches.iter().enumerate() {
             let batch_site = self.totals.total_batches as u64;
 
-            // The whole batch attempt — sampling through the
-            // transient memory claim — can be aborted and
-            // restarted by the degradation ladder, so phase times
-            // are only accumulated after the claim succeeds.
-            let (mb, counts, times) = 'batch: loop {
+            // A batch attempt — sampling, then the transient memory
+            // claim — can be aborted and restarted by the degradation
+            // ladder. Nothing else runs until the claim holds, so an
+            // aborted attempt leaves no cache lookup, cache update or
+            // charge behind.
+            let mb = 'batch: loop {
                 // Host: sampling, with bounded retry of injected
                 // sampler failures.
                 self.with_retries(|s, attempt| {
@@ -659,56 +660,6 @@ impl<'d> ExecutionSession<'d> {
                 let mb = self.sampler.sample(graph, targets, &mut self.rng)?;
                 if let Some(t0) = sample_started {
                     self.wall_sample += t0.elapsed();
-                }
-
-                // Device cache: split hits/misses, transfer the
-                // misses — through a possibly degraded link. A
-                // stalled link (factor >= LINK_STALL_FACTOR) is
-                // retried with backoff; a slow one just stretches
-                // the transfer.
-                let outcome = self.cache.lookup(&mb.nodes);
-                let link_stretch = self
-                    .with_retries(|s, attempt| {
-                        match s.inject_fault(FaultKind::LinkDegrade, batch_site, attempt) {
-                            Some(factor) if factor >= LINK_STALL_FACTOR => Err(factor),
-                            slow => Ok(slow.map(|factor| factor.max(1.0))),
-                        }
-                    })
-                    .map_err(|(attempts, factor)| RuntimeError::RetriesExhausted {
-                        what: "miss transfer (stalled link)".into(),
-                        attempts,
-                        last_error: format!("link stalled (degradation factor {factor})"),
-                    })?;
-
-                // Cache update per policy (frozen dynamic caches
-                // stop replacing once full).
-                let may_update =
-                    self.ladder.config.cache_update || self.cache.len() < self.cache.capacity();
-                let replaced = if may_update { self.cache.update(&outcome.misses) } else { 0 };
-                self.totals.evictions += replaced;
-
-                // The four phase times of the batch. A degraded link
-                // stretches the transfer; micro-batching pays one
-                // extra kernel launch per additional micro-step.
-                let counts = BatchCounts {
-                    expansion: mb.expansion(),
-                    num_edges: mb.num_edges(),
-                    num_nodes: mb.num_nodes(),
-                    miss_rows: outcome.misses.len(),
-                    replaced_rows: replaced,
-                    cache_len: self.cache.len(),
-                    flops: self.model.flops_per_batch(mb.num_nodes(), mb.num_edges()),
-                };
-                let mut times =
-                    charge(&self.cost, &counts, self.row_bytes, self.ladder.config.precision);
-                if let Some(factor) = link_stretch {
-                    times[1] = times[1] * factor;
-                }
-                if self.ladder.micro_batch > 1 {
-                    times[3] += SimTime::from_micros(
-                        self.platform.device.launch_overhead_us
-                            * (self.ladder.micro_batch - 1) as f64,
-                    );
                 }
 
                 // Transient memory Γ_runtime: bounded retry with
@@ -730,7 +681,7 @@ impl<'d> ExecutionSession<'d> {
                 let (attempts, oom) = match claimed {
                     Ok(()) => {
                         self.ledger.end_batch();
-                        break 'batch (mb, counts, times);
+                        break 'batch mb;
                     }
                     Err(exhausted) => exhausted,
                 };
@@ -781,6 +732,54 @@ impl<'d> ExecutionSession<'d> {
                 }
                 self.totals.recovery.degradations.push(step);
             };
+
+            // Device cache: split hits/misses, transfer the misses —
+            // through a possibly degraded link. A stalled link (factor
+            // >= LINK_STALL_FACTOR) is retried with backoff; a slow one
+            // just stretches the transfer.
+            let outcome = self.cache.lookup(&mb.nodes);
+            let link_stretch = self
+                .with_retries(|s, attempt| {
+                    match s.inject_fault(FaultKind::LinkDegrade, batch_site, attempt) {
+                        Some(factor) if factor >= LINK_STALL_FACTOR => Err(factor),
+                        slow => Ok(slow.map(|factor| factor.max(1.0))),
+                    }
+                })
+                .map_err(|(attempts, factor)| RuntimeError::RetriesExhausted {
+                    what: "miss transfer (stalled link)".into(),
+                    attempts,
+                    last_error: format!("link stalled (degradation factor {factor})"),
+                })?;
+
+            // Cache update per policy (frozen dynamic caches stop
+            // replacing once full).
+            let may_update =
+                self.ladder.config.cache_update || self.cache.len() < self.cache.capacity();
+            let replaced = if may_update { self.cache.update(&outcome.misses) } else { 0 };
+            self.totals.evictions += replaced;
+
+            // The four phase times of the batch. A degraded link
+            // stretches the transfer; micro-batching pays one extra
+            // kernel launch per additional micro-step.
+            let counts = BatchCounts {
+                expansion: mb.expansion(),
+                num_edges: mb.num_edges(),
+                num_nodes: mb.num_nodes(),
+                miss_rows: outcome.misses.len(),
+                replaced_rows: replaced,
+                cache_len: self.cache.len(),
+                flops: self.model.flops_per_batch(mb.num_nodes(), mb.num_edges()),
+            };
+            let mut times =
+                charge(&self.cost, &counts, self.row_bytes, self.ladder.config.precision);
+            if let Some(factor) = link_stretch {
+                times[1] = times[1] * factor;
+            }
+            if self.ladder.micro_batch > 1 {
+                times[3] += SimTime::from_micros(
+                    self.platform.device.launch_overhead_us * (self.ladder.micro_batch - 1) as f64,
+                );
+            }
 
             accumulate(
                 &self.cost,
