@@ -83,7 +83,7 @@ use gnnav_store::{
 };
 use std::borrow::Cow;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -503,33 +503,6 @@ impl ExploreCache {
         self.meter("insert", fingerprint, metric::EXPLORER_CACHE_INSERTS);
         Ok(true)
     }
-
-    /// Rewrites the log with only the frames a reopen would serve,
-    /// purging dead bytes, undecodable frames and orphaned decision
-    /// frames — never a base frame a kept decision frame resolves
-    /// against. Returns the number of frames dropped.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] when the rewrite fails.
-    pub fn compact(&mut self) -> Result<usize, StoreError> {
-        let mut kept = HashSet::new();
-        let dropped = self.wal.compact(|_, frame| {
-            let (fingerprint, served) = match decode_frame(frame) {
-                Ok(Frame::Base(fingerprint, _)) => (fingerprint, true),
-                Ok(Frame::Decision { fingerprint, base, .. }) => {
-                    (fingerprint, kept.contains(&base))
-                }
-                Err(_) => return false,
-            };
-            if served {
-                kept.insert(fingerprint);
-            }
-            served
-        })?;
-        self.undecodable = 0;
-        Ok(dropped)
-    }
 }
 
 #[cfg(test)]
@@ -665,7 +638,7 @@ mod tests {
     }
 
     #[test]
-    fn orphaned_decisions_are_counted_rerun_and_compacted_away() {
+    fn orphaned_decisions_are_counted_and_rerun() {
         let results = one_walk_four_ways();
         let path = temp_wal("orphans");
         {
@@ -686,16 +659,10 @@ mod tests {
         }
         drop(cache);
         // The orphans precede the base written after them: still
-        // orphans, still counted, until a compaction drops them — and
-        // only them.
+        // orphans, still counted, beside the four results served.
         let mut cache = ExploreCache::open(&path).expect("reopen");
         assert!(cache.recovery().is_clean());
         assert_eq!((cache.len(), cache.undecodable()), (4, 3));
-        assert_eq!(cache.compact().expect("compact"), 3);
-        assert_eq!(cache.undecodable(), 0);
-        drop(cache);
-        let mut cache = ExploreCache::open(&path).expect("reopen compacted");
-        assert_eq!((cache.len(), cache.undecodable()), (4, 0));
         for (fp, r) in &results {
             let got = cache.lookup(*fp).expect("present");
             assert_eq!(format!("{got:?}"), format!("{r:?}"));

@@ -413,9 +413,6 @@ proptest! {
                 prop_assert!(Arc::ptr_eq(got.audit.walk(), base.audit.walk()));
             }
         }
-        // Nothing a reopen serves is dropped by a compaction.
-        prop_assert_eq!(cache.compact().expect("compact"), 0);
-        prop_assert_eq!(frames_of(&path), frames);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -440,11 +437,8 @@ proptest! {
             })
             .collect();
         let (dir, path) = log_of(&frames);
-        let mut cache = ExploreCache::open(&path).expect("open survives");
+        let cache = ExploreCache::open(&path).expect("open survives");
         prop_assert_eq!(cache.len() + cache.undecodable(), frames.len());
-        // What was not served is dropped by a compaction, and nothing
-        // else is.
-        prop_assert_eq!(cache.compact().expect("compact"), frames.len() - cache.len());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -208,8 +208,7 @@ impl Wal {
     /// Opens (or creates) the segment at `path`, handing every intact
     /// record to `visit` in append order. Torn tails — down to a torn
     /// or missing header — are cut from disk immediately; CRC-failed
-    /// records are skipped and removed from disk at the next append or
-    /// [`Wal::compact`].
+    /// records are skipped and removed from disk at the next append.
     ///
     /// # Errors
     ///
@@ -299,29 +298,19 @@ impl Wal {
         self.recovery
     }
 
-    /// Rewrites the segment from its on-disk frames: those that pass
-    /// their CRC and `keep`, then `extra` framed at the end.
-    fn rewrite(
-        &mut self,
-        mut keep: impl FnMut(usize, &[u8]) -> bool,
-        extra: Option<&[u8]>,
-    ) -> Result<(), StoreError> {
+    /// Rewrites the segment from its on-disk frames that pass their
+    /// CRC, then `extra` framed at the end.
+    fn rewrite(&mut self, extra: &[u8]) -> Result<(), StoreError> {
         let raw = std::fs::read(&self.path).map_err(|e| StoreError::io(&self.path, e))?;
         let mut image = Vec::with_capacity(raw.len().max(WAL_HEADER_LEN));
         image.extend_from_slice(&HEADER);
-        let mut seen = 0usize;
         let mut kept = 0usize;
-        scan(&raw, |frame, payload| {
-            if keep(seen, payload) {
-                image.extend_from_slice(frame);
-                kept += 1;
-            }
-            seen += 1;
-        });
-        if let Some(payload) = extra {
-            put_frame(&mut image, payload).map_err(|e| StoreError::io(&self.path, e))?;
+        scan(&raw, |frame, _| {
+            image.extend_from_slice(frame);
             kept += 1;
-        }
+        });
+        put_frame(&mut image, extra).map_err(|e| StoreError::io(&self.path, e))?;
+        kept += 1;
         atomic_write(&self.path, &image)?;
         // The rename put a new inode under the name; the held handle
         // still appends to the old one, so it must not be used again
@@ -347,7 +336,7 @@ impl Wal {
     /// the log is reopened.
     pub fn append(&mut self, payload: &[u8]) -> Result<(), StoreError> {
         if self.recovery.crc_failures > 0 {
-            self.rewrite(|_, _| true, Some(payload))?;
+            self.rewrite(payload)?;
         } else {
             self.tail.append(payload).map_err(|e| StoreError::io(&self.path, e))?;
             self.live += 1;
@@ -357,19 +346,6 @@ impl Wal {
             metrics.add(metric::STORE_WAL_APPENDS, 1);
         }
         Ok(())
-    }
-
-    /// Rewrites the segment keeping only records for which `keep`
-    /// returns `true`, compacting away dead bytes. Returns the number
-    /// of records dropped.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures.
-    pub fn compact(&mut self, keep: impl FnMut(usize, &[u8]) -> bool) -> Result<usize, StoreError> {
-        let before = self.live;
-        self.rewrite(keep, None)?;
-        Ok(before - self.live)
     }
 }
 
@@ -489,23 +465,6 @@ mod tests {
         let (wal, records) = replayed(&path);
         assert!(wal.recovery().is_clean(), "dead bytes purged on append");
         assert_eq!(records, [b"bbbb".to_vec(), b"cccc".to_vec(), b"dddd".to_vec()]);
-    }
-
-    #[test]
-    fn compact_keeps_selected_records() {
-        let dir = tmpdir("compact");
-        let path = dir.join("seg.wal");
-        let mut wal = Wal::open(&path).expect("open");
-        for i in 0..6u8 {
-            wal.append(&[i]).expect("append");
-        }
-        let dropped = wal.compact(|i, _| i % 2 == 0).expect("compact");
-        assert_eq!(dropped, 3);
-        wal.append(&[6]).expect("append after compact");
-        assert_eq!(wal.len(), 4);
-        drop(wal);
-        let (_, records) = replayed(&path);
-        assert_eq!(records, [vec![0u8], vec![2], vec![4], vec![6]]);
     }
 
     #[test]
