@@ -18,10 +18,8 @@ use gnnav_store::{decode_tagged, encode_tagged, wire_struct, ByteReader, ByteWri
 
 /// Leading payload byte of an adaptive checkpoint — distinct from the
 /// runtime session tag so neither layer resumes from the other's file,
-/// and from tag 2, the earlier layout that also held a wall-clock
-/// reading per switch, an epoch count, the drift baseline and a
-/// degradation count: such a checkpoint is refused, and the run starts
-/// cold.
+/// and from the earlier tag-2 layout: such a checkpoint is refused, and
+/// the run starts cold.
 pub(crate) const ADAPT_PAYLOAD_TAG: u8 = 4;
 
 /// Everything the adaptive loop needs to continue after a crash.

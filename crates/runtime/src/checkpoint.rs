@@ -30,9 +30,8 @@ use std::path::PathBuf;
 
 /// Leading payload byte of a static-session checkpoint, so a resume
 /// path never mis-decodes a checkpoint written by a different driver
-/// (the adaptive runner uses its own tag) or in an earlier layout
-/// (tag 1 also held the effective config and a second injection
-/// count; such a checkpoint is refused, and the run starts cold).
+/// (the adaptive runner uses its own tag) or in the earlier tag-1
+/// layout: such a checkpoint is refused, and the run starts cold.
 pub(crate) const SESSION_PAYLOAD_TAG: u8 = 3;
 
 /// File name of the lineage log inside a checkpoint directory: one
