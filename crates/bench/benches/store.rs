@@ -1,16 +1,19 @@
 //! Criterion benches for the codec layer: reopening an exploration
 //! cache that holds what one navigation leaves (a budget-2 000 walk's
 //! base frame and three decision frames over it — what a warm
-//! navigation replays), and encoding and decoding a real training
-//! checkpoint (Reddit2 stand-in at scale 0.02, after one epoch).
+//! navigation replays), encoding and decoding a real training
+//! checkpoint (Reddit2 stand-in at scale 0.02, after one epoch), and
+//! the CRC-32 of each: the log's bytes (≈ 555 KB, as one frame would
+//! hold them) and the checkpoint's payload (≈ 295 KB).
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use gnnav_bench::benchmark_shape_estimator;
 use gnnav_explorer::{ExploreCache, Explorer, RuntimeConstraints};
 use gnnav_graph::{Dataset, DatasetId};
 use gnnav_hwsim::Platform;
 use gnnav_nn::ModelKind;
 use gnnav_runtime::{ExecutionOptions, ExecutionSession, SessionCheckpoint, TrainingConfig};
+use gnnavigator::store::crc32;
 use std::path::PathBuf;
 
 /// A log holding one budget-2 000 walk decided under all four
@@ -68,6 +71,9 @@ fn bench_store(c: &mut Criterion) {
     group.bench_function("session_checkpoint_decode", |b| {
         b.iter(|| SessionCheckpoint::decode(&payload).expect("decode"));
     });
+    let log = std::fs::read(&path).expect("read log");
+    group.bench_function("crc32_navigation_log", |b| b.iter(|| crc32(black_box(&log))));
+    group.bench_function("crc32_session_checkpoint", |b| b.iter(|| crc32(black_box(&payload))));
     group.finish();
     let _ = std::fs::remove_dir_all(&dir);
 }

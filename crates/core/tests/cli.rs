@@ -627,6 +627,43 @@ fn durability_flags_require_checkpoint_dir() {
 }
 
 #[test]
+fn refused_checkpoints_count_as_rejections_not_resumes() {
+    use gnnavigator::obs::json::{parse, Value};
+    use gnnavigator::store::write_checkpoint;
+
+    let dir = std::env::temp_dir().join(format!("gnnav-cli-refused-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let ckpts = dir.join("ckpts");
+    std::fs::create_dir_all(&ckpts).expect("tmpdir");
+    // Two checkpoints whose frames verify but whose payloads no session
+    // decoder takes.
+    for epoch in [1, 2] {
+        let path = ckpts.join(format!("session-{epoch:06}.ckpt"));
+        write_checkpoint(&path, b"not a session checkpoint").expect("write");
+    }
+    let metrics_path = dir.join("metrics.json");
+    let out = gnnavigate()
+        .args(["--dataset", "RD2", "--scale", "0.01", "--seed", "7", "--epochs", "2"])
+        .args(["--profile-samples", "8", "--explore-budget", "50"])
+        .arg("--checkpoint-dir")
+        .arg(&ckpts)
+        .arg("--resume")
+        .arg("--metrics-out")
+        .arg(&metrics_path)
+        .output()
+        .expect("spawn");
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let doc = parse(&std::fs::read_to_string(&metrics_path).expect("metrics written"))
+        .expect("metrics parse");
+    let counter = |name: &str| {
+        doc.get("counters").and_then(|c| c.get(name)).and_then(Value::as_f64).unwrap_or(0.0)
+    };
+    assert_eq!(counter("store.checkpoint.resumes"), 0.0, "a refused checkpoint is no resume");
+    assert_eq!(counter("store.checkpoint.rejected"), 2.0, "both refusals are rejections");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn checkpoint_every_zero_is_rejected() {
     let out = gnnavigate()
         .args(["--checkpoint-dir", "ckpts", "--checkpoint-every", "0"])

@@ -42,9 +42,12 @@
 //! reference counts; an insert of a base frame is one encoded frame
 //! appended, 0.18 ms for a budget-400 result, and of a decision frame
 //! a few microseconds; reopening the log is a CRC check per frame and
-//! a decode per walk, 13–16 ms for 64 budget-400 walks and 0.84 ms for
-//! the one budget-2 000 walk (554 KB) and three decisions of a
-//! navigation. The fingerprint needs no fitted estimator, so a repeat
+//! a decode per walk, 0.71–0.88 ms for the one budget-2 000 walk
+//! (555 KB) and three decisions of a navigation
+//! (`store/explore_cache_open_one_walk`), of which the CRC is about
+//! 30 µs (about 450 µs before it moved to carry-less multiplication),
+//! and 0.18–0.25 ms for one budget-400 walk and 63 decisions over it.
+//! The fingerprint needs no fitted estimator, so a repeat
 //! navigation over all four priorities through `Navigator` loads the
 //! dataset, opens both stores and looks up four fingerprints: it
 //! neither replays the profile store nor refits. EXPERIMENTS.md "One

@@ -79,8 +79,8 @@
 //! | `store.wal.torn_truncated` | counter | tails | `Wal::open` recovery scan |
 //! | `store.wal.crc_failures` | counter | records | `Wal::open` recovery scan |
 //! | `store.checkpoint.writes` | counter | checkpoints | `write_checkpoint` |
-//! | `store.checkpoint.resumes` | counter | checkpoints | `read_checkpoint` (verified) |
-//! | `store.checkpoint.rejected` | counter | checkpoints | `read_checkpoint` (damaged) |
+//! | `store.checkpoint.resumes` | counter | checkpoints | `CheckpointDir::load_latest` (accepted) |
+//! | `store.checkpoint.rejected` | counter | checkpoints | `read_checkpoint` (damaged), `CheckpointDir::load_latest` (declined) |
 //! | `store.checkpoint.bytes` | gauge | bytes | durable drivers (last write) |
 //! | `serve.requests.admitted` | counter | requests | `NavService::submit` |
 //! | `serve.requests.rejected` | counter | requests | `NavService::submit` |
@@ -120,7 +120,7 @@
 //! | `switch` | `adapt` | instant | `AdaptiveRunner::run`, one/guideline switch |
 //! | `wal.recovery` | `store` | instant | `Wal::open`, when the scan found damage |
 //! | `checkpoint` | `store` | instant | `write_checkpoint`, one/write |
-//! | `resume` | `store` | instant | `read_checkpoint`, one/verified read |
+//! | `resume` | `store` | instant | `CheckpointDir::load_latest`, one/accepted checkpoint |
 //! | `kill` | `store` | instant | durable drivers, one/ProcessKill fired |
 //! | `serve.admit` | `serve` | instant | `NavService::submit`, one/admitted request |
 //! | `serve.reject` | `serve` | instant | `NavService::submit`, one/rejected request |
@@ -319,9 +319,10 @@ pub const STORE_WAL_TORN_TRUNCATED: &str = "store.wal.torn_truncated";
 pub const STORE_WAL_CRC_FAILURES: &str = "store.wal.crc_failures";
 /// Checkpoint files written atomically.
 pub const STORE_CHECKPOINT_WRITES: &str = "store.checkpoint.writes";
-/// Checkpoint files read and verified for resume.
+/// Checkpoints a resume restored from: verified and accepted.
 pub const STORE_CHECKPOINT_RESUMES: &str = "store.checkpoint.resumes";
-/// Checkpoint files rejected (bad magic, version, or checksum).
+/// Checkpoint files rejected (bad magic, version, or checksum, or
+/// declined by the resuming run).
 pub const STORE_CHECKPOINT_REJECTED: &str = "store.checkpoint.rejected";
 /// Encoded size of the last checkpoint payload (gauge, bytes) — the
 /// per-epoch durability cost pinned in the perf baselines.
@@ -423,7 +424,7 @@ pub const EVENT_ALLOC: &str = "alloc";
 pub const EVENT_WAL_RECOVERY: &str = "wal.recovery";
 /// Checkpoint-write instant on [`TRACK_STORE`].
 pub const EVENT_CHECKPOINT: &str = "checkpoint";
-/// Verified checkpoint-read instant on [`TRACK_STORE`].
+/// Accepted-checkpoint (resume) instant on [`TRACK_STORE`].
 pub const EVENT_RESUME: &str = "resume";
 /// Simulated process-kill instant on [`TRACK_STORE`], one per
 /// `ProcessKill` fault fired by a durable driver.

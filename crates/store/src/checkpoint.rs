@@ -62,9 +62,10 @@ pub fn write_checkpoint(path: &Path, payload: &[u8]) -> Result<(), StoreError> {
 }
 
 /// Reads and verifies the checkpoint at `path`, returning its
-/// payload. A verified read is metered as `store.checkpoint.resumes`;
-/// a bad magic, version, or checksum is metered as
-/// `store.checkpoint.rejected` before the typed error is returned.
+/// payload. A bad magic, version, or checksum is metered as
+/// `store.checkpoint.rejected` before the typed error is returned; a
+/// verified read is not yet a resume (see
+/// [`CheckpointDir::load_latest`]).
 ///
 /// # Errors
 ///
@@ -94,21 +95,6 @@ pub fn read_checkpoint(path: &Path) -> Result<Vec<u8>, StoreError> {
     let payload = &raw[CHECKPOINT_HEADER_LEN..];
     if crc32(payload) != want {
         return reject(StoreError::ChecksumMismatch { path: path.to_path_buf() });
-    }
-    if metrics.is_enabled() {
-        metrics.add(metric::STORE_CHECKPOINT_RESUMES, 1);
-        let journal = metrics.journal();
-        if journal.is_enabled() {
-            journal.instant(
-                metric::EVENT_RESUME,
-                metric::TRACK_STORE,
-                None,
-                vec![
-                    ("path".into(), path.display().to_string().into()),
-                    ("bytes".into(), payload.len().into()),
-                ],
-            );
-        }
     }
     Ok(payload.to_vec())
 }
@@ -174,9 +160,11 @@ impl CheckpointDir {
     /// `accept` recognises, walking backwards over the rest. `accept`
     /// sees each CRC-valid payload, newest first, and returns the
     /// restored run, or `Ok(None)` for "not mine" — a payload it cannot
-    /// decode or that belongs to a different run. Both a damaged file
-    /// and a declined one are metered as `store.checkpoint.rejected`.
-    /// Returns `Ok(None)` when no checkpoint is accepted.
+    /// decode or that belongs to a different run. The accepted one is
+    /// metered as `store.checkpoint.resumes` (and journaled as a
+    /// `resume` instant); both a damaged file and a declined one are
+    /// metered as `store.checkpoint.rejected`. Returns `Ok(None)` when
+    /// no checkpoint is accepted.
     ///
     /// # Errors
     ///
@@ -188,15 +176,32 @@ impl CheckpointDir {
         mut accept: impl FnMut(&[u8]) -> Result<Option<T>, E>,
     ) -> Result<Option<(usize, T)>, E> {
         for epoch in self.epochs()?.into_iter().rev() {
-            match read_checkpoint(&self.path_for(epoch)) {
+            let path = self.path_for(epoch);
+            match read_checkpoint(&path) {
                 Ok(payload) => {
-                    if let Some(run) = accept(&payload)? {
-                        return Ok(Some((epoch, run)));
-                    }
                     let metrics = gnnav_obs::global();
+                    let Some(run) = accept(&payload)? else {
+                        if metrics.is_enabled() {
+                            metrics.add(metric::STORE_CHECKPOINT_REJECTED, 1);
+                        }
+                        continue;
+                    };
                     if metrics.is_enabled() {
-                        metrics.add(metric::STORE_CHECKPOINT_REJECTED, 1);
+                        metrics.add(metric::STORE_CHECKPOINT_RESUMES, 1);
+                        let journal = metrics.journal();
+                        if journal.is_enabled() {
+                            journal.instant(
+                                metric::EVENT_RESUME,
+                                metric::TRACK_STORE,
+                                None,
+                                vec![
+                                    ("path".into(), path.display().to_string().into()),
+                                    ("bytes".into(), payload.len().into()),
+                                ],
+                            );
+                        }
                     }
+                    return Ok(Some((epoch, run)));
                 }
                 Err(StoreError::Io { path, source }) => {
                     return Err(StoreError::Io { path, source }.into())
