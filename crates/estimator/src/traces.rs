@@ -16,7 +16,7 @@
 use crate::context::Context;
 use crate::store::put_workload_key;
 use gnnav_graph::DatasetId;
-use gnnav_runtime::{ExecutionOptions, ExecutionTrace, RecoveryPolicy};
+use gnnav_runtime::{ExecutionOptions, ExecutionTrace};
 use gnnav_store::ByteWriter;
 use std::collections::HashMap;
 
@@ -52,16 +52,8 @@ impl ExecutionTraces {
     /// is never stored, so a faulted sweep is never answered from a
     /// clean one's traces.
     pub(crate) fn key(id: DatasetId, ctx: &Context, opts: &ExecutionOptions) -> Vec<u8> {
-        let ExecutionOptions {
-            epochs,
-            train,
-            train_batches_cap,
-            seed,
-            learning_rate,
-            fault_plan,
-            recovery: RecoveryPolicy { max_retries, backoff_base_ms, nan_guard, max_lr_halvings },
-            journal: _,
-        } = opts;
+        let ExecutionOptions { epochs, train, train_batches_cap, seed, fault_plan, journal: _ } =
+            opts;
         let mut w = ByteWriter::new();
         put_workload_key(&mut w, id, ctx);
         w.put_usize(*epochs);
@@ -69,11 +61,6 @@ impl ExecutionTraces {
         w.put_bool(train_batches_cap.is_some());
         w.put_usize(train_batches_cap.unwrap_or(0));
         w.put_u64(*seed);
-        w.put_f32(*learning_rate);
-        w.put_u32(*max_retries);
-        w.put_f64(*backoff_base_ms);
-        w.put_bool(*nan_guard);
-        w.put_u32(*max_lr_halvings);
         let plan = fault_plan.as_ref().filter(|plan| !plan.is_empty());
         w.put_str(&plan.map(|plan| format!("{plan:?}")).unwrap_or_default());
         w.finish()

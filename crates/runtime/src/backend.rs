@@ -30,6 +30,24 @@ pub(crate) const MAX_MICRO_BATCH: usize = 16;
 /// backoff; below it, the magnitude just multiplies transfer time.
 pub(crate) const LINK_STALL_FACTOR: f64 = 1e6;
 
+/// Bounded retries per fault site before escalating (to the
+/// degradation ladder for memory claims, to a typed error for sampling
+/// failures).
+pub(crate) const MAX_RETRIES: u32 = 3;
+
+/// Base backoff pause in simulated milliseconds; doubles on each retry
+/// and is charged to epoch time.
+pub(crate) const BACKOFF_BASE_MS: f64 = 1.0;
+
+/// How many learning-rate halvings the NaN guard may spend before
+/// declaring the run unrecoverable. The guard itself is always on: a
+/// non-finite training loss is skipped (not recorded) and the learning
+/// rate halved instead of poisoning the loss history.
+pub(crate) const MAX_LR_HALVINGS: u32 = 8;
+
+/// Learning rate the Adam optimizer starts from.
+pub(crate) const LEARNING_RATE: f32 = 0.01;
+
 /// Options controlling one backend execution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecutionOptions {
@@ -43,13 +61,9 @@ pub struct ExecutionOptions {
     pub train_batches_cap: Option<usize>,
     /// RNG seed for batching, sampling, and model init.
     pub seed: u64,
-    /// Learning rate of the Adam optimizer.
-    pub learning_rate: f32,
     /// Deterministic fault schedule injected into this run; `None`
     /// runs clean.
     pub fault_plan: Option<FaultPlan>,
-    /// How the backend retries and degrades around faults.
-    pub recovery: RecoveryPolicy,
     /// Whether this execution writes span/instant events into the
     /// journal (when the journal itself is enabled). Profiler probe
     /// runs and comparison templates set this to `false` so the
@@ -65,9 +79,7 @@ impl Default for ExecutionOptions {
             train: true,
             train_batches_cap: None,
             seed: 0x6AA7,
-            learning_rate: 0.01,
             fault_plan: None,
-            recovery: RecoveryPolicy::default(),
             journal: true,
         }
     }
@@ -77,32 +89,6 @@ impl ExecutionOptions {
     /// Fast timing-only options (no training, 1 epoch).
     pub fn timing_only() -> Self {
         ExecutionOptions { epochs: 1, train: false, ..ExecutionOptions::default() }
-    }
-}
-
-/// How [`RuntimeBackend::execute`] retries transient faults and
-/// degrades under persistent pressure.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecoveryPolicy {
-    /// Bounded retries per fault site before escalating (to the
-    /// degradation ladder for memory claims, to a typed error for
-    /// sampling failures).
-    pub max_retries: u32,
-    /// Base backoff pause in simulated milliseconds; doubles on each
-    /// retry and is charged to epoch time.
-    pub backoff_base_ms: f64,
-    /// When on, a non-finite training loss is skipped (not recorded)
-    /// and the learning rate is halved instead of poisoning the
-    /// loss history.
-    pub nan_guard: bool,
-    /// How many LR halvings the NaN guard may spend before declaring
-    /// the run unrecoverable.
-    pub max_lr_halvings: u32,
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        RecoveryPolicy { max_retries: 3, backoff_base_ms: 1.0, nan_guard: true, max_lr_halvings: 8 }
     }
 }
 
@@ -645,33 +631,18 @@ mod fault_tests {
     fn nan_guard_exhaustion_is_typed_error() {
         let d = tiny_dataset();
         let backend = RuntimeBackend::new(Platform::default_rtx4090());
+        // Every step is NaN: 3 epochs x 4 capped batches reach the
+        // ninth skip, the first one past `MAX_LR_HALVINGS` halvings.
         let plan = FaultPlan::new(16).with_fault(FaultSpec::new(FaultKind::NanLoss));
-        let opts = ExecutionOptions {
-            recovery: RecoveryPolicy { max_lr_halvings: 1, ..Default::default() },
-            ..opts_with(plan)
-        };
+        let opts = ExecutionOptions { epochs: 3, ..opts_with(plan) };
         let err = backend.execute(&d, &small_config(), &opts).unwrap_err();
         match err {
-            RuntimeError::RetriesExhausted { what, .. } => {
-                assert!(what.contains("NaN"), "what: {what}")
+            RuntimeError::RetriesExhausted { what, attempts, .. } => {
+                assert!(what.contains("NaN"), "what: {what}");
+                assert_eq!(attempts, 9);
             }
             other => panic!("expected RetriesExhausted, got {other}"),
         }
-    }
-
-    #[test]
-    fn nan_guard_off_keeps_old_behavior() {
-        let d = tiny_dataset();
-        let backend = RuntimeBackend::new(Platform::default_rtx4090());
-        let plan =
-            FaultPlan::new(17).with_fault(FaultSpec::new(FaultKind::NanLoss).with_window(0, 1));
-        let opts = ExecutionOptions {
-            recovery: RecoveryPolicy { nan_guard: false, ..Default::default() },
-            ..opts_with(plan)
-        };
-        let r = backend.execute(&d, &small_config(), &opts).expect("no guard, no error");
-        assert!(r.loss_history.iter().any(|l| l.is_nan()), "NaN recorded verbatim");
-        assert_eq!(r.recovery.nan_steps_skipped, 0);
     }
 
     #[test]
@@ -698,21 +669,13 @@ mod fault_tests {
     }
 
     #[test]
-    fn invalid_plan_and_policy_rejected_as_config_errors() {
+    fn invalid_plan_rejected_as_config_error() {
         let d = tiny_dataset();
         let backend = RuntimeBackend::new(Platform::default_rtx4090());
         let bad_plan =
             FaultPlan::new(0).with_fault(FaultSpec::new(FaultKind::NanLoss).with_probability(2.0));
         assert!(matches!(
             backend.execute(&d, &small_config(), &opts_with(bad_plan)),
-            Err(RuntimeError::InvalidConfig(_))
-        ));
-        let bad_policy = ExecutionOptions {
-            recovery: RecoveryPolicy { backoff_base_ms: f64::NAN, ..Default::default() },
-            ..ExecutionOptions::timing_only()
-        };
-        assert!(matches!(
-            backend.execute(&d, &small_config(), &bad_policy),
             Err(RuntimeError::InvalidConfig(_))
         ));
     }

@@ -25,7 +25,7 @@ pub mod space;
 pub mod templates;
 
 pub use backend::{
-    DegradationStep, ExecutionOptions, ExecutionReport, RecoveryLog, RecoveryPolicy, RuntimeBackend,
+    DegradationStep, ExecutionOptions, ExecutionReport, RecoveryLog, RuntimeBackend,
 };
 pub use checkpoint::{DurabilityOptions, SessionCheckpoint, SessionLadder, SessionTotals};
 pub use config::{SamplerKind, TrainingConfig};

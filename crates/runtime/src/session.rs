@@ -35,8 +35,9 @@
 //! failed a claim and walked the ladder; `recharge` declines it.
 
 use crate::backend::{
-    DegradationStep, ExecutionOptions, ExecutionReport, RecoveryLog, LINK_STALL_FACTOR,
-    MAX_MICRO_BATCH, TARGET_SWAP_AT_FULL_ETA,
+    DegradationStep, ExecutionOptions, ExecutionReport, RecoveryLog, BACKOFF_BASE_MS,
+    LEARNING_RATE, LINK_STALL_FACTOR, MAX_LR_HALVINGS, MAX_MICRO_BATCH, MAX_RETRIES,
+    TARGET_SWAP_AT_FULL_ETA,
 };
 use crate::checkpoint::{SessionLadder, SessionTotals};
 use crate::config::TrainingConfig;
@@ -285,13 +286,6 @@ impl<'d> ExecutionSession<'d> {
         if let Some(plan) = &opts.fault_plan {
             plan.validate().map_err(|e| RuntimeError::InvalidConfig(e.to_string()))?;
         }
-        let policy = &opts.recovery;
-        if !policy.backoff_base_ms.is_finite() || policy.backoff_base_ms < 0.0 {
-            return Err(RuntimeError::InvalidConfig(format!(
-                "recovery backoff_base_ms {} must be finite and >= 0",
-                policy.backoff_base_ms
-            )));
-        }
         let fault_plan = opts.fault_plan.clone().filter(|p| !p.is_empty());
         let metrics = gnnav_obs::global();
         let execute_span = metrics.span(metric::EXECUTE_WALL);
@@ -329,7 +323,7 @@ impl<'d> ExecutionSession<'d> {
             cost,
             ledger,
             model,
-            opt: Adam::new(opts.learning_rate),
+            opt: Adam::new(LEARNING_RATE),
             rng: StdRng::seed_from_u64(opts.seed),
             cache,
             sampler,
@@ -383,16 +377,10 @@ impl<'d> ExecutionSession<'d> {
         &self.totals.recovery
     }
 
-    /// Exponential backoff, charged to simulated time (the shift is
-    /// clamped so a large retry budget cannot overflow).
-    fn backoff(&self, attempt: u32) -> SimTime {
-        SimTime::from_millis(self.opts.recovery.backoff_base_ms * (1u64 << attempt.min(20)) as f64)
-    }
-
     /// Bounded retry with backoff: calls `attempt_once` for attempts
-    /// 0, 1, … until it succeeds or the policy's retries are spent.
-    /// Each retry's backoff pause goes on the simulated clock and into
-    /// the recovery log. Once retries run out, returns the number of
+    /// 0, 1, … until it succeeds or [`MAX_RETRIES`] retries are spent.
+    /// Each retry's exponential backoff pause goes on the simulated
+    /// clock and into the recovery log. Once retries run out, returns the number of
     /// attempts made and the last failure.
     fn with_retries<T, E>(
         &mut self,
@@ -402,11 +390,9 @@ impl<'d> ExecutionSession<'d> {
         loop {
             match attempt_once(self, attempt) {
                 Ok(done) => return Ok(done),
-                Err(e) if attempt >= self.opts.recovery.max_retries => {
-                    return Err((attempt + 1, e))
-                }
+                Err(e) if attempt >= MAX_RETRIES => return Err((attempt + 1, e)),
                 Err(_) => {
-                    let pause = self.backoff(attempt);
+                    let pause = SimTime::from_millis(BACKOFF_BASE_MS * f64::from(1u32 << attempt));
                     self.totals.epoch_time_total += pause;
                     self.totals.recovery.recovery_sim += pause;
                     self.totals.recovery.retries += 1;
@@ -833,13 +819,13 @@ impl<'d> ExecutionSession<'d> {
                 if self.inject_fault(FaultKind::NanLoss, step_site, 0).is_some() {
                     loss = f32::NAN;
                 }
-                if !loss.is_finite() && self.opts.recovery.nan_guard {
+                if !loss.is_finite() {
                     // NaN guard: drop the poisoned step from the
                     // history and anneal the LR; a bounded number
                     // of halvings separates a recoverable blip
                     // from a divergent run.
                     self.totals.recovery.nan_steps_skipped += 1;
-                    if self.totals.recovery.lr_halvings >= self.opts.recovery.max_lr_halvings {
+                    if self.totals.recovery.lr_halvings >= MAX_LR_HALVINGS {
                         return Err(RuntimeError::RetriesExhausted {
                             what: "NaN-loss recovery (learning-rate floor reached)".into(),
                             attempts: self.totals.recovery.nan_steps_skipped,

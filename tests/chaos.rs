@@ -13,7 +13,7 @@ use gnnavigator::graph::{Dataset, DatasetId};
 use gnnavigator::hwsim::Platform;
 use gnnavigator::nn::ModelKind;
 use gnnavigator::runtime::{
-    DesignSpace, ExecutionOptions, RecoveryPolicy, RuntimeBackend, RuntimeError, TrainingConfig,
+    DesignSpace, ExecutionOptions, RuntimeBackend, RuntimeError, TrainingConfig,
 };
 use proptest::prelude::*;
 
@@ -139,13 +139,14 @@ fn nan_loss_guard_skips_steps_and_anneals_lr() {
     assert_eq!(report.recovery.nan_steps_skipped, 2);
     assert_eq!(report.recovery.lr_halvings, 2);
     assert!(report.loss_history.iter().all(|l| l.is_finite()), "NaN never reaches the history");
-    // Exhausting the halving budget is a typed error, not a panic.
+    // Exhausting the eight halvings is a typed error, not a panic: every
+    // step is NaN, and 3 epochs x 4 capped batches reach the ninth skip.
     let exhaust = ExecutionOptions {
-        recovery: RecoveryPolicy { max_lr_halvings: 1, ..Default::default() },
+        epochs: 3,
         ..opts(FaultPlan::new(chaos_seed()).with_fault(FaultSpec::new(FaultKind::NanLoss)))
     };
     let err = backend().execute(&small_dataset(), &config(), &exhaust).expect_err("floor");
-    assert!(matches!(err, RuntimeError::RetriesExhausted { .. }), "{err}");
+    assert!(matches!(err, RuntimeError::RetriesExhausted { attempts: 9, .. }), "{err}");
 }
 
 #[test]
