@@ -32,7 +32,12 @@ fn load_pair<T, E: Display>(
     let mut flags = Flags::new(argv);
     while let Some(arg) = flags.next() {
         match arg {
-            "--threshold" => threshold = flags.parsed("--threshold")?,
+            "--threshold" => {
+                threshold = flags.finite(arg)?;
+                if threshold < 0.0 {
+                    return Err(format!("--threshold {threshold} must be >= 0").into());
+                }
+            }
             "-h" | "--help" => {
                 print!("{USAGE}");
                 return Ok(None);

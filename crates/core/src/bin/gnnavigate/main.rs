@@ -82,7 +82,7 @@ METRICS-DIFF:
     Compares CURRENT against BASELINE series-by-series and prints a
     regression table sorted by relative change. Exits 1 when any gated
     series (counters; non-wall gauges) moved more than the threshold
-    [default: 10] percent.
+    [default: 10] percent. The threshold must be finite and >= 0.
 
 SERVE-BENCH:
     Deterministic closed-loop load generator over the in-process
@@ -92,12 +92,12 @@ SERVE-BENCH:
     request/response transcript is byte-identical at every --workers
     width.
 
-    --tenants <N>                  synthetic tenant population  [default: 1000]
+    --tenants <N>                  tenant population (>= 1)     [default: 1000]
     --requests <N>                 total requests submitted     [default: 2000]
-    --burst <N>                    submissions per wave drain   [default: 80]
+    --burst <N>                    submissions per wave (>= 1)  [default: 80]
     --zipf <FLOAT>                 tenant popularity exponent   [default: 1.1]
     --workers <N>                  worker width for the parallel exploration
-                                   phase                        [default: 1]
+                                   phase (>= 1)                 [default: 1]
     --queue-capacity <N>           admission queue bound        [default: 64]
     --tenant-budget <N>            per-tenant token-bucket capacity (tokens
                                    refill each wave)            [default: 8]
@@ -112,7 +112,7 @@ TRACE-DIFF:
     Aligns two Chrome traces (written by --trace-out) span-path by
     span-path on the sim clock and prints a regression table. Exits 1
     when any path's inclusive sim time grew more than the threshold
-    [default: 10] percent, and 2 — refusing to gate — when either
+    [default: 10] percent (finite, >= 0), and 2 — refusing to gate — when either
     journal was truncated by ring eviction.
 ";
 

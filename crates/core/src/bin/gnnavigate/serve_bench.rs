@@ -19,11 +19,11 @@ pub fn run(argv: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     let mut flags = Flags::new(argv);
     while let Some(flag) = flags.next() {
         match flag {
-            "--tenants" => load.tenants = flags.parsed(flag)?,
+            "--tenants" => load.tenants = flags.at_least_one(flag)?,
             "--requests" => load.requests = flags.parsed(flag)?,
-            "--burst" => load.burst = flags.parsed(flag)?,
+            "--burst" => load.burst = flags.at_least_one(flag)?,
             "--zipf" => load.zipf_exponent = flags.finite(flag)?,
-            "--workers" => workers = flags.parsed(flag)?,
+            "--workers" => workers = flags.at_least_one(flag)?,
             "--seed" => {
                 let seed: u64 = flags.parsed(flag)?;
                 load.seed = seed;
@@ -47,8 +47,7 @@ pub fn run(argv: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     metrics.reset();
 
     let mut service = NavService::new(serve);
-    let summary =
-        gnnavigator::par::with_thread_limit(workers.max(1), || run_load(&mut service, &load))?;
+    let summary = gnnavigator::par::with_thread_limit(workers, || run_load(&mut service, &load))?;
 
     if let Some(path) = &transcript_out {
         write_file(path, &summary.transcript)?;

@@ -29,7 +29,10 @@ fn out_of_range_numbers_are_rejected_before_any_work() {
     // bound used to be accepted and constrain nothing; a limit at or
     // below zero, or an accuracy outside [0, 100] %, used to run a
     // whole sweep before falling back to the nearest-feasible guideline.
-    let cases: [&[&str]; 14] = [
+    // A NaN or infinite diff threshold used to switch the gate off, a
+    // negative one flagged series that did not move, and a zero
+    // serve-bench count used to run as 1 while the header printed 0.
+    let cases: [&[&str]; 20] = [
         &["--explore-budget", "0"],
         &["--epochs", "0"],
         &["--profile-samples", "0"],
@@ -44,6 +47,12 @@ fn out_of_range_numbers_are_rejected_before_any_work() {
         &["--min-acc", "150"],
         &["--min-acc", "-0.5"],
         &["serve-bench", "--zipf", "nan"],
+        &["metrics-diff", "a", "b", "--threshold", "nan"],
+        &["trace-diff", "a", "b", "--threshold", "inf"],
+        &["metrics-diff", "a", "b", "--threshold", "-1"],
+        &["serve-bench", "--tenants", "0"],
+        &["serve-bench", "--burst", "0"],
+        &["serve-bench", "--workers", "0"],
     ];
     for args in cases {
         let started = std::time::Instant::now();
