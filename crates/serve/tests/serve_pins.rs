@@ -9,6 +9,10 @@
 //!   against durable stores (plus the exploration log's bytes). Each
 //!   transcript line carries the tier, the guideline's config summary
 //!   and its estimate, so these pin every guideline served.
+//!
+//! The `shipped_*` pins hold the same four things at the configuration
+//! `serve-bench` runs by default, under a load whose bursts reach both
+//! degradation rungs and the queue bound.
 
 use gnnav_estimator::ProfileStore;
 use gnnav_explorer::ExploreCache;
@@ -23,6 +27,16 @@ const TRANSCRIPT_DIGEST: u64 = 0x5982_2cf4_b4a3_4b7e;
 const DURABLE_TRANSCRIPT_DIGEST: u64 = 0x5982_2cf4_b4a3_4b7e;
 /// ... and the exploration log it leaves.
 const DURABLE_WAL_DIGEST: u64 = 0x80d7_22e7_f888_2ed4;
+
+/// The same four pins at the configuration `serve-bench` ships:
+/// tenant 9's key under `shipped_options()` ...
+const SHIPPED_TENANT_9_KEY: u64 = 0xf731_a978_1744_f949;
+/// ... `run_load`'s transcript under `shipped_load()`, no stores ...
+const SHIPPED_TRANSCRIPT_DIGEST: u64 = 0xac60_f7ae_7c8a_93b2;
+/// ... the same run against durable stores: its transcript ...
+const SHIPPED_DURABLE_TRANSCRIPT_DIGEST: u64 = 0xac60_f7ae_7c8a_93b2;
+/// ... and the exploration log it leaves.
+const SHIPPED_DURABLE_WAL_DIGEST: u64 = 0x35f6_5033_7d5f_1bf4;
 
 /// `determinism.rs`'s options.
 fn fast_options(seed: u64) -> ServeOptions {
@@ -43,6 +57,17 @@ fn fast_options(seed: u64) -> ServeOptions {
 
 fn load() -> LoadGenOptions {
     LoadGenOptions { tenants: 1000, requests: 96, burst: 32, zipf_exponent: 1.1, seed: 0x7A51 }
+}
+
+/// The service `serve-bench` runs at its default flags.
+fn shipped_options() -> ServeOptions {
+    ServeOptions { seed: 0x7A51, ..ServeOptions::default() }
+}
+
+/// Three bursts of 80 against a queue of 64: every burst reaches both
+/// degradation rungs and the queue bound.
+fn shipped_load() -> LoadGenOptions {
+    LoadGenOptions { requests: 240, ..LoadGenOptions::default() }
 }
 
 fn scratch_dir(name: &str) -> std::path::PathBuf {
@@ -87,5 +112,46 @@ fn the_durable_transcript_and_log_are_pinned() {
     let log = std::fs::read(&wal).expect("read log");
     assert_eq!(fnv1a64(transcript.as_bytes()), DURABLE_TRANSCRIPT_DIGEST, "{transcript}");
     assert_eq!(fnv1a64(&log), DURABLE_WAL_DIGEST, "{} bytes", log.len());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_request_is_filed_under_the_pinned_key_at_the_shipped_configuration() {
+    let dir = scratch_dir("shipped-key");
+    let path = dir.join("explore.wal");
+    let mut service = NavService::new(shipped_options())
+        .with_explore_cache(ExploreCache::open(&path).expect("open"));
+    service.submit(tenant_request(0x7A51, 9)).expect("admit");
+    service.drain().expect("wave");
+    drop(service);
+
+    let mut cache = ExploreCache::open(&path).expect("reopen");
+    assert_eq!(cache.len(), 1);
+    assert!(cache.lookup(SHIPPED_TENANT_9_KEY).is_some(), "the result moved to another key");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn the_in_memory_transcript_is_pinned_at_the_shipped_configuration() {
+    let mut service = NavService::new(shipped_options());
+    let transcript = run_load(&mut service, &shipped_load()).expect("load run").transcript;
+    assert!(transcript.contains("degrade=reduced"), "the load must reach the reduced rung");
+    assert!(transcript.contains("degrade=cache-only"), "and the cache-only rung");
+    assert!(transcript.contains("queue-full"), "and the queue bound");
+    assert_eq!(fnv1a64(transcript.as_bytes()), SHIPPED_TRANSCRIPT_DIGEST, "{transcript}");
+}
+
+#[test]
+fn the_durable_transcript_and_log_are_pinned_at_the_shipped_configuration() {
+    let dir = scratch_dir("shipped-durable");
+    let wal = dir.join("explore.wal");
+    let mut service = NavService::new(shipped_options())
+        .with_profile_store(ProfileStore::open(dir.join("profiles.wal")).expect("open profiles"))
+        .with_explore_cache(ExploreCache::open(&wal).expect("open cache"));
+    let transcript = run_load(&mut service, &shipped_load()).expect("load run").transcript;
+    drop(service);
+    let log = std::fs::read(&wal).expect("read log");
+    assert_eq!(fnv1a64(transcript.as_bytes()), SHIPPED_DURABLE_TRANSCRIPT_DIGEST, "{transcript}");
+    assert_eq!(fnv1a64(&log), SHIPPED_DURABLE_WAL_DIGEST, "{} bytes", log.len());
     let _ = std::fs::remove_dir_all(&dir);
 }
