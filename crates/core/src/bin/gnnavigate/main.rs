@@ -98,7 +98,8 @@ SERVE-BENCH:
     --zipf <FLOAT>                 tenant popularity exponent   [default: 1.1]
     --workers <N>                  worker width for the parallel exploration
                                    phase (>= 1)                 [default: 1]
-    --queue-capacity <N>           admission queue bound        [default: 64]
+    --queue-capacity <N>           admission queue bound; admissions degrade
+                                   at 1/2 and 3/4 of it         [default: 64]
     --tenant-budget <N>            per-tenant token-bucket capacity (tokens
                                    refill each wave)            [default: 8]
     --transcript-out <PATH>        write the deterministic transcript (one line

@@ -101,10 +101,11 @@ fn render() -> String {
         }
     }
 
-    // Serve's calibration graphs, as `NavService` draws them.
+    // Serve's calibration graphs, as `NavService` draws them: its
+    // private `CALIBRATION_GRAPHS` (2) from `CALIBRATION_NODES` (400).
     let serve = ServeOptions::default();
-    for g in 0..serve.calibration_graphs {
-        let nodes = serve.calibration_nodes + g * 137;
+    for g in 0..2 {
+        let nodes = 400 + g * 137;
         let seed = serve.seed ^ 0x5E21 ^ (g as u64).wrapping_mul(0x9E37_79B9);
         let d = Dataset::synthetic(nodes, 3 + g % 3, 32, 8, seed).expect("gen");
         dataset_line(&mut out, &format!("calibration {nodes} x{}", 3 + g % 3), &d);

@@ -201,7 +201,8 @@ pub fn run_load(
                 ));
             }
         }
-        if (step + 1) % burst == 0 && in_flight > 0 {
+        let last = step + 1 == options.requests;
+        if ((step + 1) % burst == 0 || last) && in_flight > 0 {
             for response in service.drain()? {
                 summary.responses += 1;
                 transcript.push_str(&response.transcript_line());
@@ -210,14 +211,6 @@ pub fn run_load(
             summary.waves += 1;
             in_flight = 0;
         }
-    }
-    if in_flight > 0 {
-        for response in service.drain()? {
-            summary.responses += 1;
-            transcript.push_str(&response.transcript_line());
-            transcript.push('\n');
-        }
-        summary.waves += 1;
     }
     transcript.push_str(&format!(
         "# done submitted={} admitted={} rejected={} responses={} waves={}\n",

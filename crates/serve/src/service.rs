@@ -103,69 +103,44 @@ impl From<StoreError> for ServeError {
     }
 }
 
-/// Service tuning knobs. The defaults favor test-speed calibration;
-/// `gnnavigate serve-bench` uses them as-is so the committed baseline
-/// stays cheap to regenerate.
+/// Full DSE budget (evaluated-leaf bound).
+const EXPLORE_BUDGET: usize = 400;
+/// DSE budget of a degraded admission.
+const REDUCED_BUDGET: usize = 100;
+/// Estimator-pool LRU bound (warm platforms).
+const POOL_CAPACITY: usize = 8;
+/// Calibration sweep: synthetic graphs ...
+const CALIBRATION_GRAPHS: usize = 2;
+/// ... nodes in the first one (each later graph has 137 more) ...
+const CALIBRATION_NODES: usize = 400;
+/// ... and sampled configurations per graph.
+const CALIBRATION_SAMPLES: usize = 16;
+
+/// What a caller sets. Everything else — the budgets, the pool bound,
+/// the calibration sweep — is a constant of this module;
+/// `gnnavigate serve-bench` sets all three fields from flags.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// Admission queue bound; submissions beyond it are rejected.
+    /// Admission queue bound; submissions beyond it are rejected. It
+    /// also places the degradation rungs: an admission at depth
+    /// ≥ ⌈capacity / 2⌉ gets the reduced budget, at depth
+    /// ≥ ⌈3 · capacity / 4⌉ cache-only.
     pub queue_capacity: usize,
     /// Token-bucket capacity per tenant (tokens are exploration
     /// requests; one token per admitted request). Every bucket is
     /// refilled to the full budget at each wave drain.
     pub tenant_budget: u32,
-    /// Queue depth at which admissions degrade to a reduced budget.
-    pub degrade_depth: usize,
-    /// Queue depth at which admissions degrade to cache-only.
-    pub cache_only_depth: usize,
-    /// Full DSE budget (evaluated-leaf bound).
-    pub explore_budget: usize,
-    /// Reduced DSE budget for degraded admissions.
-    pub reduced_budget: usize,
-    /// Estimator-pool LRU bound (warm platforms).
-    pub pool_capacity: usize,
-    /// Calibration sweep: number of synthetic graphs.
-    pub calibration_graphs: usize,
-    /// Calibration sweep: nodes in the first graph (later graphs grow
-    /// deterministically).
-    pub calibration_nodes: usize,
-    /// Calibration sweep: sampled configurations per graph.
-    pub calibration_samples: usize,
     /// Seed for calibration sampling and DSE traversal.
     pub seed: u64,
 }
 
 impl Default for ServeOptions {
     fn default() -> Self {
-        ServeOptions {
-            queue_capacity: 64,
-            tenant_budget: 8,
-            degrade_depth: 32,
-            cache_only_depth: 48,
-            explore_budget: 400,
-            reduced_budget: 100,
-            pool_capacity: 8,
-            calibration_graphs: 2,
-            calibration_nodes: 400,
-            calibration_samples: 16,
-            seed: 0x7A51,
-        }
+        ServeOptions { queue_capacity: 64, tenant_budget: 8, seed: 0x7A51 }
     }
 }
 
 impl ServeOptions {
-    /// The execution options of every calibration run.
-    fn calibration_exec(&self) -> ExecutionOptions {
-        ExecutionOptions {
-            epochs: 1,
-            train: true,
-            train_batches_cap: Some(2),
-            seed: self.seed,
-            journal: false,
-            ..ExecutionOptions::default()
-        }
-    }
-
     /// Everything a pooled fit depends on beyond the platform itself:
     /// the calibration sweep shape and seed. Folded into the
     /// exploration-cache fingerprint so differently-calibrated
@@ -173,11 +148,7 @@ impl ServeOptions {
     fn estimator_salt(&self, platform_fp: u64) -> String {
         format!(
             "serve cal={}x{} samples={} seed={:#x} platform={:016x}",
-            self.calibration_graphs,
-            self.calibration_nodes,
-            self.calibration_samples,
-            self.seed,
-            platform_fp,
+            CALIBRATION_GRAPHS, CALIBRATION_NODES, CALIBRATION_SAMPLES, self.seed, platform_fp,
         )
     }
 }
@@ -194,10 +165,9 @@ struct Pending {
 
 /// What every calibration of one service shares: the sweep's synthetic
 /// graphs, generated at the first pool miss, and the platform-free
-/// trace of each of its executions. Both are bounded by the options'
-/// sweep shape (`calibration_graphs` graphs, about
-/// `calibration_samples` traces for each), however many platforms or
-/// tenants arrive.
+/// trace of each of its executions. Both are bounded by the sweep's
+/// shape (`CALIBRATION_GRAPHS` graphs, about `CALIBRATION_SAMPLES`
+/// traces for each), however many platforms or tenants arrive.
 #[derive(Debug, Default)]
 struct Calibration {
     graphs: Vec<Dataset>,
@@ -245,7 +215,7 @@ impl NavService {
     pub fn new(options: ServeOptions) -> Self {
         NavService {
             space: Arc::new(DesignSpace::standard()),
-            pool: EstimatorPool::new(options.pool_capacity),
+            pool: EstimatorPool::new(POOL_CAPACITY),
             calibration: Calibration::default(),
             options,
             profile_store: None,
@@ -301,8 +271,9 @@ impl NavService {
         let metrics = gnnav_obs::global();
         let journal = metrics.journal();
         let depth = self.queue.len();
-        let reject = if depth >= self.options.queue_capacity {
-            Some(AdmitError::QueueFull { depth, capacity: self.options.queue_capacity })
+        let capacity = self.options.queue_capacity;
+        let reject = if depth >= capacity {
+            Some(AdmitError::QueueFull { depth, capacity })
         } else {
             let bucket = self.buckets.entry(request.tenant.0).or_insert(self.options.tenant_budget);
             if *bucket == 0 {
@@ -330,9 +301,11 @@ impl NavService {
             }
             return Err(err);
         }
-        let degrade = if depth >= self.options.cache_only_depth {
+        // The rungs sit at ⌈3q/4⌉ (as q − ⌊q/4⌋, which cannot
+        // overflow) and ⌈q/2⌉ of the queue bound q.
+        let degrade = if depth >= capacity - capacity / 4 {
             DegradeLevel::CacheOnly
-        } else if depth >= self.options.degrade_depth {
+        } else if depth >= capacity.div_ceil(2) {
             DegradeLevel::ReducedBudget
         } else {
             DegradeLevel::Full
@@ -370,33 +343,41 @@ impl NavService {
     /// Sampling covers all model families so one fit serves every
     /// request on the platform.
     fn calibrate(
-        options: &ServeOptions,
+        seed: u64,
         mut store: Option<&mut ProfileStore>,
         calibration: &mut Calibration,
         plan: &Plan,
     ) -> Result<GrayBoxEstimator, ServeError> {
         let backend = RuntimeBackend::new(plan.platform.clone());
-        let profiler = Profiler::new(backend, options.calibration_exec()).with_threads(1);
+        let exec = ExecutionOptions {
+            epochs: 1,
+            train: true,
+            train_batches_cap: Some(2),
+            seed,
+            journal: false,
+            ..ExecutionOptions::default()
+        };
+        let profiler = Profiler::new(backend, exec).with_threads(1);
         let mut db = ProfileDb::new();
         let Calibration { graphs, traces } = calibration;
         if graphs.is_empty() {
-            *graphs = (0..options.calibration_graphs.max(1))
+            *graphs = (0..CALIBRATION_GRAPHS)
                 .map(|g| {
                     Dataset::synthetic(
-                        options.calibration_nodes + g * 137,
+                        CALIBRATION_NODES + g * 137,
                         3 + g % 3,
                         32,
                         8,
-                        options.seed ^ 0x5E21 ^ (g as u64).wrapping_mul(0x9E37_79B9),
+                        seed ^ 0x5E21 ^ (g as u64).wrapping_mul(0x9E37_79B9),
                     )
                 })
                 .collect::<Result<_, _>>()?;
         }
         for (g, dataset) in graphs.iter().enumerate() {
-            let per_model = options.calibration_samples.max(3).div_ceil(3);
+            let per_model = CALIBRATION_SAMPLES.div_ceil(3);
             for (m, model) in ModelKind::ALL.iter().enumerate() {
-                let seed = options.seed ^ ((g as u64) << 8) ^ m as u64;
-                let configs = plan.space.sample(per_model, *model, seed);
+                let sample_seed = seed ^ ((g as u64) << 8) ^ m as u64;
+                let configs = plan.space.sample(per_model, *model, sample_seed);
                 db.merge(profiler.profile_through(
                     store.as_deref_mut(),
                     Some(&mut *traces),
@@ -466,9 +447,9 @@ impl NavService {
                 space: Arc::clone(&self.space),
                 constraints: req.workload.constraints,
                 budget: if p.degrade == DegradeLevel::Full {
-                    self.options.explore_budget
+                    EXPLORE_BUDGET
                 } else {
-                    self.options.reduced_budget
+                    REDUCED_BUDGET
                 },
                 seed: self.options.seed,
                 salt: self.options.estimator_salt(platform_fp),
@@ -515,7 +496,7 @@ impl NavService {
             // recipe, not the fitted coefficients).
             let (estimator, pool_hit) = self.pool.get_or_insert_with(platform_fp, || {
                 let store = self.profile_store.as_mut();
-                Self::calibrate(&self.options, store, &mut self.calibration, &plan)
+                Self::calibrate(self.options.seed, store, &mut self.calibration, &plan)
             })?;
             served.push((fp, if pool_hit { ServeTier::WarmEstimator } else { ServeTier::Cold }));
             walks.push((plan, priority, fp, estimator));

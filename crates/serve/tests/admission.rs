@@ -1,35 +1,27 @@
 //! Admission-control behavior: typed rejections, the degradation
 //! ladder, and the no-partial-spans guarantee for rejected requests.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
-use gnnav_explorer::ExplorerError;
+use gnnav_obs::journal::ArgValue;
 use gnnav_obs::names as metric;
-use gnnav_serve::{
-    tenant_request, AdmitError, DegradeLevel, NavService, ServeError, ServeOptions, TenantId,
-};
+use gnnav_serve::{tenant_request, AdmitError, DegradeLevel, NavService, ServeOptions, TenantId};
 
-/// Serializes the tests that toggle the global journal.
+/// Serializes the tests of this file: some toggle the global journal,
+/// and every submit writes to it while it is on.
 static JOURNAL_LOCK: Mutex<()> = Mutex::new(());
 
+fn serial() -> MutexGuard<'static, ()> {
+    JOURNAL_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn fast_options(seed: u64) -> ServeOptions {
-    ServeOptions {
-        queue_capacity: 24,
-        tenant_budget: 4,
-        degrade_depth: 12,
-        cache_only_depth: 18,
-        explore_budget: 120,
-        reduced_budget: 40,
-        pool_capacity: 4,
-        calibration_graphs: 1,
-        calibration_nodes: 250,
-        calibration_samples: 6,
-        seed,
-    }
+    ServeOptions { queue_capacity: 24, tenant_budget: 4, seed }
 }
 
 #[test]
 fn queue_full_returns_typed_error_without_panicking() {
+    let _guard = serial();
     let mut service =
         NavService::new(ServeOptions { queue_capacity: 3, tenant_budget: 100, ..fast_options(11) });
     for tenant in 0..3 {
@@ -44,6 +36,7 @@ fn queue_full_returns_typed_error_without_panicking() {
 
 #[test]
 fn tenant_budget_exhaustion_returns_typed_error() {
+    let _guard = serial();
     let mut service = NavService::new(ServeOptions { tenant_budget: 2, ..fast_options(12) });
     service.submit(tenant_request(12, 7)).expect("first token");
     service.submit(tenant_request(12, 7)).expect("second token");
@@ -55,6 +48,7 @@ fn tenant_budget_exhaustion_returns_typed_error() {
 
 #[test]
 fn a_drain_refills_the_bucket_to_the_full_budget() {
+    let _guard = serial();
     let mut service = NavService::new(ServeOptions { tenant_budget: 2, ..fast_options(15) });
     for _ in 0..2 {
         service.submit(tenant_request(15, 7)).expect("initial token");
@@ -69,43 +63,20 @@ fn a_drain_refills_the_bucket_to_the_full_budget() {
 }
 
 #[test]
-fn a_zero_budget_fails_the_wave_with_a_typed_error() {
-    // Once at the full budget, once at the reduced one every admission
-    // gets when the degrade rung starts at depth 0.
-    for (explore_budget, reduced_budget, degrade_depth) in [(0, 40, 12), (120, 0, 0)] {
-        let mut service = NavService::new(ServeOptions {
-            explore_budget,
-            reduced_budget,
-            degrade_depth,
-            ..fast_options(14)
-        });
-        service.submit(tenant_request(14, 0)).expect("admitted");
-        let err = service.drain().expect_err("no exploration runs on a zero budget");
-        assert!(
-            matches!(err, ServeError::Explorer(ExplorerError::ZeroBudget)),
-            "{explore_budget}/{reduced_budget}: {err}"
-        );
-    }
-}
-
-#[test]
 fn degradation_ladder_follows_queue_depth() {
-    let mut service = NavService::new(ServeOptions {
-        queue_capacity: 24,
-        tenant_budget: 100,
-        degrade_depth: 4,
-        cache_only_depth: 8,
-        ..fast_options(13)
-    });
+    let _guard = serial();
+    // A bound of 12 puts the rungs at depths 6 and 9.
+    let mut service =
+        NavService::new(ServeOptions { queue_capacity: 12, tenant_budget: 100, seed: 13 });
     for tenant in 0..12 {
         service.submit(tenant_request(13, tenant)).expect("admitted");
     }
     let responses = service.drain().expect("wave resolves");
     assert_eq!(responses.len(), 12);
     for (i, r) in responses.iter().enumerate() {
-        let expect = if i >= 8 {
+        let expect = if i >= 9 {
             DegradeLevel::CacheOnly
-        } else if i >= 4 {
+        } else if i >= 6 {
             DegradeLevel::ReducedBudget
         } else {
             DegradeLevel::Full
@@ -115,8 +86,57 @@ fn degradation_ladder_follows_queue_depth() {
 }
 
 #[test]
+fn the_rungs_sit_at_a_half_and_three_quarters_of_the_queue_bound() {
+    let _guard = serial();
+    let journal = gnnav_obs::global().journal();
+    // (bound, first reduced depth, first cache-only depth); `None`
+    // where the bound admits no request that deep.
+    let cases = [
+        (1, None, None),
+        (2, Some(1), None),
+        (3, Some(2), None),
+        (4, Some(2), Some(3)),
+        (5, Some(3), Some(4)),
+        (24, Some(12), Some(18)),
+        (64, Some(32), Some(48)),
+    ];
+    for (bound, reduced, cache_only) in cases {
+        journal.enable(true);
+        journal.reset();
+        let mut service =
+            NavService::new(ServeOptions { queue_capacity: bound, tenant_budget: 100, seed: 18 });
+        for tenant in 0..bound {
+            service.submit(tenant_request(18, tenant)).expect("under the bound");
+        }
+        let snapshot = journal.snapshot();
+        journal.enable(false);
+        let rungs: Vec<String> = snapshot
+            .events
+            .iter()
+            .filter(|e| e.name.as_ref() == metric::EVENT_SERVE_ADMIT)
+            .filter_map(|e| match e.args.iter().find(|(k, _)| k.as_ref() == "degrade") {
+                Some((_, ArgValue::Str(label))) => Some(label.clone()),
+                _ => None,
+            })
+            .collect();
+        let expect: Vec<&str> = (0..bound)
+            .map(|depth| {
+                if cache_only.is_some_and(|d| depth >= d) {
+                    "cache-only"
+                } else if reduced.is_some_and(|d| depth >= d) {
+                    "reduced"
+                } else {
+                    "full"
+                }
+            })
+            .collect();
+        assert_eq!(rungs, expect, "bound {bound}");
+    }
+}
+
+#[test]
 fn rejected_requests_leave_no_partial_journal_spans() {
-    let _guard = JOURNAL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = serial();
     let journal = gnnav_obs::global().journal();
     journal.enable(true);
     journal.reset();

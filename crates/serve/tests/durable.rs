@@ -18,19 +18,7 @@ use gnnav_serve::{tenant_request, NavRequest, NavService, ServeOptions, ServeTie
 static METRICS_LOCK: Mutex<()> = Mutex::new(());
 
 fn fast_options(seed: u64) -> ServeOptions {
-    ServeOptions {
-        queue_capacity: 24,
-        tenant_budget: 8,
-        degrade_depth: 12,
-        cache_only_depth: 18,
-        explore_budget: 120,
-        reduced_budget: 40,
-        pool_capacity: 4,
-        calibration_graphs: 1,
-        calibration_nodes: 250,
-        calibration_samples: 6,
-        seed,
-    }
+    ServeOptions { queue_capacity: 24, tenant_budget: 8, seed }
 }
 
 #[test]

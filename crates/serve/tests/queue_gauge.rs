@@ -6,7 +6,6 @@
 //! process-global metrics registry, which tests running on parallel
 //! threads would perturb.
 
-use gnnav_explorer::ExplorerError;
 use gnnav_obs::names as metric;
 use gnnav_serve::{tenant_request, NavService, ServeError, ServeOptions};
 
@@ -16,21 +15,18 @@ fn depth_gauge() -> Option<f64> {
 
 #[test]
 fn a_failed_drain_leaves_the_depth_gauge_at_the_queue_depth() {
-    let options = ServeOptions {
-        explore_budget: 0,
-        calibration_graphs: 1,
-        calibration_nodes: 250,
-        calibration_samples: 6,
-        ..ServeOptions::default()
-    };
-    let mut service = NavService::new(options);
+    let mut service = NavService::new(ServeOptions::default());
     gnnav_obs::global().enable(true);
     for tenant in 0..3 {
-        service.submit(tenant_request(15, tenant)).expect("admitted");
+        let mut request = tenant_request(15, tenant);
+        // A dataset with no features: its materialization, the first
+        // thing the wave does with the request, fails.
+        request.workload.feat_dim = 0;
+        service.submit(request).expect("admitted");
     }
     assert_eq!(depth_gauge(), Some(3.0));
-    let err = service.drain().expect_err("no exploration runs on a zero budget");
-    assert!(matches!(err, ServeError::Explorer(ExplorerError::ZeroBudget)), "{err}");
+    let err = service.drain().expect_err("no dataset has zero features");
+    assert!(matches!(err, ServeError::Graph(_)), "{err}");
     let gauge = depth_gauge();
     gnnav_obs::global().enable(false);
     assert_eq!(service.queue_depth(), 0, "the failed wave took the queue");

@@ -16,28 +16,19 @@ use gnnav_serve::{
 static METRICS_LOCK: Mutex<()> = Mutex::new(());
 
 fn fast_options(seed: u64) -> ServeOptions {
-    ServeOptions {
-        queue_capacity: 24,
-        tenant_budget: 8,
-        degrade_depth: 12,
-        cache_only_depth: 18,
-        explore_budget: 120,
-        reduced_budget: 40,
-        pool_capacity: 4,
-        calibration_graphs: 1,
-        calibration_nodes: 250,
-        calibration_samples: 6,
-        seed,
-    }
+    ServeOptions { queue_capacity: 24, tenant_budget: 8, seed }
 }
 
 fn counter(name: &str) -> u64 {
     gnnav_obs::global().snapshot().counters.get(name).copied().unwrap_or(0)
 }
 
-/// Executions one calibration of `fast_options` trains: one graph,
-/// six sampled configs.
-const CALIBRATION_RUNS: u64 = 6;
+/// Executions one calibration trains: two graphs, six sampled configs
+/// for each of the three model kinds.
+const CALIBRATION_RUNS: u64 = 36;
+
+/// Warm fits the estimator pool holds.
+const POOL_CAPACITY: usize = 8;
 
 fn presets() -> [Platform; 3] {
     [Platform::default_rtx4090(), Platform::default_a100(), Platform::default_m90()]
@@ -174,24 +165,31 @@ fn recalibrating_an_evicted_platform_trains_nothing() {
     metrics.enable(true);
 
     let runs_before = counter(metric::BACKEND_RUNS);
-    let [a, b, _] = presets();
-    let mut service = NavService::new(ServeOptions { pool_capacity: 1, ..fast_options(24) });
+    let [a, ..] = presets();
+    let mut service = NavService::new(fast_options(24));
     service.submit(tenant_on(24, &a, 0)).expect("admit");
     service.drain().expect("wave 1");
     let first_fit = pooled_fit(&service, &a);
-    service.submit(tenant_on(24, &b, 0)).expect("admit");
+    // One more platform than the pool holds, each `a` with another
+    // FP16 speed-up, pushes `a` out.
+    for k in 0..POOL_CAPACITY {
+        let mut request = tenant_on(24, &a, 0);
+        request.platform.device.fp16_speedup *= (k + 2) as f64;
+        service.submit(request).expect("admit");
+    }
     service.drain().expect("wave 2");
+    assert_eq!(service.pool().evictions(), 1);
     // A fresh workload, so the request reaches the pool at all.
     service.submit(tenant_on(24, &a, 1)).expect("admit");
     let responses = service.drain().expect("wave 3");
 
     assert_eq!(responses[0].tier, ServeTier::Cold, "the pool had evicted the platform");
-    assert_eq!(service.pool().misses(), 3);
+    assert_eq!(service.pool().misses(), POOL_CAPACITY as u64 + 2);
     assert_eq!(service.pool().evictions(), 2);
     assert_eq!(
         counter(metric::BACKEND_RUNS) - runs_before,
         CALIBRATION_RUNS,
-        "three calibrations, one of them trained"
+        "ten calibrations, one of them trained"
     );
     assert_eq!(pooled_fit(&service, &a), first_fit);
     metrics.enable(false);

@@ -176,19 +176,7 @@ fn adaptive_writer(dir: &Path) -> String {
 /// A cold service lifetime and a restarted one over the same durable
 /// profile store and exploration cache.
 fn serve_writer(dir: &Path) -> String {
-    let options = ServeOptions {
-        queue_capacity: 24,
-        tenant_budget: 8,
-        degrade_depth: 12,
-        cache_only_depth: 18,
-        explore_budget: 120,
-        reduced_budget: 40,
-        pool_capacity: 4,
-        calibration_graphs: 1,
-        calibration_nodes: 250,
-        calibration_samples: 6,
-        seed: 31,
-    };
+    let options = ServeOptions { queue_capacity: 24, tenant_budget: 8, seed: 31 };
     let mut responses = Vec::new();
     for _lifetime in 0..2 {
         let mut service = NavService::new(options.clone())
