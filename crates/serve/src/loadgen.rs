@@ -52,7 +52,7 @@ pub struct LoadSummary {
     pub submitted: u64,
     /// Requests admitted past admission control.
     pub admitted: u64,
-    /// Requests rejected (queue full or budget exhausted).
+    /// Requests rejected at submit (see `AdmitError::reason`).
     pub rejected: u64,
     /// Responses committed.
     pub responses: u64,

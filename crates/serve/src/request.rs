@@ -182,6 +182,13 @@ pub enum AdmitError {
         /// The over-budget tenant.
         tenant: TenantId,
     },
+    /// A runtime constraint's limit is NaN or infinite.
+    NonFiniteLimit {
+        /// The requesting tenant.
+        tenant: TenantId,
+        /// The constraint's field name.
+        limit: &'static str,
+    },
 }
 
 impl std::fmt::Display for AdmitError {
@@ -192,6 +199,9 @@ impl std::fmt::Display for AdmitError {
             }
             AdmitError::BudgetExhausted { tenant } => {
                 write!(f, "tenant {tenant} exploration budget exhausted")
+            }
+            AdmitError::NonFiniteLimit { tenant, limit } => {
+                write!(f, "tenant {tenant}: the {limit} limit must be finite")
             }
         }
     }
@@ -205,6 +215,7 @@ impl AdmitError {
         match self {
             AdmitError::QueueFull { .. } => "queue-full",
             AdmitError::BudgetExhausted { .. } => "budget-exhausted",
+            AdmitError::NonFiniteLimit { .. } => "non-finite-limit",
         }
     }
 }

@@ -5,7 +5,9 @@ use std::sync::{Mutex, MutexGuard};
 
 use gnnav_obs::journal::ArgValue;
 use gnnav_obs::names as metric;
-use gnnav_serve::{tenant_request, AdmitError, DegradeLevel, NavService, ServeOptions, TenantId};
+use gnnav_serve::{
+    tenant_request, AdmitError, DegradeLevel, NavRequest, NavService, ServeOptions, TenantId,
+};
 
 /// Serializes the tests of this file: some toggle the global journal,
 /// and every submit writes to it while it is on.
@@ -17,6 +19,18 @@ fn serial() -> MutexGuard<'static, ()> {
 
 fn fast_options(seed: u64) -> ServeOptions {
     ServeOptions { queue_capacity: 24, tenant_budget: 4, seed }
+}
+
+/// Tenant `tenant`'s request with one runtime limit set to `value`.
+fn with_limit(seed: u64, tenant: usize, limit: &str, value: f64) -> NavRequest {
+    let mut request = tenant_request(seed, tenant);
+    let constraints = &mut request.workload.constraints;
+    match limit {
+        "max_time_s" => constraints.max_time_s = Some(value),
+        "max_mem_bytes" => constraints.max_mem_bytes = Some(value),
+        _ => constraints.min_accuracy = Some(value),
+    }
+    request
 }
 
 #[test]
@@ -60,6 +74,38 @@ fn a_drain_refills_the_bucket_to_the_full_budget() {
     }
     let err = service.submit(tenant_request(15, 7)).expect_err("refilled bucket empty");
     assert_eq!(err, AdmitError::BudgetExhausted { tenant: TenantId(7) });
+}
+
+#[test]
+fn a_non_finite_limit_is_refused_at_submit_and_takes_no_token() {
+    let _guard = serial();
+    for limit in ["max_time_s", "max_mem_bytes", "min_accuracy"] {
+        for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut service =
+                NavService::new(ServeOptions { tenant_budget: 1, ..fast_options(16) });
+            let err = service
+                .submit(with_limit(16, 7, limit, value))
+                .expect_err("a non-finite limit is refused");
+            assert_eq!(err.reason(), "non-finite-limit", "{limit} = {value}");
+            assert!(err.to_string().contains(limit), "{err}");
+            assert_eq!(service.queue_depth(), 0);
+            // The refused request took none of tenant 7's one token.
+            service.submit(tenant_request(16, 7)).expect("the token is still there");
+        }
+    }
+}
+
+#[test]
+fn a_non_finite_limit_leaves_the_rest_of_the_wave_answered() {
+    let _guard = serial();
+    let mut service = NavService::new(fast_options(17));
+    for tenant in 0..3 {
+        service.submit(tenant_request(17, tenant)).expect("admitted");
+    }
+    service.submit(with_limit(17, 3, "max_time_s", f64::NAN)).expect_err("refused at submit");
+    let responses = service.drain().expect("the wave holds only well-formed requests");
+    let tenants: Vec<u64> = responses.iter().map(|r| r.tenant.0).collect();
+    assert_eq!(tenants, [0, 1, 2]);
 }
 
 #[test]
@@ -144,8 +190,9 @@ fn rejected_requests_leave_no_partial_journal_spans() {
     let mut service =
         NavService::new(ServeOptions { queue_capacity: 2, tenant_budget: 1, ..fast_options(14) });
     service.submit(tenant_request(14, 1)).expect("admitted");
-    // Queue-full and budget-exhausted rejections.
+    // Budget-exhausted, non-finite-limit and queue-full rejections.
     service.submit(tenant_request(14, 1)).expect_err("budget");
+    service.submit(with_limit(14, 2, "min_accuracy", f64::NAN)).expect_err("limit");
     service.submit(tenant_request(14, 2)).expect("admitted");
     service.submit(tenant_request(14, 3)).expect_err("queue full");
 
@@ -155,7 +202,7 @@ fn rejected_requests_leave_no_partial_journal_spans() {
         snapshot.events.iter().filter(|e| e.track.as_ref() == metric::TRACK_SERVE).collect();
     let rejects: Vec<_> =
         serve_events.iter().filter(|e| e.name.as_ref() == metric::EVENT_SERVE_REJECT).collect();
-    assert_eq!(rejects.len(), 2, "one instant per rejection");
+    assert_eq!(rejects.len(), 3, "one instant per rejection");
     for e in &serve_events {
         // No wave ran: the serve track must hold only instants —
         // rejections can never open a span.
