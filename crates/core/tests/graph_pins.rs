@@ -102,7 +102,8 @@ fn render() -> String {
     }
 
     // Serve's calibration graphs, as `NavService` draws them: its
-    // private `CALIBRATION_GRAPHS` (2) from `CALIBRATION_NODES` (400).
+    // private `CALIBRATION_GRAPHS` (2) graphs, the first of
+    // `CALIBRATION_NODES` (400) nodes.
     let serve = ServeOptions::default();
     for g in 0..2 {
         let nodes = 400 + g * 137;
