@@ -7,11 +7,10 @@
 //! `registry_primitives` group pins the per-call cost of the disabled
 //! recording paths themselves.
 //!
-//! The `enabled` primitive group pins the cost ceiling of the hot
-//! recording paths: `observe` through the thread-local histogram-cell
-//! cache (one global-lock acquisition per name per thread, amortized
-//! to a TLS hash lookup) and the name-keyed counter/span paths for
-//! comparison.
+//! The `enabled` primitive group pins the cost ceiling of the
+//! recording paths on an enabled registry: each `add`, `observe` and
+//! span drop takes the registry's one lock and updates a plain value
+//! found by name, copying the name only when the series is new.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use gnnav_graph::{Dataset, DatasetId};
@@ -60,9 +59,9 @@ fn bench_registry_enabled_paths(c: &mut Criterion) {
     group.bench_function("enabled_counter_add", |b| {
         b.iter(|| registry.add(black_box("bench.counter"), black_box(1)));
     });
-    group.bench_function("enabled_observe_tls_cached", |b| {
-        // First call populates the thread-local cell cache; steady
-        // state is a TLS HashMap hit plus one cell-mutex lock.
+    group.bench_function("enabled_observe", |b| {
+        // The first call creates the series; steady state is one lock,
+        // one name lookup and one bucket increment.
         b.iter(|| registry.observe(black_box("bench.hist"), black_box(1.5e-3)));
     });
     group.bench_function("enabled_span", |b| {

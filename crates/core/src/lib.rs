@@ -93,8 +93,8 @@ pub enum NavigatorError {
     Explorer(gnnav_explorer::ExplorerError),
     /// Adaptive execution failed.
     Adapt(gnnav_adapt::AdaptError),
-    /// A pipeline step failed with a contextual message.
-    Pipeline(String),
+    /// A durable store (the explore cache) failed.
+    Store(gnnav_store::StoreError),
 }
 
 impl fmt::Display for NavigatorError {
@@ -104,7 +104,7 @@ impl fmt::Display for NavigatorError {
             NavigatorError::Estimator(e) => write!(f, "estimator error: {e}"),
             NavigatorError::Explorer(e) => write!(f, "explorer error: {e}"),
             NavigatorError::Adapt(e) => write!(f, "adaptive execution error: {e}"),
-            NavigatorError::Pipeline(msg) => write!(f, "pipeline error: {msg}"),
+            NavigatorError::Store(e) => write!(f, "store error: {e}"),
         }
     }
 }
@@ -116,7 +116,7 @@ impl Error for NavigatorError {
             NavigatorError::Estimator(e) => Some(e),
             NavigatorError::Explorer(e) => Some(e),
             NavigatorError::Adapt(e) => Some(e),
-            _ => None,
+            NavigatorError::Store(e) => Some(e),
         }
     }
 }
@@ -145,6 +145,12 @@ impl From<gnnav_adapt::AdaptError> for NavigatorError {
     }
 }
 
+impl From<gnnav_store::StoreError> for NavigatorError {
+    fn from(e: gnnav_store::StoreError) -> Self {
+        NavigatorError::Store(e)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,6 +159,12 @@ mod tests {
     fn error_impls() {
         fn assert_err<T: Error + Send>() {}
         assert_err::<NavigatorError>();
-        assert!(NavigatorError::Pipeline("x".into()).to_string().contains("pipeline"));
+        // An explore-cache failure arrives typed, its cause reachable
+        // through `source()`.
+        let e = NavigatorError::from(gnnav_store::StoreError::decode("x"));
+        assert!(matches!(e, NavigatorError::Store(_)));
+        assert!(e.to_string().contains("store error: decode error: x"), "{e}");
+        let cause = e.source().expect("a store error has a source");
+        assert_eq!(cause.to_string(), "decode error: x");
     }
 }

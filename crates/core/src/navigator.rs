@@ -277,7 +277,7 @@ impl Navigator {
     /// # Errors
     ///
     /// Propagates profiling, fitting, exploration and cache-append
-    /// failures.
+    /// failures (the last as [`NavigatorError::Store`]).
     pub fn generate_guideline(
         &mut self,
         priority: Priority,
@@ -331,8 +331,7 @@ impl Navigator {
             return Ok(hits);
         }
         let results = plan.walk(self.prepare()?, priorities)?;
-        Plan::commit(self.explore_cache.as_mut(), &keys, &results)
-            .map_err(|e| NavigatorError::Pipeline(e.to_string()))?;
+        Plan::commit(self.explore_cache.as_mut(), &keys, &results)?;
         Ok(results)
     }
 

@@ -195,7 +195,7 @@ impl DfsExplorer {
             spent += expanded.evals;
         }
         // Once per exploration, never per candidate: an enabled
-        // registry takes a lock and allocates the name on every add.
+        // registry takes its lock on every add.
         if evaluator.stats.evaluated > 0 {
             gnnav_obs::global()
                 .add(metric::ESTIMATOR_PREDICTIONS, evaluator.stats.evaluated as u64);

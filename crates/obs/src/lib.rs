@@ -33,13 +33,14 @@
 //! starts with one relaxed atomic load, so instrumentation compiled
 //! into hot paths costs near zero until someone opts in (the
 //! `obs_overhead` bench in `gnnav-bench` pins this). On the enabled
-//! path, histogram cells are memoized per thread, so repeated
-//! observations of one series do not take the global registry lock.
-//! Snapshots export
-//! as deterministic, sorted-key JSON via [`Snapshot::to_json`], parse
-//! back with [`Snapshot::from_json`], and diff against a baseline with
-//! [`diff::diff_snapshots`] — the machinery behind the
-//! `gnnavigate metrics-diff` regression gate.
+//! path every call takes the registry's one lock over plain values,
+//! as the journal does, and copies a name only when its series is
+//! created. No per-thread cache sits in front of it: histograms are
+//! observed once per epoch, decision, served response or span, never
+//! per batch. Snapshots export as deterministic, sorted-key JSON via
+//! [`Snapshot::to_json`], parse back with [`Snapshot::from_json`], and
+//! diff against a baseline with [`diff::diff_snapshots`] — the
+//! machinery behind the `gnnavigate metrics-diff` regression gate.
 //!
 //! # Example
 //!
@@ -64,9 +65,9 @@
 
 use std::borrow::Cow;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 pub mod alloc;
@@ -216,19 +217,18 @@ impl HistogramData {
 
 #[derive(Debug, Default)]
 struct Inner {
-    counters: BTreeMap<String, Arc<AtomicU64>>,
-    gauges: BTreeMap<String, Arc<AtomicU64>>, // f64 bit patterns
-    histograms: BTreeMap<String, Arc<Mutex<HistogramData>>>,
+    counters: BTreeMap<String, u64>,
+    gauges: BTreeMap<String, f64>,
+    histograms: BTreeMap<String, HistogramData>,
 }
 
-/// Monotonic source of registry generations: every [`Registry::new`]
-/// and every [`Registry::reset`] takes a fresh value, so thread-local
-/// cell caches can detect both resets and a new registry reusing a
-/// freed one's address.
-static NEXT_GENERATION: AtomicU64 = AtomicU64::new(1);
-
-fn fresh_generation() -> u64 {
-    NEXT_GENERATION.fetch_add(1, Ordering::Relaxed)
+/// The value of the series `name` in `map`, created (and its name
+/// copied) only if it is new.
+fn series<'m, V: Default>(map: &'m mut BTreeMap<String, V>, name: &str) -> &'m mut V {
+    if !map.contains_key(name) {
+        map.insert(name.to_string(), V::default());
+    }
+    map.get_mut(name).expect("inserted above")
 }
 
 /// A metrics registry: the shared sink all instrumentation writes to.
@@ -238,7 +238,6 @@ fn fresh_generation() -> u64 {
 #[derive(Debug)]
 pub struct Registry {
     enabled: AtomicBool,
-    generation: AtomicU64,
     inner: Mutex<Inner>,
     journal: Journal,
 }
@@ -251,12 +250,6 @@ impl Default for Registry {
 
 thread_local! {
     static SPAN_STACK: RefCell<Vec<Cow<'static, str>>> = const { RefCell::new(Vec::new()) };
-    /// Per-thread histogram cell memo: registry address -> (generation
-    /// observed, series name -> cell). Keyed by generation so resets
-    /// and address reuse invalidate stale entries.
-    #[allow(clippy::type_complexity)]
-    static HIST_TLS: RefCell<HashMap<usize, (u64, HashMap<String, Arc<Mutex<HistogramData>>>)>> =
-        RefCell::new(HashMap::new());
 }
 
 impl Registry {
@@ -264,7 +257,6 @@ impl Registry {
     pub fn new() -> Self {
         Registry {
             enabled: AtomicBool::new(false),
-            generation: AtomicU64::new(fresh_generation()),
             inner: Mutex::new(Inner::default()),
             journal: Journal::new(),
         }
@@ -295,13 +287,21 @@ impl Registry {
         &self.journal
     }
 
+    /// The series maps. A poisoned lock is taken over: no update can
+    /// panic halfway, so the maps are valid whoever held the lock.
+    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Adds `delta` to the counter `name`.
     #[inline]
     pub fn add(&self, name: &str, delta: u64) {
         if !self.is_enabled() {
             return;
         }
-        self.counter_cell(name).fetch_add(delta, Ordering::Relaxed);
+        let mut inner = self.lock();
+        let count = series(&mut inner.counters, name);
+        *count = count.wrapping_add(delta);
     }
 
     /// Sets the gauge `name` to `value`.
@@ -310,21 +310,16 @@ impl Registry {
         if !self.is_enabled() {
             return;
         }
-        self.gauge_cell(name).store(value.to_bits(), Ordering::Relaxed);
+        *series(&mut self.lock().gauges, name) = value;
     }
 
     /// Records `value` into the histogram `name`.
-    ///
-    /// The cell handle is memoized per thread, so repeated
-    /// observations of one series take only the cell's own lock, not
-    /// the global registry lock.
     #[inline]
     pub fn observe(&self, name: &str, value: f64) {
         if !self.is_enabled() {
             return;
         }
-        let cell = self.cached_histogram_cell(name);
-        cell.lock().unwrap_or_else(|e| e.into_inner()).observe(value);
+        series(&mut self.lock().histograms, name).observe(value);
     }
 
     /// Records `d` (in seconds) into the histogram `name`.
@@ -379,69 +374,21 @@ impl Registry {
         Span { registry: self, start: Some(Instant::now()), path, pushed }
     }
 
-    fn counter_cell(&self, name: &str) -> Arc<AtomicU64> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        Arc::clone(inner.counters.entry(name.to_string()).or_default())
-    }
-
-    fn gauge_cell(&self, name: &str) -> Arc<AtomicU64> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        Arc::clone(inner.gauges.entry(name.to_string()).or_default())
-    }
-
-    fn histogram_cell(&self, name: &str) -> Arc<Mutex<HistogramData>> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        Arc::clone(inner.histograms.entry(name.to_string()).or_default())
-    }
-
-    /// Thread-cached lookup of the histogram cell for `name`.
-    fn cached_histogram_cell(&self, name: &str) -> Arc<Mutex<HistogramData>> {
-        let key = self as *const Registry as usize;
-        let generation = self.generation.load(Ordering::Relaxed);
-        HIST_TLS.with(|tls| {
-            let mut tls = tls.borrow_mut();
-            let entry = tls.entry(key).or_insert_with(|| (generation, HashMap::new()));
-            if entry.0 != generation {
-                *entry = (generation, HashMap::new());
-            }
-            if let Some(cell) = entry.1.get(name) {
-                return Arc::clone(cell);
-            }
-            let cell = self.histogram_cell(name);
-            entry.1.insert(name.to_string(), Arc::clone(&cell));
-            cell
-        })
-    }
-
     /// Takes a consistent point-in-time copy of every metric.
     pub fn snapshot(&self) -> Snapshot {
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let inner = self.lock();
         Snapshot {
             enabled: self.is_enabled(),
-            counters: inner
-                .counters
-                .iter()
-                .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
-                .collect(),
-            gauges: inner
-                .gauges
-                .iter()
-                .map(|(k, v)| (k.clone(), f64::from_bits(v.load(Ordering::Relaxed))))
-                .collect(),
-            histograms: inner
-                .histograms
-                .iter()
-                .map(|(k, v)| (k.clone(), v.lock().unwrap_or_else(|e| e.into_inner()).summary()))
-                .collect(),
+            counters: inner.counters.clone(),
+            gauges: inner.gauges.clone(),
+            histograms: inner.histograms.iter().map(|(k, h)| (k.clone(), h.summary())).collect(),
         }
     }
 
     /// Drops every metric series and journal event (the enabled flags
-    /// are untouched). Thread-local cell caches are invalidated.
+    /// are untouched).
     pub fn reset(&self) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        *inner = Inner::default();
-        self.generation.store(fresh_generation(), Ordering::Relaxed);
+        *self.lock() = Inner::default();
         self.journal.reset();
     }
 }
@@ -796,7 +743,7 @@ mod tests {
         // its zero count.
         let r = Registry::new();
         r.enable(true);
-        r.histogram_cell("empty");
+        series(&mut r.lock().histograms, "empty");
         let h = r.snapshot().histograms["empty"];
         assert_eq!(h.count, 0);
         assert_eq!((h.p50, h.p95, h.p99), (0.0, 0.0, 0.0));
@@ -840,7 +787,7 @@ mod tests {
     fn edge_case_histograms_round_trip_v2_and_v1() {
         let r = Registry::new();
         r.enable(true);
-        r.histogram_cell("edge.empty");
+        series(&mut r.lock().histograms, "edge.empty");
         r.observe("edge.one", 0.125);
         for _ in 0..100 {
             r.observe("edge.flat", 2e-3);
