@@ -1,6 +1,7 @@
 //! Criterion benches for the explorer: one whole `explore` on the
 //! wall-clock benchmark's estimator shape (what an evaluated candidate
-//! costs, all in), DFS throughput at different budgets, Pareto-front
+//! costs, all in; open, and with nearly every leaf rejected), DFS
+//! throughput at different budgets, Pareto-front
 //! extraction, and the decision maker with the front handed in and
 //! with the front recomputed.
 
@@ -8,8 +9,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gnnav_bench::benchmark_shape_estimator;
 use gnnav_estimator::{GrayBoxEstimator, Profiler};
 use gnnav_explorer::{
-    decide, decide_on_front, pareto_front_indices, DfsExplorer, Explorer, Priority,
-    RuntimeConstraints,
+    decide, decide_on_front, pareto_front_indices, DfsExplorer, EvaluatedCandidate, Explorer,
+    Priority, RuntimeConstraints,
 };
 use gnnav_graph::{Dataset, DatasetId};
 use gnnav_hwsim::Platform;
@@ -58,24 +59,33 @@ fn bench_explore_and_decision(c: &mut Criterion) {
     let est = benchmark_shape_estimator();
     let dataset = Dataset::load_scaled(DatasetId::Reddit2, 0.2).expect("load");
     let platform = Platform::default_rtx4090();
-    let explore = |budget| {
+    let explore_within = |budget, constraints: &RuntimeConstraints| {
         Explorer::new(&est, budget)
             .with_seed(0x7A51)
-            .explore(
-                &dataset,
-                &platform,
-                ModelKind::Sage,
-                Priority::Balance,
-                &RuntimeConstraints::none(),
-            )
+            .explore(&dataset, &platform, ModelKind::Sage, Priority::Balance, constraints)
             .expect("explore")
     };
-    // The server's budget and the sweep's.
+    let explore = |budget| explore_within(budget, &RuntimeConstraints::none());
+    // Time and memory both capped at the lowest of the open walk's
+    // predictions but one in four, as `benchmark/`'s `explore_sweep`
+    // caps them: nearly every leaf is rejected.
+    let quartile = |value: fn(&EvaluatedCandidate) -> f64| {
+        let mut values: Vec<f64> = explore(4000).evaluated.iter().map(value).collect();
+        values.sort_by(f64::total_cmp);
+        values[values.len() / 4]
+    };
+    let rejecting = RuntimeConstraints {
+        max_time_s: Some(quartile(|c| c.estimate.time_s)),
+        max_mem_bytes: Some(quartile(|c| c.estimate.mem_bytes)),
+        min_accuracy: None,
+    };
+    // The server's budget and the sweep's, then the sweep's capped walk.
     let mut group = c.benchmark_group("explore");
     group.sample_size(20);
     for budget in [400usize, 4000] {
         group.bench_function(format!("budget_{budget}"), |b| b.iter(|| explore(budget)));
     }
+    group.bench_function("rejecting_4000", |b| b.iter(|| explore_within(4000, &rejecting)));
     group.finish();
 
     // The decision over one exploration's accepted candidates: as

@@ -5,6 +5,12 @@
 //! *why* — one [`AuditRecord`] per decision, with the candidate
 //! configuration, its predicted `T`/`Γ`/`Acc` triple, and the reason
 //! in plain words. The CLI dumps it via `gnnavigate --audit-out`.
+//!
+//! A rejection's words are rendered when they are read, not when the
+//! walk rejects: its [`Reason`] keeps the limit that was broken and
+//! that limit's bound, and the predicted value is the record's
+//! estimate. Most leaves of a constrained walk are rejected, and most
+//! walks are never read.
 
 use gnnav_estimator::PerfEstimate;
 use gnnav_obs::json;
@@ -47,8 +53,94 @@ impl AuditAction {
     }
 }
 
-/// One explorer decision.
+/// The reason of every accepted candidate.
+pub(crate) const SATISFIES_ALL: &str = "satisfies all runtime constraints";
+
+/// The runtime constraint a rejected candidate broke.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Limit {
+    /// `max_time_s`.
+    Time,
+    /// `max_mem_bytes`.
+    Memory,
+    /// `min_accuracy`.
+    Accuracy,
+}
+
+impl Limit {
+    /// The predicted value this limit bounds.
+    fn predicted(self, estimate: &PerfEstimate) -> f64 {
+        match self {
+            Limit::Time => estimate.time_s,
+            Limit::Memory => estimate.mem_bytes,
+            Limit::Accuracy => estimate.accuracy,
+        }
+    }
+
+    /// The sentence for a `predicted` value that broke this limit at
+    /// `bound`.
+    fn render(self, predicted: f64, bound: f64) -> String {
+        match self {
+            Limit::Time => format!("predicted epoch time {predicted:.4}s > max {bound:.4}s"),
+            Limit::Memory => format!(
+                "predicted peak memory {:.2} MB > max {:.2} MB",
+                predicted / 1e6,
+                bound / 1e6
+            ),
+            Limit::Accuracy => format!("predicted accuracy {predicted:.4} < min {bound:.4}"),
+        }
+    }
+}
+
+/// Why the explorer decided as it did: text, or the runtime constraint
+/// a candidate broke and that constraint's bound. The latter is
+/// rendered from its record ([`AuditRecord::reason_text`]), whose
+/// estimate holds the predicted value, and reads, encodes and renders
+/// as the plain string it always did. It converts from `&'static str`
+/// and `String`.
 #[derive(Debug, Clone)]
+pub struct Reason(Repr);
+
+#[derive(Debug, Clone)]
+enum Repr {
+    Text(Cow<'static, str>),
+    Broke(Limit, f64),
+}
+
+impl Reason {
+    /// A broken `limit` whose bound is `bound`.
+    pub(crate) fn broke(limit: Limit, bound: f64) -> Self {
+        Reason(Repr::Broke(limit, bound))
+    }
+
+    /// The reason in plain words, with `estimate` as the prediction a
+    /// broken limit names (NaN without one). Borrowed for text,
+    /// rendered for a limit.
+    pub(crate) fn render(&self, estimate: Option<&PerfEstimate>) -> Cow<'_, str> {
+        match &self.0 {
+            Repr::Text(text) => Cow::Borrowed(text),
+            Repr::Broke(limit, bound) => {
+                let predicted = estimate.map_or(f64::NAN, |e| limit.predicted(e));
+                Cow::Owned(limit.render(predicted, *bound))
+            }
+        }
+    }
+}
+
+impl From<&'static str> for Reason {
+    fn from(text: &'static str) -> Self {
+        Reason(Repr::Text(Cow::Borrowed(text)))
+    }
+}
+
+impl From<String> for Reason {
+    fn from(text: String) -> Self {
+        Reason(Repr::Text(Cow::Owned(text)))
+    }
+}
+
+/// One explorer decision.
+#[derive(Clone)]
 pub struct AuditRecord {
     /// Human-readable candidate description (`TrainingConfig::summary`
     /// for evaluated leaves, the fixed axis assignment for pruned
@@ -59,13 +151,35 @@ pub struct AuditRecord {
     pub estimate: Option<PerfEstimate>,
     /// What happened.
     pub action: AuditAction,
-    /// Why, in plain words. Borrowed where the explorer has a fixed
-    /// phrase for it, owned where the reason carries numbers; it
-    /// renders and encodes as the plain string either way.
-    pub reason: Cow<'static, str>,
+    /// Why. Read it in plain words through
+    /// [`reason_text`](Self::reason_text).
+    pub reason: Reason,
     /// Whether the candidate came from the template seeds rather than
     /// the DFS traversal.
     pub seed_candidate: bool,
+}
+
+impl AuditRecord {
+    /// Why, in plain words: the text it was given, or the sentence
+    /// naming the broken limit, this record's predicted value and the
+    /// limit's bound, rendered now.
+    pub fn reason_text(&self) -> Cow<'_, str> {
+        self.reason.render(self.estimate.as_ref())
+    }
+}
+
+/// Renders as `#[derive(Debug)]` would if `reason` were the string
+/// [`reason_text`](AuditRecord::reason_text) returns.
+impl fmt::Debug for AuditRecord {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("AuditRecord")
+            .field("config", &self.config)
+            .field("estimate", &self.estimate)
+            .field("action", &self.action)
+            .field("reason", &self.reason_text())
+            .field("seed_candidate", &self.seed_candidate)
+            .finish()
+    }
 }
 
 /// The audit trail of one exploration: the walk's records — one per
@@ -157,7 +271,7 @@ pub fn audit_to_json(records: &[AuditRecord]) -> String {
         out.push_str(", \"config\": ");
         json::push_string(&mut out, &r.config);
         out.push_str(", \"reason\": ");
-        json::push_string(&mut out, &r.reason);
+        json::push_string(&mut out, &r.reason_text());
         out.push_str(&format!(", \"seed\": {}", r.seed_candidate));
         out.push_str(", \"predicted\": ");
         match &r.estimate {
@@ -246,6 +360,82 @@ mod tests {
         let empty = AuditTrail::default();
         assert!(empty.is_empty() && empty.last().is_none());
         assert_eq!(format!("{empty:?}"), "[]");
+    }
+
+    /// What `#[derive(Debug)]` printed when the reason was a string.
+    mod derived {
+        use super::{AuditAction, Cow, PerfEstimate};
+
+        #[derive(Debug)]
+        #[allow(dead_code)] // read by `Debug` only
+        pub(super) struct AuditRecord {
+            pub(super) config: String,
+            pub(super) estimate: Option<PerfEstimate>,
+            pub(super) action: AuditAction,
+            pub(super) reason: Cow<'static, str>,
+            pub(super) seed_candidate: bool,
+        }
+    }
+
+    #[test]
+    fn a_broken_limit_renders_from_its_record_as_the_string_did() {
+        let estimate = PerfEstimate {
+            time_s: 0.000_55,
+            mem_bytes: 685_000.0,
+            accuracy: 0.046_85,
+            batch_nodes: 10.0,
+            hit_rate: 0.5,
+        };
+        let cases = [
+            (Limit::Time, 0.000_45, "predicted epoch time 0.0006s > max 0.0004s"),
+            (Limit::Memory, 545_000.0, "predicted peak memory 0.69 MB > max 0.55 MB"),
+            (Limit::Accuracy, 0.046_95, "predicted accuracy 0.0469 < min 0.0469"),
+        ];
+        for (limit, bound, text) in cases {
+            let record = AuditRecord {
+                config: "batch=512".into(),
+                estimate: Some(estimate),
+                action: AuditAction::Rejected,
+                reason: Reason::broke(limit, bound),
+                seed_candidate: false,
+            };
+            assert_eq!(record.reason_text(), text);
+            let derived = derived::AuditRecord {
+                config: record.config.clone(),
+                estimate: record.estimate,
+                action: record.action,
+                reason: text.into(),
+                seed_candidate: record.seed_candidate,
+            };
+            assert_eq!(format!("{record:?}"), format!("{derived:?}"));
+            assert_eq!(format!("{record:#?}"), format!("{derived:#?}"));
+            let json = audit_to_json(std::slice::from_ref(&record));
+            assert!(json.contains(&format!("\"reason\": \"{text}\"")), "{json}");
+        }
+        // Text borrows or owns what it was given, and renders it as is.
+        let fixed = AuditRecord { reason: SATISFIES_ALL.into(), ..record_at(None) };
+        assert!(matches!(fixed.reason_text(), Cow::Borrowed(SATISFIES_ALL)));
+        let owned = AuditRecord { reason: String::from("drift").into(), ..record_at(None) };
+        assert_eq!(owned.reason_text(), "drift");
+        // Without an estimate, the prediction reads NaN.
+        let bare = AuditRecord { reason: Reason::broke(Limit::Time, 1.0), ..record_at(None) };
+        assert_eq!(bare.reason_text(), "predicted epoch time NaNs > max 1.0000s");
+    }
+
+    fn record_at(estimate: Option<PerfEstimate>) -> AuditRecord {
+        AuditRecord {
+            config: String::new(),
+            estimate,
+            action: AuditAction::Rejected,
+            reason: "".into(),
+            seed_candidate: false,
+        }
+    }
+
+    #[test]
+    fn a_reason_keeps_the_record_at_104_bytes() {
+        assert_eq!(std::mem::size_of::<Reason>(), 24);
+        assert_eq!(std::mem::size_of::<AuditRecord>(), 104);
     }
 
     #[test]

@@ -68,7 +68,7 @@
 //! `explorer.cache.*` in the global registry, with `explore.cache`
 //! instants on the explorer journal track.
 
-use crate::audit::{AuditAction, AuditRecord, AuditTrail};
+use crate::audit::{AuditAction, AuditRecord, AuditTrail, SATISFIES_ALL};
 use crate::decision::Guideline;
 use crate::dfs::{DfsStats, EvaluatedCandidate};
 use crate::explorer::ExplorationResult;
@@ -84,7 +84,6 @@ use gnnav_store::{
     decode_tagged, encode_tagged, fnv1a64, wire_enum, wire_struct, ByteReader, ByteWriter,
     StoreError, Wal, Wire,
 };
-use std::borrow::Cow;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -107,22 +106,34 @@ wire_enum!(impl Wire for AuditAction as "audit-action" {
     Accepted = 0, Rejected = 1, PrunedSubtree = 2, Selected = 3, Fallback = 4, Switched = 5,
 });
 
-fn put_reason(w: &mut ByteWriter, reason: &str) {
-    w.put_str(reason);
-}
+/// By hand, for the reason: it is written as the words it renders to
+/// with the record's estimate, and read back as text, the explorer's
+/// fixed phrase for an accepted candidate borrowed rather than copied.
+impl Wire for AuditRecord {
+    // Fewest bytes: two empty strings, no estimate, the action and the flag.
+    const MIN_BYTES: usize = 8 + 1 + 1 + 8 + 1;
 
-fn get_reason(r: &mut ByteReader) -> Result<Cow<'static, str>, StoreError> {
-    r.get_str().map(Cow::Owned)
-}
+    fn put(&self, w: &mut ByteWriter) {
+        self.config.put(w);
+        self.estimate.put(w);
+        self.action.put(w);
+        w.put_str(&self.reason_text());
+        self.seed_candidate.put(w);
+    }
 
-// Fewest bytes: two empty strings, no estimate, the action and the flag.
-wire_struct!(AuditRecord, 8 + 1 + 1 + 8 + 1, {
-    config,
-    estimate,
-    action,
-    reason with put_reason, get_reason,
-    seed_candidate,
-});
+    fn get(r: &mut ByteReader) -> Result<Self, StoreError> {
+        Ok(AuditRecord {
+            config: Wire::get(r)?,
+            estimate: Wire::get(r)?,
+            action: Wire::get(r)?,
+            reason: match r.get_str_ref()? {
+                SATISFIES_ALL => SATISFIES_ALL.into(),
+                text => text.to_owned().into(),
+            },
+            seed_candidate: Wire::get(r)?,
+        })
+    }
+}
 
 /// The records as one list: the walk's, then the decision's.
 impl Wire for AuditTrail {
@@ -306,7 +317,7 @@ fn same_walk(a: &ExplorationResult, b: &ExplorationResult) -> bool {
         a.config == b.config
             && a.estimate.as_ref().map(estimate_bits) == b.estimate.as_ref().map(estimate_bits)
             && a.action == b.action
-            && a.reason == b.reason
+            && a.reason_text() == b.reason_text()
             && a.seed_candidate == b.seed_candidate
     }
     fn same_list<T>(a: &Arc<Vec<T>>, b: &Arc<Vec<T>>, same: impl Fn(&T, &T) -> bool) -> bool {
@@ -584,6 +595,13 @@ mod tests {
         // f64 payload (floats print exhaustively via {:?}) and every
         // audit string.
         assert_eq!(format!("{got:?}"), format!("{result:?}"));
+        // A fresh rejection keeps its limit, a decoded one its words:
+        // the two are the same walk.
+        assert!(result.stats.rejected > 0);
+        assert!(same_walk(got, &result));
+        for record in result.audit.iter() {
+            gnnav_store::laws::assert_laws(record);
+        }
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
         std::fs::remove_file(&path).ok();

@@ -30,7 +30,7 @@
 //! format; only the template seeds, which are not index vectors, are
 //! formatted.
 
-use crate::audit::{AuditAction, AuditRecord};
+use crate::audit::{AuditAction, AuditRecord, Reason, SATISFIES_ALL};
 use crate::pareto::{objectives, ParetoFront};
 use crate::targets::RuntimeConstraints;
 use gnnav_estimator::reuse::WordSet;
@@ -44,7 +44,6 @@ use gnnav_runtime::{DesignSpace, SummaryTable, TrainingConfig};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::borrow::Cow;
 use std::sync::Arc;
 
 /// A candidate evaluated by the estimator during exploration.
@@ -255,17 +254,14 @@ impl Sink for Evaluator<'_> {
             if metrics.is_enabled() {
                 metrics.add(metric::EXPLORER_NONFINITE, 1);
             }
-            Some(format!(
+            Some(Reason::from(format!(
                 "estimator returned a non-finite prediction (time_s={}, mem_bytes={}, \
                  accuracy={})",
                 estimate.time_s, estimate.mem_bytes, estimate.accuracy
-            ))
+            )))
         };
         let accepted = violation.is_none();
-        let reason: Cow<'static, str> = match violation {
-            Some(violation) => violation.into(),
-            None => "satisfies all runtime constraints".into(),
-        };
+        let reason = violation.unwrap_or_else(|| SATISFIES_ALL.into());
         if journal.is_enabled() {
             journal.instant(
                 metric::EVENT_CANDIDATE,
@@ -277,7 +273,7 @@ impl Sink for Evaluator<'_> {
                     ("mem_bytes".into(), estimate.mem_bytes.into()),
                     ("accuracy".into(), estimate.accuracy.into()),
                     ("accepted".into(), accepted.into()),
-                    ("reason".into(), reason.as_ref().into()),
+                    ("reason".into(), reason.render(Some(&estimate)).as_ref().into()),
                 ],
             );
         }
@@ -664,15 +660,16 @@ mod tests {
         assert_eq!(pruned, stats.pruned_subtrees);
         assert!(pruned > 0, "tight budget should prune");
         for r in &audit {
-            assert!(!r.reason.is_empty(), "decision without a reason: {r:?}");
+            let reason = r.reason_text();
+            assert!(!reason.is_empty(), "decision without a reason: {r:?}");
             match r.action {
                 AuditAction::PrunedSubtree => {
                     assert!(r.estimate.is_none());
-                    assert!(r.reason.contains("lower bound"), "{}", r.reason);
+                    assert!(reason.contains("lower bound"), "{reason}");
                 }
                 AuditAction::Rejected => {
                     assert!(r.estimate.is_some());
-                    assert!(r.reason.contains("peak memory"), "{}", r.reason);
+                    assert!(reason.contains("peak memory"), "{reason}");
                 }
                 _ => assert!(r.estimate.is_some()),
             }

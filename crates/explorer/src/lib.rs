@@ -25,7 +25,7 @@ pub mod pareto;
 pub mod plan;
 pub mod targets;
 
-pub use audit::{audit_to_json, AuditAction, AuditRecord, AuditTrail};
+pub use audit::{audit_to_json, AuditAction, AuditRecord, AuditTrail, Reason};
 pub use cache::{explore_fingerprint, ExploreCache};
 pub use decision::{decide, decide_on_front, Guideline};
 pub use dfs::{DfsExplorer, DfsOutcome, DfsStats, EvaluatedCandidate};

@@ -4,6 +4,7 @@
 //! `Perf{T, Γ, Acc}` triple ("explore targets") plus hard limits
 //! ("runtime constraints") that prune the search.
 
+use crate::audit::{Limit, Reason};
 use gnnav_estimator::PerfEstimate;
 
 /// Scalarization weights over time, memory, and accuracy.
@@ -108,27 +109,24 @@ impl RuntimeConstraints {
             && self.min_accuracy.is_none_or(|a| est.accuracy >= a)
     }
 
-    /// The first constraint `est` violates, described with the
-    /// predicted value and the limit — `None` when all are satisfied.
-    /// Feeds the explorer's decision audit trail.
-    pub(crate) fn violation(&self, est: &PerfEstimate) -> Option<String> {
+    /// The first constraint `est` violates, as the limit and its bound
+    /// (the audit record renders the sentence from them and `est`) —
+    /// `None` when all are satisfied. Feeds the explorer's decision
+    /// audit trail.
+    pub(crate) fn violation(&self, est: &PerfEstimate) -> Option<Reason> {
         if let Some(t) = self.max_time_s {
             if est.time_s > t {
-                return Some(format!("predicted epoch time {:.4}s > max {t:.4}s", est.time_s));
+                return Some(Reason::broke(Limit::Time, t));
             }
         }
         if let Some(m) = self.max_mem_bytes {
             if est.mem_bytes > m {
-                return Some(format!(
-                    "predicted peak memory {:.2} MB > max {:.2} MB",
-                    est.mem_bytes / 1e6,
-                    m / 1e6
-                ));
+                return Some(Reason::broke(Limit::Memory, m));
             }
         }
         if let Some(a) = self.min_accuracy {
             if est.accuracy < a {
-                return Some(format!("predicted accuracy {:.4} < min {a:.4}", est.accuracy));
+                return Some(Reason::broke(Limit::Accuracy, a));
             }
         }
         None
@@ -216,11 +214,15 @@ mod tests {
             max_mem_bytes: Some(100e6),
             min_accuracy: Some(0.8),
         };
-        assert_eq!(c.violation(&est(0.5, 50e6, 0.9)), None);
-        assert!(c.violation(&est(2.0, 50e6, 0.9)).unwrap().contains("epoch time"));
-        assert!(c.violation(&est(0.5, 200e6, 0.9)).unwrap().contains("peak memory"));
-        assert!(c.violation(&est(0.5, 50e6, 0.5)).unwrap().contains("accuracy"));
-        assert_eq!(RuntimeConstraints::none().violation(&est(1e9, 1e18, 0.0)), None);
+        let text = |e: PerfEstimate| c.violation(&e).map(|r| r.render(Some(&e)).into_owned());
+        assert_eq!(text(est(0.5, 50e6, 0.9)), None);
+        let time = "predicted epoch time 2.0000s > max 1.0000s";
+        assert_eq!(text(est(2.0, 50e6, 0.9)).as_deref(), Some(time));
+        let memory = "predicted peak memory 200.00 MB > max 100.00 MB";
+        assert_eq!(text(est(0.5, 200e6, 0.9)).as_deref(), Some(memory));
+        let accuracy = "predicted accuracy 0.5000 < min 0.8000";
+        assert_eq!(text(est(0.5, 50e6, 0.5)).as_deref(), Some(accuracy));
+        assert!(RuntimeConstraints::none().violation(&est(1e9, 1e18, 0.0)).is_none());
         // Consistency with the boolean form.
         for e in [est(2.0, 50e6, 0.9), est(0.5, 50e6, 0.9)] {
             assert_eq!(c.satisfied_by(&e), c.violation(&e).is_none());

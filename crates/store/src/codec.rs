@@ -180,9 +180,15 @@ impl<'a> ByteReader<'a> {
 
     /// Reads a length-prefixed UTF-8 string.
     pub fn get_str(&mut self) -> Result<String, StoreError> {
+        self.get_str_ref().map(str::to_owned)
+    }
+
+    /// Reads a length-prefixed UTF-8 string in place, for a caller
+    /// that may keep none of it.
+    pub fn get_str_ref(&mut self) -> Result<&'a str, StoreError> {
         let n = self.get_usize()?;
         let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec())
+        std::str::from_utf8(bytes)
             .map_err(|e| StoreError::decode(format!("invalid utf-8 string: {e}")))
     }
 
