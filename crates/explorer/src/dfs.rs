@@ -28,7 +28,8 @@
 //! [`SummaryTable`] rendered once per exploration — eleven string
 //! copies by axis index, the bytes `TrainingConfig::summary` would
 //! format; only the template seeds, which are not index vectors, are
-//! formatted.
+//! formatted. A rejected leaf's reason is the broken limit and its
+//! bound ([`crate::audit::Reason`]), worded only when it is read.
 
 use crate::audit::{AuditAction, AuditRecord, Reason, SATISFIES_ALL};
 use crate::pareto::{objectives, ParetoFront};
