@@ -413,23 +413,19 @@ mod tests {
             assert!(json.contains(&format!("\"reason\": \"{text}\"")), "{json}");
         }
         // Text borrows or owns what it was given, and renders it as is.
-        let fixed = AuditRecord { reason: SATISFIES_ALL.into(), ..record_at(None) };
-        assert!(matches!(fixed.reason_text(), Cow::Borrowed(SATISFIES_ALL)));
-        let owned = AuditRecord { reason: String::from("drift").into(), ..record_at(None) };
-        assert_eq!(owned.reason_text(), "drift");
-        // Without an estimate, the prediction reads NaN.
-        let bare = AuditRecord { reason: Reason::broke(Limit::Time, 1.0), ..record_at(None) };
-        assert_eq!(bare.reason_text(), "predicted epoch time NaNs > max 1.0000s");
-    }
-
-    fn record_at(estimate: Option<PerfEstimate>) -> AuditRecord {
-        AuditRecord {
+        let bare = |reason: Reason| AuditRecord {
             config: String::new(),
-            estimate,
+            estimate: None,
             action: AuditAction::Rejected,
-            reason: "".into(),
+            reason,
             seed_candidate: false,
-        }
+        };
+        let fixed = bare(SATISFIES_ALL.into());
+        assert!(matches!(fixed.reason_text(), Cow::Borrowed(SATISFIES_ALL)));
+        assert_eq!(bare(String::from("drift").into()).reason_text(), "drift");
+        // Without an estimate, the prediction reads NaN.
+        let unpredicted = bare(Reason::broke(Limit::Time, 1.0));
+        assert_eq!(unpredicted.reason_text(), "predicted epoch time NaNs > max 1.0000s");
     }
 
     #[test]
