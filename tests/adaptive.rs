@@ -19,7 +19,9 @@ use gnnavigator::graph::{Dataset, DatasetId};
 use gnnavigator::hwsim::Platform;
 use gnnavigator::nn::ModelKind;
 use gnnavigator::runtime::{DesignSpace, ExecutionOptions, RuntimeBackend, SamplerKind};
-use gnnavigator::{Guideline, Priority, RuntimeConstraints, TrainingConfig};
+use gnnavigator::{
+    Guideline, Navigator, NavigatorOptions, Priority, RuntimeConstraints, TrainingConfig,
+};
 
 fn dataset() -> Dataset {
     Dataset::load_scaled(DatasetId::Reddit2, 0.03).expect("load")
@@ -252,4 +254,41 @@ fn remaining_time_budget_constrains_reexploration() {
         &constraints,
     );
     assert!(result.is_ok(), "budget pressure must degrade, not fail: {result:?}");
+}
+
+/// A navigator re-explores the design space it profiled and explored:
+/// under the drift-forcing plan, every switch of an adaptive run on
+/// `DesignSpace::reduced()` adopts a configuration of that space.
+#[test]
+fn adaptive_switches_stay_in_the_navigators_space() {
+    let space = DesignSpace::reduced();
+    let options = NavigatorOptions {
+        profile_samples: 24,
+        augmentation_graphs: 0,
+        augmentation_nodes: 0,
+        explore_budget: 200,
+        apply_exec: exec_opts(Some(link_degradation_plan())),
+        space: space.clone(),
+        ..Default::default()
+    };
+    let mut navigator =
+        Navigator::new(dataset(), platform(), ModelKind::Sage).with_options(options);
+    let none = RuntimeConstraints::none();
+    let exploration = navigator.generate_guideline(Priority::Balance, &none).expect("explore");
+    let members = space.enumerate(ModelKind::Sage);
+    let start = &exploration.guideline.config;
+    assert!(members.contains(start), "the guideline {} lies outside the space", start.summary());
+
+    let outcome = navigator
+        .apply_adaptive(&exploration, &none, AdaptOptions::default())
+        .expect("adaptive run survives the degraded link");
+    assert!(!outcome.switches.is_empty(), "drift scores {:?}", outcome.drift_scores);
+    for switch in &outcome.switches {
+        assert!(
+            members.contains(&switch.to),
+            "epoch {}: switched to {}, outside the navigator's space",
+            switch.epoch,
+            switch.to.summary()
+        );
+    }
 }
