@@ -12,9 +12,10 @@ use gnnav_graph::Dataset;
 use gnnav_hwsim::Platform;
 use gnnav_obs::names as metric;
 use gnnav_runtime::{
-    drive, DurabilityOptions, EpochLoop, EpochStats, ExecutionOptions, ExecutionReport,
-    ExecutionSession, RuntimeError, TrainingConfig,
+    drive, DesignSpace, DurabilityOptions, EpochLoop, EpochStats, ExecutionOptions,
+    ExecutionReport, ExecutionSession, RuntimeError, TrainingConfig,
 };
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Hard cap on mid-training guideline switches.
@@ -130,7 +131,7 @@ pub struct AdaptiveReport {
 ///     &dataset, &platform, ModelKind::Sage,
 ///     Priority::Balance, &RuntimeConstraints::none())?;
 ///
-/// let runner = AdaptiveRunner::new(platform, AdaptOptions::default());
+/// let runner = AdaptiveRunner::new(platform, DesignSpace::reduced(), AdaptOptions::default());
 /// let outcome = runner.run(&dataset, &exploration, &db,
 ///                          &ExecutionOptions::default(),
 ///                          &RuntimeConstraints::none())?;
@@ -141,13 +142,16 @@ pub struct AdaptiveReport {
 #[derive(Debug, Clone)]
 pub struct AdaptiveRunner {
     platform: Platform,
+    space: Arc<DesignSpace>,
     opts: AdaptOptions,
 }
 
 impl AdaptiveRunner {
-    /// Creates a runner bound to one simulated platform.
-    pub fn new(platform: Platform, opts: AdaptOptions) -> Self {
-        AdaptiveRunner { platform, opts }
+    /// Creates a runner bound to one simulated platform whose
+    /// re-explorations walk `space`: the space the guideline was
+    /// explored in, taken by value or already shared (`Arc`).
+    pub fn new(platform: Platform, space: impl Into<Arc<DesignSpace>>, opts: AdaptOptions) -> Self {
+        AdaptiveRunner { platform, space: space.into(), opts }
     }
 
     /// Runs `exec_opts.epochs` epochs of the explored guideline,
@@ -479,7 +483,8 @@ impl AdaptLoop<'_, '_> {
             session.sim_time_total().as_secs(),
         );
 
-        let explorer = Explorer::new(&estimator, REEXPLORE_BUDGET);
+        let explorer =
+            Explorer::new(&estimator, REEXPLORE_BUDGET).with_space(Arc::clone(&self.runner.space));
         let result = explorer.explore_from(
             self.dataset,
             platform,

@@ -129,7 +129,7 @@ fn a_drifting_run_and_its_checkpoints_are_pinned() {
     let dataset = dataset();
     let (db, estimator) = profile_and_fit(&dataset);
     let exploration = exploration_for(&dataset, &estimator);
-    let runner = AdaptiveRunner::new(platform(), AdaptOptions::default());
+    let runner = AdaptiveRunner::new(platform(), DesignSpace::standard(), AdaptOptions::default());
     let none = RuntimeConstraints::none();
 
     let outcome = runner.run(&dataset, &exploration, &db, &exec_opts(), &none).expect("run");

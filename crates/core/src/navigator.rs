@@ -375,7 +375,7 @@ impl Navigator {
         adapt: AdaptOptions,
     ) -> Result<AdaptiveReport, NavigatorError> {
         self.prepare()?;
-        let runner = AdaptiveRunner::new(self.platform.clone(), adapt);
+        let runner = AdaptiveRunner::new(self.platform.clone(), self.options.space.clone(), adapt);
         let (dataset, db, exec) = (&self.dataset, &self.profile_db, &self.options.apply_exec);
         Ok(match &self.checkpoints {
             Some(dur) => runner.run_durable(dataset, exploration, db, exec, constraints, dur)?,

@@ -111,7 +111,7 @@ fn adaptive_beats_static_under_link_degradation() {
         .execute(&dataset, &low_cache_config(), &opts)
         .expect("static run survives the degraded link");
 
-    let runner = AdaptiveRunner::new(platform(), AdaptOptions::default());
+    let runner = AdaptiveRunner::new(platform(), DesignSpace::standard(), AdaptOptions::default());
     let outcome = runner
         .run(&dataset, &exploration, &db, &opts, &RuntimeConstraints::none())
         .expect("adaptive run survives the degraded link");
@@ -160,7 +160,7 @@ fn clean_adaptive_run_is_byte_identical_to_static() {
     let static_report = RuntimeBackend::new(platform())
         .execute(&dataset, &low_cache_config(), &opts)
         .expect("static");
-    let outcome = AdaptiveRunner::new(platform(), AdaptOptions::default())
+    let outcome = AdaptiveRunner::new(platform(), DesignSpace::standard(), AdaptOptions::default())
         .run(&dataset, &exploration, &db, &opts, &RuntimeConstraints::none())
         .expect("adaptive");
 
@@ -183,7 +183,7 @@ fn adaptive_switches_are_deterministic() {
     let (db, estimator) = profile_and_fit(&dataset);
     let opts = exec_opts(Some(link_degradation_plan()));
     let run = || {
-        AdaptiveRunner::new(platform(), AdaptOptions::default())
+        AdaptiveRunner::new(platform(), DesignSpace::standard(), AdaptOptions::default())
             .run(
                 &dataset,
                 &exploration_for(&dataset, &estimator, low_cache_config()),
@@ -215,13 +215,14 @@ fn adaptive_terminates_under_every_fault_class() {
             _ => FaultSpec::new(kind).with_duration_attempts(1),
         };
         let plan = FaultPlan::new(0xC4A05).with_fault(spec);
-        let result = AdaptiveRunner::new(platform(), AdaptOptions::default()).run(
-            &dataset,
-            &exploration_for(&dataset, &estimator, low_cache_config()),
-            &db,
-            &exec_opts(Some(plan)),
-            &RuntimeConstraints::none(),
-        );
+        let result =
+            AdaptiveRunner::new(platform(), DesignSpace::standard(), AdaptOptions::default()).run(
+                &dataset,
+                &exploration_for(&dataset, &estimator, low_cache_config()),
+                &db,
+                &exec_opts(Some(plan)),
+                &RuntimeConstraints::none(),
+            );
         match result {
             Ok(outcome) => {
                 assert_eq!(outcome.audit.len(), outcome.switches.len(), "{kind:?}");
@@ -246,13 +247,8 @@ fn remaining_time_budget_constrains_reexploration() {
         max_time_s: Some(exploration.guideline.estimate.time_s * 2.0),
         ..RuntimeConstraints::none()
     };
-    let result = AdaptiveRunner::new(platform(), AdaptOptions::default()).run(
-        &dataset,
-        &exploration,
-        &db,
-        &exec_opts(Some(link_degradation_plan())),
-        &constraints,
-    );
+    let result = AdaptiveRunner::new(platform(), DesignSpace::standard(), AdaptOptions::default())
+        .run(&dataset, &exploration, &db, &exec_opts(Some(link_degradation_plan())), &constraints);
     assert!(result.is_ok(), "budget pressure must degrade, not fail: {result:?}");
 }
 

@@ -274,7 +274,7 @@ fn adaptive_kill_at_every_boundary_resumes_identically() {
     let exploration = exploration_for(&ds, &estimator, start);
     let link = FaultSpec::new(FaultKind::LinkDegrade).with_magnitude(50.0);
     let epochs = 4;
-    let runner = AdaptiveRunner::new(platform(), AdaptOptions::default());
+    let runner = AdaptiveRunner::new(platform(), DesignSpace::standard(), AdaptOptions::default());
     let constraints = RuntimeConstraints::none();
 
     // Uninterrupted baseline under the same plan (kills inert).
@@ -317,7 +317,11 @@ fn four_instantiations_of_the_one_loop_agree() {
     let (db, estimator) = profile_and_fit(&ds, &cfg);
     let exploration = exploration_for(&ds, &estimator, cfg.clone());
     let backend = RuntimeBackend::new(platform());
-    let runner = AdaptiveRunner::new(platform(), AdaptOptions { drift_threshold: f64::MAX });
+    let runner = AdaptiveRunner::new(
+        platform(),
+        DesignSpace::standard(),
+        AdaptOptions { drift_threshold: f64::MAX },
+    );
     let none = RuntimeConstraints::none();
     let dir = tmp_dir("four-ways");
     let dur = DurabilityOptions::new(&dir, 1);

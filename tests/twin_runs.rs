@@ -159,7 +159,7 @@ fn adaptive_writer(dir: &Path) -> String {
         fault_plan: Some(FaultPlan::new(0xAD4).with_fault(link)),
         ..Default::default()
     };
-    let outcome = AdaptiveRunner::new(rtx4090(), AdaptOptions::default())
+    let outcome = AdaptiveRunner::new(rtx4090(), DesignSpace::standard(), AdaptOptions::default())
         .run_durable(
             &dataset,
             &exploration,
