@@ -150,8 +150,7 @@ fn decode_record(payload: &[u8]) -> Result<ProfileRecord, StoreError> {
 #[derive(Debug)]
 pub struct ProfileStore {
     wal: Wal,
-    index: HashMap<u64, usize>,
-    records: Vec<(u64, ProfileRecord)>,
+    records: HashMap<u64, ProfileRecord>,
     undecodable: usize,
 }
 
@@ -168,21 +167,19 @@ impl ProfileStore {
     /// be read, or [`StoreError::BadMagic`] /
     /// [`StoreError::VersionMismatch`] on an alien file header.
     pub fn open(path: impl Into<PathBuf>) -> Result<ProfileStore, StoreError> {
-        let mut index = HashMap::new();
-        let mut records = Vec::new();
+        let mut records = HashMap::new();
         let mut undecodable = 0usize;
         let wal = Wal::replay(path, |frame| match decode_record(frame) {
             Ok(record) => {
-                let fp = fingerprint_of(record.dataset_id, &record.context);
-                index.insert(fp, records.len());
-                records.push((fp, record));
+                records.insert(fingerprint_of(record.dataset_id, &record.context), record);
             }
             Err(_) => undecodable += 1,
         })?;
-        Ok(ProfileStore { wal, index, records, undecodable })
+        Ok(ProfileStore { wal, records, undecodable })
     }
 
-    /// Number of live records.
+    /// Number of live records: distinct fingerprints, the later of two
+    /// frames under one fingerprint winning.
     pub fn len(&self) -> usize {
         self.records.len()
     }
@@ -206,12 +203,12 @@ impl ProfileStore {
 
     /// Whether a record with this fingerprint is stored.
     pub fn contains(&self, fingerprint: u64) -> bool {
-        self.index.contains_key(&fingerprint)
+        self.records.contains_key(&fingerprint)
     }
 
     /// The stored record for `fingerprint`, if any.
     pub fn get(&self, fingerprint: u64) -> Option<&ProfileRecord> {
-        self.index.get(&fingerprint).map(|&i| &self.records[i].1)
+        self.records.get(&fingerprint)
     }
 
     /// Durably appends `record`, keyed by its fingerprint. A record
@@ -224,12 +221,11 @@ impl ProfileStore {
     /// [`StoreError::Io`] when the log cannot be written.
     pub fn insert(&mut self, record: &ProfileRecord) -> Result<bool, StoreError> {
         let fp = fingerprint_of(record.dataset_id, &record.context);
-        if self.index.contains_key(&fp) {
+        if self.records.contains_key(&fp) {
             return Ok(false);
         }
         self.wal.append(&encode_tagged(PROFILE_RECORD_TAG, record))?;
-        self.index.insert(fp, self.records.len());
-        self.records.push((fp, record.clone()));
+        self.records.insert(fp, record.clone());
         Ok(true)
     }
 }
