@@ -1,7 +1,7 @@
 //! Criterion benches for the explorer: one whole `explore` on the
 //! wall-clock benchmark's estimator shape (what an evaluated candidate
-//! costs, all in; open, and with nearly every leaf rejected), DFS
-//! throughput at different budgets, Pareto-front
+//! costs, all in; open, and with nearly every leaf rejected), whole
+//! explorations at different budgets, Pareto-front
 //! extraction, and the decision maker with the front handed in and
 //! with the front recomputed.
 
@@ -9,8 +9,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gnnav_bench::benchmark_shape_estimator;
 use gnnav_estimator::{GrayBoxEstimator, Profiler};
 use gnnav_explorer::{
-    decide, decide_on_front, pareto_front_indices, DfsExplorer, EvaluatedCandidate, Explorer,
-    Priority, RuntimeConstraints,
+    decide, decide_on_front, pareto_front_indices, EvaluatedCandidate, Explorer, Priority,
+    RuntimeConstraints,
 };
 use gnnav_graph::{Dataset, DatasetId};
 use gnnav_hwsim::Platform;
@@ -39,16 +39,12 @@ fn bench_dfs_budgets(c: &mut Criterion) {
     group.sample_size(10);
     for budget in [100usize, 500, 2000] {
         group.bench_with_input(BenchmarkId::from_parameter(budget), &budget, |b, &budget| {
-            let dfs = DfsExplorer::new(DesignSpace::standard(), budget, 1);
+            let explorer = Explorer::new(&est, budget).with_seed(1);
+            let none = RuntimeConstraints::none();
             b.iter(|| {
-                dfs.run_audited(
-                    &est,
-                    &dataset,
-                    &platform,
-                    ModelKind::Sage,
-                    &RuntimeConstraints::none(),
-                    &[],
-                )
+                explorer
+                    .explore(&dataset, &platform, ModelKind::Sage, Priority::Balance, &none)
+                    .expect("explore")
             });
         });
     }

@@ -5,6 +5,9 @@
 //! estimator at candidates and pruning subtrees whose estimated
 //! performance cannot satisfy the runtime constraints.
 //!
+//! The walk is a crate-private method of [`Explorer`], the one type
+//! that walks, and meters every walk's series at one place.
+//!
 //! # One pass
 //!
 //! An exploration is serial. The walk hands every decision — leaf to
@@ -34,6 +37,7 @@
 use crate::audit::{AuditAction, AuditRecord, Reason, SATISFIES_ALL};
 use crate::pareto::{objectives, ParetoFront};
 use crate::targets::RuntimeConstraints;
+use crate::Explorer;
 use gnnav_estimator::reuse::WordSet;
 use gnnav_estimator::{GrayBoxEstimator, PerfEstimate, PredictionContext};
 use gnnav_graph::Dataset;
@@ -45,7 +49,6 @@ use gnnav_runtime::{DesignSpace, SummaryTable, TrainingConfig};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::sync::Arc;
 
 /// A candidate evaluated by the estimator during exploration.
 #[derive(Debug, Clone)]
@@ -58,21 +61,21 @@ pub struct EvaluatedCandidate {
 
 /// Everything one audited DFS run produced.
 #[derive(Debug, Clone)]
-pub struct DfsOutcome {
+pub(crate) struct DfsOutcome {
     /// Constraint-satisfying evaluated candidates.
-    pub accepted: Vec<EvaluatedCandidate>,
+    pub(crate) accepted: Vec<EvaluatedCandidate>,
     /// Evaluated candidates with finite predictions that violate a
     /// constraint — the material for the nearest-feasible fallback
     /// when nothing is accepted. Non-finite predictions are counted
     /// in [`DfsStats::rejected`] but never kept here.
-    pub rejected: Vec<EvaluatedCandidate>,
+    pub(crate) rejected: Vec<EvaluatedCandidate>,
     /// Indices (into `accepted`) of the estimated Pareto front over
     /// `(T, Γ, −Acc)`, maintained incrementally during the run.
-    pub front: Vec<usize>,
+    pub(crate) front: Vec<usize>,
     /// Traversal statistics.
-    pub stats: DfsStats,
+    pub(crate) stats: DfsStats,
     /// One [`AuditRecord`] per decision.
-    pub audit: Vec<AuditRecord>,
+    pub(crate) audit: Vec<AuditRecord>,
 }
 
 /// Traversal statistics.
@@ -86,37 +89,17 @@ pub struct DfsStats {
     pub pruned_subtrees: usize,
 }
 
-/// The DFS engine over one [`DesignSpace`].
-#[derive(Debug, Clone)]
-pub struct DfsExplorer {
-    space: Arc<DesignSpace>,
-    budget: usize,
-    seed: u64,
-}
-
-impl DfsExplorer {
-    /// Creates an explorer evaluating at most `budget` leaves. The
-    /// space is taken by value or already shared (`Arc`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `budget == 0`.
-    pub fn new(space: impl Into<Arc<DesignSpace>>, budget: usize, seed: u64) -> Self {
-        assert!(budget > 0, "budget must be > 0");
-        DfsExplorer { space: space.into(), budget, seed }
-    }
-
-    /// Runs DFS from `seeds` (evaluated first, outside the budget) and
-    /// then across the space. Returns the constraint-satisfying
-    /// candidates, the rejected (but finitely predicted) ones, the
-    /// traversal stats and one [`AuditRecord`] per decision — every
-    /// evaluated candidate (accepted or rejected, with the violated
-    /// constraint spelled out) and every pruned subtree. When the
-    /// global journal is recording, each decision is also emitted as
-    /// an instant event on the `explorer` track.
-    pub fn run_audited(
+impl Explorer<'_> {
+    /// Walks the explorer's space from `seeds` (evaluated first,
+    /// outside the budget) and then by DFS. Returns the
+    /// constraint-satisfying candidates, the rejected (but finitely
+    /// predicted) ones, the traversal stats and one [`AuditRecord`] per
+    /// decision — every evaluated candidate (accepted or rejected, with
+    /// the violated constraint spelled out) and every pruned subtree.
+    /// When the global journal is recording, each decision is also
+    /// emitted as an instant event on the `explorer` track.
+    pub(crate) fn walk(
         &self,
-        estimator: &GrayBoxEstimator,
         dataset: &Dataset,
         platform: &Platform,
         model: ModelKind,
@@ -127,17 +110,16 @@ impl DfsExplorer {
         let walk = |restart: &Restart, budget, sink: &mut dyn Sink| {
             traversal.expand(restart, budget, sink)
         };
-        self.run_with(estimator, dataset, platform, constraints, seeds, walk).0
+        self.run_with(dataset, platform, constraints, seeds, walk).0
     }
 
     /// The restart loop around one `walk` strategy: seeds first, then
     /// restarts until the budget is spent, each walked into the
-    /// evaluating sink. Also returns the number of leaves the strategy
-    /// visited, which is traversal cost and no part of the
-    /// (serialized) outcome.
+    /// evaluating sink, then the walk's series metered. Also returns
+    /// the number of leaves the strategy visited, which is traversal
+    /// cost and no part of the (serialized) outcome.
     pub(crate) fn run_with(
         &self,
-        estimator: &GrayBoxEstimator,
         dataset: &Dataset,
         platform: &Platform,
         constraints: &RuntimeConstraints,
@@ -145,7 +127,7 @@ impl DfsExplorer {
         mut walk: impl FnMut(&Restart, usize, &mut dyn Sink) -> Expanded,
     ) -> (DfsOutcome, usize) {
         let mut evaluator = Evaluator {
-            estimator,
+            estimator: self.estimator,
             constraints,
             pctx: PredictionContext::new(dataset, platform),
             seed_candidate: true,
@@ -194,12 +176,6 @@ impl DfsExplorer {
             }
             spent += expanded.evals;
         }
-        // Once per exploration, never per candidate: an enabled
-        // registry takes its lock on every add.
-        if evaluator.stats.evaluated > 0 {
-            gnnav_obs::global()
-                .add(metric::ESTIMATOR_PREDICTIONS, evaluator.stats.evaluated as u64);
-        }
         let outcome = DfsOutcome {
             accepted: evaluator.accepted,
             rejected: evaluator.rejected,
@@ -207,6 +183,24 @@ impl DfsExplorer {
             stats: evaluator.stats,
             audit: evaluator.audit,
         };
+        // Once per walk, never per candidate: an enabled registry takes
+        // its lock on every add.
+        let metrics = gnnav_obs::global();
+        if metrics.is_enabled() {
+            let stats = outcome.stats;
+            if stats.evaluated > 0 {
+                metrics.add(metric::ESTIMATOR_PREDICTIONS, stats.evaluated as u64);
+            }
+            metrics.add(metric::EXPLORER_RUNS, 1);
+            metrics.add(metric::EXPLORER_EVALUATED, stats.evaluated as u64);
+            metrics.add(metric::EXPLORER_REJECTED, stats.rejected as u64);
+            metrics.add(metric::EXPLORER_PRUNED, stats.pruned_subtrees as u64);
+            // Zero-valued adds register the recovery counters so the
+            // perf-gate baselines pin them at zero on clean runs.
+            metrics.add(metric::EXPLORER_FALLBACKS, 0);
+            metrics.add(metric::EXPLORER_NONFINITE, 0);
+            metrics.gauge_set(metric::EXPLORER_FRONT_SIZE, outcome.front.len() as f64);
+        }
         (outcome, leaves)
     }
 }
@@ -509,6 +503,12 @@ const DFS_RESTARTS: usize = 16;
 #[path = "../tests/white_box/dfs.rs"]
 mod white_box;
 
+/// The reuse tables change no estimate: reads the rejected candidates
+/// of every walk, which only the crate-private walk hands out.
+#[cfg(test)]
+#[path = "../tests/white_box/reuse_identity.rs"]
+mod reuse_identity;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -533,9 +533,8 @@ mod tests {
     fn dfs_respects_budget_and_returns_candidates() {
         let dataset = Dataset::load_scaled(DatasetId::Reddit2, 0.02).expect("load");
         let est = fitted(&dataset);
-        let explorer = DfsExplorer::new(DesignSpace::standard(), 200, 1);
-        let outcome = explorer.run_audited(
-            &est,
+        let explorer = Explorer::new(&est, 200).with_seed(1);
+        let outcome = explorer.walk(
             &dataset,
             &Platform::default_rtx4090(),
             ModelKind::Sage,
@@ -551,10 +550,9 @@ mod tests {
     fn seeds_always_evaluated() {
         let dataset = Dataset::load_scaled(DatasetId::Reddit2, 0.02).expect("load");
         let est = fitted(&dataset);
-        let explorer = DfsExplorer::new(DesignSpace::standard(), 10, 2);
+        let explorer = Explorer::new(&est, 10).with_seed(2);
         let seeds: Vec<_> = Template::ALL.iter().map(|t| t.config(ModelKind::Sage)).collect();
-        let outcome = explorer.run_audited(
-            &est,
+        let outcome = explorer.walk(
             &dataset,
             &Platform::default_rtx4090(),
             ModelKind::Sage,
@@ -574,14 +572,13 @@ mod tests {
     fn memory_constraint_prunes_subtrees() {
         let dataset = Dataset::load_scaled(DatasetId::Reddit2, 0.02).expect("load");
         let est = fitted(&dataset);
-        let explorer = DfsExplorer::new(DesignSpace::standard(), 300, 3);
+        let explorer = Explorer::new(&est, 300).with_seed(3);
         // Budget below the largest cache alone.
         let constraints = RuntimeConstraints {
             max_mem_bytes: Some(0.2 * dataset.num_nodes() as f64 * dataset.feat_dim() as f64 * 2.0),
             ..RuntimeConstraints::none()
         };
-        let outcome = explorer.run_audited(
-            &est,
+        let outcome = explorer.walk(
             &dataset,
             &Platform::default_rtx4090(),
             ModelKind::Sage,
@@ -598,11 +595,10 @@ mod tests {
     fn deterministic_given_seed() {
         let dataset = Dataset::load_scaled(DatasetId::Reddit2, 0.02).expect("load");
         let est = fitted(&dataset);
-        let explorer = DfsExplorer::new(DesignSpace::standard(), 50, 9);
+        let explorer = Explorer::new(&est, 50).with_seed(9);
         let run = || {
             explorer
-                .run_audited(
-                    &est,
+                .walk(
                     &dataset,
                     &Platform::default_rtx4090(),
                     ModelKind::Sage,
@@ -618,16 +614,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "budget must be > 0")]
-    fn zero_budget_rejected() {
-        let _ = DfsExplorer::new(DesignSpace::standard(), 0, 1);
-    }
-
-    #[test]
     fn audit_covers_every_decision_with_a_reason() {
         let dataset = Dataset::load_scaled(DatasetId::Reddit2, 0.02).expect("load");
         let est = fitted(&dataset);
-        let explorer = DfsExplorer::new(DesignSpace::standard(), 150, 7);
+        let explorer = Explorer::new(&est, 150).with_seed(7);
         // Tight memory budget: forces both pruned subtrees and
         // post-estimation rejections into the trail.
         let constraints = RuntimeConstraints {
@@ -635,8 +625,7 @@ mod tests {
             ..RuntimeConstraints::none()
         };
         let seeds = vec![gnnav_runtime::Template::Pyg.config(ModelKind::Sage)];
-        let outcome = explorer.run_audited(
-            &est,
+        let outcome = explorer.walk(
             &dataset,
             &Platform::default_rtx4090(),
             ModelKind::Sage,

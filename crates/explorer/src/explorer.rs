@@ -2,7 +2,7 @@
 
 use crate::audit::{AuditAction, AuditRecord, AuditTrail};
 use crate::decision::{decide_on_front, Guideline};
-use crate::dfs::{DfsExplorer, DfsStats, EvaluatedCandidate};
+use crate::dfs::{DfsStats, EvaluatedCandidate};
 use crate::targets::{Priority, RuntimeConstraints};
 use crate::ExplorerError;
 use gnnav_estimator::GrayBoxEstimator;
@@ -41,7 +41,10 @@ pub struct ExplorationResult {
     pub fallback: Option<String>,
 }
 
-/// The guideline explorer: DFS + estimator + decision maker.
+/// The guideline explorer: DFS + estimator + decision maker, and the
+/// one type that walks the design space. It holds the walk's
+/// estimator, space, budget and seed; its crate-private walk (in
+/// [`dfs`](crate::dfs)) meters every walk's series at one place.
 ///
 /// # Example
 ///
@@ -76,10 +79,10 @@ pub struct ExplorationResult {
 /// ```
 #[derive(Debug)]
 pub struct Explorer<'a> {
-    estimator: &'a GrayBoxEstimator,
-    space: Arc<DesignSpace>,
-    budget: usize,
-    seed: u64,
+    pub(crate) estimator: &'a GrayBoxEstimator,
+    pub(crate) space: Arc<DesignSpace>,
+    pub(crate) budget: usize,
+    pub(crate) seed: u64,
 }
 
 impl<'a> Explorer<'a> {
@@ -214,14 +217,8 @@ impl<'a> Explorer<'a> {
         if self.budget == 0 {
             return Err(ExplorerError::ZeroBudget);
         }
-        for (limit, value) in [
-            ("max_time_s", constraints.max_time_s),
-            ("max_mem_bytes", constraints.max_mem_bytes),
-            ("min_accuracy", constraints.min_accuracy),
-        ] {
-            if let Some(value) = value.filter(|v| !v.is_finite()) {
-                return Err(ExplorerError::NonFiniteLimit { limit, value });
-            }
+        if let Some((limit, value)) = constraints.non_finite_limit() {
+            return Err(ExplorerError::NonFiniteLimit { limit, value });
         }
         let metrics = gnnav_obs::global();
         let journal = metrics.journal();
@@ -230,25 +227,13 @@ impl<'a> Explorer<'a> {
         // one epoch for every explorer event, immune to wall-clock
         // adjustments and directly comparable across the trace.
         let explore_t0 = journal.is_enabled().then(|| journal.now_us());
-        let dfs = DfsExplorer::new(Arc::clone(&self.space), self.budget, self.seed);
-        let outcome = dfs.run_audited(self.estimator, dataset, platform, model, constraints, seeds);
+        let outcome = self.walk(dataset, platform, model, constraints, seeds);
         let (rejected, stats) = (outcome.rejected, outcome.stats);
         // Moved behind `Arc`, not copied: every decision below shares
         // them.
         let evaluated = Arc::new(outcome.accepted);
         let front = Arc::new(outcome.front);
         let walk_audit = Arc::new(outcome.audit);
-        if metrics.is_enabled() {
-            metrics.add(metric::EXPLORER_RUNS, 1);
-            metrics.add(metric::EXPLORER_EVALUATED, stats.evaluated as u64);
-            metrics.add(metric::EXPLORER_REJECTED, stats.rejected as u64);
-            metrics.add(metric::EXPLORER_PRUNED, stats.pruned_subtrees as u64);
-            // Zero-valued adds register the recovery counters so the
-            // perf-gate baselines pin them at zero on clean runs.
-            metrics.add(metric::EXPLORER_FALLBACKS, 0);
-            metrics.add(metric::EXPLORER_NONFINITE, 0);
-            metrics.gauge_set(metric::EXPLORER_FRONT_SIZE, front.len() as f64);
-        }
         let decide = |&priority: &Priority| {
             let decided = {
                 // Recorded flat (not via `Registry::span`, which would
@@ -417,7 +402,7 @@ mod tests {
     fn a_zero_budget_is_a_typed_error_at_every_entry_point() {
         // Refused before the walk, so not even a fitted estimator is
         // needed.
-        let dataset = Dataset::load_scaled(DatasetId::Reddit2, 0.01).expect("load");
+        let dataset = Arc::new(Dataset::load_scaled(DatasetId::Reddit2, 0.01).expect("load"));
         let platform = Platform::default_rtx4090();
         let est = GrayBoxEstimator::new();
         let explorer = Explorer::new(&est, 0);
@@ -430,6 +415,18 @@ mod tests {
         assert!(explorer
             .explore_from(&dataset, &platform, model, priority, &none, &seeds)
             .is_err_and(zero));
+        // The front door `Navigator` and `NavService` take.
+        let plan = Plan {
+            dataset,
+            platform,
+            model,
+            space: Arc::new(DesignSpace::standard()),
+            constraints: none,
+            budget: 0,
+            seed: 0,
+            salt: String::new(),
+        };
+        assert!(plan.walk(&est, &Priority::ALL).is_err_and(zero));
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! Application-driven design space exploration (GNNavigator §3.3).
 //!
 //! Automatic guideline generation: user requirements become
-//! [`Priority`] weights and [`RuntimeConstraints`]; a [`DfsExplorer`]
-//! walks the design space querying the gray-box estimator and pruning
-//! infeasible subtrees; the decision maker reduces survivors to the
-//! Pareto front over `(T, Γ, −Acc)` and scalarizes it into a
-//! [`Guideline`]. [`Explorer`] wires the pipeline end to end — one
-//! walk to the estimated front, then one decision per priority asked
-//! for ([`Explorer::explore_all`] decides all four over a single
-//! walk) — and seeds the search with the baseline templates so
-//! guidelines never lose to the prior systems they generalize.
+//! [`Priority`] weights and [`RuntimeConstraints`]; an [`Explorer`]
+//! walks the design space by DFS, querying the gray-box estimator and
+//! pruning infeasible subtrees; the decision maker reduces survivors
+//! to the Pareto front over `(T, Γ, −Acc)` and scalarizes it into a
+//! [`Guideline`]. One walk reaches the estimated front, then one
+//! decision is made per priority asked for ([`Explorer::explore_all`]
+//! decides all four over a single walk); the search is seeded with the
+//! baseline templates so guidelines never lose to the prior systems
+//! they generalize.
 //! [`ExploreCache`] persists [`ExplorationResult`]s keyed by
 //! [`explore_fingerprint`], each walk once, so a repeated invocation
 //! skips the DSE entirely.
@@ -28,7 +28,7 @@ pub mod targets;
 pub use audit::{audit_to_json, AuditAction, AuditRecord, AuditTrail, Reason};
 pub use cache::{explore_fingerprint, ExploreCache};
 pub use decision::{decide, decide_on_front, Guideline};
-pub use dfs::{DfsExplorer, DfsOutcome, DfsStats, EvaluatedCandidate};
+pub use dfs::{DfsStats, EvaluatedCandidate};
 pub use explorer::{ExplorationResult, Explorer};
 pub use pareto::{dominates, objectives, pareto_front_indices, ParetoFront};
 pub use plan::Plan;

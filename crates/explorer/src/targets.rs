@@ -102,6 +102,18 @@ impl RuntimeConstraints {
         RuntimeConstraints::default()
     }
 
+    /// The first limit that is NaN or infinite, as its field name and
+    /// value: no walk is started under one.
+    pub fn non_finite_limit(&self) -> Option<(&'static str, f64)> {
+        [
+            ("max_time_s", self.max_time_s),
+            ("max_mem_bytes", self.max_mem_bytes),
+            ("min_accuracy", self.min_accuracy),
+        ]
+        .into_iter()
+        .find_map(|(limit, value)| Some((limit, value.filter(|v| !v.is_finite())?)))
+    }
+
     /// Whether an estimate satisfies every constraint.
     pub fn satisfied_by(&self, est: &PerfEstimate) -> bool {
         self.max_time_s.is_none_or(|t| est.time_s <= t)
@@ -227,6 +239,25 @@ mod tests {
         for e in [est(2.0, 50e6, 0.9), est(0.5, 50e6, 0.9)] {
             assert_eq!(c.satisfied_by(&e), c.violation(&e).is_none());
         }
+    }
+
+    #[test]
+    fn the_first_non_finite_limit_is_named() {
+        assert_eq!(RuntimeConstraints::none().non_finite_limit(), None);
+        let finite = RuntimeConstraints {
+            max_time_s: Some(1.0),
+            max_mem_bytes: Some(0.0),
+            min_accuracy: Some(-1.0),
+        };
+        assert_eq!(finite.non_finite_limit(), None);
+        let c = RuntimeConstraints { max_mem_bytes: Some(f64::INFINITY), ..finite };
+        assert_eq!(c.non_finite_limit(), Some(("max_mem_bytes", f64::INFINITY)));
+        let c = RuntimeConstraints { min_accuracy: Some(f64::NAN), ..c };
+        assert_eq!(c.non_finite_limit(), Some(("max_mem_bytes", f64::INFINITY)), "the first");
+        let (limit, value) = RuntimeConstraints { min_accuracy: Some(f64::NAN), ..finite }
+            .non_finite_limit()
+            .expect("NaN is not finite");
+        assert!(limit == "min_accuracy" && value.is_nan());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! a bound on the leaves it visits per leaf it evaluates.
 //!
 //! They drive the crate-private `Traversal::expand` and
-//! `DfsExplorer::run_with`, so this file is compiled as a unit-test
+//! `Explorer::run_with`, so this file is compiled as a unit-test
 //! module of `gnnav_explorer::dfs` (see the `#[path]` there), not as an
 //! integration-test target of its own.
 
@@ -184,15 +184,14 @@ struct Explored {
 
 /// Runs one exploration with `expand` as the restart strategy.
 fn explore(
-    explorer: &DfsExplorer,
+    explorer: &Explorer,
     constraints: &RuntimeConstraints,
     mut expand: impl FnMut(&Restart, usize, &mut dyn Sink) -> Expanded,
 ) -> Explored {
-    let (dataset, estimator) = fixture();
+    let (dataset, _) = fixture();
     let mut restarts = Vec::new();
     let mut evaluated = 0;
     let (outcome, leaves) = explorer.run_with(
-        estimator,
         dataset,
         &Platform::default_rtx4090(),
         constraints,
@@ -218,14 +217,15 @@ proptest! {
         budget in 1usize..501,
         cap_kind in 0u8..4,
     ) {
-        let (dataset, _) = fixture();
+        let (dataset, estimator) = fixture();
         let mut rng = StdRng::seed_from_u64(space_seed);
         let space = random_space(&mut rng);
         let constraints = RuntimeConstraints {
             max_mem_bytes: cap(cap_kind, &space, dataset, &mut rng),
             ..RuntimeConstraints::none()
         };
-        let explorer = DfsExplorer::new(space.clone(), budget, dfs_seed);
+        let explorer =
+            Explorer::new(estimator, budget).with_space(space.clone()).with_seed(dfs_seed);
 
         let mut production = Traversal::new(&space, dataset, MODEL, &constraints);
         let got = explore(&explorer, &constraints, |r, b, s| production.expand(r, b, s));
@@ -248,7 +248,7 @@ proptest! {
 
 #[test]
 fn leaves_visited_stay_proportional_to_leaves_evaluated() {
-    let (dataset, _) = fixture();
+    let (dataset, estimator) = fixture();
     let space = DesignSpace::standard();
     // The largest cache alone breaks this cap, so its subtree is pruned.
     let capped = RuntimeConstraints {
@@ -258,7 +258,8 @@ fn leaves_visited_stay_proportional_to_leaves_evaluated() {
     for constraints in [RuntimeConstraints::none(), capped] {
         for budget in [100, 400, 4000] {
             for seed in [1, 0xDF5, 0x7A51] {
-                let explorer = DfsExplorer::new(space.clone(), budget, seed);
+                let explorer =
+                    Explorer::new(estimator, budget).with_space(space.clone()).with_seed(seed);
                 let mut walk = Traversal::new(&space, dataset, MODEL, &constraints);
                 let Explored { evaluated, leaves, .. } =
                     explore(&explorer, &constraints, |r, b, s| walk.expand(r, b, s));

@@ -11,8 +11,9 @@
 //! dense enough that each field, left out of its key, does so.
 //!
 //! Every evaluated candidate is checked once per walk: accepted and
-//! rejected ones from `DfsExplorer::run_audited`, which is what
-//! `Explorer` walks. No step of the walk reads a priority
+//! rejected ones from the crate-private `Explorer::walk`, the walk
+//! every exploration takes (so this file is compiled as a unit-test
+//! module of `gnnav_explorer::dfs`, see the `#[path]` there). No step of the walk reads a priority
 //! (`walk_once.rs`), so `Priority::ALL` is covered by one
 //! `explore_all` per walk, whose guidelines are checked too.
 //!
@@ -23,8 +24,8 @@
 //! one component but one, and the component answers them differently
 //! (each probe asserts that it does).
 
+use crate::{Explorer, Priority, RuntimeConstraints};
 use gnnav_estimator::{GrayBoxEstimator, PerfEstimate, PredictionContext, ProfileDb, Profiler};
-use gnnav_explorer::{DfsExplorer, Explorer, Priority, RuntimeConstraints};
 use gnnav_graph::{Dataset, DatasetId};
 use gnnav_hwsim::Platform;
 use gnnav_nn::ModelKind;
@@ -97,9 +98,8 @@ fn every_estimate_through_the_tables_is_the_fresh_prediction() {
             let constraints = constraints(set, dataset);
             for budget in BUDGETS {
                 let label = format!("{id:?} {set} budget {budget}");
-                let dfs = DfsExplorer::new(DesignSpace::standard(), budget, Explorer::DEFAULT_SEED);
-                let outcome =
-                    dfs.run_audited(&estimator, dataset, &platform, MODEL, &constraints, &seeds);
+                let explorer = Explorer::new(&estimator, budget);
+                let outcome = explorer.walk(dataset, &platform, MODEL, &constraints, &seeds);
                 let candidates: Vec<_> = outcome.accepted.iter().chain(&outcome.rejected).collect();
                 assert_eq!(candidates.len(), outcome.stats.evaluated, "{label}: all finite");
                 for c in candidates {

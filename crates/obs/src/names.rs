@@ -36,13 +36,13 @@
 //! | `profiler.threads` | gauge | threads | `Profiler::profile` (last sweep) |
 //! | `profiler.sweep` | histogram | wall s | span in `Profiler::profile` |
 //! | `profiler.sweep.config[.backend.execute[.epoch]]` | histogram | wall s | `span_under` on sweep workers |
-//! | `estimator.fits` / `.predictions` | counter | calls | `GrayBoxEstimator` (an exploration's predictions are added once, by `DfsExplorer::run_audited`) |
+//! | `estimator.fits` / `.predictions` | counter | calls | `GrayBoxEstimator` (an exploration's predictions are added once per walk, with the `explorer.*` series, by `Explorer`'s walk) |
 //! | `estimator.fit_wall_s` | gauge | wall s | `GrayBoxEstimator::fit` |
 //! | `estimator.mape.{time,memory,accuracy}` | gauge | ratio | `GrayBoxEstimator::fit` |
 //! | `explorer.runs` | counter | walks | one per walk of the design space: `Explorer::explore` / `explore_from`, and one — not four — per `Explorer::explore_all` |
-//! | `explorer.candidates.evaluated` | counter | candidates | `Explorer::explore_from` (a bare `DfsExplorer` emits none) |
-//! | `explorer.candidates.rejected` | counter | candidates | `Explorer::explore_from` (a bare `DfsExplorer` emits none) |
-//! | `explorer.subtrees.pruned` | counter | subtrees | `Explorer::explore_from` (a bare `DfsExplorer` emits none) |
+//! | `explorer.candidates.evaluated` | counter | candidates | `Explorer`'s walk, once per walk |
+//! | `explorer.candidates.rejected` | counter | candidates | `Explorer`'s walk, once per walk |
+//! | `explorer.subtrees.pruned` | counter | subtrees | `Explorer`'s walk, once per walk |
 //! | `bench.constrained.{subtrees_pruned,candidates_rejected,fallbacks}` | counter | subtrees / candidates / guidelines | `perf_baseline`: `explorer.{subtrees.pruned,candidates.rejected,fallbacks}` of one explore capped at the lower quartile of the unconstrained run's time and at 0.9 × the largest cache's Eq. 10 memory bound |
 //! | `explorer.front.size` | gauge | candidates | `Explorer::explore` |
 //! | `explorer.explore` | histogram | wall s | span in `Explorer::explore` |
@@ -58,7 +58,7 @@
 //! | `profiler.retries` | counter | retries | `Profiler::profile` |
 //! | `profiler.quarantined` | counter | configs | `Profiler::profile` |
 //! | `explorer.fallbacks` | counter | guidelines | `Explorer::explore` |
-//! | `explorer.predictions.nonfinite` | counter | candidates | `DfsExplorer::run_audited` |
+//! | `explorer.predictions.nonfinite` | counter | candidates | `Explorer`'s walk |
 //! | `nn.matmul.calls` | counter | kernel calls | `RuntimeBackend::execute` |
 //! | `nn.matmul.flops` | counter | flops | `RuntimeBackend::execute` |
 //! | `nn.matmul_gflops_wall` | gauge | GFLOP/wall s | `RuntimeBackend::execute` (last run) |
@@ -108,8 +108,8 @@
 //! | `alloc` | `backend` | instant | `RuntimeBackend::execute`, one/run with tracking on |
 //! | `backend.epoch.hit_rate` | `backend` | counter sample | `RuntimeBackend::execute`, one/epoch |
 //! | `profile.config` | `profiler.worker-<i>` | span (wall) | `Profiler::profile`, one/config |
-//! | `candidate` | `explorer` | instant | `DfsExplorer::run_audited`, one/evaluation |
-//! | `prune` | `explorer` | instant | `DfsExplorer::run_audited`, one/pruned subtree |
+//! | `candidate` | `explorer` | instant | `Explorer`'s walk, one/evaluation |
+//! | `prune` | `explorer` | instant | `Explorer`'s walk, one/pruned subtree |
 //! | `guideline` | `explorer` | instant | `Explorer::explore`, selected config |
 //! | `explore` / `decide` | `explorer` | span (wall) | `Explorer::explore`, one/run |
 //! | `explore.cache` | `explorer` | instant | `ExploreCache` lookup/insert |

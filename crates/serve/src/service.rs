@@ -272,17 +272,10 @@ impl NavService {
         let journal = metrics.journal();
         let depth = self.queue.len();
         let capacity = self.options.queue_capacity;
-        let limits = &request.workload.constraints;
         // A NaN or infinite limit would fail the walk in the middle of
         // a wave, and with it every other request of the wave.
-        let non_finite = [
-            ("max_time_s", limits.max_time_s),
-            ("max_mem_bytes", limits.max_mem_bytes),
-            ("min_accuracy", limits.min_accuracy),
-        ]
-        .into_iter()
-        .find_map(|(limit, value)| value.is_some_and(|v| !v.is_finite()).then_some(limit));
-        let reject = if let Some(limit) = non_finite {
+        let non_finite = request.workload.constraints.non_finite_limit();
+        let reject = if let Some((limit, _)) = non_finite {
             Some(AdmitError::NonFiniteLimit { tenant: request.tenant, limit })
         } else if depth >= capacity {
             Some(AdmitError::QueueFull { depth, capacity })
