@@ -123,15 +123,17 @@ pub struct AdaptiveReport {
 ///     RuntimeBackend::new(platform.clone()),
 ///     ExecutionOptions::timing_only(),
 /// );
-/// let configs = DesignSpace::reduced().sample(12, ModelKind::Sage, 5);
+/// let space = DesignSpace::reduced();
+/// let configs = space.sample(12, ModelKind::Sage, 5);
 /// let db = profiler.profile(&dataset, &configs)?;
 /// let mut estimator = GrayBoxEstimator::new();
 /// estimator.fit(&db)?;
-/// let exploration = Explorer::new(&estimator, 200).explore(
+/// let exploration = Explorer::new(&estimator, 200).with_space(space.clone()).explore(
 ///     &dataset, &platform, ModelKind::Sage,
 ///     Priority::Balance, &RuntimeConstraints::none())?;
 ///
-/// let runner = AdaptiveRunner::new(platform, DesignSpace::reduced(), AdaptOptions::default());
+/// // Re-explorations walk the space the guideline was explored in.
+/// let runner = AdaptiveRunner::new(platform, space, AdaptOptions::default());
 /// let outcome = runner.run(&dataset, &exploration, &db,
 ///                          &ExecutionOptions::default(),
 ///                          &RuntimeConstraints::none())?;

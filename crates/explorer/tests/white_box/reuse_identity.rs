@@ -13,9 +13,10 @@
 //! Every evaluated candidate is checked once per walk: accepted and
 //! rejected ones from the crate-private `Explorer::walk`, the walk
 //! every exploration takes (so this file is compiled as a unit-test
-//! module of `gnnav_explorer::dfs`, see the `#[path]` there). No step of the walk reads a priority
-//! (`walk_once.rs`), so `Priority::ALL` is covered by one
-//! `explore_all` per walk, whose guidelines are checked too.
+//! module of `gnnav_explorer::dfs`, see the `#[path]` there). No step
+//! of the walk reads a priority (`walk_once.rs`), so `Priority::ALL`
+//! is covered by one `explore_all` per walk, whose guidelines are
+//! checked too.
 //!
 //! Some fields never tell two leaves of the standard space apart on
 //! their own: there, two batch sizes or two sampler families never
