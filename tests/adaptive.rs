@@ -253,8 +253,10 @@ fn remaining_time_budget_constrains_reexploration() {
 }
 
 /// A navigator re-explores the design space it profiled and explored:
-/// under the drift-forcing plan, every switch of an adaptive run on
-/// `DesignSpace::reduced()` adopts a configuration of that space.
+/// under the drift-forcing plan, an adaptive run from a guideline of
+/// `DesignSpace::reduced()` switches only to configurations of that
+/// space. (A template guideline lies outside it: the templates seed
+/// every exploration.)
 #[test]
 fn adaptive_switches_stay_in_the_navigators_space() {
     let space = DesignSpace::reduced();
