@@ -503,8 +503,8 @@ const DFS_RESTARTS: usize = 16;
 #[path = "../tests/white_box/dfs.rs"]
 mod white_box;
 
-/// The reuse tables change no estimate: reads the rejected candidates
-/// of every walk, which only the crate-private walk hands out.
+/// The reuse tables change no estimate; the suite reads every walk's
+/// rejected candidates, which only the crate-private walk hands out.
 #[cfg(test)]
 #[path = "../tests/white_box/reuse_identity.rs"]
 mod reuse_identity;
